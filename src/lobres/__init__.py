@@ -25,7 +25,7 @@ from .strategies import (Strategy, StrategyDiagnostics, TrackerSpec, block_sched
                          diagnostics, exponential_tracker, optimal_tracker,
                          position_paths, rate_strategy, read_strategy_csv,
                          smooth_blocks, write_strategy_csv, zero_strategy)
-from .wealth import SafeAccountPath, WealthPath, ac_wealth, ow_wealth, safe_account
+from .wealth import WealthPath, ac_wealth, ow_wealth, safe_account
 
 __version__ = "0.1.0"
 
@@ -33,8 +33,8 @@ __all__ = [
     "BookParams", "BookTemplate", "ConfigError", "ConfigParseError",
     "ConfigValidationError", "ConvergenceReport", "FundamentalSpec",
     "InsufficientData", "KappaLadder", "LemmaJumpReport", "NumericFailure",
-    "RandomSource", "RateFit", "ReferencePricePath", "SafeAccountPath",
-    "SampledPath", "SpreadPaths", "Strategy", "StrategyDiagnostics", "TimeGrid",
+    "RandomSource", "RateFit", "ReferencePricePath", "SampledPath",
+    "SpreadPaths", "Strategy", "StrategyDiagnostics", "TimeGrid",
     "TrackerBoundReport", "TrackerSpec", "UniformBounds", "UtilityReport",
     "WealthPath", "ac_wealth", "as_path", "block_schedule", "constant_path",
     "diagnostics", "evolve_spreads", "exponential_tracker", "fit_rate",

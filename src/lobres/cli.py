@@ -107,8 +107,7 @@ def _run_simulate(config: RunConfig, out: Path) -> RunResult:
 def _run_theorem1(config: RunConfig, out: Path) -> RunResult:
     report = theorem1_experiment(
         config.book.template(), _rate_input(config), config.fundamental.spec(),
-        config.ladder.ladder(), paths=config.mc.paths, seed=config.mc.seed,
-        horizon=config.grid.horizon, n0=config.grid.n0,
+        config.ladder.ladder(), horizon=config.grid.horizon, n0=config.grid.n0,
         resolution_scale=config.grid.resolution_scale)
     gates = {
         "kappa_x_err_decreasing_upper_half": _all_zero(report)
@@ -122,8 +121,7 @@ def _run_theorem1(config: RunConfig, out: Path) -> RunResult:
 def _run_remark1(config: RunConfig, out: Path) -> RunResult:
     report = remark1_experiment(
         config.book.template(), _rate_input(config), config.fundamental.spec(),
-        config.ladder.ladder(), paths=config.mc.paths, seed=config.mc.seed,
-        horizon=config.grid.horizon, n0=config.grid.n0,
+        config.ladder.ladder(), horizon=config.grid.horizon, n0=config.grid.n0,
         resolution_scale=config.grid.resolution_scale)
     scaled = report.sqrt_kappa_x_err
     gates = {
@@ -139,9 +137,8 @@ def _run_l2(config: RunConfig, out: Path) -> RunResult:
     bounds = config.bounds.bounds() if config.bounds is not None else None
     report = l2_convergence_experiment(
         config.book.template(), _rate_input(config), config.fundamental.spec(),
-        config.ladder.ladder(), bounds=bounds, paths=config.mc.paths,
-        seed=config.mc.seed, horizon=config.grid.horizon, n0=config.grid.n0,
-        resolution_scale=config.grid.resolution_scale)
+        config.ladder.ladder(), bounds=bounds, horizon=config.grid.horizon,
+        n0=config.grid.n0, resolution_scale=config.grid.resolution_scale)
     gates = {
         "kappa_x_err_decreasing_upper_half": _all_zero(report)
                                              or report.decreasing_on_upper_half(),

@@ -658,6 +658,10 @@ def parse_config(text: str) -> RunConfig:
 # budget still execute; validate() only warns.
 DEFAULT_BUDGET = 2.0e8
 
+# The structural-minus-reduced-form gap does not depend on the price path,
+# so these kinds evaluate one path whatever mc.paths says.
+_PATH_FREE_KINDS = ("theorem1", "remark1", "l2")
+
 
 def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
     """Dry-run report: schema is already enforced; estimate the run size."""
@@ -674,8 +678,13 @@ def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
         kappa_max = config.book.kappa if (config.book and config.book.kappa) else 1.0
     steps = max(config.grid.n0,
                 _math.ceil(config.grid.resolution_scale * _math.sqrt(kappa_max)))
-    cost_proxy = float(steps) * config.mc.paths * cells
+    path_free = config.kind in _PATH_FREE_KINDS
+    cost_proxy = float(steps) * (1 if path_free else config.mc.paths) * cells
     warnings = []
+    if path_free and config.mc.paths > 1:
+        warnings.append(
+            f"mc.paths = {config.mc.paths} has no effect: the {config.kind} gap does "
+            f"not depend on the price path")
     if cost_proxy > budget:
         warnings.append(
             f"estimated cost {cost_proxy:.3g} (steps x paths x cells) exceeds "

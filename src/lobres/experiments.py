@@ -7,10 +7,18 @@ reflect the resilience, not sampling noise.
 
 Wealth along a path is linear in the fundamental-price increments once the
 strategy and book coefficients are fixed (the coefficients are sampled
-paths, never functions of the price).  The Monte-Carlo experiments exploit
-this: they evaluate the wealth engines once on the drift-only price path and
-add the position-weighted noise per path, which reproduces per-path engine
-evaluation exactly for additive fundamentals with time-only coefficients.
+paths, never functions of the price).  The Monte-Carlo experiments
+(lemma-jump, utility) exploit this: they evaluate the wealth engine once on
+the drift-only price path and add the position-weighted noise per path,
+which reproduces per-path engine evaluation exactly for additive
+fundamentals with time-only coefficients.
+
+The gap experiments (theorem1, remark1, l2) need no noise at all.  Both
+engines book the same gain, the same baseline-spread cost and, for the
+block-free strategies they admit, no block cost, so X_ow - X_ac is the
+difference of their impact costs.  Those depend only on the book and the
+strategy, so the gap is the same on every price path and is computed once
+per kappa on the drift-only path.
 """
 
 from __future__ import annotations
@@ -143,16 +151,14 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> RateFit:
 
 @dataclass
 class ConvergenceReport:
-    """Per-kappa error metrics with the fitted log-log rate.
+    """Per-kappa gap sup_t |X_ow - X_ac| with the fitted log-log rate.
 
-    ``mean_err`` holds the headline metric named by ``metric``: the mean of
-    pathwise sup-differences, or their L2 norm sqrt(E[sup^2]).
+    The gap does not depend on the price path, so ``mean_err`` is the gap
+    itself; it is also its mean, 95th percentile and L2 norm over paths.
     """
 
     kappas: np.ndarray
     mean_err: np.ndarray
-    p95_err: np.ndarray
-    metric: str = "mean_sup"
     slope: float | None = None
     intercept: float | None = None
     residual: float | None = None
@@ -167,6 +173,7 @@ class ConvergenceReport:
         return np.sqrt(self.kappas) * self.mean_err
 
     def csv_rows(self) -> list[list[str]]:
+        """Rows of ``kappa, mean_err, p95_err, kappa_x_err, slope_so_far``."""
         rows = []
         for j in range(len(self.kappas)):
             pts = list(zip(self.kappas[: j + 1], self.mean_err[: j + 1]))
@@ -174,9 +181,9 @@ class ConvergenceReport:
                 so_far = repr(fit_rate(pts).slope)
             except InsufficientData:
                 so_far = ""
-            rows.append([repr(float(self.kappas[j])), repr(float(self.mean_err[j])),
-                         repr(float(self.p95_err[j])), repr(float(self.kappa_x_err[j])),
-                         so_far])
+            err = repr(float(self.mean_err[j]))
+            rows.append([repr(float(self.kappas[j])), err, err,
+                         repr(float(self.kappa_x_err[j])), so_far])
         return rows
 
     def decreasing_on_upper_half(self, scaled: np.ndarray | None = None) -> bool:
@@ -196,63 +203,45 @@ def _coerce_rate_strategy(grid: TimeGrid, rate) -> Strategy:
     return rate_strategy(grid, rate)
 
 
-def _finish_report(kappas, mean_err, p95_err, metric) -> ConvergenceReport:
-    kappas = np.asarray(kappas, dtype=float)
-    mean_err = np.asarray(mean_err, dtype=float)
-    p95_err = np.asarray(p95_err, dtype=float)
-    zeros = tuple(float(k) for k, e in zip(kappas, mean_err) if e <= 0)
-    report = ConvergenceReport(kappas, mean_err, p95_err, metric=metric,
-                               zero_error_kappas=zeros)
+def _run_gap_ladder(template: BookTemplate, strategy_for_kappa, fundamental: FundamentalSpec,
+                    ladder: KappaLadder, grid: TimeGrid) -> ConvergenceReport:
+    fundamental.sigma_steps(grid)  # rejects negative volatility; the gap ignores it
+    mean_fund = fundamental.mean_path(grid)
+    errs = []
+    for kappa in ladder:
+        book = template.materialize(grid, kappa)
+        strat = strategy_for_kappa(kappa, grid)
+        gap = (ac_wealth(book, strat, mean_fund).impact_cost.values
+               - ow_wealth(book, strat, mean_fund).impact_cost.values)
+        errs.append(float(np.max(np.abs(gap))))
+    kappas = np.asarray(ladder.values)
+    zeros = tuple(float(k) for k, e in zip(kappas, errs) if e <= 0)
+    report = ConvergenceReport(kappas, np.asarray(errs), zero_error_kappas=zeros)
     try:
-        fit = fit_rate(list(zip(kappas, mean_err)))
+        fit = fit_rate(list(zip(kappas, errs)))
         report.slope, report.intercept, report.residual = fit.slope, fit.intercept, fit.residual
     except InsufficientData:
         pass
     return report
 
 
-def _run_gap_ladder(template: BookTemplate, strategy_for_kappa, fundamental: FundamentalSpec,
-                    ladder: KappaLadder, grid: TimeGrid, paths: int, seed: int,
-                    x0: float, metric: str) -> ConvergenceReport:
-    fundamentals = [fundamental.sample(grid, RandomSource(seed, stream=p))
-                    for p in range(paths)]
-    mean_err = []
-    p95_err = []
-    for kappa in ladder:
-        book = template.materialize(grid, kappa)
-        strat = strategy_for_kappa(kappa, grid)
-        sups = np.array([
-            float(np.max(np.abs(ow_wealth(book, strat, fund, x0).x.values
-                                - ac_wealth(book, strat, fund, x0).x.values)))
-            for fund in fundamentals
-        ])
-        if metric == "l2_sup":
-            mean_err.append(float(np.sqrt(np.mean(sups**2))))
-        else:
-            mean_err.append(float(np.mean(sups)))
-        p95_err.append(float(np.percentile(sups, 95)))
-    return _finish_report(list(ladder), mean_err, p95_err, metric)
-
-
 def theorem1_experiment(template: BookTemplate, rate, fundamental: FundamentalSpec,
-                        ladder: KappaLadder, *, paths: int = 1, seed: int = 42,
-                        horizon: float = 1.0, n0: int = 512,
-                        resolution_scale: float = 4.0, x0: float = 0.0) -> ConvergenceReport:
+                        ladder: KappaLadder, *, horizon: float = 1.0, n0: int = 512,
+                        resolution_scale: float = 4.0) -> ConvergenceReport:
     """Gap between structural and reduced-form wealth for a fixed smooth rate.
 
-    Reports e(kappa) = E[sup_t |X_ow - X_ac|]; the limit theorem makes
-    kappa * e(kappa) vanish, and smooth rates decay one order faster.
+    Reports e(kappa) = sup_t |X_ow - X_ac|, the same on every price path; the
+    limit theorem makes kappa * e(kappa) vanish, and smooth rates decay one
+    order faster.
     """
     grid = ladder_grid(horizon, n0, resolution_scale, ladder.max)
     strat = _coerce_rate_strategy(grid, rate)
-    return _run_gap_ladder(template, lambda k, g: strat, fundamental, ladder,
-                           grid, paths, seed, x0, "mean_sup")
+    return _run_gap_ladder(template, lambda k, g: strat, fundamental, ladder, grid)
 
 
 def remark1_experiment(template: BookTemplate, base_rate, fundamental: FundamentalSpec,
-                       ladder: KappaLadder, *, paths: int = 1, seed: int = 42,
-                       horizon: float = 1.0, n0: int = 512,
-                       resolution_scale: float = 4.0, x0: float = 0.0) -> ConvergenceReport:
+                       ladder: KappaLadder, *, horizon: float = 1.0, n0: int = 512,
+                       resolution_scale: float = 4.0) -> ConvergenceReport:
     """Same gap for strategies whose rate grows like kappa^(1/4) * base_rate;
     the scaled error sqrt(kappa) * e(kappa) still vanishes."""
     grid = ladder_grid(horizon, n0, resolution_scale, ladder.max)
@@ -262,8 +251,7 @@ def remark1_experiment(template: BookTemplate, base_rate, fundamental: Fundament
         return Strategy(g, SampledPath(g, kappa**0.25 * base.rate.values),
                         (), base.phi0)
 
-    return _run_gap_ladder(template, scaled, fundamental, ladder, grid, paths,
-                           seed, x0, "mean_sup")
+    return _run_gap_ladder(template, scaled, fundamental, ladder, grid)
 
 
 @dataclass
@@ -275,7 +263,6 @@ class UniformBounds:
     resilience_floor: float
 
     def check(self, book: BookParams, strategy: Strategy) -> None:
-        n = book.grid.steps
         if np.any(np.abs(strategy.rate_steps) > self.rate_bound):
             raise ValueError("strategy rate exceeds its declared uniform bound")
         if (np.any(book.K_up.values < self.resilience_floor)
@@ -294,17 +281,18 @@ class UniformBounds:
 
 def l2_convergence_experiment(template: BookTemplate, rate, fundamental: FundamentalSpec,
                               ladder: KappaLadder, *, bounds: UniformBounds | None = None,
-                              paths: int = 1, seed: int = 42, horizon: float = 1.0,
-                              n0: int = 512, resolution_scale: float = 4.0,
-                              x0: float = 0.0) -> ConvergenceReport:
-    """Theorem-1 ladder with the L2 metric sqrt(E[sup_t |X_ow - X_ac|^2]),
-    for configurations with uniformly bounded coefficients."""
+                              horizon: float = 1.0, n0: int = 512,
+                              resolution_scale: float = 4.0) -> ConvergenceReport:
+    """Theorem-1 ladder for configurations with uniformly bounded coefficients.
+
+    The gap is path-free, so its L2 norm sqrt(E[sup_t |X_ow - X_ac|^2]) is the
+    theorem-1 error; this experiment adds the check of the declared bounds.
+    """
     grid = ladder_grid(horizon, n0, resolution_scale, ladder.max)
     strat = _coerce_rate_strategy(grid, rate)
     if bounds is not None:
         bounds.check(template.materialize(grid, ladder.values[0]), strat)
-    return _run_gap_ladder(template, lambda k, g: strat, fundamental, ladder,
-                           grid, paths, seed, x0, "l2_sup")
+    return _run_gap_ladder(template, lambda k, g: strat, fundamental, ladder, grid)
 
 
 @dataclass
@@ -484,8 +472,11 @@ class UtilityReport:
         return rows
 
 
-def _certainty_equivalent(u_mean: float, gamma: float) -> float:
-    return -math.log(-u_mean) / gamma
+def _certainty_equivalent(x: np.ndarray, gamma: float) -> float:
+    """-log(E[exp(-gamma x)]) / gamma over the samples x, shifted by their
+    minimum so that exp neither overflows nor underflows to a zero mean."""
+    xmin = float(x.min())
+    return xmin - math.log(float(np.mean(np.exp(-gamma * (x - xmin))))) / gamma
 
 
 def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
@@ -544,7 +535,8 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
     cells: dict[tuple[float, float], UtilityCell] = {}
     for kappa in kappas:
         book = template.materialize(grid, kappa)
-        u_by_mult: dict[float, np.ndarray] = {}
+        ce_point: dict[float, float] = {}
+        ce_boot: dict[float, np.ndarray] = {}
         for c in multipliers:
             spec = TrackerSpec(target=target,
                                rate_scale=SampledPath(grid, c * m_base),
@@ -552,21 +544,16 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
             strat = exponential_tracker(spec, start=0.0)
             x_det, weights = _terminal_wealth_decomposition(book, strat, mean_fund, x0)
             x_terminal = x_det + dw @ (sigma_steps * weights)
-            u_by_mult[c] = -np.exp(-gamma * x_terminal)
+            ce_point[c] = _certainty_equivalent(x_terminal, gamma)
+            ce_boot[c] = np.array([_certainty_equivalent(x_terminal[idx], gamma)
+                                   for idx in boot_idx])
 
-        ce_boot: dict[float, np.ndarray] = {}
         for c in multipliers:
-            u = u_by_mult[c]
-            means = np.array([u[idx].mean() for idx in boot_idx])
-            ce_boot[c] = -np.log(-means) / gamma
-        for c in multipliers:
-            ce = _certainty_equivalent(float(u_by_mult[c].mean()), gamma)
             lo, hi = np.percentile(ce_boot[c], [2.5, 97.5])
-            gap_samples = ce_boot[1.0] - ce_boot[c]
-            gap = (_certainty_equivalent(float(u_by_mult[1.0].mean()), gamma) - ce)
-            glo, ghi = np.percentile(gap_samples, [2.5, 97.5])
-            cells[(kappa, c)] = UtilityCell(c, ce, float(lo), float(hi),
-                                            gap, float(glo), float(ghi))
+            glo, ghi = np.percentile(ce_boot[1.0] - ce_boot[c], [2.5, 97.5])
+            cells[(kappa, c)] = UtilityCell(c, ce_point[c], float(lo), float(hi),
+                                            ce_point[1.0] - ce_point[c],
+                                            float(glo), float(ghi))
 
     frictionless = x0 + mu**2 * horizon / (2.0 * gamma * sigma**2)
     return UtilityReport(kappas, multipliers, cells, frictionless)

@@ -46,10 +46,6 @@ class TimeGrid:
     def points(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
-    def refine(self, factor: int = 2) -> "TimeGrid":
-        """Nested grid with `factor` times as many steps (same horizon)."""
-        return TimeGrid(self.horizon, self.steps * factor)
-
 
 def make_grid(horizon: float, steps: int) -> TimeGrid:
     """Build a uniform grid on [0, horizon] with the given number of steps."""

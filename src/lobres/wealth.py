@@ -62,13 +62,6 @@ class WealthPath:
                                  repr(float(self.permanent_shift.values[i]))])
 
 
-@dataclass
-class SafeAccountPath:
-    """Cash account path; wealth = safe account + position * reference price."""
-
-    values: SampledPath
-
-
 def _check_inputs(book: BookParams, strategy: Strategy, fundamental: SampledPath) -> None:
     if book.grid != strategy.grid:
         raise ValueError("strategy and book must share a grid")
@@ -183,8 +176,9 @@ def ow_wealth(book: BookParams, strategy: Strategy, fundamental: SampledPath,
 
 
 def safe_account(book: BookParams, strategy: Strategy, fundamental: SampledPath,
-                 x0: float = 0.0) -> SafeAccountPath:
-    """Cash account from the self-financing condition: every purchase pays the
+                 x0: float = 0.0) -> SampledPath:
+    """Cash account from the self-financing condition, so that wealth equals
+    safe account + position * reference price.  Every purchase pays the
     pre-trade reference plus the pre-trade spread plus half its own impact
     (blocks: size^2 / 2h; rate trades: the exact frozen-coefficient average),
     sales symmetrically."""
@@ -209,7 +203,7 @@ def safe_account(book: BookParams, strategy: Strategy, fundamental: SampledPath,
                             - half_impact)
 
     acct = _accumulate(x0 - strategy.phi0 * fundamental.values[0], step_terms, event_terms)
-    return SafeAccountPath(SampledPath(book.grid, acct))
+    return SampledPath(book.grid, acct)
 
 
 def ac_wealth(book: BookParams, strategy: Strategy, fundamental: SampledPath,

@@ -76,7 +76,7 @@ def test_criterion_2_bookkeeping_identity():
                                 phi0=float(rng.normal(0.0, 2.0)))
         x0 = float(rng.normal(0.0, 10.0))
         x = ow_wealth(book, strat, fund, x0).x.values
-        acct = safe_account(book, strat, fund, x0).values.values
+        acct = safe_account(book, strat, fund, x0).values
         ref = reference_price(book, strat, fund).values.values
         _, post = position_paths(strat)
         recon = acct + post * ref

@@ -126,3 +126,18 @@ class TestConvergeCommand:
         assert (out / "lemma.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] is False
+
+
+class TestUtilityCommand:
+    def test_large_initial_wealth_runs(self, tmp_path):
+        payload = {
+            "kind": "utility",
+            "fundamental": {"s0": 100.0, "mu": 0.1, "sigma": 0.2},
+            "utility": {"kappas": [64.0, 256.0, 1024.0], "x0": 800.0, "bootstrap": 100},
+            "mc": {"paths": 2000, "seed": 7},
+        }
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "artifacts"
+        assert main(["utility", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert all(800.0 < float(ce) < 800.125 for ce in summary["report"]["candidate_ce"])

@@ -119,7 +119,17 @@ class TestValidate:
         assert report["warnings"] == []
 
     def test_budget_warning(self):
-        text = json.dumps({"kind": "theorem1", "strategy": {"type": "zero"},
+        text = json.dumps({"kind": "lemma-jump",
+                           "strategy": {"type": "blocks", "blocks": [[0.25, 1.0]],
+                                        "t_prime": 0.5},
                            "mc": {"paths": 1_000_000}})
         report = validate_config(parse_config(text))
         assert any("budget" in w for w in report["warnings"])
+
+    def test_gap_kinds_count_one_path(self):
+        text = json.dumps({"kind": "theorem1", "strategy": {"type": "zero"},
+                           "mc": {"paths": 1_000_000}})
+        report = validate_config(parse_config(text))
+        assert report["estimates"]["cost_proxy"] == 512.0 * 9
+        assert not any("budget" in w for w in report["warnings"])
+        assert any("price path" in w for w in report["warnings"])

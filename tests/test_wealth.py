@@ -108,7 +108,7 @@ class TestSafeAccount:
         grid = make_grid(1.0, 64)
         book, fund = book_and_fund(grid)
         acct = safe_account(book, zero_strategy(grid, phi0=2.0), fund, x0=9.0)
-        np.testing.assert_array_equal(acct.values.values, np.full(65, 9.0 - 2.0 * 100.0))
+        np.testing.assert_array_equal(acct.values, np.full(65, 9.0 - 2.0 * 100.0))
 
     def test_single_block_charge(self):
         # first purchase on an empty book pays s + e + theta / (2h) per share
@@ -118,8 +118,7 @@ class TestSafeAccount:
         strat = Strategy(grid, constant_path(grid, 0.0), ((16, theta),))
         acct = safe_account(book, strat, fund, x0=0.0)
         charge = (s + e + theta / (2 * h)) * theta
-        assert acct.values.values[16] - acct.values.values[15] == pytest.approx(-charge,
-                                                                                abs=1e-12)
+        assert acct.values[16] - acct.values[15] == pytest.approx(-charge, abs=1e-12)
 
     def test_bookkeeping_identity_random_strategies(self):
         # wealth equals safe account plus position marked at the reference
@@ -141,7 +140,7 @@ class TestSafeAccount:
             acct = safe_account(book, strat, fund, x0)
             ref = reference_price(book, strat, fund)
             _, post = position_paths(strat)
-            recon = acct.values.values + post * ref.values.values
+            recon = acct.values + post * ref.values.values
             scale = np.maximum(1.0, np.abs(w.x.values))
             assert np.max(np.abs(w.x.values - recon) / scale) <= 1e-10
 
