@@ -658,9 +658,29 @@ def parse_config(text: str) -> RunConfig:
 # budget still execute; validate() only warns.
 DEFAULT_BUDGET = 2.0e8
 
-# The structural-minus-reduced-form gap does not depend on the price path,
-# so these kinds evaluate one path whatever mc.paths says.
-_PATH_FREE_KINDS = ("theorem1", "remark1", "l2")
+# Kinds that evaluate one path whatever mc.paths says, and why: the
+# structural-minus-reduced-form gap does not depend on the price path, and
+# simulate samples stream 0 only.
+_ONE_PATH_KINDS = {
+    "theorem1": "the theorem1 gap does not depend on the price path",
+    "remark1": "the remark1 gap does not depend on the price path",
+    "l2": "the l2 gap does not depend on the price path",
+    "simulate": "simulate samples one price path (stream 0)",
+}
+
+
+def _approx_memory_bytes(config: RunConfig, steps: int, paths: int) -> int:
+    """Bytes of the per-path float64/int64 arrays a run allocates: the
+    time-major (steps, paths) noise buffer; for tracker-bound the targets and
+    the positions instead; for utility also the bootstrap x paths resample
+    indices (drawn after the noise is freed, so the sum bounds both)."""
+    if config.kind == "tracker-bound":
+        return 8 * 2 * (steps + 1) * paths
+    if config.kind == "lemma-jump":
+        return 8 * steps * paths
+    if config.kind == "utility":
+        return 8 * steps * paths + 8 * config.utility.bootstrap * paths
+    return 8 * (steps + 1)
 
 
 def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
@@ -678,13 +698,13 @@ def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
         kappa_max = config.book.kappa if (config.book and config.book.kappa) else 1.0
     steps = max(config.grid.n0,
                 _math.ceil(config.grid.resolution_scale * _math.sqrt(kappa_max)))
-    path_free = config.kind in _PATH_FREE_KINDS
-    cost_proxy = float(steps) * (1 if path_free else config.mc.paths) * cells
+    one_path = config.kind in _ONE_PATH_KINDS
+    paths = 1 if one_path else config.mc.paths
+    cost_proxy = float(steps) * paths * cells
     warnings = []
-    if path_free and config.mc.paths > 1:
-        warnings.append(
-            f"mc.paths = {config.mc.paths} has no effect: the {config.kind} gap does "
-            f"not depend on the price path")
+    if one_path and config.mc.paths > 1:
+        warnings.append(f"mc.paths = {config.mc.paths} has no effect: "
+                        f"{_ONE_PATH_KINDS[config.kind]}")
     if cost_proxy > budget:
         warnings.append(
             f"estimated cost {cost_proxy:.3g} (steps x paths x cells) exceeds "
@@ -697,7 +717,7 @@ def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
             "cells": cells,
             "paths": config.mc.paths,
             "cost_proxy": cost_proxy,
-            "approx_memory_bytes": int(8 * (steps + 1) * max(1, config.mc.paths)),
+            "approx_memory_bytes": _approx_memory_bytes(config, steps, paths),
         },
         "warnings": warnings,
     }

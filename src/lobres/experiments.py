@@ -110,11 +110,15 @@ class FundamentalSpec:
 
 
 def brownian_increments(grid: TimeGrid, seed: int, paths: int) -> np.ndarray:
-    """(paths, steps) matrix of N(0, dt) increments, one stream per path."""
-    out = np.empty((paths, grid.steps))
-    root = math.sqrt(grid.dt)
+    """Time-major (steps, paths) matrix of N(0, dt) increments.
+
+    Column p holds stream p of ``seed``, so adding paths never changes earlier
+    ones; each time step is one contiguous row.
+    """
+    out = np.empty((grid.steps, paths))
     for p in range(paths):
-        out[p] = root * RandomSource(seed, stream=p).normals(grid.steps)
+        out[:, p] = RandomSource(seed, stream=p).normals(grid.steps)
+    out *= math.sqrt(grid.dt)
     return out
 
 
@@ -348,7 +352,7 @@ def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
         if noise is None:
             diffs = np.full(paths, d_det)
         else:
-            diffs = d_det + noise @ (sigma * (w_sm - w_bl))
+            diffs = d_det + (sigma * (w_sm - w_bl)) @ noise
         mean_diff.append(float(np.mean(diffs)))
         frac_pos.append(float(np.mean(diffs > 0)))
         all_diffs.append(diffs)
@@ -397,19 +401,26 @@ def tracker_bound_experiment(ladder: KappaLadder, *, target_drift=0.0, target_vo
     if np.any(m < rate_floor):
         raise ValueError("tracking rate falls below its declared floor")
 
-    dw = brownian_increments(grid, seed, paths)
-    targets = np.empty((paths, grid.n_points))
-    targets[:, 0] = target0
-    increments = mu[:-1] * grid.dt + sig[:-1] * dw
-    np.cumsum(increments, axis=1, out=targets[:, 1:])
-    targets[:, 1:] += target0
+    # time-major (n+1, paths) targets: the noise becomes the increments and
+    # is cumulated along time, then freed before the first rung
+    increments = brownian_increments(grid, seed, paths)
+    increments *= sig[:-1, None]
+    increments += (mu[:-1] * grid.dt)[:, None]
+    targets = np.empty((grid.n_points, paths))
+    targets[0] = target0
+    np.cumsum(increments, axis=0, out=targets[1:])
+    del increments
+    targets[1:] += target0
 
     bound = 5.0 * coeff_bound**2 * horizon / rate_floor
     estimates = []
     stderrs = []
     for kappa in ladder:
-        pos = relax_positions(targets, m, kappa, grid.dt)
-        sup2 = math.sqrt(kappa) * np.max((targets - pos)**2, axis=1)
+        err2 = relax_positions(targets, m, kappa, grid.dt)
+        err2 -= targets
+        np.square(err2, out=err2)
+        sup2 = math.sqrt(kappa) * err2.max(axis=0)
+        del err2  # freed before the next rung allocates its positions
         estimates.append(float(np.mean(sup2)))
         stderrs.append(float(np.std(sup2, ddof=1) / math.sqrt(paths)))
     estimates = np.asarray(estimates)
@@ -472,11 +483,30 @@ class UtilityReport:
         return rows
 
 
-def _certainty_equivalent(x: np.ndarray, gamma: float) -> float:
-    """-log(E[exp(-gamma x)]) / gamma over the samples x, shifted by their
-    minimum so that exp neither overflows nor underflows to a zero mean."""
-    xmin = float(x.min())
-    return xmin - math.log(float(np.mean(np.exp(-gamma * (x - xmin))))) / gamma
+# Resamples per chunk of the certainty equivalents: about 2**16 float64 values
+# (512 KiB), gathered into one buffer reused for every chunk.  Chunks of this
+# size allocated afresh let glibc trim the heap and page-fault it back on
+# every chunk, which ran 2-3x slower than one resample at a time.
+_CE_CHUNK_ELEMENTS = 1 << 16
+
+
+def _certainty_equivalents(x: np.ndarray, idx: np.ndarray, gamma: float) -> np.ndarray:
+    """-log(E[exp(-gamma x)]) / gamma over the samples x[idx[r]], one value per
+    row r of ``idx``.  Each row is shifted by its own minimum so that exp
+    neither overflows nor underflows to a zero mean."""
+    rows = max(1, _CE_CHUNK_ELEMENTS // idx.shape[1])
+    buf = np.empty((min(rows, len(idx)), idx.shape[1]))
+    ce = np.empty(len(idx))
+    for a in range(0, len(idx), rows):
+        chunk = idx[a:a + rows]
+        xs = buf[:len(chunk)]
+        np.take(x, chunk, out=xs, mode="clip")  # in range; "clip" writes out unbuffered
+        xmin = xs.min(axis=1, keepdims=True)
+        xs -= xmin
+        xs *= -gamma
+        np.exp(xs, out=xs)
+        ce[a:a + len(chunk)] = xmin[:, 0] - np.log(xs.mean(axis=1)) / gamma
+    return ce
 
 
 def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
@@ -527,33 +557,36 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
     mean_fund = fundamental.mean_path(grid)
     sigma_steps = fundamental.sigma_steps(grid)
     dw = brownian_increments(grid, seed, paths)
-
-    boot_gen = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_BOOTSTRAP_STREAM,))))
-    boot_idx = boot_gen.integers(0, paths, size=(bootstrap, paths))
-
-    cells: dict[tuple[float, float], UtilityCell] = {}
+    x_terminal: dict[tuple[float, float], np.ndarray] = {}
     for kappa in kappas:
         book = template.materialize(grid, kappa)
-        ce_point: dict[float, float] = {}
-        ce_boot: dict[float, np.ndarray] = {}
         for c in multipliers:
             spec = TrackerSpec(target=target,
                                rate_scale=SampledPath(grid, c * m_base),
                                kappa=kappa)
             strat = exponential_tracker(spec, start=0.0)
             x_det, weights = _terminal_wealth_decomposition(book, strat, mean_fund, x0)
-            x_terminal = x_det + dw @ (sigma_steps * weights)
-            ce_point[c] = _certainty_equivalent(x_terminal, gamma)
-            ce_boot[c] = np.array([_certainty_equivalent(x_terminal[idx], gamma)
-                                   for idx in boot_idx])
+            x_terminal[(kappa, c)] = x_det + (sigma_steps * weights) @ dw
+    del dw  # the noise and the resample indices are never held together
 
+    boot_gen = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(_BOOTSTRAP_STREAM,))))
+    boot_idx = boot_gen.integers(0, paths, size=(bootstrap, paths))
+    every_path = np.arange(paths)[None, :]
+    ce_point = {key: float(_certainty_equivalents(x, every_path, gamma)[0])
+                for key, x in x_terminal.items()}
+    ce_boot = {key: _certainty_equivalents(x, boot_idx, gamma)
+               for key, x in x_terminal.items()}
+
+    cells: dict[tuple[float, float], UtilityCell] = {}
+    for kappa in kappas:
         for c in multipliers:
-            lo, hi = np.percentile(ce_boot[c], [2.5, 97.5])
-            glo, ghi = np.percentile(ce_boot[1.0] - ce_boot[c], [2.5, 97.5])
-            cells[(kappa, c)] = UtilityCell(c, ce_point[c], float(lo), float(hi),
-                                            ce_point[1.0] - ce_point[c],
-                                            float(glo), float(ghi))
+            cand, key = (kappa, 1.0), (kappa, c)
+            lo, hi = np.percentile(ce_boot[key], [2.5, 97.5])
+            glo, ghi = np.percentile(ce_boot[cand] - ce_boot[key], [2.5, 97.5])
+            cells[key] = UtilityCell(c, ce_point[key], float(lo), float(hi),
+                                     ce_point[cand] - ce_point[key],
+                                     float(glo), float(ghi))
 
     frictionless = x0 + mu**2 * horizon / (2.0 * gamma * sigma**2)
     return UtilityReport(kappas, multipliers, cells, frictionless)

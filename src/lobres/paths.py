@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import NumericFailure
 
@@ -90,6 +89,9 @@ class RandomSource:
 
     def normals(self, n: int) -> np.ndarray:
         """n standard-normal draws via inverse CDF of open-interval uniforms."""
+        # imported here so that runs drawing no noise never load scipy
+        from scipy.special import ndtri
+
         u = self._gen.integers(1, 1 << 53, size=n).astype(np.float64) / _U_DENOM
         return ndtri(u)
 

@@ -178,18 +178,19 @@ def relax_positions(target: np.ndarray, rate_scale: np.ndarray, kappa: float,
 
         pos[i+1] = target[i] + exp(-sqrt(kappa) * M_i * dt) * (pos[i] - target[i])
 
-    ``target`` may be (n+1,) or (paths, n+1); the update never overshoots the
+    Axis 0 is time: ``target`` may be (n+1,) or time-major (n+1, paths), so
+    each step updates one contiguous row.  The update never overshoots the
     frozen target for any step size.  ``start`` defaults to the target's
     initial value.
     """
     target = np.asarray(target, dtype=np.float64)
-    n = target.shape[-1] - 1
+    n = target.shape[0] - 1
     decay = np.exp(-math.sqrt(kappa) * np.asarray(rate_scale)[:n] * dt)
     out = np.empty_like(target)
-    out[..., 0] = target[..., 0] if start is None else start
+    out[0] = target[0] if start is None else start
     for i in range(n):
-        t_i = target[..., i]
-        out[..., i + 1] = t_i + decay[i] * (out[..., i] - t_i)
+        t_i = target[i]
+        out[i + 1] = t_i + decay[i] * (out[i] - t_i)
     return out
 
 

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from lobres.cli import main
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -141,3 +145,14 @@ class TestUtilityCommand:
         assert main(["utility", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert all(800.0 < float(ce) < 800.125 for ce in summary["report"]["candidate_ce"])
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves only the noise draws; runs without noise never load it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    code = "import sys, lobres.cli; print('scipy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert run.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +134,29 @@ class TestValidate:
         assert report["estimates"]["cost_proxy"] == 512.0 * 9
         assert not any("budget" in w for w in report["warnings"])
         assert any("price path" in w for w in report["warnings"])
+
+    def test_simulate_counts_one_path(self):
+        text = json.dumps({"kind": "simulate", "book": {"kappa": 1e4},
+                           "strategy": {"type": "zero"},
+                           "mc": {"paths": 1_000_000}})
+        report = validate_config(parse_config(text))
+        assert report["estimates"]["grid_steps"] == 512
+        assert report["estimates"]["cost_proxy"] == 512.0
+        assert report["estimates"]["approx_memory_bytes"] == 8 * 513
+        assert not any("budget" in w for w in report["warnings"])
+        assert any("one price path" in w for w in report["warnings"])
+
+    @pytest.mark.parametrize("name, expected", [
+        # targets and positions, two (steps+1, paths) float64 arrays
+        ("tracker_bound.json", 2 * 8 * 513 * 10_000),
+        # one (steps, paths) noise buffer plus bootstrap x paths int64 indices
+        ("utility.json", 8 * 512 * 10_000 + 8 * 500 * 10_000),
+        # one (steps, paths) noise buffer
+        ("lemma_jump_noisy.json", 8 * 512 * 1000),
+        ("l2.json", 8 * 513),
+        ("simulate.json", 8 * 513),
+    ])
+    def test_memory_estimate_of_shipped_configs(self, name, expected):
+        text = (Path(__file__).resolve().parent.parent / "configs" / name).read_text()
+        report = validate_config(parse_config(text))
+        assert report["estimates"]["approx_memory_bytes"] == expected

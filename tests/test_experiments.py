@@ -15,6 +15,12 @@ from lobres.strategies import block_schedule, smooth_blocks
 SMALL_LADDER = KappaLadder.geometric(16.0, 2.0, 5)
 
 
+def _ce_one_sample(x, gamma):
+    """Reference certainty equivalent of one sample, shifted by its minimum."""
+    xmin = float(x.min())
+    return xmin - math.log(float(np.mean(np.exp(-gamma * (x - xmin))))) / gamma
+
+
 class TestKappaLadder:
     def test_geometric(self):
         ladder = KappaLadder.geometric(16.0, 2.0, 9)
@@ -191,6 +197,31 @@ class TestTrackerBound:
         assert report.all_within
         assert np.all(report.estimates < 5.0)
 
+    def test_matches_per_path_reference(self):
+        # reference: one path at a time, the target the Ito sum of
+        # RandomSource(seed, p) and the tracker the 1-D relax
+        from lobres.strategies import relax_positions
+        ladder = KappaLadder.geometric(16.0, 4.0, 3)
+        paths, seed, mu, vol, target0 = 8, 11, 0.3, 0.8, 0.5
+        report = tracker_bound_experiment(ladder, target_drift=mu, target_vol=vol,
+                                          target0=target0, paths=paths, seed=seed,
+                                          n0=64)
+        grid = ladder_grid(1.0, 64, 4.0, ladder.max)
+        m = np.ones(grid.n_points)
+        sup2 = np.empty((len(ladder), paths))
+        for p in range(paths):
+            dw = math.sqrt(grid.dt) * RandomSource(seed, p).normals(grid.steps)
+            target = np.empty(grid.n_points)
+            target[0] = target0
+            np.cumsum(mu * grid.dt + vol * dw, out=target[1:])
+            target[1:] += target0
+            for j, kappa in enumerate(ladder):
+                pos = relax_positions(target, m, kappa, grid.dt)
+                sup2[j, p] = math.sqrt(kappa) * np.max((target - pos)**2)
+        np.testing.assert_array_equal(report.estimates, sup2.mean(axis=1))
+        np.testing.assert_array_equal(report.stderrs,
+                                      sup2.std(axis=1, ddof=1) / math.sqrt(paths))
+
     def test_bound_violation_of_declared_coeffs(self):
         with pytest.raises(ValueError):
             tracker_bound_experiment(SMALL_LADDER, target_vol=2.0, coeff_bound=1.0,
@@ -270,6 +301,54 @@ class TestUtility:
                 assert cell.gap_vs_candidate == pytest.approx(ref.gap_vs_candidate,
                                                               abs=1e-9)
 
+    def test_bootstrap_matches_per_resample_loop(self):
+        # chunked row-wise certainty equivalents against one resample at a
+        # time; 700 resamples of 1500 paths span 17 chunks, the last partial
+        from lobres.experiments import _certainty_equivalents
+        gen = np.random.default_rng(3)
+        x = 800.0 + gen.normal(0.0, 2.0, size=1500)
+        boot_idx = gen.integers(0, 1500, size=(700, 1500))
+        for gamma in (0.5, 3.0):
+            fast = _certainty_equivalents(x, boot_idx, gamma)
+            slow = np.array([_ce_one_sample(x[idx], gamma) for idx in boot_idx])
+            np.testing.assert_allclose(fast, slow, rtol=1e-13, atol=0)
+
+    def test_cis_match_per_resample_loop(self):
+        # the report's percentile CIs are those of one resample at a time,
+        # on terminal wealths rebuilt from the same decomposition
+        from lobres import SampledPath, constant_path
+        from lobres.experiments import _BOOTSTRAP_STREAM, _terminal_wealth_decomposition
+        from lobres.strategies import TrackerSpec, exponential_tracker
+        gamma, mu, sigma, kappa = 1.0, 0.1, 0.2, 64.0
+        paths, seed, bootstrap = 300, 5, 40
+        spec = FundamentalSpec(mu=mu, sigma=sigma)
+        report = utility_experiment(BookTemplate(), spec, gamma=gamma, kappas=[kappa],
+                                    paths=paths, seed=seed, bootstrap=bootstrap)
+
+        boot_idx = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            entropy=seed, spawn_key=(_BOOTSTRAP_STREAM,)))).integers(
+                0, paths, size=(bootstrap, paths))
+        grid = ladder_grid(1.0, 512, 4.0, kappa)
+        book = BookTemplate().materialize(grid, kappa)
+        dw = brownian_increments(grid, seed, paths)
+        m_base = np.sqrt(book.K_up.values * book.h_up.values * sigma**2 * gamma / 2.0)
+        boot = {}
+        for c in report.multipliers:
+            strat = exponential_tracker(TrackerSpec(
+                constant_path(grid, mu / (gamma * sigma**2)),
+                SampledPath(grid, c * m_base), kappa), start=0.0)
+            x_det, w = _terminal_wealth_decomposition(book, strat, spec.mean_path(grid), 0.0)
+            x = x_det + (sigma * w) @ dw
+            boot[c] = np.array([_ce_one_sample(x[idx], gamma) for idx in boot_idx])
+        for c in report.multipliers:
+            cell = report.cells[(kappa, c)]
+            lo, hi = np.percentile(boot[c], [2.5, 97.5])
+            glo, ghi = np.percentile(boot[1.0] - boot[c], [2.5, 97.5])
+            np.testing.assert_allclose([cell.ci_low, cell.ci_high], [lo, hi],
+                                       rtol=1e-13, atol=0)
+            np.testing.assert_allclose([cell.gap_ci_low, cell.gap_ci_high], [glo, ghi],
+                                       rtol=1e-13, atol=1e-15)
+
     def test_candidate_noninferior_at_moderate_kappa(self):
         report = utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
                                     gamma=1.0, kappas=[256.0], paths=2000, seed=7,
@@ -283,7 +362,16 @@ class TestBrownianIncrements:
         grid = make_grid(1.0, 32)
         a = brownian_increments(grid, 42, 3)
         b = brownian_increments(grid, 42, 5)
-        np.testing.assert_array_equal(a, b[:3])
+        np.testing.assert_array_equal(a, b[:, :3])
+
+    def test_columns_are_the_per_path_streams(self):
+        # time-major layout: column p is stream p, scaled to N(0, dt)
+        grid = make_grid(2.0, 16)
+        b = brownian_increments(grid, 9, 4)
+        assert b.shape == (16, 4)
+        for p in range(4):
+            expected = math.sqrt(grid.dt) * RandomSource(9, p).normals(16)
+            np.testing.assert_array_equal(b[:, p], expected)
 
 
 class TestFundamentalSpec:

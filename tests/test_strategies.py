@@ -230,13 +230,13 @@ class TestDiagnostics:
         from lobres.strategies import relax_positions
         n_paths = 256
         targets = np.stack([sample_brownian(grid, RandomSource(17, p)).values
-                            for p in range(n_paths)])
+                            for p in range(n_paths)], axis=1)  # time-major
         m = np.ones(grid.n_points)
         kappas = [2.0**j for j in range(4, 11)]
         sup_rms = []
         for kappa in kappas:
             pos = relax_positions(targets, m, kappa, grid.dt)
-            rates = np.diff(pos, axis=1) / grid.dt
-            sup_rms.append(float(np.max(np.sqrt(np.mean(rates**2, axis=0)))))
+            rates = np.diff(pos, axis=0) / grid.dt
+            sup_rms.append(float(np.max(np.sqrt(np.mean(rates**2, axis=1)))))
         fit = fit_rate(list(zip(kappas, sup_rms)))
         assert fit.slope <= 0.3
