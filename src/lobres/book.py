@@ -16,6 +16,7 @@ cost integrals can charge the left limit.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +175,12 @@ def evolve_book(params: BookParams, strategy: Strategy) -> BookEvolution:
         step int   = excess * dt * phi1(z) + inflow * dt^2 * phi2(z)
     A block at grid point i jumps the excess by its full impact after the
     pre-jump value is recorded.
+
+    Everything but the three recurrences (ask excess, bid excess, permanent
+    impact) is computed on whole arrays; the recurrences run on Python
+    floats, which round exactly as float64 array elements do, so every value
+    comes from the same IEEE operations in the same order as a per-element
+    loop.
     """
     _check_grids(params, strategy)
     grid = params.grid
@@ -204,42 +211,55 @@ def evolve_book(params: BookParams, strategy: Strategy) -> BookEvolution:
     b_dn = (1.0 - a_dn[:n]) * inv_h_dn[:n] * r_dn + a_up[:n] * inv_h_up[:n] * r_up
     g = a_up[:n] * inv_h_up[:n] * r_up - a_dn[:n] * inv_h_dn[:n] * r_dn
 
-    blocks = dict(strategy.blocks)
+    # A buy of size s jumps the ask excess by its own share (1 - alpha)/h * s
+    # and the bid excess and the permanent impact by the cross share
+    # alpha/h * s; a sell mirrors this and lowers the permanent impact.
+    idx = np.array([i for i, _ in strategy.blocks], dtype=np.intp)
+    theta = np.array([s for _, s in strategy.blocks])
+    buy = theta > 0
+    size = np.abs(theta)
+    own = np.where(buy, (1.0 - a_up[idx]) * inv_h_up[idx],
+                   (1.0 - a_dn[idx]) * inv_h_dn[idx]) * size
+    cross = np.where(buy, a_up[idx] * inv_h_up[idx], a_dn[idx] * inv_h_dn[idx]) * size
+    jump_up = np.where(buy, own, cross)
+    jump_dn = np.where(buy, cross, own)
+    jump_pm = np.where(buy, cross, -cross)
+    jumps = [None] * (n + 1)
+    for i, ju, jd, jp in zip(idx.tolist(), jump_up.tolist(), jump_dn.tolist(),
+                             jump_pm.tolist()):
+        jumps[i] = (ju, jd, jp)
 
-    exc_up_pre = np.zeros(n + 1)
-    exc_up_post = np.zeros(n + 1)
-    exc_dn_pre = np.zeros(n + 1)
-    exc_dn_post = np.zeros(n + 1)
-    exc_up_int = np.zeros(n)
-    exc_dn_int = np.zeros(n)
-    perm_pre = np.zeros(n + 1)
-    perm_post = np.zeros(n + 1)
+    # Pre-jump states at every grid point; the post-jump states differ only
+    # at the blocks.  Iterating a memoryview yields Python floats without
+    # building a list, and array('d') stores them unboxed.
+    up, dn, pm = array("d", [0.0]), array("d", [0.0]), array("d", [0.0])
+    up_append, dn_append, pm_append = up.append, dn.append, pm.append
+    eu = ed = p = 0.0
+    for du, cu, dd, cd, dp, jump in zip(memoryview(decay_up), memoryview(b_up * w1_up),
+                                        memoryview(decay_dn), memoryview(b_dn * w1_dn),
+                                        memoryview(g * dt), jumps):
+        if jump is not None:
+            eu += jump[0]
+            ed += jump[1]
+            p += jump[2]
+        eu = eu * du + cu
+        ed = ed * dd + cd
+        p = p + dp
+        up_append(eu)
+        dn_append(ed)
+        pm_append(p)
 
-    eu = ed = pm = 0.0
-    for i in range(n + 1):
-        exc_up_pre[i] = eu
-        exc_dn_pre[i] = ed
-        perm_pre[i] = pm
-        theta = blocks.get(i)
-        if theta is not None:
-            if theta > 0:
-                eu += (1.0 - a_up[i]) * inv_h_up[i] * theta
-                ed += a_up[i] * inv_h_up[i] * theta
-                pm += a_up[i] * inv_h_up[i] * theta
-            else:
-                size = -theta
-                ed += (1.0 - a_dn[i]) * inv_h_dn[i] * size
-                eu += a_dn[i] * inv_h_dn[i] * size
-                pm -= a_dn[i] * inv_h_dn[i] * size
-        exc_up_post[i] = eu
-        exc_dn_post[i] = ed
-        perm_post[i] = pm
-        if i < n:
-            exc_up_int[i] = eu * w1_up[i] + b_up[i] * w2_up[i]
-            exc_dn_int[i] = ed * w1_dn[i] + b_dn[i] * w2_dn[i]
-            eu = eu * decay_up[i] + b_up[i] * w1_up[i]
-            ed = ed * decay_dn[i] + b_dn[i] * w1_dn[i]
-            pm = pm + g[i] * dt
+    exc_up_pre = np.array(up)
+    exc_dn_pre = np.array(dn)
+    perm_pre = np.array(pm)
+    exc_up_post = exc_up_pre.copy()
+    exc_dn_post = exc_dn_pre.copy()
+    perm_post = perm_pre.copy()
+    exc_up_post[idx] += jump_up
+    exc_dn_post[idx] += jump_dn
+    perm_post[idx] += jump_pm
+    exc_up_int = exc_up_post[:n] * w1_up + b_up * w2_up
+    exc_dn_int = exc_dn_post[:n] * w1_dn + b_dn * w2_dn
 
     return BookEvolution(exc_up_pre, exc_up_post, exc_dn_pre, exc_dn_post,
                          exc_up_int, exc_dn_int, perm_pre, perm_post)

@@ -7,7 +7,6 @@ Exit codes: 0 all gates passed, 1 gate failure (artifacts still written),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -23,7 +22,7 @@ from .experiments import (ConvergenceReport, RandomSource, ladder_grid,
                           lemma_jump_experiment, l2_convergence_experiment,
                           remark1_experiment, theorem1_experiment,
                           tracker_bound_experiment, utility_experiment)
-from .paths import as_path
+from .paths import as_path, write_columns, write_csv
 from .strategies import (Strategy, TrackerSpec, block_schedule, exponential_tracker,
                          rate_strategy, write_strategy_csv, zero_strategy)
 from .wealth import ow_wealth
@@ -51,13 +50,6 @@ class RunResult:
         return all(self.gates.values())
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _build_strategy(config: RunConfig, grid, kappa: float | None) -> Strategy:
     sc = config.strategy
     if sc.type == "zero":
@@ -73,9 +65,9 @@ def _build_strategy(config: RunConfig, grid, kappa: float | None) -> Strategy:
 
 
 def _convergence_artifacts(report: ConvergenceReport, out: Path) -> list[str]:
-    _write_csv(out / "convergence.csv",
-               ["kappa", "mean_err", "p95_err", "kappa_x_err", "slope_so_far"],
-               report.csv_rows())
+    write_csv(out / "convergence.csv",
+              ["kappa", "mean_err", "p95_err", "kappa_x_err", "slope_so_far"],
+              report.csv_rows())
     return ["convergence.csv"]
 
 
@@ -94,11 +86,9 @@ def _run_simulate(config: RunConfig, out: Path) -> RunResult:
     wealth = ow_wealth(book, strategy, fund, config.x0)
     spreads = evolve_spreads(book, strategy)
     wealth.write_csv(out / "wealth.csv")
-    t = grid.points()
-    _write_csv(out / "spreads.csv", ["t", "ask", "bid", "ask_pre", "bid_pre"],
-               [[repr(float(t[i])), repr(float(spreads.ask.values[i])),
-                 repr(float(spreads.bid.values[i])), repr(float(spreads.ask_pre[i])),
-                 repr(float(spreads.bid_pre[i]))] for i in range(grid.n_points)])
+    write_columns(out / "spreads.csv", ["t", "ask", "bid", "ask_pre", "bid_pre"],
+                  [grid.points(), spreads.ask.values, spreads.bid.values,
+                   spreads.ask_pre, spreads.bid_pre])
     write_strategy_csv(strategy, out / "strategy.csv")
     summary = {"terminal_wealth": repr(float(wealth.x.values[-1]))}
     return RunResult({}, ["wealth.csv", "spreads.csv", "strategy.csv"], summary)
@@ -163,8 +153,8 @@ def _run_lemma(config: RunConfig, out: Path) -> RunResult:
         config.book.template(), blocks, fundamental, ladder,
         width_scale=config.smoothing.width_scale, paths=config.mc.paths,
         seed=config.mc.seed)
-    _write_csv(out / "lemma.csv", ["kappa", "mean_diff", "frac_positive"],
-               report.csv_rows())
+    write_csv(out / "lemma.csv", ["kappa", "mean_diff", "frac_positive"],
+              report.csv_rows())
     frac_target = 1.0 if fundamental.is_deterministic else LEMMA_FRACTION_GATE
     gates = {
         "positive_mean_gain_at_kappa_max": bool(report.mean_diff[-1] > 0),
@@ -183,9 +173,9 @@ def _run_tracker_bound(config: RunConfig, out: Path) -> RunResult:
         coeff_bound=tc.coeff_bound, rate_floor=tc.rate_floor, target0=tc.target0,
         paths=config.mc.paths, seed=config.mc.seed, horizon=config.grid.horizon,
         n0=config.grid.n0, resolution_scale=config.grid.resolution_scale)
-    _write_csv(out / "tracker.csv",
-               ["kappa", "estimate", "stderr", "bound", "within_bound"],
-               report.csv_rows())
+    write_csv(out / "tracker.csv",
+              ["kappa", "estimate", "stderr", "bound", "within_bound"],
+              report.csv_rows())
     gates = {"bound_holds_for_every_kappa": report.all_within}
     summary = {"bound": repr(report.bound),
                "max_estimate": repr(float(report.estimates.max()))}
@@ -200,10 +190,10 @@ def _run_utility(config: RunConfig, out: Path) -> RunResult:
         seed=config.mc.seed, x0=uc.x0, horizon=config.grid.horizon,
         n0=config.grid.n0, resolution_scale=config.grid.resolution_scale,
         bootstrap=uc.bootstrap)
-    _write_csv(out / "utility.csv",
-               ["kappa", "multiplier", "ce", "ci_low", "ci_high",
-                "ce_gap_vs_candidate", "gap_ci_low", "gap_ci_high"],
-               report.csv_rows())
+    write_csv(out / "utility.csv",
+              ["kappa", "multiplier", "ce", "ci_low", "ci_high",
+               "ce_gap_vs_candidate", "gap_ci_low", "gap_ci_high"],
+              report.csv_rows())
     # the speed-optimality claim is asymptotic: gate the upper half of the
     # kappa range, like the other ladder gates
     upper = report.kappas[len(report.kappas) // 2:]

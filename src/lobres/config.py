@@ -669,18 +669,31 @@ _ONE_PATH_KINDS = {
 }
 
 
+# Peak RSS of an interpreter that has imported numpy and lobres.cli, before
+# any run (34.6 MiB on Linux x86-64, Python 3.11, numpy 2.4).  Runs that draw
+# noise also load scipy.special (about 19 MiB more), which is left out.
+INTERPRETER_BYTES = 35 * 2**20
+# Bytes per grid point live at the peak of a one-path run: the book
+# coefficients, the scan's per-step terms and states, the ledger and the wealth
+# and spread paths, about 45 float64 values (simulate's peak RSS grows by 363
+# bytes per step between 40,000 and 253,000 steps).
+ONE_PATH_BYTES_PER_POINT = 8 * 45
+
+
 def _approx_memory_bytes(config: RunConfig, steps: int, paths: int) -> int:
-    """Bytes of the per-path float64/int64 arrays a run allocates: the
-    time-major (steps, paths) noise buffer; for tracker-bound the targets and
-    the positions instead; for utility also the bootstrap x paths resample
-    indices (drawn after the noise is freed, so the sum bounds both)."""
+    """Peak RSS estimate: the interpreter, one path's scan and ledger, and the
+    per-path arrays: the time-major (steps, paths) noise buffer; for
+    tracker-bound the targets and the positions instead; for utility also the
+    bootstrap x paths resample indices (drawn after the noise is freed, so the
+    sum bounds both)."""
+    total = INTERPRETER_BYTES + ONE_PATH_BYTES_PER_POINT * (steps + 1)
     if config.kind == "tracker-bound":
-        return 8 * 2 * (steps + 1) * paths
+        return total + 8 * 2 * (steps + 1) * paths
     if config.kind == "lemma-jump":
-        return 8 * steps * paths
+        return total + 8 * steps * paths
     if config.kind == "utility":
-        return 8 * steps * paths + 8 * config.utility.bootstrap * paths
-    return 8 * (steps + 1)
+        return total + 8 * steps * paths + 8 * config.utility.bootstrap * paths
+    return total
 
 
 def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:

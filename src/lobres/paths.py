@@ -1,4 +1,5 @@
-"""Time grids, sampled paths, and deterministic-seeded path generation.
+"""Time grids, sampled paths, deterministic-seeded path generation, and the
+CSV writer of the run artifacts.
 
 Gaussian draws are produced by applying the inverse normal CDF to uniform
 variates from a PCG64 stream keyed by ``(seed, stream)``.  The method is
@@ -8,9 +9,10 @@ stay stable across runs.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -159,3 +161,19 @@ def as_path(grid: TimeGrid, value: "float | Callable[[float], float] | SampledPa
     if callable(value):
         return function_path(grid, value)
     return constant_path(grid, value)
+
+
+def write_csv(path, header: list[str], rows: Iterable) -> None:
+    """Write ``header`` and then ``rows``, streamed, as CSV.  The csv module
+    writes a Python float as its ``repr``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_columns(path, header: list[str], columns: Iterable[np.ndarray]) -> None:
+    """Write equal-length 1-D arrays as CSV columns.  Iterating a memoryview
+    yields Python floats (ints for integer arrays) without building a list,
+    so each cell is ``repr(float(v))``."""
+    write_csv(path, header, zip(*map(memoryview, columns)))

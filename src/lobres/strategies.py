@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .paths import SampledPath, TimeGrid, as_path, constant_path
+from .paths import SampledPath, TimeGrid, as_path, constant_path, write_columns
 
 if TYPE_CHECKING:
     from .book import BookParams
@@ -260,12 +260,11 @@ def diagnostics(strategy: Strategy) -> StrategyDiagnostics:
 
 def write_strategy_csv(strategy: Strategy, path) -> None:
     """Write the strategy as rows (index, rate, block); block is 0 off jumps."""
-    jumps = dict(strategy.blocks)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "rate", "block"])
-        for i, r in enumerate(strategy.rate.values):
-            writer.writerow([i, repr(float(r)), repr(float(jumps.get(i, 0.0)))])
+    block = np.zeros(strategy.grid.n_points)
+    for i, size in strategy.blocks:
+        block[i] = size
+    write_columns(path, ["index", "rate", "block"],
+                  [np.arange(strategy.grid.n_points), strategy.rate.values, block])
 
 
 def read_strategy_csv(grid: TimeGrid, path, phi0: float = 0.0) -> Strategy:

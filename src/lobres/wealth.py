@@ -20,13 +20,12 @@ accumulates squared block sizes only; rate trading contributes none.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .book import BookParams, evolve_book
-from .paths import SampledPath, TimeGrid
+from .paths import SampledPath, TimeGrid, write_columns
 from .strategies import Strategy, position_paths
 
 
@@ -48,18 +47,11 @@ class WealthPath:
     permanent_shift: SampledPath
 
     def write_csv(self, path) -> None:
-        t = self.grid.points()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "X", "gain", "spread_cost", "impact_cost",
-                             "block_cost", "permanent_shift"])
-            for i in range(self.grid.n_points):
-                writer.writerow([repr(float(t[i])), repr(float(self.x.values[i])),
-                                 repr(float(self.gain.values[i])),
-                                 repr(float(self.spread_cost.values[i])),
-                                 repr(float(self.impact_cost.values[i])),
-                                 repr(float(self.block_cost.values[i])),
-                                 repr(float(self.permanent_shift.values[i]))])
+        write_columns(path, ["t", "X", "gain", "spread_cost", "impact_cost",
+                             "block_cost", "permanent_shift"],
+                      [self.grid.points(), self.x.values, self.gain.values,
+                       self.spread_cost.values, self.impact_cost.values,
+                       self.block_cost.values, self.permanent_shift.values])
 
 
 def _check_inputs(book: BookParams, strategy: Strategy, fundamental: SampledPath) -> None:

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lobres import (BookParams, SampledPath, Strategy, constant_path, evolve_spreads,
-                    fit_rate, function_path, make_grid, rate_strategy, reference_price,
-                    scaled_excess_spread, zero_strategy)
+                    fit_rate, function_path, make_grid, ow_wealth, position_paths,
+                    rate_strategy, reference_price, safe_account, scaled_excess_spread,
+                    zero_strategy)
+from lobres.book import evolve_book
 from lobres.strategies import block_schedule
 
 
-from helpers import constant_book, random_strategy
+from helpers import constant_book, random_strategy, reference_evolve_book
 
 
 class TestBookParams:
@@ -199,3 +204,58 @@ class TestScaledExcessSpread:
             errors.append(float(err.max()))
         fit = fit_rate(list(zip(kappas, errors)))
         assert fit.slope <= -0.9
+
+
+@st.composite
+def books_and_strategies(draw):
+    """Small grids with kappa*dt in [1e-6, 1e6], asymmetric and time-varying
+    K and h, alpha 0, 1/2 or between, sign-changing rates and blocks of both
+    signs, at index 0 and index n among others."""
+    n = draw(st.integers(1, 40))
+    grid = make_grid(draw(st.floats(0.1, 4.0)), n)
+    kappa = 10.0 ** draw(st.floats(-6.0, 6.0)) / grid.dt
+
+    def values(lo, hi):
+        return draw(arrays(np.float64, n + 1, elements=st.floats(lo, hi)))
+
+    def alpha():
+        return draw(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)))
+
+    book = BookParams(
+        kappa=kappa,
+        K_up=SampledPath(grid, values(0.5, 2.0)),
+        K_dn=SampledPath(grid, values(0.5, 2.0)),
+        h_up=SampledPath(grid, 10.0 ** values(-6.0, 2.0)),
+        h_dn=SampledPath(grid, 10.0 ** values(-6.0, 2.0)),
+        alpha_up=constant_path(grid, alpha()), alpha_dn=constant_path(grid, alpha()),
+        eps_up=constant_path(grid, draw(st.floats(0.0, 0.1))),
+        eps_dn=constant_path(grid, draw(st.floats(0.0, 0.1))))
+    index = draw(st.sets(st.integers(0, n), max_size=3))
+    index |= {i for i, keep in ((0, draw(st.booleans())), (n, draw(st.booleans()))) if keep}
+    blocks = tuple((i, draw(st.floats(0.01, 5.0)) * draw(st.sampled_from([-1.0, 1.0])))
+                   for i in sorted(index))
+    strategy = Strategy(grid, SampledPath(grid, values(-10.0, 10.0)), blocks,
+                        phi0=draw(st.floats(-3.0, 3.0)))
+    return book, strategy, SampledPath(grid, values(50.0, 150.0))
+
+
+class TestScanMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(books_and_strategies())
+    def test_bit_identical_to_per_step_loop(self, case):
+        book, strategy, fundamental = case
+        got = evolve_book(book, strategy)
+        want = reference_evolve_book(book, strategy)
+        for name in ("exc_up_pre", "exc_up_post", "exc_dn_pre", "exc_dn_post",
+                     "exc_up_int", "exc_dn_int", "perm_pre", "perm_post"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.array_equal(a, b), name
+            assert a.tobytes() == b.tobytes(), name
+
+        # wealth = safe account + position * reference price, to rounding
+        x = ow_wealth(book, strategy, fundamental, x0=1.0).x.values
+        account = safe_account(book, strategy, fundamental, x0=1.0).values
+        _, position = position_paths(strategy)
+        marked = position * reference_price(book, strategy, fundamental).values.values
+        scale = 1.0 + np.abs(account).max() + np.abs(marked).max()
+        assert np.max(np.abs(x - (account + marked))) <= 1e-12 * scale

@@ -1,11 +1,14 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lobres import make_grid
 from lobres.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +60,67 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out2),
                      "--seed", "7"]) == 0
         assert (out1 / "wealth.csv").read_bytes() != (out2 / "wealth.csv").read_bytes()
+
+
+    def test_artifact_cells_are_float_reprs(self, tmp_path, monkeypatch):
+        # the three simulate artifacts hold repr(float(v)) of their source
+        # arrays, also for a signed zero, a subnormal and exponent notation
+        import lobres.cli as cli
+        from lobres import SampledPath, SpreadPaths, Strategy, WealthPath, read_strategy_csv
+
+        awkward = [-0.0, 5e-324, 1e-05, 0.1, 1e16, -1e16, 0.30000000000000004, 2.5]
+        cols = {}
+
+        def column(key, grid):
+            cols[key] = np.roll(np.resize(awkward, grid.n_points), len(cols))
+            return cols[key]
+
+        def strategy(config, grid, kappa):
+            blocks = ((0, 5e-324), (7, -1e16), (grid.steps, 0.1))
+            return Strategy(grid, SampledPath(grid, column("rate", grid)), blocks)
+
+        def wealth(book, strat, fund, x0):
+            g = strat.grid
+            return WealthPath(g, *(SampledPath(g, column(k, g)) for k in (
+                "X", "gain", "spread_cost", "impact_cost", "block_cost", "permanent_shift")))
+
+        def spreads(book, strat):
+            g = strat.grid
+            return SpreadPaths(SampledPath(g, column("ask", g)), SampledPath(g, column("bid", g)),
+                               column("ask_pre", g), column("bid_pre", g),
+                               np.zeros(g.steps), np.zeros(g.steps))
+
+        monkeypatch.setattr(cli, "_build_strategy", strategy)
+        monkeypatch.setattr(cli, "ow_wealth", wealth)
+        monkeypatch.setattr(cli, "evolve_spreads", spreads)
+        out = tmp_path / "artifacts"
+        assert main(["simulate", "--config", str(write_config(tmp_path, SIMULATE_ZERO)),
+                     "--out", str(out)]) == 0
+
+        grid = make_grid(1.0, 64)
+        block = np.zeros(grid.n_points)
+        block[[0, 7, 64]] = [5e-324, -1e16, 0.1]
+        expected = {
+            "wealth.csv": {"t": grid.points(), **{k: cols[k] for k in (
+                "X", "gain", "spread_cost", "impact_cost", "block_cost", "permanent_shift")}},
+            "spreads.csv": {"t": grid.points(),
+                            **{k: cols[k] for k in ("ask", "bid", "ask_pre", "bid_pre")}},
+            "strategy.csv": {"rate": cols["rate"], "block": block},
+        }
+        for name, columns in expected.items():
+            with open(out / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            header = rows[0]
+            assert len(rows) == grid.n_points + 1
+            for key, values in columns.items():
+                j = header.index(key)
+                assert [row[j] for row in rows[1:]] == [repr(float(v)) for v in values]
+        with open(out / "strategy.csv", newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)][1:] == [str(i) for i in range(65)]
+
+        loaded = read_strategy_csv(grid, out / "strategy.csv")
+        assert loaded.rate.values.tobytes() == cols["rate"].tobytes()
+        assert loaded.blocks == ((0, 5e-324), (7, -1e16), (64, 0.1))
 
 
 class TestExitCodes:

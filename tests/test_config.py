@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from lobres import ConfigParseError, ConfigValidationError
-from lobres.config import parse_config, validate_config
+from lobres.config import (INTERPRETER_BYTES, ONE_PATH_BYTES_PER_POINT, parse_config,
+                           validate_config)
 
 MINIMAL_THEOREM1 = """
 {
@@ -142,7 +143,8 @@ class TestValidate:
         report = validate_config(parse_config(text))
         assert report["estimates"]["grid_steps"] == 512
         assert report["estimates"]["cost_proxy"] == 512.0
-        assert report["estimates"]["approx_memory_bytes"] == 8 * 513
+        assert report["estimates"]["approx_memory_bytes"] == (
+            INTERPRETER_BYTES + ONE_PATH_BYTES_PER_POINT * 513)
         assert not any("budget" in w for w in report["warnings"])
         assert any("one price path" in w for w in report["warnings"])
 
@@ -153,10 +155,14 @@ class TestValidate:
         ("utility.json", 8 * 512 * 10_000 + 8 * 500 * 10_000),
         # one (steps, paths) noise buffer
         ("lemma_jump_noisy.json", 8 * 512 * 1000),
-        ("l2.json", 8 * 513),
-        ("simulate.json", 8 * 513),
+        # one path only
+        ("l2.json", 0),
+        ("simulate.json", 0),
     ])
     def test_memory_estimate_of_shipped_configs(self, name, expected):
+        # the interpreter and one path's scan and ledger on 513 grid points,
+        # plus the per-path arrays
         text = (Path(__file__).resolve().parent.parent / "configs" / name).read_text()
         report = validate_config(parse_config(text))
-        assert report["estimates"]["approx_memory_bytes"] == expected
+        assert report["estimates"]["approx_memory_bytes"] == (
+            INTERPRETER_BYTES + ONE_PATH_BYTES_PER_POINT * 513 + expected)
