@@ -378,6 +378,11 @@ class McConfig:
     paths: int = 1
     seed: int = 42
 
+    def __post_init__(self) -> None:
+        # checked here so that a --seed override is refused like mc.seed
+        if self.seed < 0:
+            raise ConfigValidationError(f"mc.seed must be non-negative, got {self.seed}")
+
     @classmethod
     def parse(cls, obj: Any) -> "McConfig":
         d = _as_mapping(obj, "mc")
@@ -386,6 +391,9 @@ class McConfig:
         _reject_unknown(d, "mc")
         if paths < 1:
             raise ConfigValidationError("mc.paths must be at least 1")
+        if paths > 1 << 32:
+            raise ConfigValidationError("mc.paths must be at most 2**32 (one stream id "
+                                        "below 2**32 per path)")
         return cls(paths, seed)
 
     def to_json(self) -> dict:

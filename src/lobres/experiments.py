@@ -31,7 +31,8 @@ import numpy as np
 
 from .book import BookParams, BookTemplate
 from .errors import InsufficientData
-from .paths import RandomSource, SampledPath, TimeGrid, as_path, constant_path, make_grid
+from .paths import (RandomSource, SampledPath, TimeGrid, as_path, constant_path, make_grid,
+                    normals_block)
 from .strategies import (Strategy, TrackerSpec, exponential_tracker, position_paths,
                          rate_strategy, relax_positions, smooth_blocks)
 from .wealth import ac_wealth, ow_wealth
@@ -115,9 +116,7 @@ def brownian_increments(grid: TimeGrid, seed: int, paths: int) -> np.ndarray:
     Column p holds stream p of ``seed``, so adding paths never changes earlier
     ones; each time step is one contiguous row.
     """
-    out = np.empty((grid.steps, paths))
-    for p in range(paths):
-        out[:, p] = RandomSource(seed, stream=p).normals(grid.steps)
+    out = normals_block(seed, paths, grid.steps)
     out *= math.sqrt(grid.dt)
     return out
 

@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 
-from lobres import BookParams, SampledPath, Strategy
+from lobres import BookParams, RandomSource, SampledPath, Strategy
 
 
 def constant_book(grid, kappa, K=1.0, h=1.0, alpha=0.0, eps=0.0, **kw):
@@ -90,3 +92,13 @@ def reference_evolve_book(params, strategy):
 
     return BookEvolution(exc_up_pre, exc_up_post, exc_dn_pre, exc_dn_post,
                          exc_up_int, exc_dn_int, perm_pre, perm_post)
+
+
+def reference_increments(grid, seed, paths):
+    """Per-path loop: the reference for ``brownian_increments``, which must
+    reproduce every value of it bit for bit."""
+    out = np.empty((grid.steps, paths))
+    for p in range(paths):
+        out[:, p] = RandomSource(seed, stream=p).normals(grid.steps)
+    out *= math.sqrt(grid.dt)
+    return out

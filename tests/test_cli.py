@@ -141,6 +141,15 @@ class TestExitCodes:
         cfg = write_config(tmp_path, bad)
         assert main(["simulate", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_negative_seed_refused(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, SIMULATE_ZERO)
+        assert main([command, "--config", str(cfg), "--seed", "-5"]) == 2
+        assert "mc.seed" in capsys.readouterr().err
+        negative = write_config(tmp_path, dict(SIMULATE_ZERO, mc={"seed": -5}), "neg.json")
+        assert main([command, "--config", str(negative)]) == 2
+        assert "mc.seed" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_validate_prints_ok(self, tmp_path, capsys):

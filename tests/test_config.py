@@ -97,6 +97,29 @@ class TestParse:
         assert other.mc.seed == 7
         assert other.config_hash() != config.config_hash()
 
+    def test_negative_seed_rejected(self):
+        text = json.dumps({"kind": "theorem1", "mc": {"seed": -5},
+                           "strategy": {"type": "rate", "rate": {"fn": "sin"}}})
+        with pytest.raises(ConfigValidationError, match="mc.seed"):
+            parse_config(text)
+
+    def test_paths_beyond_stream_ids_rejected(self):
+        # each path is one stream, and stream ids are below 2**32
+        for paths, ok in ((2**32, True), (2**32 + 1, False)):
+            text = json.dumps({"kind": "lemma-jump", "mc": {"paths": paths},
+                               "strategy": {"type": "blocks", "blocks": [[0.25, 1.0]],
+                                            "t_prime": 0.5}})
+            if ok:
+                assert parse_config(text).mc.paths == paths
+            else:
+                with pytest.raises(ConfigValidationError, match="mc.paths"):
+                    parse_config(text)
+
+    def test_negative_seed_override_rejected(self):
+        config = parse_config(MINIMAL_THEOREM1)
+        with pytest.raises(ConfigValidationError, match="mc.seed"):
+            config.with_overrides(seed=-5)
+
     def test_utility_requires_positive_sigma(self):
         text = json.dumps({
             "kind": "utility",

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_increments
 from lobres import (BookTemplate, FundamentalSpec, InsufficientData, KappaLadder,
                     RandomSource, UniformBounds, ac_wealth, fit_rate, ladder_grid,
                     lemma_jump_experiment, l2_convergence_experiment, make_grid,
@@ -357,6 +360,23 @@ class TestUtility:
 
 
 class TestBrownianIncrements:
+    # paths below 8192 split each stream into segments; 2731 and 10007 steps
+    # leave a shorter last segment for 3 and 1 paths
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.sampled_from([0, 1, 42, 2**32 - 1, 2**32 + 5, 2**130 + 9]),
+           paths=st.sampled_from([1, 3, 1000, 8191, 8193, 10000]),
+           steps=st.sampled_from([1, 2, 7, 2048, 2731, 10007]),
+           horizon=st.sampled_from([1.0, 0.3]))
+    @example(seed=2**130 + 9, paths=3, steps=2731, horizon=1.0)
+    @example(seed=42, paths=1, steps=10007, horizon=0.3)
+    @example(seed=2**32 + 5, paths=1000, steps=2048, horizon=1.0)
+    def test_bit_identical_to_per_path_loop(self, seed, paths, steps, horizon):
+        assume(paths * steps <= 2**21)
+        grid = make_grid(horizon, steps)
+        block = brownian_increments(grid, seed, paths)
+        assert block.flags.c_contiguous
+        assert block.tobytes() == reference_increments(grid, seed, paths).tobytes()
+
     def test_path_extension_is_stable(self):
         # adding paths never changes earlier paths (one stream per path)
         grid = make_grid(1.0, 32)
