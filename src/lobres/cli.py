@@ -10,7 +10,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -243,9 +243,10 @@ def run_config(config: RunConfig, out_dir: str | Path | None = None) -> RunResul
 
 
 def _load_config(path: str, seed: int | None, out: str | None) -> RunConfig:
-    text = Path(path).read_text()
-    config = parse_config(text)
-    return config.with_overrides(seed=seed, output_dir=out)
+    config = parse_config(Path(path).read_text())
+    if seed is not None:  # replace() runs McConfig's seed check
+        config = replace(config, mc=replace(config.mc, seed=seed))
+    return config if out is None else replace(config, output_dir=out)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -1,5 +1,10 @@
 """Run configuration: a strict JSON key/value schema with documented defaults.
 
+Each section is a frozen dataclass (``@_section``) whose fields declare their
+JSON key, default, parser and range checks in ``field(metadata=...)`` (see
+``_field``).  ``_parse`` reads and ``_dump`` writes every section from these
+declarations; a section's ``_check`` hook holds its constraints across fields,
+and ``KINDS`` says which sections and strategy types each run kind takes.
 Unknown keys are rejected with the offending key path; invariant violations
 name the constraint.  Parsing then serializing then parsing again yields an
 identical configuration, and the canonical serialization is hashed into run
@@ -11,17 +16,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, NamedTuple
 
 from .book import BookTemplate
 from .errors import ConfigParseError, ConfigValidationError
 from .experiments import FundamentalSpec, KappaLadder, UniformBounds
 
-KINDS = ("simulate", "theorem1", "remark1", "lemma-jump", "tracker-bound",
-         "utility", "l2")
-
-_MISSING = object()
+_REQUIRED = object()  # the default of a key that must be given
 
 
 def _as_mapping(obj: Any, where: str) -> dict:
@@ -32,22 +34,153 @@ def _as_mapping(obj: Any, where: str) -> dict:
 
 def _reject_unknown(d: dict, where: str) -> None:
     if d:
-        key = sorted(d)[0]
-        raise ConfigParseError(f"unknown key '{key}' in {where}")
+        raise ConfigParseError(f"unknown key '{sorted(d)[0]}' in {where}")
 
 
 def _number(obj: Any, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigParseError(f"{where} must be a number, got {obj!r}")
-    if not math.isfinite(obj):
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
         raise ConfigValidationError(f"{where} must be finite, got {obj!r}")
-    return float(obj)
+    return value
 
 
 def _integer(obj: Any, where: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ConfigParseError(f"{where} must be an integer, got {obj!r}")
     return obj
+
+
+def _one_of(choices) -> Callable[[Any, str], str]:
+    def parse(obj: Any, where: str) -> str:
+        if not isinstance(obj, str) or obj not in choices:
+            raise ConfigParseError(f"{where} must be one of {sorted(choices)}, got {obj!r}")
+        return obj
+    return parse
+
+
+def _optional(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    return lambda obj, where: None if obj is None else parse(obj, where)
+
+
+def _list(item: Callable[[Any, str], Any], problem: str, nonempty: bool = True):
+    """Parser of a JSON list into a tuple of ``item`` values; ``problem`` is
+    the message for anything else, with ``{}`` standing for the key path."""
+    def parse(obj: Any, where: str) -> tuple:
+        if not isinstance(obj, list) or (nonempty and not obj):
+            raise ConfigParseError(problem.format(where))
+        return tuple(item(v, f"{where}[{j}]") for j, v in enumerate(obj))
+    return parse
+
+
+def _block(obj: Any, where: str) -> tuple[float, float]:
+    if not (isinstance(obj, list) and len(obj) == 2):
+        raise ConfigParseError(f"{where} must be [time, size]")
+    return _number(obj[0], f"{where}[0]"), _number(obj[1], f"{where}[1]")
+
+
+_KAPPAS = _list(_number, "{} must be a nonempty list")
+
+
+# A range check takes the parsed value and grid.horizon and returns None, or
+# the message for a bad value with {} standing for the key path.
+def _is(ok: Callable[[Any], bool], problem: str) -> Callable[[Any, float], str | None]:
+    return lambda value, horizon: None if ok(value) else problem
+
+
+_POSITIVE = _is(lambda v: v > 0, "{} must be positive")
+_AT_LEAST_1 = _is(lambda v: v >= 1, "{} must be at least 1")
+_BOUND = _is(lambda v: v > 0, "bounds entries must be positive")
+_TRACKER_BOUND = _is(lambda v: v > 0,
+                     "tracker.coeff_bound and tracker.rate_floor must be positive")
+_INCREASING = _is(lambda vs: all(v > 0 for v in vs) and all(b > a for a, b in zip(vs, vs[1:])),
+                  "{} must be positive and strictly increasing")
+
+
+def _within(lo: float, hi: float = math.inf, strict: bool = False):
+    """Coefficient range [lo, hi], or (lo, hi] if strict; a function of time
+    is probed at 257 points of [0, horizon]."""
+    bracket = f"({lo}, {hi}]" if strict else f"[{lo}, {hi}]"
+
+    def check(c: CoeffSpec, horizon: float) -> str | None:
+        f = c.value()
+        for v in [f] if c.fn == "const" else [f(j * horizon / 256.0) for j in range(257)]:
+            if v < lo or v > hi or (strict and v == lo):
+                return f"{{}} must lie in {bracket}, got {v}"
+        return None
+    return check
+
+
+def _field(parse: Callable[[Any, str], Any], default: Any, *checks, key: str | None = None,
+           when: tuple[str, Any] | None = None, null: bool = False):
+    """A section field read from JSON ``key`` (default: the field name) by
+    ``parse(obj, where)`` and then range-checked.  ``default`` is a JSON value,
+    parsed like a given one, or ``_REQUIRED``; a parser wrapped in ``_optional``
+    reads null and absence as None.  ``when=(name, value)`` makes the key exist
+    only while the earlier field ``name`` holds ``value`` (``strategy.rate``
+    for ``"type": "rate"``), and ``null`` writes None as JSON null instead of
+    leaving the key out."""
+    return field(metadata={"parse": parse, "default": default, "checks": checks, "key": key,
+                           "when": when, "null": null})
+
+
+def _section(cls):
+    """A frozen dataclass whose ``_fields`` lists (name, key, declaration) of
+    each field, for ``_parse`` and ``_dump``."""
+    cls = dataclass(frozen=True)(cls)
+    cls._fields = tuple((f.name, f.metadata["key"] or f.name, dict(f.metadata))
+                        for f in fields(cls))
+    return cls
+
+
+def _active(when: tuple[str, Any] | None, values: dict) -> bool:
+    return when is None or values[when[0]] == when[1]
+
+
+def _parse(cls, obj: Any, where: str, kind: str, horizon: float | None):
+    """Section ``cls`` from JSON ``obj``: parse the active fields, reject
+    unknown keys, run the range checks, then the ``_check`` hook."""
+    d = _as_mapping(obj, where)
+    kw: dict[str, Any] = {}
+    checked = []
+    for name, key, m in cls._fields:
+        kw[name] = None
+        if _active(m["when"], kw):
+            raw = d.pop(key, m["default"])
+            if raw is _REQUIRED:
+                raise ConfigParseError(f"missing required key '{key}' in {where}")
+            kw[name] = m["parse"](raw, f"{where}.{key}")
+            if m["checks"] and kw[name] is not None:
+                checked.append((m["checks"], kw[name], key))
+    _reject_unknown(d, where)
+    for checks, value, key in checked:
+        for check in checks:
+            problem = check(value, horizon)
+            if problem:
+                raise ConfigValidationError(problem.format(f"{where}.{key}"))
+    section = cls(**kw)
+    if hasattr(section, "_check"):
+        section._check(kind, horizon)
+    return section
+
+
+def _json(value: Any) -> Any:
+    if isinstance(value, CoeffSpec):
+        params = dict(value.params)
+        return params["value"] if value.fn == "const" else {"fn": value.fn, **params}
+    return [_json(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _dump(section) -> dict:
+    """The JSON object of a section: its active fields, where None is left out
+    unless the field writes null."""
+    values = vars(section)
+    return {key: _json(values[name]) for name, key, m in section._fields
+            if _active(m["when"], values) and (values[name] is not None or m["null"])}
 
 
 @dataclass(frozen=True)
@@ -58,7 +191,7 @@ class CoeffSpec:
     params: tuple[tuple[str, float], ...]
 
     _SCHEMAS = {
-        "const": {"value": None},
+        "const": {"value": _REQUIRED},
         "linear": {"intercept": 0.0, "slope": 0.0},
         "sin": {"amplitude": 1.0, "frequency": 1.0, "offset": 0.0},
         "cos": {"amplitude": 1.0, "frequency": 1.0, "offset": 0.0},
@@ -71,37 +204,15 @@ class CoeffSpec:
         if isinstance(obj, (int, float)):
             return cls("const", (("value", _number(obj, where)),))
         d = _as_mapping(obj, where)
-        fn = d.pop("fn", None)
-        if fn not in cls._SCHEMAS:
-            raise ConfigParseError(
-                f"{where}.fn must be one of {sorted(cls._SCHEMAS)}, got {fn!r}")
-        schema = cls._SCHEMAS[fn]
+        fn = _one_of(cls._SCHEMAS)(d.pop("fn", None), f"{where}.fn")
         params = []
-        for key, default in schema.items():
-            raw = d.pop(key, _MISSING)
-            if raw is _MISSING:
-                if default is None:
-                    raise ConfigParseError(f"{where}.{key} is required for fn={fn!r}")
-                raw = default
+        for key, default in cls._SCHEMAS[fn].items():
+            raw = d.pop(key, default)
+            if raw is _REQUIRED:
+                raise ConfigParseError(f"{where}.{key} is required for fn={fn!r}")
             params.append((key, _number(raw, f"{where}.{key}")))
         _reject_unknown(d, where)
         return cls(fn, tuple(params))
-
-    def to_json(self) -> Any:
-        d = dict(self.params)
-        if self.fn == "const":
-            return d["value"]
-        return {"fn": self.fn, **d}
-
-    @property
-    def is_constant(self) -> bool:
-        return self.fn == "const"
-
-    @property
-    def constant_value(self) -> float:
-        if not self.is_constant:
-            raise ValueError("coefficient is not constant")
-        return dict(self.params)["value"]
 
     def value(self) -> float | Callable[[float], float]:
         p = dict(self.params)
@@ -109,263 +220,110 @@ class CoeffSpec:
             return p["value"]
         if self.fn == "linear":
             return lambda t, a=p["intercept"], b=p["slope"]: a + b * t
-        if self.fn == "sin":
-            return (lambda t, a=p["amplitude"], f=p["frequency"], c=p["offset"]:
-                    c + a * math.sin(2.0 * math.pi * f * t))
-        return (lambda t, a=p["amplitude"], f=p["frequency"], c=p["offset"]:
-                c + a * math.cos(2.0 * math.pi * f * t))
-
-    def check_range(self, name: str, lo: float, hi: float, horizon: float,
-                    lo_strict: bool = False) -> None:
-        """Validate the coefficient range (functions probed on a fine grid)."""
-        if self.is_constant:
-            values = [self.constant_value]
-        else:
-            f = self.value()
-            values = [f(j * horizon / 256.0) for j in range(257)]
-        for v in values:
-            if v < lo or v > hi or (lo_strict and v == lo):
-                bracket = f"({lo}, {hi}]" if lo_strict else f"[{lo}, {hi}]"
-                raise ConfigValidationError(f"{name} must lie in {bracket}, got {v}")
+        return (lambda t, a=p["amplitude"], f=p["frequency"], c=p["offset"],
+                g=math.sin if self.fn == "sin" else math.cos: c + a * g(2.0 * math.pi * f * t))
 
 
-@dataclass(frozen=True)
+_COEFF, _OPT_COEFF = CoeffSpec.parse, _optional(CoeffSpec.parse)
+_ABOVE_0, _UP_TO_HALF = _within(0.0, strict=True), _within(0.0, 0.5)
+_GEOMETRIC = ("values", None)
+
+
+@_section
 class GridConfig:
-    horizon: float = 1.0
-    n0: int = 512
-    resolution_scale: float = 4.0
-
-    @classmethod
-    def parse(cls, obj: Any) -> "GridConfig":
-        d = _as_mapping(obj, "grid")
-        horizon = _number(d.pop("horizon", 1.0), "grid.horizon")
-        n0 = _integer(d.pop("n0", 512), "grid.n0")
-        scale = _number(d.pop("resolution_scale", 4.0), "grid.resolution_scale")
-        _reject_unknown(d, "grid")
-        if horizon <= 0:
-            raise ConfigValidationError("grid.horizon must be positive")
-        if n0 < 1:
-            raise ConfigValidationError("grid.n0 must be at least 1")
-        if scale <= 0:
-            raise ConfigValidationError("grid.resolution_scale must be positive")
-        return cls(horizon, n0, scale)
-
-    def to_json(self) -> dict:
-        return {"horizon": self.horizon, "n0": self.n0,
-                "resolution_scale": self.resolution_scale}
+    horizon: float = _field(_number, 1.0, _POSITIVE)
+    n0: int = _field(_integer, 512, _AT_LEAST_1)
+    resolution_scale: float = _field(_number, 4.0, _POSITIVE)
 
 
-@dataclass(frozen=True)
+@_section
 class BookConfig:
-    kappa: float | None
-    K: CoeffSpec
-    h: CoeffSpec
-    alpha: CoeffSpec
-    eps: CoeffSpec
-    K_dn: CoeffSpec | None = None
-    h_dn: CoeffSpec | None = None
-    alpha_dn: CoeffSpec | None = None
-    eps_dn: CoeffSpec | None = None
+    kappa: float | None = _field(_optional(_number), None)
+    K: CoeffSpec = _field(_COEFF, 1.0, _ABOVE_0)
+    h: CoeffSpec = _field(_COEFF, 1.0, _ABOVE_0)
+    alpha: CoeffSpec = _field(_COEFF, 0.0, _UP_TO_HALF)
+    eps: CoeffSpec = _field(_COEFF, 0.0, _within(0.0))
+    K_dn: CoeffSpec | None = _field(_OPT_COEFF, None, _ABOVE_0, key="K_down")
+    h_dn: CoeffSpec | None = _field(_OPT_COEFF, None, _ABOVE_0, key="h_down")
+    alpha_dn: CoeffSpec | None = _field(_OPT_COEFF, None, _UP_TO_HALF, key="alpha_down")
+    eps_dn: CoeffSpec | None = _field(_OPT_COEFF, None, _within(0.0), key="eps_down")
 
-    @classmethod
-    def parse(cls, obj: Any, horizon: float, needs_kappa: bool) -> "BookConfig":
-        d = _as_mapping(obj, "book")
-        kappa = None
-        if needs_kappa:
-            kappa = _number(d.pop("kappa", _require(d, "kappa", "book")), "book.kappa")
-            if kappa <= 0:
-                raise ConfigValidationError("book.kappa must be positive")
-        elif "kappa" in d:
+    def _check(self, kind: str, horizon: float) -> None:
+        if kind != "simulate" and self.kappa is not None:
             raise ConfigParseError(
                 "book.kappa is set by the ladder for experiment kinds; remove it")
-
-        def coeff(key: str, default: float | None) -> CoeffSpec | None:
-            raw = d.pop(key, _MISSING)
-            if raw is _MISSING:
-                if default is None:
-                    return None
-                return CoeffSpec("const", (("value", default),))
-            return CoeffSpec.parse(raw, f"book.{key}")
-
-        spec = cls(
-            kappa=kappa,
-            K=coeff("K", 1.0), h=coeff("h", 1.0),
-            alpha=coeff("alpha", 0.0), eps=coeff("eps", 0.0),
-            K_dn=coeff("K_down", None), h_dn=coeff("h_down", None),
-            alpha_dn=coeff("alpha_down", None), eps_dn=coeff("eps_down", None),
-        )
-        _reject_unknown(d, "book")
-        inf = math.inf
-        for name, c, lo, hi, strict in (
-                ("book.K", spec.K, 0.0, inf, True), ("book.K_down", spec.K_dn, 0.0, inf, True),
-                ("book.h", spec.h, 0.0, inf, True), ("book.h_down", spec.h_dn, 0.0, inf, True),
-                ("book.alpha", spec.alpha, 0.0, 0.5, False),
-                ("book.alpha_down", spec.alpha_dn, 0.0, 0.5, False),
-                ("book.eps", spec.eps, 0.0, inf, False),
-                ("book.eps_down", spec.eps_dn, 0.0, inf, False)):
-            if c is not None:
-                c.check_range(name, lo, hi, horizon, lo_strict=strict)
-        return spec
-
-    def to_json(self) -> dict:
-        out: dict[str, Any] = {}
-        if self.kappa is not None:
-            out["kappa"] = self.kappa
-        out.update(K=self.K.to_json(), h=self.h.to_json(),
-                   alpha=self.alpha.to_json(), eps=self.eps.to_json())
-        for key, c in (("K_down", self.K_dn), ("h_down", self.h_dn),
-                       ("alpha_down", self.alpha_dn), ("eps_down", self.eps_dn)):
-            if c is not None:
-                out[key] = c.to_json()
-        return out
+        if kind == "simulate" and self.kappa is None:
+            raise ConfigParseError("missing required key 'kappa' in book")
+        if kind == "simulate" and self.kappa <= 0:
+            raise ConfigValidationError("book.kappa must be positive")
 
     def template(self) -> BookTemplate:
-        def val(c: CoeffSpec | None):
-            return None if c is None else c.value()
-
-        return BookTemplate(K=self.K.value(), h=self.h.value(),
-                            alpha=self.alpha.value(), eps=self.eps.value(),
-                            K_dn=val(self.K_dn), h_dn=val(self.h_dn),
-                            alpha_dn=val(self.alpha_dn), eps_dn=val(self.eps_dn))
+        coeffs = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "kappa"}
+        return BookTemplate(**{k: None if c is None else c.value() for k, c in coeffs.items()})
 
 
-def _require(d: dict, key: str, where: str) -> Any:
-    if key not in d:
-        raise ConfigParseError(f"missing required key '{key}' in {where}")
-    return d[key]
-
-
-@dataclass(frozen=True)
+@_section
 class FundamentalConfig:
-    s0: float = 100.0
-    mu: CoeffSpec = CoeffSpec("const", (("value", 0.0),))
-    sigma: CoeffSpec = CoeffSpec("const", (("value", 0.0),))
+    s0: float = _field(_number, 100.0)
+    mu: CoeffSpec = _field(_COEFF, 0.0)
+    sigma: CoeffSpec = _field(_COEFF, 0.0, _within(0.0))
 
-    @classmethod
-    def parse(cls, obj: Any, horizon: float) -> "FundamentalConfig":
-        d = _as_mapping(obj, "fundamental")
-        s0 = _number(d.pop("s0", 100.0), "fundamental.s0")
-        mu = CoeffSpec.parse(d.pop("mu", 0.0), "fundamental.mu")
-        sigma = CoeffSpec.parse(d.pop("sigma", 0.0), "fundamental.sigma")
-        _reject_unknown(d, "fundamental")
-        sigma.check_range("fundamental.sigma", 0.0, math.inf, horizon)
-        return cls(s0, mu, sigma)
-
-    def to_json(self) -> dict:
-        return {"s0": self.s0, "mu": self.mu.to_json(), "sigma": self.sigma.to_json()}
+    def _check(self, kind: str, horizon: float) -> None:
+        if kind == "utility" and (self.sigma.fn != "const" or self.sigma.value() <= 0):
+            raise ConfigValidationError("utility runs need a constant positive fundamental.sigma")
+        if kind == "utility" and self.mu.fn != "const":
+            raise ConfigValidationError("utility runs need a constant fundamental.mu")
 
     def spec(self) -> FundamentalSpec:
         return FundamentalSpec(self.s0, self.mu.value(), self.sigma.value())
 
 
-@dataclass(frozen=True)
+@_section
 class StrategyConfig:
-    type: str
-    rate: CoeffSpec | None = None
-    phi0: float = 0.0
-    blocks: tuple[tuple[float, float], ...] = ()
-    t_prime: float | None = None
-    target: CoeffSpec | None = None
-    rate_scale: CoeffSpec | None = None
-    start: float | None = None
+    # a missing type reaches the parser as None, which refuses it
+    type: str = _field(_one_of(("zero", "rate", "blocks", "tracker")), None)
+    phi0: float = _field(_number, 0.0)
+    rate: CoeffSpec | None = _field(_COEFF, _REQUIRED, when=("type", "rate"))
+    blocks: tuple[tuple[float, float], ...] | None = _field(
+        _list(_block, "{} must be a nonempty list of [time, size]"), _REQUIRED,
+        _is(lambda bs: all(b[0] > a[0] for a, b in zip(bs, bs[1:])),
+            "strategy block times must be strictly increasing"),
+        _is(lambda bs: all(s != 0 for _, s in bs), "strategy block sizes must be nonzero"),
+        when=("type", "blocks"))
+    t_prime: float | None = _field(_number, _REQUIRED, lambda t, horizon: None if 0 < t < horizon
+                                   else "{} must lie strictly between 0 and grid.horizon",
+                                   when=("type", "blocks"))
+    target: CoeffSpec | None = _field(_COEFF, _REQUIRED, when=("type", "tracker"))
+    rate_scale: CoeffSpec | None = _field(_COEFF, 1.0, _ABOVE_0, when=("type", "tracker"))
+    start: float | None = _field(_optional(_number), None, when=("type", "tracker"),
+                                 null=True)
 
-    @classmethod
-    def parse(cls, obj: Any, horizon: float) -> "StrategyConfig":
-        d = _as_mapping(obj, "strategy")
-        stype = d.pop("type", None)
-        if stype not in ("zero", "rate", "blocks", "tracker"):
-            raise ConfigParseError(
-                f"strategy.type must be one of ['blocks', 'rate', 'tracker', 'zero'], got {stype!r}")
-        phi0 = _number(d.pop("phi0", 0.0), "strategy.phi0")
-        rate = blocks = t_prime = target = rate_scale = start = None
-        if stype == "rate":
-            rate = CoeffSpec.parse(_require(d, "rate", "strategy"), "strategy.rate")
-            d.pop("rate")
-        elif stype == "blocks":
-            raw = _require(d, "blocks", "strategy")
-            d.pop("blocks")
-            if not isinstance(raw, list) or not raw:
-                raise ConfigParseError("strategy.blocks must be a nonempty list of [time, size]")
-            parsed = []
-            for j, item in enumerate(raw):
-                if not (isinstance(item, list) and len(item) == 2):
-                    raise ConfigParseError(f"strategy.blocks[{j}] must be [time, size]")
-                parsed.append((_number(item[0], f"strategy.blocks[{j}][0]"),
-                               _number(item[1], f"strategy.blocks[{j}][1]")))
-            blocks = tuple(parsed)
-            t_prime = _number(_require(d, "t_prime", "strategy"), "strategy.t_prime")
-            d.pop("t_prime")
-            if not 0 < t_prime < horizon:
-                raise ConfigValidationError(
-                    "strategy.t_prime must lie strictly between 0 and grid.horizon")
-            times = [t for t, _ in blocks]
-            if any(b <= a for a, b in zip(times, times[1:])):
-                raise ConfigValidationError("strategy block times must be strictly increasing")
-            if any(t < 0 or t > t_prime for t in times):
-                raise ConfigValidationError("strategy block times must lie in [0, t_prime]")
-            if any(s == 0 for _, s in blocks):
-                raise ConfigValidationError("strategy block sizes must be nonzero")
-        elif stype == "tracker":
-            target = CoeffSpec.parse(_require(d, "target", "strategy"), "strategy.target")
-            d.pop("target")
-            rate_scale = CoeffSpec.parse(d.pop("rate_scale", 1.0), "strategy.rate_scale")
-            raw_start = d.pop("start", None)
-            start = None if raw_start is None else _number(raw_start, "strategy.start")
-            rate_scale.check_range("strategy.rate_scale", 0.0, math.inf, horizon,
-                                   lo_strict=True)
-        _reject_unknown(d, "strategy")
-        return cls(stype, rate, phi0, blocks or (), t_prime, target, rate_scale, start)
-
-    def to_json(self) -> dict:
-        out: dict[str, Any] = {"type": self.type, "phi0": self.phi0}
-        if self.type == "rate":
-            out["rate"] = self.rate.to_json()
-        elif self.type == "blocks":
-            out["blocks"] = [[t, s] for t, s in self.blocks]
-            out["t_prime"] = self.t_prime
-        elif self.type == "tracker":
-            out["target"] = self.target.to_json()
-            out["rate_scale"] = self.rate_scale.to_json()
-            out["start"] = self.start
-        return out
+    def _check(self, kind: str, horizon: float) -> None:
+        if self.type == "blocks" and any(t < 0 or t > self.t_prime for t, _ in self.blocks):
+            raise ConfigValidationError("strategy block times must lie in [0, t_prime]")
+        permitted = KINDS[kind].strategies
+        if self.type not in permitted:
+            raise ConfigValidationError(f"strategy.type {self.type!r} is not allowed for kind "
+                                        f"'{kind}' (allowed: {sorted(permitted)})")
 
 
-@dataclass(frozen=True)
+@_section
 class LadderConfig:
-    values: tuple[float, ...] | None = None
-    start: float = 16.0
-    factor: float = 2.0
-    count: int = 9
+    values: tuple[float, ...] | None = _field(_optional(_KAPPAS), None, _INCREASING)
+    start: float | None = _field(_number, 16.0, _POSITIVE, when=_GEOMETRIC)
+    factor: float | None = _field(_number, 2.0, _is(lambda v: v > 1, "{} must exceed 1"),
+                                  when=_GEOMETRIC)
+    count: int | None = _field(_integer, 9, _AT_LEAST_1, when=_GEOMETRIC)
 
-    @classmethod
-    def parse(cls, obj: Any) -> "LadderConfig":
-        d = _as_mapping(obj, "ladder")
-        if "values" in d:
-            raw = d.pop("values")
-            if not isinstance(raw, list) or len(raw) < 1:
-                raise ConfigParseError("ladder.values must be a nonempty list")
-            values = tuple(_number(v, f"ladder.values[{j}]") for j, v in enumerate(raw))
-            _reject_unknown(d, "ladder")
-            if any(v <= 0 for v in values) or any(b <= a for a, b in zip(values, values[1:])):
+    def _check(self, kind: str, horizon: float) -> None:
+        if self.values is None:
+            try:
+                top = self.start * self.factor ** (self.count - 1)
+            except OverflowError:
+                top = math.inf
+            if not math.isfinite(top):
                 raise ConfigValidationError(
-                    "ladder.values must be positive and strictly increasing")
-            return cls(values=values)
-        start = _number(d.pop("start", 16.0), "ladder.start")
-        factor = _number(d.pop("factor", 2.0), "ladder.factor")
-        count = _integer(d.pop("count", 9), "ladder.count")
-        _reject_unknown(d, "ladder")
-        if start <= 0:
-            raise ConfigValidationError("ladder.start must be positive")
-        if factor <= 1:
-            raise ConfigValidationError("ladder.factor must exceed 1")
-        if count < 1:
-            raise ConfigValidationError("ladder.count must be at least 1")
-        return cls(start=start, factor=factor, count=count)
-
-    def to_json(self) -> dict:
-        if self.values is not None:
-            return {"values": list(self.values)}
-        return {"start": self.start, "factor": self.factor, "count": self.count}
+                    "ladder.start * ladder.factor**(ladder.count - 1) must be finite")
 
     def ladder(self) -> KappaLadder:
         if self.values is not None:
@@ -373,171 +331,88 @@ class LadderConfig:
         return KappaLadder.geometric(self.start, self.factor, self.count)
 
 
-@dataclass(frozen=True)
+@_section
 class McConfig:
-    paths: int = 1
-    seed: int = 42
+    paths: int = _field(_integer, 1, _AT_LEAST_1, _is(
+        lambda v: v <= 1 << 32, "{} must be at most 2**32 (one stream id below 2**32 per path)"))
+    seed: int = _field(_integer, 42)
 
     def __post_init__(self) -> None:
         # checked here so that a --seed override is refused like mc.seed
         if self.seed < 0:
             raise ConfigValidationError(f"mc.seed must be non-negative, got {self.seed}")
 
-    @classmethod
-    def parse(cls, obj: Any) -> "McConfig":
-        d = _as_mapping(obj, "mc")
-        paths = _integer(d.pop("paths", 1), "mc.paths")
-        seed = _integer(d.pop("seed", 42), "mc.seed")
-        _reject_unknown(d, "mc")
-        if paths < 1:
-            raise ConfigValidationError("mc.paths must be at least 1")
-        if paths > 1 << 32:
-            raise ConfigValidationError("mc.paths must be at most 2**32 (one stream id "
-                                        "below 2**32 per path)")
-        return cls(paths, seed)
 
-    def to_json(self) -> dict:
-        return {"paths": self.paths, "seed": self.seed}
-
-
-@dataclass(frozen=True)
+@_section
 class SmoothingConfig:
-    width_scale: float = 1.0
-
-    @classmethod
-    def parse(cls, obj: Any) -> "SmoothingConfig":
-        d = _as_mapping(obj, "smoothing")
-        w = _number(d.pop("width_scale", 1.0), "smoothing.width_scale")
-        _reject_unknown(d, "smoothing")
-        if w <= 0:
-            raise ConfigValidationError("smoothing.width_scale must be positive")
-        return cls(w)
-
-    def to_json(self) -> dict:
-        return {"width_scale": self.width_scale}
+    width_scale: float = _field(_number, 1.0, _POSITIVE)
 
 
-@dataclass(frozen=True)
+@_section
 class TrackerConfig:
-    target_drift: CoeffSpec = CoeffSpec("const", (("value", 0.0),))
-    target_vol: CoeffSpec = CoeffSpec("const", (("value", 1.0),))
-    rate_scale: CoeffSpec = CoeffSpec("const", (("value", 1.0),))
-    coeff_bound: float = 1.0
-    rate_floor: float = 1.0
-    target0: float = 0.0
-
-    @classmethod
-    def parse(cls, obj: Any, horizon: float) -> "TrackerConfig":
-        d = _as_mapping(obj, "tracker")
-        drift = CoeffSpec.parse(d.pop("target_drift", 0.0), "tracker.target_drift")
-        vol = CoeffSpec.parse(d.pop("target_vol", 1.0), "tracker.target_vol")
-        scale = CoeffSpec.parse(d.pop("rate_scale", 1.0), "tracker.rate_scale")
-        cbound = _number(d.pop("coeff_bound", 1.0), "tracker.coeff_bound")
-        floor = _number(d.pop("rate_floor", 1.0), "tracker.rate_floor")
-        target0 = _number(d.pop("target0", 0.0), "tracker.target0")
-        _reject_unknown(d, "tracker")
-        if cbound <= 0 or floor <= 0:
-            raise ConfigValidationError(
-                "tracker.coeff_bound and tracker.rate_floor must be positive")
-        scale.check_range("tracker.rate_scale", 0.0, math.inf, horizon, lo_strict=True)
-        return cls(drift, vol, scale, cbound, floor, target0)
-
-    def to_json(self) -> dict:
-        return {"target_drift": self.target_drift.to_json(),
-                "target_vol": self.target_vol.to_json(),
-                "rate_scale": self.rate_scale.to_json(),
-                "coeff_bound": self.coeff_bound, "rate_floor": self.rate_floor,
-                "target0": self.target0}
+    target_drift: CoeffSpec = _field(_COEFF, 0.0)
+    target_vol: CoeffSpec = _field(_COEFF, 1.0)
+    rate_scale: CoeffSpec = _field(_COEFF, 1.0, _ABOVE_0)
+    coeff_bound: float = _field(_number, 1.0, _TRACKER_BOUND)
+    rate_floor: float = _field(_number, 1.0, _TRACKER_BOUND)
+    target0: float = _field(_number, 0.0)
 
 
-@dataclass(frozen=True)
+@_section
 class UtilityConfig:
-    gamma: float = 1.0
-    multipliers: tuple[float, ...] = (0.5, 1.0, 2.0)
-    kappas: tuple[float, ...] = (64.0, 256.0, 1024.0)
-    x0: float = 0.0
-    bootstrap: int = 500
-
-    @classmethod
-    def parse(cls, obj: Any) -> "UtilityConfig":
-        d = _as_mapping(obj, "utility")
-        gamma = _number(d.pop("gamma", 1.0), "utility.gamma")
-        raw_m = d.pop("multipliers", [0.5, 1.0, 2.0])
-        raw_k = d.pop("kappas", [64.0, 256.0, 1024.0])
-        x0 = _number(d.pop("x0", 0.0), "utility.x0")
-        bootstrap = _integer(d.pop("bootstrap", 500), "utility.bootstrap")
-        _reject_unknown(d, "utility")
-        if not isinstance(raw_m, list) or not isinstance(raw_k, list):
-            raise ConfigParseError("utility.multipliers and utility.kappas must be lists")
-        mult = tuple(_number(v, f"utility.multipliers[{j}]") for j, v in enumerate(raw_m))
-        kappas = tuple(_number(v, f"utility.kappas[{j}]") for j, v in enumerate(raw_k))
-        if gamma <= 0:
-            raise ConfigValidationError("utility.gamma must be positive")
-        if 1.0 not in mult:
-            raise ConfigValidationError("utility.multipliers must include 1 (the candidate)")
-        if any(c <= 0 for c in mult):
-            raise ConfigValidationError("utility.multipliers must be positive")
-        if any(k <= 0 for k in kappas) or any(b <= a for a, b in zip(kappas, kappas[1:])):
-            raise ConfigValidationError(
-                "utility.kappas must be positive and strictly increasing")
-        if bootstrap < 10:
-            raise ConfigValidationError("utility.bootstrap must be at least 10")
-        return cls(gamma, mult, kappas, x0, bootstrap)
-
-    def to_json(self) -> dict:
-        return {"gamma": self.gamma, "multipliers": list(self.multipliers),
-                "kappas": list(self.kappas), "x0": self.x0,
-                "bootstrap": self.bootstrap}
+    gamma: float = _field(_number, 1.0, _POSITIVE)
+    multipliers: tuple[float, ...] = _field(
+        _list(_number, "utility.multipliers and utility.kappas must be lists", nonempty=False),
+        [0.5, 1.0, 2.0], _is(lambda cs: 1.0 in cs, "{} must include 1 (the candidate)"),
+        _is(lambda cs: all(c > 0 for c in cs), "{} must be positive"))
+    kappas: tuple[float, ...] = _field(_KAPPAS, [64.0, 256.0, 1024.0], _INCREASING)
+    x0: float = _field(_number, 0.0)
+    bootstrap: int = _field(_integer, 500, _is(lambda v: v >= 10, "{} must be at least 10"))
 
 
-@dataclass(frozen=True)
+@_section
 class BoundsConfig:
-    rate_bound: float
-    coefficient_bound: float
-    resilience_floor: float
-
-    @classmethod
-    def parse(cls, obj: Any) -> "BoundsConfig":
-        d = _as_mapping(obj, "bounds")
-        rb = _number(d.pop("rate", _require(d, "rate", "bounds")), "bounds.rate")
-        cb = _number(d.pop("coefficient", _require(d, "coefficient", "bounds")),
-                     "bounds.coefficient")
-        rf = _number(d.pop("resilience_floor", _require(d, "resilience_floor", "bounds")),
-                     "bounds.resilience_floor")
-        _reject_unknown(d, "bounds")
-        if rb <= 0 or cb <= 0 or rf <= 0:
-            raise ConfigValidationError("bounds entries must be positive")
-        return cls(rb, cb, rf)
-
-    def to_json(self) -> dict:
-        return {"rate": self.rate_bound, "coefficient": self.coefficient_bound,
-                "resilience_floor": self.resilience_floor}
+    rate_bound: float = _field(_number, _REQUIRED, _BOUND, key="rate")
+    coefficient_bound: float = _field(_number, _REQUIRED, _BOUND, key="coefficient")
+    resilience_floor: float = _field(_number, _REQUIRED, _BOUND)
 
     def bounds(self) -> UniformBounds:
-        return UniformBounds(self.rate_bound, self.coefficient_bound,
-                             self.resilience_floor)
+        return UniformBounds(self.rate_bound, self.coefficient_bound, self.resilience_floor)
 
 
-# Sections every kind accepts beyond the common ones.
-_KIND_SECTIONS: dict[str, dict[str, bool]] = {
-    # section -> required?
-    "simulate": {"book": True, "fundamental": False, "strategy": True},
-    "theorem1": {"book": False, "fundamental": False, "strategy": True, "ladder": False},
-    "remark1": {"book": False, "fundamental": False, "strategy": True, "ladder": False},
-    "l2": {"book": False, "fundamental": False, "strategy": True, "ladder": False,
-           "bounds": False},
-    "lemma-jump": {"book": False, "fundamental": False, "strategy": True,
-                   "ladder": False, "smoothing": False},
-    "tracker-bound": {"ladder": False, "tracker": False},
-    "utility": {"book": False, "fundamental": True, "utility": False},
-}
+_SECTIONS = {"book": BookConfig, "fundamental": FundamentalConfig, "strategy": StrategyConfig,
+             "ladder": LadderConfig, "smoothing": SmoothingConfig, "tracker": TrackerConfig,
+             "utility": UtilityConfig, "bounds": BoundsConfig}
 
-_STRATEGY_TYPES_BY_KIND = {
-    "simulate": ("zero", "rate", "blocks", "tracker"),
-    "theorem1": ("zero", "rate"),
-    "remark1": ("zero", "rate"),
-    "l2": ("zero", "rate"),
-    "lemma-jump": ("blocks",),
+
+class _Kind(NamedTuple):
+    # section -> True (required), False (defaults when absent) or None (None
+    # when absent); grid, mc and output are common to every kind
+    sections: dict[str, bool | None]
+    strategies: tuple[str, ...] = ()
+    one_path: str | None = None  # why mc.paths has no effect, if it has none
+    # float64 values per path live at the run's peak, from (config, steps): the
+    # time-major (steps, paths) noise buffer; for tracker-bound the targets and
+    # the positions instead; for utility also the bootstrap x paths resample
+    # indices (drawn after the noise is freed, so the sum bounds both)
+    per_path: Callable[[Any, int], int] = lambda config, steps: 0
+
+
+_LADDER_KIND = {"book": False, "fundamental": False, "strategy": True, "ladder": False}
+_GAP = "the {} gap does not depend on the price path"
+KINDS = {
+    "simulate": _Kind({"book": True, "fundamental": False, "strategy": True},
+                      ("zero", "rate", "blocks", "tracker"),
+                      "simulate samples one price path (stream 0)"),
+    "theorem1": _Kind(_LADDER_KIND, ("zero", "rate"), _GAP.format("theorem1")),
+    "remark1": _Kind(_LADDER_KIND, ("zero", "rate"), _GAP.format("remark1")),
+    "l2": _Kind({**_LADDER_KIND, "bounds": None}, ("zero", "rate"), _GAP.format("l2")),
+    "lemma-jump": _Kind({**_LADDER_KIND, "smoothing": False}, ("blocks",),
+                        per_path=lambda config, steps: steps),
+    "tracker-bound": _Kind({"ladder": False, "tracker": False},
+                           per_path=lambda config, steps: 2 * (steps + 1)),
+    "utility": _Kind({"book": False, "fundamental": True, "utility": False},
+                     per_path=lambda config, steps: steps + config.utility.bootstrap),
 }
 
 
@@ -560,20 +435,12 @@ class RunConfig:
     bounds: BoundsConfig | None = None
 
     def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "kind": self.kind,
-            "grid": self.grid.to_json(),
-            "mc": self.mc.to_json(),
-            "output": {"directory": self.output_dir},
-        }
+        out: dict[str, Any] = {"kind": self.kind, "output": {"directory": self.output_dir}}
         if self.kind == "simulate":
             out["x0"] = self.x0
-        for key, section in (("book", self.book), ("fundamental", self.fundamental),
-                             ("strategy", self.strategy), ("ladder", self.ladder),
-                             ("smoothing", self.smoothing), ("tracker", self.tracker),
-                             ("utility", self.utility), ("bounds", self.bounds)):
-            if section is not None:
-                out[key] = section.to_json()
+        for name in ("grid", "mc", *KINDS[self.kind].sections):
+            if getattr(self, name) is not None:
+                out[name] = _dump(getattr(self, name))
         return out
 
     def to_json(self) -> str:
@@ -588,14 +455,6 @@ class RunConfig:
         canonical = json.dumps(content, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    def with_overrides(self, seed: int | None = None,
-                       output_dir: str | None = None) -> "RunConfig":
-        mc = self.mc if seed is None else McConfig(self.mc.paths, seed)
-        out = self.output_dir if output_dir is None else output_dir
-        return RunConfig(self.kind, self.grid, mc, out, self.x0, self.book,
-                         self.fundamental, self.strategy, self.ladder,
-                         self.smoothing, self.tracker, self.utility, self.bounds)
-
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
@@ -605,77 +464,33 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigParseError(f"parse error at line {exc.lineno}: {exc.msg}") from exc
     d = _as_mapping(raw, "config")
 
-    kind = d.pop("kind", None)
-    if kind not in KINDS:
-        raise ConfigParseError(f"kind must be one of {sorted(KINDS)}, got {kind!r}")
-    grid = GridConfig.parse(d.pop("grid", {}))
-    mc = McConfig.parse(d.pop("mc", {}))
+    kind = _one_of(KINDS)(d.pop("kind", None), "kind")
+    grid = _parse(GridConfig, d.pop("grid", {}), "grid", kind, None)
+    mc = _parse(McConfig, d.pop("mc", {}), "mc", kind, None)
     out_raw = _as_mapping(d.pop("output", {}), "output")
     output_dir = out_raw.pop("directory", "out")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigParseError("output.directory must be a nonempty string")
     _reject_unknown(out_raw, "output")
-    x0 = 0.0
-    if kind == "simulate":
-        x0 = _number(d.pop("x0", 0.0), "x0")
+    x0 = _number(d.pop("x0", 0.0), "x0") if kind == "simulate" else 0.0
 
-    allowed = _KIND_SECTIONS[kind]
-    sections: dict[str, Any] = {}
-    for name, required in allowed.items():
+    raw_sections: dict[str, Any] = {}
+    for name, required in KINDS[kind].sections.items():
         if name in d:
-            sections[name] = d.pop(name)
+            raw_sections[name] = d.pop(name)
         elif required:
             raise ConfigParseError(f"missing required section '{name}' for kind '{kind}'")
+        elif required is False:
+            raw_sections[name] = {}
     _reject_unknown(d, "config")
-
-    book = fundamental = strategy = ladder = smoothing = tracker = utility = bounds = None
-    if "book" in allowed:
-        book = BookConfig.parse(sections.get("book", {}), grid.horizon,
-                                needs_kappa=(kind == "simulate"))
-    if "fundamental" in allowed:
-        fundamental = FundamentalConfig.parse(sections.get("fundamental", {}), grid.horizon)
-    if "strategy" in allowed:
-        strategy = StrategyConfig.parse(sections["strategy"], grid.horizon)
-        permitted = _STRATEGY_TYPES_BY_KIND[kind]
-        if strategy.type not in permitted:
-            raise ConfigValidationError(
-                f"strategy.type {strategy.type!r} is not allowed for kind '{kind}' "
-                f"(allowed: {sorted(permitted)})")
-    if "ladder" in allowed:
-        ladder = LadderConfig.parse(sections.get("ladder", {}))
-    if "smoothing" in allowed:
-        smoothing = SmoothingConfig.parse(sections.get("smoothing", {}))
-    if "tracker" in allowed:
-        tracker = TrackerConfig.parse(sections.get("tracker", {}), grid.horizon)
-    if "utility" in allowed:
-        utility = UtilityConfig.parse(sections.get("utility", {}))
-        if fundamental is not None:
-            if not fundamental.sigma.is_constant or fundamental.sigma.constant_value <= 0:
-                raise ConfigValidationError(
-                    "utility runs need a constant positive fundamental.sigma")
-            if not fundamental.mu.is_constant:
-                raise ConfigValidationError("utility runs need a constant fundamental.mu")
-    if "bounds" in allowed and "bounds" in sections:
-        bounds = BoundsConfig.parse(sections["bounds"])
-
-    return RunConfig(kind, grid, mc, output_dir, x0, book, fundamental, strategy,
-                     ladder, smoothing, tracker, utility, bounds)
+    sections = {name: _parse(_SECTIONS[name], obj, name, kind, grid.horizon)
+                for name, obj in raw_sections.items()}
+    return RunConfig(kind, grid, mc, output_dir, x0, **sections)
 
 
 # Naive per-run cost proxy: steps * paths * ladder cells.  Runs above the
 # budget still execute; validate() only warns.
 DEFAULT_BUDGET = 2.0e8
-
-# Kinds that evaluate one path whatever mc.paths says, and why: the
-# structural-minus-reduced-form gap does not depend on the price path, and
-# simulate samples stream 0 only.
-_ONE_PATH_KINDS = {
-    "theorem1": "the theorem1 gap does not depend on the price path",
-    "remark1": "the remark1 gap does not depend on the price path",
-    "l2": "the l2 gap does not depend on the price path",
-    "simulate": "simulate samples one price path (stream 0)",
-}
-
 
 # Peak RSS of an interpreter that has imported numpy and lobres.cli, before
 # any run (34.6 MiB on Linux x86-64, Python 3.11, numpy 2.4).  Runs that draw
@@ -688,44 +503,24 @@ INTERPRETER_BYTES = 35 * 2**20
 ONE_PATH_BYTES_PER_POINT = 8 * 45
 
 
-def _approx_memory_bytes(config: RunConfig, steps: int, paths: int) -> int:
-    """Peak RSS estimate: the interpreter, one path's scan and ledger, and the
-    per-path arrays: the time-major (steps, paths) noise buffer; for
-    tracker-bound the targets and the positions instead; for utility also the
-    bootstrap x paths resample indices (drawn after the noise is freed, so the
-    sum bounds both)."""
-    total = INTERPRETER_BYTES + ONE_PATH_BYTES_PER_POINT * (steps + 1)
-    if config.kind == "tracker-bound":
-        return total + 8 * 2 * (steps + 1) * paths
-    if config.kind == "lemma-jump":
-        return total + 8 * steps * paths
-    if config.kind == "utility":
-        return total + 8 * steps * paths + 8 * config.utility.bootstrap * paths
-    return total
-
-
 def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
     """Dry-run report: schema is already enforced; estimate the run size."""
-    import math as _math
-
     if config.ladder is not None:
-        cells = len(config.ladder.ladder())
-        kappa_max = config.ladder.ladder().max
+        ladder = config.ladder.ladder()
+        cells, kappa_max = len(ladder), ladder.max
     elif config.utility is not None:
         cells = len(config.utility.kappas) * len(config.utility.multipliers)
         kappa_max = max(config.utility.kappas)
-    else:
-        cells = 1
-        kappa_max = config.book.kappa if (config.book and config.book.kappa) else 1.0
+    else:  # simulate: one book at its own kappa
+        cells, kappa_max = 1, config.book.kappa
     steps = max(config.grid.n0,
-                _math.ceil(config.grid.resolution_scale * _math.sqrt(kappa_max)))
-    one_path = config.kind in _ONE_PATH_KINDS
-    paths = 1 if one_path else config.mc.paths
+                math.ceil(config.grid.resolution_scale * math.sqrt(kappa_max)))
+    spec = KINDS[config.kind]
+    paths = 1 if spec.one_path else config.mc.paths
     cost_proxy = float(steps) * paths * cells
     warnings = []
-    if one_path and config.mc.paths > 1:
-        warnings.append(f"mc.paths = {config.mc.paths} has no effect: "
-                        f"{_ONE_PATH_KINDS[config.kind]}")
+    if spec.one_path and config.mc.paths > 1:
+        warnings.append(f"mc.paths = {config.mc.paths} has no effect: {spec.one_path}")
     if cost_proxy > budget:
         warnings.append(
             f"estimated cost {cost_proxy:.3g} (steps x paths x cells) exceeds "
@@ -738,7 +533,9 @@ def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
             "cells": cells,
             "paths": config.mc.paths,
             "cost_proxy": cost_proxy,
-            "approx_memory_bytes": _approx_memory_bytes(config, steps, paths),
+            # peak RSS: the interpreter, one path's scan and ledger, the per-path arrays
+            "approx_memory_bytes": (INTERPRETER_BYTES + ONE_PATH_BYTES_PER_POINT * (steps + 1)
+                                    + 8 * spec.per_path(config, steps) * paths),
         },
         "warnings": warnings,
     }
