@@ -16,12 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, NamedTuple
 
 from .book import BookTemplate
 from .errors import ConfigParseError, ConfigValidationError
-from .experiments import FundamentalSpec, KappaLadder, UniformBounds
+from .experiments import FundamentalSpec, KappaLadder, UniformBounds, paths_per_chunk
 
 _REQUIRED = object()  # the default of a key that must be given
 
@@ -391,11 +392,10 @@ class _Kind(NamedTuple):
     sections: dict[str, bool | None]
     strategies: tuple[str, ...] = ()
     one_path: str | None = None  # why mc.paths has no effect, if it has none
-    # float64 values per path live at the run's peak, from (config, steps): the
-    # time-major (steps, paths) noise buffer; for tracker-bound the targets and
-    # the positions instead; for utility also the bootstrap x paths resample
-    # indices (drawn after the noise is freed, so the sum bounds both)
-    per_path: Callable[[Any, int], int] = lambda config, steps: 0
+    # whether a run draws Gaussian noise (and so loads scipy.special); a kind
+    # that takes mc.paths keeps one float64 result per path and cell (rung, or
+    # (kappa, multiplier) pair) and draws its noise one chunk of paths at a time
+    noise: Callable[[Any], bool] = lambda config: False
 
 
 _LADDER_KIND = {"book": False, "fundamental": False, "strategy": True, "ladder": False}
@@ -403,16 +403,17 @@ _GAP = "the {} gap does not depend on the price path"
 KINDS = {
     "simulate": _Kind({"book": True, "fundamental": False, "strategy": True},
                       ("zero", "rate", "blocks", "tracker"),
-                      "simulate samples one price path (stream 0)"),
+                      "simulate samples one price path (stream 0)",
+                      noise=lambda config: True),
     "theorem1": _Kind(_LADDER_KIND, ("zero", "rate"), _GAP.format("theorem1")),
     "remark1": _Kind(_LADDER_KIND, ("zero", "rate"), _GAP.format("remark1")),
     "l2": _Kind({**_LADDER_KIND, "bounds": None}, ("zero", "rate"), _GAP.format("l2")),
     "lemma-jump": _Kind({**_LADDER_KIND, "smoothing": False}, ("blocks",),
-                        per_path=lambda config, steps: steps),
+                        noise=lambda config: not config.fundamental.spec().is_deterministic),
     "tracker-bound": _Kind({"ladder": False, "tracker": False},
-                           per_path=lambda config, steps: 2 * (steps + 1)),
+                           noise=lambda config: True),
     "utility": _Kind({"book": False, "fundamental": True, "utility": False},
-                     per_path=lambda config, steps: steps + config.utility.bootstrap),
+                     noise=lambda config: True),
 }
 
 
@@ -462,6 +463,9 @@ def parse_config(text: str) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"parse error at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # int() refuses a literal beyond its digit limit
+        raise ConfigParseError(f"parse error: an integer literal has more than "
+                               f"{sys.get_int_max_str_digits()} digits") from exc
     d = _as_mapping(raw, "config")
 
     kind = _one_of(KINDS)(d.pop("kind", None), "kind")
@@ -485,7 +489,27 @@ def parse_config(text: str) -> RunConfig:
     _reject_unknown(d, "config")
     sections = {name: _parse(_SECTIONS[name], obj, name, kind, grid.horizon)
                 for name, obj in raw_sections.items()}
-    return RunConfig(kind, grid, mc, output_dir, x0, **sections)
+    config = RunConfig(kind, grid, mc, output_dir, x0, **sections)
+    _extent(config)  # refuses a grid too fine for a float step count
+    return config
+
+
+def _extent(config: RunConfig) -> tuple[int, int]:
+    """(cells, grid steps) of a run: the kappas (or (kappa, multiplier) pairs)
+    it evaluates, and the steps of the one grid sized for the largest kappa."""
+    if config.ladder is not None:
+        ladder = config.ladder.ladder()
+        cells, kappa_max = len(ladder), ladder.max
+    elif config.utility is not None:
+        cells = len(config.utility.kappas) * len(config.utility.multipliers)
+        kappa_max = max(config.utility.kappas)
+    else:  # simulate: one book at its own kappa
+        cells, kappa_max = 1, config.book.kappa
+    scaled = config.grid.resolution_scale * math.sqrt(kappa_max)
+    if not math.isfinite(scaled) or config.grid.n0 > sys.float_info.max:
+        raise ConfigValidationError("grid steps max(grid.n0, grid.resolution_scale * "
+                                    "sqrt(largest kappa)) must be finite")
+    return cells, max(config.grid.n0, math.ceil(scaled))
 
 
 # Naive per-run cost proxy: steps * paths * ladder cells.  Runs above the
@@ -493,9 +517,10 @@ def parse_config(text: str) -> RunConfig:
 DEFAULT_BUDGET = 2.0e8
 
 # Peak RSS of an interpreter that has imported numpy and lobres.cli, before
-# any run (34.6 MiB on Linux x86-64, Python 3.11, numpy 2.4).  Runs that draw
-# noise also load scipy.special (about 19 MiB more), which is left out.
+# any run (34.6 MiB on Linux x86-64, Python 3.11, numpy 2.4), and what runs
+# that draw noise add by loading scipy.special (19.5-19.6 MiB, scipy 1.17).
 INTERPRETER_BYTES = 35 * 2**20
+SCIPY_BYTES = 39 * 2**19
 # Bytes per grid point live at the peak of a one-path run: the book
 # coefficients, the scan's per-step terms and states, the ledger and the wealth
 # and spread paths, about 45 float64 values (simulate's peak RSS grows by 363
@@ -505,18 +530,15 @@ ONE_PATH_BYTES_PER_POINT = 8 * 45
 
 def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
     """Dry-run report: schema is already enforced; estimate the run size."""
-    if config.ladder is not None:
-        ladder = config.ladder.ladder()
-        cells, kappa_max = len(ladder), ladder.max
-    elif config.utility is not None:
-        cells = len(config.utility.kappas) * len(config.utility.multipliers)
-        kappa_max = max(config.utility.kappas)
-    else:  # simulate: one book at its own kappa
-        cells, kappa_max = 1, config.book.kappa
-    steps = max(config.grid.n0,
-                math.ceil(config.grid.resolution_scale * math.sqrt(kappa_max)))
+    cells, steps = _extent(config)
     spec = KINDS[config.kind]
     paths = 1 if spec.one_path else config.mc.paths
+    noise = spec.noise(config)
+    # float64 values of a Monte-Carlo kind: its per-path results and one
+    # chunk of noise
+    arrays = 0 if spec.one_path else cells * paths
+    if noise and not spec.one_path:
+        arrays += min(paths, paths_per_chunk(steps)) * steps
     cost_proxy = float(steps) * paths * cells
     warnings = []
     if spec.one_path and config.mc.paths > 1:
@@ -533,9 +555,10 @@ def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
             "cells": cells,
             "paths": config.mc.paths,
             "cost_proxy": cost_proxy,
-            # peak RSS: the interpreter, one path's scan and ledger, the per-path arrays
-            "approx_memory_bytes": (INTERPRETER_BYTES + ONE_PATH_BYTES_PER_POINT * (steps + 1)
-                                    + 8 * spec.per_path(config, steps) * paths),
+            # peak RSS: the interpreter (and scipy), one path's scan and
+            # ledger, the Monte-Carlo arrays
+            "approx_memory_bytes": (INTERPRETER_BYTES + (SCIPY_BYTES if noise else 0)
+                                    + ONE_PATH_BYTES_PER_POINT * (steps + 1) + 8 * arrays),
         },
         "warnings": warnings,
     }

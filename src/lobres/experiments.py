@@ -41,6 +41,11 @@ from .wealth import ac_wealth, ow_wealth
 # sources start far above any plausible path count.
 _BOOTSTRAP_STREAM = 2**32
 
+# Paths per chunk of a Monte-Carlo experiment: a (steps, chunk) float64 block
+# holds about 2**19 values (4 MiB), 1,024 paths at 512 steps and 256 at 2,048.
+# Each chunk draws its own streams, so only per-path results span all paths.
+_CHUNK_ELEMENTS = 1 << 19
+
 
 @dataclass(frozen=True)
 class KappaLadder:
@@ -110,15 +115,28 @@ class FundamentalSpec:
         return not callable(self.sigma) and self.sigma == 0.0
 
 
-def brownian_increments(grid: TimeGrid, seed: int, paths: int) -> np.ndarray:
+def brownian_increments(grid: TimeGrid, seed: int, paths: int, first: int = 0) -> np.ndarray:
     """Time-major (steps, paths) matrix of N(0, dt) increments.
 
-    Column p holds stream p of ``seed``, so adding paths never changes earlier
-    ones; each time step is one contiguous row.
+    Column p holds stream first + p of ``seed``, so adding paths never changes
+    earlier ones; each time step is one contiguous row.
     """
-    out = normals_block(seed, paths, grid.steps)
+    out = normals_block(seed, paths, grid.steps, first)
     out *= math.sqrt(grid.dt)
     return out
+
+
+def paths_per_chunk(steps: int) -> int:
+    """Paths drawn together by a Monte-Carlo experiment on a grid of ``steps``."""
+    return max(1, _CHUNK_ELEMENTS // steps)
+
+
+def _path_chunks(grid: TimeGrid, paths: int):
+    """Consecutive stream ranges (first, stop) covering 0..paths-1, each of
+    ``paths_per_chunk(grid.steps)`` paths but the last."""
+    size = paths_per_chunk(grid.steps)
+    for first in range(0, paths, size):
+        yield first, min(first + size, paths)
 
 
 def ladder_grid(horizon: float, n0: int, resolution_scale: float,
@@ -337,26 +355,25 @@ def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
     grid = block_strategy.grid
     mean_fund = fundamental.mean_path(grid)
     sigma = fundamental.sigma_steps(grid)
-    noise = brownian_increments(grid, seed, paths) if np.any(sigma > 0) else None
 
-    mean_diff = []
-    frac_pos = []
-    all_diffs = []
-    for kappa in ladder:
+    # every rung's deterministic gap and noise weights, then one pass of noise
+    diffs = np.empty((len(ladder), paths))
+    weights = []
+    for j, kappa in enumerate(ladder):
         book = template.materialize(grid, kappa)
         smoothed = smooth_blocks(block_strategy, kappa, width_scale)
         x_sm, w_sm = _terminal_wealth_decomposition(book, smoothed, mean_fund, x0)
         x_bl, w_bl = _terminal_wealth_decomposition(book, block_strategy, mean_fund, x0)
-        d_det = x_sm - x_bl
-        if noise is None:
-            diffs = np.full(paths, d_det)
-        else:
-            diffs = d_det + (sigma * (w_sm - w_bl)) @ noise
-        mean_diff.append(float(np.mean(diffs)))
-        frac_pos.append(float(np.mean(diffs > 0)))
-        all_diffs.append(diffs)
-    return LemmaJumpReport(np.asarray(list(ladder)), np.asarray(mean_diff),
-                           np.asarray(frac_pos), np.asarray(all_diffs))
+        diffs[j] = x_sm - x_bl
+        weights.append(sigma * (w_sm - w_bl))
+    if np.any(sigma > 0):
+        for a, b in _path_chunks(grid, paths):
+            noise = brownian_increments(grid, seed, b - a, a)
+            for j, w in enumerate(weights):
+                diffs[j, a:b] += w @ noise
+            del noise  # freed before the next chunk draws
+    return LemmaJumpReport(np.asarray(list(ladder)), diffs.mean(axis=1),
+                           (diffs > 0).mean(axis=1), diffs)
 
 
 @dataclass
@@ -400,30 +417,29 @@ def tracker_bound_experiment(ladder: KappaLadder, *, target_drift=0.0, target_vo
     if np.any(m < rate_floor):
         raise ValueError("tracking rate falls below its declared floor")
 
-    # time-major (n+1, paths) targets: the noise becomes the increments and
-    # is cumulated along time, then freed before the first rung
-    increments = brownian_increments(grid, seed, paths)
-    increments *= sig[:-1, None]
-    increments += (mu[:-1] * grid.dt)[:, None]
-    targets = np.empty((grid.n_points, paths))
-    targets[0] = target0
-    np.cumsum(increments, axis=0, out=targets[1:])
-    del increments
-    targets[1:] += target0
+    sup2 = np.empty((len(ladder), paths))
+    for a, b in _path_chunks(grid, paths):
+        # time-major (n+1, chunk) targets: the noise becomes the increments
+        # and is cumulated along time, then freed before the first rung
+        increments = brownian_increments(grid, seed, b - a, a)
+        increments *= sig[:-1, None]
+        increments += (mu[:-1] * grid.dt)[:, None]
+        targets = np.empty((grid.n_points, b - a))
+        targets[0] = target0
+        np.cumsum(increments, axis=0, out=targets[1:])
+        del increments
+        targets[1:] += target0
+        for j, kappa in enumerate(ladder):
+            err2 = relax_positions(targets, m, kappa, grid.dt)
+            err2 -= targets
+            np.square(err2, out=err2)
+            sup2[j, a:b] = math.sqrt(kappa) * err2.max(axis=0)
+            del err2  # freed before the next rung allocates its positions
+        del targets  # freed before the next chunk draws
 
     bound = 5.0 * coeff_bound**2 * horizon / rate_floor
-    estimates = []
-    stderrs = []
-    for kappa in ladder:
-        err2 = relax_positions(targets, m, kappa, grid.dt)
-        err2 -= targets
-        np.square(err2, out=err2)
-        sup2 = math.sqrt(kappa) * err2.max(axis=0)
-        del err2  # freed before the next rung allocates its positions
-        estimates.append(float(np.mean(sup2)))
-        stderrs.append(float(np.std(sup2, ddof=1) / math.sqrt(paths)))
-    estimates = np.asarray(estimates)
-    stderrs = np.asarray(stderrs)
+    estimates = sup2.mean(axis=1)
+    stderrs = sup2.std(axis=1, ddof=1) / math.sqrt(paths)
     within = estimates <= bound + 3.0 * stderrs
     return TrackerBoundReport(np.asarray(list(ladder)), estimates, stderrs,
                               float(bound), within)
@@ -555,8 +571,8 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
 
     mean_fund = fundamental.mean_path(grid)
     sigma_steps = fundamental.sigma_steps(grid)
-    dw = brownian_increments(grid, seed, paths)
     x_terminal: dict[tuple[float, float], np.ndarray] = {}
+    weights: dict[tuple[float, float], np.ndarray] = {}
     for kappa in kappas:
         book = template.materialize(grid, kappa)
         for c in multipliers:
@@ -564,18 +580,28 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
                                rate_scale=SampledPath(grid, c * m_base),
                                kappa=kappa)
             strat = exponential_tracker(spec, start=0.0)
-            x_det, weights = _terminal_wealth_decomposition(book, strat, mean_fund, x0)
-            x_terminal[(kappa, c)] = x_det + (sigma_steps * weights) @ dw
-    del dw  # the noise and the resample indices are never held together
+            x_det, w = _terminal_wealth_decomposition(book, strat, mean_fund, x0)
+            x_terminal[(kappa, c)] = np.full(paths, x_det)
+            weights[(kappa, c)] = sigma_steps * w
+    for a, b in _path_chunks(grid, paths):
+        dw = brownian_increments(grid, seed, b - a, a)
+        for key, w in weights.items():
+            x_terminal[key][a:b] += w @ dw
+        del dw  # freed before the next chunk draws
 
+    # the resample indices are drawn a chunk of rows at a time from one
+    # generator, the same integers as one (bootstrap, paths) draw
     boot_gen = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(_BOOTSTRAP_STREAM,))))
-    boot_idx = boot_gen.integers(0, paths, size=(bootstrap, paths))
     every_path = np.arange(paths)[None, :]
     ce_point = {key: float(_certainty_equivalents(x, every_path, gamma)[0])
                 for key, x in x_terminal.items()}
-    ce_boot = {key: _certainty_equivalents(x, boot_idx, gamma)
-               for key, x in x_terminal.items()}
+    ce_boot = {key: np.empty(bootstrap) for key in x_terminal}
+    rows = max(1, _CE_CHUNK_ELEMENTS // paths)
+    for a in range(0, bootstrap, rows):
+        boot_idx = boot_gen.integers(0, paths, size=(min(rows, bootstrap - a), paths))
+        for key, x in x_terminal.items():
+            ce_boot[key][a:a + len(boot_idx)] = _certainty_equivalents(x, boot_idx, gamma)
 
     cells: dict[tuple[float, float], UtilityCell] = {}
     for kappa in kappas:

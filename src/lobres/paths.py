@@ -202,10 +202,10 @@ def _jump(delta: int) -> tuple[int, int]:
     return acc_mult, acc_plus
 
 
-def _segment_starts(seed: int, paths: int, seg_len: int, segments: int):
+def _segment_starts(seed: int, paths: int, seg_len: int, segments: int, first: int = 0):
     """PCG64 states (hi, lo) and increments (inc_hi, inc_lo) of the lanes:
-    lane s * paths + p is stream p advanced by s * seg_len draws."""
-    w = _seed_words(seed, np.arange(paths, dtype=np.uint64))
+    lane s * paths + p is stream first + p advanced by s * seg_len draws."""
+    w = _seed_words(seed, np.arange(first, first + paths, dtype=np.uint64))
     init_hi, init_lo = w[0] | w[1] << 32, w[2] | w[3] << 32
     seq_hi, seq_lo = w[4] | w[5] << 32, w[6] | w[7] << 32
     # numpy's pcg64_srandom_r: inc = 2 * initseq + 1; the state is inc after
@@ -235,9 +235,10 @@ def _lemire(raw):
     return (raw >> 11) + (t >= raw), t - raw
 
 
-def normals_block(seed: int, paths: int, n: int) -> np.ndarray:
+def normals_block(seed: int, paths: int, n: int, first: int = 0) -> np.ndarray:
     """C-contiguous (n, paths) standard normals whose column p equals
-    ``RandomSource(seed, p).normals(n)`` bit for bit.
+    ``RandomSource(seed, first + p).normals(n)`` bit for bit, so consecutive
+    blocks of streams can be drawn one after another.
 
     Every stream is one lane of uint64 arrays, all advanced together; fewer
     than ``_LANES`` streams are cut into consecutive segments, each started
@@ -248,15 +249,16 @@ def normals_block(seed: int, paths: int, n: int) -> np.ndarray:
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if paths > 1 << 32:
-        raise ValueError(f"stream ids must be below 2**32, got {paths} paths")
+    if first < 0 or first + paths > 1 << 32:
+        raise ValueError(f"stream ids must be below 2**32, got streams {first} to "
+                         f"{first + paths - 1}")
     out = np.empty((n, paths))
     if out.size == 0:
         return out
     segments = max(1, min(n, _LANES // paths))
     seg_len = -(-n // segments)
     segments = -(-n // seg_len)
-    hi, lo, inc_hi, inc_lo = _segment_starts(seed, paths, seg_len, segments)
+    hi, lo, inc_hi, inc_lo = _segment_starts(seed, paths, seg_len, segments, first)
     least_low = np.full(hi.shape, _M64, dtype=np.uint64)
     for j in range(seg_len):
         hi, lo = _add128(*_mul128(hi, lo, _MULT_HI, _MULT_LO), inc_hi, inc_lo)
@@ -271,7 +273,7 @@ def normals_block(seed: int, paths: int, n: int) -> np.ndarray:
     _ndtri()(out, out=out)
     rejected = (least_low < _LEMIRE_THRESHOLD).reshape(segments, paths).any(axis=0)
     for p in np.flatnonzero(rejected):
-        out[:, p] = RandomSource(seed, int(p)).normals(n)
+        out[:, p] = RandomSource(seed, first + int(p)).normals(n)
     return out
 
 

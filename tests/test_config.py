@@ -7,8 +7,8 @@ import pytest
 
 from lobres import ConfigError, ConfigParseError, ConfigValidationError
 from lobres.cli import main
-from lobres.config import (INTERPRETER_BYTES, ONE_PATH_BYTES_PER_POINT, parse_config,
-                           validate_config)
+from lobres.config import (INTERPRETER_BYTES, ONE_PATH_BYTES_PER_POINT, SCIPY_BYTES,
+                           parse_config, validate_config)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -171,25 +171,29 @@ class TestValidate:
         report = validate_config(parse_config(text))
         assert report["estimates"]["grid_steps"] == 512
         assert report["estimates"]["cost_proxy"] == 512.0
+        # the one price path is drawn through scipy's ndtri
         assert report["estimates"]["approx_memory_bytes"] == (
-            INTERPRETER_BYTES + ONE_PATH_BYTES_PER_POINT * 513)
+            INTERPRETER_BYTES + SCIPY_BYTES + ONE_PATH_BYTES_PER_POINT * 513)
         assert not any("budget" in w for w in report["warnings"])
         assert any("one price path" in w for w in report["warnings"])
 
     @pytest.mark.parametrize("name, expected", [
-        # targets and positions, two (steps+1, paths) float64 arrays
-        ("tracker_bound.json", 2 * 8 * 513 * 10_000),
-        # one (steps, paths) noise buffer plus bootstrap x paths int64 indices
-        ("utility.json", 8 * 512 * 10_000 + 8 * 500 * 10_000),
-        # one (steps, paths) noise buffer
-        ("lemma_jump_noisy.json", 8 * 512 * 1000),
-        # one path only
+        # scipy, one float64 result per rung and path, one (steps, 1024-path)
+        # chunk of noise
+        ("tracker_bound.json", SCIPY_BYTES + 8 * 7 * 10_000 + 8 * 512 * 1024),
+        # the same with one result per (kappa, multiplier) cell and path
+        ("utility.json", SCIPY_BYTES + 8 * 9 * 10_000 + 8 * 512 * 1024),
+        # fewer paths than a chunk holds
+        ("lemma_jump_noisy.json", SCIPY_BYTES + 8 * 9 * 1000 + 8 * 512 * 1000),
+        # no noise: the per-rung results only
+        ("lemma_jump.json", 8 * 9 * 1),
+        # one path only, drawn through scipy for simulate
         ("l2.json", 0),
-        ("simulate.json", 0),
+        ("simulate.json", SCIPY_BYTES),
     ])
     def test_memory_estimate_of_shipped_configs(self, name, expected):
         # the interpreter and one path's scan and ledger on 513 grid points,
-        # plus the per-path arrays
+        # plus scipy and the Monte-Carlo arrays
         text = (Path(__file__).resolve().parent.parent / "configs" / name).read_text()
         report = validate_config(parse_config(text))
         assert report["estimates"]["approx_memory_bytes"] == (
@@ -322,6 +326,19 @@ CRASH_ROWS = {
     "non-string-fn": (
         _with(THEOREM1, strategy={"type": "rate", "rate": {"fn": ["sin"]}}), ConfigParseError,
         "strategy.rate.fn must be one of ['const', 'cos', 'linear', 'sin'], got ['sin']"),
+    # validate converted the step count to a float (OverflowError)
+    "n0-beyond-float-range": (
+        _with(THEOREM1, grid={"n0": 10**400}), ConfigValidationError,
+        "grid steps max(grid.n0, grid.resolution_scale * sqrt(largest kappa)) must be finite"),
+    # validate took math.ceil of an infinite step count (OverflowError)
+    "resolution-times-sqrt-kappa-infinite": (
+        _with(THEOREM1, grid={"resolution_scale": 1e300}, ladder={"values": [1e300]}),
+        ConfigValidationError,
+        "grid steps max(grid.n0, grid.resolution_scale * sqrt(largest kappa)) must be finite"),
+    # json.loads raised a plain ValueError past int()'s 4,300-digit limit
+    "integer-literal-over-digit-limit": (
+        '{"kind": "theorem1", "strategy": {"type": "zero"}, "grid": {"n0": 1%s}}' % ("0" * 5000),
+        ConfigParseError, "parse error: an integer literal has more than 4300 digits"),
 }
 
 
@@ -441,8 +458,9 @@ def test_golden_hash_and_round_trip(name):
 
 @pytest.mark.parametrize("name", list(CRASH_ROWS))
 def test_validate_refuses_former_crash_inputs(name, tmp_path, capsys):
+    config = CRASH_ROWS[name][0]
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(CRASH_ROWS[name][0]))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     assert main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

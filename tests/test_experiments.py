@@ -1,11 +1,15 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_increments
+import lobres.experiments as experiments_module
+from helpers import (reference_increments, reference_lemma_jump_experiment,
+                     reference_tracker_bound_experiment, reference_utility_experiment)
 from lobres import (BookTemplate, FundamentalSpec, InsufficientData, KappaLadder,
                     RandomSource, UniformBounds, ac_wealth, fit_rate, ladder_grid,
                     lemma_jump_experiment, l2_convergence_experiment, make_grid,
@@ -456,3 +460,138 @@ class TestUtilityCandidateConstruction:
             u[p] = -np.exp(-gamma * ow_wealth(book, strat, fund).x.values[-1])
         ce_direct = -np.log(-u.mean()) / gamma
         assert report.ce(kappa, 1.0) == pytest.approx(ce_direct, abs=1e-10)
+
+
+# Chunked Monte-Carlo against the whole-matrix references of tests/helpers.py.
+# On 64 steps a chunk budget of 64 * 5 elements makes chunks of 5 paths, so 23
+# paths span four chunks and a short last one, and 3 paths fit in one chunk.
+CHUNK_STEPS, CHUNK_PATHS = 64, 5
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(experiments_module, "_CHUNK_ELEMENTS", CHUNK_STEPS * CHUNK_PATHS)
+
+
+def _exact(paths):
+    """Whether the chunked run makes the same noise products as the reference.
+
+    The products ``weights @ noise`` go through BLAS gemv, whose rounding of a
+    column can depend on where the column falls in the kernel's blocks and
+    thread split; one chunk holding every path makes the same call.  Other
+    runs agree to rounding.  The shipped configs' 1,024- and 256-path chunks
+    gave byte-identical artifacts on a 2 vCPU Xeon with OpenBLAS 0.3.31, at
+    one and at two BLAS threads.
+    """
+    return paths <= CHUNK_PATHS
+
+
+class TestChunkedMonteCarlo:
+    @pytest.mark.parametrize("paths", [23, 3, 1])
+    def test_tracker_bound_equals_whole_matrix(self, small_chunks, paths):
+        kw = dict(target_drift=0.3, target_vol=0.8, target0=0.5, paths=paths, seed=11,
+                  n0=CHUNK_STEPS)
+        ladder = KappaLadder.geometric(16.0, 4.0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # one path: stderr is nan
+            chunked = tracker_bound_experiment(ladder, **kw)
+            whole = reference_tracker_bound_experiment(ladder, **kw)
+        for name in ("kappas", "estimates", "stderrs", "within"):
+            assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
+        assert chunked.bound == whole.bound
+
+    @pytest.mark.parametrize("paths", [23, 3, 1])
+    def test_lemma_jump_equals_whole_matrix(self, small_chunks, paths):
+        grid = make_grid(1.0, CHUNK_STEPS)
+        blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
+        args = (BookTemplate(h=1.0), blocks, FundamentalSpec(mu=0.1, sigma=0.2),
+                KappaLadder((16.0, 64.0, 256.0)))
+        chunked = lemma_jump_experiment(*args, paths=paths, seed=7)
+        whole = reference_lemma_jump_experiment(*args, paths=paths, seed=7)
+        if _exact(paths):
+            assert chunked.diffs.tobytes() == whole.diffs.tobytes()
+            assert chunked.mean_diff.tobytes() == whole.mean_diff.tobytes()
+        np.testing.assert_allclose(chunked.diffs, whole.diffs, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(chunked.mean_diff, whole.mean_diff, rtol=1e-13)
+        np.testing.assert_array_equal(chunked.frac_positive, whole.frac_positive)
+
+    def test_noise_free_lemma_jump_equals_whole_matrix(self, small_chunks):
+        grid = make_grid(1.0, CHUNK_STEPS)
+        blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
+        args = (BookTemplate(h=1.0), blocks, FundamentalSpec(), KappaLadder((16.0, 64.0)))
+        chunked = lemma_jump_experiment(*args, paths=23)
+        whole = reference_lemma_jump_experiment(*args, paths=23)
+        assert chunked.diffs.tobytes() == whole.diffs.tobytes()
+        assert chunked.frac_positive.tobytes() == whole.frac_positive.tobytes()
+
+    @pytest.mark.parametrize("paths", [23, 3, 1])
+    def test_utility_equals_whole_matrix(self, small_chunks, paths):
+        args = (BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2))
+        kw = dict(gamma=1.5, kappas=[16.0, 64.0], paths=paths, seed=5, x0=2.0,
+                  n0=CHUNK_STEPS, bootstrap=40)
+        chunked = utility_experiment(*args, **kw)
+        whole = reference_utility_experiment(*args, **kw)
+        assert chunked.cells.keys() == whole.cells.keys()
+        for key, cell in whole.cells.items():
+            if _exact(paths):
+                assert chunked.cells[key] == cell
+            for name in ("ce", "ci_low", "ci_high", "gap_vs_candidate", "gap_ci_low",
+                         "gap_ci_high"):
+                assert getattr(chunked.cells[key], name) == pytest.approx(
+                    getattr(cell, name), rel=1e-13, abs=1e-14)
+
+    @pytest.mark.parametrize("paths", [1000, 7, 1])
+    def test_bootstrap_indices_are_the_one_shot_draw(self, monkeypatch, paths):
+        # 2**16 // 1000 = 65 rows per chunk: 200 resamples take four chunks,
+        # the last of 5 rows; 7 paths and 1 path take one chunk
+        from lobres.experiments import _BOOTSTRAP_STREAM
+        seen = []
+        original = experiments_module._certainty_equivalents
+
+        def recording(x, idx, gamma):
+            if not seen or seen[-1] is not idx:
+                seen.append(idx)
+            return original(x, idx, gamma)
+
+        monkeypatch.setattr(experiments_module, "_certainty_equivalents", recording)
+        utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), gamma=1.0,
+                           kappas=[64.0], paths=paths, seed=9, n0=64, bootstrap=200)
+        every_path, *chunks = seen
+        np.testing.assert_array_equal(every_path, np.arange(paths)[None, :])
+        rows = max(1, experiments_module._CE_CHUNK_ELEMENTS // paths)
+        assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+        one_shot = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            entropy=9, spawn_key=(_BOOTSTRAP_STREAM,)))).integers(0, paths, size=(200, paths))
+        assert np.concatenate(chunks).tobytes() == one_shot.tobytes()
+
+
+class TestMonteCarloMemory:
+    # 20,000 paths x 512 steps: one (steps, paths) float64 matrix is 82 MB,
+    # and the whole-matrix experiments hold at least one.  Chunked, the peak
+    # is a few 4 MiB chunk buffers plus one float64 result per cell and path.
+    PATHS = 20_000
+
+    def _traced_peak(self, run) -> int:
+        from lobres.paths import _ndtri
+        _ndtri()  # scipy's import is not the experiment's
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def _bound(self, cells: int) -> int:
+        return 4 * 8 * experiments_module._CHUNK_ELEMENTS + 8 * cells * self.PATHS
+
+    def test_tracker_bound_peak(self):
+        ladder = KappaLadder((16.0, 64.0))
+        peak = self._traced_peak(lambda: tracker_bound_experiment(
+            ladder, paths=self.PATHS, seed=1))
+        assert peak < self._bound(len(ladder)) < 8 * 512 * self.PATHS / 4
+
+    def test_utility_peak(self):
+        peak = self._traced_peak(lambda: utility_experiment(
+            BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), gamma=1.0, kappas=[64.0],
+            paths=self.PATHS, seed=1, bootstrap=50))
+        assert peak < self._bound(3) < 8 * 512 * self.PATHS / 4

@@ -140,6 +140,44 @@ class TestNormalsBlock:
         with pytest.raises(ValueError, match="2\\*\\*32"):
             normals_block(1, 2**32 + 1, 0)
 
+    @pytest.mark.parametrize("first,paths,n", [
+        (8000, 300, 5),   # the offset block is split into segments, the whole one is not
+        (8191, 2, 37),    # straddles _LANES
+        (0, 1, 37), (7, 1, 37), (8500, 1, 4),  # one stream
+        (3, 50, 1), (100, 900, 3),
+    ])
+    def test_offset_block_is_a_column_slice(self, first, paths, n):
+        whole = normals_block(77, first + paths, n)
+        block = normals_block(77, paths, n, first=first)
+        assert block.flags.c_contiguous
+        assert block.tobytes() == np.ascontiguousarray(whole[:, first:]).tobytes()
+
+    def test_offset_block_falls_back_to_its_own_streams(self, monkeypatch):
+        # at the largest threshold every column is redrawn through RandomSource,
+        # which must be keyed by the stream id first + p
+        made = []
+
+        class CountingSource(RandomSource):
+            def __post_init__(self):
+                made.append(self.stream)
+                super().__post_init__()
+
+        expected = normals_block(42, 9, 40)[:, 4:]
+        monkeypatch.setattr(paths_module, "_LEMIRE_THRESHOLD", np.uint64(2**64 - 1))
+        monkeypatch.setattr(paths_module, "RandomSource", CountingSource)
+        block = normals_block(42, 5, 40, first=4)
+        assert made == [4, 5, 6, 7, 8]
+        assert block.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_offset_stream_ids_below_two_to_the_32(self):
+        # n = 0: nothing is drawn, only the stream ids are checked
+        assert normals_block(1, 5, 0, first=2**32 - 5).shape == (0, 5)
+        assert normals_block(1, 1, 0, first=2**32 - 1).shape == (0, 1)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            normals_block(1, 5, 0, first=2**32 - 4)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            normals_block(1, 1, 0, first=-1)
+
 
 class TestIto:
     def test_degenerate_constant(self):
