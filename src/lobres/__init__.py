@@ -9,8 +9,7 @@ dominance of smoothed over block execution, and evaluates the
 leading-order-optimal portfolio tracker.
 """
 
-from .book import (BookParams, BookTemplate, ReferencePricePath, SpreadPaths,
-                   evolve_spreads, reference_price, scaled_excess_spread)
+from .book import BookParams, BookTemplate, ReferencePricePath, SpreadPaths
 from .errors import (ConfigError, ConfigParseError, ConfigValidationError,
                      InsufficientData, NumericFailure)
 from .experiments import (ConvergenceReport, FundamentalSpec, KappaLadder,
@@ -25,24 +24,22 @@ from .strategies import (Strategy, StrategyDiagnostics, TrackerSpec, block_sched
                          diagnostics, exponential_tracker, optimal_tracker,
                          position_paths, rate_strategy, read_strategy_csv,
                          smooth_blocks, write_strategy_csv, zero_strategy)
-from .wealth import WealthPath, ac_wealth, ow_wealth, safe_account
+from .wealth import Evaluation, WealthPath, ac_wealth, ow_wealth
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BookParams", "BookTemplate", "ConfigError", "ConfigParseError",
-    "ConfigValidationError", "ConvergenceReport", "FundamentalSpec",
+    "ConfigValidationError", "ConvergenceReport", "Evaluation", "FundamentalSpec",
     "InsufficientData", "KappaLadder", "LemmaJumpReport", "NumericFailure",
-    "RandomSource", "RateFit", "ReferencePricePath", "SampledPath",
-    "SpreadPaths", "Strategy", "StrategyDiagnostics", "TimeGrid",
-    "TrackerBoundReport", "TrackerSpec", "UniformBounds", "UtilityReport",
-    "WealthPath", "ac_wealth", "as_path", "block_schedule", "constant_path",
-    "diagnostics", "evolve_spreads", "exponential_tracker", "fit_rate",
-    "function_path", "ladder_grid", "lemma_jump_experiment",
-    "l2_convergence_experiment", "make_grid", "optimal_tracker", "ow_wealth",
-    "position_paths", "rate_strategy", "read_strategy_csv", "reference_price",
-    "remark1_experiment", "safe_account", "sample_brownian", "sample_ito",
-    "scaled_excess_spread", "smooth_blocks", "theorem1_experiment",
-    "tracker_bound_experiment", "utility_experiment", "write_strategy_csv",
-    "zero_strategy",
+    "RandomSource", "RateFit", "ReferencePricePath", "SampledPath", "SpreadPaths",
+    "Strategy", "StrategyDiagnostics", "TimeGrid", "TrackerBoundReport",
+    "TrackerSpec", "UniformBounds", "UtilityReport", "WealthPath", "ac_wealth",
+    "as_path", "block_schedule", "constant_path", "diagnostics",
+    "exponential_tracker", "fit_rate", "function_path", "ladder_grid",
+    "lemma_jump_experiment", "l2_convergence_experiment", "make_grid",
+    "optimal_tracker", "ow_wealth", "position_paths", "rate_strategy",
+    "read_strategy_csv", "remark1_experiment", "sample_brownian", "sample_ito",
+    "smooth_blocks", "theorem1_experiment", "tracker_bound_experiment",
+    "utility_experiment", "write_strategy_csv", "zero_strategy",
 ]

@@ -263,48 +263,3 @@ def evolve_book(params: BookParams, strategy: Strategy) -> BookEvolution:
 
     return BookEvolution(exc_up_pre, exc_up_post, exc_dn_pre, exc_dn_post,
                          exc_up_int, exc_dn_int, perm_pre, perm_post)
-
-
-def evolve_spreads(params: BookParams, strategy: Strategy) -> SpreadPaths:
-    """Bid/ask spread paths for a strategy (baseline plus transient excess)."""
-    state = evolve_book(params, strategy)
-    base_up = params.eps_up.values
-    base_dn = params.eps_dn.values
-    return SpreadPaths(
-        ask=SampledPath(params.grid, base_up + state.exc_up_post),
-        bid=SampledPath(params.grid, base_dn + state.exc_dn_post),
-        ask_pre=base_up + state.exc_up_pre,
-        bid_pre=base_dn + state.exc_dn_pre,
-        ask_excess_int=state.exc_up_int,
-        bid_excess_int=state.exc_dn_int,
-    )
-
-
-def reference_price(params: BookParams, strategy: Strategy,
-                    fundamental: SampledPath) -> ReferencePricePath:
-    """Fundamental price shifted by the cumulative permanent impact of trades."""
-    _check_grids(params, strategy)
-    if fundamental.grid != params.grid:
-        raise ValueError("fundamental price lives on a different grid")
-    state = evolve_book(params, strategy)
-    return ReferencePricePath(
-        values=SampledPath(params.grid, fundamental.values + state.perm_post),
-        pre=fundamental.values + state.perm_pre,
-    )
-
-
-def scaled_excess_spread(params: BookParams, strategy: Strategy,
-                         side: str = "ask") -> SampledPath:
-    """kappa times the excess spread of an absolutely continuous strategy.
-
-    For continuous rates this converges to (1 - alpha) * rate / (K * h) on
-    the chosen side as kappa grows; block strategies are rejected because the
-    limit concerns continuous turnover only.
-    """
-    if strategy.blocks:
-        raise ValueError("scaled excess spread is defined for block-free strategies")
-    if side not in ("ask", "bid"):
-        raise ValueError(f"side must be 'ask' or 'bid', got {side!r}")
-    state = evolve_book(params, strategy)
-    excess = state.exc_up_post if side == "ask" else state.exc_dn_post
-    return SampledPath(params.grid, params.kappa * excess)

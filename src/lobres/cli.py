@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .book import evolve_spreads
 from .config import DEFAULT_BUDGET, RunConfig, parse_config, validate_config
 from .errors import ConfigError
 from .experiments import (ConvergenceReport, RandomSource, ladder_grid,
@@ -25,7 +24,7 @@ from .experiments import (ConvergenceReport, RandomSource, ladder_grid,
 from .paths import as_path, write_columns, write_csv
 from .strategies import (Strategy, TrackerSpec, block_schedule, exponential_tracker,
                          rate_strategy, write_strategy_csv, zero_strategy)
-from .wealth import ow_wealth
+from .wealth import Evaluation
 
 logger = logging.getLogger("lobres")
 
@@ -83,8 +82,9 @@ def _run_simulate(config: RunConfig, out: Path) -> RunResult:
     fund = config.fundamental.spec().sample(grid, RandomSource(config.mc.seed, 0))
     strategy = _build_strategy(config, grid, kappa)
 
-    wealth = ow_wealth(book, strategy, fund, config.x0)
-    spreads = evolve_spreads(book, strategy)
+    evaluation = Evaluation(book, strategy, fund)
+    wealth = evaluation.ow(config.x0)
+    spreads = evaluation.spreads()
     wealth.write_csv(out / "wealth.csv")
     write_columns(out / "spreads.csv", ["t", "ask", "bid", "ask_pre", "bid_pre"],
                   [grid.points(), spreads.ask.values, spreads.bid.values,

@@ -466,6 +466,8 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:  # int() refuses a literal beyond its digit limit
         raise ConfigParseError(f"parse error: an integer literal has more than "
                                f"{sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:
+        raise ConfigParseError("parse error: arrays or objects nested too deeply") from exc
     d = _as_mapping(raw, "config")
 
     kind = _one_of(KINDS)(d.pop("kind", None), "kind")

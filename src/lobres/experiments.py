@@ -33,9 +33,9 @@ from .book import BookParams, BookTemplate
 from .errors import InsufficientData
 from .paths import (RandomSource, SampledPath, TimeGrid, as_path, constant_path, make_grid,
                     normals_block)
-from .strategies import (Strategy, TrackerSpec, exponential_tracker, position_paths,
-                         rate_strategy, relax_positions, smooth_blocks)
-from .wealth import ac_wealth, ow_wealth
+from .strategies import (Strategy, TrackerSpec, exponential_tracker, rate_strategy,
+                         relax_positions, smooth_blocks)
+from .wealth import Evaluation, ac_wealth, ow_wealth
 
 # Stream ids 0..paths-1 are reserved for Monte-Carlo paths; auxiliary noise
 # sources start far above any plausible path count.
@@ -207,8 +207,8 @@ class ConvergenceReport:
                          repr(float(self.kappa_x_err[j])), so_far])
         return rows
 
-    def decreasing_on_upper_half(self, scaled: np.ndarray | None = None) -> bool:
-        vals = self.kappa_x_err if scaled is None else scaled
+    def decreasing_on_upper_half(self) -> bool:
+        vals = self.kappa_x_err
         start = len(vals) // 2
         upper = vals[start:]
         return bool(np.all(np.diff(upper) < 0))
@@ -330,15 +330,6 @@ class LemmaJumpReport:
                 for k, m, f in zip(self.kappas, self.mean_diff, self.frac_positive)]
 
 
-def _terminal_wealth_decomposition(book: BookParams, strategy: Strategy,
-                                   mean_fund: SampledPath, x0: float) -> tuple[float, np.ndarray]:
-    """Terminal wealth on the mean price path plus the noise weights:
-    X_T(path) = X_T(mean) + sum_i weights[i] * (dS_i - dS_i_mean)."""
-    x_det = float(ow_wealth(book, strategy, mean_fund, x0).x.values[-1])
-    pre_pos, _ = position_paths(strategy)
-    return x_det, pre_pos[1:]
-
-
 def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
                           fundamental: FundamentalSpec, ladder: KappaLadder, *,
                           width_scale: float = 1.0, paths: int = 1, seed: int = 42,
@@ -362,8 +353,8 @@ def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
     for j, kappa in enumerate(ladder):
         book = template.materialize(grid, kappa)
         smoothed = smooth_blocks(block_strategy, kappa, width_scale)
-        x_sm, w_sm = _terminal_wealth_decomposition(book, smoothed, mean_fund, x0)
-        x_bl, w_bl = _terminal_wealth_decomposition(book, block_strategy, mean_fund, x0)
+        x_sm, w_sm = Evaluation(book, smoothed, mean_fund).terminal(x0)
+        x_bl, w_bl = Evaluation(book, block_strategy, mean_fund).terminal(x0)
         diffs[j] = x_sm - x_bl
         weights.append(sigma * (w_sm - w_bl))
     if np.any(sigma > 0):
@@ -580,7 +571,7 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
                                rate_scale=SampledPath(grid, c * m_base),
                                kappa=kappa)
             strat = exponential_tracker(spec, start=0.0)
-            x_det, w = _terminal_wealth_decomposition(book, strat, mean_fund, x0)
+            x_det, w = Evaluation(book, strat, mean_fund).terminal(x0)
             x_terminal[(kappa, c)] = np.full(paths, x_det)
             weights[(kappa, c)] = sigma_steps * w
     for a, b in _path_chunks(grid, paths):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .book import BookParams, evolve_book
+from .book import BookParams, ReferencePricePath, SpreadPaths, evolve_book
 from .paths import SampledPath, TimeGrid, write_columns
 from .strategies import Strategy, position_paths
 
@@ -54,13 +54,6 @@ class WealthPath:
                        self.block_cost.values, self.permanent_shift.values])
 
 
-def _check_inputs(book: BookParams, strategy: Strategy, fundamental: SampledPath) -> None:
-    if book.grid != strategy.grid:
-        raise ValueError("strategy and book must share a grid")
-    if fundamental.grid != book.grid:
-        raise ValueError("fundamental price lives on a different grid")
-
-
 def _accumulate(x0: float, step_terms: np.ndarray, event_terms: np.ndarray) -> np.ndarray:
     """Cumulative path: steps j < i contribute at i, events j <= i at i."""
     out = np.empty(event_terms.shape)
@@ -70,168 +63,142 @@ def _accumulate(x0: float, step_terms: np.ndarray, event_terms: np.ndarray) -> n
     return out + x0
 
 
-@dataclass
-class _Ledger:
-    """Per-step and per-event wealth contributions shared by the engines."""
+class Evaluation:
+    """One book scan (``state``) and one cost ledger for a (book, strategy,
+    fundamental) triple; both wealth engines, the safe account, the reference
+    price and the spreads are projections of it."""
 
-    gain_steps: np.ndarray
-    perm_gain_steps: np.ndarray
-    spread_steps: np.ndarray
-    gain_events: np.ndarray
-    spread_events: np.ndarray
-    impact_events: np.ndarray
-    qv_events: np.ndarray
-    ref_post: np.ndarray
-    ref_pre: np.ndarray
-    g: np.ndarray
+    def __init__(self, book: BookParams, strategy: Strategy,
+                 fundamental: SampledPath) -> None:
+        self.state = state = evolve_book(book, strategy)  # refuses a strategy off the grid
+        if fundamental.grid != book.grid:
+            raise ValueError("fundamental price lives on a different grid")
+        self.book, self.strategy, self.fundamental = book, strategy, fundamental
+        n = book.grid.steps
+        dt = book.grid.dt
+        self.r = r = strategy.rate_steps
+        self.r_up = r_up = np.maximum(r, 0.0)
+        self.r_dn = r_dn = np.maximum(-r, 0.0)
+        a_up = book.alpha_up.values
+        a_dn = book.alpha_dn.values
+        h_up = book.h_up.values
+        h_dn = book.h_dn.values
+        eps_up = book.eps_up.values
+        eps_dn = book.eps_dn.values
 
+        self.pre_pos, post_pos = position_paths(strategy)
+        # a/h * r rounds differently from the scan's a * (1/h) * r; the
+        # ledger keeps its own form
+        self.g = g = a_up[:n] / h_up[:n] * r_up - a_dn[:n] / h_dn[:n] * r_dn
 
-def _build_ledger(book: BookParams, strategy: Strategy, fundamental: SampledPath,
-                  state) -> _Ledger:
-    n = book.grid.steps
-    dt = book.grid.dt
-    r = strategy.rate_steps
-    r_up = np.maximum(r, 0.0)
-    r_dn = np.maximum(-r, 0.0)
-    a_up = book.alpha_up.values
-    a_dn = book.alpha_dn.values
-    h_up = book.h_up.values
-    h_dn = book.h_dn.values
-    eps_up = book.eps_up.values
-    eps_dn = book.eps_dn.values
+        # position held while its own permanent impact accrues: the trade is
+        # spread uniformly over the step, hence the r*dt/2 midpoint term
+        self.perm_gain_steps = g * (post_pos[:n] * dt + r * dt * dt / 2.0)
+        self.gain_steps = self.perm_gain_steps + self.pre_pos[1:] * np.diff(fundamental.values)
+        self.spread_steps = (r_up * eps_up[:n] + r_dn * eps_dn[:n]) * dt
+        self.impact_steps = r_up * state.exc_up_int + r_dn * state.exc_dn_int
 
-    pre_pos, post_pos = position_paths(strategy)
-    ds = np.diff(fundamental.values)
-    g = a_up[:n] / h_up[:n] * r_up - a_dn[:n] / h_dn[:n] * r_dn
+        # a buy block executes against the ask side, a sell against the bid
+        self.idx = idx = np.array([i for i, _ in strategy.blocks], dtype=np.intp)
+        self.theta = theta = np.array([s for _, s in strategy.blocks])
+        buy = theta > 0
+        size = np.abs(theta)
 
-    # position held while its own permanent impact accrues: the trade is
-    # spread uniformly over the step, hence the r*dt/2 midpoint term
-    perm_gain_steps = g * (post_pos[:n] * dt + r * dt * dt / 2.0)
-    gain_steps = perm_gain_steps + pre_pos[1:] * ds
-    spread_steps = (r_up * eps_up[:n] + r_dn * eps_dn[:n]) * dt
+        def side(up: np.ndarray, dn: np.ndarray) -> np.ndarray:
+            return np.where(buy, up[idx], dn[idx])
 
-    gain_events = np.zeros(n + 1)
-    spread_events = np.zeros(n + 1)
-    impact_events = np.zeros(n + 1)
-    qv_events = np.zeros(n + 1)
-    for idx, theta in strategy.blocks:
-        gain_events[idx] = pre_pos[idx] * (state.perm_post[idx] - state.perm_pre[idx])
-        if theta > 0:
-            spread_events[idx] = theta * eps_up[idx]
-            impact_events[idx] = theta * state.exc_up_pre[idx]
-            qv_events[idx] = (0.5 - a_up[idx]) / h_up[idx] * theta * theta
-        else:
-            size = -theta
-            spread_events[idx] = size * eps_dn[idx]
-            impact_events[idx] = size * state.exc_dn_pre[idx]
-            qv_events[idx] = (0.5 - a_dn[idx]) / h_dn[idx] * theta * theta
+        self.block_h = side(h_up, h_dn)
+        self.gain_events, self.spread_events, self.impact_events, self.qv_events = (
+            np.zeros((4, n + 1)))
+        self.gain_events[idx] = self.pre_pos[idx] * (state.perm_post[idx] - state.perm_pre[idx])
+        self.spread_events[idx] = size * side(eps_up, eps_dn)
+        self.impact_events[idx] = size * side(state.exc_up_pre, state.exc_dn_pre)
+        self.qv_events[idx] = (0.5 - side(a_up, a_dn)) / self.block_h * theta * theta
 
-    return _Ledger(
-        gain_steps=gain_steps,
-        perm_gain_steps=perm_gain_steps,
-        spread_steps=spread_steps,
-        gain_events=gain_events,
-        spread_events=spread_events,
-        impact_events=impact_events,
-        qv_events=qv_events,
-        ref_post=fundamental.values + state.perm_post,
-        ref_pre=fundamental.values + state.perm_pre,
-        g=g,
-    )
+    def _wealth(self, x0: float, impact_steps: np.ndarray) -> WealthPath:
+        grid = self.book.grid
+        gain = _accumulate(0.0, self.gain_steps, self.gain_events)
+        spread = _accumulate(0.0, self.spread_steps, self.spread_events)
+        impact = _accumulate(0.0, impact_steps, self.impact_events)
+        blockc = _accumulate(0.0, np.zeros(grid.steps), self.qv_events)
+        perm = _accumulate(0.0, self.perm_gain_steps, self.gain_events)
+        x = x0 + gain - spread - impact - blockc
+        return WealthPath(grid, *(SampledPath(grid, v)
+                                  for v in (x, gain, spread, impact, blockc, perm)))
+
+    def ow(self, x0: float = 0.0) -> WealthPath:
+        """Wealth in the structural model: position gains at the reference price
+        minus baseline-spread, transient-impact, and block-execution costs."""
+        return self._wealth(x0, self.impact_steps)
+
+    def ac(self, x0: float = 0.0) -> WealthPath:
+        """Wealth in the reduced-form model: linear baseline-spread costs plus
+        quadratic turnover costs lambda = (1 - alpha) / (kappa * K * h), with the
+        reference price shifted by alpha / h per unit traded.
+
+        Only absolutely continuous strategies are admissible; blocks are rejected.
+        """
+        if self.strategy.has_blocks:
+            raise ValueError("reduced-form wealth is defined for block-free strategies")
+        book = self.book
+        n = book.grid.steps
+        lam_up = (1.0 - book.alpha_up.values[:n]) / (book.kappa * book.K_up.values[:n]
+                                                     * book.h_up.values[:n])
+        lam_dn = (1.0 - book.alpha_dn.values[:n]) / (book.kappa * book.K_dn.values[:n]
+                                                     * book.h_dn.values[:n])
+        # without blocks every event term is zero, so the shared tail applies
+        return self._wealth(x0, (lam_up * self.r_up ** 2 + lam_dn * self.r_dn ** 2)
+                            * book.grid.dt)
+
+    def terminal(self, x0: float = 0.0) -> tuple[float, np.ndarray]:
+        """Terminal structural wealth on this fundamental plus the noise weights:
+        X_T(path) = X_T(this path) + sum_i weights[i] * (dS_i - dS_i(this path))."""
+        return float(self.ow(x0).x.values[-1]), self.pre_pos[1:]
+
+    def reference(self) -> ReferencePricePath:
+        """Fundamental price shifted by the cumulative permanent impact of trades."""
+        return ReferencePricePath(
+            values=SampledPath(self.book.grid, self.fundamental.values + self.state.perm_post),
+            pre=self.fundamental.values + self.state.perm_pre)
+
+    def spreads(self) -> SpreadPaths:
+        """Bid/ask spread paths (baseline plus transient excess)."""
+        book, state = self.book, self.state
+        return SpreadPaths(
+            ask=SampledPath(book.grid, book.eps_up.values + state.exc_up_post),
+            bid=SampledPath(book.grid, book.eps_dn.values + state.exc_dn_post),
+            ask_pre=book.eps_up.values + state.exc_up_pre,
+            bid_pre=book.eps_dn.values + state.exc_dn_pre,
+            ask_excess_int=state.exc_up_int,
+            bid_excess_int=state.exc_dn_int)
+
+    def safe_account(self, x0: float = 0.0) -> SampledPath:
+        """Cash account from the self-financing condition, so that wealth equals
+        safe account + position * reference price.  Every purchase pays the
+        pre-trade reference plus the pre-trade spread plus half its own impact
+        (blocks: size^2 / 2h; rate trades: the exact frozen-coefficient average),
+        sales symmetrically."""
+        book, r = self.book, self.r
+        n = book.grid.steps
+        dt = book.grid.dt
+        ref = self.reference()
+        step_terms = (-r * dt * ref.values.values[:n] - self.g * r * dt * dt / 2.0
+                      - self.spread_steps - self.impact_steps)
+        event_terms = np.zeros(n + 1)
+        idx, theta = self.idx, self.theta
+        event_terms[idx] = (-theta * ref.pre[idx] - self.spread_events[idx]
+                            - self.impact_events[idx] - theta * theta / (2.0 * self.block_h))
+        return SampledPath(book.grid, _accumulate(
+            x0 - self.strategy.phi0 * self.fundamental.values[0], step_terms, event_terms))
 
 
 def ow_wealth(book: BookParams, strategy: Strategy, fundamental: SampledPath,
               x0: float = 0.0) -> WealthPath:
-    """Wealth in the structural model: position gains at the reference price
-    minus baseline-spread, transient-impact, and block-execution costs."""
-    _check_inputs(book, strategy, fundamental)
-    n = book.grid.steps
-    r = strategy.rate_steps
-    state = evolve_book(book, strategy)
-    led = _build_ledger(book, strategy, fundamental, state)
-
-    impact_steps = (np.maximum(r, 0.0) * state.exc_up_int
-                    + np.maximum(-r, 0.0) * state.exc_dn_int)
-
-    zeros = np.zeros(n + 1)
-    gain = _accumulate(0.0, led.gain_steps, led.gain_events)
-    spread = _accumulate(0.0, led.spread_steps, led.spread_events)
-    impact = _accumulate(0.0, impact_steps, led.impact_events)
-    blockc = _accumulate(0.0, zeros[:n], led.qv_events)
-    perm = _accumulate(0.0, led.perm_gain_steps, led.gain_events)
-    x = x0 + gain - spread - impact - blockc
-
-    grid = book.grid
-    return WealthPath(grid, SampledPath(grid, x), SampledPath(grid, gain),
-                      SampledPath(grid, spread), SampledPath(grid, impact),
-                      SampledPath(grid, blockc), SampledPath(grid, perm))
-
-
-def safe_account(book: BookParams, strategy: Strategy, fundamental: SampledPath,
-                 x0: float = 0.0) -> SampledPath:
-    """Cash account from the self-financing condition, so that wealth equals
-    safe account + position * reference price.  Every purchase pays the
-    pre-trade reference plus the pre-trade spread plus half its own impact
-    (blocks: size^2 / 2h; rate trades: the exact frozen-coefficient average),
-    sales symmetrically."""
-    _check_inputs(book, strategy, fundamental)
-    n = book.grid.steps
-    dt = book.grid.dt
-    r = strategy.rate_steps
-    state = evolve_book(book, strategy)
-    led = _build_ledger(book, strategy, fundamental, state)
-
-    impact_steps = (np.maximum(r, 0.0) * state.exc_up_int
-                    + np.maximum(-r, 0.0) * state.exc_dn_int)
-    step_terms = (-r * dt * led.ref_post[:n] - led.g * r * dt * dt / 2.0
-                  - led.spread_steps - impact_steps)
-
-    event_terms = np.zeros(n + 1)
-    for idx, theta in strategy.blocks:
-        half_impact = theta * theta / (2.0 * (book.h_up.values[idx] if theta > 0
-                                              else book.h_dn.values[idx]))
-        event_terms[idx] = (-theta * led.ref_pre[idx]
-                            - led.spread_events[idx] - led.impact_events[idx]
-                            - half_impact)
-
-    acct = _accumulate(x0 - strategy.phi0 * fundamental.values[0], step_terms, event_terms)
-    return SampledPath(book.grid, acct)
+    """Structural-model wealth; see ``Evaluation.ow``."""
+    return Evaluation(book, strategy, fundamental).ow(x0)
 
 
 def ac_wealth(book: BookParams, strategy: Strategy, fundamental: SampledPath,
               x0: float = 0.0) -> WealthPath:
-    """Wealth in the reduced-form model: linear baseline-spread costs plus
-    quadratic turnover costs lambda = (1 - alpha) / (kappa * K * h), with the
-    reference price shifted by alpha / h per unit traded.
-
-    Only absolutely continuous strategies are admissible; blocks are rejected.
-    """
-    _check_inputs(book, strategy, fundamental)
-    if strategy.has_blocks:
-        raise ValueError("reduced-form wealth is defined for block-free strategies")
-    n = book.grid.steps
-    dt = book.grid.dt
-    r = strategy.rate_steps
-    r_up = np.maximum(r, 0.0)
-    r_dn = np.maximum(-r, 0.0)
-    state = evolve_book(book, strategy)
-    led = _build_ledger(book, strategy, fundamental, state)
-
-    lam_up = (1.0 - book.alpha_up.values[:n]) / (book.kappa * book.K_up.values[:n]
-                                                 * book.h_up.values[:n])
-    lam_dn = (1.0 - book.alpha_dn.values[:n]) / (book.kappa * book.K_dn.values[:n]
-                                                 * book.h_dn.values[:n])
-    impact_steps = (lam_up * r_up ** 2 + lam_dn * r_dn ** 2) * dt
-
-    zeros = np.zeros(n + 1)
-    gain = _accumulate(0.0, led.gain_steps, zeros)
-    spread = _accumulate(0.0, led.spread_steps, zeros)
-    impact = _accumulate(0.0, impact_steps, zeros)
-    blockc = np.zeros(n + 1)
-    perm = _accumulate(0.0, led.perm_gain_steps, zeros)
-    x = x0 + gain - spread - impact
-
-    grid = book.grid
-    return WealthPath(grid, SampledPath(grid, x), SampledPath(grid, gain),
-                      SampledPath(grid, spread), SampledPath(grid, impact),
-                      SampledPath(grid, blockc), SampledPath(grid, perm))
+    """Reduced-form wealth; see ``Evaluation.ac``."""
+    return Evaluation(book, strategy, fundamental).ac(x0)

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from lobres import BookParams, RandomSource, SampledPath, Strategy
+from lobres import (BookParams, RandomSource, ReferencePricePath, SampledPath, SpreadPaths,
+                    Strategy, WealthPath, position_paths)
+from lobres.book import _check_grids, evolve_book
 from lobres.experiments import (_BOOTSTRAP_STREAM, LemmaJumpReport, TrackerBoundReport,
                                 UtilityCell, UtilityReport, _certainty_equivalents,
-                                _terminal_wealth_decomposition, brownian_increments,
-                                ladder_grid)
+                                brownian_increments, ladder_grid)
+from lobres.wealth import _accumulate
 from lobres.paths import as_path, constant_path
 from lobres.strategies import TrackerSpec, exponential_tracker, relax_positions, smooth_blocks
 
@@ -100,6 +103,223 @@ def reference_evolve_book(params, strategy):
 
     return BookEvolution(exc_up_pre, exc_up_post, exc_dn_pre, exc_dn_post,
                          exc_up_int, exc_dn_int, perm_pre, perm_post)
+
+
+# The per-projection engines that ``lobres.wealth.Evaluation`` replaced, kept
+# verbatim as its references: each runs its own input checks, its own book
+# scan and its own ledger, and every projection of the evaluation must equal
+# theirs byte for byte.
+
+
+def _check_inputs(book: BookParams, strategy: Strategy, fundamental: SampledPath) -> None:
+    if book.grid != strategy.grid:
+        raise ValueError("strategy and book must share a grid")
+    if fundamental.grid != book.grid:
+        raise ValueError("fundamental price lives on a different grid")
+
+
+@dataclass
+class _Ledger:
+    """Per-step and per-event wealth contributions shared by the engines."""
+
+    gain_steps: np.ndarray
+    perm_gain_steps: np.ndarray
+    spread_steps: np.ndarray
+    gain_events: np.ndarray
+    spread_events: np.ndarray
+    impact_events: np.ndarray
+    qv_events: np.ndarray
+    ref_post: np.ndarray
+    ref_pre: np.ndarray
+    g: np.ndarray
+
+
+def _build_ledger(book: BookParams, strategy: Strategy, fundamental: SampledPath,
+                  state) -> _Ledger:
+    n = book.grid.steps
+    dt = book.grid.dt
+    r = strategy.rate_steps
+    r_up = np.maximum(r, 0.0)
+    r_dn = np.maximum(-r, 0.0)
+    a_up = book.alpha_up.values
+    a_dn = book.alpha_dn.values
+    h_up = book.h_up.values
+    h_dn = book.h_dn.values
+    eps_up = book.eps_up.values
+    eps_dn = book.eps_dn.values
+
+    pre_pos, post_pos = position_paths(strategy)
+    ds = np.diff(fundamental.values)
+    g = a_up[:n] / h_up[:n] * r_up - a_dn[:n] / h_dn[:n] * r_dn
+
+    # position held while its own permanent impact accrues: the trade is
+    # spread uniformly over the step, hence the r*dt/2 midpoint term
+    perm_gain_steps = g * (post_pos[:n] * dt + r * dt * dt / 2.0)
+    gain_steps = perm_gain_steps + pre_pos[1:] * ds
+    spread_steps = (r_up * eps_up[:n] + r_dn * eps_dn[:n]) * dt
+
+    gain_events = np.zeros(n + 1)
+    spread_events = np.zeros(n + 1)
+    impact_events = np.zeros(n + 1)
+    qv_events = np.zeros(n + 1)
+    for idx, theta in strategy.blocks:
+        gain_events[idx] = pre_pos[idx] * (state.perm_post[idx] - state.perm_pre[idx])
+        if theta > 0:
+            spread_events[idx] = theta * eps_up[idx]
+            impact_events[idx] = theta * state.exc_up_pre[idx]
+            qv_events[idx] = (0.5 - a_up[idx]) / h_up[idx] * theta * theta
+        else:
+            size = -theta
+            spread_events[idx] = size * eps_dn[idx]
+            impact_events[idx] = size * state.exc_dn_pre[idx]
+            qv_events[idx] = (0.5 - a_dn[idx]) / h_dn[idx] * theta * theta
+
+    return _Ledger(
+        gain_steps=gain_steps,
+        perm_gain_steps=perm_gain_steps,
+        spread_steps=spread_steps,
+        gain_events=gain_events,
+        spread_events=spread_events,
+        impact_events=impact_events,
+        qv_events=qv_events,
+        ref_post=fundamental.values + state.perm_post,
+        ref_pre=fundamental.values + state.perm_pre,
+        g=g,
+    )
+
+
+def ow_wealth(book: BookParams, strategy: Strategy, fundamental: SampledPath,
+              x0: float = 0.0) -> WealthPath:
+    """Wealth in the structural model: position gains at the reference price
+    minus baseline-spread, transient-impact, and block-execution costs."""
+    _check_inputs(book, strategy, fundamental)
+    n = book.grid.steps
+    r = strategy.rate_steps
+    state = evolve_book(book, strategy)
+    led = _build_ledger(book, strategy, fundamental, state)
+
+    impact_steps = (np.maximum(r, 0.0) * state.exc_up_int
+                    + np.maximum(-r, 0.0) * state.exc_dn_int)
+
+    zeros = np.zeros(n + 1)
+    gain = _accumulate(0.0, led.gain_steps, led.gain_events)
+    spread = _accumulate(0.0, led.spread_steps, led.spread_events)
+    impact = _accumulate(0.0, impact_steps, led.impact_events)
+    blockc = _accumulate(0.0, zeros[:n], led.qv_events)
+    perm = _accumulate(0.0, led.perm_gain_steps, led.gain_events)
+    x = x0 + gain - spread - impact - blockc
+
+    grid = book.grid
+    return WealthPath(grid, SampledPath(grid, x), SampledPath(grid, gain),
+                      SampledPath(grid, spread), SampledPath(grid, impact),
+                      SampledPath(grid, blockc), SampledPath(grid, perm))
+
+
+def safe_account(book: BookParams, strategy: Strategy, fundamental: SampledPath,
+                 x0: float = 0.0) -> SampledPath:
+    """Cash account from the self-financing condition, so that wealth equals
+    safe account + position * reference price.  Every purchase pays the
+    pre-trade reference plus the pre-trade spread plus half its own impact
+    (blocks: size^2 / 2h; rate trades: the exact frozen-coefficient average),
+    sales symmetrically."""
+    _check_inputs(book, strategy, fundamental)
+    n = book.grid.steps
+    dt = book.grid.dt
+    r = strategy.rate_steps
+    state = evolve_book(book, strategy)
+    led = _build_ledger(book, strategy, fundamental, state)
+
+    impact_steps = (np.maximum(r, 0.0) * state.exc_up_int
+                    + np.maximum(-r, 0.0) * state.exc_dn_int)
+    step_terms = (-r * dt * led.ref_post[:n] - led.g * r * dt * dt / 2.0
+                  - led.spread_steps - impact_steps)
+
+    event_terms = np.zeros(n + 1)
+    for idx, theta in strategy.blocks:
+        half_impact = theta * theta / (2.0 * (book.h_up.values[idx] if theta > 0
+                                              else book.h_dn.values[idx]))
+        event_terms[idx] = (-theta * led.ref_pre[idx]
+                            - led.spread_events[idx] - led.impact_events[idx]
+                            - half_impact)
+
+    acct = _accumulate(x0 - strategy.phi0 * fundamental.values[0], step_terms, event_terms)
+    return SampledPath(book.grid, acct)
+
+
+def ac_wealth(book: BookParams, strategy: Strategy, fundamental: SampledPath,
+              x0: float = 0.0) -> WealthPath:
+    """Wealth in the reduced-form model: linear baseline-spread costs plus
+    quadratic turnover costs lambda = (1 - alpha) / (kappa * K * h), with the
+    reference price shifted by alpha / h per unit traded.
+
+    Only absolutely continuous strategies are admissible; blocks are rejected.
+    """
+    _check_inputs(book, strategy, fundamental)
+    if strategy.has_blocks:
+        raise ValueError("reduced-form wealth is defined for block-free strategies")
+    n = book.grid.steps
+    dt = book.grid.dt
+    r = strategy.rate_steps
+    r_up = np.maximum(r, 0.0)
+    r_dn = np.maximum(-r, 0.0)
+    state = evolve_book(book, strategy)
+    led = _build_ledger(book, strategy, fundamental, state)
+
+    lam_up = (1.0 - book.alpha_up.values[:n]) / (book.kappa * book.K_up.values[:n]
+                                                 * book.h_up.values[:n])
+    lam_dn = (1.0 - book.alpha_dn.values[:n]) / (book.kappa * book.K_dn.values[:n]
+                                                 * book.h_dn.values[:n])
+    impact_steps = (lam_up * r_up ** 2 + lam_dn * r_dn ** 2) * dt
+
+    zeros = np.zeros(n + 1)
+    gain = _accumulate(0.0, led.gain_steps, zeros)
+    spread = _accumulate(0.0, led.spread_steps, zeros)
+    impact = _accumulate(0.0, impact_steps, zeros)
+    blockc = np.zeros(n + 1)
+    perm = _accumulate(0.0, led.perm_gain_steps, zeros)
+    x = x0 + gain - spread - impact
+
+    grid = book.grid
+    return WealthPath(grid, SampledPath(grid, x), SampledPath(grid, gain),
+                      SampledPath(grid, spread), SampledPath(grid, impact),
+                      SampledPath(grid, blockc), SampledPath(grid, perm))
+
+
+def evolve_spreads(params: BookParams, strategy: Strategy) -> SpreadPaths:
+    """Bid/ask spread paths for a strategy (baseline plus transient excess)."""
+    state = evolve_book(params, strategy)
+    base_up = params.eps_up.values
+    base_dn = params.eps_dn.values
+    return SpreadPaths(
+        ask=SampledPath(params.grid, base_up + state.exc_up_post),
+        bid=SampledPath(params.grid, base_dn + state.exc_dn_post),
+        ask_pre=base_up + state.exc_up_pre,
+        bid_pre=base_dn + state.exc_dn_pre,
+        ask_excess_int=state.exc_up_int,
+        bid_excess_int=state.exc_dn_int,
+    )
+
+
+def reference_price(params: BookParams, strategy: Strategy,
+                    fundamental: SampledPath) -> ReferencePricePath:
+    """Fundamental price shifted by the cumulative permanent impact of trades."""
+    _check_grids(params, strategy)
+    if fundamental.grid != params.grid:
+        raise ValueError("fundamental price lives on a different grid")
+    state = evolve_book(params, strategy)
+    return ReferencePricePath(
+        values=SampledPath(params.grid, fundamental.values + state.perm_post),
+        pre=fundamental.values + state.perm_pre,
+    )
+
+
+def _terminal_wealth_decomposition(book: BookParams, strategy: Strategy,
+                                   mean_fund: SampledPath, x0: float) -> tuple[float, np.ndarray]:
+    """Terminal wealth on the mean price path plus the noise weights:
+    X_T(path) = X_T(mean) + sum_i weights[i] * (dS_i - dS_i_mean)."""
+    x_det = float(ow_wealth(book, strategy, mean_fund, x0).x.values[-1])
+    pre_pos, _ = position_paths(strategy)
+    return x_det, pre_pos[1:]
 
 
 def reference_increments(grid, seed, paths):

@@ -11,10 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lobres import (BookParams, BookTemplate, FundamentalSpec, KappaLadder,
-                    RandomSource, Strategy, constant_path, evolve_spreads,
-                    ladder_grid, lemma_jump_experiment, make_grid, ow_wealth,
-                    position_paths, rate_strategy, reference_price, safe_account,
+from lobres import (BookParams, BookTemplate, Evaluation, FundamentalSpec, KappaLadder,
+                    RandomSource, Strategy, constant_path, ladder_grid,
+                    lemma_jump_experiment, make_grid, position_paths, rate_strategy,
                     sample_ito, theorem1_experiment, remark1_experiment,
                     tracker_bound_experiment, utility_experiment)
 from lobres.cli import main
@@ -48,13 +47,14 @@ def test_criterion_1_closed_form_spread_oracle():
 
     theta = 1.7
     book = BookParams.build(grid, kappa, K=K, h=h, eps=eps)
+    fund = constant_path(grid, 100.0)  # spreads do not depend on it
     blocky = Strategy(grid, constant_path(grid, 0.0), ((0, theta),))
-    ask = evolve_spreads(book, blocky).ask.values
+    ask = Evaluation(book, blocky, fund).spreads().ask.values
     expected = eps + (theta / h) * np.exp(-kappa * K * t)
     assert np.max(np.abs(ask - expected) / expected) <= 1e-10
 
     c = 0.8
-    ask = evolve_spreads(book, rate_strategy(grid, c)).ask.values
+    ask = Evaluation(book, rate_strategy(grid, c), fund).spreads().ask.values
     expected = eps + c / (kappa * K * h) * (1.0 - np.exp(-kappa * K * t))
     assert np.max(np.abs(ask - expected) / expected) <= 1e-10
 
@@ -75,9 +75,10 @@ def test_criterion_2_bookkeeping_identity():
         strat = random_strategy(grid, rng, n_blocks=int(rng.integers(0, 8)),
                                 phi0=float(rng.normal(0.0, 2.0)))
         x0 = float(rng.normal(0.0, 10.0))
-        x = ow_wealth(book, strat, fund, x0).x.values
-        acct = safe_account(book, strat, fund, x0).values
-        ref = reference_price(book, strat, fund).values.values
+        evaluation = Evaluation(book, strat, fund)
+        x = evaluation.ow(x0).x.values
+        acct = evaluation.safe_account(x0).values
+        ref = evaluation.reference().values.values
         _, post = position_paths(strat)
         recon = acct + post * ref
         rel = np.max(np.abs(x - recon) / np.maximum(1.0, np.abs(x)))

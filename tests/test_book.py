@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lobres import (BookParams, SampledPath, Strategy, constant_path, evolve_spreads,
-                    fit_rate, function_path, make_grid, ow_wealth, position_paths,
-                    rate_strategy, reference_price, safe_account, scaled_excess_spread,
-                    zero_strategy)
+from lobres import (BookParams, Evaluation, SampledPath, Strategy, constant_path, fit_rate,
+                    function_path, make_grid, position_paths, rate_strategy, zero_strategy)
 from lobres.book import evolve_book
-from lobres.strategies import block_schedule
 
 
+import helpers
 from helpers import constant_book, random_strategy, reference_evolve_book
+
+
+def spread_paths(book, strategy):
+    """Spreads of an evaluation; they do not depend on the fundamental."""
+    return Evaluation(book, strategy, constant_path(book.grid, 100.0)).spreads()
 
 
 class TestBookParams:
@@ -42,7 +45,7 @@ class TestEvolveSpreads:
     def test_zero_strategy_keeps_baselines(self):
         grid = make_grid(1.0, 64)
         book = constant_book(grid, 32.0, eps=0.03)
-        sp = evolve_spreads(book, zero_strategy(grid))
+        sp = spread_paths(book, zero_strategy(grid))
         np.testing.assert_array_equal(sp.ask.values, np.full(65, 0.03))
         np.testing.assert_array_equal(sp.bid.values, np.full(65, 0.03))
 
@@ -51,7 +54,7 @@ class TestEvolveSpreads:
         kappa, K, h, eps, theta = 48.0, 1.3, 2.0, 0.02, 1.7
         book = constant_book(grid, kappa, K=K, h=h, eps=eps)
         strat = Strategy(grid, constant_path(grid, 0.0), ((0, theta),))
-        sp = evolve_spreads(book, strat)
+        sp = spread_paths(book, strat)
         t = grid.points()
         expected = eps + (theta / h) * np.exp(-kappa * K * t)
         np.testing.assert_allclose(sp.ask.values, expected, rtol=1e-12)
@@ -63,7 +66,7 @@ class TestEvolveSpreads:
         grid = make_grid(1.0, 1000)
         kappa, K, h, eps, c = 48.0, 1.3, 2.0, 0.02, 0.9
         book = constant_book(grid, kappa, K=K, h=h, eps=eps)
-        sp = evolve_spreads(book, rate_strategy(grid, c))
+        sp = spread_paths(book, rate_strategy(grid, c))
         t = grid.points()
         expected = eps + c / (kappa * K * h) * (1.0 - np.exp(-kappa * K * t))
         np.testing.assert_allclose(sp.ask.values, expected, rtol=1e-12)
@@ -75,7 +78,7 @@ class TestEvolveSpreads:
         book = constant_book(grid, kappa, K=K, h=h)
         rng = np.random.default_rng(5)
         rates = np.abs(rng.normal(1.0, 0.5, grid.n_points))
-        sp = evolve_spreads(book, Strategy(grid, SampledPath(grid, rates)))
+        sp = spread_paths(book, Strategy(grid, SampledPath(grid, rates)))
         a = kappa * K
         dt = grid.dt
         exact = np.zeros(grid.n_points)
@@ -91,7 +94,7 @@ class TestEvolveSpreads:
         book = constant_book(grid, 16.0, alpha=0.3, eps=0.05)
         rng = np.random.default_rng(11)
         for _ in range(20):
-            sp = evolve_spreads(book, random_strategy(grid, rng))
+            sp = spread_paths(book, random_strategy(grid, rng))
             assert np.all(sp.ask.values >= book.eps_up.values - 1e-15)
             assert np.all(sp.bid.values >= book.eps_dn.values - 1e-15)
 
@@ -100,15 +103,15 @@ class TestEvolveSpreads:
         rng = np.random.default_rng(3)
         strat = random_strategy(grid, rng)
         c = 3.0
-        sp1 = evolve_spreads(constant_book(grid, 16.0, h=1.0), strat)
-        sp2 = evolve_spreads(constant_book(grid, 16.0, h=c), strat)
+        sp1 = spread_paths(constant_book(grid, 16.0, h=1.0), strat)
+        sp2 = spread_paths(constant_book(grid, 16.0, h=c), strat)
         np.testing.assert_allclose(sp2.ask.values, sp1.ask.values / c, rtol=1e-12)
         np.testing.assert_allclose(sp2.bid.values, sp1.bid.values / c, rtol=1e-12)
 
     def test_resilience_monotonicity(self):
         grid = make_grid(1.0, 128)
         strat = rate_strategy(grid, 1.0)
-        spreads = [evolve_spreads(constant_book(grid, k), strat).ask.values
+        spreads = [spread_paths(constant_book(grid, k), strat).ask.values
                    for k in (8.0, 16.0, 32.0, 64.0)]
         for lo, hi in zip(spreads, spreads[1:]):
             assert np.all(hi[1:] <= lo[1:] + 1e-15)
@@ -120,7 +123,7 @@ class TestEvolveSpreads:
             book = BookParams.build(grid, 8.0, K=lambda t: 1.0 + 0.5 * math.sin(2 * math.pi * t),
                                     h=lambda t: 1.0 + 0.3 * t, alpha=0.2, eps=0.01)
             strat = rate_strategy(grid, lambda t: math.cos(2 * math.pi * t))
-            return evolve_spreads(book, strat).ask.values
+            return spread_paths(book, strat).ask.values
 
         levels = [run(128 * 2**j) for j in range(4)]
         diffs = [np.max(np.abs(a - b[::2])) for a, b in zip(levels, levels[1:])]
@@ -131,7 +134,7 @@ class TestEvolveSpreads:
     def test_grid_mismatch(self):
         book = constant_book(make_grid(1.0, 8), 4.0)
         with pytest.raises(ValueError):
-            evolve_spreads(book, zero_strategy(make_grid(1.0, 16)))
+            spread_paths(book, zero_strategy(make_grid(1.0, 16)))
 
 
 class TestReferencePrice:
@@ -140,7 +143,7 @@ class TestReferencePrice:
         book = constant_book(grid, 16.0, alpha=0.0)
         fund = function_path(grid, lambda t: 100.0 + t)
         rng = np.random.default_rng(2)
-        ref = reference_price(book, random_strategy(grid, rng), fund)
+        ref = Evaluation(book, random_strategy(grid, rng), fund).reference()
         np.testing.assert_array_equal(ref.values.values, fund.values)
 
     def test_block_shift_held(self):
@@ -149,7 +152,7 @@ class TestReferencePrice:
         book = constant_book(grid, 16.0, alpha=alpha, h=h)
         fund = constant_path(grid, 50.0)
         strat = Strategy(grid, constant_path(grid, 0.0), ((16, theta),))
-        ref = reference_price(book, strat, fund)
+        ref = Evaluation(book, strat, fund).reference()
         shift = alpha * theta / h
         np.testing.assert_allclose(ref.values.values[16:], 50.0 + shift, rtol=1e-14)
         assert ref.pre[16] == 50.0
@@ -160,7 +163,7 @@ class TestReferencePrice:
         book = constant_book(grid, 16.0, alpha=0.25, h=2.0)
         fund = constant_path(grid, 10.0)
         strat = Strategy(grid, constant_path(grid, 0.0), ((10, 1.0), (60, -1.0)))
-        ref = reference_price(book, strat, fund)
+        ref = Evaluation(book, strat, fund).reference()
         assert ref.values.values[-1] == pytest.approx(10.0, abs=1e-14)
 
 
@@ -168,23 +171,16 @@ class TestScaledExcessSpread:
     def test_zero_strategy(self):
         grid = make_grid(1.0, 64)
         book = constant_book(grid, 16.0)
-        path = scaled_excess_spread(book, zero_strategy(grid))
-        np.testing.assert_array_equal(path.values, np.zeros(65))
-
-    def test_blocks_rejected(self):
-        grid = make_grid(1.0, 64)
-        book = constant_book(grid, 16.0)
-        strat = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
-        with pytest.raises(ValueError):
-            scaled_excess_spread(book, strat)
+        path = book.kappa * evolve_book(book, zero_strategy(grid)).exc_up_post
+        np.testing.assert_array_equal(path, np.zeros(65))
 
     def test_constant_rate_limit(self):
         grid = make_grid(4.0, 2048)
         kappa, K, h, alpha, c = 64.0, 1.2, 1.5, 0.2, 0.7
         book = constant_book(grid, kappa, K=K, h=h, alpha=alpha)
-        path = scaled_excess_spread(book, rate_strategy(grid, c))
+        path = book.kappa * evolve_book(book, rate_strategy(grid, c)).exc_up_post
         limit = (1.0 - alpha) * c / (K * h)
-        assert path.values[-1] == pytest.approx(limit, rel=1e-8)
+        assert path[-1] == pytest.approx(limit, rel=1e-8)
 
     def test_ladder_slope(self):
         # sup distance to the limit decays ~ 1/kappa for smooth rates.  The
@@ -199,8 +195,8 @@ class TestScaledExcessSpread:
         kappas = [2.0**j for j in range(4, 13)]
         for kappa in kappas:
             book = constant_book(grid, kappa, K=K, h=h, alpha=alpha)
-            path = scaled_excess_spread(book, rate)
-            err = np.abs(path.values[i0:] - target[i0 - 1:-1])
+            path = book.kappa * evolve_book(book, rate).exc_up_post
+            err = np.abs(path[i0:] - target[i0 - 1:-1])
             errors.append(float(err.max()))
         fit = fit_rate(list(zip(kappas, errors)))
         assert fit.slope <= -0.9
@@ -252,10 +248,38 @@ class TestScanMatchesReference:
             assert np.array_equal(a, b), name
             assert a.tobytes() == b.tobytes(), name
 
+        # every projection of one evaluation equals the per-projection engine
+        evaluation = Evaluation(book, strategy, fundamental)
+        block_free = Strategy(strategy.grid, strategy.rate, (), strategy.phi0)
+        ow = evaluation.ow(1.0), helpers.ow_wealth(book, strategy, fundamental, 1.0)
+        ac = (Evaluation(book, block_free, fundamental).ac(1.0),
+              helpers.ac_wealth(book, block_free, fundamental, 1.0))
+        ref = evaluation.reference(), helpers.reference_price(book, strategy, fundamental)
+        spreads = evaluation.spreads(), helpers.evolve_spreads(book, strategy)
+        pairs = {f"{name}.{field}": tuple(getattr(w, field).values for w in engines)
+                 for name, engines in (("ow", ow), ("ac", ac))
+                 for field in ("x", "gain", "spread_cost", "impact_cost", "block_cost",
+                               "permanent_shift")}
+        pairs["account"] = (evaluation.safe_account(1.0).values,
+                            helpers.safe_account(book, strategy, fundamental, 1.0).values)
+        pairs["reference"] = tuple(r.values.values for r in ref)
+        pairs["reference_pre"] = tuple(r.pre for r in ref)
+        for field in ("ask", "bid"):
+            pairs[field] = tuple(getattr(sp, field).values for sp in spreads)
+        for field in ("ask_pre", "bid_pre", "ask_excess_int", "bid_excess_int"):
+            pairs[field] = tuple(getattr(sp, field) for sp in spreads)
+        for name, (got, want) in pairs.items():
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        x_terminal, weights = evaluation.terminal(1.0)
+        want_x, want_weights = helpers._terminal_wealth_decomposition(book, strategy,
+                                                                      fundamental, 1.0)
+        assert repr(x_terminal) == repr(want_x)
+        assert weights.tobytes() == want_weights.tobytes()
+
         # wealth = safe account + position * reference price, to rounding
-        x = ow_wealth(book, strategy, fundamental, x0=1.0).x.values
-        account = safe_account(book, strategy, fundamental, x0=1.0).values
+        x = evaluation.ow(1.0).x.values
+        account = evaluation.safe_account(1.0).values
         _, position = position_paths(strategy)
-        marked = position * reference_price(book, strategy, fundamental).values.values
+        marked = position * ref[0].values.values
         scale = 1.0 + np.abs(account).max() + np.abs(marked).max()
         assert np.max(np.abs(x - (account + marked))) <= 1e-12 * scale

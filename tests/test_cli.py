@@ -79,20 +79,24 @@ class TestSimulate:
             blocks = ((0, 5e-324), (7, -1e16), (grid.steps, 0.1))
             return Strategy(grid, SampledPath(grid, column("rate", grid)), blocks)
 
-        def wealth(book, strat, fund, x0):
-            g = strat.grid
-            return WealthPath(g, *(SampledPath(g, column(k, g)) for k in (
-                "X", "gain", "spread_cost", "impact_cost", "block_cost", "permanent_shift")))
+        class Evaluation:
+            def __init__(self, book, strat, fund):
+                self.grid = strat.grid
 
-        def spreads(book, strat):
-            g = strat.grid
-            return SpreadPaths(SampledPath(g, column("ask", g)), SampledPath(g, column("bid", g)),
-                               column("ask_pre", g), column("bid_pre", g),
-                               np.zeros(g.steps), np.zeros(g.steps))
+            def ow(self, x0):
+                g = self.grid
+                return WealthPath(g, *(SampledPath(g, column(k, g)) for k in (
+                    "X", "gain", "spread_cost", "impact_cost", "block_cost", "permanent_shift")))
+
+            def spreads(self):
+                g = self.grid
+                return SpreadPaths(SampledPath(g, column("ask", g)),
+                                   SampledPath(g, column("bid", g)),
+                                   column("ask_pre", g), column("bid_pre", g),
+                                   np.zeros(g.steps), np.zeros(g.steps))
 
         monkeypatch.setattr(cli, "_build_strategy", strategy)
-        monkeypatch.setattr(cli, "ow_wealth", wealth)
-        monkeypatch.setattr(cli, "evolve_spreads", spreads)
+        monkeypatch.setattr(cli, "Evaluation", Evaluation)
         out = tmp_path / "artifacts"
         assert main(["simulate", "--config", str(write_config(tmp_path, SIMULATE_ZERO)),
                      "--out", str(out)]) == 0
@@ -121,6 +125,33 @@ class TestSimulate:
         loaded = read_strategy_csv(grid, out / "strategy.csv")
         assert loaded.rate.values.tobytes() == cols["rate"].tobytes()
         assert loaded.blocks == ((0, 5e-324), (7, -1e16), (64, 0.1))
+
+    def test_book_is_scanned_once(self, tmp_path, monkeypatch):
+        # wealth and spreads are projections of one evaluation; the scan is
+        # counted under both names a module binds it to
+        import lobres.book
+        import lobres.wealth
+
+        scans = []
+        scan = lobres.book.evolve_book
+
+        def counted(params, strategy):
+            scans.append(params.kappa)
+            return scan(params, strategy)
+
+        for module in (lobres.book, lobres.wealth):
+            monkeypatch.setattr(module, "evolve_book", counted)
+        cfg = write_config(tmp_path, dict(SIMULATE_ZERO, strategy={"type": "rate", "rate": 1.0}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert scans == [16.0]
+
+
+def test_every_exported_name_resolves():
+    import lobres
+
+    namespace = {}
+    exec("from lobres import *", namespace)  # raises if a listed name is missing
+    assert set(lobres.__all__) <= namespace.keys()
 
 
 class TestExitCodes:

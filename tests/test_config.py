@@ -339,6 +339,10 @@ CRASH_ROWS = {
     "integer-literal-over-digit-limit": (
         '{"kind": "theorem1", "strategy": {"type": "zero"}, "grid": {"n0": 1%s}}' % ("0" * 5000),
         ConfigParseError, "parse error: an integer literal has more than 4300 digits"),
+    # json.loads raised RecursionError
+    "nesting-beyond-recursion-limit": (
+        '{"kind": "theorem1", "strategy": %s}' % ("[" * 100_000 + "]" * 100_000),
+        ConfigParseError, "parse error: arrays or objects nested too deeply"),
 }
 
 

@@ -323,8 +323,8 @@ class TestUtility:
     def test_cis_match_per_resample_loop(self):
         # the report's percentile CIs are those of one resample at a time,
         # on terminal wealths rebuilt from the same decomposition
-        from lobres import SampledPath, constant_path
-        from lobres.experiments import _BOOTSTRAP_STREAM, _terminal_wealth_decomposition
+        from lobres import Evaluation, SampledPath, constant_path
+        from lobres.experiments import _BOOTSTRAP_STREAM
         from lobres.strategies import TrackerSpec, exponential_tracker
         gamma, mu, sigma, kappa = 1.0, 0.1, 0.2, 64.0
         paths, seed, bootstrap = 300, 5, 40
@@ -344,7 +344,7 @@ class TestUtility:
             strat = exponential_tracker(TrackerSpec(
                 constant_path(grid, mu / (gamma * sigma**2)),
                 SampledPath(grid, c * m_base), kappa), start=0.0)
-            x_det, w = _terminal_wealth_decomposition(book, strat, spec.mean_path(grid), 0.0)
+            x_det, w = Evaluation(book, strat, spec.mean_path(grid)).terminal(0.0)
             x = x_det + (sigma * w) @ dw
             boot[c] = np.array([_ce_one_sample(x[idx], gamma) for idx in boot_idx])
         for c in report.multipliers:

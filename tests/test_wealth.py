@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lobres import (BookParams, RandomSource, SampledPath, Strategy, ac_wealth,
-                    constant_path, fit_rate, function_path, make_grid, ow_wealth,
-                    position_paths, rate_strategy, reference_price, safe_account,
-                    sample_ito, zero_strategy)
+from lobres import (BookParams, Evaluation, RandomSource, Strategy,
+                    constant_path, fit_rate, function_path, make_grid, position_paths,
+                    rate_strategy, sample_ito, zero_strategy)
 from helpers import random_strategy
 
 
@@ -19,7 +18,7 @@ class TestOwWealth:
     def test_zero_strategy_is_flat(self):
         grid = make_grid(1.0, 64)
         book, fund = book_and_fund(grid, alpha=0.2, eps=0.05)
-        w = ow_wealth(book, zero_strategy(grid), fund, x0=7.0)
+        w = Evaluation(book, zero_strategy(grid), fund).ow(7.0)
         np.testing.assert_array_equal(w.x.values, np.full(65, 7.0))
 
     def test_single_block_oracle(self):
@@ -29,7 +28,7 @@ class TestOwWealth:
         h, e, theta = 2.0, 0.03, 1.7
         book, fund = book_and_fund(grid, h=h, eps=e)
         strat = Strategy(grid, constant_path(grid, 0.0), ((32, theta),))
-        w = ow_wealth(book, strat, fund, x0=0.0)
+        w = Evaluation(book, strat, fund).ow(0.0)
         assert w.x.values[-1] == pytest.approx(-e * theta - theta**2 / (2 * h), abs=1e-14)
 
     def test_round_trip_oracle(self):
@@ -38,7 +37,7 @@ class TestOwWealth:
         h, e, theta = 2.0, 0.03, 1.2
         book, fund = book_and_fund(grid, kappa=512.0, h=h, eps=e)
         strat = Strategy(grid, constant_path(grid, 0.0), ((0, theta), (128, -theta)))
-        w = ow_wealth(book, strat, fund, x0=0.0)
+        w = Evaluation(book, strat, fund).ow(0.0)
         assert w.x.values[-1] == pytest.approx(-2 * e * theta - theta**2 / h, abs=1e-14)
 
     def test_breakdown_identity(self):
@@ -46,7 +45,7 @@ class TestOwWealth:
         book, fund = book_and_fund(grid, alpha=0.25, eps=0.01)
         rng = np.random.default_rng(21)
         strat = random_strategy(grid, rng, phi0=1.0)
-        w = ow_wealth(book, strat, fund, x0=5.0)
+        w = Evaluation(book, strat, fund).ow(5.0)
         recon = (5.0 + w.gain.values - w.spread_cost.values - w.impact_cost.values
                  - w.block_cost.values)
         np.testing.assert_allclose(w.x.values, recon, rtol=0, atol=1e-12)
@@ -59,7 +58,7 @@ class TestOwWealth:
         rng = np.random.default_rng(9)
         for _ in range(25):
             strat = random_strategy(grid, rng)
-            w = ow_wealth(book, strat, fund, x0=0.0)
+            w = Evaluation(book, strat, fund).ow(0.0)
             assert w.x.values[-1] <= 1e-12
 
     def test_cost_sign_round_trip_with_permanent_impact(self):
@@ -69,7 +68,7 @@ class TestOwWealth:
         for theta in (0.5, 1.0, 3.0):
             strat = Strategy(grid, constant_path(grid, 0.0),
                              ((8, theta), (96, -theta)))
-            w = ow_wealth(book, strat, fund, x0=0.0)
+            w = Evaluation(book, strat, fund).ow(0.0)
             assert w.x.values[-1] <= 1e-12
 
     def test_permanent_impact_neutrality(self):
@@ -79,8 +78,8 @@ class TestOwWealth:
         alpha, h, theta = 0.4, 2.0, 1.5
         fund = constant_path(grid, 10.0)
         strat = Strategy(grid, constant_path(grid, 0.0), ((16, theta),))
-        w_alpha = ow_wealth(BookParams.build(grid, 64.0, h=h, alpha=alpha), strat, fund)
-        w_zero = ow_wealth(BookParams.build(grid, 64.0, h=h, alpha=0.0), strat, fund)
+        w_alpha = Evaluation(BookParams.build(grid, 64.0, h=h, alpha=alpha), strat, fund).ow()
+        w_zero = Evaluation(BookParams.build(grid, 64.0, h=h, alpha=0.0), strat, fund).ow()
         lift = theta * (alpha / h) * theta
         assert (w_alpha.x.values[16] - w_zero.x.values[16]) == pytest.approx(lift, abs=1e-14)
 
@@ -94,7 +93,7 @@ class TestOwWealth:
                                     h=1.5, alpha=0.25, eps=0.02)
             fund = function_path(grid, lambda t: 100.0 + 2.0 * t + math.sin(t))
             strat = rate_strategy(grid, lambda t: math.cos(2 * math.pi * t))
-            return ow_wealth(book, strat, fund).x.values[-1]
+            return Evaluation(book, strat, fund).ow().x.values[-1]
 
         ns = [128 * 2**j for j in range(4)]
         xs = [terminal(n) for n in ns]
@@ -107,7 +106,7 @@ class TestSafeAccount:
     def test_zero_strategy_constant(self):
         grid = make_grid(1.0, 64)
         book, fund = book_and_fund(grid)
-        acct = safe_account(book, zero_strategy(grid, phi0=2.0), fund, x0=9.0)
+        acct = Evaluation(book, zero_strategy(grid, phi0=2.0), fund).safe_account(9.0)
         np.testing.assert_array_equal(acct.values, np.full(65, 9.0 - 2.0 * 100.0))
 
     def test_single_block_charge(self):
@@ -116,7 +115,7 @@ class TestSafeAccount:
         s, e, h, theta = 100.0, 0.03, 2.0, 1.4
         book, fund = book_and_fund(grid, h=h, eps=e)
         strat = Strategy(grid, constant_path(grid, 0.0), ((16, theta),))
-        acct = safe_account(book, strat, fund, x0=0.0)
+        acct = Evaluation(book, strat, fund).safe_account(0.0)
         charge = (s + e + theta / (2 * h)) * theta
         assert acct.values[16] - acct.values[15] == pytest.approx(-charge, abs=1e-12)
 
@@ -136,9 +135,10 @@ class TestSafeAccount:
             strat = random_strategy(grid, rng, n_blocks=int(rng.integers(0, 6)),
                                     phi0=float(rng.normal(0.0, 1.0)))
             x0 = float(rng.normal(0.0, 5.0))
-            w = ow_wealth(book, strat, fund, x0)
-            acct = safe_account(book, strat, fund, x0)
-            ref = reference_price(book, strat, fund)
+            evaluation = Evaluation(book, strat, fund)
+            w = evaluation.ow(x0)
+            acct = evaluation.safe_account(x0)
+            ref = evaluation.reference()
             _, post = position_paths(strat)
             recon = acct.values + post * ref.values.values
             scale = np.maximum(1.0, np.abs(w.x.values))
@@ -149,7 +149,7 @@ class TestAcWealth:
     def test_zero_strategy(self):
         grid = make_grid(1.0, 64)
         book, fund = book_and_fund(grid)
-        w = ac_wealth(book, zero_strategy(grid), fund, x0=3.0)
+        w = Evaluation(book, zero_strategy(grid), fund).ac(3.0)
         np.testing.assert_array_equal(w.x.values, np.full(65, 3.0))
 
     def test_blocks_rejected(self):
@@ -157,14 +157,14 @@ class TestAcWealth:
         book, fund = book_and_fund(grid)
         strat = Strategy(grid, constant_path(grid, 0.0), ((4, 1.0),))
         with pytest.raises(ValueError):
-            ac_wealth(book, strat, fund)
+            Evaluation(book, strat, fund).ac()
 
     def test_constant_rate_closed_form(self):
         grid = make_grid(1.0, 200)
         kappa, K, h, e, c = 32.0, 1.25, 2.0, 0.04, 0.9
         book = BookParams.build(grid, kappa, K=K, h=h, eps=e)
         fund = constant_path(grid, 100.0)
-        w = ac_wealth(book, rate_strategy(grid, c), fund)
+        w = Evaluation(book, rate_strategy(grid, c), fund).ac()
         expected = -e * c - c**2 / (kappa * K * h)
         assert w.x.values[-1] == pytest.approx(expected, abs=1e-14)
 
@@ -172,8 +172,8 @@ class TestAcWealth:
         grid = make_grid(1.0, 128)
         fund = constant_path(grid, 100.0)
         strat = rate_strategy(grid, lambda t: math.sin(2 * math.pi * t))
-        w1 = ac_wealth(BookParams.build(grid, 50.0, alpha=0.2), strat, fund)
-        w2 = ac_wealth(BookParams.build(grid, 100.0, alpha=0.2), strat, fund)
+        w1 = Evaluation(BookParams.build(grid, 50.0, alpha=0.2), strat, fund).ac()
+        w2 = Evaluation(BookParams.build(grid, 100.0, alpha=0.2), strat, fund).ac()
         np.testing.assert_allclose(w2.impact_cost.values, w1.impact_cost.values / 2.0,
                                    rtol=1e-13)
 
@@ -182,8 +182,8 @@ class TestAcWealth:
         grid = make_grid(1.0, 128)
         fund = constant_path(grid, 100.0)
         strat = rate_strategy(grid, lambda t: math.sin(2 * math.pi * t))
-        base = ac_wealth(BookParams.build(grid, 10.0, K=1.0, h=1.0), strat, fund)
-        scaled = ac_wealth(BookParams.build(grid, 20.0, K=1.5, h=2.0), strat, fund)
+        base = Evaluation(BookParams.build(grid, 10.0, K=1.0, h=1.0), strat, fund).ac()
+        scaled = Evaluation(BookParams.build(grid, 20.0, K=1.5, h=2.0), strat, fund).ac()
         factor = 10.0 / (20.0 * 1.5 * 2.0)
         np.testing.assert_allclose(scaled.impact_cost.values,
                                    base.impact_cost.values * factor, rtol=1e-13)
@@ -195,8 +195,9 @@ class TestAcWealth:
         fund = sample_ito(grid, lambda t, x: 0.1, lambda t, x: 0.2, 100.0,
                           RandomSource(5, 0))
         strat = rate_strategy(grid, lambda t: math.sin(2 * math.pi * t))
-        w_ow = ow_wealth(book, strat, fund)
-        w_ac = ac_wealth(book, strat, fund)
+        evaluation = Evaluation(book, strat, fund)
+        w_ow = evaluation.ow()
+        w_ac = evaluation.ac()
         np.testing.assert_array_equal(w_ow.gain.values, w_ac.gain.values)
         np.testing.assert_array_equal(w_ow.spread_cost.values, w_ac.spread_cost.values)
         np.testing.assert_array_equal(w_ow.permanent_shift.values,
@@ -208,7 +209,7 @@ class TestWealthCsv:
         grid = make_grid(1.0, 16)
         book, fund = book_and_fund(grid, alpha=0.1, eps=0.02)
         strat = Strategy(grid, constant_path(grid, 0.5), ((4, 1.0),))
-        w = ow_wealth(book, strat, fund, x0=1.0)
+        w = Evaluation(book, strat, fund).ow(1.0)
         f = tmp_path / "wealth.csv"
         w.write_csv(f)
         header = f.read_text().splitlines()[0]
