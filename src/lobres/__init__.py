@@ -15,8 +15,7 @@ from .errors import (ConfigError, ConfigParseError, ConfigValidationError,
 from .experiments import (ConvergenceReport, FundamentalSpec, KappaLadder,
                           LemmaJumpReport, RateFit, TrackerBoundReport,
                           UniformBounds, UtilityReport, fit_rate, ladder_grid,
-                          lemma_jump_experiment, l2_convergence_experiment,
-                          remark1_experiment, theorem1_experiment,
+                          lemma_jump_experiment, theorem1_experiment,
                           tracker_bound_experiment, utility_experiment)
 from .paths import (RandomSource, SampledPath, TimeGrid, as_path, constant_path,
                     function_path, make_grid, sample_brownian, sample_ito)
@@ -37,9 +36,9 @@ __all__ = [
     "TrackerSpec", "UniformBounds", "UtilityReport", "WealthPath", "ac_wealth",
     "as_path", "block_schedule", "constant_path", "diagnostics",
     "exponential_tracker", "fit_rate", "function_path", "ladder_grid",
-    "lemma_jump_experiment", "l2_convergence_experiment", "make_grid",
+    "lemma_jump_experiment", "make_grid",
     "optimal_tracker", "ow_wealth", "position_paths", "rate_strategy",
-    "read_strategy_csv", "remark1_experiment", "sample_brownian", "sample_ito",
+    "read_strategy_csv", "sample_brownian", "sample_ito",
     "smooth_blocks", "theorem1_experiment", "tracker_bound_experiment",
     "utility_experiment", "write_strategy_csv", "zero_strategy",
 ]

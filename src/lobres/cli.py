@@ -12,15 +12,15 @@ import logging
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_BUDGET, RunConfig, parse_config, validate_config
 from .errors import ConfigError
-from .experiments import (ConvergenceReport, RandomSource, ladder_grid,
-                          lemma_jump_experiment, l2_convergence_experiment,
-                          remark1_experiment, theorem1_experiment,
-                          tracker_bound_experiment, utility_experiment)
+from .experiments import (RandomSource, ladder_grid, lemma_jump_experiment,
+                          theorem1_experiment, tracker_bound_experiment,
+                          utility_experiment)
 from .paths import as_path, write_columns, write_csv
 from .strategies import (Strategy, TrackerSpec, block_schedule, exponential_tracker,
                          rate_strategy, write_strategy_csv, zero_strategy)
@@ -32,9 +32,27 @@ SCHEMA_VERSION = 1
 
 _CONVERGE_KINDS = ("theorem1", "remark1", "lemma-jump", "tracker-bound", "l2")
 
+
+class _GapKind(NamedTuple):
+    """How one gap kind runs and is gated.  Its rate grows like
+    kappa**rate_growth.  The gate named ``decreasing`` holds when
+    kappa**power * error falls strictly from rung ``int(rungs * first)`` on,
+    and ``slope_gate`` when the fitted log-log slope is at most ``slope``
+    (None: no slope gate)."""
+
+    rate_growth: float
+    decreasing: str
+    power: float
+    first: float
+    slope: float | None
+
+
 # Gate thresholds for the shipped experiment kinds.
-THEOREM1_SLOPE_GATE = -1.5
-REMARK1_SLOPE_GATE = -0.9
+_GAP_KINDS = {
+    "theorem1": _GapKind(0.0, "kappa_x_err_decreasing_upper_half", 1.0, 0.5, -1.5),
+    "remark1": _GapKind(0.25, "sqrt_kappa_x_err_decreasing", 0.5, 0.0, -0.9),
+    "l2": _GapKind(0.0, "kappa_x_err_decreasing_upper_half", 1.0, 0.5, None),
+}
 LEMMA_FRACTION_GATE = 0.95
 
 
@@ -63,17 +81,6 @@ def _build_strategy(config: RunConfig, grid, kappa: float | None) -> Strategy:
     return exponential_tracker(spec, sc.start)
 
 
-def _convergence_artifacts(report: ConvergenceReport, out: Path) -> list[str]:
-    write_csv(out / "convergence.csv",
-              ["kappa", "mean_err", "p95_err", "kappa_x_err", "slope_so_far"],
-              report.csv_rows())
-    return ["convergence.csv"]
-
-
-def _all_zero(report: ConvergenceReport) -> bool:
-    return len(report.zero_error_kappas) == len(report.kappas)
-
-
 def _run_simulate(config: RunConfig, out: Path) -> RunResult:
     kappa = config.book.kappa
     grid = ladder_grid(config.grid.horizon, config.grid.n0,
@@ -94,53 +101,26 @@ def _run_simulate(config: RunConfig, out: Path) -> RunResult:
     return RunResult({}, ["wealth.csv", "spreads.csv", "strategy.csv"], summary)
 
 
-def _run_theorem1(config: RunConfig, out: Path) -> RunResult:
+def _run_gap(config: RunConfig, out: Path) -> RunResult:
+    kind = _GAP_KINDS[config.kind]
+    sc = config.strategy
     report = theorem1_experiment(
-        config.book.template(), _rate_input(config), config.fundamental.spec(),
-        config.ladder.ladder(), horizon=config.grid.horizon, n0=config.grid.n0,
+        config.book.template(), 0.0 if sc.type == "zero" else sc.rate.value(),
+        config.fundamental.spec(), config.ladder.ladder(), rate_growth=kind.rate_growth,
+        bounds=None if config.bounds is None else config.bounds.bounds(),
+        horizon=config.grid.horizon, n0=config.grid.n0,
         resolution_scale=config.grid.resolution_scale)
-    gates = {
-        "kappa_x_err_decreasing_upper_half": _all_zero(report)
-                                             or report.decreasing_on_upper_half(),
-        "slope_gate": report.slope is None or report.slope <= THEOREM1_SLOPE_GATE,
-    }
+    write_csv(out / "convergence.csv",
+              ["kappa", "mean_err", "p95_err", "kappa_x_err", "slope_so_far"],
+              report.csv_rows())
+    scaled = report.kappas**kind.power * report.mean_err
+    scaled = scaled[int(len(scaled) * kind.first):]
+    all_zero = len(report.zero_error_kappas) == len(report.kappas)
+    gates = {kind.decreasing: all_zero or bool(np.all(np.diff(scaled) < 0))}
+    if kind.slope is not None:
+        gates["slope_gate"] = report.slope is None or report.slope <= kind.slope
     summary = {"slope": None if report.slope is None else repr(report.slope)}
-    return RunResult(gates, _convergence_artifacts(report, out), summary)
-
-
-def _run_remark1(config: RunConfig, out: Path) -> RunResult:
-    report = remark1_experiment(
-        config.book.template(), _rate_input(config), config.fundamental.spec(),
-        config.ladder.ladder(), horizon=config.grid.horizon, n0=config.grid.n0,
-        resolution_scale=config.grid.resolution_scale)
-    scaled = report.sqrt_kappa_x_err
-    gates = {
-        "sqrt_kappa_x_err_decreasing": _all_zero(report)
-                                       or bool(np.all(np.diff(scaled) < 0)),
-        "slope_gate": report.slope is None or report.slope <= REMARK1_SLOPE_GATE,
-    }
-    summary = {"slope": None if report.slope is None else repr(report.slope)}
-    return RunResult(gates, _convergence_artifacts(report, out), summary)
-
-
-def _run_l2(config: RunConfig, out: Path) -> RunResult:
-    bounds = config.bounds.bounds() if config.bounds is not None else None
-    report = l2_convergence_experiment(
-        config.book.template(), _rate_input(config), config.fundamental.spec(),
-        config.ladder.ladder(), bounds=bounds, horizon=config.grid.horizon,
-        n0=config.grid.n0, resolution_scale=config.grid.resolution_scale)
-    gates = {
-        "kappa_x_err_decreasing_upper_half": _all_zero(report)
-                                             or report.decreasing_on_upper_half(),
-    }
-    summary = {"slope": None if report.slope is None else repr(report.slope)}
-    return RunResult(gates, _convergence_artifacts(report, out), summary)
-
-
-def _rate_input(config: RunConfig):
-    if config.strategy.type == "zero":
-        return 0.0
-    return config.strategy.rate.value()
+    return RunResult(gates, ["convergence.csv"], summary)
 
 
 def _run_lemma(config: RunConfig, out: Path) -> RunResult:
@@ -210,9 +190,7 @@ def _run_utility(config: RunConfig, out: Path) -> RunResult:
 
 _RUNNERS = {
     "simulate": _run_simulate,
-    "theorem1": _run_theorem1,
-    "remark1": _run_remark1,
-    "l2": _run_l2,
+    **dict.fromkeys(_GAP_KINDS, _run_gap),
     "lemma-jump": _run_lemma,
     "tracker-bound": _run_tracker_bound,
     "utility": _run_utility,

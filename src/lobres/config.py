@@ -400,6 +400,7 @@ class _Kind(NamedTuple):
 
 _LADDER_KIND = {"book": False, "fundamental": False, "strategy": True, "ladder": False}
 _GAP = "the {} gap does not depend on the price path"
+_GAP_KINDS = ("theorem1", "remark1", "l2")
 KINDS = {
     "simulate": _Kind({"book": True, "fundamental": False, "strategy": True},
                       ("zero", "rate", "blocks", "tracker"),
@@ -492,7 +493,10 @@ def parse_config(text: str) -> RunConfig:
     sections = {name: _parse(_SECTIONS[name], obj, name, kind, grid.horizon)
                 for name, obj in raw_sections.items()}
     config = RunConfig(kind, grid, mc, output_dir, x0, **sections)
-    _extent(config)  # refuses a grid too fine for a float step count
+    rungs, _ = _extent(config)  # refuses a grid too fine for a float step count
+    if kind in _GAP_KINDS and rungs < 3:
+        raise ConfigValidationError(f"ladder must have at least 3 rungs for kind '{kind}' "
+                                    f"(a rate fit needs 3 points), got {rungs}")
     return config
 
 

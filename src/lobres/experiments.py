@@ -13,12 +13,13 @@ the drift-only price path and add the position-weighted noise per path,
 which reproduces per-path engine evaluation exactly for additive
 fundamentals with time-only coefficients.
 
-The gap experiments (theorem1, remark1, l2) need no noise at all.  Both
-engines book the same gain, the same baseline-spread cost and, for the
-block-free strategies they admit, no block cost, so X_ow - X_ac is the
-difference of their impact costs.  Those depend only on the book and the
-strategy, so the gap is the same on every price path and is computed once
-per kappa on the drift-only path.
+The gap kinds (theorem1, remark1, l2) all run ``theorem1_experiment``:
+remark1 passes ``rate_growth=0.25`` and l2 passes its declared ``bounds``.
+They need no noise at all.  Both engines book the same gain, the same
+baseline-spread cost and, for the block-free strategies they admit, no block
+cost, so X_ow - X_ac is the difference of their impact costs.  Those depend
+only on the book and the strategy, so the gap is the same on every price
+path and is computed once per kappa on the drift-only path.
 """
 
 from __future__ import annotations
@@ -181,17 +182,11 @@ class ConvergenceReport:
     kappas: np.ndarray
     mean_err: np.ndarray
     slope: float | None = None
-    intercept: float | None = None
-    residual: float | None = None
     zero_error_kappas: tuple[float, ...] = ()
 
     @property
     def kappa_x_err(self) -> np.ndarray:
         return self.kappas * self.mean_err
-
-    @property
-    def sqrt_kappa_x_err(self) -> np.ndarray:
-        return np.sqrt(self.kappas) * self.mean_err
 
     def csv_rows(self) -> list[list[str]]:
         """Rows of ``kappa, mean_err, p95_err, kappa_x_err, slope_so_far``."""
@@ -207,12 +202,6 @@ class ConvergenceReport:
                          repr(float(self.kappa_x_err[j])), so_far])
         return rows
 
-    def decreasing_on_upper_half(self) -> bool:
-        vals = self.kappa_x_err
-        start = len(vals) // 2
-        upper = vals[start:]
-        return bool(np.all(np.diff(upper) < 0))
-
 
 def _coerce_rate_strategy(grid: TimeGrid, rate) -> Strategy:
     if isinstance(rate, Strategy):
@@ -224,14 +213,31 @@ def _coerce_rate_strategy(grid: TimeGrid, rate) -> Strategy:
     return rate_strategy(grid, rate)
 
 
-def _run_gap_ladder(template: BookTemplate, strategy_for_kappa, fundamental: FundamentalSpec,
-                    ladder: KappaLadder, grid: TimeGrid) -> ConvergenceReport:
+def theorem1_experiment(template: BookTemplate, rate, fundamental: FundamentalSpec,
+                        ladder: KappaLadder, *, rate_growth: float = 0.0,
+                        bounds: UniformBounds | None = None, horizon: float = 1.0,
+                        n0: int = 512, resolution_scale: float = 4.0) -> ConvergenceReport:
+    """Gap e(kappa) = sup_t |X_ow - X_ac| between structural and reduced-form
+    wealth for the rate kappa**rate_growth * ``rate``, at every ladder rung.
+
+    The gap is the same on every price path, so it is also its L2 norm over
+    paths.  Theorem 1 (``rate_growth=0``): kappa * e(kappa) vanishes, one order
+    faster for smooth rates.  Remark 1 (``rate_growth=0.25``): sqrt(kappa) *
+    e(kappa) still vanishes.  The L2 mode first checks the declared ``bounds``
+    against the first rung's book and the base rate.
+    """
+    grid = ladder_grid(horizon, n0, resolution_scale, ladder.max)
+    base = _coerce_rate_strategy(grid, rate)
+    if bounds is not None:
+        bounds.check(template.materialize(grid, ladder.values[0]), base)
     fundamental.sigma_steps(grid)  # rejects negative volatility; the gap ignores it
     mean_fund = fundamental.mean_path(grid)
     errs = []
     for kappa in ladder:
         book = template.materialize(grid, kappa)
-        strat = strategy_for_kappa(kappa, grid)
+        # kappa**0.0 is 1.0, so a fixed rate passes through bit for bit
+        strat = Strategy(grid, SampledPath(grid, kappa**rate_growth * base.rate.values),
+                         (), base.phi0)
         gap = (ac_wealth(book, strat, mean_fund).impact_cost.values
                - ow_wealth(book, strat, mean_fund).impact_cost.values)
         errs.append(float(np.max(np.abs(gap))))
@@ -239,40 +245,10 @@ def _run_gap_ladder(template: BookTemplate, strategy_for_kappa, fundamental: Fun
     zeros = tuple(float(k) for k, e in zip(kappas, errs) if e <= 0)
     report = ConvergenceReport(kappas, np.asarray(errs), zero_error_kappas=zeros)
     try:
-        fit = fit_rate(list(zip(kappas, errs)))
-        report.slope, report.intercept, report.residual = fit.slope, fit.intercept, fit.residual
+        report.slope = fit_rate(list(zip(kappas, errs))).slope
     except InsufficientData:
         pass
     return report
-
-
-def theorem1_experiment(template: BookTemplate, rate, fundamental: FundamentalSpec,
-                        ladder: KappaLadder, *, horizon: float = 1.0, n0: int = 512,
-                        resolution_scale: float = 4.0) -> ConvergenceReport:
-    """Gap between structural and reduced-form wealth for a fixed smooth rate.
-
-    Reports e(kappa) = sup_t |X_ow - X_ac|, the same on every price path; the
-    limit theorem makes kappa * e(kappa) vanish, and smooth rates decay one
-    order faster.
-    """
-    grid = ladder_grid(horizon, n0, resolution_scale, ladder.max)
-    strat = _coerce_rate_strategy(grid, rate)
-    return _run_gap_ladder(template, lambda k, g: strat, fundamental, ladder, grid)
-
-
-def remark1_experiment(template: BookTemplate, base_rate, fundamental: FundamentalSpec,
-                       ladder: KappaLadder, *, horizon: float = 1.0, n0: int = 512,
-                       resolution_scale: float = 4.0) -> ConvergenceReport:
-    """Same gap for strategies whose rate grows like kappa^(1/4) * base_rate;
-    the scaled error sqrt(kappa) * e(kappa) still vanishes."""
-    grid = ladder_grid(horizon, n0, resolution_scale, ladder.max)
-    base = _coerce_rate_strategy(grid, base_rate)
-
-    def scaled(kappa: float, g: TimeGrid) -> Strategy:
-        return Strategy(g, SampledPath(g, kappa**0.25 * base.rate.values),
-                        (), base.phi0)
-
-    return _run_gap_ladder(template, scaled, fundamental, ladder, grid)
 
 
 @dataclass
@@ -298,22 +274,6 @@ class UniformBounds:
         ]
         if any(np.any(np.abs(c) > self.coefficient_bound) for c in coeffs):
             raise ValueError("book coefficient exceeds its declared uniform bound")
-
-
-def l2_convergence_experiment(template: BookTemplate, rate, fundamental: FundamentalSpec,
-                              ladder: KappaLadder, *, bounds: UniformBounds | None = None,
-                              horizon: float = 1.0, n0: int = 512,
-                              resolution_scale: float = 4.0) -> ConvergenceReport:
-    """Theorem-1 ladder for configurations with uniformly bounded coefficients.
-
-    The gap is path-free, so its L2 norm sqrt(E[sup_t |X_ow - X_ac|^2]) is the
-    theorem-1 error; this experiment adds the check of the declared bounds.
-    """
-    grid = ladder_grid(horizon, n0, resolution_scale, ladder.max)
-    strat = _coerce_rate_strategy(grid, rate)
-    if bounds is not None:
-        bounds.check(template.materialize(grid, ladder.values[0]), strat)
-    return _run_gap_ladder(template, lambda k, g: strat, fundamental, ladder, grid)
 
 
 @dataclass

@@ -152,16 +152,12 @@ def smooth_blocks(strategy: Strategy, kappa: float, width_scale: float = 1.0) ->
 class TrackerSpec:
     """Target position, tracking-rate scale M (> 0), and resilience scale.
 
-    The tracker relaxes toward the target at speed sqrt(kappa) * M_t.  The
-    optional drift/vol paths declare the target's Ito coefficients; the
-    bound experiments check them against their stated bounds.
+    The tracker relaxes toward the target at speed sqrt(kappa) * M_t.
     """
 
     target: SampledPath
     rate_scale: SampledPath
     kappa: float
-    target_drift: SampledPath | None = None
-    target_vol: SampledPath | None = None
 
     def __post_init__(self) -> None:
         if self.rate_scale.grid != self.target.grid:

@@ -14,7 +14,7 @@ import pytest
 from lobres import (BookParams, BookTemplate, Evaluation, FundamentalSpec, KappaLadder,
                     RandomSource, Strategy, constant_path, ladder_grid,
                     lemma_jump_experiment, make_grid, position_paths, rate_strategy,
-                    sample_ito, theorem1_experiment, remark1_experiment,
+                    sample_ito, theorem1_experiment,
                     tracker_bound_experiment, utility_experiment)
 from lobres.cli import main
 from lobres.strategies import block_schedule
@@ -103,11 +103,11 @@ def test_criterion_3_theorem1_gate():
 
 def test_criterion_4_remark1_gate():
     budget = _Budget(30.0)
-    report = remark1_experiment(
+    report = theorem1_experiment(
         BookTemplate(K=1.0, h=1.0, alpha=0.25, eps=0.01),
         lambda t: np.cos(2.0 * np.pi * t),
-        FundamentalSpec(s0=100.0, mu=0.0, sigma=0.0), LADDER)
-    scaled = report.sqrt_kappa_x_err
+        FundamentalSpec(s0=100.0, mu=0.0, sigma=0.0), LADDER, rate_growth=0.25)
+    scaled = np.sqrt(report.kappas) * report.mean_err
     assert np.all(np.diff(scaled) < 0), f"sqrt(kappa)*e not decreasing: {scaled}"
     assert report.slope <= -0.9, f"slope {report.slope}"
     _report(4, f"sqrt(kappa)*e decreasing, slope {report.slope:.2f} <= -0.9",

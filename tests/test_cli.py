@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lobres import make_grid
+from lobres import (BookTemplate, FundamentalSpec, KappaLadder, UniformBounds, make_grid,
+                    theorem1_experiment)
 from lobres.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,6 +149,13 @@ class TestSimulate:
         assert scans == [16.0]
 
 
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(blocks[0], {})
+    assert float(capsys.readouterr().out.split()[0]) <= -1.5
+
+
 def test_every_exported_name_resolves():
     import lobres
 
@@ -212,6 +222,52 @@ class TestConvergeCommand:
         assert len(rows) == 6
         summary = json.loads((out / "summary.json").read_text())
         assert summary["gates"]["slope_gate"] is True
+
+    @pytest.mark.parametrize("kind, rate_growth, bounds, gates", [
+        ("theorem1", 0.0, None, {"kappa_x_err_decreasing_upper_half", "slope_gate"}),
+        ("remark1", 0.25, None, {"sqrt_kappa_x_err_decreasing", "slope_gate"}),
+        ("l2", 0.0, {"rate": 1.5, "coefficient": 2.0, "resilience_floor": 0.5},
+         {"kappa_x_err_decreasing_upper_half"}),
+    ])
+    def test_gap_kind_gates_and_convergence_csv(self, tmp_path, kind, rate_growth, bounds,
+                                                gates):
+        payload = {
+            "kind": kind,
+            "grid": {"n0": 128},
+            "book": {"alpha": 0.25, "eps": 0.01},
+            "fundamental": {"sigma": 0.2},
+            "strategy": {"type": "rate", "rate": {"fn": "cos"}},
+            "ladder": {"start": 16.0, "factor": 2.0, "count": 5},
+        }
+        if bounds is not None:
+            payload["bounds"] = bounds
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "artifacts"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["gates"]) == gates
+
+        report = theorem1_experiment(
+            BookTemplate(alpha=0.25, eps=0.01), lambda t: math.cos(2 * math.pi * t),
+            FundamentalSpec(sigma=0.2), KappaLadder.geometric(16.0, 2.0, 5),
+            rate_growth=rate_growth,
+            bounds=None if bounds is None else UniformBounds(*bounds.values()), n0=128)
+        with open(out / "convergence.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == report.csv_rows()
+        assert summary["report"]["slope"] == repr(report.slope)
+
+    @pytest.mark.parametrize("kind, ladder", [
+        ("theorem1", {"values": [4096.0, 4097.0]}),
+        ("remark1", {"values": [64.0]}),
+        ("l2", {"count": 2}),
+    ])
+    def test_gap_kind_with_fewer_than_3_rungs_refused(self, tmp_path, capsys, kind, ladder):
+        cfg = write_config(tmp_path, {"kind": kind, "strategy": {"type": "rate", "rate": 1.0},
+                                      "ladder": ladder})
+        out = tmp_path / "artifacts"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "at least 3 rungs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gate_failure_exits_nonzero_with_artifacts(self, tmp_path):
         # a book whose resilience shape K grows with t fast enough still

@@ -260,6 +260,8 @@ ERROR_ROWS = [
      "ladder.values must be a nonempty list"),
     (_with(THEOREM1, ladder={"values": [16.0, 8.0]}), ConfigValidationError,
      "ladder.values must be positive and strictly increasing"),
+    (_with(THEOREM1, ladder={"values": [4096.0, 4097.0]}), ConfigValidationError,
+     "ladder must have at least 3 rungs for kind 'theorem1' (a rate fit needs 3 points), got 2"),
     (_with(THEOREM1, ladder={"start": 0}), ConfigValidationError,
      "ladder.start must be positive"),
     (_with(THEOREM1, ladder={"factor": 1}), ConfigValidationError,

@@ -12,14 +12,15 @@ from helpers import (reference_increments, reference_lemma_jump_experiment,
                      reference_tracker_bound_experiment, reference_utility_experiment)
 from lobres import (BookTemplate, FundamentalSpec, InsufficientData, KappaLadder,
                     RandomSource, UniformBounds, ac_wealth, fit_rate, ladder_grid,
-                    lemma_jump_experiment, l2_convergence_experiment, make_grid,
-                    ow_wealth, rate_strategy, remark1_experiment, theorem1_experiment,
-                    tracker_bound_experiment, utility_experiment)
+                    lemma_jump_experiment, make_grid, ow_wealth, rate_strategy,
+                    theorem1_experiment, tracker_bound_experiment, utility_experiment)
 from lobres.experiments import brownian_increments
 from lobres.strategies import block_schedule, smooth_blocks
 
 
 SMALL_LADDER = KappaLadder.geometric(16.0, 2.0, 5)
+# the bounds of the shipped l2 config
+L2_BOUNDS = UniformBounds(rate_bound=1.5, coefficient_bound=2.0, resilience_floor=0.5)
 
 
 def _ce_one_sample(x, gamma):
@@ -121,15 +122,15 @@ class TestTheorem1:
 
 class TestRemark1:
     def test_zero_base_rate(self):
-        report = remark1_experiment(BookTemplate(), 0.0, FundamentalSpec(),
-                                    SMALL_LADDER)
+        report = theorem1_experiment(BookTemplate(), 0.0, FundamentalSpec(),
+                                     SMALL_LADDER, rate_growth=0.25)
         np.testing.assert_array_equal(report.mean_err, np.zeros(5))
 
     def test_scaled_errors_decrease(self):
-        report = remark1_experiment(
+        report = theorem1_experiment(
             BookTemplate(alpha=0.25, eps=0.01), lambda t: math.cos(2 * math.pi * t),
-            FundamentalSpec(sigma=0.0), SMALL_LADDER)
-        assert np.all(np.diff(report.sqrt_kappa_x_err) < 0)
+            FundamentalSpec(sigma=0.0), SMALL_LADDER, rate_growth=0.25)
+        assert np.all(np.diff(np.sqrt(report.kappas) * report.mean_err) < 0)
         assert report.slope <= -0.9
 
 
@@ -240,16 +241,17 @@ class TestTrackerBound:
 
 class TestL2:
     def test_zero_strategy(self):
-        report = l2_convergence_experiment(BookTemplate(), 0.0, FundamentalSpec(),
-                                           SMALL_LADDER)
+        report = theorem1_experiment(BookTemplate(), 0.0, FundamentalSpec(),
+                                     SMALL_LADDER, bounds=L2_BOUNDS)
         np.testing.assert_array_equal(report.mean_err, np.zeros(5))
 
     def test_l2_at_least_l1(self):
-        # the gap is path-free, so its L2 norm over paths is the theorem-1 error
+        # the gap is path-free, so its L2 norm over paths is the theorem-1
+        # error; declared bounds that hold leave it unchanged
         template = BookTemplate(alpha=0.25, eps=0.01)
         rate = lambda t: math.sin(2 * math.pi * t)
         spec = FundamentalSpec(sigma=0.2)
-        l2 = l2_convergence_experiment(template, rate, spec, SMALL_LADDER)
+        l2 = theorem1_experiment(template, rate, spec, SMALL_LADDER, bounds=L2_BOUNDS)
         l1 = theorem1_experiment(template, rate, spec, SMALL_LADDER)
         np.testing.assert_array_equal(l2.mean_err, l1.mean_err)
         assert np.all(np.diff(l2.kappa_x_err) < 0)
@@ -258,8 +260,8 @@ class TestL2:
         bounds = UniformBounds(rate_bound=0.5, coefficient_bound=2.0,
                                resilience_floor=0.5)
         with pytest.raises(ValueError):
-            l2_convergence_experiment(BookTemplate(), 1.0, FundamentalSpec(),
-                                      SMALL_LADDER, bounds=bounds)
+            theorem1_experiment(BookTemplate(), 1.0, FundamentalSpec(),
+                                SMALL_LADDER, bounds=bounds)
 
 
 class TestUtility:
