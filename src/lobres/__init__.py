@@ -13,16 +13,16 @@ from .book import BookParams, BookTemplate, ReferencePricePath, SpreadPaths
 from .errors import (ConfigError, ConfigParseError, ConfigValidationError,
                      InsufficientData, NumericFailure)
 from .experiments import (ConvergenceReport, FundamentalSpec, KappaLadder,
-                          LemmaJumpReport, RateFit, TrackerBoundReport,
-                          UniformBounds, UtilityReport, fit_rate, ladder_grid,
-                          lemma_jump_experiment, theorem1_experiment,
-                          tracker_bound_experiment, utility_experiment)
+                          LemmaJumpReport, TrackerBoundReport, UniformBounds,
+                          UtilityReport, fit_rate, ladder_grid, lemma_jump_experiment,
+                          theorem1_experiment, tracker_bound_experiment,
+                          utility_experiment)
 from .paths import (RandomSource, SampledPath, TimeGrid, as_path, constant_path,
-                    function_path, make_grid, sample_brownian, sample_ito)
-from .strategies import (Strategy, StrategyDiagnostics, TrackerSpec, block_schedule,
-                         diagnostics, exponential_tracker, optimal_tracker,
-                         position_paths, rate_strategy, read_strategy_csv,
-                         smooth_blocks, write_strategy_csv, zero_strategy)
+                    function_path, make_grid)
+from .strategies import (Strategy, TrackerSpec, block_schedule, exponential_tracker,
+                         optimal_tracker, position_paths, rate_strategy,
+                         read_strategy_csv, smooth_blocks, write_strategy_csv,
+                         zero_strategy)
 from .wealth import Evaluation, WealthPath, ac_wealth, ow_wealth
 
 __version__ = "0.1.0"
@@ -31,14 +31,12 @@ __all__ = [
     "BookParams", "BookTemplate", "ConfigError", "ConfigParseError",
     "ConfigValidationError", "ConvergenceReport", "Evaluation", "FundamentalSpec",
     "InsufficientData", "KappaLadder", "LemmaJumpReport", "NumericFailure",
-    "RandomSource", "RateFit", "ReferencePricePath", "SampledPath", "SpreadPaths",
-    "Strategy", "StrategyDiagnostics", "TimeGrid", "TrackerBoundReport",
-    "TrackerSpec", "UniformBounds", "UtilityReport", "WealthPath", "ac_wealth",
-    "as_path", "block_schedule", "constant_path", "diagnostics",
+    "RandomSource", "ReferencePricePath", "SampledPath", "SpreadPaths", "Strategy",
+    "TimeGrid", "TrackerBoundReport", "TrackerSpec", "UniformBounds", "UtilityReport",
+    "WealthPath", "ac_wealth", "as_path", "block_schedule", "constant_path",
     "exponential_tracker", "fit_rate", "function_path", "ladder_grid",
-    "lemma_jump_experiment", "make_grid",
-    "optimal_tracker", "ow_wealth", "position_paths", "rate_strategy",
-    "read_strategy_csv", "sample_brownian", "sample_ito",
-    "smooth_blocks", "theorem1_experiment", "tracker_bound_experiment",
-    "utility_experiment", "write_strategy_csv", "zero_strategy",
+    "lemma_jump_experiment", "make_grid", "optimal_tracker", "ow_wealth",
+    "position_paths", "rate_strategy", "read_strategy_csv", "smooth_blocks",
+    "theorem1_experiment", "tracker_bound_experiment", "utility_experiment",
+    "write_strategy_csv", "zero_strategy",
 ]

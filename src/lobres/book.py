@@ -107,21 +107,17 @@ class BookTemplate:
 
 @dataclass
 class SpreadPaths:
-    """Bid/ask spreads for a strategy, with pre-jump values and step integrals.
+    """Bid/ask spreads for a strategy, with pre-jump values.
 
     ``ask``/``bid`` hold the right-continuous (post-jump) spread at each grid
     point; ``ask_pre``/``bid_pre`` the left limits (they differ only at block
-    instants).  ``ask_excess_int[i]`` is the exact integral of the ask excess
-    spread over step i for the frozen-coefficient dynamics; the wealth
-    engines use it to charge execution costs.
+    instants).
     """
 
     ask: SampledPath
     bid: SampledPath
     ask_pre: np.ndarray
     bid_pre: np.ndarray
-    ask_excess_int: np.ndarray
-    bid_excess_int: np.ndarray
 
 
 @dataclass

@@ -106,7 +106,7 @@ def _run_gap(config: RunConfig, out: Path) -> RunResult:
     sc = config.strategy
     report = theorem1_experiment(
         config.book.template(), 0.0 if sc.type == "zero" else sc.rate.value(),
-        config.fundamental.spec(), config.ladder.ladder(), rate_growth=kind.rate_growth,
+        config.ladder.ladder(), rate_growth=kind.rate_growth,
         bounds=None if config.bounds is None else config.bounds.bounds(),
         horizon=config.grid.horizon, n0=config.grid.n0,
         resolution_scale=config.grid.resolution_scale)
@@ -115,8 +115,7 @@ def _run_gap(config: RunConfig, out: Path) -> RunResult:
               report.csv_rows())
     scaled = report.kappas**kind.power * report.mean_err
     scaled = scaled[int(len(scaled) * kind.first):]
-    all_zero = len(report.zero_error_kappas) == len(report.kappas)
-    gates = {kind.decreasing: all_zero or bool(np.all(np.diff(scaled) < 0))}
+    gates = {kind.decreasing: not np.any(report.mean_err) or bool(np.all(np.diff(scaled) < 0))}
     if kind.slope is not None:
         gates["slope_gate"] = report.slope is None or report.slope <= kind.slope
     summary = {"slope": None if report.slope is None else repr(report.slope)}

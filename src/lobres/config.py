@@ -549,6 +549,9 @@ def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
     warnings = []
     if spec.one_path and config.mc.paths > 1:
         warnings.append(f"mc.paths = {config.mc.paths} has no effect: {spec.one_path}")
+    if config.kind in _GAP_KINDS and config.strategy.phi0 != 0:
+        warnings.append(f"strategy.phi0 = {config.strategy.phi0!r} has no effect: the "
+                        f"{config.kind} gap does not depend on the initial position")
     if cost_proxy > budget:
         warnings.append(
             f"estimated cost {cost_proxy:.3g} (steps x paths x cells) exceeds "

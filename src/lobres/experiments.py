@@ -15,11 +15,11 @@ fundamentals with time-only coefficients.
 
 The gap kinds (theorem1, remark1, l2) all run ``theorem1_experiment``:
 remark1 passes ``rate_growth=0.25`` and l2 passes its declared ``bounds``.
-They need no noise at all.  Both engines book the same gain, the same
-baseline-spread cost and, for the block-free strategies they admit, no block
-cost, so X_ow - X_ac is the difference of their impact costs.  Those depend
-only on the book and the strategy, so the gap is the same on every price
-path and is computed once per kappa on the drift-only path.
+They take no price model and draw no noise.  Both engines book the same gain,
+the same baseline-spread cost and, for the block-free strategies they admit,
+no block cost, so X_ow - X_ac is the difference of their impact costs.  Those
+depend only on the book and the trading rate, not on the price path or the
+initial position, so the gap is computed once per kappa on a flat price path.
 """
 
 from __future__ import annotations
@@ -147,15 +147,8 @@ def ladder_grid(horizon: float, n0: int, resolution_scale: float,
     return make_grid(horizon, steps)
 
 
-@dataclass(frozen=True)
-class RateFit:
-    slope: float
-    intercept: float
-    residual: float
-
-
-def fit_rate(points: Sequence[tuple[float, float]]) -> RateFit:
-    """Least-squares fit of log(error) against log(kappa).
+def fit_rate(points: Sequence[tuple[float, float]]) -> float:
+    """Slope of the least-squares fit of log(error) against log(kappa).
 
     Nonpositive errors are excluded (they carry no rate information); fewer
     than three usable points raise :class:`InsufficientData`.
@@ -166,9 +159,7 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> RateFit:
             f"rate fit needs at least 3 positive error points, got {len(usable)}")
     lk = np.log([k for k, _ in usable])
     le = np.log([e for _, e in usable])
-    slope, intercept = np.polyfit(lk, le, 1)
-    resid = le - (slope * lk + intercept)
-    return RateFit(float(slope), float(intercept), float(np.sqrt(np.mean(resid**2))))
+    return float(np.polyfit(lk, le, 1)[0])
 
 
 @dataclass
@@ -182,7 +173,6 @@ class ConvergenceReport:
     kappas: np.ndarray
     mean_err: np.ndarray
     slope: float | None = None
-    zero_error_kappas: tuple[float, ...] = ()
 
     @property
     def kappa_x_err(self) -> np.ndarray:
@@ -194,7 +184,7 @@ class ConvergenceReport:
         for j in range(len(self.kappas)):
             pts = list(zip(self.kappas[: j + 1], self.mean_err[: j + 1]))
             try:
-                so_far = repr(fit_rate(pts).slope)
+                so_far = repr(fit_rate(pts))
             except InsufficientData:
                 so_far = ""
             err = repr(float(self.mean_err[j]))
@@ -203,22 +193,13 @@ class ConvergenceReport:
         return rows
 
 
-def _coerce_rate_strategy(grid: TimeGrid, rate) -> Strategy:
-    if isinstance(rate, Strategy):
-        if rate.has_blocks:
-            raise ValueError("limit-theorem experiments require block-free strategies")
-        if rate.grid != grid:
-            raise ValueError("strategy lives on a different grid")
-        return rate
-    return rate_strategy(grid, rate)
-
-
-def theorem1_experiment(template: BookTemplate, rate, fundamental: FundamentalSpec,
-                        ladder: KappaLadder, *, rate_growth: float = 0.0,
+def theorem1_experiment(template: BookTemplate, rate, ladder: KappaLadder, *,
+                        rate_growth: float = 0.0,
                         bounds: UniformBounds | None = None, horizon: float = 1.0,
                         n0: int = 512, resolution_scale: float = 4.0) -> ConvergenceReport:
     """Gap e(kappa) = sup_t |X_ow - X_ac| between structural and reduced-form
-    wealth for the rate kappa**rate_growth * ``rate``, at every ladder rung.
+    wealth for the rate kappa**rate_growth * ``rate`` (a constant, a function
+    of time or a sampled path), at every ladder rung.
 
     The gap is the same on every price path, so it is also its L2 norm over
     paths.  Theorem 1 (``rate_growth=0``): kappa * e(kappa) vanishes, one order
@@ -227,25 +208,22 @@ def theorem1_experiment(template: BookTemplate, rate, fundamental: FundamentalSp
     against the first rung's book and the base rate.
     """
     grid = ladder_grid(horizon, n0, resolution_scale, ladder.max)
-    base = _coerce_rate_strategy(grid, rate)
+    base = rate_strategy(grid, rate)
     if bounds is not None:
         bounds.check(template.materialize(grid, ladder.values[0]), base)
-    fundamental.sigma_steps(grid)  # rejects negative volatility; the gap ignores it
-    mean_fund = fundamental.mean_path(grid)
+    price = constant_path(grid, 0.0)
     errs = []
     for kappa in ladder:
         book = template.materialize(grid, kappa)
         # kappa**0.0 is 1.0, so a fixed rate passes through bit for bit
-        strat = Strategy(grid, SampledPath(grid, kappa**rate_growth * base.rate.values),
-                         (), base.phi0)
-        gap = (ac_wealth(book, strat, mean_fund).impact_cost.values
-               - ow_wealth(book, strat, mean_fund).impact_cost.values)
+        strat = Strategy(grid, SampledPath(grid, kappa**rate_growth * base.rate.values))
+        gap = (ac_wealth(book, strat, price).impact_cost.values
+               - ow_wealth(book, strat, price).impact_cost.values)
         errs.append(float(np.max(np.abs(gap))))
     kappas = np.asarray(ladder.values)
-    zeros = tuple(float(k) for k, e in zip(kappas, errs) if e <= 0)
-    report = ConvergenceReport(kappas, np.asarray(errs), zero_error_kappas=zeros)
+    report = ConvergenceReport(kappas, np.asarray(errs))
     try:
-        report.slope = fit_rate(list(zip(kappas, errs))).slope
+        report.slope = fit_rate(list(zip(kappas, errs)))
     except InsufficientData:
         pass
     return report
@@ -292,8 +270,8 @@ class LemmaJumpReport:
 
 def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
                           fundamental: FundamentalSpec, ladder: KappaLadder, *,
-                          width_scale: float = 1.0, paths: int = 1, seed: int = 42,
-                          x0: float = 0.0) -> LemmaJumpReport:
+                          width_scale: float = 1.0, paths: int = 1,
+                          seed: int = 42) -> LemmaJumpReport:
     """Pathwise terminal difference D(kappa) between each block strategy and
     its linearly smoothed version, under common noise.
 
@@ -313,8 +291,8 @@ def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
     for j, kappa in enumerate(ladder):
         book = template.materialize(grid, kappa)
         smoothed = smooth_blocks(block_strategy, kappa, width_scale)
-        x_sm, w_sm = Evaluation(book, smoothed, mean_fund).terminal(x0)
-        x_bl, w_bl = Evaluation(book, block_strategy, mean_fund).terminal(x0)
+        x_sm, w_sm = Evaluation(book, smoothed, mean_fund).terminal()
+        x_bl, w_bl = Evaluation(book, block_strategy, mean_fund).terminal()
         diffs[j] = x_sm - x_bl
         weights.append(sigma * (w_sm - w_bl))
     if np.any(sigma > 0):
@@ -359,6 +337,9 @@ def tracker_bound_experiment(ladder: KappaLadder, *, target_drift=0.0, target_vo
     ``rate_floor``; the estimate must stay below 5 * C^2 * T / M_floor
     (within three Monte-Carlo standard errors) uniformly in kappa.
     """
+    if paths < 2:
+        raise ValueError(f"tracker-bound needs at least 2 paths for its standard "
+                         f"errors (mc.paths), got {paths}")
     grid = ladder_grid(horizon, n0, resolution_scale, ladder.max)
     mu = as_path(grid, target_drift).values
     sig = as_path(grid, target_vol).values
@@ -449,10 +430,7 @@ class UtilityReport:
         return rows
 
 
-# Resamples per chunk of the certainty equivalents: about 2**16 float64 values
-# (512 KiB), gathered into one buffer reused for every chunk.  Chunks of this
-# size allocated afresh let glibc trim the heap and page-fault it back on
-# every chunk, which ran 2-3x slower than one resample at a time.
+# Bootstrap resamples gathered at once: about 2**16 float64 values (512 KiB).
 _CE_CHUNK_ELEMENTS = 1 << 16
 
 
@@ -460,19 +438,12 @@ def _certainty_equivalents(x: np.ndarray, idx: np.ndarray, gamma: float) -> np.n
     """-log(E[exp(-gamma x)]) / gamma over the samples x[idx[r]], one value per
     row r of ``idx``.  Each row is shifted by its own minimum so that exp
     neither overflows nor underflows to a zero mean."""
-    rows = max(1, _CE_CHUNK_ELEMENTS // idx.shape[1])
-    buf = np.empty((min(rows, len(idx)), idx.shape[1]))
-    ce = np.empty(len(idx))
-    for a in range(0, len(idx), rows):
-        chunk = idx[a:a + rows]
-        xs = buf[:len(chunk)]
-        np.take(x, chunk, out=xs, mode="clip")  # in range; "clip" writes out unbuffered
-        xmin = xs.min(axis=1, keepdims=True)
-        xs -= xmin
-        xs *= -gamma
-        np.exp(xs, out=xs)
-        ce[a:a + len(chunk)] = xmin[:, 0] - np.log(xs.mean(axis=1)) / gamma
-    return ce
+    xs = x[idx]
+    xmin = xs.min(axis=1, keepdims=True)
+    xs -= xmin
+    xs *= -gamma
+    np.exp(xs, out=xs)
+    return xmin[:, 0] - np.log(xs.mean(axis=1)) / gamma
 
 
 def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
@@ -516,7 +487,14 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
 
     mu = float(fundamental.mu)
     sigma = float(fundamental.sigma)
-    target_pos = mu / (gamma * sigma**2)
+    try:
+        target_pos = mu / (gamma * sigma**2)
+    except (ZeroDivisionError, OverflowError):  # sigma**2 underflows to 0 or overflows
+        target_pos = math.nan
+    if not math.isfinite(target_pos):
+        raise ValueError(f"utility experiment needs sigma**2 within the float range and a "
+                         f"finite frictionless position mu / (gamma * sigma**2), got "
+                         f"mu={mu!r}, gamma={gamma!r}, sigma={sigma!r}")
     target = constant_path(grid, target_pos)
     m_base = np.sqrt(probe.K_up.values * probe.h_up.values * sigma**2 * gamma / 2.0)
 

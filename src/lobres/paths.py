@@ -80,9 +80,6 @@ class SampledPath:
         if not np.all(np.isfinite(self.values)):
             raise NumericFailure("sampled path contains non-finite values")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass
 class RandomSource:
@@ -275,43 +272,6 @@ def normals_block(seed: int, paths: int, n: int, first: int = 0) -> np.ndarray:
     for p in np.flatnonzero(rejected):
         out[:, p] = RandomSource(seed, first + int(p)).normals(n)
     return out
-
-
-def sample_brownian(grid: TimeGrid, rng: RandomSource) -> SampledPath:
-    """Standard Brownian path on the grid: W_0 = 0, increments ~ N(0, dt)."""
-    dw = math.sqrt(grid.dt) * rng.normals(grid.steps)
-    w = np.empty(grid.n_points)
-    w[0] = 0.0
-    np.cumsum(dw, out=w[1:])
-    return SampledPath(grid, w)
-
-
-def sample_ito(
-    grid: TimeGrid,
-    drift: Callable[[float, float], float],
-    vol: Callable[[float, float], float],
-    s0: float,
-    rng: RandomSource,
-) -> SampledPath:
-    """Euler-Maruyama path of dS = drift(t, S) dt + vol(t, S) dW.
-
-    Consumes exactly ``grid.steps`` Gaussian draws, in the same order as
-    :func:`sample_brownian`, so drift=0 / vol=sigma reproduces s0 + sigma*W
-    pathwise for the same (seed, stream).
-    """
-    dt = grid.dt
-    t = grid.points()
-    dw = math.sqrt(dt) * rng.normals(grid.steps)
-    values = np.empty(grid.n_points)
-    values[0] = s = float(s0)
-    for i in range(grid.steps):
-        mu = drift(t[i], s)
-        sig = vol(t[i], s)
-        if not (math.isfinite(mu) and math.isfinite(sig)):
-            raise NumericFailure("non-finite SDE coefficient", step=i, time=t[i])
-        s = s + mu * dt + sig * dw[i]
-        values[i + 1] = s
-    return SampledPath(grid, values)
 
 
 def constant_path(grid: TimeGrid, c: float) -> SampledPath:

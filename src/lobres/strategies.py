@@ -238,22 +238,6 @@ def optimal_tracker(book: "BookParams", sigma_s: SampledPath,
     return exponential_tracker(spec, start)
 
 
-@dataclass(frozen=True)
-class StrategyDiagnostics:
-    total_variation: float
-    sup_rate: float
-    block_count: int
-
-
-def diagnostics(strategy: Strategy) -> StrategyDiagnostics:
-    """Total traded volume, largest rate magnitude, and block count."""
-    dt = strategy.grid.dt
-    rates = strategy.rate_steps
-    tv = float(np.sum(np.abs(rates)) * dt + sum(abs(s) for _, s in strategy.blocks))
-    sup = float(np.max(np.abs(rates))) if rates.size else 0.0
-    return StrategyDiagnostics(tv, sup, len(strategy.blocks))
-
-
 def write_strategy_csv(strategy: Strategy, path) -> None:
     """Write the strategy as rows (index, rate, block); block is 0 off jumps."""
     block = np.zeros(strategy.grid.n_points)

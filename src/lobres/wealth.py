@@ -168,9 +168,7 @@ class Evaluation:
             ask=SampledPath(book.grid, book.eps_up.values + state.exc_up_post),
             bid=SampledPath(book.grid, book.eps_dn.values + state.exc_dn_post),
             ask_pre=book.eps_up.values + state.exc_up_pre,
-            bid_pre=book.eps_dn.values + state.exc_dn_pre,
-            ask_excess_int=state.exc_up_int,
-            bid_excess_int=state.exc_dn_int)
+            bid_pre=book.eps_dn.values + state.exc_dn_pre)
 
     def safe_account(self, x0: float = 0.0) -> SampledPath:
         """Cash account from the self-financing condition, so that wealth equals

@@ -295,8 +295,6 @@ def evolve_spreads(params: BookParams, strategy: Strategy) -> SpreadPaths:
         bid=SampledPath(params.grid, base_dn + state.exc_dn_post),
         ask_pre=base_up + state.exc_up_pre,
         bid_pre=base_dn + state.exc_dn_pre,
-        ask_excess_int=state.exc_up_int,
-        bid_excess_int=state.exc_dn_int,
     )
 
 

@@ -14,8 +14,7 @@ import pytest
 from lobres import (BookParams, BookTemplate, Evaluation, FundamentalSpec, KappaLadder,
                     RandomSource, Strategy, constant_path, ladder_grid,
                     lemma_jump_experiment, make_grid, position_paths, rate_strategy,
-                    sample_ito, theorem1_experiment,
-                    tracker_bound_experiment, utility_experiment)
+                    theorem1_experiment, tracker_bound_experiment, utility_experiment)
 from lobres.cli import main
 from lobres.strategies import block_schedule
 from helpers import random_strategy
@@ -70,8 +69,8 @@ def test_criterion_2_bookkeeping_identity():
             grid, float(rng.uniform(1.0, 300.0)),
             K=float(rng.uniform(0.5, 2.0)), h=float(rng.uniform(0.5, 3.0)),
             alpha=float(rng.uniform(0.0, 0.5)), eps=float(rng.uniform(0.0, 0.1)))
-        fund = sample_ito(grid, lambda t, x: 0.05, lambda t, x: 0.4, 80.0,
-                          RandomSource(777, trial))
+        fund = FundamentalSpec(s0=80.0, mu=0.05, sigma=0.4).sample(
+            grid, RandomSource(777, trial))
         strat = random_strategy(grid, rng, n_blocks=int(rng.integers(0, 8)),
                                 phi0=float(rng.normal(0.0, 2.0)))
         x0 = float(rng.normal(0.0, 10.0))
@@ -91,8 +90,7 @@ def test_criterion_3_theorem1_gate():
     budget = _Budget(30.0)
     report = theorem1_experiment(
         BookTemplate(K=1.0, h=1.0, alpha=0.25, eps=0.01),
-        lambda t: np.sin(2.0 * np.pi * t),
-        FundamentalSpec(s0=100.0, mu=0.0, sigma=0.0), LADDER)
+        lambda t: np.sin(2.0 * np.pi * t), LADDER)
     scaled = report.kappa_x_err
     upper = scaled[len(scaled) // 2:]
     assert np.all(np.diff(upper) < 0), f"kappa*e not decreasing: {upper}"
@@ -105,8 +103,7 @@ def test_criterion_4_remark1_gate():
     budget = _Budget(30.0)
     report = theorem1_experiment(
         BookTemplate(K=1.0, h=1.0, alpha=0.25, eps=0.01),
-        lambda t: np.cos(2.0 * np.pi * t),
-        FundamentalSpec(s0=100.0, mu=0.0, sigma=0.0), LADDER, rate_growth=0.25)
+        lambda t: np.cos(2.0 * np.pi * t), LADDER, rate_growth=0.25)
     scaled = np.sqrt(report.kappas) * report.mean_err
     assert np.all(np.diff(scaled) < 0), f"sqrt(kappa)*e not decreasing: {scaled}"
     assert report.slope <= -0.9, f"slope {report.slope}"

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lobres import (BookTemplate, FundamentalSpec, KappaLadder, UniformBounds, make_grid,
+import lobres.experiments as experiments_module
+from lobres import (BookTemplate, KappaLadder, UniformBounds, make_grid,
                     theorem1_experiment)
 from lobres.cli import main
 
@@ -95,8 +96,7 @@ class TestSimulate:
                 g = self.grid
                 return SpreadPaths(SampledPath(g, column("ask", g)),
                                    SampledPath(g, column("bid", g)),
-                                   column("ask_pre", g), column("bid_pre", g),
-                                   np.zeros(g.steps), np.zeros(g.steps))
+                                   column("ask_pre", g), column("bid_pre", g))
 
         monkeypatch.setattr(cli, "_build_strategy", strategy)
         monkeypatch.setattr(cli, "Evaluation", Evaluation)
@@ -249,7 +249,7 @@ class TestConvergeCommand:
 
         report = theorem1_experiment(
             BookTemplate(alpha=0.25, eps=0.01), lambda t: math.cos(2 * math.pi * t),
-            FundamentalSpec(sigma=0.2), KappaLadder.geometric(16.0, 2.0, 5),
+            KappaLadder.geometric(16.0, 2.0, 5),
             rate_growth=rate_growth,
             bounds=None if bounds is None else UniformBounds(*bounds.values()), n0=128)
         with open(out / "convergence.csv", newline="") as fh:
@@ -292,7 +292,44 @@ class TestConvergeCommand:
         assert summary["passed"] is False
 
 
+def _no_noise(*args, **kwargs):
+    raise AssertionError("a refused run drew noise")
+
+
+class TestTrackerBoundCommand:
+    def test_one_path_refused_before_drawing(self, tmp_path, capsys, monkeypatch):
+        # a standard error needs two paths; mc.paths defaults to 1, which
+        # parses (validate accepts it) but cannot run
+        monkeypatch.setattr(experiments_module, "brownian_increments", _no_noise)
+        cfg = write_config(tmp_path, {"kind": "tracker-bound", "grid": {"n0": 64},
+                                      "ladder": {"count": 3}})
+        assert main(["validate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "artifacts"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: tracker-bound needs at least 2 paths for "
+                                           "its standard errors (mc.paths), got 1\n")
+        assert not (out / "tracker.csv").exists()
+
+
 class TestUtilityCommand:
+    # sigma**2 underflows to 0, so mu / (gamma * sigma**2) is not finite, or
+    # overflows the float range
+    @pytest.mark.parametrize("sigma", [1e-200, 1e160])
+    def test_extreme_volatility_refused_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                       sigma):
+        monkeypatch.setattr(experiments_module, "brownian_increments", _no_noise)
+        payload = json.loads((CONFIG_DIR / "utility.json").read_text())
+        payload["fundamental"]["sigma"] = sigma
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "artifacts"
+        assert main(["utility", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: utility experiment needs sigma**2 within the float "
+                              "range and a finite frictionless position")
+        assert err.count("\n") == 1
+        assert not (out / "utility.csv").exists()
+
     def test_large_initial_wealth_runs(self, tmp_path):
         payload = {
             "kind": "utility",

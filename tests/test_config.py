@@ -164,6 +164,15 @@ class TestValidate:
         assert not any("budget" in w for w in report["warnings"])
         assert any("price path" in w for w in report["warnings"])
 
+    @pytest.mark.parametrize("kind", ["theorem1", "remark1", "l2"])
+    def test_gap_kinds_warn_that_phi0_has_no_effect(self, kind):
+        config = {"kind": kind, "strategy": {"type": "rate", "rate": 1.0, "phi0": 5.0}}
+        report = validate_config(parse_config(json.dumps(config)))
+        assert report["warnings"] == [f"strategy.phi0 = 5.0 has no effect: the {kind} "
+                                      "gap does not depend on the initial position"]
+        config["strategy"]["phi0"] = 0.0
+        assert validate_config(parse_config(json.dumps(config)))["warnings"] == []
+
     def test_simulate_counts_one_path(self):
         text = json.dumps({"kind": "simulate", "book": {"kappa": 1e4},
                            "strategy": {"type": "zero"},
@@ -233,6 +242,8 @@ ERROR_ROWS = [
      "strategy.rate.fn must be one of ['const', 'cos', 'linear', 'sin'], got 'tan'"),
     (_with(THEOREM1, book={"K": {"fn": "const"}}), ConfigParseError,
      "book.K.value is required for fn='const'"),
+    (_with(THEOREM1, fundamental={"sigma": -0.1}), ConfigValidationError,
+     "fundamental.sigma must lie in [0.0, inf], got -0.1"),
     (_with(THEOREM1, book={"alpha": 0.7}), ConfigValidationError,
      "book.alpha must lie in [0.0, 0.5], got 0.7"),
     (_with(THEOREM1, grid={"horizon": 0}), ConfigValidationError,

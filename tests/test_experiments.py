@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -48,13 +47,10 @@ class TestKappaLadder:
 class TestFitRate:
     def test_exact_power_law(self):
         pts = [(k, k**-2.0) for k in (4.0, 8.0, 16.0, 32.0)]
-        fit = fit_rate(pts)
-        assert fit.slope == pytest.approx(-2.0, abs=1e-12)
-        assert fit.residual <= 1e-12
+        assert fit_rate(pts) == pytest.approx(-2.0, abs=1e-12)
 
     def test_constant_errors(self):
-        fit = fit_rate([(4.0, 3.0), (8.0, 3.0), (16.0, 3.0)])
-        assert fit.slope == pytest.approx(0.0, abs=1e-12)
+        assert fit_rate([(4.0, 3.0), (8.0, 3.0), (16.0, 3.0)]) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_points_insufficient(self):
         with pytest.raises(InsufficientData):
@@ -75,25 +71,16 @@ class TestLadderGrid:
 
 class TestTheorem1:
     def test_zero_strategy_has_zero_errors(self):
-        report = theorem1_experiment(BookTemplate(), 0.0, FundamentalSpec(),
-                                     SMALL_LADDER)
+        report = theorem1_experiment(BookTemplate(), 0.0, SMALL_LADDER)
         np.testing.assert_array_equal(report.mean_err, np.zeros(5))
         assert report.slope is None
-        assert len(report.zero_error_kappas) == 5
 
     def test_smooth_rate_converges_fast(self):
         report = theorem1_experiment(
             BookTemplate(alpha=0.25, eps=0.01),
-            lambda t: math.sin(2 * math.pi * t), FundamentalSpec(sigma=0.0),
-            SMALL_LADDER)
+            lambda t: math.sin(2 * math.pi * t), SMALL_LADDER)
         assert np.all(np.diff(report.kappa_x_err) < 0)
         assert report.slope <= -1.5
-
-    def test_block_strategy_rejected(self):
-        grid = ladder_grid(1.0, 512, 4.0, SMALL_LADDER.max)
-        blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
-        with pytest.raises(ValueError):
-            theorem1_experiment(BookTemplate(), blocks, FundamentalSpec(), SMALL_LADDER)
 
     def test_gap_is_independent_of_the_price_path(self):
         # reference: the wealth gap sup_t |X_ow - X_ac| measured on each
@@ -106,7 +93,7 @@ class TestTheorem1:
         funds = [spec.sample(grid, RandomSource(42, p)) for p in range(4)]
         for alpha in (0.0, 0.5):
             template = BookTemplate(alpha=alpha, eps=0.01)
-            report = theorem1_experiment(template, rate, spec, SMALL_LADDER)
+            report = theorem1_experiment(template, rate, SMALL_LADDER)
             for j, kappa in enumerate(SMALL_LADDER):
                 book = template.materialize(grid, kappa)
                 sups = [np.max(np.abs(ow_wealth(book, strat, fund).x.values
@@ -114,22 +101,16 @@ class TestTheorem1:
                         for fund in funds]
                 np.testing.assert_allclose(sups, report.mean_err[j], rtol=1e-6)
 
-    def test_negative_volatility_rejected(self):
-        with pytest.raises(ValueError, match="sigma"):
-            theorem1_experiment(BookTemplate(), 0.0, FundamentalSpec(sigma=-0.1),
-                                SMALL_LADDER)
-
 
 class TestRemark1:
     def test_zero_base_rate(self):
-        report = theorem1_experiment(BookTemplate(), 0.0, FundamentalSpec(),
-                                     SMALL_LADDER, rate_growth=0.25)
+        report = theorem1_experiment(BookTemplate(), 0.0, SMALL_LADDER, rate_growth=0.25)
         np.testing.assert_array_equal(report.mean_err, np.zeros(5))
 
     def test_scaled_errors_decrease(self):
         report = theorem1_experiment(
             BookTemplate(alpha=0.25, eps=0.01), lambda t: math.cos(2 * math.pi * t),
-            FundamentalSpec(sigma=0.0), SMALL_LADDER, rate_growth=0.25)
+            SMALL_LADDER, rate_growth=0.25)
         assert np.all(np.diff(np.sqrt(report.kappas) * report.mean_err) < 0)
         assert report.slope <= -0.9
 
@@ -241,8 +222,7 @@ class TestTrackerBound:
 
 class TestL2:
     def test_zero_strategy(self):
-        report = theorem1_experiment(BookTemplate(), 0.0, FundamentalSpec(),
-                                     SMALL_LADDER, bounds=L2_BOUNDS)
+        report = theorem1_experiment(BookTemplate(), 0.0, SMALL_LADDER, bounds=L2_BOUNDS)
         np.testing.assert_array_equal(report.mean_err, np.zeros(5))
 
     def test_l2_at_least_l1(self):
@@ -250,9 +230,8 @@ class TestL2:
         # error; declared bounds that hold leave it unchanged
         template = BookTemplate(alpha=0.25, eps=0.01)
         rate = lambda t: math.sin(2 * math.pi * t)
-        spec = FundamentalSpec(sigma=0.2)
-        l2 = theorem1_experiment(template, rate, spec, SMALL_LADDER, bounds=L2_BOUNDS)
-        l1 = theorem1_experiment(template, rate, spec, SMALL_LADDER)
+        l2 = theorem1_experiment(template, rate, SMALL_LADDER, bounds=L2_BOUNDS)
+        l1 = theorem1_experiment(template, rate, SMALL_LADDER)
         np.testing.assert_array_equal(l2.mean_err, l1.mean_err)
         assert np.all(np.diff(l2.kappa_x_err) < 0)
 
@@ -260,8 +239,7 @@ class TestL2:
         bounds = UniformBounds(rate_bound=0.5, coefficient_bound=2.0,
                                resilience_floor=0.5)
         with pytest.raises(ValueError):
-            theorem1_experiment(BookTemplate(), 1.0, FundamentalSpec(),
-                                SMALL_LADDER, bounds=bounds)
+            theorem1_experiment(BookTemplate(), 1.0, SMALL_LADDER, bounds=bounds)
 
 
 class TestUtility:
@@ -311,8 +289,8 @@ class TestUtility:
                                                               abs=1e-9)
 
     def test_bootstrap_matches_per_resample_loop(self):
-        # chunked row-wise certainty equivalents against one resample at a
-        # time; 700 resamples of 1500 paths span 17 chunks, the last partial
+        # row-wise certainty equivalents of 700 resamples of 1500 paths
+        # against one resample at a time
         from lobres.experiments import _certainty_equivalents
         gen = np.random.default_rng(3)
         x = 800.0 + gen.normal(0.0, 2.0, size=1500)
@@ -402,15 +380,16 @@ class TestBrownianIncrements:
 
 class TestFundamentalSpec:
     def test_sample_matches_ito_sampler(self):
-        # the experiment-layer sampler reproduces the Euler Ito path for
-        # time-only coefficients and the same (seed, stream)
-        from lobres import sample_ito
+        # the sampler reproduces the Euler Ito path for time-only
+        # coefficients and the same (seed, stream)
         grid = make_grid(1.0, 256)
         spec = FundamentalSpec(s0=50.0, mu=0.08, sigma=0.3)
         a = spec.sample(grid, RandomSource(13, 2))
-        b = sample_ito(grid, lambda t, x: 0.08, lambda t, x: 0.3, 50.0,
-                       RandomSource(13, 2))
-        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
+        dw = math.sqrt(grid.dt) * RandomSource(13, 2).normals(grid.steps)
+        b = [50.0]
+        for i in range(grid.steps):
+            b.append(b[-1] + 0.08 * grid.dt + 0.3 * dw[i])
+        np.testing.assert_allclose(a.values, b, rtol=0, atol=1e-12)
 
     def test_mean_path_is_drift_integral(self):
         grid = make_grid(2.0, 64)
@@ -489,15 +468,13 @@ def _exact(paths):
 
 
 class TestChunkedMonteCarlo:
-    @pytest.mark.parametrize("paths", [23, 3, 1])
+    @pytest.mark.parametrize("paths", [23, 3, 2])  # one path has no standard error
     def test_tracker_bound_equals_whole_matrix(self, small_chunks, paths):
         kw = dict(target_drift=0.3, target_vol=0.8, target0=0.5, paths=paths, seed=11,
                   n0=CHUNK_STEPS)
         ladder = KappaLadder.geometric(16.0, 4.0, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # one path: stderr is nan
-            chunked = tracker_bound_experiment(ladder, **kw)
-            whole = reference_tracker_bound_experiment(ladder, **kw)
+        chunked = tracker_bound_experiment(ladder, **kw)
+        whole = reference_tracker_bound_experiment(ladder, **kw)
         for name in ("kappas", "estimates", "stderrs", "within"):
             assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
         assert chunked.bound == whole.bound

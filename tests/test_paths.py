@@ -6,14 +6,14 @@ from scipy.stats import ks_2samp
 
 import lobres.paths as paths_module
 from helpers import reference_increments
-from lobres import (NumericFailure, RandomSource, SampledPath, constant_path,
-                    function_path, make_grid, sample_brownian, sample_ito)
+from lobres import (FundamentalSpec, RandomSource, SampledPath, constant_path,
+                    function_path, make_grid)
 from lobres.experiments import brownian_increments
 from lobres.paths import _lemire, _segment_starts, normals_block
 
 
 def terminal_values(grid, seed, paths):
-    """W_T of streams 0..paths-1, equal to ``sample_brownian``'s last value."""
+    """W_T of streams 0..paths-1."""
     return np.cumsum(brownian_increments(grid, seed, paths), axis=0)[-1]
 
 
@@ -49,21 +49,21 @@ class TestSampledPath:
             SampledPath(grid, np.array([0.0, np.nan, 1.0]))
 
 
-class TestBrownian:
-    def test_starts_at_zero(self):
-        w = sample_brownian(make_grid(1.0, 16), RandomSource(3))
-        assert w.values[0] == 0.0
+# the price sampler of simulate, here a standard Brownian path
+BROWNIAN = FundamentalSpec(s0=0.0, sigma=1.0)
 
+
+class TestBrownian:
     def test_determinism(self):
         grid = make_grid(1.0, 64)
-        a = sample_brownian(grid, RandomSource(123, 5))
-        b = sample_brownian(grid, RandomSource(123, 5))
+        a = BROWNIAN.sample(grid, RandomSource(123, 5))
+        b = BROWNIAN.sample(grid, RandomSource(123, 5))
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_streams_differ(self):
         grid = make_grid(1.0, 64)
-        a = sample_brownian(grid, RandomSource(123, 0))
-        b = sample_brownian(grid, RandomSource(123, 1))
+        a = BROWNIAN.sample(grid, RandomSource(123, 0))
+        b = BROWNIAN.sample(grid, RandomSource(123, 1))
         assert not np.array_equal(a.values, b.values)
 
     def test_terminal_moments(self):
@@ -71,7 +71,7 @@ class TestBrownian:
         grid = make_grid(1.0, 1)
         w1 = terminal_values(grid, 2024, 100_000)
         for p in range(3):
-            assert sample_brownian(grid, RandomSource(2024, p)).values[1] == w1[p]
+            assert BROWNIAN.sample(grid, RandomSource(2024, p)).values[1] == w1[p]
         assert abs(w1.mean()) <= 4e-2
         assert abs(w1.var() - 1.0) <= 0.02
 
@@ -177,34 +177,6 @@ class TestNormalsBlock:
             normals_block(1, 5, 0, first=2**32 - 4)
         with pytest.raises(ValueError, match="2\\*\\*32"):
             normals_block(1, 1, 0, first=-1)
-
-
-class TestIto:
-    def test_degenerate_constant(self):
-        grid = make_grid(1.0, 32)
-        s = sample_ito(grid, lambda t, x: 0.0, lambda t, x: 0.0, 1.0, RandomSource(1))
-        np.testing.assert_array_equal(s.values, np.ones(grid.n_points))
-
-    def test_pure_drift_is_exact(self):
-        grid = make_grid(2.0, 64)
-        mu = 0.7
-        s = sample_ito(grid, lambda t, x: mu, lambda t, x: 0.0, 3.0, RandomSource(1))
-        np.testing.assert_allclose(s.values, 3.0 + mu * grid.points(), rtol=0, atol=1e-13)
-
-    def test_additive_noise_matches_brownian(self):
-        grid = make_grid(1.0, 128)
-        sigma, s0 = 0.4, 10.0
-        s = sample_ito(grid, lambda t, x: 0.0, lambda t, x: sigma, s0,
-                       RandomSource(99, 3))
-        w = sample_brownian(grid, RandomSource(99, 3))
-        np.testing.assert_allclose(s.values, s0 + sigma * w.values, rtol=0, atol=1e-12)
-
-    def test_nonfinite_coefficient_reports_step(self):
-        grid = make_grid(1.0, 8)
-        with pytest.raises(NumericFailure) as err:
-            sample_ito(grid, lambda t, x: math.inf if t >= 0.5 else 0.0,
-                       lambda t, x: 0.0, 1.0, RandomSource(0))
-        assert err.value.step == 4
 
 
 class TestDeterministicPaths:
