@@ -119,6 +119,11 @@ class SpreadPaths:
     ask_pre: np.ndarray
     bid_pre: np.ndarray
 
+    def table(self) -> dict:
+        """Columns of ``spreads.csv``."""
+        return {"t": self.ask.grid.points(), "ask": self.ask.values, "bid": self.bid.values,
+                "ask_pre": self.ask_pre, "bid_pre": self.bid_pre}
+
 
 @dataclass
 class ReferencePricePath:

@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .experiments import (RandomSource, ladder_grid, lemma_jump_experiment,
                           theorem1_experiment, tracker_bound_experiment,
                           utility_experiment)
-from .paths import as_path, write_columns, write_csv
+from .paths import as_path, write_columns
 from .strategies import (Strategy, TrackerSpec, block_schedule, exponential_tracker,
                          rate_strategy, write_strategy_csv, zero_strategy)
 from .wealth import Evaluation
@@ -92,10 +92,8 @@ def _run_simulate(config: RunConfig, out: Path) -> RunResult:
     evaluation = Evaluation(book, strategy, fund)
     wealth = evaluation.ow(config.x0)
     spreads = evaluation.spreads()
-    wealth.write_csv(out / "wealth.csv")
-    write_columns(out / "spreads.csv", ["t", "ask", "bid", "ask_pre", "bid_pre"],
-                  [grid.points(), spreads.ask.values, spreads.bid.values,
-                   spreads.ask_pre, spreads.bid_pre])
+    write_columns(out / "wealth.csv", wealth.table())
+    write_columns(out / "spreads.csv", spreads.table())
     write_strategy_csv(strategy, out / "strategy.csv")
     summary = {"terminal_wealth": repr(float(wealth.x.values[-1]))}
     return RunResult({}, ["wealth.csv", "spreads.csv", "strategy.csv"], summary)
@@ -110,9 +108,7 @@ def _run_gap(config: RunConfig, out: Path) -> RunResult:
         bounds=None if config.bounds is None else config.bounds.bounds(),
         horizon=config.grid.horizon, n0=config.grid.n0,
         resolution_scale=config.grid.resolution_scale)
-    write_csv(out / "convergence.csv",
-              ["kappa", "mean_err", "p95_err", "kappa_x_err", "slope_so_far"],
-              report.csv_rows())
+    write_columns(out / "convergence.csv", report.table())
     scaled = report.kappas**kind.power * report.mean_err
     scaled = scaled[int(len(scaled) * kind.first):]
     gates = {kind.decreasing: not np.any(report.mean_err) or bool(np.all(np.diff(scaled) < 0))}
@@ -132,8 +128,7 @@ def _run_lemma(config: RunConfig, out: Path) -> RunResult:
         config.book.template(), blocks, fundamental, ladder,
         width_scale=config.smoothing.width_scale, paths=config.mc.paths,
         seed=config.mc.seed)
-    write_csv(out / "lemma.csv", ["kappa", "mean_diff", "frac_positive"],
-              report.csv_rows())
+    write_columns(out / "lemma.csv", report.table())
     frac_target = 1.0 if fundamental.is_deterministic else LEMMA_FRACTION_GATE
     gates = {
         "positive_mean_gain_at_kappa_max": bool(report.mean_diff[-1] > 0),
@@ -152,9 +147,7 @@ def _run_tracker_bound(config: RunConfig, out: Path) -> RunResult:
         coeff_bound=tc.coeff_bound, rate_floor=tc.rate_floor, target0=tc.target0,
         paths=config.mc.paths, seed=config.mc.seed, horizon=config.grid.horizon,
         n0=config.grid.n0, resolution_scale=config.grid.resolution_scale)
-    write_csv(out / "tracker.csv",
-              ["kappa", "estimate", "stderr", "bound", "within_bound"],
-              report.csv_rows())
+    write_columns(out / "tracker.csv", report.table())
     gates = {"bound_holds_for_every_kappa": report.all_within}
     summary = {"bound": repr(report.bound),
                "max_estimate": repr(float(report.estimates.max()))}
@@ -169,10 +162,7 @@ def _run_utility(config: RunConfig, out: Path) -> RunResult:
         seed=config.mc.seed, x0=uc.x0, horizon=config.grid.horizon,
         n0=config.grid.n0, resolution_scale=config.grid.resolution_scale,
         bootstrap=uc.bootstrap)
-    write_csv(out / "utility.csv",
-              ["kappa", "multiplier", "ce", "ci_low", "ci_high",
-               "ce_gap_vs_candidate", "gap_ci_low", "gap_ci_high"],
-              report.csv_rows())
+    write_columns(out / "utility.csv", report.table())
     # the speed-optimality claim is asymptotic: gate the upper half of the
     # kappa range, like the other ladder gates
     upper = report.kappas[len(report.kappas) // 2:]

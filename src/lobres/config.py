@@ -391,7 +391,7 @@ class _Kind(NamedTuple):
     # when absent); grid, mc and output are common to every kind
     sections: dict[str, bool | None]
     strategies: tuple[str, ...] = ()
-    one_path: str | None = None  # why mc.paths has no effect, if it has none
+    one_path: str | None = None  # why mc.paths (and a gap's fundamental) has no effect
     # whether a run draws Gaussian noise (and so loads scipy.special); a kind
     # that takes mc.paths keeps one float64 result per path and cell (rung, or
     # (kappa, multiplier) pair) and draws its noise one chunk of paths at a time
@@ -546,9 +546,14 @@ def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
     if noise and not spec.one_path:
         arrays += min(paths, paths_per_chunk(steps)) * steps
     cost_proxy = float(steps) * paths * cells
-    warnings = []
-    if spec.one_path and config.mc.paths > 1:
-        warnings.append(f"mc.paths = {config.mc.paths} has no effect: {spec.one_path}")
+    # the price-path inputs a one-path kind ignores, named in one warning
+    unused = [f"mc.paths = {config.mc.paths}"] if spec.one_path and config.mc.paths > 1 else []
+    if config.kind in _GAP_KINDS:
+        default = _dump(_parse(FundamentalConfig, {}, "fundamental", config.kind, None))
+        unused += [f"fundamental.{key} = {json.dumps(value)}"
+                   for key, value in _dump(config.fundamental).items() if value != default[key]]
+    warnings = [f"{', '.join(unused)} {'has' if len(unused) == 1 else 'have'} no effect: "
+                f"{spec.one_path}"] if unused else []
     if config.kind in _GAP_KINDS and config.strategy.phi0 != 0:
         warnings.append(f"strategy.phi0 = {config.strategy.phi0!r} has no effect: the "
                         f"{config.kind} gap does not depend on the initial position")

@@ -172,25 +172,29 @@ class ConvergenceReport:
 
     kappas: np.ndarray
     mean_err: np.ndarray
-    slope: float | None = None
 
     @property
     def kappa_x_err(self) -> np.ndarray:
         return self.kappas * self.mean_err
 
-    def csv_rows(self) -> list[list[str]]:
-        """Rows of ``kappa, mean_err, p95_err, kappa_x_err, slope_so_far``."""
-        rows = []
-        for j in range(len(self.kappas)):
-            pts = list(zip(self.kappas[: j + 1], self.mean_err[: j + 1]))
-            try:
-                so_far = repr(fit_rate(pts))
-            except InsufficientData:
-                so_far = ""
-            err = repr(float(self.mean_err[j]))
-            rows.append([repr(float(self.kappas[j])), err, err,
-                         repr(float(self.kappa_x_err[j])), so_far])
-        return rows
+    def _slope_through(self, rungs: int) -> float | None:
+        """Rate fitted to the first ``rungs`` rungs; None while it cannot be fitted."""
+        try:
+            return fit_rate(list(zip(self.kappas[:rungs], self.mean_err[:rungs])))
+        except InsufficientData:
+            return None
+
+    @property
+    def slope(self) -> float | None:
+        return self._slope_through(len(self.kappas))
+
+    def table(self) -> dict:
+        """Columns of ``convergence.csv``; ``slope_so_far`` is empty while the
+        rungs so far give no rate."""
+        so_far = map(self._slope_through, range(1, len(self.kappas) + 1))
+        return {"kappa": self.kappas, "mean_err": self.mean_err, "p95_err": self.mean_err,
+                "kappa_x_err": self.kappa_x_err,
+                "slope_so_far": ["" if s is None else repr(s) for s in so_far]}
 
 
 def theorem1_experiment(template: BookTemplate, rate, ladder: KappaLadder, *,
@@ -220,13 +224,7 @@ def theorem1_experiment(template: BookTemplate, rate, ladder: KappaLadder, *,
         gap = (ac_wealth(book, strat, price).impact_cost.values
                - ow_wealth(book, strat, price).impact_cost.values)
         errs.append(float(np.max(np.abs(gap))))
-    kappas = np.asarray(ladder.values)
-    report = ConvergenceReport(kappas, np.asarray(errs))
-    try:
-        report.slope = fit_rate(list(zip(kappas, errs)))
-    except InsufficientData:
-        pass
-    return report
+    return ConvergenceReport(np.asarray(ladder.values), np.asarray(errs))
 
 
 @dataclass
@@ -263,9 +261,10 @@ class LemmaJumpReport:
     frac_positive: np.ndarray
     diffs: np.ndarray  # (n_kappa, paths)
 
-    def csv_rows(self) -> list[list[str]]:
-        return [[repr(float(k)), repr(float(m)), repr(float(f))]
-                for k, m, f in zip(self.kappas, self.mean_diff, self.frac_positive)]
+    def table(self) -> dict:
+        """Columns of ``lemma.csv``."""
+        return {"kappa": self.kappas, "mean_diff": self.mean_diff,
+                "frac_positive": self.frac_positive}
 
 
 def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
@@ -319,10 +318,11 @@ class TrackerBoundReport:
     def all_within(self) -> bool:
         return bool(np.all(self.within))
 
-    def csv_rows(self) -> list[list[str]]:
-        return [[repr(float(k)), repr(float(e)), repr(float(s)), repr(float(self.bound)),
-                 str(bool(w)).lower()]
-                for k, e, s, w in zip(self.kappas, self.estimates, self.stderrs, self.within)]
+    def table(self) -> dict:
+        """Columns of ``tracker.csv``."""
+        return {"kappa": self.kappas, "estimate": self.estimates, "stderr": self.stderrs,
+                "bound": np.full(len(self.kappas), self.bound),
+                "within_bound": ["true" if w else "false" for w in self.within]}
 
 
 def tracker_bound_experiment(ladder: KappaLadder, *, target_drift=0.0, target_vol=1.0,
@@ -418,16 +418,15 @@ class UtilityReport:
     def candidate_ce_curve(self) -> list[float]:
         return [self.ce(k, 1.0) for k in self.kappas]
 
-    def csv_rows(self) -> list[list[str]]:
-        rows = []
-        for k in self.kappas:
-            for c in self.multipliers:
-                cell = self.cells[(k, c)]
-                rows.append([repr(float(k)), repr(float(c)), repr(cell.ce),
-                             repr(cell.ci_low), repr(cell.ci_high),
-                             repr(cell.gap_vs_candidate), repr(cell.gap_ci_low),
-                             repr(cell.gap_ci_high)])
-        return rows
+    def table(self) -> dict:
+        """Columns of ``utility.csv``: one row per (kappa, multiplier) cell."""
+        cells = [self.cells[(k, c)] for k in self.kappas for c in self.multipliers]
+        return {"kappa": [k for k in self.kappas for _ in self.multipliers],
+                "multiplier": [x.multiplier for x in cells], "ce": [x.ce for x in cells],
+                "ci_low": [x.ci_low for x in cells], "ci_high": [x.ci_high for x in cells],
+                "ce_gap_vs_candidate": [x.gap_vs_candidate for x in cells],
+                "gap_ci_low": [x.gap_ci_low for x in cells],
+                "gap_ci_high": [x.gap_ci_high for x in cells]}
 
 
 # Bootstrap resamples gathered at once: about 2**16 float64 values (512 KiB).
@@ -489,12 +488,14 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
     sigma = float(fundamental.sigma)
     try:
         target_pos = mu / (gamma * sigma**2)
-    except (ZeroDivisionError, OverflowError):  # sigma**2 underflows to 0 or overflows
-        target_pos = math.nan
-    if not math.isfinite(target_pos):
+        frictionless = x0 + mu**2 * horizon / (2.0 * gamma * sigma**2)
+    except (ZeroDivisionError, OverflowError):  # sigma**2 underflows to 0, or a power overflows
+        target_pos = frictionless = math.nan
+    if not (math.isfinite(target_pos) and math.isfinite(frictionless)):
         raise ValueError(f"utility experiment needs sigma**2 within the float range and a "
-                         f"finite frictionless position mu / (gamma * sigma**2), got "
-                         f"mu={mu!r}, gamma={gamma!r}, sigma={sigma!r}")
+                         f"finite frictionless position mu / (gamma * sigma**2) and certainty "
+                         f"equivalent x0 + mu**2 * T / (2 * gamma * sigma**2), got mu={mu!r}, "
+                         f"gamma={gamma!r}, sigma={sigma!r}, x0={x0!r}, T={horizon!r}")
     target = constant_path(grid, target_pos)
     m_base = np.sqrt(probe.K_up.values * probe.h_up.values * sigma**2 * gamma / 2.0)
 
@@ -542,5 +543,4 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
                                      ce_point[cand] - ce_point[key],
                                      float(glo), float(ghi))
 
-    frictionless = x0 + mu**2 * horizon / (2.0 * gamma * sigma**2)
     return UtilityReport(kappas, multipliers, cells, frictionless)

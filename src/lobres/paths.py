@@ -15,7 +15,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -302,17 +302,14 @@ def as_path(grid: TimeGrid, value: "float | Callable[[float], float] | SampledPa
     return constant_path(grid, value)
 
 
-def write_csv(path, header: list[str], rows: Iterable) -> None:
-    """Write ``header`` and then ``rows``, streamed, as CSV.  The csv module
-    writes a Python float as its ``repr``."""
+def write_columns(path, table: dict) -> None:
+    """Write ``table``, an ordered map from column name to column, as CSV with
+    the names as header.  A column is a 1-D array or a list of ready cells.
+    Iterating an array's memoryview yields Python floats (ints for integer
+    arrays) without building a list, and the csv module writes a float as its
+    ``repr``, so each array cell is ``repr(float(v))``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def write_columns(path, header: list[str], columns: Iterable[np.ndarray]) -> None:
-    """Write equal-length 1-D arrays as CSV columns.  Iterating a memoryview
-    yields Python floats (ints for integer arrays) without building a list,
-    so each cell is ``repr(float(v))``."""
-    write_csv(path, header, zip(*map(memoryview, columns)))
+        writer.writerow(table)
+        writer.writerows(zip(*(c if isinstance(c, list) else memoryview(c)
+                               for c in table.values())))

@@ -243,8 +243,8 @@ def write_strategy_csv(strategy: Strategy, path) -> None:
     block = np.zeros(strategy.grid.n_points)
     for i, size in strategy.blocks:
         block[i] = size
-    write_columns(path, ["index", "rate", "block"],
-                  [np.arange(strategy.grid.n_points), strategy.rate.values, block])
+    write_columns(path, {"index": np.arange(strategy.grid.n_points),
+                         "rate": strategy.rate.values, "block": block})
 
 
 def read_strategy_csv(grid: TimeGrid, path, phi0: float = 0.0) -> Strategy:

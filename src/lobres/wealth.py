@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .book import BookParams, ReferencePricePath, SpreadPaths, evolve_book
-from .paths import SampledPath, TimeGrid, write_columns
+from .paths import SampledPath, TimeGrid
 from .strategies import Strategy, position_paths
 
 
@@ -46,12 +46,12 @@ class WealthPath:
     block_cost: SampledPath
     permanent_shift: SampledPath
 
-    def write_csv(self, path) -> None:
-        write_columns(path, ["t", "X", "gain", "spread_cost", "impact_cost",
-                             "block_cost", "permanent_shift"],
-                      [self.grid.points(), self.x.values, self.gain.values,
-                       self.spread_cost.values, self.impact_cost.values,
-                       self.block_cost.values, self.permanent_shift.values])
+    def table(self) -> dict:
+        """Columns of ``wealth.csv``."""
+        return {"t": self.grid.points(), "X": self.x.values, "gain": self.gain.values,
+                "spread_cost": self.spread_cost.values,
+                "impact_cost": self.impact_cost.values, "block_cost": self.block_cost.values,
+                "permanent_shift": self.permanent_shift.values}
 
 
 def _accumulate(x0: float, step_terms: np.ndarray, event_terms: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import lobres.experiments as experiments_module
 from lobres import (BookTemplate, KappaLadder, UniformBounds, make_grid,
                     theorem1_experiment)
 from lobres.cli import main
+from lobres.paths import write_columns
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -156,6 +157,46 @@ def test_readme_library_example_runs(capsys):
     assert float(capsys.readouterr().out.split()[0]) <= -1.5
 
 
+# the columns README's "Outputs" section gives each CSV artifact
+README_COLUMNS = {
+    name: re.split(r",\s*", columns) for name, columns in re.findall(
+        r"`(\w+\.csv)`[^`]*`([^`]*)`",
+        (ROOT / "README.md").read_text().split("## Outputs")[1].split("\n## ")[0])}
+
+# one small run of every kind
+SMALL_RUNS = [
+    ("simulate", SIMULATE_ZERO),
+    *(("converge", {"kind": kind, "grid": {"n0": 64},
+                    "strategy": {"type": "rate", "rate": 1.0}, "ladder": {"count": 3}})
+      for kind in ("theorem1", "remark1")),
+    ("converge", {"kind": "l2", "grid": {"n0": 64}, "strategy": {"type": "rate", "rate": 1.0},
+                  "ladder": {"count": 3},
+                  "bounds": {"rate": 1.5, "coefficient": 2.0, "resilience_floor": 0.5}}),
+    ("converge", {"kind": "lemma-jump", "grid": {"n0": 64}, "ladder": {"count": 3},
+                  "strategy": {"type": "blocks", "blocks": [[0.25, 1.0]], "t_prime": 0.5}}),
+    ("converge", {"kind": "tracker-bound", "grid": {"n0": 64}, "ladder": {"count": 3},
+                  "mc": {"paths": 4}}),
+    ("utility", {"kind": "utility", "grid": {"n0": 64},
+                 "fundamental": {"mu": 0.1, "sigma": 0.2},
+                 "utility": {"kappas": [16.0, 64.0], "bootstrap": 10}, "mc": {"paths": 8}}),
+]
+
+
+def test_readme_lists_every_artifact_column(tmp_path):
+    # each CSV's header is the keys of the table its run writes
+    written = set()
+    for j, (command, payload) in enumerate(SMALL_RUNS):
+        out = tmp_path / str(j)
+        cfg = write_config(tmp_path, payload, f"{j}.json")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        for name in json.loads((out / "summary.json").read_text())["artifacts"]:
+            if name.endswith(".csv"):
+                with open(out / name, newline="") as fh:
+                    assert next(csv.reader(fh)) == README_COLUMNS[name], name
+                written.add(name)
+    assert written == set(README_COLUMNS)
+
+
 def test_every_exported_name_resolves():
     import lobres
 
@@ -252,8 +293,9 @@ class TestConvergeCommand:
             KappaLadder.geometric(16.0, 2.0, 5),
             rate_growth=rate_growth,
             bounds=None if bounds is None else UniformBounds(*bounds.values()), n0=128)
-        with open(out / "convergence.csv", newline="") as fh:
-            assert list(csv.reader(fh))[1:] == report.csv_rows()
+        expected = tmp_path / "expected.csv"
+        write_columns(expected, report.table())
+        assert (out / "convergence.csv").read_bytes() == expected.read_bytes()
         assert summary["report"]["slope"] == repr(report.slope)
 
     @pytest.mark.parametrize("kind, ladder", [
@@ -296,6 +338,10 @@ def _no_noise(*args, **kwargs):
     raise AssertionError("a refused run drew noise")
 
 
+def _no_evaluation(*args, **kwargs):
+    raise AssertionError("a refused run evaluated a strategy")
+
+
 class TestTrackerBoundCommand:
     def test_one_path_refused_before_drawing(self, tmp_path, capsys, monkeypatch):
         # a standard error needs two paths; mc.paths defaults to 1, which
@@ -327,6 +373,25 @@ class TestUtilityCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: utility experiment needs sigma**2 within the float "
                               "range and a finite frictionless position")
+        assert err.count("\n") == 1
+        assert not (out / "utility.csv").exists()
+
+    # mu**2 overflows; or x0 plus the frictionless gain leaves the float range
+    @pytest.mark.parametrize("mu, x0", [(1e160, 0.0), (1e153, 1.7e308)])
+    def test_infinite_frictionless_ce_refused_before_evaluating(self, tmp_path, capsys,
+                                                               monkeypatch, mu, x0):
+        monkeypatch.setattr(experiments_module, "brownian_increments", _no_noise)
+        monkeypatch.setattr(experiments_module, "Evaluation", _no_evaluation)
+        payload = json.loads((CONFIG_DIR / "utility.json").read_text())
+        payload["fundamental"]["mu"] = mu
+        payload["utility"]["x0"] = x0
+        out = tmp_path / "artifacts"
+        assert main(["utility", "--config", str(write_config(tmp_path, payload)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: utility experiment needs sigma**2 within the float "
+                              "range and a finite frictionless position mu / (gamma * "
+                              "sigma**2) and certainty equivalent x0 + mu**2 * T / ")
         assert err.count("\n") == 1
         assert not (out / "utility.csv").exists()
 

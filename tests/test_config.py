@@ -173,6 +173,32 @@ class TestValidate:
         config["strategy"]["phi0"] = 0.0
         assert validate_config(parse_config(json.dumps(config)))["warnings"] == []
 
+    @pytest.mark.parametrize("kind", ["theorem1", "remark1", "l2"])
+    def test_gap_kinds_warn_that_fundamental_has_no_effect(self, kind):
+        config = {"kind": kind, "strategy": {"type": "rate", "rate": 1.0},
+                  "fundamental": {"s0": 5.0, "mu": {"fn": "sin"}, "sigma": 0.7}}
+        report = validate_config(parse_config(json.dumps(config)))
+        assert report["warnings"] == [
+            'fundamental.s0 = 5.0, fundamental.mu = {"fn": "sin", "amplitude": 1.0, '
+            '"frequency": 1.0, "offset": 0.0}, fundamental.sigma = 0.7 have no effect: '
+            f"the {kind} gap does not depend on the price path"]
+        # mc.paths joins the same warning; the defaults written out give none
+        config.update(fundamental={"sigma": 0.2}, mc={"paths": 16})
+        assert validate_config(parse_config(json.dumps(config)))["warnings"] == [
+            f"mc.paths = 16, fundamental.sigma = 0.2 have no effect: the {kind} gap does "
+            "not depend on the price path"]
+        config.update(fundamental={"s0": 100, "mu": 0.0, "sigma": 0}, mc={"paths": 1})
+        assert validate_config(parse_config(json.dumps(config)))["warnings"] == []
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")) + sorted(
+        CONFIG_DIR.parent.glob("perfbench/workloads/*/*.json")),
+                             ids=lambda p: f"{p.parent.name}/{p.stem}")
+    def test_shipped_configs_warn_only_about_l2_price_path(self, path):
+        warnings = validate_config(parse_config(path.read_text()))["warnings"]
+        assert warnings == ([] if path.stem != "l2" else [
+            "mc.paths = 16, fundamental.sigma = 0.2 have no effect: the l2 gap does not "
+            "depend on the price path"])
+
     def test_simulate_counts_one_path(self):
         text = json.dumps({"kind": "simulate", "book": {"kappa": 1e4},
                            "strategy": {"type": "zero"},

@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 
@@ -13,7 +14,9 @@ from lobres import (BookTemplate, FundamentalSpec, InsufficientData, KappaLadder
                     RandomSource, UniformBounds, ac_wealth, fit_rate, ladder_grid,
                     lemma_jump_experiment, make_grid, ow_wealth, rate_strategy,
                     theorem1_experiment, tracker_bound_experiment, utility_experiment)
-from lobres.experiments import brownian_increments
+from lobres.experiments import (ConvergenceReport, LemmaJumpReport, TrackerBoundReport,
+                                UtilityCell, UtilityReport, brownian_increments)
+from lobres.paths import write_columns
 from lobres.strategies import block_schedule, smooth_blocks
 
 
@@ -100,6 +103,61 @@ class TestTheorem1:
                                       - ac_wealth(book, strat, fund).x.values))
                         for fund in funds]
                 np.testing.assert_allclose(sups, report.mean_err[j], rtol=1e-6)
+
+
+def _gap_constant(rate_steps, alpha, K, h):
+    """C = 1/(h K^2) max_i |sum_{j<=i} r_j ((1 - alpha) r_j - s_j r_{j-1})| with
+    r_{-1} = 0.  Step j's traded side starts from the excess the previous step
+    left on it: its own share, s_j = 1 - alpha, after a trade on the same
+    side, and the cross share, s_j = -alpha, after a trade on the other side
+    (the rate changed sign between grid points)."""
+    prev = np.concatenate(([0.0], rate_steps[:-1]))
+    share = np.where(rate_steps * prev > 0, 1 - alpha, -alpha)
+    return np.max(np.abs(np.cumsum(rate_steps * ((1 - alpha) * rate_steps
+                                                 - share * prev)))) / (h * K**2)
+
+
+class TestGapOracle:
+    """With constant K, h and alpha the OW excess spread relaxes toward lambda * r
+    at speed kappa * K and lags behind it by each step's rate change.  On a
+    fixed grid with exp(-kappa K dt) negligible, kappa^2 e(kappa) is the
+    constant C of the rate and the book, an oracle that shares no code with
+    the engine or its older copies in ``helpers``."""
+
+    GRID = make_grid(1.0, 512)
+
+    @settings(max_examples=60, deadline=None)
+    @given(amplitude=st.floats(0.5, 2.0), frequency=st.floats(0.5, 3.0),
+           phase=st.floats(0.0, 2 * math.pi), offset=st.floats(-1.0, 1.0),
+           alpha=st.floats(0.0, 0.5), K=st.floats(0.5, 4.0), h=st.floats(0.1, 4.0),
+           stiffness=st.floats(40.0, 2000.0))
+    @example(amplitude=1.0, frequency=1.0, phase=0.0, offset=0.0, alpha=0.1, K=2.0, h=0.5,
+             stiffness=40.0)
+    @example(amplitude=1.0, frequency=1.0, phase=0.0, offset=0.0, alpha=0.4, K=0.7, h=3.0,
+             stiffness=2000.0)
+    @example(amplitude=1.0, frequency=1.0, phase=1.0, offset=0.0, alpha=0.5, K=1.0, h=1.0,
+             stiffness=40.0)  # sign changes between grid points: the cross share matters
+    def test_kappa_squared_gap_tends_to_the_rate_constant(self, amplitude, frequency, phase,
+                                                         offset, alpha, K, h, stiffness):
+        def rate(t):
+            return offset + amplitude * math.sin(2 * math.pi * frequency * t + phase)
+
+        kappa = stiffness / (K * self.GRID.dt)  # kappa * K * dt = stiffness >= 40
+        # resolution_scale 0.25 keeps the experiment on the 512-step grid
+        assert ladder_grid(1.0, 512, 0.25, kappa) == self.GRID
+        report = theorem1_experiment(BookTemplate(K=K, h=h, alpha=alpha), rate,
+                                     KappaLadder((kappa,)), n0=512, resolution_scale=0.25)
+        c = _gap_constant(rate_strategy(self.GRID, rate).rate_steps, alpha, K, h)
+        assert kappa**2 * report.mean_err[0] / c == pytest.approx(1.0, abs=1e-6)
+
+    def test_shipped_theorem1_constant(self):
+        # configs/theorem1.json: the sin rate, alpha 0.25, K = h = 1, 512 steps
+        rate = lambda t: math.sin(2 * math.pi * t)
+        c = _gap_constant(rate_strategy(self.GRID, rate).rate_steps, 0.25, 1.0, 1.0)
+        assert c == pytest.approx(0.385843, abs=5e-7)
+        report = theorem1_experiment(BookTemplate(alpha=0.25, eps=0.01), rate,
+                                     KappaLadder((4096.0,)))
+        assert 4096.0**2 * report.mean_err[0] / c == pytest.approx(1.00002, abs=5e-6)
 
 
 class TestRemark1:
@@ -574,3 +632,36 @@ class TestMonteCarloMemory:
             BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), gamma=1.0, kappas=[64.0],
             paths=self.PATHS, seed=1, bootstrap=50))
         assert peak < self._bound(3) < 8 * 512 * self.PATHS / 4
+
+
+def test_report_tables_put_each_value_under_its_name(tmp_path):
+    # every report cell is repr(float(v)) of the value its column names
+    kappas = np.array([16.0, 64.0, 256.0])
+    a, b, c = (np.array(v) for v in ([-0.0, 5e-324, 0.1], [1e16, 1e-05, 2.5], [3.0, 7.0, 0.5]))
+    cells = {(k, m): UtilityCell(m, *(k * m + j / 8 for j in range(6))) for k in (16.0, 64.0)
+             for m in (0.5, 1.0)}
+    cases = [
+        (ConvergenceReport(kappas, c), {
+            "kappa": kappas, "mean_err": c, "p95_err": c, "kappa_x_err": kappas * c,
+            "slope_so_far": ["", "", repr(fit_rate(list(zip(kappas, c))))]}),
+        (LemmaJumpReport(kappas, a, b, np.zeros((3, 1))),
+         {"kappa": kappas, "mean_diff": a, "frac_positive": b}),
+        (TrackerBoundReport(kappas, a, b, 1.25, np.array([True, False, True])), {
+            "kappa": kappas, "estimate": a, "stderr": b, "bound": [1.25] * 3,
+            "within_bound": ["true", "false", "true"]}),
+        (UtilityReport((16.0, 64.0), (0.5, 1.0), cells, 0.125), {
+            "kappa": [16.0, 16.0, 64.0, 64.0], "multiplier": [0.5, 1.0] * 2,
+            **{name: [getattr(cells[key], field) for key in cells] for name, field in (
+                ("ce", "ce"), ("ci_low", "ci_low"), ("ci_high", "ci_high"),
+                ("ce_gap_vs_candidate", "gap_vs_candidate"),
+                ("gap_ci_low", "gap_ci_low"), ("gap_ci_high", "gap_ci_high"))}}),
+    ]
+    for report, expected in cases:
+        path = tmp_path / "table.csv"
+        write_columns(path, report.table())
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(expected)
+        for j, (name, values) in enumerate(expected.items()):
+            assert [row[j] for row in rows[1:]] == [
+                v if isinstance(v, str) else repr(float(v)) for v in values], name

@@ -6,6 +6,7 @@ import pytest
 from lobres import (BookParams, Evaluation, FundamentalSpec, RandomSource, Strategy,
                     constant_path, fit_rate, function_path, make_grid, position_paths,
                     rate_strategy, zero_strategy)
+from lobres.paths import write_columns
 from helpers import random_strategy
 
 
@@ -209,7 +210,7 @@ class TestWealthCsv:
         strat = Strategy(grid, constant_path(grid, 0.5), ((4, 1.0),))
         w = Evaluation(book, strat, fund).ow(1.0)
         f = tmp_path / "wealth.csv"
-        w.write_csv(f)
+        write_columns(f, w.table())
         header = f.read_text().splitlines()[0]
         assert header == "t,X,gain,spread_cost,impact_cost,block_cost,permanent_shift"
         rows = f.read_text().splitlines()[1:]
