@@ -21,8 +21,7 @@ from .paths import (RandomSource, SampledPath, TimeGrid, as_path, constant_path,
                     function_path, make_grid)
 from .strategies import (Strategy, TrackerSpec, block_schedule, exponential_tracker,
                          optimal_tracker, position_paths, rate_strategy,
-                         read_strategy_csv, smooth_blocks, write_strategy_csv,
-                         zero_strategy)
+                         read_strategy_csv, smooth_blocks, zero_strategy)
 from .wealth import Evaluation, WealthPath, ac_wealth, ow_wealth
 
 __version__ = "0.1.0"
@@ -38,5 +37,5 @@ __all__ = [
     "lemma_jump_experiment", "make_grid", "optimal_tracker", "ow_wealth",
     "position_paths", "rate_strategy", "read_strategy_csv", "smooth_blocks",
     "theorem1_experiment", "tracker_bound_experiment", "utility_experiment",
-    "write_strategy_csv", "zero_strategy",
+    "zero_strategy",
 ]

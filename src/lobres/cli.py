@@ -12,7 +12,7 @@ import logging
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .experiments import (RandomSource, ladder_grid, lemma_jump_experiment,
                           utility_experiment)
 from .paths import as_path, write_columns
 from .strategies import (Strategy, TrackerSpec, block_schedule, exponential_tracker,
-                         rate_strategy, write_strategy_csv, zero_strategy)
+                         rate_strategy, zero_strategy)
 from .wealth import Evaluation
 
 logger = logging.getLogger("lobres")
@@ -58,8 +58,13 @@ LEMMA_FRACTION_GATE = 0.95
 
 @dataclass
 class RunResult:
+    """A runner's outcome.  ``tables`` maps each CSV artifact's name to the
+    method that builds its table; ``run_config`` creates the output directory
+    and writes them once the runner has returned, so a refused run writes
+    nothing and the runner's intermediate arrays are freed first."""
+
     gates: dict[str, bool]
-    artifacts: list[str]
+    tables: dict[str, Callable[[], dict]]
     summary: dict
 
     @property
@@ -81,7 +86,7 @@ def _build_strategy(config: RunConfig, grid, kappa: float | None) -> Strategy:
     return exponential_tracker(spec, sc.start)
 
 
-def _run_simulate(config: RunConfig, out: Path) -> RunResult:
+def _run_simulate(config: RunConfig) -> RunResult:
     kappa = config.book.kappa
     grid = ladder_grid(config.grid.horizon, config.grid.n0,
                        config.grid.resolution_scale, kappa)
@@ -92,14 +97,12 @@ def _run_simulate(config: RunConfig, out: Path) -> RunResult:
     evaluation = Evaluation(book, strategy, fund)
     wealth = evaluation.ow(config.x0)
     spreads = evaluation.spreads()
-    write_columns(out / "wealth.csv", wealth.table())
-    write_columns(out / "spreads.csv", spreads.table())
-    write_strategy_csv(strategy, out / "strategy.csv")
     summary = {"terminal_wealth": repr(float(wealth.x.values[-1]))}
-    return RunResult({}, ["wealth.csv", "spreads.csv", "strategy.csv"], summary)
+    return RunResult({}, {"wealth.csv": wealth.table, "spreads.csv": spreads.table,
+                          "strategy.csv": strategy.table}, summary)
 
 
-def _run_gap(config: RunConfig, out: Path) -> RunResult:
+def _run_gap(config: RunConfig) -> RunResult:
     kind = _GAP_KINDS[config.kind]
     sc = config.strategy
     report = theorem1_experiment(
@@ -108,17 +111,16 @@ def _run_gap(config: RunConfig, out: Path) -> RunResult:
         bounds=None if config.bounds is None else config.bounds.bounds(),
         horizon=config.grid.horizon, n0=config.grid.n0,
         resolution_scale=config.grid.resolution_scale)
-    write_columns(out / "convergence.csv", report.table())
     scaled = report.kappas**kind.power * report.mean_err
     scaled = scaled[int(len(scaled) * kind.first):]
     gates = {kind.decreasing: not np.any(report.mean_err) or bool(np.all(np.diff(scaled) < 0))}
     if kind.slope is not None:
         gates["slope_gate"] = report.slope is None or report.slope <= kind.slope
     summary = {"slope": None if report.slope is None else repr(report.slope)}
-    return RunResult(gates, ["convergence.csv"], summary)
+    return RunResult(gates, {"convergence.csv": report.table}, summary)
 
 
-def _run_lemma(config: RunConfig, out: Path) -> RunResult:
+def _run_lemma(config: RunConfig) -> RunResult:
     ladder = config.ladder.ladder()
     grid = ladder_grid(config.grid.horizon, config.grid.n0,
                        config.grid.resolution_scale, ladder.max)
@@ -128,7 +130,6 @@ def _run_lemma(config: RunConfig, out: Path) -> RunResult:
         config.book.template(), blocks, fundamental, ladder,
         width_scale=config.smoothing.width_scale, paths=config.mc.paths,
         seed=config.mc.seed)
-    write_columns(out / "lemma.csv", report.table())
     frac_target = 1.0 if fundamental.is_deterministic else LEMMA_FRACTION_GATE
     gates = {
         "positive_mean_gain_at_kappa_max": bool(report.mean_diff[-1] > 0),
@@ -136,10 +137,10 @@ def _run_lemma(config: RunConfig, out: Path) -> RunResult:
     }
     summary = {"mean_diff_at_kappa_max": repr(float(report.mean_diff[-1])),
                "frac_positive_at_kappa_max": repr(float(report.frac_positive[-1]))}
-    return RunResult(gates, ["lemma.csv"], summary)
+    return RunResult(gates, {"lemma.csv": report.table}, summary)
 
 
-def _run_tracker_bound(config: RunConfig, out: Path) -> RunResult:
+def _run_tracker_bound(config: RunConfig) -> RunResult:
     tc = config.tracker
     report = tracker_bound_experiment(
         config.ladder.ladder(), target_drift=tc.target_drift.value(),
@@ -147,14 +148,13 @@ def _run_tracker_bound(config: RunConfig, out: Path) -> RunResult:
         coeff_bound=tc.coeff_bound, rate_floor=tc.rate_floor, target0=tc.target0,
         paths=config.mc.paths, seed=config.mc.seed, horizon=config.grid.horizon,
         n0=config.grid.n0, resolution_scale=config.grid.resolution_scale)
-    write_columns(out / "tracker.csv", report.table())
     gates = {"bound_holds_for_every_kappa": report.all_within}
     summary = {"bound": repr(report.bound),
                "max_estimate": repr(float(report.estimates.max()))}
-    return RunResult(gates, ["tracker.csv"], summary)
+    return RunResult(gates, {"tracker.csv": report.table}, summary)
 
 
-def _run_utility(config: RunConfig, out: Path) -> RunResult:
+def _run_utility(config: RunConfig) -> RunResult:
     uc = config.utility
     report = utility_experiment(
         config.book.template(), config.fundamental.spec(), gamma=uc.gamma,
@@ -162,7 +162,6 @@ def _run_utility(config: RunConfig, out: Path) -> RunResult:
         seed=config.mc.seed, x0=uc.x0, horizon=config.grid.horizon,
         n0=config.grid.n0, resolution_scale=config.grid.resolution_scale,
         bootstrap=uc.bootstrap)
-    write_columns(out / "utility.csv", report.table())
     # the speed-optimality claim is asymptotic: gate the upper half of the
     # kappa range, like the other ladder gates
     upper = report.kappas[len(report.kappas) // 2:]
@@ -174,7 +173,7 @@ def _run_utility(config: RunConfig, out: Path) -> RunResult:
         gates["ce_below_frictionless"] = all(c < report.frictionless_ce for c in curve)
     summary = {"frictionless_ce": repr(report.frictionless_ce),
                "candidate_ce": [repr(c) for c in curve]}
-    return RunResult(gates, ["utility.csv"], summary)
+    return RunResult(gates, {"utility.csv": report.table}, summary)
 
 
 _RUNNERS = {
@@ -189,8 +188,10 @@ _RUNNERS = {
 def run_config(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     """Execute a run and write its artifacts; returns gates and summary."""
     out = Path(out_dir if out_dir is not None else config.output_dir)
+    result = _RUNNERS[config.kind](config)
     out.mkdir(parents=True, exist_ok=True)
-    result = _RUNNERS[config.kind](config, out)
+    for name, table in result.tables.items():
+        write_columns(out / name, table())
     summary = {
         "schema_version": SCHEMA_VERSION,
         "kind": config.kind,
@@ -198,14 +199,13 @@ def run_config(config: RunConfig, out_dir: str | Path | None = None) -> RunResul
         "seed": config.mc.seed,
         "gates": result.gates,
         "passed": result.passed,
-        "artifacts": sorted(result.artifacts + ["summary.json"]),
+        "artifacts": sorted([*result.tables, "summary.json"]),
         "report": result.summary,
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
     result.summary = summary
-    result.artifacts = summary["artifacts"]
     return result
 
 

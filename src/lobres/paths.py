@@ -10,10 +10,10 @@ numpy; :func:`normals_block` draws many streams at once with the same bits.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -302,14 +302,60 @@ def as_path(grid: TimeGrid, value: "float | Callable[[float], float] | SampledPa
     return constant_path(grid, value)
 
 
+# Rows formatted and written at once by write_columns.
+_BLOCK_ROWS = 2048
+# A cell the csv module would quote: write_columns refuses it.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _cell_texts(cells: list) -> list[str]:
+    """Ready cells as the csv module formats them: ``float.__repr__`` for a
+    float (numpy float64 included, whose own repr reads ``np.float64(...)``),
+    ``''`` for None, ``str`` otherwise."""
+    texts = ["" if v is None else float.__repr__(v) if isinstance(v, float) else str(v)
+             for v in cells]
+    if any(map(_NEEDS_QUOTES.search, texts)):
+        raise ValueError("a CSV cell or column name holds ',', '\"', '\\r' or '\\n'")
+    return texts
+
+
+def _array_texts(values: np.ndarray) -> list[str]:
+    """``repr(float(v))`` of a non-empty float array's cells, formatted once
+    per run of equal bit patterns (the uint64 view keeps -0.0, 0.0 and NaN
+    payloads apart); ``str`` of an integer array's cells.
+
+    Runs rather than ``np.unique``: its first call pages in about 0.5 MB of
+    numpy's sort code, which a run whose memory peaks while it writes its
+    artifacts would pay in peak RSS."""
+    if values.dtype.kind != "f":
+        return list(map(str, values.tolist()))
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits = values.view(np.uint64)
+    firsts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    texts = np.array(list(map(repr, values[firsts].tolist())), dtype=object)
+    return np.repeat(texts, np.diff(firsts, append=len(values))).tolist()
+
+
 def write_columns(path, table: dict) -> None:
     """Write ``table``, an ordered map from column name to column, as CSV with
-    the names as header.  A column is a 1-D array or a list of ready cells.
-    Iterating an array's memoryview yields Python floats (ints for integer
-    arrays) without building a list, and the csv module writes a float as its
-    ``repr``, so each array cell is ``repr(float(v))``."""
+    the names as header.  A column is a 1-D array or a list of ready cells,
+    all of one length.  The bytes are the csv module's: a float array cell is
+    ``repr(float(v))`` and lines end in ``\\r\\n``.  Array rows are formatted
+    and written in blocks of ``_BLOCK_ROWS``.  A name or list cell the csv
+    module would quote, and a one-column table with an empty name or cell
+    (which it writes as ``""``), are refused with ValueError before the file
+    is opened."""
+    header = _cell_texts(list(table))
+    columns = [_cell_texts(c) if isinstance(c, list) else c for c in table.values()]
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
+    if len(columns) == 1 and ("" in header or isinstance(columns[0], list) and "" in columns[0]):
+        raise ValueError("a one-column CSV table has an empty name or cell")
+    rows = lengths.pop() if columns else 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table)
-        writer.writerows(zip(*(c if isinstance(c, list) else memoryview(c)
-                               for c in table.values())))
+        fh.write(",".join(header) + "\r\n")
+        for a in range(0, rows, _BLOCK_ROWS):
+            block = [c[a:a + _BLOCK_ROWS] if isinstance(c, list)
+                     else _array_texts(c[a:a + _BLOCK_ROWS]) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")

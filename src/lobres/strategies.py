@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .paths import SampledPath, TimeGrid, as_path, constant_path, write_columns
+from .paths import SampledPath, TimeGrid, as_path, constant_path
 
 if TYPE_CHECKING:
     from .book import BookParams
@@ -57,6 +57,14 @@ class Strategy:
     @property
     def has_blocks(self) -> bool:
         return bool(self.blocks)
+
+    def table(self) -> dict:
+        """Columns of ``strategy.csv``: (index, rate, block); block is 0 off jumps."""
+        block = np.zeros(self.grid.n_points)
+        for i, size in self.blocks:
+            block[i] = size
+        return {"index": np.arange(self.grid.n_points), "rate": self.rate.values,
+                "block": block}
 
 
 def zero_strategy(grid: TimeGrid, phi0: float = 0.0) -> Strategy:
@@ -238,17 +246,8 @@ def optimal_tracker(book: "BookParams", sigma_s: SampledPath,
     return exponential_tracker(spec, start)
 
 
-def write_strategy_csv(strategy: Strategy, path) -> None:
-    """Write the strategy as rows (index, rate, block); block is 0 off jumps."""
-    block = np.zeros(strategy.grid.n_points)
-    for i, size in strategy.blocks:
-        block[i] = size
-    write_columns(path, {"index": np.arange(strategy.grid.n_points),
-                         "rate": strategy.rate.values, "block": block})
-
-
 def read_strategy_csv(grid: TimeGrid, path, phi0: float = 0.0) -> Strategy:
-    """Inverse of :func:`write_strategy_csv` for a known grid."""
+    """Inverse of writing ``Strategy.table()`` for a known grid."""
     rate = np.zeros(grid.n_points)
     blocks: list[tuple[int, float]] = []
     with open(path, newline="") as fh:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -506,3 +507,16 @@ def reference_utility_experiment(template: BookTemplate, fundamental: Fundamenta
 
     frictionless = x0 + mu**2 * horizon / (2.0 * gamma * sigma**2)
     return UtilityReport(kappas, multipliers, cells, frictionless)
+
+
+def reference_write_columns(path, table: dict) -> None:
+    """Write ``table``, an ordered map from column name to column, as CSV with
+    the names as header.  A column is a 1-D array or a list of ready cells.
+    Iterating an array's memoryview yields Python floats (ints for integer
+    arrays) without building a list, and the csv module writes a float as its
+    ``repr``, so each array cell is ``repr(float(v))``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table)
+        writer.writerows(zip(*(c if isinstance(c, list) else memoryview(c)
+                               for c in table.values())))

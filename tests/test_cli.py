@@ -130,6 +130,31 @@ class TestSimulate:
         assert loaded.rate.values.tobytes() == cols["rate"].tobytes()
         assert loaded.blocks == ((0, 5e-324), (7, -1e16), (64, 0.1))
 
+    def test_evaluation_is_freed_before_writing(self, tmp_path, monkeypatch):
+        # the scan's arrays set the peak memory; none of them is held while
+        # the artifacts are written
+        import weakref
+
+        import lobres.cli as cli
+
+        evaluations = []
+
+        class Tracked(cli.Evaluation):
+            def __init__(self, *args):
+                super().__init__(*args)
+                evaluations.append(weakref.ref(self))
+
+        def write(path, table):
+            assert evaluations and all(ref() is None for ref in evaluations)
+            write_columns(path, table)
+
+        monkeypatch.setattr(cli, "Evaluation", Tracked)
+        monkeypatch.setattr(cli, "write_columns", write)
+        out = tmp_path / "artifacts"
+        assert main(["simulate", "--config", str(write_config(tmp_path, SIMULATE_ZERO)),
+                     "--out", str(out)]) == 0
+        assert (out / "strategy.csv").exists()
+
     def test_book_is_scanned_once(self, tmp_path, monkeypatch):
         # wealth and spreads are projections of one evaluation; the scan is
         # counted under both names a module binds it to
@@ -355,10 +380,20 @@ class TestTrackerBoundCommand:
         assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == ("error: tracker-bound needs at least 2 paths for "
                                            "its standard errors (mc.paths), got 1\n")
-        assert not (out / "tracker.csv").exists()
+        assert not out.exists()
 
 
 class TestUtilityCommand:
+    def test_refusal_keeps_an_existing_output_directory(self, tmp_path):
+        payload = json.loads((CONFIG_DIR / "utility.json").read_text())
+        payload["fundamental"]["mu"] = 1e160
+        out = tmp_path / "artifacts"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert main(["utility", "--config", str(write_config(tmp_path, payload)),
+                     "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
     # sigma**2 underflows to 0, so mu / (gamma * sigma**2) is not finite, or
     # overflows the float range
     @pytest.mark.parametrize("sigma", [1e-200, 1e160])
@@ -374,7 +409,7 @@ class TestUtilityCommand:
         assert err.startswith("error: utility experiment needs sigma**2 within the float "
                               "range and a finite frictionless position")
         assert err.count("\n") == 1
-        assert not (out / "utility.csv").exists()
+        assert not out.exists()
 
     # mu**2 overflows; or x0 plus the frictionless gain leaves the float range
     @pytest.mark.parametrize("mu, x0", [(1e160, 0.0), (1e153, 1.7e308)])
@@ -393,7 +428,7 @@ class TestUtilityCommand:
                               "range and a finite frictionless position mu / (gamma * "
                               "sigma**2) and certainty equivalent x0 + mu**2 * T / ")
         assert err.count("\n") == 1
-        assert not (out / "utility.csv").exists()
+        assert not out.exists()
 
     def test_large_initial_wealth_runs(self, tmp_path):
         payload = {

@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import lobres.paths as paths_module
-from helpers import reference_increments
+from helpers import reference_increments, reference_write_columns
 from lobres import (FundamentalSpec, RandomSource, SampledPath, constant_path,
                     function_path, make_grid)
 from lobres.experiments import brownian_increments
-from lobres.paths import _lemire, _segment_starts, normals_block
+from lobres.paths import _lemire, _segment_starts, normals_block, write_columns
 
 
 def terminal_values(grid, seed, paths):
@@ -198,3 +201,123 @@ class TestDeterministicPaths:
     def test_constant_nonfinite(self):
         with pytest.raises(ValueError):
             constant_path(make_grid(1.0, 4), math.nan)
+
+
+BLOCK = paths_module._BLOCK_ROWS
+# float64 bit patterns: both zeros, NaNs with different signs and payloads
+# (a signalling one among them), both infinities and the smallest subnormal
+AWKWARD_BITS = [0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000,
+                0xFFF8000000000000, 0x7FF0000000000001, 0x7FF80000000ABCDE,
+                0x7FF0000000000000, 0xFFF0000000000000, 0x0000000000000001]
+AWKWARD = np.array(AWKWARD_BITS, dtype=np.uint64).view(np.float64).tolist()
+AWKWARD += [1e16, -1e16, 0.1, 0.30000000000000004, 1e-05, 2.5, 1.0]
+
+floats_pool = st.lists(st.sampled_from(AWKWARD) | st.floats(allow_nan=False),
+                       min_size=1, max_size=12)
+ints_pool = st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=12)
+cells_pool = st.lists(
+    st.sampled_from(["", "true", "false", None]) | st.floats(allow_nan=False)
+    | st.floats(allow_nan=False).map(np.float64) | st.integers(-10**6, 10**6),
+    min_size=1, max_size=12)
+
+
+def _expand(pool, rows, rng, runs):
+    """``rows`` picks from ``pool``, in runs of one repeated value when
+    ``runs`` holds."""
+    picks = rng.integers(len(pool), size=rows)
+    if runs:
+        picks = np.repeat(picks, 100)[:rows]
+    return [pool[i] for i in picks]
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    table = {}
+    for j in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["float", "int", "list"]))
+        runs = draw(st.booleans())
+        if kind == "float":
+            column = np.array(_expand(draw(floats_pool), rows, rng, runs), dtype=np.float64)
+        elif kind == "int":
+            column = np.array(_expand(draw(ints_pool), rows, rng, runs), dtype=np.int64)
+        else:
+            column = _expand(draw(cells_pool), rows, rng, runs)
+        table[f"{kind}{j}"] = column
+    return table
+
+
+class TestWriteColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(table=tables())
+    def test_bytes_equal_the_csv_module_writer(self, tmp_path_factory, table):
+        # a quote in the csv module's output (here only a one-column row
+        # holding an empty cell) must be a refusal instead
+        d = tmp_path_factory.mktemp("csv")
+        reference_write_columns(d / "old.csv", table)
+        old = (d / "old.csv").read_bytes()
+        if b'"' in old:
+            with pytest.raises(ValueError, match="one-column"):
+                write_columns(d / "new.csv", table)
+        else:
+            write_columns(d / "new.csv", table)
+            assert (d / "new.csv").read_bytes() == old
+
+    def test_signed_zeros_and_nans_keep_their_texts(self, tmp_path):
+        values = np.array(AWKWARD_BITS, dtype=np.uint64).view(np.float64)
+        write_columns(tmp_path / "a.csv", {"v": np.tile(values, 3)})
+        assert (tmp_path / "a.csv").read_text().split()[1:10] == [
+            "0.0", "-0.0", "nan", "nan", "nan", "nan", "inf", "-inf", "5e-324"]
+
+    @pytest.mark.parametrize("table", [
+        {"a,b": np.zeros(2), "c": np.zeros(2)},
+        {"a": ["x", 'say "x"'], "b": np.zeros(2)},
+        {"a": ["x", "two\nlines"], "b": np.zeros(2)},
+        {"a": ["x\r", "y"], "b": np.zeros(2)},
+        {"a": [1.0, "1,5"], "b": np.zeros(2)},
+    ], ids=["comma-in-name", "quote-in-cell", "newline-in-cell", "return-in-cell",
+            "comma-in-cell"])
+    def test_cells_the_csv_module_would_quote_are_refused(self, tmp_path, table):
+        with pytest.raises(ValueError, match="holds"):
+            write_columns(tmp_path / "a.csv", table)
+        assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("table", [
+        {"": np.zeros(2)},
+        {"a": ["x", ""]},
+        {"a": [1.0, None]},
+    ], ids=["empty-name", "empty-cell", "none-cell"])
+    def test_one_column_table_with_an_empty_cell_is_refused(self, tmp_path, table):
+        # the csv module writes such a row as '""'
+        with pytest.raises(ValueError, match="one-column"):
+            write_columns(tmp_path / "a.csv", table)
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_empty_cells_beside_other_columns_match_the_csv_module(self, tmp_path):
+        table = {"": ["", None], "b": ["", "x"]}
+        write_columns(tmp_path / "new.csv", table)
+        reference_write_columns(tmp_path / "old.csv", table)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes() == b",b\r\n,\r\n,x\r\n"
+
+    def test_columns_of_different_lengths_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            write_columns(tmp_path / "a.csv", {"a": np.zeros(3), "b": ["x", "y"]})
+
+    def test_peak_memory_is_a_few_blocks(self, tmp_path):
+        # 200,000 rows, about 14 MB of text: formatting the whole table at once
+        # would hold far more than 4 MiB
+        rows = 200_000
+        rng = np.random.default_rng(3)
+        table = {"t": np.linspace(0.0, 1.0, rows), "x": rng.standard_normal(rows),
+                 "y": rng.random(rows), "jump": np.where(rng.random(rows) < 0.01, 0.5, 0.0),
+                 "index": np.arange(rows)}
+        tracemalloc.start()
+        try:
+            write_columns(tmp_path / "a.csv", table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "a.csv").stat().st_size > 12_000_000
+        assert peak < 4 * 2**20

@@ -6,7 +6,8 @@ import pytest
 from lobres import (BookParams, SampledPath, Strategy, TrackerSpec, block_schedule,
                     constant_path, exponential_tracker, function_path, make_grid,
                     optimal_tracker, position_paths, rate_strategy, read_strategy_csv,
-                    smooth_blocks, write_strategy_csv)
+                    smooth_blocks)
+from lobres.paths import write_columns
 
 
 class TestStrategy:
@@ -32,7 +33,7 @@ class TestStrategy:
         strat = Strategy(grid, function_path(grid, lambda t: math.sin(t)),
                          ((1, 0.5), (7, -1.25)), phi0=0.25)
         f = tmp_path / "strategy.csv"
-        write_strategy_csv(strat, f)
+        write_columns(f, strat.table())
         loaded = read_strategy_csv(grid, f, phi0=0.25)
         np.testing.assert_array_equal(loaded.rate.values, strat.rate.values)
         assert loaded.blocks == strat.blocks
