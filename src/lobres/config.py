@@ -22,7 +22,8 @@ from typing import Any, Callable, NamedTuple
 
 from .book import BookTemplate
 from .errors import ConfigParseError, ConfigValidationError
-from .experiments import FundamentalSpec, KappaLadder, UniformBounds, paths_per_chunk
+from .experiments import (FundamentalSpec, KappaLadder, UniformBounds, paths_per_chunk,
+                          resamples_per_chunk)
 
 _REQUIRED = object()  # the default of a key that must be given
 
@@ -540,11 +541,17 @@ def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
     spec = KINDS[config.kind]
     paths = 1 if spec.one_path else config.mc.paths
     noise = spec.noise(config)
-    # float64 values of a Monte-Carlo kind: its per-path results and one
-    # chunk of noise
+    # float64 values (or int64 indices) of a Monte-Carlo kind: its per-path
+    # results and one chunk of noise
     arrays = 0 if spec.one_path else cells * paths
     if noise and not spec.one_path:
         arrays += min(paths, paths_per_chunk(steps)) * steps
+    if config.utility is not None:
+        # the resampled certainty equivalents and their gaps vs the
+        # candidate, and one chunk of resample indices (int64) with the
+        # samples they gather
+        boot = config.utility.bootstrap
+        arrays += 2 * cells * boot + 2 * min(boot, resamples_per_chunk(paths)) * paths
     cost_proxy = float(steps) * paths * cells
     # the price-path inputs a one-path kind ignores, named in one warning
     unused = [f"mc.paths = {config.mc.paths}"] if spec.one_path and config.mc.paths > 1 else []

@@ -7,11 +7,12 @@ reflect the resilience, not sampling noise.
 
 Wealth along a path is linear in the fundamental-price increments once the
 strategy and book coefficients are fixed (the coefficients are sampled
-paths, never functions of the price).  The Monte-Carlo experiments
-(lemma-jump, utility) exploit this: they evaluate the wealth engine once on
-the drift-only price path and add the position-weighted noise per path,
-which reproduces per-path engine evaluation exactly for additive
-fundamentals with time-only coefficients.
+paths, never functions of the price).  Lemma-jump and utility share one core
+that exploits this, ``_terminal_values``: each cell is evaluated once on the
+drift-only price path and ``sigma * position @ dW`` is added per path, which
+reproduces per-path engine evaluation exactly for additive fundamentals with
+time-only coefficients.  Every Monte-Carlo noise chunk, tracker-bound's
+included, is drawn by one iterator, ``_noise_chunks``.
 
 The gap kinds (theorem1, remark1, l2) all run ``theorem1_experiment``:
 remark1 passes ``rate_growth=0.25`` and l2 passes its declared ``bounds``.
@@ -132,12 +133,30 @@ def paths_per_chunk(steps: int) -> int:
     return max(1, _CHUNK_ELEMENTS // steps)
 
 
-def _path_chunks(grid: TimeGrid, paths: int):
-    """Consecutive stream ranges (first, stop) covering 0..paths-1, each of
-    ``paths_per_chunk(grid.steps)`` paths but the last."""
+def _noise_chunks(grid: TimeGrid, paths: int, seed: int):
+    """(first, stop, increments of streams first..stop-1) for consecutive
+    stream ranges covering 0..paths-1, each of ``paths_per_chunk(grid.steps)``
+    paths but the last.  A chunk is drawn when asked for and not kept."""
     size = paths_per_chunk(grid.steps)
     for first in range(0, paths, size):
-        yield first, min(first + size, paths)
+        stop = min(first + size, paths)
+        yield first, stop, brownian_increments(grid, seed, stop - first, first)
+
+
+def _terminal_values(cells: list[tuple[float, np.ndarray]], fundamental: FundamentalSpec,
+                     grid: TimeGrid, paths: int, seed: int) -> np.ndarray:
+    """(len(cells), paths) terminal values ``x + (sigma * w) @ dW`` of the
+    cells (x, w): a terminal value on the drift-only price path and the
+    position weights of the price increments.  Noise is drawn iff the
+    fundamental is not deterministic."""
+    values = np.repeat([[x] for x, _ in cells], paths, axis=1)
+    if not fundamental.is_deterministic:
+        sigma = fundamental.sigma_steps(grid)
+        for a, b, dw in _noise_chunks(grid, paths, seed):
+            for j, (_, w) in enumerate(cells):
+                values[j, a:b] += (sigma * w) @ dw
+            del dw  # freed before the next chunk draws
+    return values
 
 
 def ladder_grid(horizon: float, n0: int, resolution_scale: float,
@@ -282,24 +301,15 @@ def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
         raise ValueError("lemma experiment requires a nonzero block strategy")
     grid = block_strategy.grid
     mean_fund = fundamental.mean_path(grid)
-    sigma = fundamental.sigma_steps(grid)
-
-    # every rung's deterministic gap and noise weights, then one pass of noise
-    diffs = np.empty((len(ladder), paths))
-    weights = []
-    for j, kappa in enumerate(ladder):
+    # every rung's deterministic gap and position weights, then the noise
+    cells = []
+    for kappa in ladder:
         book = template.materialize(grid, kappa)
         smoothed = smooth_blocks(block_strategy, kappa, width_scale)
         x_sm, w_sm = Evaluation(book, smoothed, mean_fund).terminal()
         x_bl, w_bl = Evaluation(book, block_strategy, mean_fund).terminal()
-        diffs[j] = x_sm - x_bl
-        weights.append(sigma * (w_sm - w_bl))
-    if np.any(sigma > 0):
-        for a, b in _path_chunks(grid, paths):
-            noise = brownian_increments(grid, seed, b - a, a)
-            for j, w in enumerate(weights):
-                diffs[j, a:b] += w @ noise
-            del noise  # freed before the next chunk draws
+        cells.append((x_sm - x_bl, w_sm - w_bl))
+    diffs = _terminal_values(cells, fundamental, grid, paths, seed)
     return LemmaJumpReport(np.asarray(list(ladder)), diffs.mean(axis=1),
                            (diffs > 0).mean(axis=1), diffs)
 
@@ -350,10 +360,9 @@ def tracker_bound_experiment(ladder: KappaLadder, *, target_drift=0.0, target_vo
         raise ValueError("tracking rate falls below its declared floor")
 
     sup2 = np.empty((len(ladder), paths))
-    for a, b in _path_chunks(grid, paths):
+    for a, b, increments in _noise_chunks(grid, paths, seed):
         # time-major (n+1, chunk) targets: the noise becomes the increments
         # and is cumulated along time, then freed before the first rung
-        increments = brownian_increments(grid, seed, b - a, a)
         increments *= sig[:-1, None]
         increments += (mu[:-1] * grid.dt)[:, None]
         targets = np.empty((grid.n_points, b - a))
@@ -378,59 +387,50 @@ def tracker_bound_experiment(ladder: KappaLadder, *, target_drift=0.0, target_vo
 
 
 @dataclass
-class UtilityCell:
-    multiplier: float
-    ce: float
-    ci_low: float
-    ci_high: float
-    gap_vs_candidate: float
-    gap_ci_low: float
-    gap_ci_high: float
-
-    @property
-    def gap_halfwidth(self) -> float:
-        return (self.gap_ci_high - self.gap_ci_low) / 2.0
-
-
-@dataclass
 class UtilityReport:
-    """Certainty equivalents of trackers at competing speed multipliers."""
+    """Certainty equivalents of trackers at competing speed multipliers, with
+    bootstrap 95% intervals, as (kappa, multiplier) arrays.  A gap is the
+    candidate's (multiplier 1) value minus the cell's."""
 
     kappas: tuple[float, ...]
     multipliers: tuple[float, ...]
-    cells: dict[tuple[float, float], UtilityCell]
+    ce: np.ndarray
+    ci_low: np.ndarray
+    ci_high: np.ndarray
+    gap_vs_candidate: np.ndarray
+    gap_ci_low: np.ndarray
+    gap_ci_high: np.ndarray
     frictionless_ce: float
 
-    def ce(self, kappa: float, multiplier: float = 1.0) -> float:
-        return self.cells[(kappa, multiplier)].ce
+    @property
+    def candidate_ce(self) -> np.ndarray:
+        """The candidate's certainty equivalent per kappa."""
+        return self.ce[:, self.multipliers.index(1.0)]
 
-    def candidate_noninferior(self, kappa: float) -> bool:
-        """Candidate CE at least every competitor's minus one CI half-width."""
-        cand = self.ce(kappa, 1.0)
-        for c in self.multipliers:
-            if c == 1.0:
-                continue
-            cell = self.cells[(kappa, c)]
-            if cand < cell.ce - cell.gap_halfwidth:
-                return False
-        return True
-
-    def candidate_ce_curve(self) -> list[float]:
-        return [self.ce(k, 1.0) for k in self.kappas]
+    @property
+    def candidate_noninferior(self) -> np.ndarray:
+        """Per kappa: the candidate's certainty equivalent is at least every
+        cell's minus half the width of its gap interval (the candidate's is 0)."""
+        halfwidth = (self.gap_ci_high - self.gap_ci_low) / 2.0
+        return ~np.any(self.candidate_ce[:, None] < self.ce - halfwidth, axis=1)
 
     def table(self) -> dict:
         """Columns of ``utility.csv``: one row per (kappa, multiplier) cell."""
-        cells = [self.cells[(k, c)] for k in self.kappas for c in self.multipliers]
-        return {"kappa": [k for k in self.kappas for _ in self.multipliers],
-                "multiplier": [x.multiplier for x in cells], "ce": [x.ce for x in cells],
-                "ci_low": [x.ci_low for x in cells], "ci_high": [x.ci_high for x in cells],
-                "ce_gap_vs_candidate": [x.gap_vs_candidate for x in cells],
-                "gap_ci_low": [x.gap_ci_low for x in cells],
-                "gap_ci_high": [x.gap_ci_high for x in cells]}
+        return {"kappa": np.repeat(self.kappas, len(self.multipliers)),
+                "multiplier": np.tile(self.multipliers, len(self.kappas)),
+                "ce": self.ce.ravel(), "ci_low": self.ci_low.ravel(),
+                "ci_high": self.ci_high.ravel(),
+                "ce_gap_vs_candidate": self.gap_vs_candidate.ravel(),
+                "gap_ci_low": self.gap_ci_low.ravel(), "gap_ci_high": self.gap_ci_high.ravel()}
 
 
 # Bootstrap resamples gathered at once: about 2**16 float64 values (512 KiB).
 _CE_CHUNK_ELEMENTS = 1 << 16
+
+
+def resamples_per_chunk(paths: int) -> int:
+    """Bootstrap resamples of ``paths`` samples drawn and gathered together."""
+    return max(1, _CE_CHUNK_ELEMENTS // paths)
 
 
 def _certainty_equivalents(x: np.ndarray, idx: np.ndarray, gamma: float) -> np.ndarray:
@@ -500,9 +500,7 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
     m_base = np.sqrt(probe.K_up.values * probe.h_up.values * sigma**2 * gamma / 2.0)
 
     mean_fund = fundamental.mean_path(grid)
-    sigma_steps = fundamental.sigma_steps(grid)
-    x_terminal: dict[tuple[float, float], np.ndarray] = {}
-    weights: dict[tuple[float, float], np.ndarray] = {}
+    cells = []
     for kappa in kappas:
         book = template.materialize(grid, kappa)
         for c in multipliers:
@@ -510,37 +508,29 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
                                rate_scale=SampledPath(grid, c * m_base),
                                kappa=kappa)
             strat = exponential_tracker(spec, start=0.0)
-            x_det, w = Evaluation(book, strat, mean_fund).terminal(x0)
-            x_terminal[(kappa, c)] = np.full(paths, x_det)
-            weights[(kappa, c)] = sigma_steps * w
-    for a, b in _path_chunks(grid, paths):
-        dw = brownian_increments(grid, seed, b - a, a)
-        for key, w in weights.items():
-            x_terminal[key][a:b] += w @ dw
-        del dw  # freed before the next chunk draws
+            cells.append(Evaluation(book, strat, mean_fund).terminal(x0))
+    x_terminal = _terminal_values(cells, fundamental, grid, paths, seed)
+
+    shape = (len(kappas), len(multipliers))
+    cand = multipliers.index(1.0)
+    every_path = np.arange(paths)[None, :]
+    ce = np.array([_certainty_equivalents(x, every_path, gamma)[0]
+                   for x in x_terminal]).reshape(shape)
 
     # the resample indices are drawn a chunk of rows at a time from one
     # generator, the same integers as one (bootstrap, paths) draw
     boot_gen = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(_BOOTSTRAP_STREAM,))))
-    every_path = np.arange(paths)[None, :]
-    ce_point = {key: float(_certainty_equivalents(x, every_path, gamma)[0])
-                for key, x in x_terminal.items()}
-    ce_boot = {key: np.empty(bootstrap) for key in x_terminal}
-    rows = max(1, _CE_CHUNK_ELEMENTS // paths)
+    # (resampled CE or its gap vs the candidate, kappa, multiplier, resample)
+    boot = np.empty((2, *shape, bootstrap))
+    ce_boot = boot[0].reshape(len(cells), bootstrap)
+    rows = resamples_per_chunk(paths)
     for a in range(0, bootstrap, rows):
         boot_idx = boot_gen.integers(0, paths, size=(min(rows, bootstrap - a), paths))
-        for key, x in x_terminal.items():
-            ce_boot[key][a:a + len(boot_idx)] = _certainty_equivalents(x, boot_idx, gamma)
-
-    cells: dict[tuple[float, float], UtilityCell] = {}
-    for kappa in kappas:
-        for c in multipliers:
-            cand, key = (kappa, 1.0), (kappa, c)
-            lo, hi = np.percentile(ce_boot[key], [2.5, 97.5])
-            glo, ghi = np.percentile(ce_boot[cand] - ce_boot[key], [2.5, 97.5])
-            cells[key] = UtilityCell(c, ce_point[key], float(lo), float(hi),
-                                     ce_point[cand] - ce_point[key],
-                                     float(glo), float(ghi))
-
-    return UtilityReport(kappas, multipliers, cells, frictionless)
+        for x, row in zip(x_terminal, ce_boot):
+            row[a:a + len(boot_idx)] = _certainty_equivalents(x, boot_idx, gamma)
+    np.subtract(boot[0, :, cand, None], boot[0], out=boot[1])
+    (ci_low, gap_ci_low), (ci_high, gap_ci_high) = np.percentile(
+        boot, [2.5, 97.5], axis=-1, overwrite_input=True)
+    return UtilityReport(kappas, multipliers, ce, ci_low, ci_high, ce[:, cand, None] - ce,
+                         gap_ci_low, gap_ci_high, frictionless)

@@ -308,17 +308,6 @@ _BLOCK_ROWS = 2048
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def _cell_texts(cells: list) -> list[str]:
-    """Ready cells as the csv module formats them: ``float.__repr__`` for a
-    float (numpy float64 included, whose own repr reads ``np.float64(...)``),
-    ``''`` for None, ``str`` otherwise."""
-    texts = ["" if v is None else float.__repr__(v) if isinstance(v, float) else str(v)
-             for v in cells]
-    if any(map(_NEEDS_QUOTES.search, texts)):
-        raise ValueError("a CSV cell or column name holds ',', '\"', '\\r' or '\\n'")
-    return texts
-
-
 def _array_texts(values: np.ndarray) -> list[str]:
     """``repr(float(v))`` of a non-empty float array's cells, formatted once
     per run of equal bit patterns (the uint64 view keeps -0.0, 0.0 and NaN
@@ -338,15 +327,17 @@ def _array_texts(values: np.ndarray) -> list[str]:
 
 def write_columns(path, table: dict) -> None:
     """Write ``table``, an ordered map from column name to column, as CSV with
-    the names as header.  A column is a 1-D array or a list of ready cells,
-    all of one length.  The bytes are the csv module's: a float array cell is
-    ``repr(float(v))`` and lines end in ``\\r\\n``.  Array rows are formatted
-    and written in blocks of ``_BLOCK_ROWS``.  A name or list cell the csv
-    module would quote, and a one-column table with an empty name or cell
-    (which it writes as ``""``), are refused with ValueError before the file
-    is opened."""
-    header = _cell_texts(list(table))
-    columns = [_cell_texts(c) if isinstance(c, list) else c for c in table.values()]
+    the names as header.  A column is a 1-D array or a list of ready text
+    cells, all of one length.  The bytes are the csv module's: a float array
+    cell is ``repr(float(v))`` and lines end in ``\\r\\n``.  Array rows are
+    formatted and written in blocks of ``_BLOCK_ROWS``.  A name or list cell
+    the csv module would quote, and a one-column table with an empty name or
+    cell (which it writes as ``""``), are refused with ValueError before the
+    file is opened."""
+    header, columns = list(table), list(table.values())
+    for texts in [header, *(c for c in columns if isinstance(c, list))]:
+        if any(map(_NEEDS_QUOTES.search, texts)):
+            raise ValueError("a CSV cell or column name holds ',', '\"', '\\r' or '\\n'")
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")

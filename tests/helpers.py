@@ -12,8 +12,8 @@ from lobres import (BookParams, RandomSource, ReferencePricePath, SampledPath, S
                     Strategy, WealthPath, position_paths)
 from lobres.book import _check_grids, evolve_book
 from lobres.experiments import (_BOOTSTRAP_STREAM, LemmaJumpReport, TrackerBoundReport,
-                                UtilityCell, UtilityReport, _certainty_equivalents,
-                                brownian_increments, ladder_grid)
+                                UtilityReport, _certainty_equivalents, brownian_increments,
+                                ladder_grid)
 from lobres.wealth import _accumulate
 from lobres.paths import as_path, constant_path
 from lobres.strategies import TrackerSpec, exponential_tracker, relax_positions, smooth_blocks
@@ -495,18 +495,20 @@ def reference_utility_experiment(template: BookTemplate, fundamental: Fundamenta
     ce_boot = {key: _certainty_equivalents(x, boot_idx, gamma)
                for key, x in x_terminal.items()}
 
-    cells: dict[tuple[float, float], UtilityCell] = {}
+    cells: dict[tuple[float, float], tuple[float, ...]] = {}
     for kappa in kappas:
         for c in multipliers:
             cand, key = (kappa, 1.0), (kappa, c)
             lo, hi = np.percentile(ce_boot[key], [2.5, 97.5])
             glo, ghi = np.percentile(ce_boot[cand] - ce_boot[key], [2.5, 97.5])
-            cells[key] = UtilityCell(c, ce_point[key], float(lo), float(hi),
-                                     ce_point[cand] - ce_point[key],
-                                     float(glo), float(ghi))
+            cells[key] = (ce_point[key], float(lo), float(hi),
+                          ce_point[cand] - ce_point[key],
+                          float(glo), float(ghi))
 
     frictionless = x0 + mu**2 * horizon / (2.0 * gamma * sigma**2)
-    return UtilityReport(kappas, multipliers, cells, frictionless)
+    # one (kappa, multiplier) array per value, in UtilityReport's field order
+    values = np.array(list(cells.values())).T.reshape(6, len(kappas), len(multipliers))
+    return UtilityReport(kappas, multipliers, *values, frictionless)
 
 
 def reference_write_columns(path, table: dict) -> None:

@@ -150,18 +150,20 @@ def test_criterion_7_utility_noninferiority():
         paths=10_000, seed=42, bootstrap=500)
 
     # candidate speed not beaten at the stated comparison point kappa = 256
+    k = report.kappas.index(256.0)
     for c in (0.5, 2.0):
-        cell = report.cells[(256.0, c)]
-        gap = report.ce(256.0) - cell.ce
-        assert gap >= -cell.gap_halfwidth, f"multiplier {c}: gap {gap}"
+        j = report.multipliers.index(c)
+        gap = report.candidate_ce[k] - report.ce[k, j]
+        halfwidth = (report.gap_ci_high[k, j] - report.gap_ci_low[k, j]) / 2.0
+        assert gap >= -halfwidth, f"multiplier {c}: gap {gap}"
 
-    curve = report.candidate_ce_curve()
+    curve = report.candidate_ce
     gaps = [report.frictionless_ce - ce for ce in curve]
     assert report.frictionless_ce == pytest.approx(0.125)
     assert all(b > a for a, b in zip(curve, curve[1:])), curve
     assert all(g > 0 for g in gaps), gaps
     assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
-    _report(7, f"candidate CE {report.ce(256.0):.4f} non-inferior at kappa=256; "
+    _report(7, f"candidate CE {report.candidate_ce[k]:.4f} non-inferior at kappa=256; "
                f"CE rises {curve[0]:.4f} -> {curve[-1]:.4f} toward "
                f"{report.frictionless_ce}", budget.check())
 

@@ -222,6 +222,17 @@ def test_readme_lists_every_artifact_column(tmp_path):
     assert written == set(README_COLUMNS)
 
 
+def test_readme_lists_every_gate(tmp_path):
+    # each gate a run writes to summary.json is named in README's "Gates"
+    gates = (ROOT / "README.md").read_text().split("## Gates")[1].split("\n## ")[0]
+    for j, (command, payload) in enumerate(SMALL_RUNS):
+        out = tmp_path / str(j)
+        cfg = write_config(tmp_path, payload, f"{j}.json")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        for gate in json.loads((out / "summary.json").read_text())["gates"]:
+            assert f"`{gate}`" in gates, gate
+
+
 def test_every_exported_name_resolves():
     import lobres
 

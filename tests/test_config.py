@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import lobres.config as config_module
 from lobres import ConfigError, ConfigParseError, ConfigValidationError
 from lobres.cli import main
 from lobres.config import (INTERPRETER_BYTES, ONE_PATH_BYTES_PER_POINT, SCIPY_BYTES,
@@ -216,8 +220,11 @@ class TestValidate:
         # scipy, one float64 result per rung and path, one (steps, 1024-path)
         # chunk of noise
         ("tracker_bound.json", SCIPY_BYTES + 8 * 7 * 10_000 + 8 * 512 * 1024),
-        # the same with one result per (kappa, multiplier) cell and path
-        ("utility.json", SCIPY_BYTES + 8 * 9 * 10_000 + 8 * 512 * 1024),
+        # the same with one result per (kappa, multiplier) cell and path, plus
+        # the bootstrap: 9 cells x 500 resampled CEs and their gaps, and one
+        # chunk of 2**16 // 10,000 = 6 resamples of int64 indices and samples
+        ("utility.json", SCIPY_BYTES + 8 * 9 * 10_000 + 8 * 512 * 1024
+         + 8 * (2 * 9 * 500 + 2 * 6 * 10_000)),
         # fewer paths than a chunk holds
         ("lemma_jump_noisy.json", SCIPY_BYTES + 8 * 9 * 1000 + 8 * 512 * 1000),
         # no noise: the per-rung results only
@@ -233,6 +240,55 @@ class TestValidate:
         report = validate_config(parse_config(text))
         assert report["estimates"]["approx_memory_bytes"] == (
             INTERPRETER_BYTES + ONE_PATH_BYTES_PER_POINT * 513 + expected)
+
+    @pytest.mark.parametrize("paths, rows", [(10_000, 6), (200, 327)])
+    def test_utility_memory_counts_the_bootstrap(self, paths, rows):
+        # each resample adds a CE and its gap per cell; a chunk holds
+        # 2**16 // paths resamples, or all of them when fewer, each of paths
+        # int64 indices and gathered samples.  Estimated only, never run.
+        config = json.loads((CONFIG_DIR / "utility.json").read_text())
+        config["mc"]["paths"] = paths
+
+        def estimate(bootstrap):
+            config["utility"]["bootstrap"] = bootstrap
+            report = validate_config(parse_config(json.dumps(config)))
+            return report["estimates"]["approx_memory_bytes"]
+
+        low, high = 10, 10**8
+        assert estimate(high) - estimate(low) == 8 * (
+            2 * 9 * (high - low) + 2 * (rows - min(low, rows)) * paths)
+        assert estimate(high) > 8 * 2 * 9 * high
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+                             + ["lemma_jump_zero_linear_sigma"])
+    def test_scipy_accounting_matches_the_run(self, name, tmp_path, monkeypatch):
+        # validate counts scipy.special iff the run imports it; the lemma-jump
+        # case's sigma is a function of time that is zero everywhere
+        if name == "lemma_jump_zero_linear_sigma":
+            config = json.loads((CONFIG_DIR / "lemma_jump_noisy.json").read_text())
+            config["fundamental"]["sigma"] = {"fn": "linear", "intercept": 0.0, "slope": 0.0}
+        else:
+            config = json.loads((CONFIG_DIR / name).read_text())
+        config.setdefault("mc", {})["paths"] = min(config.get("mc", {}).get("paths", 1), 200)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+
+        estimate = validate_config(parse_config(path.read_text()))["estimates"]
+        monkeypatch.setattr(config_module, "SCIPY_BYTES", 0)
+        without = validate_config(parse_config(path.read_text()))["estimates"]
+        command = {"simulate": "simulate", "utility": "utility"}.get(config["kind"], "converge")
+        code = (f"import sys; from lobres.cli import main; code = main([{command!r}, "
+                f"'--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+                f"print(code, 'scipy.special' in sys.modules)")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(CONFIG_DIR.parent / "src"),
+                                                          env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        exit_code, loaded = run.stdout.split()
+        assert exit_code in ("0", "1")
+        assert (loaded == "True") == (estimate["approx_memory_bytes"]
+                                      != without["approx_memory_bytes"])
 
 
 # Minimal valid configs per kind; each error row changes one thing in one of them.

@@ -15,7 +15,7 @@ from lobres import (BookTemplate, FundamentalSpec, InsufficientData, KappaLadder
                     lemma_jump_experiment, make_grid, ow_wealth, rate_strategy,
                     theorem1_experiment, tracker_bound_experiment, utility_experiment)
 from lobres.experiments import (ConvergenceReport, LemmaJumpReport, TrackerBoundReport,
-                                UtilityCell, UtilityReport, brownian_increments)
+                                UtilityReport, brownian_increments)
 from lobres.paths import write_columns
 from lobres.strategies import block_schedule, smooth_blocks
 
@@ -322,7 +322,7 @@ class TestUtility:
         report = utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
                                     gamma=1.0, kappas=[64.0, 256.0, 1024.0],
                                     paths=2000, seed=7, bootstrap=100)
-        curve = report.candidate_ce_curve()
+        curve = report.candidate_ce
         assert report.frictionless_ce == pytest.approx(0.125)
         assert all(b > a for a, b in zip(curve, curve[1:]))
         assert all(c < report.frictionless_ce for c in curve)
@@ -337,14 +337,11 @@ class TestUtility:
         base = run(0.0)
         for x0 in (-800.0, 0.0, 800.0):
             report = run(x0)
-            for key, cell in report.cells.items():
-                ref = base.cells[key]
-                assert all(map(math.isfinite, (cell.ce, cell.ci_low, cell.ci_high)))
-                assert cell.ce - x0 == pytest.approx(ref.ce, abs=1e-9)
-                assert cell.ci_low - x0 == pytest.approx(ref.ci_low, abs=1e-9)
-                assert cell.ci_high - x0 == pytest.approx(ref.ci_high, abs=1e-9)
-                assert cell.gap_vs_candidate == pytest.approx(ref.gap_vs_candidate,
-                                                              abs=1e-9)
+            for name in ("ce", "ci_low", "ci_high"):
+                assert np.all(np.isfinite(getattr(report, name)))
+                assert getattr(report, name) - x0 == pytest.approx(getattr(base, name),
+                                                                   abs=1e-9)
+            assert report.gap_vs_candidate == pytest.approx(base.gap_vs_candidate, abs=1e-9)
 
     def test_bootstrap_matches_per_resample_loop(self):
         # row-wise certainty equivalents of 700 resamples of 1500 paths
@@ -385,20 +382,19 @@ class TestUtility:
             x_det, w = Evaluation(book, strat, spec.mean_path(grid)).terminal(0.0)
             x = x_det + (sigma * w) @ dw
             boot[c] = np.array([_ce_one_sample(x[idx], gamma) for idx in boot_idx])
-        for c in report.multipliers:
-            cell = report.cells[(kappa, c)]
+        for j, c in enumerate(report.multipliers):
             lo, hi = np.percentile(boot[c], [2.5, 97.5])
             glo, ghi = np.percentile(boot[1.0] - boot[c], [2.5, 97.5])
-            np.testing.assert_allclose([cell.ci_low, cell.ci_high], [lo, hi],
+            np.testing.assert_allclose([report.ci_low[0, j], report.ci_high[0, j]], [lo, hi],
                                        rtol=1e-13, atol=0)
-            np.testing.assert_allclose([cell.gap_ci_low, cell.gap_ci_high], [glo, ghi],
-                                       rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose([report.gap_ci_low[0, j], report.gap_ci_high[0, j]],
+                                       [glo, ghi], rtol=1e-13, atol=1e-15)
 
     def test_candidate_noninferior_at_moderate_kappa(self):
         report = utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
                                     gamma=1.0, kappas=[256.0], paths=2000, seed=7,
                                     bootstrap=200)
-        assert report.candidate_noninferior(256.0)
+        assert report.candidate_noninferior.tolist() == [True]
 
 
 class TestBrownianIncrements:
@@ -498,7 +494,7 @@ class TestUtilityCandidateConstruction:
             fund = spec.sample(grid, RandomSource(seed, p))
             u[p] = -np.exp(-gamma * ow_wealth(book, strat, fund).x.values[-1])
         ce_direct = -np.log(-u.mean()) / gamma
-        assert report.ce(kappa, 1.0) == pytest.approx(ce_direct, abs=1e-10)
+        assert report.candidate_ce[0] == pytest.approx(ce_direct, abs=1e-10)
 
 
 # Chunked Monte-Carlo against the whole-matrix references of tests/helpers.py.
@@ -568,14 +564,13 @@ class TestChunkedMonteCarlo:
                   n0=CHUNK_STEPS, bootstrap=40)
         chunked = utility_experiment(*args, **kw)
         whole = reference_utility_experiment(*args, **kw)
-        assert chunked.cells.keys() == whole.cells.keys()
-        for key, cell in whole.cells.items():
+        assert (chunked.kappas, chunked.multipliers) == (whole.kappas, whole.multipliers)
+        for name in ("ce", "ci_low", "ci_high", "gap_vs_candidate", "gap_ci_low",
+                     "gap_ci_high"):
             if _exact(paths):
-                assert chunked.cells[key] == cell
-            for name in ("ce", "ci_low", "ci_high", "gap_vs_candidate", "gap_ci_low",
-                         "gap_ci_high"):
-                assert getattr(chunked.cells[key], name) == pytest.approx(
-                    getattr(cell, name), rel=1e-13, abs=1e-14)
+                np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
+            assert getattr(chunked, name) == pytest.approx(getattr(whole, name), rel=1e-13,
+                                                           abs=1e-14)
 
     @pytest.mark.parametrize("paths", [1000, 7, 1])
     def test_bootstrap_indices_are_the_one_shot_draw(self, monkeypatch, paths):
@@ -638,8 +633,9 @@ def test_report_tables_put_each_value_under_its_name(tmp_path):
     # every report cell is repr(float(v)) of the value its column names
     kappas = np.array([16.0, 64.0, 256.0])
     a, b, c = (np.array(v) for v in ([-0.0, 5e-324, 0.1], [1e16, 1e-05, 2.5], [3.0, 7.0, 0.5]))
-    cells = {(k, m): UtilityCell(m, *(k * m + j / 8 for j in range(6))) for k in (16.0, 64.0)
-             for m in (0.5, 1.0)}
+    # one (kappa, multiplier) array per utility value
+    utility = [np.array([[k * m + j / 8 for m in (0.5, 1.0)] for k in (16.0, 64.0)])
+               for j in range(6)]
     cases = [
         (ConvergenceReport(kappas, c), {
             "kappa": kappas, "mean_err": c, "p95_err": c, "kappa_x_err": kappas * c,
@@ -649,12 +645,11 @@ def test_report_tables_put_each_value_under_its_name(tmp_path):
         (TrackerBoundReport(kappas, a, b, 1.25, np.array([True, False, True])), {
             "kappa": kappas, "estimate": a, "stderr": b, "bound": [1.25] * 3,
             "within_bound": ["true", "false", "true"]}),
-        (UtilityReport((16.0, 64.0), (0.5, 1.0), cells, 0.125), {
+        (UtilityReport((16.0, 64.0), (0.5, 1.0), *utility, 0.125), {
             "kappa": [16.0, 16.0, 64.0, 64.0], "multiplier": [0.5, 1.0] * 2,
-            **{name: [getattr(cells[key], field) for key in cells] for name, field in (
-                ("ce", "ce"), ("ci_low", "ci_low"), ("ci_high", "ci_high"),
-                ("ce_gap_vs_candidate", "gap_vs_candidate"),
-                ("gap_ci_low", "gap_ci_low"), ("gap_ci_high", "gap_ci_high"))}}),
+            **{name: values.ravel() for name, values in zip(
+                ("ce", "ci_low", "ci_high", "ce_gap_vs_candidate", "gap_ci_low",
+                 "gap_ci_high"), utility)}}),
     ]
     for report, expected in cases:
         path = tmp_path / "table.csv"

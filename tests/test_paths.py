@@ -215,10 +215,9 @@ AWKWARD += [1e16, -1e16, 0.1, 0.30000000000000004, 1e-05, 2.5, 1.0]
 floats_pool = st.lists(st.sampled_from(AWKWARD) | st.floats(allow_nan=False),
                        min_size=1, max_size=12)
 ints_pool = st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=12)
-cells_pool = st.lists(
-    st.sampled_from(["", "true", "false", None]) | st.floats(allow_nan=False)
-    | st.floats(allow_nan=False).map(np.float64) | st.integers(-10**6, 10**6),
-    min_size=1, max_size=12)
+# list cells are ready text
+cells_pool = st.lists(st.sampled_from(["", "true", "false", "1.5", "-0.0", "x"]),
+                      min_size=1, max_size=12)
 
 
 def _expand(pool, rows, rng, runs):
@@ -275,7 +274,7 @@ class TestWriteColumns:
         {"a": ["x", 'say "x"'], "b": np.zeros(2)},
         {"a": ["x", "two\nlines"], "b": np.zeros(2)},
         {"a": ["x\r", "y"], "b": np.zeros(2)},
-        {"a": [1.0, "1,5"], "b": np.zeros(2)},
+        {"a": ["1.0", "1,5"], "b": np.zeros(2)},
     ], ids=["comma-in-name", "quote-in-cell", "newline-in-cell", "return-in-cell",
             "comma-in-cell"])
     def test_cells_the_csv_module_would_quote_are_refused(self, tmp_path, table):
@@ -286,8 +285,7 @@ class TestWriteColumns:
     @pytest.mark.parametrize("table", [
         {"": np.zeros(2)},
         {"a": ["x", ""]},
-        {"a": [1.0, None]},
-    ], ids=["empty-name", "empty-cell", "none-cell"])
+    ], ids=["empty-name", "empty-cell"])
     def test_one_column_table_with_an_empty_cell_is_refused(self, tmp_path, table):
         # the csv module writes such a row as '""'
         with pytest.raises(ValueError, match="one-column"):
@@ -295,7 +293,7 @@ class TestWriteColumns:
         assert not (tmp_path / "a.csv").exists()
 
     def test_empty_cells_beside_other_columns_match_the_csv_module(self, tmp_path):
-        table = {"": ["", None], "b": ["", "x"]}
+        table = {"": ["", ""], "b": ["", "x"]}
         write_columns(tmp_path / "new.csv", table)
         reference_write_columns(tmp_path / "old.csv", table)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
