@@ -393,7 +393,7 @@ class _Kind(NamedTuple):
     sections: dict[str, bool | None]
     strategies: tuple[str, ...] = ()
     one_path: str | None = None  # why mc.paths (and a gap's fundamental) has no effect
-    # whether a run draws Gaussian noise (and so loads scipy.special); a kind
+    # whether a run draws Gaussian noise (and so loads scipy's ndtri); a kind
     # that takes mc.paths keeps one float64 result per path and cell (rung, or
     # (kappa, multiplier) pair) and draws its noise one chunk of paths at a time
     noise: Callable[[Any], bool] = lambda config: False
@@ -525,9 +525,10 @@ DEFAULT_BUDGET = 2.0e8
 
 # Peak RSS of an interpreter that has imported numpy and lobres.cli, before
 # any run (34.6 MiB on Linux x86-64, Python 3.11, numpy 2.4), and what runs
-# that draw noise add by loading scipy.special (19.5-19.6 MiB, scipy 1.17).
+# that draw noise add by loading scipy's ndtri without scipy.special's package
+# init (4.4 MiB, scipy 1.17; see paths._ndtri).
 INTERPRETER_BYTES = 35 * 2**20
-SCIPY_BYTES = 39 * 2**19
+SCIPY_BYTES = 9 * 2**19
 # Bytes per grid point live at the peak of a one-path run: the book
 # coefficients, the scan's per-step terms and states, the ledger and the wealth
 # and spread paths, about 45 float64 values (simulate's peak RSS grows by 363

@@ -6,6 +6,8 @@ variates from a PCG64 stream keyed by ``(seed, stream)``.  The method is
 fixed so that identical keys reproduce identical paths and golden files
 stay stable across runs.  :class:`RandomSource` draws one stream through
 numpy; :func:`normals_block` draws many streams at once with the same bits.
+The inverse CDF is scipy's ``ndtri`` ufunc, loaded from its extension module
+without running ``scipy.special``'s package init (see :func:`_ndtri`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 import re
+import sys
+import types
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,8 +34,28 @@ _U_DENOM = float(1 << 53)
 @functools.cache
 def _ndtri():
     """scipy's inverse normal CDF, imported on first use so that runs drawing
-    no noise never load scipy."""
-    from scipy.special import ndtri
+    no noise never load scipy.
+
+    The ufunc is loaded from ``scipy.special._ufuncs`` without running
+    ``scipy.special``'s package init, which imports ``array_api_compat``,
+    ``numpy.testing`` and ``numpy.f2py`` (about 0.3 s and 15 MiB of RSS).
+    Unless the package is already imported, a bare module whose ``__path__``
+    is scipy's ``special`` directory stands in for it while the extension
+    loads, so the extension's relative imports of its sibling extensions
+    resolve, and is removed afterwards.  A later ``import scipy.special``
+    reuses the loaded extension, so its ``ndtri`` is this very ufunc.
+    """
+    bare = None
+    if "scipy.special" not in sys.modules:
+        import scipy
+        bare = types.ModuleType("scipy.special")
+        bare.__path__ = [os.path.join(entry, "special") for entry in scipy.__path__]
+        sys.modules["scipy.special"] = bare
+    try:
+        from scipy.special._ufuncs import ndtri
+    finally:
+        if bare is not None:
+            del sys.modules["scipy.special"]
     return ndtri
 
 

@@ -190,11 +190,22 @@ def relax_positions(target: np.ndarray, rate_scale: np.ndarray, kappa: float,
     target = np.asarray(target, dtype=np.float64)
     n = target.shape[0] - 1
     decay = np.exp(-math.sqrt(kappa) * np.asarray(rate_scale)[:n] * dt)
-    out = np.empty_like(target)
+    if target.ndim == 1:
+        # one path on Python floats: the same IEEE operations as on arrays,
+        # without a numpy call per step
+        pos = float(target[0] if start is None else start)
+        path = [pos]
+        for t_i, d in zip(target.tolist(), decay.tolist()):
+            pos = (pos - t_i) * d + t_i
+            path.append(pos)
+        return np.array(path)
+    out = np.empty(target.shape)
     out[0] = target[0] if start is None else start
-    for i in range(n):
-        t_i = target[i]
-        out[i + 1] = t_i + decay[i] * (out[i] - t_i)
+    # each row is written in place as (pos - target) * decay + target
+    for pos, nxt, t_i, d in zip(out, out[1:], target, decay.tolist()):
+        np.subtract(pos, t_i, out=nxt)
+        nxt *= d
+        nxt += t_i
     return out
 
 

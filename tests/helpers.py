@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +21,16 @@ from lobres.experiments import (_BOOTSTRAP_STREAM, LemmaJumpReport, TrackerBound
 from lobres.wealth import _accumulate
 from lobres.paths import as_path, constant_path
 from lobres.strategies import TrackerSpec, exponential_tracker, relax_positions, smooth_blocks
+
+
+def run_python(code: str, timeout: float = 60) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports
+    this checkout's lobres; a nonzero exit raises."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout, check=True).stdout
 
 
 def constant_book(grid, kappa, K=1.0, h=1.0, alpha=0.0, eps=0.0, **kw):
@@ -328,6 +342,20 @@ def reference_increments(grid, seed, paths):
     for p in range(paths):
         out[:, p] = RandomSource(seed, stream=p).normals(grid.steps)
     out *= math.sqrt(grid.dt)
+    return out
+
+
+def reference_relax_positions(target, rate_scale, kappa, dt, start=None):
+    """Row-by-row loop with a temporary per operation: the reference for
+    ``relax_positions``, which must reproduce every value of it bit for bit."""
+    target = np.asarray(target, dtype=np.float64)
+    n = target.shape[0] - 1
+    decay = np.exp(-math.sqrt(kappa) * np.asarray(rate_scale)[:n] * dt)
+    out = np.empty_like(target)
+    out[0] = target[0] if start is None else start
+    for i in range(n):
+        t_i = target[i]
+        out[i + 1] = t_i + decay[i] * (out[i] - t_i)
     return out
 
 

@@ -1,16 +1,14 @@
 import csv
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lobres.experiments as experiments_module
+from helpers import run_python
 from lobres import (BookTemplate, KappaLadder, UniformBounds, make_grid,
                     theorem1_experiment)
 from lobres.cli import main
@@ -457,10 +455,5 @@ class TestUtilityCommand:
 
 def test_import_does_not_load_scipy():
     # scipy serves only the noise draws; runs without noise never load it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
     code = "import sys, lobres.cli; print('scipy' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert run.stdout.strip() == "False"
+    assert run_python(code).strip() == "False"

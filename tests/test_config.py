@@ -1,7 +1,5 @@
 import hashlib
 import json
-import os
-import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import lobres.config as config_module
+from helpers import run_python
 from lobres import ConfigError, ConfigParseError, ConfigValidationError
 from lobres.cli import main
 from lobres.config import (INTERPRETER_BYTES, ONE_PATH_BYTES_PER_POINT, SCIPY_BYTES,
@@ -262,8 +261,9 @@ class TestValidate:
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json"))
                              + ["lemma_jump_zero_linear_sigma"])
     def test_scipy_accounting_matches_the_run(self, name, tmp_path, monkeypatch):
-        # validate counts scipy.special iff the run imports it; the lemma-jump
-        # case's sigma is a function of time that is zero everywhere
+        # validate counts scipy's ndtri iff the run loads its extension module,
+        # and no run imports the scipy.special package; the lemma-jump case's
+        # sigma is a function of time that is zero everywhere
         if name == "lemma_jump_zero_linear_sigma":
             config = json.loads((CONFIG_DIR / "lemma_jump_noisy.json").read_text())
             config["fundamental"]["sigma"] = {"fn": "linear", "intercept": 0.0, "slope": 0.0}
@@ -279,16 +279,28 @@ class TestValidate:
         command = {"simulate": "simulate", "utility": "utility"}.get(config["kind"], "converge")
         code = (f"import sys; from lobres.cli import main; code = main([{command!r}, "
                 f"'--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]); "
-                f"print(code, 'scipy.special' in sys.modules)")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(CONFIG_DIR.parent / "src"),
-                                                          env.get("PYTHONPATH")]))
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        exit_code, loaded = run.stdout.split()
+                f"print(code, 'scipy.special._ufuncs' in sys.modules, "
+                f"'scipy.special' in sys.modules)")
+        exit_code, loaded, package = run_python(code, timeout=120).split()
         assert exit_code in ("0", "1")
+        assert package == "False"
         assert (loaded == "True") == (estimate["approx_memory_bytes"]
                                       != without["approx_memory_bytes"])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_scipy_bytes_matches_the_loaded_ndtri():
+    # SCIPY_BYTES is the resident growth of loading ndtri into an interpreter
+    # that has imported lobres.cli
+    code = ("import os, lobres.cli\n"
+            "from lobres.paths import _ndtri\n"
+            "def rss():\n"
+            "    with open('/proc/self/statm') as f:\n"
+            "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "before = rss()\n"
+            "_ndtri()\n"
+            "print(rss() - before)")
+    assert abs(int(run_python(code)) - SCIPY_BYTES) <= 0.25 * SCIPY_BYTES
 
 
 # Minimal valid configs per kind; each error row changes one thing in one of them.

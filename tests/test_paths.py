@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import lobres.paths as paths_module
-from helpers import reference_increments, reference_write_columns
+from helpers import reference_increments, reference_write_columns, run_python
 from lobres import (FundamentalSpec, RandomSource, SampledPath, constant_path,
                     function_path, make_grid)
 from lobres.experiments import brownian_increments
@@ -201,6 +201,44 @@ class TestDeterministicPaths:
     def test_constant_nonfinite(self):
         with pytest.raises(ValueError):
             constant_path(make_grid(1.0, 4), math.nan)
+
+
+class TestNdtriLoad:
+    # _ndtri loads scipy.special._ufuncs without running scipy.special's
+    # package init; each case needs an interpreter where scipy is not loaded
+
+    def test_fresh_interpreter_skips_the_package_init(self):
+        out = run_python(
+            "import sys\n"
+            "from lobres.paths import _ndtri\n"
+            "ndtri = _ndtri()\n"
+            "print('scipy.special' in sys.modules)\n"
+            "import scipy.special\n"
+            "print(_ndtri() is ndtri is scipy.special.ndtri)")
+        assert out.split() == ["False", "True"]
+
+    def test_imported_package_is_used_and_kept(self):
+        out = run_python(
+            "import sys, scipy.special\n"
+            "package = sys.modules['scipy.special']\n"
+            "from lobres.paths import _ndtri\n"
+            "print(_ndtri() is scipy.special.ndtri, sys.modules['scipy.special'] is package)")
+        assert out.split() == ["True", "True"]
+
+    def test_failed_load_propagates_and_leaves_no_stand_in(self):
+        out = run_python(
+            "import sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'scipy.special._ufuncs':\n"
+            "            raise RuntimeError('refused')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "from lobres.paths import _ndtri\n"
+            "try:\n"
+            "    _ndtri()\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc, 'scipy.special' in sys.modules)")
+        assert out.split() == ["refused", "False"]
 
 
 BLOCK = paths_module._BLOCK_ROWS

@@ -7,7 +7,9 @@ from lobres import (BookParams, SampledPath, Strategy, TrackerSpec, block_schedu
                     constant_path, exponential_tracker, function_path, make_grid,
                     optimal_tracker, position_paths, rate_strategy, read_strategy_csv,
                     smooth_blocks)
+from helpers import reference_relax_positions
 from lobres.paths import write_columns
+from lobres.strategies import relax_positions
 
 
 class TestStrategy:
@@ -153,6 +155,26 @@ class TestExponentialTracker:
         grid = make_grid(1.0, 8)
         with pytest.raises(ValueError):
             TrackerSpec(constant_path(grid, 1.0), constant_path(grid, 0.0), 4.0)
+
+
+class TestRelaxPositions:
+    @pytest.mark.parametrize("kappa_dt", [10.0**k for k in range(-6, 7)])
+    @pytest.mark.parametrize("shape,start", [((65,), None), ((65,), 0.75),
+                                             ((65, 3), None), ((65, 3), 0.75),
+                                             ((65, 3), "row")])
+    def test_bit_identical_to_row_loop(self, kappa_dt, shape, start):
+        # the one-path float loop and the in-place row update do the
+        # reference's IEEE operations, for decays from about 1 to about 0
+        rng = np.random.default_rng(11)
+        dt = 1.0 / 64
+        target = np.cumsum(rng.normal(0.0, 1.0, shape), axis=0)
+        m = rng.uniform(0.5, 2.0, 65)
+        if start == "row":
+            start = rng.normal(0.0, 1.0, shape[1:])
+        pos = relax_positions(target, m, kappa_dt / dt, dt, start)
+        ref = reference_relax_positions(target, m, kappa_dt / dt, dt, start)
+        assert pos.shape == ref.shape
+        assert pos.tobytes() == ref.tobytes()
 
 
 class TestOptimalTracker:
