@@ -12,15 +12,14 @@ import logging
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_BUDGET, RunConfig, parse_config, validate_config
 from .errors import ConfigError
-from .experiments import (RandomSource, ladder_grid, lemma_jump_experiment,
-                          theorem1_experiment, tracker_bound_experiment,
-                          utility_experiment)
+from .experiments import (ladder_grid, lemma_jump_experiment, theorem1_experiment,
+                          tracker_bound_experiment, utility_experiment)
 from .paths import as_path, write_columns
 from .strategies import (Strategy, TrackerSpec, block_schedule, exponential_tracker,
                          rate_strategy, zero_strategy)
@@ -31,29 +30,60 @@ logger = logging.getLogger("lobres")
 SCHEMA_VERSION = 1
 
 _CONVERGE_KINDS = ("theorem1", "remark1", "lemma-jump", "tracker-bound", "l2")
+_RATE_GROWTH = {"theorem1": 0.0, "remark1": 0.25, "l2": 0.0}  # rate grows like kappa**this
 
 
-class _GapKind(NamedTuple):
-    """How one gap kind runs and is gated.  Its rate grows like
-    kappa**rate_growth.  The gate named ``decreasing`` holds when
-    kappa**power * error falls strictly from rung ``int(rungs * first)`` on,
-    and ``slope_gate`` when the fitted log-log slope is at most ``slope``
-    (None: no slope gate)."""
+class _Gate(NamedTuple):
+    """A claim a run checks.  ``holds(report)`` gives one bool per rung, or one
+    for the whole ladder; the gate passes when all from rung
+    ``min(int(rungs * first), rungs - 1)`` on are true, and is written only
+    for ladders of at least ``min_rungs`` rungs."""
 
-    rate_growth: float
-    decreasing: str
-    power: float
-    first: float
-    slope: float | None
+    name: str
+    holds: Callable[[Any], Any]
+    first: float = 0.0
+    min_rungs: int = 1
 
 
-# Gate thresholds for the shipped experiment kinds.
-_GAP_KINDS = {
-    "theorem1": _GapKind(0.0, "kappa_x_err_decreasing_upper_half", 1.0, 0.5, -1.5),
-    "remark1": _GapKind(0.25, "sqrt_kappa_x_err_decreasing", 0.5, 0.0, -0.9),
-    "l2": _GapKind(0.0, "kappa_x_err_decreasing_upper_half", 1.0, 0.5, None),
+def _gap_falls(power: float) -> Callable[[Any], np.ndarray]:
+    """Per rung: kappa**power * gap is strictly lower at the next rung (the top
+    rung holds), or every gap is 0."""
+    return lambda r: (np.append(np.diff(r.kappas**power * r.mean_err) < 0, True)
+                      | (not np.any(r.mean_err)))
+
+
+# Every gate of every kind (simulate has none), one row per claim: the
+# Obizhaeva/Wang wealth gap closes like 1/kappa (Theorem 1) or like kappa**-0.5
+# when the rate grows (Remark 1), smoothed execution beats blocks (the lemma),
+# the tracking error stays within its bound, the Almgren/Chriss speed is best.
+GATES: dict[str, tuple[_Gate, ...]] = {
+    "theorem1": (_Gate("kappa_x_err_decreasing_upper_half", _gap_falls(1.0), first=0.5),
+                 _Gate("slope_gate", lambda r: r.slope is None or r.slope <= -1.5)),
+    "remark1": (_Gate("sqrt_kappa_x_err_decreasing", _gap_falls(0.5)),
+                _Gate("slope_gate", lambda r: r.slope is None or r.slope <= -0.9)),
+    "l2": (_Gate("kappa_x_err_decreasing_upper_half", _gap_falls(1.0), first=0.5),),
+    "lemma-jump": (  # without noise every path has the same gain: the fraction is 0 or 1
+        _Gate("positive_mean_gain_at_kappa_max", lambda r: r.mean_diff > 0, first=1.0),
+        _Gate("positive_fraction_at_kappa_max", lambda r: r.frac_positive >= 0.95, first=1.0)),
+    "tracker-bound": (_Gate("bound_holds_for_every_kappa", lambda r: r.within),),
+    # per kappa the candidate's certainty equivalent is at least every cell's
+    # minus half its gap interval's width; asymptotic, so the upper half only
+    "utility": (
+        _Gate("candidate_noninferior", lambda r: ~np.any(
+            r.candidate_ce[:, None] < r.ce - (r.gap_ci_high - r.gap_ci_low) / 2.0, axis=1),
+            first=0.5),
+        _Gate("ce_increasing_in_kappa", lambda r: np.append(np.diff(r.candidate_ce) > 0, True),
+              min_rungs=2),
+        _Gate("ce_below_frictionless", lambda r: r.candidate_ce < r.frictionless_ce,
+              min_rungs=2)),
 }
-LEMMA_FRACTION_GATE = 0.95
+
+
+def _gates(kind: str, report) -> dict[str, bool]:
+    """Whether each of ``GATES[kind]`` written for ``report``'s ladder passes."""
+    rungs = len(report.kappas)
+    return {g.name: bool(np.atleast_1d(g.holds(report))[min(int(rungs * g.first), rungs - 1):]
+                         .all()) for g in GATES[kind] if rungs >= g.min_rungs}
 
 
 @dataclass
@@ -91,7 +121,7 @@ def _run_simulate(config: RunConfig) -> RunResult:
     grid = ladder_grid(config.grid.horizon, config.grid.n0,
                        config.grid.resolution_scale, kappa)
     book = config.book.template().materialize(grid, kappa)
-    fund = config.fundamental.spec().sample(grid, RandomSource(config.mc.seed, 0))
+    fund = config.fundamental.spec().sample(grid, config.mc.seed)
     strategy = _build_strategy(config, grid, kappa)
 
     evaluation = Evaluation(book, strategy, fund)
@@ -103,21 +133,15 @@ def _run_simulate(config: RunConfig) -> RunResult:
 
 
 def _run_gap(config: RunConfig) -> RunResult:
-    kind = _GAP_KINDS[config.kind]
     sc = config.strategy
     report = theorem1_experiment(
         config.book.template(), 0.0 if sc.type == "zero" else sc.rate.value(),
-        config.ladder.ladder(), rate_growth=kind.rate_growth,
+        config.ladder.ladder(), rate_growth=_RATE_GROWTH[config.kind],
         bounds=None if config.bounds is None else config.bounds.bounds(),
         horizon=config.grid.horizon, n0=config.grid.n0,
         resolution_scale=config.grid.resolution_scale)
-    scaled = report.kappas**kind.power * report.mean_err
-    scaled = scaled[int(len(scaled) * kind.first):]
-    gates = {kind.decreasing: not np.any(report.mean_err) or bool(np.all(np.diff(scaled) < 0))}
-    if kind.slope is not None:
-        gates["slope_gate"] = report.slope is None or report.slope <= kind.slope
     summary = {"slope": None if report.slope is None else repr(report.slope)}
-    return RunResult(gates, {"convergence.csv": report.table}, summary)
+    return RunResult(_gates(config.kind, report), {"convergence.csv": report.table}, summary)
 
 
 def _run_lemma(config: RunConfig) -> RunResult:
@@ -129,14 +153,9 @@ def _run_lemma(config: RunConfig) -> RunResult:
         config.book.template(), blocks, config.fundamental.spec(), ladder,
         width_scale=config.smoothing.width_scale, paths=config.mc.paths,
         seed=config.mc.seed)
-    gates = {
-        "positive_mean_gain_at_kappa_max": bool(report.mean_diff[-1] > 0),
-        # without noise every path has the same gain: the fraction is 0 or 1
-        "positive_fraction_at_kappa_max": bool(report.frac_positive[-1] >= LEMMA_FRACTION_GATE),
-    }
     summary = {"mean_diff_at_kappa_max": repr(float(report.mean_diff[-1])),
                "frac_positive_at_kappa_max": repr(float(report.frac_positive[-1]))}
-    return RunResult(gates, {"lemma.csv": report.table}, summary)
+    return RunResult(_gates(config.kind, report), {"lemma.csv": report.table}, summary)
 
 
 def _run_tracker_bound(config: RunConfig) -> RunResult:
@@ -147,10 +166,9 @@ def _run_tracker_bound(config: RunConfig) -> RunResult:
         coeff_bound=tc.coeff_bound, rate_floor=tc.rate_floor, target0=tc.target0,
         paths=config.mc.paths, seed=config.mc.seed, horizon=config.grid.horizon,
         n0=config.grid.n0, resolution_scale=config.grid.resolution_scale)
-    gates = {"bound_holds_for_every_kappa": report.all_within}
     summary = {"bound": repr(report.bound),
                "max_estimate": repr(float(report.estimates.max()))}
-    return RunResult(gates, {"tracker.csv": report.table}, summary)
+    return RunResult(_gates(config.kind, report), {"tracker.csv": report.table}, summary)
 
 
 def _run_utility(config: RunConfig) -> RunResult:
@@ -161,22 +179,14 @@ def _run_utility(config: RunConfig) -> RunResult:
         seed=config.mc.seed, x0=uc.x0, horizon=config.grid.horizon,
         n0=config.grid.n0, resolution_scale=config.grid.resolution_scale,
         bootstrap=uc.bootstrap)
-    # the speed-optimality claim is asymptotic: gate the upper half of the
-    # kappa range, like the other ladder gates
-    gates = {"candidate_noninferior":
-             bool(report.candidate_noninferior[len(report.kappas) // 2:].all())}
-    curve = report.candidate_ce.tolist()
-    if len(curve) >= 2:
-        gates["ce_increasing_in_kappa"] = all(b > a for a, b in zip(curve, curve[1:]))
-        gates["ce_below_frictionless"] = all(c < report.frictionless_ce for c in curve)
     summary = {"frictionless_ce": repr(report.frictionless_ce),
-               "candidate_ce": [repr(c) for c in curve]}
-    return RunResult(gates, {"utility.csv": report.table}, summary)
+               "candidate_ce": [repr(c) for c in report.candidate_ce.tolist()]}
+    return RunResult(_gates(config.kind, report), {"utility.csv": report.table}, summary)
 
 
 _RUNNERS = {
     "simulate": _run_simulate,
-    **dict.fromkeys(_GAP_KINDS, _run_gap),
+    **dict.fromkeys(_RATE_GROWTH, _run_gap),
     "lemma-jump": _run_lemma,
     "tracker-bound": _run_tracker_bound,
     "utility": _run_utility,

@@ -402,16 +402,16 @@ class _Kind(NamedTuple):
 _LADDER_KIND = {"book": False, "fundamental": False, "strategy": True, "ladder": False}
 _GAP = "the {} gap does not depend on the price path"
 _GAP_KINDS = ("theorem1", "remark1", "l2")
+_NOISY_PRICE = lambda config: not config.fundamental.spec().is_deterministic
 KINDS = {
     "simulate": _Kind({"book": True, "fundamental": False, "strategy": True},
                       ("zero", "rate", "blocks", "tracker"),
-                      "simulate samples one price path (stream 0)",
-                      noise=lambda config: True),
+                      "simulate samples one price path (stream 0)", noise=_NOISY_PRICE),
     "theorem1": _Kind(_LADDER_KIND, ("zero", "rate"), _GAP.format("theorem1")),
     "remark1": _Kind(_LADDER_KIND, ("zero", "rate"), _GAP.format("remark1")),
     "l2": _Kind({**_LADDER_KIND, "bounds": None}, ("zero", "rate"), _GAP.format("l2")),
     "lemma-jump": _Kind({**_LADDER_KIND, "smoothing": False}, ("blocks",),
-                        noise=lambda config: not config.fundamental.spec().is_deterministic),
+                        noise=_NOISY_PRICE),
     "tracker-bound": _Kind({"ladder": False, "tracker": False},
                            noise=lambda config: True),
     "utility": _Kind({"book": False, "fundamental": True, "utility": False},
@@ -543,10 +543,12 @@ def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
     paths = 1 if spec.one_path else config.mc.paths
     noise = spec.noise(config)
     # float64 values (or int64 indices) of a Monte-Carlo kind: its per-path
-    # results and one chunk of noise
+    # results and one chunk of noise, or tracker-bound's two chunk-sized arrays
+    # at its peak, the chunk's targets and one rung's positions
     arrays = 0 if spec.one_path else cells * paths
     if noise and not spec.one_path:
-        arrays += min(paths, paths_per_chunk(steps)) * steps
+        blocks = 2 if config.kind == "tracker-bound" else 1
+        arrays += blocks * min(paths, paths_per_chunk(steps)) * steps
     if config.utility is not None:
         # the resampled certainty equivalents and their gaps vs the
         # candidate, and one chunk of resample indices (int64) with the

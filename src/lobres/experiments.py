@@ -33,8 +33,7 @@ import numpy as np
 
 from .book import BookParams, BookTemplate
 from .errors import InsufficientData
-from .paths import (RandomSource, SampledPath, TimeGrid, as_path, constant_path, make_grid,
-                    normals_block)
+from .paths import SampledPath, TimeGrid, as_path, constant_path, make_grid, normals_block
 from .strategies import (Strategy, TrackerSpec, exponential_tracker, rate_strategy,
                          relax_positions, smooth_blocks)
 from .wealth import Evaluation, ac_wealth, ow_wealth
@@ -87,14 +86,8 @@ class FundamentalSpec:
     mu: float | Callable[[float], float] = 0.0
     sigma: float | Callable[[float], float] = 0.0
 
-    def _steps(self, grid: TimeGrid, coeff) -> np.ndarray:
-        return as_path(grid, coeff).values[:-1]
-
-    def mu_steps(self, grid: TimeGrid) -> np.ndarray:
-        return self._steps(grid, self.mu)
-
     def sigma_steps(self, grid: TimeGrid) -> np.ndarray:
-        sig = self._steps(grid, self.sigma)
+        sig = as_path(grid, self.sigma).values[:-1]
         if np.any(sig < 0):
             raise ValueError("sigma must be nonnegative")
         return sig
@@ -102,14 +95,17 @@ class FundamentalSpec:
     def mean_path(self, grid: TimeGrid) -> SampledPath:
         values = np.empty(grid.n_points)
         values[0] = self.s0
-        np.cumsum(self.mu_steps(grid) * grid.dt, out=values[1:])
+        np.cumsum(as_path(grid, self.mu).values[:-1] * grid.dt, out=values[1:])
         values[1:] += self.s0
         return SampledPath(grid, values)
 
-    def sample(self, grid: TimeGrid, rng: RandomSource) -> SampledPath:
-        dw = math.sqrt(grid.dt) * rng.normals(grid.steps)
-        values = self.mean_path(grid).values.copy()
-        values[1:] += np.cumsum(self.sigma_steps(grid) * dw)
+    def sample(self, grid: TimeGrid, seed: int, stream: int = 0) -> SampledPath:
+        """The mean path plus the noise of stream ``stream`` of ``seed``, drawn
+        like every Monte-Carlo path; a deterministic fundamental draws nothing."""
+        values = self.mean_path(grid).values
+        if not self.is_deterministic:
+            dw = brownian_increments(grid, seed, 1, stream)[:, 0]
+            values[1:] += np.cumsum(self.sigma_steps(grid) * dw)
         return SampledPath(grid, values)
 
     @property
@@ -324,10 +320,6 @@ class TrackerBoundReport:
     bound: float
     within: np.ndarray
 
-    @property
-    def all_within(self) -> bool:
-        return bool(np.all(self.within))
-
     def table(self) -> dict:
         """Columns of ``tracker.csv``."""
         return {"kappa": self.kappas, "estimate": self.estimates, "stderr": self.stderrs,
@@ -406,13 +398,6 @@ class UtilityReport:
     def candidate_ce(self) -> np.ndarray:
         """The candidate's certainty equivalent per kappa."""
         return self.ce[:, self.multipliers.index(1.0)]
-
-    @property
-    def candidate_noninferior(self) -> np.ndarray:
-        """Per kappa: the candidate's certainty equivalent is at least every
-        cell's minus half the width of its gap interval (the candidate's is 0)."""
-        halfwidth = (self.gap_ci_high - self.gap_ci_low) / 2.0
-        return ~np.any(self.candidate_ce[:, None] < self.ce - halfwidth, axis=1)
 
     def table(self) -> dict:
         """Columns of ``utility.csv``: one row per (kappa, multiplier) cell."""

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -345,6 +346,16 @@ def reference_increments(grid, seed, paths):
     return out
 
 
+def reference_sample(spec: FundamentalSpec, grid, rng: RandomSource) -> SampledPath:
+    """One price path drawn from one ``RandomSource`` stream: the per-path
+    reference of ``FundamentalSpec.sample``, which draws through
+    ``normals_block``, and of the Monte-Carlo experiments."""
+    dw = math.sqrt(grid.dt) * rng.normals(grid.steps)
+    values = spec.mean_path(grid).values.copy()
+    values[1:] += np.cumsum(spec.sigma_steps(grid) * dw)
+    return SampledPath(grid, values)
+
+
 def reference_relax_positions(target, rate_scale, kappa, dt, start=None):
     """Row-by-row loop with a temporary per operation: the reference for
     ``relax_positions``, which must reproduce every value of it bit for bit."""
@@ -550,3 +561,71 @@ def reference_write_columns(path, table: dict) -> None:
         writer.writerow(table)
         writer.writerows(zip(*(c if isinstance(c, list) else memoryview(c)
                                for c in table.values())))
+
+
+# The gate code of the CLI runners and reports that ``lobres.cli.GATES`` and
+# ``_gates`` replaced, kept verbatim as their reference: the table must
+# give the same dict for every report.
+
+
+class _GapKind(NamedTuple):
+    """How one gap kind runs and is gated.  Its rate grows like
+    kappa**rate_growth.  The gate named ``decreasing`` holds when
+    kappa**power * error falls strictly from rung ``int(rungs * first)`` on,
+    and ``slope_gate`` when the fitted log-log slope is at most ``slope``
+    (None: no slope gate)."""
+
+    rate_growth: float
+    decreasing: str
+    power: float
+    first: float
+    slope: float | None
+
+
+# Gate thresholds for the shipped experiment kinds.
+_GAP_KINDS = {
+    "theorem1": _GapKind(0.0, "kappa_x_err_decreasing_upper_half", 1.0, 0.5, -1.5),
+    "remark1": _GapKind(0.25, "sqrt_kappa_x_err_decreasing", 0.5, 0.0, -0.9),
+    "l2": _GapKind(0.0, "kappa_x_err_decreasing_upper_half", 1.0, 0.5, None),
+}
+LEMMA_FRACTION_GATE = 0.95
+
+
+def _all_within(report: TrackerBoundReport) -> bool:
+    return bool(np.all(report.within))
+
+
+def _candidate_noninferior(report: UtilityReport) -> np.ndarray:
+    """Per kappa: the candidate's certainty equivalent is at least every
+    cell's minus half the width of its gap interval (the candidate's is 0)."""
+    halfwidth = (report.gap_ci_high - report.gap_ci_low) / 2.0
+    return ~np.any(report.candidate_ce[:, None] < report.ce - halfwidth, axis=1)
+
+
+def reference_gates(kind: str, report) -> dict[str, bool]:
+    """The gates of a ``kind`` run on its report."""
+    if kind in _GAP_KINDS:
+        kind = _GAP_KINDS[kind]
+        scaled = report.kappas**kind.power * report.mean_err
+        scaled = scaled[int(len(scaled) * kind.first):]
+        gates = {kind.decreasing: not np.any(report.mean_err) or bool(np.all(np.diff(scaled) < 0))}
+        if kind.slope is not None:
+            gates["slope_gate"] = report.slope is None or report.slope <= kind.slope
+        return gates
+    if kind == "lemma-jump":
+        return {
+            "positive_mean_gain_at_kappa_max": bool(report.mean_diff[-1] > 0),
+            # without noise every path has the same gain: the fraction is 0 or 1
+            "positive_fraction_at_kappa_max": bool(report.frac_positive[-1] >= LEMMA_FRACTION_GATE),
+        }
+    if kind == "tracker-bound":
+        return {"bound_holds_for_every_kappa": _all_within(report)}
+    # the speed-optimality claim is asymptotic: gate the upper half of the
+    # kappa range, like the other ladder gates
+    gates = {"candidate_noninferior":
+             bool(_candidate_noninferior(report)[len(report.kappas) // 2:].all())}
+    curve = report.candidate_ce.tolist()
+    if len(curve) >= 2:
+        gates["ce_increasing_in_kappa"] = all(b > a for a, b in zip(curve, curve[1:]))
+        gates["ce_below_frictionless"] = all(c < report.frictionless_ce for c in curve)
+    return gates

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lobres import (BookParams, BookTemplate, Evaluation, FundamentalSpec, KappaLadder,
-                    RandomSource, Strategy, constant_path, ladder_grid,
+                    Strategy, constant_path, ladder_grid,
                     lemma_jump_experiment, make_grid, position_paths, rate_strategy,
                     theorem1_experiment, tracker_bound_experiment, utility_experiment)
 from lobres.cli import main
@@ -69,8 +69,7 @@ def test_criterion_2_bookkeeping_identity():
             grid, float(rng.uniform(1.0, 300.0)),
             K=float(rng.uniform(0.5, 2.0)), h=float(rng.uniform(0.5, 3.0)),
             alpha=float(rng.uniform(0.0, 0.5)), eps=float(rng.uniform(0.0, 0.1)))
-        fund = FundamentalSpec(s0=80.0, mu=0.05, sigma=0.4).sample(
-            grid, RandomSource(777, trial))
+        fund = FundamentalSpec(s0=80.0, mu=0.05, sigma=0.4).sample(grid, 777, trial)
         strat = random_strategy(grid, rng, n_blocks=int(rng.integers(0, 8)),
                                 phi0=float(rng.normal(0.0, 2.0)))
         x0 = float(rng.normal(0.0, 10.0))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from lobres import ConfigError, ConfigParseError, ConfigValidationError
 from lobres.cli import main
 from lobres.config import (INTERPRETER_BYTES, ONE_PATH_BYTES_PER_POINT, SCIPY_BYTES,
                            parse_config, validate_config)
+from lobres.experiments import tracker_bound_experiment
+from lobres.paths import _ndtri
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -209,16 +212,17 @@ class TestValidate:
         report = validate_config(parse_config(text))
         assert report["estimates"]["grid_steps"] == 512
         assert report["estimates"]["cost_proxy"] == 512.0
-        # the one price path is drawn through scipy's ndtri
+        # the one price path has sigma 0, so it draws nothing and scipy's
+        # ndtri is not loaded
         assert report["estimates"]["approx_memory_bytes"] == (
-            INTERPRETER_BYTES + SCIPY_BYTES + ONE_PATH_BYTES_PER_POINT * 513)
+            INTERPRETER_BYTES + ONE_PATH_BYTES_PER_POINT * 513)
         assert not any("budget" in w for w in report["warnings"])
         assert any("one price path" in w for w in report["warnings"])
 
     @pytest.mark.parametrize("name, expected", [
-        # scipy, one float64 result per rung and path, one (steps, 1024-path)
-        # chunk of noise
-        ("tracker_bound.json", SCIPY_BYTES + 8 * 7 * 10_000 + 8 * 512 * 1024),
+        # scipy, one float64 result per rung and path, and two (steps,
+        # 1024-path) chunk blocks: the targets and one rung's positions
+        ("tracker_bound.json", SCIPY_BYTES + 8 * 7 * 10_000 + 2 * 8 * 512 * 1024),
         # the same with one result per (kappa, multiplier) cell and path, plus
         # the bootstrap: 9 cells x 500 resampled CEs and their gaps, and one
         # chunk of 2**16 // 10,000 = 6 resamples of int64 indices and samples
@@ -259,14 +263,18 @@ class TestValidate:
         assert estimate(high) > 8 * 2 * 9 * high
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json"))
-                             + ["lemma_jump_zero_linear_sigma"])
+                             + ["lemma_jump_zero_linear_sigma", "simulate_zero_sigma"])
     def test_scipy_accounting_matches_the_run(self, name, tmp_path, monkeypatch):
         # validate counts scipy's ndtri iff the run loads its extension module,
         # and no run imports the scipy.special package; the lemma-jump case's
-        # sigma is a function of time that is zero everywhere
+        # sigma is a function of time that is zero everywhere, and a simulate
+        # run with sigma 0 neither counts nor loads it
         if name == "lemma_jump_zero_linear_sigma":
             config = json.loads((CONFIG_DIR / "lemma_jump_noisy.json").read_text())
             config["fundamental"]["sigma"] = {"fn": "linear", "intercept": 0.0, "slope": 0.0}
+        elif name == "simulate_zero_sigma":
+            config = json.loads((CONFIG_DIR / "simulate.json").read_text())
+            config["fundamental"]["sigma"] = 0.0
         else:
             config = json.loads((CONFIG_DIR / name).read_text())
         config.setdefault("mc", {})["paths"] = min(config.get("mc", {}).get("paths", 1), 200)
@@ -286,6 +294,36 @@ class TestValidate:
         assert package == "False"
         assert (loaded == "True") == (estimate["approx_memory_bytes"]
                                       != without["approx_memory_bytes"])
+        if name == "simulate_zero_sigma":
+            assert loaded == "False"
+
+    @pytest.mark.parametrize("paths, n0", [(3000, 512), (1000, 2048)])
+    def test_tracker_bound_memory_matches_the_traced_peak(self, paths, n0):
+        # validate's Monte-Carlo term (per-path results and two chunk blocks)
+        # is within 5% of the peak numpy allocates during the experiment, on
+        # 512 steps in chunks of 1,024 paths and on 2,048 steps in chunks of
+        # 256.  normals_block's lane arrays (about 1.2 MB whatever the chunk)
+        # are counted nowhere, so much smaller chunks peak above the term.
+        config = json.loads((CONFIG_DIR / "tracker_bound.json").read_text())
+        config["mc"]["paths"] = paths
+        config["grid"]["n0"] = n0
+        config = parse_config(json.dumps(config))
+        estimates = validate_config(config)["estimates"]
+        term = (estimates["approx_memory_bytes"] - INTERPRETER_BYTES - SCIPY_BYTES
+                - ONE_PATH_BYTES_PER_POINT * (estimates["grid_steps"] + 1))
+        tc = config.tracker
+        _ndtri()  # loaded first: SCIPY_BYTES counts it
+        tracemalloc.start()
+        try:
+            tracker_bound_experiment(
+                config.ladder.ladder(), target_drift=tc.target_drift.value(),
+                target_vol=tc.target_vol.value(), rate_scale=tc.rate_scale.value(),
+                coeff_bound=tc.coeff_bound, rate_floor=tc.rate_floor, target0=tc.target0,
+                paths=paths, seed=42, n0=n0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(term / peak - 1.0) <= 0.05
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")

@@ -8,12 +8,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lobres.experiments as experiments_module
-from helpers import (reference_increments, reference_lemma_jump_experiment,
+from helpers import (reference_increments, reference_lemma_jump_experiment, reference_sample,
                      reference_tracker_bound_experiment, reference_utility_experiment)
 from lobres import (BookTemplate, FundamentalSpec, InsufficientData, KappaLadder,
                     RandomSource, UniformBounds, ac_wealth, fit_rate, ladder_grid,
                     lemma_jump_experiment, make_grid, ow_wealth, rate_strategy,
                     theorem1_experiment, tracker_bound_experiment, utility_experiment)
+from lobres.cli import _gates
 from lobres.experiments import (ConvergenceReport, LemmaJumpReport, TrackerBoundReport,
                                 UtilityReport, brownian_increments)
 from lobres.paths import write_columns
@@ -93,7 +94,7 @@ class TestTheorem1:
                                sigma=lambda t: 0.3 + 0.1 * math.sin(2 * math.pi * t))
         grid = ladder_grid(1.0, 512, 4.0, SMALL_LADDER.max)
         strat = rate_strategy(grid, rate)
-        funds = [spec.sample(grid, RandomSource(42, p)) for p in range(4)]
+        funds = [reference_sample(spec, grid, RandomSource(42, p)) for p in range(4)]
         for alpha in (0.0, 0.5):
             template = BookTemplate(alpha=alpha, eps=0.01)
             report = theorem1_experiment(template, rate, SMALL_LADDER)
@@ -215,7 +216,7 @@ class TestLemmaJump:
         book = BookTemplate(h=1.0).materialize(grid, 64.0)
         smoothed = smooth_blocks(blocks, 64.0, 1.0)
         for p in range(paths):
-            fund = spec.sample(grid, RandomSource(11, p))
+            fund = reference_sample(spec, grid, RandomSource(11, p))
             direct = (ow_wealth(book, smoothed, fund).x.values[-1]
                       - ow_wealth(book, blocks, fund).x.values[-1])
             assert report.diffs[0, p] == pytest.approx(direct, abs=1e-11)
@@ -235,13 +236,13 @@ class TestTrackerBound:
         report = tracker_bound_experiment(KappaLadder((16.0, 64.0)), target_vol=0.0,
                                           paths=10, n0=64)
         np.testing.assert_array_equal(report.estimates, np.zeros(2))
-        assert report.all_within
+        assert _gates("tracker-bound", report) == {"bound_holds_for_every_kappa": True}
 
     def test_brownian_target_within_bound(self):
         report = tracker_bound_experiment(KappaLadder.geometric(16.0, 4.0, 4),
                                           paths=2000, seed=5)
         assert report.bound == 5.0
-        assert report.all_within
+        assert _gates("tracker-bound", report) == {"bound_holds_for_every_kappa": True}
         assert np.all(report.estimates < 5.0)
 
     def test_matches_per_path_reference(self):
@@ -394,7 +395,8 @@ class TestUtility:
         report = utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
                                     gamma=1.0, kappas=[256.0], paths=2000, seed=7,
                                     bootstrap=200)
-        assert report.candidate_noninferior.tolist() == [True]
+        # one kappa: the noninferiority gate alone, on that kappa
+        assert _gates("utility", report) == {"candidate_noninferior": True}
 
 
 class TestBrownianIncrements:
@@ -438,12 +440,30 @@ class TestFundamentalSpec:
         # coefficients and the same (seed, stream)
         grid = make_grid(1.0, 256)
         spec = FundamentalSpec(s0=50.0, mu=0.08, sigma=0.3)
-        a = spec.sample(grid, RandomSource(13, 2))
+        a = spec.sample(grid, 13, 2)
         dw = math.sqrt(grid.dt) * RandomSource(13, 2).normals(grid.steps)
         b = [50.0]
         for i in range(grid.steps):
             b.append(b[-1] + 0.08 * grid.dt + 0.3 * dw[i])
         np.testing.assert_allclose(a.values, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        FundamentalSpec(s0=50.0, mu=0.08, sigma=0.3),
+        FundamentalSpec(s0=100.0, mu=lambda t: t, sigma=lambda t: 0.1 + t),
+        FundamentalSpec(s0=100.0, mu=0.05, sigma=0.0),
+        FundamentalSpec(s0=0.0, mu=0.0, sigma=lambda t: 0.0),
+    ], ids=["constant", "functions", "sigma0", "zero_function_sigma"])
+    @pytest.mark.parametrize("seed, stream, steps", [(42, 0, 512), (977, 3, 7), (7, 2**32 - 1, 1)])
+    def test_sample_is_byte_identical_to_one_source_stream(self, spec, seed, stream, steps):
+        grid = make_grid(1.0, steps)
+        expected = reference_sample(spec, grid, RandomSource(seed, stream)).values
+        assert spec.sample(grid, seed, stream).values.tobytes() == expected.tobytes()
+
+    def test_deterministic_sample_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(experiments_module, "brownian_increments", None)
+        grid = make_grid(1.0, 64)
+        spec = FundamentalSpec(s0=10.0, mu=lambda t: t, sigma=0.0)
+        np.testing.assert_array_equal(spec.sample(grid, 42).values, spec.mean_path(grid).values)
 
     def test_mean_path_is_drift_integral(self):
         grid = make_grid(2.0, 64)
@@ -491,7 +511,7 @@ class TestUtilityCandidateConstruction:
         spec = FundamentalSpec(100.0, mu, sigma)
         u = np.empty(paths)
         for p in range(paths):
-            fund = spec.sample(grid, RandomSource(seed, p))
+            fund = reference_sample(spec, grid, RandomSource(seed, p))
             u[p] = -np.exp(-gamma * ow_wealth(book, strat, fund).x.values[-1])
         ce_direct = -np.log(-u.mean()) / gamma
         assert report.candidate_ce[0] == pytest.approx(ce_direct, abs=1e-10)

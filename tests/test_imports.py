@@ -1,0 +1,55 @@
+"""Every module-level import of the package is used by its module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lobres"
+
+
+def _annotation_names(tree: ast.AST):
+    """Names in string annotations, such as ``"float | SampledPath"``."""
+    for node in ast.walk(tree):
+        notes = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            notes = [a.annotation for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                            args.vararg, args.kwarg] if a is not None]
+            notes.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                for sub in ast.walk(ast.parse(note.value, mode="eval")):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module-level imports of ``source`` that the module
+    never reads (``from __future__`` imports excepted)."""
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(_annotation_names(tree))
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_every_module_level_import_is_used(module):
+    assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_an_orphaned_import_is_found():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\n"
+              "from .paths import RandomSource, SampledPath, TimeGrid\n"
+              "def f(grid: 'TimeGrid') -> SampledPath:\n    return np.zeros(1)\n")
+    assert unused_imports(source) == ["os", "RandomSource"]

@@ -59,14 +59,14 @@ BROWNIAN = FundamentalSpec(s0=0.0, sigma=1.0)
 class TestBrownian:
     def test_determinism(self):
         grid = make_grid(1.0, 64)
-        a = BROWNIAN.sample(grid, RandomSource(123, 5))
-        b = BROWNIAN.sample(grid, RandomSource(123, 5))
+        a = BROWNIAN.sample(grid, 123, 5)
+        b = BROWNIAN.sample(grid, 123, 5)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_streams_differ(self):
         grid = make_grid(1.0, 64)
-        a = BROWNIAN.sample(grid, RandomSource(123, 0))
-        b = BROWNIAN.sample(grid, RandomSource(123, 1))
+        a = BROWNIAN.sample(grid, 123, 0)
+        b = BROWNIAN.sample(grid, 123, 1)
         assert not np.array_equal(a.values, b.values)
 
     def test_terminal_moments(self):
@@ -74,7 +74,7 @@ class TestBrownian:
         grid = make_grid(1.0, 1)
         w1 = terminal_values(grid, 2024, 100_000)
         for p in range(3):
-            assert BROWNIAN.sample(grid, RandomSource(2024, p)).values[1] == w1[p]
+            assert BROWNIAN.sample(grid, 2024, p).values[1] == w1[p]
         assert abs(w1.mean()) <= 4e-2
         assert abs(w1.var() - 1.0) <= 0.02
 

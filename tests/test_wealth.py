@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lobres import (BookParams, Evaluation, FundamentalSpec, RandomSource, Strategy,
-                    constant_path, fit_rate, function_path, make_grid, position_paths,
-                    rate_strategy, zero_strategy)
+from lobres import (BookParams, Evaluation, FundamentalSpec, Strategy, constant_path,
+                    fit_rate, function_path, make_grid, position_paths, rate_strategy,
+                    zero_strategy)
 from lobres.paths import write_columns
 from helpers import random_strategy
 
@@ -130,8 +130,7 @@ class TestSafeAccount:
                                     h=float(rng.uniform(0.5, 3.0)),
                                     alpha=float(rng.uniform(0.0, 0.5)),
                                     eps=float(rng.uniform(0.0, 0.1)))
-            fund = FundamentalSpec(s0=50.0, mu=0.02, sigma=0.3).sample(
-                grid, RandomSource(1000, trial))
+            fund = FundamentalSpec(s0=50.0, mu=0.02, sigma=0.3).sample(grid, 1000, trial)
             strat = random_strategy(grid, rng, n_blocks=int(rng.integers(0, 6)),
                                     phi0=float(rng.normal(0.0, 1.0)))
             x0 = float(rng.normal(0.0, 5.0))
@@ -192,7 +191,7 @@ class TestAcWealth:
         # both engines mark gains identically so their difference is pure cost
         grid = make_grid(1.0, 128)
         book = BookParams.build(grid, 64.0, alpha=0.25, eps=0.01)
-        fund = FundamentalSpec(s0=100.0, mu=0.1, sigma=0.2).sample(grid, RandomSource(5, 0))
+        fund = FundamentalSpec(s0=100.0, mu=0.1, sigma=0.2).sample(grid, 5)
         strat = rate_strategy(grid, lambda t: math.sin(2 * math.pi * t))
         evaluation = Evaluation(book, strat, fund)
         w_ow = evaluation.ow()
