@@ -529,6 +529,9 @@ DEFAULT_BUDGET = 2.0e8
 # init (4.4 MiB, scipy 1.17; see paths._ndtri).
 INTERPRETER_BYTES = 35 * 2**20
 SCIPY_BYTES = 9 * 2**19
+# What drawing noise adds for normals_block's uint64 lane arrays: about 19
+# values per lane over its 8,192 lanes (1,250,088 bytes traced at 1,024 x 512).
+LANE_BYTES = 8 * 19 * 8192
 # Bytes per grid point live at the peak of a one-path run: the book
 # coefficients, the scan's per-step terms and states, the ledger and the wealth
 # and spread paths, about 45 float64 values (simulate's peak RSS grows by 363
@@ -543,18 +546,19 @@ def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
     paths = 1 if spec.one_path else config.mc.paths
     noise = spec.noise(config)
     # float64 values (or int64 indices) of a Monte-Carlo kind: its per-path
-    # results and one chunk of noise, or tracker-bound's two chunk-sized arrays
-    # at its peak, the chunk's targets and one rung's positions
+    # results and one chunk of noise, and tracker-bound's positions, squared
+    # errors and running maxima, one row per rung and chunk path each
     arrays = 0 if spec.one_path else cells * paths
     if noise and not spec.one_path:
-        blocks = 2 if config.kind == "tracker-bound" else 1
-        arrays += blocks * min(paths, paths_per_chunk(steps)) * steps
+        chunk = min(paths, paths_per_chunk(steps))
+        arrays += chunk * (steps + (3 * cells if config.kind == "tracker-bound" else 0))
     if config.utility is not None:
-        # the resampled certainty equivalents and their gaps vs the
+        # the resampled certainty equivalents, one kappa's gaps vs the
         # candidate, and one chunk of resample indices (int64) with the
         # samples they gather
         boot = config.utility.bootstrap
-        arrays += 2 * cells * boot + 2 * min(boot, resamples_per_chunk(paths)) * paths
+        arrays += ((cells + len(config.utility.multipliers)) * boot
+                   + 2 * min(boot, resamples_per_chunk(paths)) * paths)
     cost_proxy = float(steps) * paths * cells
     # the price-path inputs a one-path kind ignores, named in one warning
     unused = [f"mc.paths = {config.mc.paths}"] if spec.one_path and config.mc.paths > 1 else []
@@ -579,9 +583,9 @@ def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
             "cells": cells,
             "paths": config.mc.paths,
             "cost_proxy": cost_proxy,
-            # peak RSS: the interpreter (and scipy), one path's scan and
-            # ledger, the Monte-Carlo arrays
-            "approx_memory_bytes": (INTERPRETER_BYTES + (SCIPY_BYTES if noise else 0)
+            # peak RSS: the interpreter (and scipy and the noise lanes), one
+            # path's scan and ledger, the Monte-Carlo arrays
+            "approx_memory_bytes": (INTERPRETER_BYTES + noise * (SCIPY_BYTES + LANE_BYTES)
                                     + ONE_PATH_BYTES_PER_POINT * (steps + 1) + 8 * arrays),
         },
         "warnings": warnings,

@@ -34,8 +34,7 @@ import numpy as np
 from .book import BookParams, BookTemplate
 from .errors import InsufficientData
 from .paths import SampledPath, TimeGrid, as_path, constant_path, make_grid, normals_block
-from .strategies import (Strategy, TrackerSpec, exponential_tracker, rate_strategy,
-                         relax_positions, smooth_blocks)
+from .strategies import Strategy, TrackerSpec, exponential_tracker, rate_strategy, smooth_blocks
 from .wealth import Evaluation, ac_wealth, ow_wealth
 
 # Stream ids 0..paths-1 are reserved for Monte-Carlo paths; auxiliary noise
@@ -351,24 +350,28 @@ def tracker_bound_experiment(ladder: KappaLadder, *, target_drift=0.0, target_vo
     if np.any(m < rate_floor):
         raise ValueError("tracking rate falls below its declared floor")
 
+    # (steps, rungs, 1) decays, each the float64 relax_positions computes
+    decays = np.array([np.exp(-math.sqrt(k) * m[:-1] * grid.dt) for k in ladder]).T[:, :, None]
     sup2 = np.empty((len(ladder), paths))
     for a, b, increments in _noise_chunks(grid, paths, seed):
-        # time-major (n+1, chunk) targets: the noise becomes the increments
-        # and is cumulated along time, then freed before the first rung
+        # one pass over time: the running sum repeats np.cumsum's adds, and
+        # each rung's row takes relax_positions' (pos - target) * decay + target
         increments *= sig[:-1, None]
         increments += (mu[:-1] * grid.dt)[:, None]
-        targets = np.empty((grid.n_points, b - a))
-        targets[0] = target0
-        np.cumsum(increments, axis=0, out=targets[1:])
-        del increments
-        targets[1:] += target0
-        for j, kappa in enumerate(ladder):
-            err2 = relax_positions(targets, m, kappa, grid.dt)
-            err2 -= targets
+        total, target = np.zeros(b - a), np.full(b - a, float(target0))
+        pos = np.full((len(ladder), b - a), float(target0))
+        err2, sup = np.empty_like(pos), np.zeros_like(pos)
+        for inc, decay in zip(increments, decays):
+            pos -= target
+            pos *= decay
+            pos += target
+            total += inc
+            np.add(total, target0, out=target)
+            np.subtract(pos, target, out=err2)
             np.square(err2, out=err2)
-            sup2[j, a:b] = math.sqrt(kappa) * err2.max(axis=0)
-            del err2  # freed before the next rung allocates its positions
-        del targets  # freed before the next chunk draws
+            np.maximum(sup, err2, out=sup)
+        del increments, inc  # the block and its last row, freed before the next chunk draws
+        sup2[:, a:b] = np.sqrt(ladder.values)[:, None] * sup
 
     bound = 5.0 * coeff_bound**2 * horizon / rate_floor
     estimates = sup2.mean(axis=1)
@@ -506,16 +509,20 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
     # generator, the same integers as one (bootstrap, paths) draw
     boot_gen = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(_BOOTSTRAP_STREAM,))))
-    # (resampled CE or its gap vs the candidate, kappa, multiplier, resample)
-    boot = np.empty((2, *shape, bootstrap))
-    ce_boot = boot[0].reshape(len(cells), bootstrap)
+    # resampled CEs, (kappa, multiplier, resample)
+    boot = np.empty((*shape, bootstrap))
     rows = resamples_per_chunk(paths)
     for a in range(0, bootstrap, rows):
         boot_idx = boot_gen.integers(0, paths, size=(min(rows, bootstrap - a), paths))
-        for x, row in zip(x_terminal, ce_boot):
+        for x, row in zip(x_terminal, boot.reshape(len(cells), bootstrap)):
             row[a:a + len(boot_idx)] = _certainty_equivalents(x, boot_idx, gamma)
-    np.subtract(boot[0, :, cand, None], boot[0], out=boot[1])
-    (ci_low, gap_ci_low), (ci_high, gap_ci_high) = np.percentile(
-        boot, [2.5, 97.5], axis=-1, overwrite_input=True)
-    return UtilityReport(kappas, multipliers, ce, ci_low, ci_high, ce[:, cand, None] - ce,
-                         gap_ci_low, gap_ci_high, frictionless)
+    # (2.5%, 97.5%) percentiles, (2, kappa, multiplier), of the CEs and of
+    # their gaps vs the candidate; one kappa's gap rows exist at a time
+    ci, gap_ci = np.empty((2, 2, *shape))
+    gaps = np.empty(shape[1:] + (bootstrap,))
+    for k, kappa_boot in enumerate(boot):
+        np.subtract(kappa_boot[cand], kappa_boot, out=gaps)
+        gap_ci[:, k] = np.percentile(gaps, [2.5, 97.5], axis=-1, overwrite_input=True)
+        ci[:, k] = np.percentile(kappa_boot, [2.5, 97.5], axis=-1, overwrite_input=True)
+    return UtilityReport(kappas, multipliers, ce, *ci, ce[:, cand, None] - ce, *gap_ci,
+                         frictionless)

@@ -177,36 +177,25 @@ class TrackerSpec:
 
 
 def relax_positions(target: np.ndarray, rate_scale: np.ndarray, kappa: float,
-                    dt: float, start: np.ndarray | float | None = None) -> np.ndarray:
-    """Exact exponential relaxation toward the left-endpoint target.
+                    dt: float, start: float | None = None) -> np.ndarray:
+    """Exact exponential relaxation of one path toward the left-endpoint target:
 
         pos[i+1] = target[i] + exp(-sqrt(kappa) * M_i * dt) * (pos[i] - target[i])
 
-    Axis 0 is time: ``target`` may be (n+1,) or time-major (n+1, paths), so
-    each step updates one contiguous row.  The update never overshoots the
-    frozen target for any step size.  ``start`` defaults to the target's
-    initial value.
+    The update never overshoots the frozen target for any step size.
+    ``start`` defaults to the target's initial value.
     """
     target = np.asarray(target, dtype=np.float64)
-    n = target.shape[0] - 1
-    decay = np.exp(-math.sqrt(kappa) * np.asarray(rate_scale)[:n] * dt)
-    if target.ndim == 1:
-        # one path on Python floats: the same IEEE operations as on arrays,
-        # without a numpy call per step
-        pos = float(target[0] if start is None else start)
-        path = [pos]
-        for t_i, d in zip(target.tolist(), decay.tolist()):
-            pos = (pos - t_i) * d + t_i
-            path.append(pos)
-        return np.array(path)
-    out = np.empty(target.shape)
-    out[0] = target[0] if start is None else start
-    # each row is written in place as (pos - target) * decay + target
-    for pos, nxt, t_i, d in zip(out, out[1:], target, decay.tolist()):
-        np.subtract(pos, t_i, out=nxt)
-        nxt *= d
-        nxt += t_i
-    return out
+    if target.ndim != 1:
+        raise ValueError(f"relax_positions takes one (n+1,) path, got shape {target.shape}")
+    decay = np.exp(-math.sqrt(kappa) * np.asarray(rate_scale)[:target.size - 1] * dt)
+    # on Python floats: the IEEE operations of arrays, with no numpy call per step
+    pos = float(target[0] if start is None else start)
+    path = [pos]
+    for t_i, d in zip(target.tolist(), decay.tolist()):
+        pos = (pos - t_i) * d + t_i
+        path.append(pos)
+    return np.array(path)
 
 
 def exponential_tracker(spec: TrackerSpec, start: float | None = None) -> Strategy:

@@ -21,7 +21,7 @@ from lobres.experiments import (_BOOTSTRAP_STREAM, LemmaJumpReport, TrackerBound
                                 ladder_grid)
 from lobres.wealth import _accumulate
 from lobres.paths import as_path, constant_path
-from lobres.strategies import TrackerSpec, exponential_tracker, relax_positions, smooth_blocks
+from lobres.strategies import TrackerSpec, exponential_tracker, smooth_blocks
 
 
 def run_python(code: str, timeout: float = 60) -> str:
@@ -357,8 +357,10 @@ def reference_sample(spec: FundamentalSpec, grid, rng: RandomSource) -> SampledP
 
 
 def reference_relax_positions(target, rate_scale, kappa, dt, start=None):
-    """Row-by-row loop with a temporary per operation: the reference for
-    ``relax_positions``, which must reproduce every value of it bit for bit."""
+    """Row-by-row loop with a temporary per operation over (n+1,) or
+    time-major (n+1, paths) targets: the reference for ``relax_positions``
+    (one path) and for tracker-bound's fused pass over time, which must
+    reproduce every value of it bit for bit."""
     target = np.asarray(target, dtype=np.float64)
     n = target.shape[0] - 1
     decay = np.exp(-math.sqrt(kappa) * np.asarray(rate_scale)[:n] * dt)
@@ -371,9 +373,9 @@ def reference_relax_positions(target, rate_scale, kappa, dt, start=None):
 
 
 # Whole-matrix Monte-Carlo experiments: the references for the chunked ones in
-# ``lobres.experiments``, which draw, cumulate and reduce one chunk of paths at
-# a time.  Each holds the (steps, paths) noise (and, for tracker-bound, the
-# targets) of every path at once.
+# ``lobres.experiments``, which draw and reduce one chunk of paths at a time.
+# Each holds the (steps, paths) noise (and, for tracker-bound, the targets and
+# one rung's positions) of every path at once.
 
 
 def reference_lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
@@ -451,7 +453,7 @@ def reference_tracker_bound_experiment(ladder: KappaLadder, *, target_drift=0.0,
     estimates = []
     stderrs = []
     for kappa in ladder:
-        err2 = relax_positions(targets, m, kappa, grid.dt)
+        err2 = reference_relax_positions(targets, m, kappa, grid.dt)
         err2 -= targets
         np.square(err2, out=err2)
         sup2 = math.sqrt(kappa) * err2.max(axis=0)

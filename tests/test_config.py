@@ -11,8 +11,8 @@ import lobres.config as config_module
 from helpers import run_python
 from lobres import ConfigError, ConfigParseError, ConfigValidationError
 from lobres.cli import main
-from lobres.config import (INTERPRETER_BYTES, ONE_PATH_BYTES_PER_POINT, SCIPY_BYTES,
-                           parse_config, validate_config)
+from lobres.config import (INTERPRETER_BYTES, LANE_BYTES, ONE_PATH_BYTES_PER_POINT,
+                           SCIPY_BYTES, parse_config, validate_config)
 from lobres.experiments import tracker_bound_experiment
 from lobres.paths import _ndtri
 
@@ -220,21 +220,25 @@ class TestValidate:
         assert any("one price path" in w for w in report["warnings"])
 
     @pytest.mark.parametrize("name, expected", [
-        # scipy, one float64 result per rung and path, and two (steps,
-        # 1024-path) chunk blocks: the targets and one rung's positions
-        ("tracker_bound.json", SCIPY_BYTES + 8 * 7 * 10_000 + 2 * 8 * 512 * 1024),
-        # the same with one result per (kappa, multiplier) cell and path, plus
-        # the bootstrap: 9 cells x 500 resampled CEs and their gaps, and one
-        # chunk of 2**16 // 10,000 = 6 resamples of int64 indices and samples
-        ("utility.json", SCIPY_BYTES + 8 * 9 * 10_000 + 8 * 512 * 1024
-         + 8 * (2 * 9 * 500 + 2 * 6 * 10_000)),
+        # scipy and the noise lanes, one float64 result per rung and path, one
+        # (steps, 1024-path) chunk block, and three (rungs, 1024-path) arrays:
+        # the positions, squared errors and running maxima
+        ("tracker_bound.json", SCIPY_BYTES + LANE_BYTES + 8 * 7 * 10_000
+         + 8 * 512 * 1024 + 3 * 8 * 7 * 1024),
+        # one result per (kappa, multiplier) cell and path and no rung rows,
+        # plus the bootstrap: 9 cells x 500 resampled CEs, one kappa's 3 x 500
+        # gaps, and one chunk of 2**16 // 10,000 = 6 resamples of int64
+        # indices and samples
+        ("utility.json", SCIPY_BYTES + LANE_BYTES + 8 * 9 * 10_000 + 8 * 512 * 1024
+         + 8 * ((9 + 3) * 500 + 2 * 6 * 10_000)),
         # fewer paths than a chunk holds
-        ("lemma_jump_noisy.json", SCIPY_BYTES + 8 * 9 * 1000 + 8 * 512 * 1000),
+        ("lemma_jump_noisy.json", SCIPY_BYTES + LANE_BYTES + 8 * 9 * 1000
+         + 8 * 512 * 1000),
         # no noise: the per-rung results only
         ("lemma_jump.json", 8 * 9 * 1),
         # one path only, drawn through scipy for simulate
         ("l2.json", 0),
-        ("simulate.json", SCIPY_BYTES),
+        ("simulate.json", SCIPY_BYTES + LANE_BYTES),
     ])
     def test_memory_estimate_of_shipped_configs(self, name, expected):
         # the interpreter and one path's scan and ledger on 513 grid points,
@@ -246,7 +250,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("paths, rows", [(10_000, 6), (200, 327)])
     def test_utility_memory_counts_the_bootstrap(self, paths, rows):
-        # each resample adds a CE and its gap per cell; a chunk holds
+        # each resample adds a CE per cell and a gap per multiplier (one
+        # kappa's gaps exist at a time); a chunk holds
         # 2**16 // paths resamples, or all of them when fewer, each of paths
         # int64 indices and gathered samples.  Estimated only, never run.
         config = json.loads((CONFIG_DIR / "utility.json").read_text())
@@ -259,8 +264,8 @@ class TestValidate:
 
         low, high = 10, 10**8
         assert estimate(high) - estimate(low) == 8 * (
-            2 * 9 * (high - low) + 2 * (rows - min(low, rows)) * paths)
-        assert estimate(high) > 8 * 2 * 9 * high
+            (9 + 3) * (high - low) + 2 * (rows - min(low, rows)) * paths)
+        assert estimate(high) > 8 * (9 + 3) * high
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json"))
                              + ["lemma_jump_zero_linear_sigma", "simulate_zero_sigma"])
@@ -299,11 +304,10 @@ class TestValidate:
 
     @pytest.mark.parametrize("paths, n0", [(3000, 512), (1000, 2048)])
     def test_tracker_bound_memory_matches_the_traced_peak(self, paths, n0):
-        # validate's Monte-Carlo term (per-path results and two chunk blocks)
-        # is within 5% of the peak numpy allocates during the experiment, on
-        # 512 steps in chunks of 1,024 paths and on 2,048 steps in chunks of
-        # 256.  normals_block's lane arrays (about 1.2 MB whatever the chunk)
-        # are counted nowhere, so much smaller chunks peak above the term.
+        # validate's Monte-Carlo term (per-path results, one chunk block, the
+        # per-rung rows of the chunk and normals_block's lane arrays) is
+        # within 5% of the peak numpy allocates during the experiment, on 512
+        # steps in chunks of 1,024 paths and on 2,048 steps in chunks of 256
         config = json.loads((CONFIG_DIR / "tracker_bound.json").read_text())
         config["mc"]["paths"] = paths
         config["grid"]["n0"] = n0
@@ -339,6 +343,28 @@ def test_scipy_bytes_matches_the_loaded_ndtri():
             "_ndtri()\n"
             "print(rss() - before)")
     assert abs(int(run_python(code)) - SCIPY_BYTES) <= 0.25 * SCIPY_BYTES
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+@pytest.mark.parametrize("name, command", [("tracker_bound.json", "converge"),
+                                           ("utility.json", "utility")])
+def test_memory_estimate_matches_a_cli_run(name, command, tmp_path):
+    # validate's approx_memory_bytes is within 10% of the peak RSS of one CLI
+    # run of the shipped config with one BLAS thread.  A small launcher
+    # starts the run: a child's ru_maxrss counts the RSS of the process it
+    # was forked from, which for this test process is larger than the run.
+    path = CONFIG_DIR / name
+    estimate = validate_config(parse_config(path.read_text()))["estimates"]
+    code = ("import os, subprocess, sys\n"
+            "env = dict(os.environ, OPENBLAS_NUM_THREADS='1', OMP_NUM_THREADS='1')\n"
+            f"proc = subprocess.Popen([sys.executable, '-m', 'lobres.cli', {command!r}, "
+            f"'--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}], env=env, "
+            f"stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss * 1024)")
+    exit_code, peak = map(int, run_python(code, timeout=120).split())
+    assert exit_code == 0
+    assert abs(estimate["approx_memory_bytes"] / peak - 1.0) <= 0.10
 
 
 # Minimal valid configs per kind; each error row changes one thing in one of them.

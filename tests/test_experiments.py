@@ -15,6 +15,7 @@ from lobres import (BookTemplate, FundamentalSpec, InsufficientData, KappaLadder
                     lemma_jump_experiment, make_grid, ow_wealth, rate_strategy,
                     theorem1_experiment, tracker_bound_experiment, utility_experiment)
 from lobres.cli import _gates
+from lobres.config import LANE_BYTES
 from lobres.experiments import (ConvergenceReport, LemmaJumpReport, TrackerBoundReport,
                                 UtilityReport, brownian_increments)
 from lobres.paths import write_columns
@@ -553,6 +554,34 @@ class TestChunkedMonteCarlo:
             assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
         assert chunked.bound == whole.bound
 
+    @pytest.mark.parametrize("paths", [2, CHUNK_PATHS + 1])
+    @pytest.mark.parametrize("case", [
+        # kappa * dt from 1e-6 to 1e6 at M = 6: decays from about 1 to exactly 0
+        dict(ladder=KappaLadder(tuple(10.0**k * CHUNK_STEPS for k in range(-6, 7))),
+             rate_scale=6.0, resolution_scale=1e-3),
+        dict(target_vol=0.0, target_drift=0.3),
+        dict(target_drift=0.3, target_vol=0.7, target0=1.5, rate_scale=2.0),
+        dict(target_drift=-0.2, rate_scale=lambda t: 1.0 + 3.0 * t * t),
+        dict(ladder=KappaLadder((64.0,)), target0=-0.5),
+    ], ids=["kappa_dt_span", "zero_vol", "drift_target0", "rate_function", "one_rung"])
+    def test_fused_tracker_pass_writes_the_reference_csv(self, small_chunks, tmp_path,
+                                                         case, paths):
+        # the fused pass over time (one running sum, one (rungs, chunk)
+        # position block) writes the tracker.csv bytes of the whole-matrix
+        # cumsum and per-rung row-loop relaxation
+        kw = dict(case, paths=paths, seed=13, n0=CHUNK_STEPS)
+        ladder = kw.pop("ladder", KappaLadder.geometric(16.0, 4.0, 3))
+        if "resolution_scale" in kw:
+            dt = 1.0 / CHUNK_STEPS
+            decays = np.exp(-np.sqrt([ladder.values[0], ladder.max]) * 6.0 * dt)
+            assert decays[0] > 0.999 and decays[1] == 0.0
+        written = []
+        for run in (tracker_bound_experiment, reference_tracker_bound_experiment):
+            path = tmp_path / f"{run.__name__}.csv"
+            write_columns(path, run(ladder, **kw).table())
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("paths", [23, 3, 1])
     def test_lemma_jump_equals_whole_matrix(self, small_chunks, paths):
         grid = make_grid(1.0, CHUNK_STEPS)
@@ -637,10 +666,25 @@ class TestMonteCarloMemory:
         return 4 * 8 * experiments_module._CHUNK_ELEMENTS + 8 * cells * self.PATHS
 
     def test_tracker_bound_peak(self):
+        # the fused pass keeps no (n+1, chunk) targets or positions: the
+        # peak is one noise block, normals_block's lanes and the results
         ladder = KappaLadder((16.0, 64.0))
         peak = self._traced_peak(lambda: tracker_bound_experiment(
             ladder, paths=self.PATHS, seed=1))
+        block = 8 * 512 * experiments_module.paths_per_chunk(512)
+        assert peak < 1.1 * (block + LANE_BYTES + 8 * len(ladder) * self.PATHS)
         assert peak < self._bound(len(ladder)) < 8 * 512 * self.PATHS / 4
+
+    def test_utility_bootstrap_holds_one_kappas_gaps(self):
+        # 200,000 resamples of 20 paths: the 9 cells' resampled CEs and one
+        # kappa's 3 gap rows, not every cell's gaps, plus one resample chunk
+        # of indices and gathered samples and normals_block's lanes
+        boot, paths = 200_000, 20
+        peak = self._traced_peak(lambda: utility_experiment(
+            BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), gamma=1.0,
+            kappas=[16.0, 64.0, 256.0], paths=paths, seed=1, n0=64, bootstrap=boot))
+        rows = experiments_module.resamples_per_chunk(paths)
+        assert peak < 1.1 * (8 * ((9 + 3) * boot + 2 * rows * paths) + LANE_BYTES)
 
     def test_utility_peak(self):
         peak = self._traced_peak(lambda: utility_experiment(

@@ -163,18 +163,29 @@ class TestRelaxPositions:
                                              ((65, 3), None), ((65, 3), 0.75),
                                              ((65, 3), "row")])
     def test_bit_identical_to_row_loop(self, kappa_dt, shape, start):
-        # the one-path float loop and the in-place row update do the
-        # reference's IEEE operations, for decays from about 1 to about 0
+        # the one-path float loop does the reference's IEEE operations, for
+        # decays from about 1 to about 0; on a time-major (n+1, paths) target
+        # the reference's row loop (what tracker-bound's fused pass is
+        # checked against) equals the one-path loop on every column
         rng = np.random.default_rng(11)
         dt = 1.0 / 64
         target = np.cumsum(rng.normal(0.0, 1.0, shape), axis=0)
         m = rng.uniform(0.5, 2.0, 65)
         if start == "row":
             start = rng.normal(0.0, 1.0, shape[1:])
-        pos = relax_positions(target, m, kappa_dt / dt, dt, start)
         ref = reference_relax_positions(target, m, kappa_dt / dt, dt, start)
+        if target.ndim == 1:
+            pos = relax_positions(target, m, kappa_dt / dt, dt, start)
+        else:
+            starts = np.broadcast_to(start if start is not None else target[0], shape[1:])
+            pos = np.stack([relax_positions(target[:, p], m, kappa_dt / dt, dt, float(s))
+                            for p, s in enumerate(starts)], axis=1)
         assert pos.shape == ref.shape
         assert pos.tobytes() == ref.tobytes()
+
+    def test_refuses_a_two_dimensional_target(self):
+        with pytest.raises(ValueError, match="one"):
+            relax_positions(np.zeros((65, 3)), np.ones(65), 64.0, 1.0 / 64)
 
 
 class TestOptimalTracker:
@@ -236,7 +247,6 @@ class TestDiagnostics:
         grid = make_grid(1.0, 512)
         from lobres import fit_rate
         from lobres.experiments import brownian_increments
-        from lobres.strategies import relax_positions
         n_paths = 256
         targets = np.zeros((grid.n_points, n_paths))  # time-major Brownian paths
         np.cumsum(brownian_increments(grid, 17, n_paths), axis=0, out=targets[1:])
@@ -244,7 +254,7 @@ class TestDiagnostics:
         kappas = [2.0**j for j in range(4, 11)]
         sup_rms = []
         for kappa in kappas:
-            pos = relax_positions(targets, m, kappa, grid.dt)
+            pos = reference_relax_positions(targets, m, kappa, grid.dt)
             rates = np.diff(pos, axis=0) / grid.dt
             sup_rms.append(float(np.max(np.sqrt(np.mean(rates**2, axis=1)))))
         assert fit_rate(list(zip(kappas, sup_rms))) <= 0.3
