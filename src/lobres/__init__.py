@@ -19,9 +19,9 @@ from .experiments import (ConvergenceReport, FundamentalSpec, KappaLadder,
                           utility_experiment)
 from .paths import (RandomSource, SampledPath, TimeGrid, as_path, constant_path,
                     function_path, make_grid)
-from .strategies import (Strategy, TrackerSpec, block_schedule, exponential_tracker,
-                         optimal_tracker, position_paths, rate_strategy,
-                         read_strategy_csv, smooth_blocks, zero_strategy)
+from .strategies import (Strategy, block_schedule, exponential_tracker, optimal_tracker,
+                         position_paths, rate_strategy, read_strategy_csv, smooth_blocks,
+                         zero_strategy)
 from .wealth import Evaluation, WealthPath, ac_wealth, ow_wealth
 
 __version__ = "0.1.0"
@@ -31,7 +31,7 @@ __all__ = [
     "ConfigValidationError", "ConvergenceReport", "Evaluation", "FundamentalSpec",
     "InsufficientData", "KappaLadder", "LemmaJumpReport", "NumericFailure",
     "RandomSource", "ReferencePricePath", "SampledPath", "SpreadPaths", "Strategy",
-    "TimeGrid", "TrackerBoundReport", "TrackerSpec", "UniformBounds", "UtilityReport",
+    "TimeGrid", "TrackerBoundReport", "UniformBounds", "UtilityReport",
     "WealthPath", "ac_wealth", "as_path", "block_schedule", "constant_path",
     "exponential_tracker", "fit_rate", "function_path", "ladder_grid",
     "lemma_jump_experiment", "make_grid", "optimal_tracker", "ow_wealth",

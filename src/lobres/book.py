@@ -70,16 +70,14 @@ class BookParams:
     @classmethod
     def build(cls, grid: TimeGrid, kappa: float, *, K=1.0, h=1.0, alpha=0.0, eps=0.0,
               K_dn=None, h_dn=None, alpha_dn=None, eps_dn=None) -> "BookParams":
-        """Book from constants/functions; down-side values default to the up side."""
-        return cls(
-            kappa=kappa,
-            K_up=as_path(grid, K), K_dn=as_path(grid, K if K_dn is None else K_dn),
-            h_up=as_path(grid, h), h_dn=as_path(grid, h if h_dn is None else h_dn),
-            alpha_up=as_path(grid, alpha),
-            alpha_dn=as_path(grid, alpha if alpha_dn is None else alpha_dn),
-            eps_up=as_path(grid, eps),
-            eps_dn=as_path(grid, eps if eps_dn is None else eps_dn),
-        )
+        """Book from constants/functions; a down-side value left None shares
+        the up side's path."""
+        def sides(up, dn) -> tuple[SampledPath, SampledPath]:
+            up = as_path(grid, up)
+            return up, up if dn is None else as_path(grid, dn)
+
+        return cls(kappa, *sides(K, K_dn), *sides(h, h_dn), *sides(alpha, alpha_dn),
+                   *sides(eps, eps_dn))
 
     def is_symmetric(self) -> bool:
         return (np.array_equal(self.K_up.values, self.K_dn.values)

@@ -16,21 +16,18 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_BUDGET, RunConfig, parse_config, validate_config
+from .config import KINDS, RunConfig, parse_config, validate_config
 from .errors import ConfigError
-from .experiments import (ladder_grid, lemma_jump_experiment, theorem1_experiment,
-                          tracker_bound_experiment, utility_experiment)
+from .experiments import (lemma_jump_experiment, theorem1_experiment, tracker_bound_experiment,
+                          utility_experiment)
 from .paths import as_path, write_columns
-from .strategies import (Strategy, TrackerSpec, block_schedule, exponential_tracker,
-                         rate_strategy, zero_strategy)
+from .strategies import (Strategy, block_schedule, exponential_tracker, rate_strategy,
+                         zero_strategy)
 from .wealth import Evaluation
 
 logger = logging.getLogger("lobres")
 
 SCHEMA_VERSION = 1
-
-_CONVERGE_KINDS = ("theorem1", "remark1", "lemma-jump", "tracker-bound", "l2")
-_RATE_GROWTH = {"theorem1": 0.0, "remark1": 0.25, "l2": 0.0}  # rate grows like kappa**this
 
 
 class _Gate(NamedTuple):
@@ -102,7 +99,7 @@ class RunResult:
         return all(self.gates.values())
 
 
-def _build_strategy(config: RunConfig, grid, kappa: float | None) -> Strategy:
+def _build_strategy(config: RunConfig, grid) -> Strategy:
     sc = config.strategy
     if sc.type == "zero":
         return zero_strategy(grid, sc.phi0)
@@ -110,19 +107,16 @@ def _build_strategy(config: RunConfig, grid, kappa: float | None) -> Strategy:
         return rate_strategy(grid, sc.rate.value(), sc.phi0)
     if sc.type == "blocks":
         return block_schedule(grid, sc.blocks, sc.t_prime)
-    spec = TrackerSpec(target=as_path(grid, sc.target.value()),
-                       rate_scale=as_path(grid, sc.rate_scale.value()),
-                       kappa=kappa)
-    return exponential_tracker(spec, sc.start)
+    return exponential_tracker(as_path(grid, sc.target.value()),
+                               as_path(grid, sc.rate_scale.value()), config.book.kappa,
+                               sc.start)
 
 
 def _run_simulate(config: RunConfig) -> RunResult:
-    kappa = config.book.kappa
-    grid = ladder_grid(config.grid.horizon, config.grid.n0,
-                       config.grid.resolution_scale, kappa)
-    book = config.book.template().materialize(grid, kappa)
+    grid = config.time_grid()
+    book = config.book.template().materialize(grid, config.book.kappa)
     fund = config.fundamental.spec().sample(grid, config.mc.seed)
-    strategy = _build_strategy(config, grid, kappa)
+    strategy = _build_strategy(config, grid)
 
     evaluation = Evaluation(book, strategy, fund)
     wealth = evaluation.ow(config.x0)
@@ -133,24 +127,18 @@ def _run_simulate(config: RunConfig) -> RunResult:
 
 
 def _run_gap(config: RunConfig) -> RunResult:
-    sc = config.strategy
     report = theorem1_experiment(
-        config.book.template(), 0.0 if sc.type == "zero" else sc.rate.value(),
-        config.ladder.ladder(), rate_growth=_RATE_GROWTH[config.kind],
-        bounds=None if config.bounds is None else config.bounds.bounds(),
-        horizon=config.grid.horizon, n0=config.grid.n0,
-        resolution_scale=config.grid.resolution_scale)
+        config.book.template(), _build_strategy(config, config.time_grid()),
+        config.ladder.ladder(), rate_growth=KINDS[config.kind].rate_growth,
+        bounds=None if config.bounds is None else config.bounds.bounds())
     summary = {"slope": None if report.slope is None else repr(report.slope)}
     return RunResult(_gates(config.kind, report), {"convergence.csv": report.table}, summary)
 
 
 def _run_lemma(config: RunConfig) -> RunResult:
-    ladder = config.ladder.ladder()
-    grid = ladder_grid(config.grid.horizon, config.grid.n0,
-                       config.grid.resolution_scale, ladder.max)
-    blocks = block_schedule(grid, config.strategy.blocks, config.strategy.t_prime)
     report = lemma_jump_experiment(
-        config.book.template(), blocks, config.fundamental.spec(), ladder,
+        config.book.template(), _build_strategy(config, config.time_grid()),
+        config.fundamental.spec(), config.ladder.ladder(),
         width_scale=config.smoothing.width_scale, paths=config.mc.paths,
         seed=config.mc.seed)
     summary = {"mean_diff_at_kappa_max": repr(float(report.mean_diff[-1])),
@@ -161,11 +149,10 @@ def _run_lemma(config: RunConfig) -> RunResult:
 def _run_tracker_bound(config: RunConfig) -> RunResult:
     tc = config.tracker
     report = tracker_bound_experiment(
-        config.ladder.ladder(), target_drift=tc.target_drift.value(),
+        config.ladder.ladder(), config.time_grid(), target_drift=tc.target_drift.value(),
         target_vol=tc.target_vol.value(), rate_scale=tc.rate_scale.value(),
         coeff_bound=tc.coeff_bound, rate_floor=tc.rate_floor, target0=tc.target0,
-        paths=config.mc.paths, seed=config.mc.seed, horizon=config.grid.horizon,
-        n0=config.grid.n0, resolution_scale=config.grid.resolution_scale)
+        paths=config.mc.paths, seed=config.mc.seed)
     summary = {"bound": repr(report.bound),
                "max_estimate": repr(float(report.estimates.max()))}
     return RunResult(_gates(config.kind, report), {"tracker.csv": report.table}, summary)
@@ -174,11 +161,9 @@ def _run_tracker_bound(config: RunConfig) -> RunResult:
 def _run_utility(config: RunConfig) -> RunResult:
     uc = config.utility
     report = utility_experiment(
-        config.book.template(), config.fundamental.spec(), gamma=uc.gamma,
-        kappas=uc.kappas, multipliers=uc.multipliers, paths=config.mc.paths,
-        seed=config.mc.seed, x0=uc.x0, horizon=config.grid.horizon,
-        n0=config.grid.n0, resolution_scale=config.grid.resolution_scale,
-        bootstrap=uc.bootstrap)
+        config.book.template(), config.fundamental.spec(), config.time_grid(),
+        gamma=uc.gamma, kappas=uc.kappas, multipliers=uc.multipliers, paths=config.mc.paths,
+        seed=config.mc.seed, x0=uc.x0, bootstrap=uc.bootstrap)
     summary = {"frictionless_ce": repr(report.frictionless_ce),
                "candidate_ce": [repr(c) for c in report.candidate_ce.tolist()]}
     return RunResult(_gates(config.kind, report), {"utility.csv": report.table}, summary)
@@ -186,16 +171,16 @@ def _run_utility(config: RunConfig) -> RunResult:
 
 _RUNNERS = {
     "simulate": _run_simulate,
-    **dict.fromkeys(_RATE_GROWTH, _run_gap),
+    **{kind: _run_gap for kind, spec in KINDS.items() if spec.rate_growth is not None},
     "lemma-jump": _run_lemma,
     "tracker-bound": _run_tracker_bound,
     "utility": _run_utility,
 }
 
 
-def run_config(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
+def run_config(config: RunConfig) -> RunResult:
     """Execute a run and write its artifacts; returns gates and summary."""
-    out = Path(out_dir if out_dir is not None else config.output_dir)
+    out = Path(config.output_dir)
     result = _RUNNERS[config.kind](config)
     out.mkdir(parents=True, exist_ok=True)
     for name, table in result.tables.items():
@@ -257,15 +242,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.command == "validate":
-        report = validate_config(config, DEFAULT_BUDGET)
+        report = validate_config(config)
         print(json.dumps(report, sort_keys=True, indent=2))
         return 0
 
-    expected = {"simulate": ("simulate",), "converge": _CONVERGE_KINDS,
-                "utility": ("utility",)}[args.command]
+    expected = sorted(kind for kind, spec in KINDS.items() if spec.command == args.command)
     if config.kind not in expected:
         print(f"error: config kind '{config.kind}' does not match command "
-              f"'{args.command}' (expected one of {sorted(expected)})", file=sys.stderr)
+              f"'{args.command}' (expected one of {expected})", file=sys.stderr)
         return 2
 
     try:

@@ -22,8 +22,9 @@ from typing import Any, Callable, NamedTuple
 
 from .book import BookTemplate
 from .errors import ConfigParseError, ConfigValidationError
-from .experiments import (FundamentalSpec, KappaLadder, UniformBounds, paths_per_chunk,
-                          resamples_per_chunk)
+from .experiments import (FundamentalSpec, KappaLadder, UniformBounds, ladder_grid,
+                          paths_per_chunk, resamples_per_chunk)
+from .paths import TimeGrid, lane_layout
 
 _REQUIRED = object()  # the default of a key that must be given
 
@@ -391,8 +392,11 @@ class _Kind(NamedTuple):
     # section -> True (required), False (defaults when absent) or None (None
     # when absent); grid, mc and output are common to every kind
     sections: dict[str, bool | None]
+    command: str  # the CLI command that runs the kind
     strategies: tuple[str, ...] = ()
     one_path: str | None = None  # why mc.paths (and a gap's fundamental) has no effect
+    # a gap kind's rate grows like kappa**rate_growth; None for the other kinds
+    rate_growth: float | None = None
     # whether a run draws Gaussian noise (and so loads scipy's ndtri); a kind
     # that takes mc.paths keeps one float64 result per path and cell (rung, or
     # (kappa, multiplier) pair) and draws its noise one chunk of paths at a time
@@ -400,21 +404,22 @@ class _Kind(NamedTuple):
 
 
 _LADDER_KIND = {"book": False, "fundamental": False, "strategy": True, "ladder": False}
-_GAP = "the {} gap does not depend on the price path"
-_GAP_KINDS = ("theorem1", "remark1", "l2")
+_gap_kind = lambda name, rate_growth, sections=_LADDER_KIND: _Kind(
+    sections, "converge", ("zero", "rate"), f"the {name} gap does not depend on the price path",
+    rate_growth)
 _NOISY_PRICE = lambda config: not config.fundamental.spec().is_deterministic
 KINDS = {
-    "simulate": _Kind({"book": True, "fundamental": False, "strategy": True},
+    "simulate": _Kind({"book": True, "fundamental": False, "strategy": True}, "simulate",
                       ("zero", "rate", "blocks", "tracker"),
                       "simulate samples one price path (stream 0)", noise=_NOISY_PRICE),
-    "theorem1": _Kind(_LADDER_KIND, ("zero", "rate"), _GAP.format("theorem1")),
-    "remark1": _Kind(_LADDER_KIND, ("zero", "rate"), _GAP.format("remark1")),
-    "l2": _Kind({**_LADDER_KIND, "bounds": None}, ("zero", "rate"), _GAP.format("l2")),
-    "lemma-jump": _Kind({**_LADDER_KIND, "smoothing": False}, ("blocks",),
+    "theorem1": _gap_kind("theorem1", 0.0),
+    "remark1": _gap_kind("remark1", 0.25),
+    "l2": _gap_kind("l2", 0.0, {**_LADDER_KIND, "bounds": None}),
+    "lemma-jump": _Kind({**_LADDER_KIND, "smoothing": False}, "converge", ("blocks",),
                         noise=_NOISY_PRICE),
-    "tracker-bound": _Kind({"ladder": False, "tracker": False},
+    "tracker-bound": _Kind({"ladder": False, "tracker": False}, "converge",
                            noise=lambda config: True),
-    "utility": _Kind({"book": False, "fundamental": True, "utility": False},
+    "utility": _Kind({"book": False, "fundamental": True, "utility": False}, "utility",
                      noise=lambda config: True),
 }
 
@@ -458,6 +463,16 @@ class RunConfig:
         canonical = json.dumps(content, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
+    def time_grid(self) -> TimeGrid:
+        """The run's one grid, fine enough for the largest kappa it evaluates
+        (``ladder_grid``); refuses a grid too fine for a float step count."""
+        g, kappa_max = self.grid, _kappas(self)[-1]
+        scaled = g.resolution_scale * math.sqrt(kappa_max)
+        if not math.isfinite(scaled) or g.n0 > sys.float_info.max:
+            raise ConfigValidationError("grid steps max(grid.n0, grid.resolution_scale * "
+                                        "sqrt(largest kappa)) must be finite")
+        return ladder_grid(g.horizon, g.n0, g.resolution_scale, kappa_max)
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
@@ -494,29 +509,20 @@ def parse_config(text: str) -> RunConfig:
     sections = {name: _parse(_SECTIONS[name], obj, name, kind, grid.horizon)
                 for name, obj in raw_sections.items()}
     config = RunConfig(kind, grid, mc, output_dir, x0, **sections)
-    rungs, _ = _extent(config)  # refuses a grid too fine for a float step count
-    if kind in _GAP_KINDS and rungs < 3:
+    config.time_grid()  # refuses a grid too fine for a float step count
+    rungs = len(_kappas(config))
+    if KINDS[kind].rate_growth is not None and rungs < 3:
         raise ConfigValidationError(f"ladder must have at least 3 rungs for kind '{kind}' "
                                     f"(a rate fit needs 3 points), got {rungs}")
     return config
 
 
-def _extent(config: RunConfig) -> tuple[int, int]:
-    """(cells, grid steps) of a run: the kappas (or (kappa, multiplier) pairs)
-    it evaluates, and the steps of the one grid sized for the largest kappa."""
+def _kappas(config: RunConfig) -> tuple[float, ...]:
+    """The increasing kappas of a run: its ladder, its utility kappas, or
+    simulate's one book kappa."""
     if config.ladder is not None:
-        ladder = config.ladder.ladder()
-        cells, kappa_max = len(ladder), ladder.max
-    elif config.utility is not None:
-        cells = len(config.utility.kappas) * len(config.utility.multipliers)
-        kappa_max = max(config.utility.kappas)
-    else:  # simulate: one book at its own kappa
-        cells, kappa_max = 1, config.book.kappa
-    scaled = config.grid.resolution_scale * math.sqrt(kappa_max)
-    if not math.isfinite(scaled) or config.grid.n0 > sys.float_info.max:
-        raise ConfigValidationError("grid steps max(grid.n0, grid.resolution_scale * "
-                                    "sqrt(largest kappa)) must be finite")
-    return cells, max(config.grid.n0, math.ceil(scaled))
+        return config.ladder.ladder().values
+    return config.utility.kappas if config.utility is not None else (config.book.kappa,)
 
 
 # Naive per-run cost proxy: steps * paths * ladder cells.  Runs above the
@@ -529,9 +535,6 @@ DEFAULT_BUDGET = 2.0e8
 # init (4.4 MiB, scipy 1.17; see paths._ndtri).
 INTERPRETER_BYTES = 35 * 2**20
 SCIPY_BYTES = 9 * 2**19
-# What drawing noise adds for normals_block's uint64 lane arrays: about 19
-# values per lane over its 8,192 lanes (1,250,088 bytes traced at 1,024 x 512).
-LANE_BYTES = 8 * 19 * 8192
 # Bytes per grid point live at the peak of a one-path run: the book
 # coefficients, the scan's per-step terms and states, the ledger and the wealth
 # and spread paths, about 45 float64 values (simulate's peak RSS grows by 363
@@ -539,18 +542,29 @@ LANE_BYTES = 8 * 19 * 8192
 ONE_PATH_BYTES_PER_POINT = 8 * 45
 
 
-def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
+def lane_bytes(paths: int, steps: int) -> int:
+    """What drawing one (steps, paths) noise block adds for normals_block's
+    uint64 lane arrays: 19 values per lane while it steps them, or 28 while it
+    starts them if each stream is one segment, when the seed words of every
+    stream are lane-sized too (traced: 1,247,832 bytes at 1,024 x 512 and
+    3,674,176 at 16,384 x 32)."""
+    segments, _ = lane_layout(paths, steps)
+    return 8 * segments * paths * (28 if segments == 1 else 19)
+
+
+def validate_config(config: RunConfig) -> dict:
     """Dry-run report: schema is already enforced; estimate the run size."""
-    cells, steps = _extent(config)
+    steps = config.time_grid().steps
+    cells = len(_kappas(config)) * (len(config.utility.multipliers) if config.utility else 1)
     spec = KINDS[config.kind]
     paths = 1 if spec.one_path else config.mc.paths
     noise = spec.noise(config)
+    chunk = min(paths, paths_per_chunk(steps))  # the paths of one noise block
     # float64 values (or int64 indices) of a Monte-Carlo kind: its per-path
     # results and one chunk of noise, and tracker-bound's positions, squared
     # errors and running maxima, one row per rung and chunk path each
     arrays = 0 if spec.one_path else cells * paths
     if noise and not spec.one_path:
-        chunk = min(paths, paths_per_chunk(steps))
         arrays += chunk * (steps + (3 * cells if config.kind == "tracker-bound" else 0))
     if config.utility is not None:
         # the resampled certainty equivalents, one kappa's gaps vs the
@@ -562,19 +576,19 @@ def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
     cost_proxy = float(steps) * paths * cells
     # the price-path inputs a one-path kind ignores, named in one warning
     unused = [f"mc.paths = {config.mc.paths}"] if spec.one_path and config.mc.paths > 1 else []
-    if config.kind in _GAP_KINDS:
+    if spec.rate_growth is not None:
         default = _dump(_parse(FundamentalConfig, {}, "fundamental", config.kind, None))
         unused += [f"fundamental.{key} = {json.dumps(value)}"
                    for key, value in _dump(config.fundamental).items() if value != default[key]]
     warnings = [f"{', '.join(unused)} {'has' if len(unused) == 1 else 'have'} no effect: "
                 f"{spec.one_path}"] if unused else []
-    if config.kind in _GAP_KINDS and config.strategy.phi0 != 0:
+    if spec.rate_growth is not None and config.strategy.phi0 != 0:
         warnings.append(f"strategy.phi0 = {config.strategy.phi0!r} has no effect: the "
                         f"{config.kind} gap does not depend on the initial position")
-    if cost_proxy > budget:
+    if cost_proxy > DEFAULT_BUDGET:
         warnings.append(
             f"estimated cost {cost_proxy:.3g} (steps x paths x cells) exceeds "
-            f"budget {budget:.3g}")
+            f"budget {DEFAULT_BUDGET:.3g}")
     return {
         "ok": True,
         "kind": config.kind,
@@ -585,7 +599,8 @@ def validate_config(config: RunConfig, budget: float = DEFAULT_BUDGET) -> dict:
             "cost_proxy": cost_proxy,
             # peak RSS: the interpreter (and scipy and the noise lanes), one
             # path's scan and ledger, the Monte-Carlo arrays
-            "approx_memory_bytes": (INTERPRETER_BYTES + noise * (SCIPY_BYTES + LANE_BYTES)
+            "approx_memory_bytes": (INTERPRETER_BYTES
+                                    + noise * (SCIPY_BYTES + lane_bytes(chunk, steps))
                                     + ONE_PATH_BYTES_PER_POINT * (steps + 1) + 8 * arrays),
         },
         "warnings": warnings,

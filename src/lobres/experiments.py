@@ -1,9 +1,9 @@
 """High-resilience limit experiments and empirical convergence-rate fits.
 
-Every experiment runs a kappa ladder on one shared grid sized for the
-largest ladder point, so the same fundamental path (one RNG stream per
-Monte-Carlo path) is fed to every kappa: differences across the ladder then
-reflect the resilience, not sampling noise.
+Every experiment runs a kappa ladder on one shared grid that its caller
+sizes for the largest ladder point (``ladder_grid``), so the same fundamental
+path (one RNG stream per Monte-Carlo path) is fed to every kappa: differences
+across the ladder then reflect the resilience, not sampling noise.
 
 Wealth along a path is linear in the fundamental-price increments once the
 strategy and book coefficients are fixed (the coefficients are sampled
@@ -34,7 +34,7 @@ import numpy as np
 from .book import BookParams, BookTemplate
 from .errors import InsufficientData
 from .paths import SampledPath, TimeGrid, as_path, constant_path, make_grid, normals_block
-from .strategies import Strategy, TrackerSpec, exponential_tracker, rate_strategy, smooth_blocks
+from .strategies import Strategy, exponential_tracker, smooth_blocks
 from .wealth import Evaluation, ac_wealth, ow_wealth
 
 # Stream ids 0..paths-1 are reserved for Monte-Carlo paths; auxiliary noise
@@ -211,13 +211,12 @@ class ConvergenceReport:
                 "slope_so_far": ["" if s is None else repr(s) for s in so_far]}
 
 
-def theorem1_experiment(template: BookTemplate, rate, ladder: KappaLadder, *,
+def theorem1_experiment(template: BookTemplate, base: Strategy, ladder: KappaLadder, *,
                         rate_growth: float = 0.0,
-                        bounds: UniformBounds | None = None, horizon: float = 1.0,
-                        n0: int = 512, resolution_scale: float = 4.0) -> ConvergenceReport:
+                        bounds: UniformBounds | None = None) -> ConvergenceReport:
     """Gap e(kappa) = sup_t |X_ow - X_ac| between structural and reduced-form
-    wealth for the rate kappa**rate_growth * ``rate`` (a constant, a function
-    of time or a sampled path), at every ladder rung.
+    wealth for the rate kappa**rate_growth times the block-free ``base``
+    strategy's rate, at every ladder rung, on the base's grid.
 
     The gap is the same on every price path, so it is also its L2 norm over
     paths.  Theorem 1 (``rate_growth=0``): kappa * e(kappa) vanishes, one order
@@ -225,8 +224,9 @@ def theorem1_experiment(template: BookTemplate, rate, ladder: KappaLadder, *,
     e(kappa) still vanishes.  The L2 mode first checks the declared ``bounds``
     against the first rung's book and the base rate.
     """
-    grid = ladder_grid(horizon, n0, resolution_scale, ladder.max)
-    base = rate_strategy(grid, rate)
+    if base.has_blocks:
+        raise ValueError("the gap experiment takes a block-free base strategy")
+    grid = base.grid
     if bounds is not None:
         bounds.check(template.materialize(grid, ladder.values[0]), base)
     price = constant_path(grid, 0.0)
@@ -326,12 +326,11 @@ class TrackerBoundReport:
                 "within_bound": ["true" if w else "false" for w in self.within]}
 
 
-def tracker_bound_experiment(ladder: KappaLadder, *, target_drift=0.0, target_vol=1.0,
-                             rate_scale=1.0, coeff_bound: float = 1.0,
+def tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, *, target_drift=0.0,
+                             target_vol=1.0, rate_scale=1.0, coeff_bound: float = 1.0,
                              rate_floor: float = 1.0, target0: float = 0.0,
-                             paths: int = 10_000, seed: int = 42, horizon: float = 1.0,
-                             n0: int = 512, resolution_scale: float = 4.0) -> TrackerBoundReport:
-    """Estimate E[sup_t kappa^(1/2) |target_t - tracker_t|^2] per kappa.
+                             paths: int = 10_000, seed: int = 42) -> TrackerBoundReport:
+    """Estimate E[sup_t kappa^(1/2) |target_t - tracker_t|^2] per kappa on ``grid``.
 
     The target is an Ito process with declared drift/vol coefficients bounded
     by ``coeff_bound`` and the tracking-rate scale M is bounded below by
@@ -341,7 +340,6 @@ def tracker_bound_experiment(ladder: KappaLadder, *, target_drift=0.0, target_vo
     if paths < 2:
         raise ValueError(f"tracker-bound needs at least 2 paths for its standard "
                          f"errors (mc.paths), got {paths}")
-    grid = ladder_grid(horizon, n0, resolution_scale, ladder.max)
     mu = as_path(grid, target_drift).values
     sig = as_path(grid, target_vol).values
     m = as_path(grid, rate_scale).values
@@ -373,7 +371,7 @@ def tracker_bound_experiment(ladder: KappaLadder, *, target_drift=0.0, target_vo
         del increments, inc  # the block and its last row, freed before the next chunk draws
         sup2[:, a:b] = np.sqrt(ladder.values)[:, None] * sup
 
-    bound = 5.0 * coeff_bound**2 * horizon / rate_floor
+    bound = 5.0 * coeff_bound**2 * grid.horizon / rate_floor
     estimates = sup2.mean(axis=1)
     stderrs = sup2.std(axis=1, ddof=1) / math.sqrt(paths)
     within = estimates <= bound + 3.0 * stderrs
@@ -433,14 +431,13 @@ def _certainty_equivalents(x: np.ndarray, idx: np.ndarray, gamma: float) -> np.n
     return xmin[:, 0] - np.log(xs.mean(axis=1)) / gamma
 
 
-def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
-                       gamma: float, kappas: Sequence[float],
+def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, grid: TimeGrid,
+                       *, gamma: float, kappas: Sequence[float],
                        multipliers: Sequence[float] = (0.5, 1.0, 2.0),
                        paths: int = 10_000, seed: int = 42, x0: float = 0.0,
-                       horizon: float = 1.0, n0: int = 512,
-                       resolution_scale: float = 4.0,
                        bootstrap: int = 500) -> UtilityReport:
-    """Compare certainty equivalents of trackers with speeds c * sqrt(kappa) * M.
+    """Compare certainty equivalents of trackers with speeds c * sqrt(kappa) * M
+    on ``grid``.
 
     Setup: exponential utility with absolute risk aversion ``gamma``, constant
     drift/volatility fundamental, and a frictionless-baseline symmetric book
@@ -463,7 +460,6 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
     kappas = tuple(float(k) for k in kappas)
     multipliers = tuple(float(c) for c in multipliers)
 
-    grid = ladder_grid(horizon, n0, resolution_scale, max(kappas))
     probe = template.materialize(grid, kappas[0])
     if np.any(probe.eps_up.values != 0) or np.any(probe.eps_dn.values != 0):
         raise ValueError("utility experiment requires zero baseline spreads")
@@ -476,14 +472,14 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
     sigma = float(fundamental.sigma)
     try:
         target_pos = mu / (gamma * sigma**2)
-        frictionless = x0 + mu**2 * horizon / (2.0 * gamma * sigma**2)
+        frictionless = x0 + mu**2 * grid.horizon / (2.0 * gamma * sigma**2)
     except (ZeroDivisionError, OverflowError):  # sigma**2 underflows to 0, or a power overflows
         target_pos = frictionless = math.nan
     if not (math.isfinite(target_pos) and math.isfinite(frictionless)):
         raise ValueError(f"utility experiment needs sigma**2 within the float range and a "
                          f"finite frictionless position mu / (gamma * sigma**2) and certainty "
                          f"equivalent x0 + mu**2 * T / (2 * gamma * sigma**2), got mu={mu!r}, "
-                         f"gamma={gamma!r}, sigma={sigma!r}, x0={x0!r}, T={horizon!r}")
+                         f"gamma={gamma!r}, sigma={sigma!r}, x0={x0!r}, T={grid.horizon!r}")
     target = constant_path(grid, target_pos)
     m_base = np.sqrt(probe.K_up.values * probe.h_up.values * sigma**2 * gamma / 2.0)
 
@@ -492,10 +488,7 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
     for kappa in kappas:
         book = template.materialize(grid, kappa)
         for c in multipliers:
-            spec = TrackerSpec(target=target,
-                               rate_scale=SampledPath(grid, c * m_base),
-                               kappa=kappa)
-            strat = exponential_tracker(spec, start=0.0)
+            strat = exponential_tracker(target, SampledPath(grid, c * m_base), kappa, start=0.0)
             cells.append(Evaluation(book, strat, mean_fund).terminal(x0))
     x_terminal = _terminal_values(cells, fundamental, grid, paths, seed)
 

@@ -204,9 +204,8 @@ def _add128(ahi, alo, bhi, blo):
     return ahi + bhi + (lo < blo), lo
 
 
-def _split128(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([v >> 64 for v in values], dtype=np.uint64)[:, None],
-            np.array([v & _M64 for v in values], dtype=np.uint64)[:, None])
+def _split128(value: int) -> tuple[np.uint64, np.uint64]:
+    return np.uint64(value >> 64), np.uint64(value & _M64)
 
 
 def _jump(delta: int) -> tuple[int, int]:
@@ -236,13 +235,20 @@ def _segment_starts(seed: int, paths: int, seg_len: int, segments: int, first: i
     hi, lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
     hi, lo = _add128(*_mul128(hi, lo, _MULT_HI, _MULT_LO), inc_hi, inc_lo)
 
-    step_mult, step_plus = _jump(seg_len)
-    mults, pluses = [1], [0]
-    for _ in range(1, segments):
-        mults.append(mults[-1] * step_mult & _M128)
-        pluses.append((pluses[-1] * step_mult + step_plus) & _M128)
-    hi, lo = _add128(*_mul128(*_split128(mults), hi, lo),
-                     *_mul128(*_split128(pluses), inc_hi, inc_lo))
+    # segment s starts at M^(s L) x + S_(s L) inc for L = seg_len (see
+    # _jump); segments k .. 2k - 1 are segments 0 .. k - 1 advanced by k L
+    # draws, so the starts double on (hi, lo) words, with no Python int kept
+    # per segment
+    m_hi, m_lo, p_hi, p_lo = np.zeros((4, segments, 1), dtype=np.uint64)
+    m_lo[0] = 1
+    k = 1
+    while k < segments:
+        c = min(k, segments - k)
+        (mh, ml), (ph, pl) = map(_split128, _jump(k * seg_len))
+        m_hi[k:k + c], m_lo[k:k + c] = _mul128(m_hi[:c], m_lo[:c], mh, ml)
+        p_hi[k:k + c], p_lo[k:k + c] = _add128(*_mul128(p_hi[:c], p_lo[:c], mh, ml), ph, pl)
+        k += c
+    hi, lo = _add128(*_mul128(m_hi, m_lo, hi, lo), *_mul128(p_hi, p_lo, inc_hi, inc_lo))
     inc_hi, inc_lo = np.broadcast_to(inc_hi, hi.shape), np.broadcast_to(inc_lo, lo.shape)
     return hi.ravel(), lo.ravel(), inc_hi.ravel(), inc_lo.ravel()
 
@@ -255,6 +261,14 @@ def _lemire(raw):
     # the draw is 1 + the high word, which borrows one when t < raw
     t = (raw & 2047) << 53
     return (raw >> 11) + (t >= raw), t - raw
+
+
+def lane_layout(paths: int, n: int) -> tuple[int, int]:
+    """(segments, segment length) of ``normals_block``'s lanes for an (n, paths)
+    block: each stream is cut into segments of consecutive draws so that the
+    ``segments * paths`` lanes make each step about ``_LANES`` wide."""
+    seg_len = -(-n // max(1, min(n, _LANES // paths)))
+    return -(-n // seg_len), seg_len
 
 
 def normals_block(seed: int, paths: int, n: int, first: int = 0) -> np.ndarray:
@@ -277,9 +291,7 @@ def normals_block(seed: int, paths: int, n: int, first: int = 0) -> np.ndarray:
     out = np.empty((n, paths))
     if out.size == 0:
         return out
-    segments = max(1, min(n, _LANES // paths))
-    seg_len = -(-n // segments)
-    segments = -(-n // seg_len)
+    segments, seg_len = lane_layout(paths, n)
     hi, lo, inc_hi, inc_lo = _segment_starts(seed, paths, seg_len, segments, first)
     least_low = np.full(hi.shape, _M64, dtype=np.uint64)
     for j in range(seg_len):

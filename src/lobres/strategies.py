@@ -156,26 +156,6 @@ def smooth_blocks(strategy: Strategy, kappa: float, width_scale: float = 1.0) ->
     return Strategy(grid, SampledPath(grid, rate), (), strategy.phi0)
 
 
-@dataclass
-class TrackerSpec:
-    """Target position, tracking-rate scale M (> 0), and resilience scale.
-
-    The tracker relaxes toward the target at speed sqrt(kappa) * M_t.
-    """
-
-    target: SampledPath
-    rate_scale: SampledPath
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if self.rate_scale.grid != self.target.grid:
-            raise ValueError("rate scale lives on a different grid")
-        if np.any(self.rate_scale.values <= 0):
-            raise ValueError("tracking rate M must be positive pointwise")
-        if not (np.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
-
-
 def relax_positions(target: np.ndarray, rate_scale: np.ndarray, kappa: float,
                     dt: float, start: float | None = None) -> np.ndarray:
     """Exact exponential relaxation of one path toward the left-endpoint target:
@@ -198,15 +178,23 @@ def relax_positions(target: np.ndarray, rate_scale: np.ndarray, kappa: float,
     return np.array(path)
 
 
-def exponential_tracker(spec: TrackerSpec, start: float | None = None) -> Strategy:
-    """Block-free strategy tracking ``spec.target`` at speed sqrt(kappa) * M.
+def exponential_tracker(target: SampledPath, rate_scale: SampledPath, kappa: float,
+                        start: float | None = None) -> Strategy:
+    """Block-free strategy relaxing toward ``target`` at speed sqrt(kappa) * M,
+    for a tracking-rate scale M = ``rate_scale`` (> 0) and resilience scale
+    ``kappa`` (> 0).
 
     The emitted rate is the per-step average position change; the default
     initial position is the target's initial value.
     """
-    grid = spec.target.grid
-    pos = relax_positions(spec.target.values, spec.rate_scale.values, spec.kappa,
-                          grid.dt, start)
+    if rate_scale.grid != target.grid:
+        raise ValueError("rate scale lives on a different grid")
+    if np.any(rate_scale.values <= 0):
+        raise ValueError("tracking rate M must be positive pointwise")
+    if not (np.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be positive, got {kappa!r}")
+    grid = target.grid
+    pos = relax_positions(target.values, rate_scale.values, kappa, grid.dt, start)
     rate = np.zeros(grid.n_points)
     rate[:-1] = np.diff(pos) / grid.dt
     return Strategy(grid, SampledPath(grid, rate), (), float(pos[0]))
@@ -242,8 +230,7 @@ def optimal_tracker(book: "BookParams", sigma_s: SampledPath,
     if np.any(m <= 0.0):
         raise ValueError("tracking speed vanishes on part of the grid; "
                          "sigma_s must be positive everywhere or identically zero")
-    spec = TrackerSpec(target=target, rate_scale=SampledPath(grid, m), kappa=book.kappa)
-    return exponential_tracker(spec, start)
+    return exponential_tracker(target, SampledPath(grid, m), book.kappa, start)
 
 
 def read_strategy_csv(grid: TimeGrid, path, phi0: float = 0.0) -> Strategy:

@@ -17,11 +17,10 @@ from lobres import (BookParams, RandomSource, ReferencePricePath, SampledPath, S
                     Strategy, WealthPath, position_paths)
 from lobres.book import _check_grids, evolve_book
 from lobres.experiments import (_BOOTSTRAP_STREAM, LemmaJumpReport, TrackerBoundReport,
-                                UtilityReport, _certainty_equivalents, brownian_increments,
-                                ladder_grid)
+                                UtilityReport, _certainty_equivalents, brownian_increments)
 from lobres.wealth import _accumulate
 from lobres.paths import as_path, constant_path
-from lobres.strategies import TrackerSpec, exponential_tracker, smooth_blocks
+from lobres.strategies import exponential_tracker, smooth_blocks
 
 
 def run_python(code: str, timeout: float = 60) -> str:
@@ -416,20 +415,18 @@ def reference_lemma_jump_experiment(template: BookTemplate, block_strategy: Stra
                            np.asarray(frac_pos), np.asarray(all_diffs))
 
 
-def reference_tracker_bound_experiment(ladder: KappaLadder, *, target_drift=0.0,
-                                       target_vol=1.0, rate_scale=1.0,
+def reference_tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, *,
+                                       target_drift=0.0, target_vol=1.0, rate_scale=1.0,
                                        coeff_bound: float = 1.0, rate_floor: float = 1.0,
                                        target0: float = 0.0, paths: int = 10_000,
-                                       seed: int = 42, horizon: float = 1.0, n0: int = 512,
-                                       resolution_scale: float = 4.0) -> TrackerBoundReport:
-    """Estimate E[sup_t kappa^(1/2) |target_t - tracker_t|^2] per kappa.
+                                       seed: int = 42) -> TrackerBoundReport:
+    """Estimate E[sup_t kappa^(1/2) |target_t - tracker_t|^2] per kappa on ``grid``.
 
     The target is an Ito process with declared drift/vol coefficients bounded
     by ``coeff_bound`` and the tracking-rate scale M is bounded below by
     ``rate_floor``; the estimate must stay below 5 * C^2 * T / M_floor
     (within three Monte-Carlo standard errors) uniformly in kappa.
     """
-    grid = ladder_grid(horizon, n0, resolution_scale, ladder.max)
     mu = as_path(grid, target_drift).values
     sig = as_path(grid, target_vol).values
     m = as_path(grid, rate_scale).values
@@ -449,7 +446,7 @@ def reference_tracker_bound_experiment(ladder: KappaLadder, *, target_drift=0.0,
     del increments
     targets[1:] += target0
 
-    bound = 5.0 * coeff_bound**2 * horizon / rate_floor
+    bound = 5.0 * coeff_bound**2 * grid.horizon / rate_floor
     estimates = []
     stderrs = []
     for kappa in ladder:
@@ -467,12 +464,10 @@ def reference_tracker_bound_experiment(ladder: KappaLadder, *, target_drift=0.0,
                               float(bound), within)
 
 
-def reference_utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, *,
-                                 gamma: float, kappas: Sequence[float],
+def reference_utility_experiment(template: BookTemplate, fundamental: FundamentalSpec,
+                                 grid: TimeGrid, *, gamma: float, kappas: Sequence[float],
                                  multipliers: Sequence[float] = (0.5, 1.0, 2.0),
                                  paths: int = 10_000, seed: int = 42, x0: float = 0.0,
-                                 horizon: float = 1.0, n0: int = 512,
-                                 resolution_scale: float = 4.0,
                                  bootstrap: int = 500) -> UtilityReport:
     """Compare certainty equivalents of trackers with speeds c * sqrt(kappa) * M.
 
@@ -497,7 +492,6 @@ def reference_utility_experiment(template: BookTemplate, fundamental: Fundamenta
     kappas = tuple(float(k) for k in kappas)
     multipliers = tuple(float(c) for c in multipliers)
 
-    grid = ladder_grid(horizon, n0, resolution_scale, max(kappas))
     probe = template.materialize(grid, kappas[0])
     if np.any(probe.eps_up.values != 0) or np.any(probe.eps_dn.values != 0):
         raise ValueError("utility experiment requires zero baseline spreads")
@@ -519,10 +513,7 @@ def reference_utility_experiment(template: BookTemplate, fundamental: Fundamenta
     for kappa in kappas:
         book = template.materialize(grid, kappa)
         for c in multipliers:
-            spec = TrackerSpec(target=target,
-                               rate_scale=SampledPath(grid, c * m_base),
-                               kappa=kappa)
-            strat = exponential_tracker(spec, start=0.0)
+            strat = exponential_tracker(target, SampledPath(grid, c * m_base), kappa, start=0.0)
             x_det, weights = _terminal_wealth_decomposition(book, strat, mean_fund, x0)
             x_terminal[(kappa, c)] = x_det + (sigma_steps * weights) @ dw
     del dw  # the noise and the resample indices are never held together
@@ -546,7 +537,7 @@ def reference_utility_experiment(template: BookTemplate, fundamental: Fundamenta
                           ce_point[cand] - ce_point[key],
                           float(glo), float(ghi))
 
-    frictionless = x0 + mu**2 * horizon / (2.0 * gamma * sigma**2)
+    frictionless = x0 + mu**2 * grid.horizon / (2.0 * gamma * sigma**2)
     # one (kappa, multiplier) array per value, in UtilityReport's field order
     values = np.array(list(cells.values())).T.reshape(6, len(kappas), len(multipliers))
     return UtilityReport(kappas, multipliers, *values, frictionless)

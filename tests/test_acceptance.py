@@ -89,7 +89,8 @@ def test_criterion_3_theorem1_gate():
     budget = _Budget(30.0)
     report = theorem1_experiment(
         BookTemplate(K=1.0, h=1.0, alpha=0.25, eps=0.01),
-        lambda t: np.sin(2.0 * np.pi * t), LADDER)
+        rate_strategy(ladder_grid(1.0, 512, 4.0, LADDER.max), lambda t: np.sin(2.0 * np.pi * t)),
+        LADDER)
     scaled = report.kappa_x_err
     upper = scaled[len(scaled) // 2:]
     assert np.all(np.diff(upper) < 0), f"kappa*e not decreasing: {upper}"
@@ -102,7 +103,8 @@ def test_criterion_4_remark1_gate():
     budget = _Budget(30.0)
     report = theorem1_experiment(
         BookTemplate(K=1.0, h=1.0, alpha=0.25, eps=0.01),
-        lambda t: np.cos(2.0 * np.pi * t), LADDER, rate_growth=0.25)
+        rate_strategy(ladder_grid(1.0, 512, 4.0, LADDER.max), lambda t: np.cos(2.0 * np.pi * t)),
+        LADDER, rate_growth=0.25)
     scaled = np.sqrt(report.kappas) * report.mean_err
     assert np.all(np.diff(scaled) < 0), f"sqrt(kappa)*e not decreasing: {scaled}"
     assert report.slope <= -0.9, f"slope {report.slope}"
@@ -129,8 +131,9 @@ def test_criterion_5_block_dominance_gate():
 
 def test_criterion_6_tracker_l2_bound():
     budget = _Budget(60.0)
+    ladder = KappaLadder.geometric(16.0, 2.0, 7)
     report = tracker_bound_experiment(
-        KappaLadder.geometric(16.0, 2.0, 7), target_drift=0.0, target_vol=1.0,
+        ladder, ladder_grid(1.0, 512, 4.0, ladder.max), target_drift=0.0, target_vol=1.0,
         rate_scale=1.0, coeff_bound=1.0, rate_floor=1.0, paths=10_000, seed=42)
     assert report.bound == 5.0
     slack = report.bound + 3.0 * report.stderrs
@@ -144,8 +147,8 @@ def test_criterion_7_utility_noninferiority():
     budget = _Budget(120.0)
     report = utility_experiment(
         BookTemplate(K=1.0, h=1.0, alpha=0.0, eps=0.0),
-        FundamentalSpec(s0=100.0, mu=0.1, sigma=0.2), gamma=1.0,
-        kappas=[64.0, 256.0, 1024.0], multipliers=[0.5, 1.0, 2.0],
+        FundamentalSpec(s0=100.0, mu=0.1, sigma=0.2), ladder_grid(1.0, 512, 4.0, 1024.0),
+        gamma=1.0, kappas=[64.0, 256.0, 1024.0], multipliers=[0.5, 1.0, 2.0],
         paths=10_000, seed=42, bootstrap=500)
 
     # candidate speed not beaten at the stated comparison point kappa = 256

@@ -40,6 +40,15 @@ class TestBookParams:
         grid = make_grid(1.0, 8)
         constant_book(grid, 10.0, eps=0.0)
 
+    def test_default_down_side_shares_the_up_path(self):
+        # a down-side coefficient left None is the up side's path, not a copy
+        grid = make_grid(1.0, 8)
+        book = BookParams.build(grid, 10.0, K=2.0, h=lambda t: 1.0 + t, eps_dn=0.01)
+        for name in ("K", "h", "alpha"):
+            assert getattr(book, f"{name}_dn") is getattr(book, f"{name}_up")
+        assert book.eps_dn is not book.eps_up
+        np.testing.assert_array_equal(book.eps_dn.values, np.full(9, 0.01))
+
 
 class TestEvolveSpreads:
     def test_zero_strategy_keeps_baselines(self):

@@ -9,9 +9,10 @@ import pytest
 
 import lobres.experiments as experiments_module
 from helpers import run_python
-from lobres import (BookTemplate, KappaLadder, UniformBounds, make_grid,
+from lobres import (BookTemplate, KappaLadder, UniformBounds, make_grid, rate_strategy,
                     theorem1_experiment)
 from lobres.cli import main
+from lobres.config import parse_config, validate_config
 from lobres.paths import write_columns
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,7 +79,7 @@ class TestSimulate:
             cols[key] = np.roll(np.resize(awkward, grid.n_points), len(cols))
             return cols[key]
 
-        def strategy(config, grid, kappa):
+        def strategy(config, grid):
             blocks = ((0, 5e-324), (7, -1e16), (grid.steps, 0.1))
             return Strategy(grid, SampledPath(grid, column("rate", grid)), blocks)
 
@@ -239,6 +240,18 @@ def test_every_exported_name_resolves():
     assert set(lobres.__all__) <= namespace.keys()
 
 
+# The kinds each run command takes, in the order its mismatch message lists
+# them, and one shipped config of each kind.
+COMMAND_KINDS = {"simulate": ["simulate"],
+                 "converge": ["l2", "lemma-jump", "remark1", "theorem1", "tracker-bound"],
+                 "utility": ["utility"]}
+KIND_CONFIGS = {"simulate": "simulate.json", "theorem1": "theorem1.json",
+                "remark1": "remark1.json", "l2": "l2.json", "lemma-jump": "lemma_jump.json",
+                "tracker-bound": "tracker_bound.json", "utility": "utility.json"}
+MISMATCHES = [(command, kind) for command, kinds in COMMAND_KINDS.items()
+              for kind in KIND_CONFIGS if kind not in kinds]
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 3
@@ -248,9 +261,17 @@ class TestExitCodes:
         cfg.write_text("{not json")
         assert main(["simulate", "--config", str(cfg)]) == 2
 
-    def test_kind_command_mismatch(self, tmp_path):
-        cfg = write_config(tmp_path, SIMULATE_ZERO)
-        assert main(["converge", "--config", str(cfg)]) == 2
+    @pytest.mark.parametrize("command, kind", MISMATCHES)
+    def test_kind_command_mismatch(self, tmp_path, capsys, command, kind):
+        # the refusal comes before the run: no output directory, nothing on stdout
+        assert len(MISMATCHES) == 14
+        out = tmp_path / "out"
+        config = str(CONFIG_DIR / KIND_CONFIGS[kind])
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: config kind '{kind}' does not match "
+                                           f"command '{command}' (expected one of "
+                                           f"{COMMAND_KINDS[command]})\n")
+        assert not out.exists()
 
     def test_validation_error(self, tmp_path):
         bad = dict(SIMULATE_ZERO, book={"kappa": 16.0, "alpha": 0.9})
@@ -265,6 +286,34 @@ class TestExitCodes:
         negative = write_config(tmp_path, dict(SIMULATE_ZERO, mc={"seed": -5}), "neg.json")
         assert main([command, "--config", str(negative)]) == 2
         assert "mc.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_validate_and_the_run_use_one_grid(tmp_path, monkeypatch, name):
+    # every book scan and every noise draw of a run is on the grid whose
+    # steps validate reports, over the configured horizon; 2 paths and 10
+    # bootstrap resamples keep the runs small and leave the grid as it is
+    import lobres.experiments
+    import lobres.wealth
+    payload = json.loads((CONFIG_DIR / name).read_text())
+    payload.setdefault("mc", {})["paths"] = 2
+    if "utility" in payload:
+        payload["utility"]["bootstrap"] = 10
+    path = write_config(tmp_path, payload)
+    grids = []
+    for module, fn, grid_of in ((lobres.wealth, "evolve_book", lambda book: book.grid),
+                                (lobres.experiments, "brownian_increments", lambda g: g)):
+        def recording(first, *args, _original=getattr(module, fn), _grid_of=grid_of):
+            grids.append(_grid_of(first))
+            return _original(first, *args)
+        monkeypatch.setattr(module, fn, recording)
+
+    config = parse_config(path.read_text())
+    steps = validate_config(config)["estimates"]["grid_steps"]
+    command = {"simulate": "simulate", "utility": "utility"}.get(config.kind, "converge")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 1)
+    assert grids
+    assert {(g.steps, g.horizon) for g in grids} == {(steps, config.grid.horizon)}
 
 
 class TestValidateCommand:
@@ -323,10 +372,11 @@ class TestConvergeCommand:
         assert set(summary["gates"]) == gates
 
         report = theorem1_experiment(
-            BookTemplate(alpha=0.25, eps=0.01), lambda t: math.cos(2 * math.pi * t),
+            BookTemplate(alpha=0.25, eps=0.01),
+            rate_strategy(make_grid(1.0, 128), lambda t: math.cos(2 * math.pi * t)),
             KappaLadder.geometric(16.0, 2.0, 5),
             rate_growth=rate_growth,
-            bounds=None if bounds is None else UniformBounds(*bounds.values()), n0=128)
+            bounds=None if bounds is None else UniformBounds(*bounds.values()))
         expected = tmp_path / "expected.csv"
         write_columns(expected, report.table())
         assert (out / "convergence.csv").read_bytes() == expected.read_bytes()

@@ -11,10 +11,10 @@ import lobres.config as config_module
 from helpers import run_python
 from lobres import ConfigError, ConfigParseError, ConfigValidationError
 from lobres.cli import main
-from lobres.config import (INTERPRETER_BYTES, LANE_BYTES, ONE_PATH_BYTES_PER_POINT,
-                           SCIPY_BYTES, parse_config, validate_config)
+from lobres.config import (INTERPRETER_BYTES, ONE_PATH_BYTES_PER_POINT, SCIPY_BYTES,
+                           lane_bytes, parse_config, validate_config)
 from lobres.experiments import tracker_bound_experiment
-from lobres.paths import _ndtri
+from lobres.paths import _ndtri, normals_block
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -220,25 +220,27 @@ class TestValidate:
         assert any("one price path" in w for w in report["warnings"])
 
     @pytest.mark.parametrize("name, expected", [
-        # scipy and the noise lanes, one float64 result per rung and path, one
-        # (steps, 1024-path) chunk block, and three (rungs, 1024-path) arrays:
-        # the positions, squared errors and running maxima
-        ("tracker_bound.json", SCIPY_BYTES + LANE_BYTES + 8 * 7 * 10_000
+        # scipy and the noise lanes (a (512, 1024) block: 8 segments x 1,024
+        # streams at 19 uint64 values each), one float64 result per rung and
+        # path, one (steps, 1024-path) chunk block, and three (rungs,
+        # 1024-path) arrays: the positions, squared errors and running maxima
+        ("tracker_bound.json", SCIPY_BYTES + 8 * 19 * 8192 + 8 * 7 * 10_000
          + 8 * 512 * 1024 + 3 * 8 * 7 * 1024),
         # one result per (kappa, multiplier) cell and path and no rung rows,
         # plus the bootstrap: 9 cells x 500 resampled CEs, one kappa's 3 x 500
         # gaps, and one chunk of 2**16 // 10,000 = 6 resamples of int64
         # indices and samples
-        ("utility.json", SCIPY_BYTES + LANE_BYTES + 8 * 9 * 10_000 + 8 * 512 * 1024
+        ("utility.json", SCIPY_BYTES + 8 * 19 * 8192 + 8 * 9 * 10_000 + 8 * 512 * 1024
          + 8 * ((9 + 3) * 500 + 2 * 6 * 10_000)),
-        # fewer paths than a chunk holds
-        ("lemma_jump_noisy.json", SCIPY_BYTES + LANE_BYTES + 8 * 9 * 1000
+        # fewer paths than a chunk holds: 8 segments x 1,000 lanes
+        ("lemma_jump_noisy.json", SCIPY_BYTES + 8 * 19 * 8000 + 8 * 9 * 1000
          + 8 * 512 * 1000),
         # no noise: the per-rung results only
         ("lemma_jump.json", 8 * 9 * 1),
-        # one path only, drawn through scipy for simulate
+        # one path only, drawn through scipy for simulate: one stream cut
+        # into 512 one-draw segments
         ("l2.json", 0),
-        ("simulate.json", SCIPY_BYTES + LANE_BYTES),
+        ("simulate.json", SCIPY_BYTES + 8 * 19 * 512),
     ])
     def test_memory_estimate_of_shipped_configs(self, name, expected):
         # the interpreter and one path's scan and ledger on 513 grid points,
@@ -320,14 +322,31 @@ class TestValidate:
         tracemalloc.start()
         try:
             tracker_bound_experiment(
-                config.ladder.ladder(), target_drift=tc.target_drift.value(),
+                config.ladder.ladder(), config.time_grid(), target_drift=tc.target_drift.value(),
                 target_vol=tc.target_vol.value(), rate_scale=tc.rate_scale.value(),
                 coeff_bound=tc.coeff_bound, rate_floor=tc.rate_floor, target0=tc.target0,
-                paths=paths, seed=42, n0=n0)
+                paths=paths, seed=42)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert abs(term / peak - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("paths, n", [(1024, 512), (256, 2048), (3, 10_007), (1, 512),
+                                      (1, 126_492), (2, 64), (8192, 64), (16_384, 32)])
+def test_lane_term_matches_the_traced_kernel(paths, n):
+    # validate's lane term is within 10% or 64 KiB, whichever is larger, of
+    # what normals_block allocates beyond its (n, paths) output: 19 values
+    # per lane, or about 28 where each stream is one segment (the 8,192- and
+    # 16,384-path blocks)
+    _ndtri()  # loaded first: SCIPY_BYTES counts it
+    tracemalloc.start()
+    try:
+        out = normals_block(42, paths, n)
+        extra = tracemalloc.get_traced_memory()[1] - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert abs(lane_bytes(paths, n) - extra) <= max(0.1 * extra, 64 * 1024)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")

@@ -15,7 +15,7 @@ from lobres import (BookTemplate, FundamentalSpec, InsufficientData, KappaLadder
                     lemma_jump_experiment, make_grid, ow_wealth, rate_strategy,
                     theorem1_experiment, tracker_bound_experiment, utility_experiment)
 from lobres.cli import _gates
-from lobres.config import LANE_BYTES
+from lobres.config import lane_bytes
 from lobres.experiments import (ConvergenceReport, LemmaJumpReport, TrackerBoundReport,
                                 UtilityReport, brownian_increments)
 from lobres.paths import write_columns
@@ -25,6 +25,16 @@ from lobres.strategies import block_schedule, smooth_blocks
 SMALL_LADDER = KappaLadder.geometric(16.0, 2.0, 5)
 # the bounds of the shipped l2 config
 L2_BOUNDS = UniformBounds(rate_bound=1.5, coefficient_bound=2.0, resilience_floor=0.5)
+
+
+def _grid(kappa_max, n0=512, resolution_scale=4.0):
+    """The grid a run on [0, 1] sizes for ``kappa_max``."""
+    return ladder_grid(1.0, n0, resolution_scale, kappa_max)
+
+
+def _base(rate, ladder=SMALL_LADDER):
+    """The gap experiment's base strategy at ``rate`` on ``ladder``'s grid."""
+    return rate_strategy(_grid(ladder.max), rate)
 
 
 def _ce_one_sample(x, gamma):
@@ -76,16 +86,22 @@ class TestLadderGrid:
 
 class TestTheorem1:
     def test_zero_strategy_has_zero_errors(self):
-        report = theorem1_experiment(BookTemplate(), 0.0, SMALL_LADDER)
+        report = theorem1_experiment(BookTemplate(), _base(0.0), SMALL_LADDER)
         np.testing.assert_array_equal(report.mean_err, np.zeros(5))
         assert report.slope is None
 
     def test_smooth_rate_converges_fast(self):
         report = theorem1_experiment(
             BookTemplate(alpha=0.25, eps=0.01),
-            lambda t: math.sin(2 * math.pi * t), SMALL_LADDER)
+            _base(lambda t: math.sin(2 * math.pi * t)), SMALL_LADDER)
         assert np.all(np.diff(report.kappa_x_err) < 0)
         assert report.slope <= -1.5
+
+    def test_base_with_blocks_refused(self):
+        # the gap experiment reads only the base's rate: blocks would be dropped
+        blocks = block_schedule(_grid(SMALL_LADDER.max), [(0.25, 1.0)], t_prime=0.5)
+        with pytest.raises(ValueError, match="block-free base strategy"):
+            theorem1_experiment(BookTemplate(), blocks, SMALL_LADDER)
 
     def test_gap_is_independent_of_the_price_path(self):
         # reference: the wealth gap sup_t |X_ow - X_ac| measured on each
@@ -98,7 +114,7 @@ class TestTheorem1:
         funds = [reference_sample(spec, grid, RandomSource(42, p)) for p in range(4)]
         for alpha in (0.0, 0.5):
             template = BookTemplate(alpha=alpha, eps=0.01)
-            report = theorem1_experiment(template, rate, SMALL_LADDER)
+            report = theorem1_experiment(template, strat, SMALL_LADDER)
             for j, kappa in enumerate(SMALL_LADDER):
                 book = template.materialize(grid, kappa)
                 sups = [np.max(np.abs(ow_wealth(book, strat, fund).x.values
@@ -147,8 +163,9 @@ class TestGapOracle:
         kappa = stiffness / (K * self.GRID.dt)  # kappa * K * dt = stiffness >= 40
         # resolution_scale 0.25 keeps the experiment on the 512-step grid
         assert ladder_grid(1.0, 512, 0.25, kappa) == self.GRID
-        report = theorem1_experiment(BookTemplate(K=K, h=h, alpha=alpha), rate,
-                                     KappaLadder((kappa,)), n0=512, resolution_scale=0.25)
+        report = theorem1_experiment(BookTemplate(K=K, h=h, alpha=alpha),
+                                     rate_strategy(ladder_grid(1.0, 512, 0.25, kappa), rate),
+                                     KappaLadder((kappa,)))
         c = _gap_constant(rate_strategy(self.GRID, rate).rate_steps, alpha, K, h)
         assert kappa**2 * report.mean_err[0] / c == pytest.approx(1.0, abs=1e-6)
 
@@ -157,19 +174,19 @@ class TestGapOracle:
         rate = lambda t: math.sin(2 * math.pi * t)
         c = _gap_constant(rate_strategy(self.GRID, rate).rate_steps, 0.25, 1.0, 1.0)
         assert c == pytest.approx(0.385843, abs=5e-7)
-        report = theorem1_experiment(BookTemplate(alpha=0.25, eps=0.01), rate,
-                                     KappaLadder((4096.0,)))
+        report = theorem1_experiment(BookTemplate(alpha=0.25, eps=0.01),
+                                     _base(rate, KappaLadder((4096.0,))), KappaLadder((4096.0,)))
         assert 4096.0**2 * report.mean_err[0] / c == pytest.approx(1.00002, abs=5e-6)
 
 
 class TestRemark1:
     def test_zero_base_rate(self):
-        report = theorem1_experiment(BookTemplate(), 0.0, SMALL_LADDER, rate_growth=0.25)
+        report = theorem1_experiment(BookTemplate(), _base(0.0), SMALL_LADDER, rate_growth=0.25)
         np.testing.assert_array_equal(report.mean_err, np.zeros(5))
 
     def test_scaled_errors_decrease(self):
         report = theorem1_experiment(
-            BookTemplate(alpha=0.25, eps=0.01), lambda t: math.cos(2 * math.pi * t),
+            BookTemplate(alpha=0.25, eps=0.01), _base(lambda t: math.cos(2 * math.pi * t)),
             SMALL_LADDER, rate_growth=0.25)
         assert np.all(np.diff(np.sqrt(report.kappas) * report.mean_err) < 0)
         assert report.slope <= -0.9
@@ -234,13 +251,13 @@ class TestLemmaJump:
 
 class TestTrackerBound:
     def test_constant_target_zero_error(self):
-        report = tracker_bound_experiment(KappaLadder((16.0, 64.0)), target_vol=0.0,
-                                          paths=10, n0=64)
+        report = tracker_bound_experiment(KappaLadder((16.0, 64.0)), _grid(64.0, 64),
+                                          target_vol=0.0, paths=10)
         np.testing.assert_array_equal(report.estimates, np.zeros(2))
         assert _gates("tracker-bound", report) == {"bound_holds_for_every_kappa": True}
 
     def test_brownian_target_within_bound(self):
-        report = tracker_bound_experiment(KappaLadder.geometric(16.0, 4.0, 4),
+        report = tracker_bound_experiment(KappaLadder.geometric(16.0, 4.0, 4), _grid(1024.0),
                                           paths=2000, seed=5)
         assert report.bound == 5.0
         assert _gates("tracker-bound", report) == {"bound_holds_for_every_kappa": True}
@@ -252,10 +269,9 @@ class TestTrackerBound:
         from lobres.strategies import relax_positions
         ladder = KappaLadder.geometric(16.0, 4.0, 3)
         paths, seed, mu, vol, target0 = 8, 11, 0.3, 0.8, 0.5
-        report = tracker_bound_experiment(ladder, target_drift=mu, target_vol=vol,
-                                          target0=target0, paths=paths, seed=seed,
-                                          n0=64)
         grid = ladder_grid(1.0, 64, 4.0, ladder.max)
+        report = tracker_bound_experiment(ladder, grid, target_drift=mu, target_vol=vol,
+                                          target0=target0, paths=paths, seed=seed)
         m = np.ones(grid.n_points)
         sup2 = np.empty((len(ladder), paths))
         for p in range(paths):
@@ -273,16 +289,16 @@ class TestTrackerBound:
 
     def test_bound_violation_of_declared_coeffs(self):
         with pytest.raises(ValueError):
-            tracker_bound_experiment(SMALL_LADDER, target_vol=2.0, coeff_bound=1.0,
-                                     paths=10, n0=64)
+            tracker_bound_experiment(SMALL_LADDER, _grid(SMALL_LADDER.max, 64), target_vol=2.0,
+                                     coeff_bound=1.0, paths=10)
         with pytest.raises(ValueError):
-            tracker_bound_experiment(SMALL_LADDER, rate_scale=0.5, rate_floor=1.0,
-                                     paths=10, n0=64)
+            tracker_bound_experiment(SMALL_LADDER, _grid(SMALL_LADDER.max, 64), rate_scale=0.5,
+                                     rate_floor=1.0, paths=10)
 
 
 class TestL2:
     def test_zero_strategy(self):
-        report = theorem1_experiment(BookTemplate(), 0.0, SMALL_LADDER, bounds=L2_BOUNDS)
+        report = theorem1_experiment(BookTemplate(), _base(0.0), SMALL_LADDER, bounds=L2_BOUNDS)
         np.testing.assert_array_equal(report.mean_err, np.zeros(5))
 
     def test_l2_at_least_l1(self):
@@ -290,8 +306,8 @@ class TestL2:
         # error; declared bounds that hold leave it unchanged
         template = BookTemplate(alpha=0.25, eps=0.01)
         rate = lambda t: math.sin(2 * math.pi * t)
-        l2 = theorem1_experiment(template, rate, SMALL_LADDER, bounds=L2_BOUNDS)
-        l1 = theorem1_experiment(template, rate, SMALL_LADDER)
+        l2 = theorem1_experiment(template, _base(rate), SMALL_LADDER, bounds=L2_BOUNDS)
+        l1 = theorem1_experiment(template, _base(rate), SMALL_LADDER)
         np.testing.assert_array_equal(l2.mean_err, l1.mean_err)
         assert np.all(np.diff(l2.kappa_x_err) < 0)
 
@@ -299,30 +315,30 @@ class TestL2:
         bounds = UniformBounds(rate_bound=0.5, coefficient_bound=2.0,
                                resilience_floor=0.5)
         with pytest.raises(ValueError):
-            theorem1_experiment(BookTemplate(), 1.0, SMALL_LADDER, bounds=bounds)
+            theorem1_experiment(BookTemplate(), _base(1.0), SMALL_LADDER, bounds=bounds)
 
 
 class TestUtility:
     def test_zero_volatility_rejected(self):
         with pytest.raises(ValueError):
-            utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.0),
+            utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.0), _grid(64.0),
                                gamma=1.0, kappas=[64.0], paths=10)
 
     def test_baseline_spread_rejected(self):
         with pytest.raises(ValueError):
             utility_experiment(BookTemplate(eps=0.01),
-                               FundamentalSpec(mu=0.1, sigma=0.2),
+                               FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0),
                                gamma=1.0, kappas=[64.0], paths=10)
 
     def test_multipliers_must_include_candidate(self):
         with pytest.raises(ValueError):
-            utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
+            utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0),
                                gamma=1.0, kappas=[64.0], multipliers=[0.5, 2.0],
                                paths=10)
 
     def test_ce_approaches_frictionless(self):
         report = utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
-                                    gamma=1.0, kappas=[64.0, 256.0, 1024.0],
+                                    _grid(1024.0), gamma=1.0, kappas=[64.0, 256.0, 1024.0],
                                     paths=2000, seed=7, bootstrap=100)
         curve = report.candidate_ce
         assert report.frictionless_ce == pytest.approx(0.125)
@@ -333,7 +349,7 @@ class TestUtility:
         # x0 = +-800 would underflow / overflow exp(-gamma * x) unshifted
         def run(x0):
             return utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
-                                      gamma=1.0, kappas=[64.0], paths=200, seed=7,
+                                      _grid(64.0), gamma=1.0, kappas=[64.0], paths=200, seed=7,
                                       x0=x0, bootstrap=50)
 
         base = run(0.0)
@@ -362,12 +378,12 @@ class TestUtility:
         # on terminal wealths rebuilt from the same decomposition
         from lobres import Evaluation, SampledPath, constant_path
         from lobres.experiments import _BOOTSTRAP_STREAM
-        from lobres.strategies import TrackerSpec, exponential_tracker
+        from lobres.strategies import exponential_tracker
         gamma, mu, sigma, kappa = 1.0, 0.1, 0.2, 64.0
         paths, seed, bootstrap = 300, 5, 40
         spec = FundamentalSpec(mu=mu, sigma=sigma)
-        report = utility_experiment(BookTemplate(), spec, gamma=gamma, kappas=[kappa],
-                                    paths=paths, seed=seed, bootstrap=bootstrap)
+        report = utility_experiment(BookTemplate(), spec, _grid(kappa), gamma=gamma,
+                                    kappas=[kappa], paths=paths, seed=seed, bootstrap=bootstrap)
 
         boot_idx = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
             entropy=seed, spawn_key=(_BOOTSTRAP_STREAM,)))).integers(
@@ -378,9 +394,8 @@ class TestUtility:
         m_base = np.sqrt(book.K_up.values * book.h_up.values * sigma**2 * gamma / 2.0)
         boot = {}
         for c in report.multipliers:
-            strat = exponential_tracker(TrackerSpec(
-                constant_path(grid, mu / (gamma * sigma**2)),
-                SampledPath(grid, c * m_base), kappa), start=0.0)
+            strat = exponential_tracker(constant_path(grid, mu / (gamma * sigma**2)),
+                                        SampledPath(grid, c * m_base), kappa, start=0.0)
             x_det, w = Evaluation(book, strat, spec.mean_path(grid)).terminal(0.0)
             x = x_det + (sigma * w) @ dw
             boot[c] = np.array([_ce_one_sample(x[idx], gamma) for idx in boot_idx])
@@ -394,7 +409,7 @@ class TestUtility:
 
     def test_candidate_noninferior_at_moderate_kappa(self):
         report = utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
-                                    gamma=1.0, kappas=[256.0], paths=2000, seed=7,
+                                    _grid(256.0), gamma=1.0, kappas=[256.0], paths=2000, seed=7,
                                     bootstrap=200)
         # one kappa: the noninferiority gate alone, on that kappa
         assert _gates("utility", report) == {"candidate_noninferior": True}
@@ -480,7 +495,7 @@ class TestUtilityCandidateConstruction:
     def test_candidate_is_the_optimal_tracker(self):
         # multiplier 1 runs the closed-form-speed tracker started flat
         from lobres import constant_path, optimal_tracker
-        from lobres.strategies import TrackerSpec, exponential_tracker
+        from lobres.strategies import exponential_tracker
         gamma, sigma = 1.0, 0.2
         kappa = 256.0
         grid = ladder_grid(1.0, 512, 4.0, kappa)
@@ -490,9 +505,8 @@ class TestUtilityCandidateConstruction:
                                       constant_path(grid, 1.0 / gamma), target,
                                       start=0.0)
         m = np.sqrt(book.K_up.values * book.h_up.values * sigma**2 * gamma / 2.0)
-        via_spec = exponential_tracker(
-            TrackerSpec(target, rate_scale=__import__("lobres").SampledPath(grid, m),
-                        kappa=kappa), start=0.0)
+        via_spec = exponential_tracker(target, __import__("lobres").SampledPath(grid, m),
+                                       kappa, start=0.0)
         np.testing.assert_allclose(via_optimal.rate.values, via_spec.rate.values,
                                    rtol=1e-13)
 
@@ -501,10 +515,10 @@ class TestUtilityCandidateConstruction:
         from lobres import constant_path, optimal_tracker
         gamma, mu, sigma, kappa = 1.0, 0.1, 0.2, 64.0
         paths, seed = 64, 123
-        report = utility_experiment(BookTemplate(), FundamentalSpec(100.0, mu, sigma),
+        grid = ladder_grid(1.0, 512, 4.0, kappa)
+        report = utility_experiment(BookTemplate(), FundamentalSpec(100.0, mu, sigma), grid,
                                     gamma=gamma, kappas=[kappa], multipliers=[1.0],
                                     paths=paths, seed=seed, bootstrap=20)
-        grid = ladder_grid(1.0, 512, 4.0, kappa)
         book = BookTemplate().materialize(grid, kappa)
         target = constant_path(grid, mu / (gamma * sigma**2))
         strat = optimal_tracker(book, constant_path(grid, sigma),
@@ -545,11 +559,11 @@ def _exact(paths):
 class TestChunkedMonteCarlo:
     @pytest.mark.parametrize("paths", [23, 3, 2])  # one path has no standard error
     def test_tracker_bound_equals_whole_matrix(self, small_chunks, paths):
-        kw = dict(target_drift=0.3, target_vol=0.8, target0=0.5, paths=paths, seed=11,
-                  n0=CHUNK_STEPS)
+        kw = dict(target_drift=0.3, target_vol=0.8, target0=0.5, paths=paths, seed=11)
         ladder = KappaLadder.geometric(16.0, 4.0, 2)
-        chunked = tracker_bound_experiment(ladder, **kw)
-        whole = reference_tracker_bound_experiment(ladder, **kw)
+        grid = _grid(ladder.max, CHUNK_STEPS)
+        chunked = tracker_bound_experiment(ladder, grid, **kw)
+        whole = reference_tracker_bound_experiment(ladder, grid, **kw)
         for name in ("kappas", "estimates", "stderrs", "within"):
             assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
         assert chunked.bound == whole.bound
@@ -569,16 +583,17 @@ class TestChunkedMonteCarlo:
         # the fused pass over time (one running sum, one (rungs, chunk)
         # position block) writes the tracker.csv bytes of the whole-matrix
         # cumsum and per-rung row-loop relaxation
-        kw = dict(case, paths=paths, seed=13, n0=CHUNK_STEPS)
+        kw = dict(case, paths=paths, seed=13)
         ladder = kw.pop("ladder", KappaLadder.geometric(16.0, 4.0, 3))
-        if "resolution_scale" in kw:
+        grid = _grid(ladder.max, CHUNK_STEPS, kw.pop("resolution_scale", 4.0))
+        if "resolution_scale" in case:
             dt = 1.0 / CHUNK_STEPS
             decays = np.exp(-np.sqrt([ladder.values[0], ladder.max]) * 6.0 * dt)
             assert decays[0] > 0.999 and decays[1] == 0.0
         written = []
         for run in (tracker_bound_experiment, reference_tracker_bound_experiment):
             path = tmp_path / f"{run.__name__}.csv"
-            write_columns(path, run(ladder, **kw).table())
+            write_columns(path, run(ladder, grid, **kw).table())
             written.append(path.read_bytes())
         assert written[0] == written[1]
 
@@ -608,9 +623,8 @@ class TestChunkedMonteCarlo:
 
     @pytest.mark.parametrize("paths", [23, 3, 1])
     def test_utility_equals_whole_matrix(self, small_chunks, paths):
-        args = (BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2))
-        kw = dict(gamma=1.5, kappas=[16.0, 64.0], paths=paths, seed=5, x0=2.0,
-                  n0=CHUNK_STEPS, bootstrap=40)
+        args = (BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0, CHUNK_STEPS))
+        kw = dict(gamma=1.5, kappas=[16.0, 64.0], paths=paths, seed=5, x0=2.0, bootstrap=40)
         chunked = utility_experiment(*args, **kw)
         whole = reference_utility_experiment(*args, **kw)
         assert (chunked.kappas, chunked.multipliers) == (whole.kappas, whole.multipliers)
@@ -635,8 +649,8 @@ class TestChunkedMonteCarlo:
             return original(x, idx, gamma)
 
         monkeypatch.setattr(experiments_module, "_certainty_equivalents", recording)
-        utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), gamma=1.0,
-                           kappas=[64.0], paths=paths, seed=9, n0=64, bootstrap=200)
+        utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0, 64),
+                           gamma=1.0, kappas=[64.0], paths=paths, seed=9, bootstrap=200)
         every_path, *chunks = seen
         np.testing.assert_array_equal(every_path, np.arange(paths)[None, :])
         rows = max(1, experiments_module._CE_CHUNK_ELEMENTS // paths)
@@ -670,9 +684,10 @@ class TestMonteCarloMemory:
         # peak is one noise block, normals_block's lanes and the results
         ladder = KappaLadder((16.0, 64.0))
         peak = self._traced_peak(lambda: tracker_bound_experiment(
-            ladder, paths=self.PATHS, seed=1))
-        block = 8 * 512 * experiments_module.paths_per_chunk(512)
-        assert peak < 1.1 * (block + LANE_BYTES + 8 * len(ladder) * self.PATHS)
+            ladder, _grid(ladder.max), paths=self.PATHS, seed=1))
+        chunk = experiments_module.paths_per_chunk(512)
+        assert peak < 1.1 * (8 * 512 * chunk + lane_bytes(chunk, 512)
+                             + 8 * len(ladder) * self.PATHS)
         assert peak < self._bound(len(ladder)) < 8 * 512 * self.PATHS / 4
 
     def test_utility_bootstrap_holds_one_kappas_gaps(self):
@@ -681,15 +696,15 @@ class TestMonteCarloMemory:
         # of indices and gathered samples and normals_block's lanes
         boot, paths = 200_000, 20
         peak = self._traced_peak(lambda: utility_experiment(
-            BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), gamma=1.0,
-            kappas=[16.0, 64.0, 256.0], paths=paths, seed=1, n0=64, bootstrap=boot))
+            BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(256.0, 64), gamma=1.0,
+            kappas=[16.0, 64.0, 256.0], paths=paths, seed=1, bootstrap=boot))
         rows = experiments_module.resamples_per_chunk(paths)
-        assert peak < 1.1 * (8 * ((9 + 3) * boot + 2 * rows * paths) + LANE_BYTES)
+        assert peak < 1.1 * (8 * ((9 + 3) * boot + 2 * rows * paths) + lane_bytes(paths, 64))
 
     def test_utility_peak(self):
         peak = self._traced_peak(lambda: utility_experiment(
-            BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), gamma=1.0, kappas=[64.0],
-            paths=self.PATHS, seed=1, bootstrap=50))
+            BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0), gamma=1.0,
+            kappas=[64.0], paths=self.PATHS, seed=1, bootstrap=50))
         assert peak < self._bound(3) < 8 * 512 * self.PATHS / 4
 
 

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lobres import (BookParams, SampledPath, Strategy, TrackerSpec, block_schedule,
-                    constant_path, exponential_tracker, function_path, make_grid,
-                    optimal_tracker, position_paths, rate_strategy, read_strategy_csv,
-                    smooth_blocks)
+from lobres import (BookParams, SampledPath, Strategy, block_schedule, constant_path,
+                    exponential_tracker, function_path, make_grid, optimal_tracker,
+                    position_paths, rate_strategy, read_strategy_csv, smooth_blocks)
 from helpers import reference_relax_positions
 from lobres.paths import write_columns
 from lobres.strategies import relax_positions
@@ -116,8 +115,7 @@ class TestSmoothBlocks:
 class TestExponentialTracker:
     def test_constant_target_never_trades(self):
         grid = make_grid(1.0, 64)
-        spec = TrackerSpec(constant_path(grid, 2.5), constant_path(grid, 1.0), 64.0)
-        strat = exponential_tracker(spec)
+        strat = exponential_tracker(constant_path(grid, 2.5), constant_path(grid, 1.0), 64.0)
         assert np.all(strat.rate.values == 0.0)
         assert strat.phi0 == 2.5
 
@@ -132,9 +130,8 @@ class TestExponentialTracker:
         errors = []
         for n in (256, 512):
             grid = make_grid(1.0, n)
-            spec = TrackerSpec(function_path(grid, lambda t: t),
-                               constant_path(grid, m), kappa)
-            _, pos = position_paths(exponential_tracker(spec))
+            _, pos = position_paths(exponential_tracker(function_path(grid, lambda t: t),
+                                                        constant_path(grid, m), kappa))
             exact = np.array([closed_form(t) for t in grid.points()])
             errors.append(np.max(np.abs(pos - exact)))
         assert errors[0] <= 5.0 * a / 256  # O(dt)
@@ -143,9 +140,8 @@ class TestExponentialTracker:
     def test_stiff_step_never_overshoots(self):
         grid = make_grid(1.0, 4)
         kappa = (1e3 / (grid.dt * 2.0)) ** 2  # sqrt(kappa) * M * dt = 1e3
-        spec = TrackerSpec(function_path(grid, lambda t: t),
-                           constant_path(grid, 2.0), kappa)
-        _, pos = position_paths(exponential_tracker(spec))
+        _, pos = position_paths(exponential_tracker(function_path(grid, lambda t: t),
+                                                    constant_path(grid, 2.0), kappa))
         targets = grid.points()
         for i in range(grid.steps):
             lo, hi = sorted((pos[i], targets[i]))
@@ -154,7 +150,20 @@ class TestExponentialTracker:
     def test_nonpositive_rate_scale_rejected(self):
         grid = make_grid(1.0, 8)
         with pytest.raises(ValueError):
-            TrackerSpec(constant_path(grid, 1.0), constant_path(grid, 0.0), 4.0)
+            exponential_tracker(constant_path(grid, 1.0), constant_path(grid, 0.0), 4.0)
+
+    @pytest.mark.parametrize("rate_steps, rate, kappa, message", [
+        (16, 1.0, 4.0, "rate scale lives on a different grid"),
+        (8, -1.0, 4.0, "tracking rate M must be positive pointwise"),
+        (8, 1.0, 0.0, "kappa must be positive, got 0.0"),
+        (8, 1.0, math.inf, "kappa must be positive, got inf"),
+    ])
+    def test_refuses_bad_inputs(self, rate_steps, rate, kappa, message):
+        target = constant_path(make_grid(1.0, 8), 1.0)
+        rate_scale = constant_path(make_grid(1.0, rate_steps), rate)
+        with pytest.raises(ValueError) as info:
+            exponential_tracker(target, rate_scale, kappa)
+        assert str(info.value) == message
 
 
 class TestRelaxPositions:
@@ -204,7 +213,7 @@ class TestOptimalTracker:
         book = BookParams.build(grid, 64.0)
         sigma = constant_path(grid, 1.0)
         target = function_path(grid, lambda t: t)
-        ref = exponential_tracker(TrackerSpec(target, constant_path(grid, 1.0), 64.0))
+        ref = exponential_tracker(target, constant_path(grid, 1.0), 64.0)
         strat = optimal_tracker(book, sigma, constant_path(grid, 0.5), target)
         np.testing.assert_allclose(strat.rate.values, ref.rate.values, rtol=1e-14)
 
@@ -216,9 +225,7 @@ class TestOptimalTracker:
         target = function_path(grid, lambda t: t)
         fast = optimal_tracker(book, sigma, constant_path(grid, 0.5), target)
         slow = optimal_tracker(book, sigma, constant_path(grid, 1.0), target)
-        ref = exponential_tracker(TrackerSpec(target,
-                                              constant_path(grid, 1.0 / math.sqrt(2)),
-                                              64.0))
+        ref = exponential_tracker(target, constant_path(grid, 1.0 / math.sqrt(2)), 64.0)
         np.testing.assert_allclose(slow.rate.values, ref.rate.values, rtol=1e-14)
         assert np.max(np.abs(slow.rate.values)) < np.max(np.abs(fast.rate.values))
 
