@@ -179,36 +179,26 @@ def evolve_book(params: BookParams, strategy: Strategy) -> BookEvolution:
     impact) is computed on whole arrays; the recurrences run on Python
     floats, which round exactly as float64 array elements do, so every value
     comes from the same IEEE operations in the same order as a per-element
-    loop.
+    loop.  Each per-step array is dropped after its last use, and a down
+    side that shares the up side's K or h path shares its terms too.
     """
     _check_grids(params, strategy)
     grid = params.grid
     n = grid.steps
     dt = grid.dt
 
-    r = strategy.rate.values[:n]
-    r_up = np.maximum(r, 0.0)
-    r_dn = np.maximum(-r, 0.0)
+    def decay_terms(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        z = params.kappa * k[:n] * dt
+        return np.exp(-z), dt * _phi1(z), dt * dt * _phi2(z)
 
-    k_up = params.K_up.values[:n]
-    k_dn = params.K_dn.values[:n]
+    decay_up, w1_up, w2_up = decay_terms(params.K_up.values)
+    decay_dn, w1_dn, w2_dn = ((decay_up, w1_up, w2_up) if params.K_dn is params.K_up
+                              else decay_terms(params.K_dn.values))
+
     inv_h_up = 1.0 / params.h_up.values
-    inv_h_dn = 1.0 / params.h_dn.values
+    inv_h_dn = inv_h_up if params.h_dn is params.h_up else 1.0 / params.h_dn.values
     a_up = params.alpha_up.values
     a_dn = params.alpha_dn.values
-
-    z_up = params.kappa * k_up * dt
-    z_dn = params.kappa * k_dn * dt
-    decay_up = np.exp(-z_up)
-    decay_dn = np.exp(-z_dn)
-    w1_up = dt * _phi1(z_up)
-    w1_dn = dt * _phi1(z_dn)
-    w2_up = dt * dt * _phi2(z_up)
-    w2_dn = dt * dt * _phi2(z_dn)
-
-    b_up = (1.0 - a_up[:n]) * inv_h_up[:n] * r_up + a_dn[:n] * inv_h_dn[:n] * r_dn
-    b_dn = (1.0 - a_dn[:n]) * inv_h_dn[:n] * r_dn + a_up[:n] * inv_h_up[:n] * r_up
-    g = a_up[:n] * inv_h_up[:n] * r_up - a_dn[:n] * inv_h_dn[:n] * r_dn
 
     # A buy of size s jumps the ask excess by its own share (1 - alpha)/h * s
     # and the bid excess and the permanent impact by the cross share
@@ -223,42 +213,61 @@ def evolve_book(params: BookParams, strategy: Strategy) -> BookEvolution:
     jump_up = np.where(buy, own, cross)
     jump_dn = np.where(buy, cross, own)
     jump_pm = np.where(buy, cross, -cross)
-    jumps = [None] * (n + 1)
-    for i, ju, jd, jp in zip(idx.tolist(), jump_up.tolist(), jump_dn.tolist(),
-                             jump_pm.tolist()):
-        jumps[i] = (ju, jd, jp)
+
+    # inflows: each side's own share of its trades plus the cross share of
+    # the other side's; the permanent impact takes the cross shares
+    r = strategy.rate.values[:n]
+    r_up = np.maximum(r, 0.0)
+    r_dn = np.maximum(-r, 0.0)
+    cross_up = a_up[:n] * inv_h_up[:n] * r_up
+    cross_dn = a_dn[:n] * inv_h_dn[:n] * r_dn
+    b_up = (1.0 - a_up[:n]) * inv_h_up[:n] * r_up + cross_dn
+    del r_up
+    b_dn = (1.0 - a_dn[:n]) * inv_h_dn[:n] * r_dn + cross_up
+    del r_dn, inv_h_up, inv_h_dn
+    g_dt = (cross_up - cross_dn) * dt
+    del cross_up, cross_dn
+    c_up, b_w2_up = b_up * w1_up, b_up * w2_up
+    del b_up
+    c_dn, b_w2_dn = b_dn * w1_dn, b_dn * w2_dn
+    del b_dn, w2_up, w2_dn
 
     # Pre-jump states at every grid point; the post-jump states differ only
-    # at the blocks.  Iterating a memoryview yields Python floats without
-    # building a list, and array('d') stores them unboxed.
+    # at the blocks.  The scan runs segment by segment between the blocks
+    # before the last point; iterating a memoryview yields Python floats
+    # without building a list, and array('d') stores them unboxed.
     up, dn, pm = array("d", [0.0]), array("d", [0.0]), array("d", [0.0])
     up_append, dn_append, pm_append = up.append, dn.append, pm.append
+    terms = [memoryview(t) for t in (decay_up, c_up, decay_dn, c_dn, g_dt)]
+    ahead = int(np.searchsorted(idx, n))  # the blocks before the last point
+    starts = idx[:ahead].tolist()
+    jumps = zip(jump_up[:ahead].tolist(), jump_dn[:ahead].tolist(), jump_pm[:ahead].tolist())
     eu = ed = p = 0.0
-    for du, cu, dd, cd, dp, jump in zip(memoryview(decay_up), memoryview(b_up * w1_up),
-                                        memoryview(decay_dn), memoryview(b_dn * w1_dn),
-                                        memoryview(g * dt), jumps):
-        if jump is not None:
-            eu += jump[0]
-            ed += jump[1]
-            p += jump[2]
-        eu = eu * du + cu
-        ed = ed * dd + cd
-        p = p + dp
-        up_append(eu)
-        dn_append(ed)
-        pm_append(p)
+    for first, stop, (ju, jd, jp) in zip([0, *starts], [*starts, n], [(0.0, 0.0, 0.0), *jumps]):
+        eu += ju
+        ed += jd
+        p += jp
+        for du, cu, dd, cd, dp in zip(*(t[first:stop] for t in terms)):
+            eu = eu * du + cu
+            ed = ed * dd + cd
+            p = p + dp
+            up_append(eu)
+            dn_append(ed)
+            pm_append(p)
+    del terms, decay_up, decay_dn, c_up, c_dn, g_dt
 
-    exc_up_pre = np.array(up)
-    exc_dn_pre = np.array(dn)
-    perm_pre = np.array(pm)
+    exc_up_pre = np.frombuffer(up)
+    exc_dn_pre = np.frombuffer(dn)
+    perm_pre = np.frombuffer(pm)
     exc_up_post = exc_up_pre.copy()
     exc_dn_post = exc_dn_pre.copy()
     perm_post = perm_pre.copy()
     exc_up_post[idx] += jump_up
     exc_dn_post[idx] += jump_dn
     perm_post[idx] += jump_pm
-    exc_up_int = exc_up_post[:n] * w1_up + b_up * w2_up
-    exc_dn_int = exc_dn_post[:n] * w1_dn + b_dn * w2_dn
+    exc_up_int = exc_up_post[:n] * w1_up + b_w2_up
+    del b_w2_up
+    exc_dn_int = exc_dn_post[:n] * w1_dn + b_w2_dn
 
     return BookEvolution(exc_up_pre, exc_up_post, exc_dn_pre, exc_dn_post,
                          exc_up_int, exc_dn_int, perm_pre, perm_post)

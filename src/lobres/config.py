@@ -535,21 +535,22 @@ DEFAULT_BUDGET = 2.0e8
 # init (4.4 MiB, scipy 1.17; see paths._ndtri).
 INTERPRETER_BYTES = 35 * 2**20
 SCIPY_BYTES = 9 * 2**19
-# Bytes per grid point live at the peak of a one-path run: the book
-# coefficients, the scan's per-step terms and states, the ledger and the wealth
-# and spread paths, about 45 float64 values (simulate's peak RSS grows by 363
-# bytes per step between 40,000 and 253,000 steps).
-ONE_PATH_BYTES_PER_POINT = 8 * 45
+# Bytes per grid point live at the peak of a one-path run, which an
+# evaluation sets once its projections are built: the book's four coefficient
+# paths (a symmetric book shares them), the strategy and the fundamental, the
+# scan's eight state paths and the six wealth and four spread paths, about 25
+# float64 values (simulate's estimate is within 3% of its peak RSS between
+# 40,000 and 253,000 steps).
+ONE_PATH_BYTES_PER_POINT = 8 * 25
 
 
 def lane_bytes(paths: int, steps: int) -> int:
     """What drawing one (steps, paths) noise block adds for normals_block's
-    uint64 lane arrays: 19 values per lane while it steps them, or 28 while it
-    starts them if each stream is one segment, when the seed words of every
-    stream are lane-sized too (traced: 1,247,832 bytes at 1,024 x 512 and
-    3,674,176 at 16,384 x 32)."""
+    uint64 lane arrays: 19 values per lane while it steps them, which is
+    more than it holds while it starts them (traced: 1,250,200 bytes at
+    1,024 x 512 and 2,492,800 at 16,384 x 32)."""
     segments, _ = lane_layout(paths, steps)
-    return 8 * segments * paths * (28 if segments == 1 else 19)
+    return 8 * 19 * segments * paths
 
 
 def validate_config(config: RunConfig) -> dict:

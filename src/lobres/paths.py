@@ -227,13 +227,18 @@ def _segment_starts(seed: int, paths: int, seg_len: int, segments: int, first: i
     """PCG64 states (hi, lo) and increments (inc_hi, inc_lo) of the lanes:
     lane s * paths + p is stream first + p advanced by s * seg_len draws."""
     w = _seed_words(seed, np.arange(first, first + paths, dtype=np.uint64))
-    init_hi, init_lo = w[0] | w[1] << 32, w[2] | w[3] << 32
-    seq_hi, seq_lo = w[4] | w[5] << 32, w[6] | w[7] << 32
     # numpy's pcg64_srandom_r: inc = 2 * initseq + 1; the state is inc after
-    # one step from 0, plus initstate, stepped once more
+    # one step from 0, plus initstate, stepped once more.  Each seed word is
+    # dropped after its last use.
+    seq_hi, seq_lo = w[4] | w[5] << 32, w[6] | w[7] << 32
+    del w[4:]
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    hi, lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
+    del seq_hi, seq_lo
+    hi, lo = _add128(inc_hi, inc_lo, w[0] | w[1] << 32, w[2] | w[3] << 32)
+    del w
     hi, lo = _add128(*_mul128(hi, lo, _MULT_HI, _MULT_LO), inc_hi, inc_lo)
+    if segments == 1:
+        return hi, lo, inc_hi, inc_lo
 
     # segment s starts at M^(s L) x + S_(s L) inc for L = seg_len (see
     # _jump); segments k .. 2k - 1 are segments 0 .. k - 1 advanced by k L

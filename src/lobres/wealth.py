@@ -21,6 +21,7 @@ accumulates squared block sizes only; rate trading contributes none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -60,68 +61,86 @@ def _accumulate(x0: float, step_terms: np.ndarray, event_terms: np.ndarray) -> n
     out[0] = 0.0
     np.cumsum(step_terms, out=out[1:])
     out += np.cumsum(event_terms)
-    return out + x0
+    out += x0
+    return out
 
 
 class Evaluation:
-    """One book scan (``state``) and one cost ledger for a (book, strategy,
-    fundamental) triple; both wealth engines, the safe account, the reference
-    price and the spreads are projections of it."""
+    """One book scan (``state``) for a (book, strategy, fundamental) triple;
+    both wealth engines, the safe account, the reference price and the
+    spreads are projections of it.  A projection builds the cost-ledger
+    terms it needs and drops each once it is accumulated."""
 
     def __init__(self, book: BookParams, strategy: Strategy,
                  fundamental: SampledPath) -> None:
-        self.state = state = evolve_book(book, strategy)  # refuses a strategy off the grid
+        self.state = evolve_book(book, strategy)  # refuses a strategy off the grid
         if fundamental.grid != book.grid:
             raise ValueError("fundamental price lives on a different grid")
         self.book, self.strategy, self.fundamental = book, strategy, fundamental
-        n = book.grid.steps
-        dt = book.grid.dt
-        self.r = r = strategy.rate_steps
-        self.r_up = r_up = np.maximum(r, 0.0)
-        self.r_dn = r_dn = np.maximum(-r, 0.0)
-        a_up = book.alpha_up.values
-        a_dn = book.alpha_dn.values
-        h_up = book.h_up.values
-        h_dn = book.h_dn.values
-        eps_up = book.eps_up.values
-        eps_dn = book.eps_dn.values
+        # a buy block executes against the ask side, a sell against the bid
+        self.idx = np.array([i for i, _ in strategy.blocks], dtype=np.intp)
+        self.theta = np.array([s for _, s in strategy.blocks])
+        self.block_h = self._side(book.h_up.values, book.h_dn.values)
 
-        self.pre_pos, post_pos = position_paths(strategy)
+    def _side(self, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
+        return np.where(self.theta > 0, up[self.idx], dn[self.idx])
+
+    def _events(self, values: np.ndarray) -> np.ndarray:
+        """Per-point event terms: ``values`` at the blocks, zero elsewhere."""
+        out = np.zeros(self.book.grid.n_points)
+        out[self.idx] = values
+        return out
+
+    def _rates(self) -> tuple[np.ndarray, np.ndarray]:
+        r = self.strategy.rate_steps
+        return np.maximum(r, 0.0), np.maximum(-r, 0.0)
+
+    def _g(self, r_up: np.ndarray, r_dn: np.ndarray) -> np.ndarray:
         # a/h * r rounds differently from the scan's a * (1/h) * r; the
         # ledger keeps its own form
-        self.g = g = a_up[:n] / h_up[:n] * r_up - a_dn[:n] / h_dn[:n] * r_dn
+        book, n = self.book, self.book.grid.steps
+        return (book.alpha_up.values[:n] / book.h_up.values[:n] * r_up
+                - book.alpha_dn.values[:n] / book.h_dn.values[:n] * r_dn)
 
+    def _spread_steps(self, r_up: np.ndarray, r_dn: np.ndarray) -> np.ndarray:
+        book, n = self.book, self.book.grid.steps
+        return (r_up * book.eps_up.values[:n] + r_dn * book.eps_dn.values[:n]) * book.grid.dt
+
+    def _impact_steps(self, r_up: np.ndarray, r_dn: np.ndarray) -> np.ndarray:
+        return r_up * self.state.exc_up_int + r_dn * self.state.exc_dn_int
+
+    def _spread_events(self) -> np.ndarray:
+        return np.abs(self.theta) * self._side(self.book.eps_up.values, self.book.eps_dn.values)
+
+    def _impact_events(self) -> np.ndarray:
+        return np.abs(self.theta) * self._side(self.state.exc_up_pre, self.state.exc_dn_pre)
+
+    def _wealth(self, x0: float,
+                impact_steps: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> WealthPath:
+        """The engines' shared accumulation; ``impact_steps(r_up, r_dn)`` is
+        the engine's per-step impact cost."""
+        grid, state, idx = self.book.grid, self.state, self.idx
+        n, dt = grid.steps, grid.dt
+        r = self.strategy.rate_steps
+        r_up, r_dn = self._rates()
+        pre_pos, post_pos = position_paths(self.strategy)
+        gain_events = self._events(pre_pos[idx] * (state.perm_post[idx] - state.perm_pre[idx]))
         # position held while its own permanent impact accrues: the trade is
         # spread uniformly over the step, hence the r*dt/2 midpoint term
-        self.perm_gain_steps = g * (post_pos[:n] * dt + r * dt * dt / 2.0)
-        self.gain_steps = self.perm_gain_steps + self.pre_pos[1:] * np.diff(fundamental.values)
-        self.spread_steps = (r_up * eps_up[:n] + r_dn * eps_dn[:n]) * dt
-        self.impact_steps = r_up * state.exc_up_int + r_dn * state.exc_dn_int
-
-        # a buy block executes against the ask side, a sell against the bid
-        self.idx = idx = np.array([i for i, _ in strategy.blocks], dtype=np.intp)
-        self.theta = theta = np.array([s for _, s in strategy.blocks])
-        buy = theta > 0
-        size = np.abs(theta)
-
-        def side(up: np.ndarray, dn: np.ndarray) -> np.ndarray:
-            return np.where(buy, up[idx], dn[idx])
-
-        self.block_h = side(h_up, h_dn)
-        self.gain_events, self.spread_events, self.impact_events, self.qv_events = (
-            np.zeros((4, n + 1)))
-        self.gain_events[idx] = self.pre_pos[idx] * (state.perm_post[idx] - state.perm_pre[idx])
-        self.spread_events[idx] = size * side(eps_up, eps_dn)
-        self.impact_events[idx] = size * side(state.exc_up_pre, state.exc_dn_pre)
-        self.qv_events[idx] = (0.5 - side(a_up, a_dn)) / self.block_h * theta * theta
-
-    def _wealth(self, x0: float, impact_steps: np.ndarray) -> WealthPath:
-        grid = self.book.grid
-        gain = _accumulate(0.0, self.gain_steps, self.gain_events)
-        spread = _accumulate(0.0, self.spread_steps, self.spread_events)
-        impact = _accumulate(0.0, impact_steps, self.impact_events)
-        blockc = _accumulate(0.0, np.zeros(grid.steps), self.qv_events)
-        perm = _accumulate(0.0, self.perm_gain_steps, self.gain_events)
+        steps = self._g(r_up, r_dn) * (post_pos[:n] * dt + r * dt * dt / 2.0)
+        del post_pos
+        perm = _accumulate(0.0, steps, gain_events)
+        steps += pre_pos[1:] * np.diff(self.fundamental.values)
+        del pre_pos
+        gain = _accumulate(0.0, steps, gain_events)
+        del steps, gain_events
+        spread = _accumulate(0.0, self._spread_steps(r_up, r_dn),
+                             self._events(self._spread_events()))
+        impact = _accumulate(0.0, impact_steps(r_up, r_dn), self._events(self._impact_events()))
+        del r_up, r_dn
+        a_up, a_dn, theta = self.book.alpha_up.values, self.book.alpha_dn.values, self.theta
+        blockc = _accumulate(0.0, np.zeros(n), self._events(
+            (0.5 - self._side(a_up, a_dn)) / self.block_h * theta * theta))
         x = x0 + gain - spread - impact - blockc
         return WealthPath(grid, *(SampledPath(grid, v)
                                   for v in (x, gain, spread, impact, blockc, perm)))
@@ -129,7 +148,7 @@ class Evaluation:
     def ow(self, x0: float = 0.0) -> WealthPath:
         """Wealth in the structural model: position gains at the reference price
         minus baseline-spread, transient-impact, and block-execution costs."""
-        return self._wealth(x0, self.impact_steps)
+        return self._wealth(x0, self._impact_steps)
 
     def ac(self, x0: float = 0.0) -> WealthPath:
         """Wealth in the reduced-form model: linear baseline-spread costs plus
@@ -147,13 +166,13 @@ class Evaluation:
         lam_dn = (1.0 - book.alpha_dn.values[:n]) / (book.kappa * book.K_dn.values[:n]
                                                      * book.h_dn.values[:n])
         # without blocks every event term is zero, so the shared tail applies
-        return self._wealth(x0, (lam_up * self.r_up ** 2 + lam_dn * self.r_dn ** 2)
+        return self._wealth(x0, lambda r_up, r_dn: (lam_up * r_up ** 2 + lam_dn * r_dn ** 2)
                             * book.grid.dt)
 
     def terminal(self, x0: float = 0.0) -> tuple[float, np.ndarray]:
         """Terminal structural wealth on this fundamental plus the noise weights:
         X_T(path) = X_T(this path) + sum_i weights[i] * (dS_i - dS_i(this path))."""
-        return float(self.ow(x0).x.values[-1]), self.pre_pos[1:]
+        return float(self.ow(x0).x.values[-1]), position_paths(self.strategy)[0][1:]
 
     def reference(self) -> ReferencePricePath:
         """Fundamental price shifted by the cumulative permanent impact of trades."""
@@ -176,16 +195,16 @@ class Evaluation:
         pre-trade reference plus the pre-trade spread plus half its own impact
         (blocks: size^2 / 2h; rate trades: the exact frozen-coefficient average),
         sales symmetrically."""
-        book, r = self.book, self.r
+        book, r = self.book, self.strategy.rate_steps
         n = book.grid.steps
         dt = book.grid.dt
+        r_up, r_dn = self._rates()
         ref = self.reference()
-        step_terms = (-r * dt * ref.values.values[:n] - self.g * r * dt * dt / 2.0
-                      - self.spread_steps - self.impact_steps)
-        event_terms = np.zeros(n + 1)
+        step_terms = (-r * dt * ref.values.values[:n] - self._g(r_up, r_dn) * r * dt * dt / 2.0
+                      - self._spread_steps(r_up, r_dn) - self._impact_steps(r_up, r_dn))
         idx, theta = self.idx, self.theta
-        event_terms[idx] = (-theta * ref.pre[idx] - self.spread_events[idx]
-                            - self.impact_events[idx] - theta * theta / (2.0 * self.block_h))
+        event_terms = self._events(-theta * ref.pre[idx] - self._spread_events()
+                                   - self._impact_events() - theta * theta / (2.0 * self.block_h))
         return SampledPath(book.grid, _accumulate(
             x0 - self.strategy.phi0 * self.fundamental.values[0], step_terms, event_terms))
 

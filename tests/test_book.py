@@ -212,8 +212,10 @@ class TestScaledExcessSpread:
 @st.composite
 def books_and_strategies(draw):
     """Small grids with kappa*dt in [1e-6, 1e6], asymmetric and time-varying
-    K and h, alpha 0, 1/2 or between, sign-changing rates and blocks of both
-    signs, at index 0 and index n among others."""
+    K and h (or a down side that holds the up side's own K or h path, as
+    ``BookParams.build`` makes it for a symmetric book), alpha 0, 1/2 or
+    between, sign-changing rates and blocks of both signs, at index 0 and
+    index n among others."""
     n = draw(st.integers(1, 40))
     grid = make_grid(draw(st.floats(0.1, 4.0)), n)
     kappa = 10.0 ** draw(st.floats(-6.0, 6.0)) / grid.dt
@@ -224,12 +226,14 @@ def books_and_strategies(draw):
     def alpha():
         return draw(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)))
 
+    def sides(lo, hi, scale=lambda v: v):
+        up = SampledPath(grid, scale(values(lo, hi)))
+        return up, up if draw(st.booleans()) else SampledPath(grid, scale(values(lo, hi)))
+
+    K_up, K_dn = sides(0.5, 2.0)
+    h_up, h_dn = sides(-6.0, 2.0, lambda v: 10.0 ** v)
     book = BookParams(
-        kappa=kappa,
-        K_up=SampledPath(grid, values(0.5, 2.0)),
-        K_dn=SampledPath(grid, values(0.5, 2.0)),
-        h_up=SampledPath(grid, 10.0 ** values(-6.0, 2.0)),
-        h_dn=SampledPath(grid, 10.0 ** values(-6.0, 2.0)),
+        kappa=kappa, K_up=K_up, K_dn=K_dn, h_up=h_up, h_dn=h_dn,
         alpha_up=constant_path(grid, alpha()), alpha_dn=constant_path(grid, alpha()),
         eps_up=constant_path(grid, draw(st.floats(0.0, 0.1))),
         eps_dn=constant_path(grid, draw(st.floats(0.0, 0.1))))

@@ -337,8 +337,8 @@ class TestValidate:
 def test_lane_term_matches_the_traced_kernel(paths, n):
     # validate's lane term is within 10% or 64 KiB, whichever is larger, of
     # what normals_block allocates beyond its (n, paths) output: 19 values
-    # per lane, or about 28 where each stream is one segment (the 8,192- and
-    # 16,384-path blocks)
+    # per lane at every shape, the one-segment 8,192- and 16,384-path blocks
+    # included
     _ndtri()  # loaded first: SCIPY_BYTES counts it
     tracemalloc.start()
     try:
@@ -365,14 +365,24 @@ def test_scipy_bytes_matches_the_loaded_ndtri():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
-@pytest.mark.parametrize("name, command", [("tracker_bound.json", "converge"),
-                                           ("utility.json", "utility")])
-def test_memory_estimate_matches_a_cli_run(name, command, tmp_path):
+@pytest.mark.parametrize("name, command, kappa", [
+    pytest.param("tracker_bound.json", "converge", None, id="tracker_bound.json-converge"),
+    pytest.param("utility.json", "utility", None, id="utility.json-utility"),
+    # 126,492 steps: the one-path term is the largest
+    pytest.param("simulate.json", "simulate", 1e9, id="simulate.json-simulate-kappa-1e9"),
+])
+def test_memory_estimate_matches_a_cli_run(name, command, kappa, tmp_path):
     # validate's approx_memory_bytes is within 10% of the peak RSS of one CLI
-    # run of the shipped config with one BLAS thread.  A small launcher
-    # starts the run: a child's ru_maxrss counts the RSS of the process it
-    # was forked from, which for this test process is larger than the run.
+    # run of the shipped config (with book.kappa set, if given) with one BLAS
+    # thread.  A small launcher starts the run: a child's ru_maxrss counts
+    # the RSS of the process it was forked from, which for this test process
+    # is larger than the run.
     path = CONFIG_DIR / name
+    if kappa is not None:
+        config = json.loads(path.read_text())
+        config["book"]["kappa"] = kappa
+        path = tmp_path / name
+        path.write_text(json.dumps(config))
     estimate = validate_config(parse_config(path.read_text()))["estimates"]
     code = ("import os, subprocess, sys\n"
             "env = dict(os.environ, OPENBLAS_NUM_THREADS='1', OMP_NUM_THREADS='1')\n"

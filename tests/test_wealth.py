@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lobres import (BookParams, Evaluation, FundamentalSpec, Strategy, constant_path,
-                    fit_rate, function_path, make_grid, position_paths, rate_strategy,
-                    zero_strategy)
+from lobres import (BookParams, Evaluation, FundamentalSpec, SampledPath, Strategy,
+                    constant_path, fit_rate, function_path, make_grid, position_paths,
+                    rate_strategy, zero_strategy)
+from lobres.book import evolve_book
 from lobres.paths import write_columns
 from helpers import random_strategy
 
@@ -214,3 +216,31 @@ class TestWealthCsv:
         assert header == "t,X,gain,spread_cost,impact_cost,block_cost,permanent_shift"
         rows = f.read_text().splitlines()[1:]
         assert len(rows) == grid.n_points
+
+
+class TestEvaluationMemory:
+    def test_simulate_evaluation_holds_states_and_outputs(self):
+        # one simulate evaluation on simulate_fine's 126,492-step grid with a
+        # symmetric book.  Beyond its inputs, the scan peaks near 10 one-path
+        # arrays (its 8 state paths and 2 step weights), and the evaluation
+        # with its wealth and spread paths near 18 (the 8 states and the 6 +
+        # 4 outputs), since each ledger term is dropped once accumulated.
+        grid = make_grid(1.0, 126_492)
+        book = BookParams.build(grid, 1e9, alpha=0.25, eps=0.01)
+        t = grid.points()
+        strategy = Strategy(grid, SampledPath(grid, np.cos(6.0 * t)), ((grid.steps // 4, 1.0),))
+        fund = SampledPath(grid, 100.0 + np.sin(3.0 * t))
+        one_path = 8 * grid.n_points
+        tracemalloc.start()
+        try:
+            state = evolve_book(book, strategy)
+            scan = tracemalloc.get_traced_memory()[1]
+            del state
+            tracemalloc.reset_peak()
+            evaluation = Evaluation(book, strategy, fund)
+            outputs = evaluation.ow(0.0), evaluation.spreads()  # held at the peak
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scan <= 11 * one_path
+        assert peak <= 19 * one_path
