@@ -17,11 +17,9 @@ from .experiments import (ConvergenceReport, FundamentalSpec, KappaLadder,
                           UtilityReport, fit_rate, ladder_grid, lemma_jump_experiment,
                           theorem1_experiment, tracker_bound_experiment,
                           utility_experiment)
-from .paths import (RandomSource, SampledPath, TimeGrid, as_path, constant_path,
-                    function_path, make_grid)
-from .strategies import (Strategy, block_schedule, exponential_tracker, optimal_tracker,
-                         position_paths, rate_strategy, read_strategy_csv, smooth_blocks,
-                         zero_strategy)
+from .paths import RandomSource, SampledPath, TimeGrid, as_path, constant_path, function_path
+from .strategies import (Strategy, block_schedule, exponential_tracker, position_paths,
+                         rate_strategy, smooth_blocks)
 from .wealth import Evaluation, WealthPath, ac_wealth, ow_wealth
 
 __version__ = "0.1.0"
@@ -34,8 +32,7 @@ __all__ = [
     "TimeGrid", "TrackerBoundReport", "UniformBounds", "UtilityReport",
     "WealthPath", "ac_wealth", "as_path", "block_schedule", "constant_path",
     "exponential_tracker", "fit_rate", "function_path", "ladder_grid",
-    "lemma_jump_experiment", "make_grid", "optimal_tracker", "ow_wealth",
-    "position_paths", "rate_strategy", "read_strategy_csv", "smooth_blocks",
-    "theorem1_experiment", "tracker_bound_experiment", "utility_experiment",
-    "zero_strategy",
+    "lemma_jump_experiment", "ow_wealth", "position_paths", "rate_strategy",
+    "smooth_blocks", "theorem1_experiment", "tracker_bound_experiment",
+    "utility_experiment",
 ]

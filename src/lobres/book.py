@@ -67,18 +67,6 @@ class BookParams:
     def grid(self) -> TimeGrid:
         return self.K_up.grid
 
-    @classmethod
-    def build(cls, grid: TimeGrid, kappa: float, *, K=1.0, h=1.0, alpha=0.0, eps=0.0,
-              K_dn=None, h_dn=None, alpha_dn=None, eps_dn=None) -> "BookParams":
-        """Book from constants/functions; a down-side value left None shares
-        the up side's path."""
-        def sides(up, dn) -> tuple[SampledPath, SampledPath]:
-            up = as_path(grid, up)
-            return up, up if dn is None else as_path(grid, dn)
-
-        return cls(kappa, *sides(K, K_dn), *sides(h, h_dn), *sides(alpha, alpha_dn),
-                   *sides(eps, eps_dn))
-
     def is_symmetric(self) -> bool:
         return (np.array_equal(self.K_up.values, self.K_dn.values)
                 and np.array_equal(self.h_up.values, self.h_dn.values))
@@ -86,7 +74,9 @@ class BookParams:
 
 @dataclass
 class BookTemplate:
-    """Kappa-free coefficient spec, materialized per ladder point."""
+    """Kappa-free coefficient spec (constants, functions of time or paths),
+    materialized per ladder point.  A down side left None is the up side's
+    own path object, so the scan shares that side's terms."""
 
     K: object = 1.0
     h: object = 1.0
@@ -98,9 +88,12 @@ class BookTemplate:
     eps_dn: object = None
 
     def materialize(self, grid: TimeGrid, kappa: float) -> BookParams:
-        return BookParams.build(grid, kappa, K=self.K, h=self.h, alpha=self.alpha,
-                                eps=self.eps, K_dn=self.K_dn, h_dn=self.h_dn,
-                                alpha_dn=self.alpha_dn, eps_dn=self.eps_dn)
+        def sides(up, dn) -> tuple[SampledPath, SampledPath]:
+            up = as_path(grid, up)
+            return up, up if dn is None else as_path(grid, dn)
+
+        return BookParams(kappa, *sides(self.K, self.K_dn), *sides(self.h, self.h_dn),
+                          *sides(self.alpha, self.alpha_dn), *sides(self.eps, self.eps_dn))
 
 
 @dataclass

@@ -17,12 +17,11 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .config import KINDS, RunConfig, parse_config, validate_config
-from .errors import ConfigError
+from .errors import ConfigError, ConfigParseError
 from .experiments import (lemma_jump_experiment, theorem1_experiment, tracker_bound_experiment,
                           utility_experiment)
 from .paths import as_path, write_columns
-from .strategies import (Strategy, block_schedule, exponential_tracker, rate_strategy,
-                         zero_strategy)
+from .strategies import Strategy, block_schedule, exponential_tracker, rate_strategy
 from .wealth import Evaluation
 
 logger = logging.getLogger("lobres")
@@ -102,7 +101,7 @@ class RunResult:
 def _build_strategy(config: RunConfig, grid) -> Strategy:
     sc = config.strategy
     if sc.type == "zero":
-        return zero_strategy(grid, sc.phi0)
+        return rate_strategy(grid, 0.0, sc.phi0)
     if sc.type == "rate":
         return rate_strategy(grid, sc.rate.value(), sc.phi0)
     if sc.type == "blocks":
@@ -129,7 +128,7 @@ def _run_simulate(config: RunConfig) -> RunResult:
 def _run_gap(config: RunConfig) -> RunResult:
     report = theorem1_experiment(
         config.book.template(), _build_strategy(config, config.time_grid()),
-        config.ladder.ladder(), rate_growth=KINDS[config.kind].rate_growth,
+        config.kappas(), rate_growth=KINDS[config.kind].rate_growth,
         bounds=None if config.bounds is None else config.bounds.bounds())
     summary = {"slope": None if report.slope is None else repr(report.slope)}
     return RunResult(_gates(config.kind, report), {"convergence.csv": report.table}, summary)
@@ -138,7 +137,7 @@ def _run_gap(config: RunConfig) -> RunResult:
 def _run_lemma(config: RunConfig) -> RunResult:
     report = lemma_jump_experiment(
         config.book.template(), _build_strategy(config, config.time_grid()),
-        config.fundamental.spec(), config.ladder.ladder(),
+        config.fundamental.spec(), config.kappas(),
         width_scale=config.smoothing.width_scale, paths=config.mc.paths,
         seed=config.mc.seed)
     summary = {"mean_diff_at_kappa_max": repr(float(report.mean_diff[-1])),
@@ -149,7 +148,7 @@ def _run_lemma(config: RunConfig) -> RunResult:
 def _run_tracker_bound(config: RunConfig) -> RunResult:
     tc = config.tracker
     report = tracker_bound_experiment(
-        config.ladder.ladder(), config.time_grid(), target_drift=tc.target_drift.value(),
+        config.kappas(), config.time_grid(), target_drift=tc.target_drift.value(),
         target_vol=tc.target_vol.value(), rate_scale=tc.rate_scale.value(),
         coeff_bound=tc.coeff_bound, rate_floor=tc.rate_floor, target0=tc.target0,
         paths=config.mc.paths, seed=config.mc.seed)
@@ -161,8 +160,8 @@ def _run_tracker_bound(config: RunConfig) -> RunResult:
 def _run_utility(config: RunConfig) -> RunResult:
     uc = config.utility
     report = utility_experiment(
-        config.book.template(), config.fundamental.spec(), config.time_grid(),
-        gamma=uc.gamma, kappas=uc.kappas, multipliers=uc.multipliers, paths=config.mc.paths,
+        config.book.template(), config.fundamental.spec(), config.time_grid(), config.kappas(),
+        gamma=uc.gamma, multipliers=uc.multipliers, paths=config.mc.paths,
         seed=config.mc.seed, x0=uc.x0, bootstrap=uc.bootstrap)
     summary = {"frictionless_ce": repr(report.frictionless_ce),
                "candidate_ce": [repr(c) for c in report.candidate_ce.tolist()]}
@@ -206,6 +205,8 @@ def _load_config(path: str, seed: int | None, out: str | None) -> RunConfig:
     config = parse_config(Path(path).read_text())
     if seed is not None:  # replace() runs McConfig's seed check
         config = replace(config, mc=replace(config.mc, seed=seed))
+    if out == "":  # refused like an empty output.directory
+        raise ConfigParseError("output.directory must be a nonempty string")
     return config if out is None else replace(config, output_dir=out)
 
 

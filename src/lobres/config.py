@@ -345,6 +345,13 @@ class McConfig:
         if self.seed < 0:
             raise ConfigValidationError(f"mc.seed must be non-negative, got {self.seed}")
 
+    def _check(self, kind: str, horizon: float) -> None:
+        # the text tracker_bound_experiment refuses with, so that a run's
+        # stderr is the same whichever check refuses it
+        if kind == "tracker-bound" and self.paths < 2:
+            raise ConfigValidationError(f"tracker-bound needs at least 2 paths for its "
+                                        f"standard errors (mc.paths), got {self.paths}")
+
 
 @_section
 class SmoothingConfig:
@@ -463,10 +470,18 @@ class RunConfig:
         canonical = json.dumps(content, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
+    def kappas(self) -> KappaLadder:
+        """The kappas a run evaluates: its ladder, its utility kappas, or
+        simulate's one book kappa."""
+        if self.ladder is not None:
+            return self.ladder.ladder()
+        return KappaLadder(self.utility.kappas if self.utility is not None
+                           else (self.book.kappa,))
+
     def time_grid(self) -> TimeGrid:
         """The run's one grid, fine enough for the largest kappa it evaluates
         (``ladder_grid``); refuses a grid too fine for a float step count."""
-        g, kappa_max = self.grid, _kappas(self)[-1]
+        g, kappa_max = self.grid, self.kappas().max
         scaled = g.resolution_scale * math.sqrt(kappa_max)
         if not math.isfinite(scaled) or g.n0 > sys.float_info.max:
             raise ConfigValidationError("grid steps max(grid.n0, grid.resolution_scale * "
@@ -510,19 +525,11 @@ def parse_config(text: str) -> RunConfig:
                 for name, obj in raw_sections.items()}
     config = RunConfig(kind, grid, mc, output_dir, x0, **sections)
     config.time_grid()  # refuses a grid too fine for a float step count
-    rungs = len(_kappas(config))
+    rungs = len(config.kappas())
     if KINDS[kind].rate_growth is not None and rungs < 3:
         raise ConfigValidationError(f"ladder must have at least 3 rungs for kind '{kind}' "
                                     f"(a rate fit needs 3 points), got {rungs}")
     return config
-
-
-def _kappas(config: RunConfig) -> tuple[float, ...]:
-    """The increasing kappas of a run: its ladder, its utility kappas, or
-    simulate's one book kappa."""
-    if config.ladder is not None:
-        return config.ladder.ladder().values
-    return config.utility.kappas if config.utility is not None else (config.book.kappa,)
 
 
 # Naive per-run cost proxy: steps * paths * ladder cells.  Runs above the
@@ -556,7 +563,7 @@ def lane_bytes(paths: int, steps: int) -> int:
 def validate_config(config: RunConfig) -> dict:
     """Dry-run report: schema is already enforced; estimate the run size."""
     steps = config.time_grid().steps
-    cells = len(_kappas(config)) * (len(config.utility.multipliers) if config.utility else 1)
+    cells = len(config.kappas()) * (len(config.utility.multipliers) if config.utility else 1)
     spec = KINDS[config.kind]
     paths = 1 if spec.one_path else config.mc.paths
     noise = spec.noise(config)

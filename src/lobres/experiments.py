@@ -33,7 +33,7 @@ import numpy as np
 
 from .book import BookParams, BookTemplate
 from .errors import InsufficientData
-from .paths import SampledPath, TimeGrid, as_path, constant_path, make_grid, normals_block
+from .paths import SampledPath, TimeGrid, as_path, constant_path, normals_block
 from .strategies import Strategy, exponential_tracker, smooth_blocks
 from .wealth import Evaluation, ac_wealth, ow_wealth
 
@@ -158,7 +158,7 @@ def ladder_grid(horizon: float, n0: int, resolution_scale: float,
                 kappa_max: float) -> TimeGrid:
     """One grid per ladder, fine enough for the largest kappa's boundary layer."""
     steps = max(int(n0), math.ceil(resolution_scale * math.sqrt(kappa_max)))
-    return make_grid(horizon, steps)
+    return TimeGrid(horizon, steps)
 
 
 def fit_rate(points: Sequence[tuple[float, float]]) -> float:
@@ -283,8 +283,7 @@ class LemmaJumpReport:
 
 def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
                           fundamental: FundamentalSpec, ladder: KappaLadder, *,
-                          width_scale: float = 1.0, paths: int = 1,
-                          seed: int = 42) -> LemmaJumpReport:
+                          width_scale: float, paths: int, seed: int) -> LemmaJumpReport:
     """Pathwise terminal difference D(kappa) between each block strategy and
     its linearly smoothed version, under common noise.
 
@@ -326,10 +325,9 @@ class TrackerBoundReport:
                 "within_bound": ["true" if w else "false" for w in self.within]}
 
 
-def tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, *, target_drift=0.0,
-                             target_vol=1.0, rate_scale=1.0, coeff_bound: float = 1.0,
-                             rate_floor: float = 1.0, target0: float = 0.0,
-                             paths: int = 10_000, seed: int = 42) -> TrackerBoundReport:
+def tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, *, target_drift,
+                             target_vol, rate_scale, coeff_bound: float, rate_floor: float,
+                             target0: float, paths: int, seed: int) -> TrackerBoundReport:
     """Estimate E[sup_t kappa^(1/2) |target_t - tracker_t|^2] per kappa on ``grid``.
 
     The target is an Ito process with declared drift/vol coefficients bounded
@@ -432,12 +430,10 @@ def _certainty_equivalents(x: np.ndarray, idx: np.ndarray, gamma: float) -> np.n
 
 
 def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, grid: TimeGrid,
-                       *, gamma: float, kappas: Sequence[float],
-                       multipliers: Sequence[float] = (0.5, 1.0, 2.0),
-                       paths: int = 10_000, seed: int = 42, x0: float = 0.0,
-                       bootstrap: int = 500) -> UtilityReport:
+                       ladder: KappaLadder, *, gamma: float, multipliers: Sequence[float],
+                       paths: int, seed: int, x0: float, bootstrap: int) -> UtilityReport:
     """Compare certainty equivalents of trackers with speeds c * sqrt(kappa) * M
-    on ``grid``.
+    at every ladder rung on ``grid``.
 
     Setup: exponential utility with absolute risk aversion ``gamma``, constant
     drift/volatility fundamental, and a frictionless-baseline symmetric book
@@ -457,10 +453,9 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, gri
     if fundamental.sigma <= 0:
         raise ValueError("utility experiment requires positive volatility "
                          "(zero volatility gives zero tracking speed)")
-    kappas = tuple(float(k) for k in kappas)
     multipliers = tuple(float(c) for c in multipliers)
 
-    probe = template.materialize(grid, kappas[0])
+    probe = template.materialize(grid, ladder.values[0])
     if np.any(probe.eps_up.values != 0) or np.any(probe.eps_dn.values != 0):
         raise ValueError("utility experiment requires zero baseline spreads")
     if np.any(probe.alpha_up.values != 0) or np.any(probe.alpha_dn.values != 0):
@@ -485,14 +480,14 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, gri
 
     mean_fund = fundamental.mean_path(grid)
     cells = []
-    for kappa in kappas:
+    for kappa in ladder:
         book = template.materialize(grid, kappa)
         for c in multipliers:
             strat = exponential_tracker(target, SampledPath(grid, c * m_base), kappa, start=0.0)
             cells.append(Evaluation(book, strat, mean_fund).terminal(x0))
     x_terminal = _terminal_values(cells, fundamental, grid, paths, seed)
 
-    shape = (len(kappas), len(multipliers))
+    shape = (len(ladder), len(multipliers))
     cand = multipliers.index(1.0)
     every_path = np.arange(paths)[None, :]
     ce = np.array([_certainty_equivalents(x, every_path, gamma)[0]
@@ -517,5 +512,5 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, gri
         np.subtract(kappa_boot[cand], kappa_boot, out=gaps)
         gap_ci[:, k] = np.percentile(gaps, [2.5, 97.5], axis=-1, overwrite_input=True)
         ci[:, k] = np.percentile(kappa_boot, [2.5, 97.5], axis=-1, overwrite_input=True)
-    return UtilityReport(kappas, multipliers, ce, *ci, ce[:, cand, None] - ce, *gap_ci,
+    return UtilityReport(ladder.values, multipliers, ce, *ci, ce[:, cand, None] - ce, *gap_ci,
                          frictionless)

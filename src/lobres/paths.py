@@ -84,11 +84,6 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
-def make_grid(horizon: float, steps: int) -> TimeGrid:
-    """Build a uniform grid on [0, horizon] with the given number of steps."""
-    return TimeGrid(horizon, steps)
-
-
 @dataclass
 class SampledPath:
     """Values of a process sampled on every point of a :class:`TimeGrid`."""

@@ -4,17 +4,13 @@ and exponential trackers of a frictionless target position."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .paths import SampledPath, TimeGrid, as_path, constant_path
-
-if TYPE_CHECKING:
-    from .book import BookParams
 
 
 @dataclass
@@ -67,10 +63,6 @@ class Strategy:
                 "block": block}
 
 
-def zero_strategy(grid: TimeGrid, phi0: float = 0.0) -> Strategy:
-    return Strategy(grid, constant_path(grid, 0.0), (), phi0)
-
-
 def rate_strategy(grid: TimeGrid, rate, phi0: float = 0.0) -> Strategy:
     """Block-free strategy from a rate constant, function of time, or path."""
     return Strategy(grid, as_path(grid, rate), (), phi0)
@@ -119,7 +111,7 @@ def block_schedule(grid: TimeGrid, trades: Iterable[tuple[float, float]],
     return Strategy(grid, constant_path(grid, 0.0), tuple(blocks))
 
 
-def smooth_blocks(strategy: Strategy, kappa: float, width_scale: float = 1.0) -> Strategy:
+def smooth_blocks(strategy: Strategy, kappa: float, width_scale: float) -> Strategy:
     """Replace each block by a constant rate over a window of width
     width_scale * kappa^(-1/4) starting at the block time.
 
@@ -198,51 +190,3 @@ def exponential_tracker(target: SampledPath, rate_scale: SampledPath, kappa: flo
     rate = np.zeros(grid.n_points)
     rate[:-1] = np.diff(pos) / grid.dt
     return Strategy(grid, SampledPath(grid, rate), (), float(pos[0]))
-
-
-def optimal_tracker(book: "BookParams", sigma_s: SampledPath,
-                    risk_tolerance: SampledPath, target: SampledPath,
-                    start: float | None = None) -> Strategy:
-    """Tracker with the leading-order-optimal speed for a symmetric book:
-
-        M_t = sqrt(K_t * h_t * sigma_s_t^2 / (2 * R_t))
-
-    Requires a symmetric book (K_up = K_dn, h_up = h_dn) and positive risk
-    tolerance.  Zero volatility gives zero tracking speed: the position stays
-    at its initial value.
-    """
-    if not book.is_symmetric():
-        raise ValueError("optimal tracker requires a symmetric book (K, h equal on both sides)")
-    grid = book.grid
-    for path, name in ((sigma_s, "sigma_s"), (risk_tolerance, "risk tolerance"),
-                       (target, "target")):
-        if path.grid != grid:
-            raise ValueError(f"{name} lives on a different grid")
-    if np.any(risk_tolerance.values <= 0):
-        raise ValueError("risk tolerance must be positive pointwise")
-    if np.any(sigma_s.values < 0):
-        raise ValueError("sigma_s must be nonnegative pointwise")
-    m = np.sqrt(book.K_up.values * book.h_up.values * sigma_s.values ** 2
-                / (2.0 * risk_tolerance.values))
-    if np.all(m == 0.0):
-        pos0 = float(target.values[0]) if start is None else float(start)
-        return zero_strategy(grid, phi0=pos0)
-    if np.any(m <= 0.0):
-        raise ValueError("tracking speed vanishes on part of the grid; "
-                         "sigma_s must be positive everywhere or identically zero")
-    return exponential_tracker(target, SampledPath(grid, m), book.kappa, start)
-
-
-def read_strategy_csv(grid: TimeGrid, path, phi0: float = 0.0) -> Strategy:
-    """Inverse of writing ``Strategy.table()`` for a known grid."""
-    rate = np.zeros(grid.n_points)
-    blocks: list[tuple[int, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            i = int(row["index"])
-            rate[i] = float(row["rate"])
-            b = float(row["block"])
-            if b != 0.0:
-                blocks.append((i, b))
-    return Strategy(grid, SampledPath(grid, rate), tuple(blocks), phi0)

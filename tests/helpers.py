@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from lobres import (BookParams, RandomSource, ReferencePricePath, SampledPath, SpreadPaths,
-                    Strategy, WealthPath, position_paths)
+from lobres import (BookParams, BookTemplate, RandomSource, ReferencePricePath, SampledPath,
+                    SpreadPaths, Strategy, WealthPath, position_paths, rate_strategy)
 from lobres.book import _check_grids, evolve_book
 from lobres.experiments import (_BOOTSTRAP_STREAM, LemmaJumpReport, TrackerBoundReport,
                                 UtilityReport, _certainty_equivalents, brownian_increments)
@@ -34,7 +34,7 @@ def run_python(code: str, timeout: float = 60) -> str:
 
 
 def constant_book(grid, kappa, K=1.0, h=1.0, alpha=0.0, eps=0.0, **kw):
-    return BookParams.build(grid, kappa, K=K, h=h, alpha=alpha, eps=eps, **kw)
+    return BookTemplate(K=K, h=h, alpha=alpha, eps=eps, **kw).materialize(grid, kappa)
 
 
 def random_strategy(grid, rng, rate_scale=2.0, n_blocks=4, phi0=0.0):
@@ -371,6 +371,40 @@ def reference_relax_positions(target, rate_scale, kappa, dt, start=None):
     return out
 
 
+# The oracle of the utility experiment's candidate speed (multiplier 1).
+def optimal_tracker(book: BookParams, sigma_s: SampledPath,
+                    risk_tolerance: SampledPath, target: SampledPath,
+                    start: float | None = None) -> Strategy:
+    """Tracker with the leading-order-optimal speed for a symmetric book:
+
+        M_t = sqrt(K_t * h_t * sigma_s_t^2 / (2 * R_t))
+
+    Requires a symmetric book (K_up = K_dn, h_up = h_dn) and positive risk
+    tolerance.  Zero volatility gives zero tracking speed: the position stays
+    at its initial value.
+    """
+    if not book.is_symmetric():
+        raise ValueError("optimal tracker requires a symmetric book (K, h equal on both sides)")
+    grid = book.grid
+    for path, name in ((sigma_s, "sigma_s"), (risk_tolerance, "risk tolerance"),
+                       (target, "target")):
+        if path.grid != grid:
+            raise ValueError(f"{name} lives on a different grid")
+    if np.any(risk_tolerance.values <= 0):
+        raise ValueError("risk tolerance must be positive pointwise")
+    if np.any(sigma_s.values < 0):
+        raise ValueError("sigma_s must be nonnegative pointwise")
+    m = np.sqrt(book.K_up.values * book.h_up.values * sigma_s.values ** 2
+                / (2.0 * risk_tolerance.values))
+    if np.all(m == 0.0):
+        pos0 = float(target.values[0]) if start is None else float(start)
+        return rate_strategy(grid, 0.0, pos0)
+    if np.any(m <= 0.0):
+        raise ValueError("tracking speed vanishes on part of the grid; "
+                         "sigma_s must be positive everywhere or identically zero")
+    return exponential_tracker(target, SampledPath(grid, m), book.kappa, start)
+
+
 # Whole-matrix Monte-Carlo experiments: the references for the chunked ones in
 # ``lobres.experiments``, which draw and reduce one chunk of paths at a time.
 # Each holds the (steps, paths) noise (and, for tracker-bound, the targets and
@@ -379,7 +413,7 @@ def reference_relax_positions(target, rate_scale, kappa, dt, start=None):
 
 def reference_lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
                                     fundamental: FundamentalSpec, ladder: KappaLadder, *,
-                                    width_scale: float = 1.0, paths: int = 1, seed: int = 42,
+                                    width_scale: float, paths: int, seed: int,
                                     x0: float = 0.0) -> LemmaJumpReport:
     """Pathwise terminal difference D(kappa) between each block strategy and
     its linearly smoothed version, under common noise.
@@ -415,11 +449,10 @@ def reference_lemma_jump_experiment(template: BookTemplate, block_strategy: Stra
                            np.asarray(frac_pos), np.asarray(all_diffs))
 
 
-def reference_tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, *,
-                                       target_drift=0.0, target_vol=1.0, rate_scale=1.0,
-                                       coeff_bound: float = 1.0, rate_floor: float = 1.0,
-                                       target0: float = 0.0, paths: int = 10_000,
-                                       seed: int = 42) -> TrackerBoundReport:
+def reference_tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, *, target_drift,
+                                       target_vol, rate_scale, coeff_bound: float,
+                                       rate_floor: float, target0: float, paths: int,
+                                       seed: int) -> TrackerBoundReport:
     """Estimate E[sup_t kappa^(1/2) |target_t - tracker_t|^2] per kappa on ``grid``.
 
     The target is an Ito process with declared drift/vol coefficients bounded
@@ -465,10 +498,9 @@ def reference_tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, *,
 
 
 def reference_utility_experiment(template: BookTemplate, fundamental: FundamentalSpec,
-                                 grid: TimeGrid, *, gamma: float, kappas: Sequence[float],
-                                 multipliers: Sequence[float] = (0.5, 1.0, 2.0),
-                                 paths: int = 10_000, seed: int = 42, x0: float = 0.0,
-                                 bootstrap: int = 500) -> UtilityReport:
+                                 grid: TimeGrid, ladder: KappaLadder, *, gamma: float,
+                                 multipliers: Sequence[float], paths: int, seed: int,
+                                 x0: float, bootstrap: int) -> UtilityReport:
     """Compare certainty equivalents of trackers with speeds c * sqrt(kappa) * M.
 
     Setup: exponential utility with absolute risk aversion ``gamma``, constant
@@ -489,7 +521,7 @@ def reference_utility_experiment(template: BookTemplate, fundamental: Fundamenta
     if fundamental.sigma <= 0:
         raise ValueError("utility experiment requires positive volatility "
                          "(zero volatility gives zero tracking speed)")
-    kappas = tuple(float(k) for k in kappas)
+    kappas = ladder.values
     multipliers = tuple(float(c) for c in multipliers)
 
     probe = template.materialize(grid, kappas[0])
@@ -541,6 +573,21 @@ def reference_utility_experiment(template: BookTemplate, fundamental: Fundamenta
     # one (kappa, multiplier) array per value, in UtilityReport's field order
     values = np.array(list(cells.values())).T.reshape(6, len(kappas), len(multipliers))
     return UtilityReport(kappas, multipliers, *values, frictionless)
+
+
+def read_strategy_csv(grid: TimeGrid, path, phi0: float = 0.0) -> Strategy:
+    """Inverse of writing ``Strategy.table()`` for a known grid."""
+    rate = np.zeros(grid.n_points)
+    blocks: list[tuple[int, float]] = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            i = int(row["index"])
+            rate[i] = float(row["rate"])
+            b = float(row["block"])
+            if b != 0.0:
+                blocks.append((i, b))
+    return Strategy(grid, SampledPath(grid, rate), tuple(blocks), phi0)
 
 
 def reference_write_columns(path, table: dict) -> None:

@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lobres import (BookParams, BookTemplate, Evaluation, FundamentalSpec, KappaLadder,
-                    Strategy, constant_path, ladder_grid,
-                    lemma_jump_experiment, make_grid, position_paths, rate_strategy,
-                    theorem1_experiment, tracker_bound_experiment, utility_experiment)
+from lobres import (BookTemplate, Evaluation, FundamentalSpec, KappaLadder, Strategy,
+                    TimeGrid, constant_path, ladder_grid, lemma_jump_experiment,
+                    position_paths, rate_strategy, theorem1_experiment,
+                    tracker_bound_experiment, utility_experiment)
 from lobres.cli import main
 from lobres.strategies import block_schedule
 from helpers import random_strategy
@@ -40,12 +40,12 @@ def _report(n, label, elapsed):
 
 def test_criterion_1_closed_form_spread_oracle():
     budget = _Budget(1.0)
-    grid = make_grid(1.0, 10_000)
+    grid = TimeGrid(1.0, 10_000)
     kappa, K, h, eps = 96.0, 1.4, 2.3, 0.015
     t = grid.points()
 
     theta = 1.7
-    book = BookParams.build(grid, kappa, K=K, h=h, eps=eps)
+    book = BookTemplate(K=K, h=h, eps=eps).materialize(grid, kappa)
     fund = constant_path(grid, 100.0)  # spreads do not depend on it
     blocky = Strategy(grid, constant_path(grid, 0.0), ((0, theta),))
     ask = Evaluation(book, blocky, fund).spreads().ask.values
@@ -62,13 +62,14 @@ def test_criterion_1_closed_form_spread_oracle():
 
 def test_criterion_2_bookkeeping_identity():
     budget = _Budget(5.0)
-    grid = make_grid(1.0, 256)
+    grid = TimeGrid(1.0, 256)
     rng = np.random.default_rng(31415)
     for trial in range(100):
-        book = BookParams.build(
-            grid, float(rng.uniform(1.0, 300.0)),
+        kappa = float(rng.uniform(1.0, 300.0))
+        book = BookTemplate(
             K=float(rng.uniform(0.5, 2.0)), h=float(rng.uniform(0.5, 3.0)),
-            alpha=float(rng.uniform(0.0, 0.5)), eps=float(rng.uniform(0.0, 0.1)))
+            alpha=float(rng.uniform(0.0, 0.5)),
+            eps=float(rng.uniform(0.0, 0.1))).materialize(grid, kappa)
         fund = FundamentalSpec(s0=80.0, mu=0.05, sigma=0.4).sample(grid, 777, trial)
         strat = random_strategy(grid, rng, n_blocks=int(rng.integers(0, 8)),
                                 phi0=float(rng.normal(0.0, 2.0)))
@@ -118,12 +119,13 @@ def test_criterion_5_block_dominance_gate():
     grid = ladder_grid(1.0, 512, 4.0, LADDER.max)
     blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
 
-    det = lemma_jump_experiment(template, blocks, FundamentalSpec(sigma=0.0), LADDER)
+    det = lemma_jump_experiment(template, blocks, FundamentalSpec(sigma=0.0), LADDER,
+                                width_scale=1.0, paths=1, seed=42)
     assert abs(det.mean_diff[-1] - 0.5) <= 0.02, f"D(4096) = {det.mean_diff[-1]}"
     assert np.all(det.frac_positive == 1.0)
 
     noisy = lemma_jump_experiment(template, blocks, FundamentalSpec(sigma=0.2),
-                                  LADDER, paths=1000, seed=42)
+                                  LADDER, width_scale=1.0, paths=1000, seed=42)
     assert noisy.frac_positive[-1] >= 0.95, f"frac = {noisy.frac_positive[-1]}"
     _report(5, f"D(4096) = {det.mean_diff[-1]:.4f} near 0.5; positive on "
                f"{100 * noisy.frac_positive[-1]:.1f}% of noisy paths", budget.check())
@@ -134,7 +136,7 @@ def test_criterion_6_tracker_l2_bound():
     ladder = KappaLadder.geometric(16.0, 2.0, 7)
     report = tracker_bound_experiment(
         ladder, ladder_grid(1.0, 512, 4.0, ladder.max), target_drift=0.0, target_vol=1.0,
-        rate_scale=1.0, coeff_bound=1.0, rate_floor=1.0, paths=10_000, seed=42)
+        rate_scale=1.0, coeff_bound=1.0, rate_floor=1.0, target0=0.0, paths=10_000, seed=42)
     assert report.bound == 5.0
     slack = report.bound + 3.0 * report.stderrs
     assert np.all(report.estimates <= slack), \
@@ -148,8 +150,8 @@ def test_criterion_7_utility_noninferiority():
     report = utility_experiment(
         BookTemplate(K=1.0, h=1.0, alpha=0.0, eps=0.0),
         FundamentalSpec(s0=100.0, mu=0.1, sigma=0.2), ladder_grid(1.0, 512, 4.0, 1024.0),
-        gamma=1.0, kappas=[64.0, 256.0, 1024.0], multipliers=[0.5, 1.0, 2.0],
-        paths=10_000, seed=42, bootstrap=500)
+        KappaLadder((64.0, 256.0, 1024.0)), gamma=1.0, multipliers=[0.5, 1.0, 2.0],
+        paths=10_000, seed=42, x0=0.0, bootstrap=500)
 
     # candidate speed not beaten at the stated comparison point kappa = 256
     k = report.kappas.index(256.0)

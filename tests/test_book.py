@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lobres import (BookParams, Evaluation, SampledPath, Strategy, constant_path, fit_rate,
-                    function_path, make_grid, position_paths, rate_strategy, zero_strategy)
+from lobres import (BookParams, BookTemplate, Evaluation, SampledPath, Strategy, TimeGrid,
+                    constant_path, fit_rate, function_path, position_paths, rate_strategy)
 from lobres.book import evolve_book
 
 
@@ -22,44 +22,47 @@ def spread_paths(book, strategy):
 
 class TestBookParams:
     def test_alpha_range_enforced(self):
-        grid = make_grid(1.0, 8)
+        grid = TimeGrid(1.0, 8)
         with pytest.raises(ValueError):
             constant_book(grid, 10.0, alpha=0.7)
 
     def test_positive_depth_enforced(self):
-        grid = make_grid(1.0, 8)
+        grid = TimeGrid(1.0, 8)
         with pytest.raises(ValueError):
             constant_book(grid, 10.0, h=0.0)
 
     def test_kappa_positive(self):
-        grid = make_grid(1.0, 8)
+        grid = TimeGrid(1.0, 8)
         with pytest.raises(ValueError):
             constant_book(grid, 0.0)
 
     def test_zero_baseline_spread_allowed(self):
-        grid = make_grid(1.0, 8)
+        grid = TimeGrid(1.0, 8)
         constant_book(grid, 10.0, eps=0.0)
 
-    def test_default_down_side_shares_the_up_path(self):
-        # a down-side coefficient left None is the up side's path, not a copy
-        grid = make_grid(1.0, 8)
-        book = BookParams.build(grid, 10.0, K=2.0, h=lambda t: 1.0 + t, eps_dn=0.01)
-        for name in ("K", "h", "alpha"):
-            assert getattr(book, f"{name}_dn") is getattr(book, f"{name}_up")
-        assert book.eps_dn is not book.eps_up
-        np.testing.assert_array_equal(book.eps_dn.values, np.full(9, 0.01))
+    @pytest.mark.parametrize("given", [(), ("eps",), ("K", "h", "alpha", "eps")])
+    def test_default_down_side_shares_the_up_path(self, given):
+        # a down-side coefficient left None is the up side's own path object,
+        # not a copy: the scan shares that side's terms on this identity
+        grid = TimeGrid(1.0, 8)
+        up = dict(K=2.0, h=lambda t: 1.0 + t, alpha=0.25, eps=0.01)
+        book = BookTemplate(**up, **{f"{k}_dn": up[k] for k in given}).materialize(grid, 10.0)
+        for name in up:
+            up_path, dn_path = getattr(book, f"{name}_up"), getattr(book, f"{name}_dn")
+            assert (dn_path is up_path) == (name not in given)
+            np.testing.assert_array_equal(dn_path.values, up_path.values)
 
 
 class TestEvolveSpreads:
     def test_zero_strategy_keeps_baselines(self):
-        grid = make_grid(1.0, 64)
+        grid = TimeGrid(1.0, 64)
         book = constant_book(grid, 32.0, eps=0.03)
-        sp = spread_paths(book, zero_strategy(grid))
+        sp = spread_paths(book, rate_strategy(grid, 0.0))
         np.testing.assert_array_equal(sp.ask.values, np.full(65, 0.03))
         np.testing.assert_array_equal(sp.bid.values, np.full(65, 0.03))
 
     def test_single_block_closed_form(self):
-        grid = make_grid(1.0, 1000)
+        grid = TimeGrid(1.0, 1000)
         kappa, K, h, eps, theta = 48.0, 1.3, 2.0, 0.02, 1.7
         book = constant_book(grid, kappa, K=K, h=h, eps=eps)
         strat = Strategy(grid, constant_path(grid, 0.0), ((0, theta),))
@@ -72,7 +75,7 @@ class TestEvolveSpreads:
         assert sp.ask_pre[0] == eps
 
     def test_constant_rate_closed_form(self):
-        grid = make_grid(1.0, 1000)
+        grid = TimeGrid(1.0, 1000)
         kappa, K, h, eps, c = 48.0, 1.3, 2.0, 0.02, 0.9
         book = constant_book(grid, kappa, K=K, h=h, eps=eps)
         sp = spread_paths(book, rate_strategy(grid, c))
@@ -82,7 +85,7 @@ class TestEvolveSpreads:
 
     def test_piecewise_constant_rate_exactness(self):
         # stepped solution equals the exact convolution of the sampled rate
-        grid = make_grid(1.0, 256)
+        grid = TimeGrid(1.0, 256)
         kappa, K, h = 64.0, 1.0, 1.5
         book = constant_book(grid, kappa, K=K, h=h)
         rng = np.random.default_rng(5)
@@ -99,7 +102,7 @@ class TestEvolveSpreads:
                                    rtol=1e-10, atol=1e-15)
 
     def test_spread_dominance(self):
-        grid = make_grid(1.0, 128)
+        grid = TimeGrid(1.0, 128)
         book = constant_book(grid, 16.0, alpha=0.3, eps=0.05)
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -108,7 +111,7 @@ class TestEvolveSpreads:
             assert np.all(sp.bid.values >= book.eps_dn.values - 1e-15)
 
     def test_depth_scaling(self):
-        grid = make_grid(1.0, 128)
+        grid = TimeGrid(1.0, 128)
         rng = np.random.default_rng(3)
         strat = random_strategy(grid, rng)
         c = 3.0
@@ -118,7 +121,7 @@ class TestEvolveSpreads:
         np.testing.assert_allclose(sp2.bid.values, sp1.bid.values / c, rtol=1e-12)
 
     def test_resilience_monotonicity(self):
-        grid = make_grid(1.0, 128)
+        grid = TimeGrid(1.0, 128)
         strat = rate_strategy(grid, 1.0)
         spreads = [spread_paths(constant_book(grid, k), strat).ask.values
                    for k in (8.0, 16.0, 32.0, 64.0)]
@@ -128,9 +131,10 @@ class TestEvolveSpreads:
     def test_refinement_self_consistency(self):
         # continuously varying coefficients: discretization error is O(dt)
         def run(n):
-            grid = make_grid(1.0, n)
-            book = BookParams.build(grid, 8.0, K=lambda t: 1.0 + 0.5 * math.sin(2 * math.pi * t),
-                                    h=lambda t: 1.0 + 0.3 * t, alpha=0.2, eps=0.01)
+            grid = TimeGrid(1.0, n)
+            book = BookTemplate(K=lambda t: 1.0 + 0.5 * math.sin(2 * math.pi * t),
+                                h=lambda t: 1.0 + 0.3 * t, alpha=0.2,
+                                eps=0.01).materialize(grid, 8.0)
             strat = rate_strategy(grid, lambda t: math.cos(2 * math.pi * t))
             return spread_paths(book, strat).ask.values
 
@@ -140,14 +144,14 @@ class TestEvolveSpreads:
         assert fit_rate(list(zip(dts, diffs))) >= 0.9
 
     def test_grid_mismatch(self):
-        book = constant_book(make_grid(1.0, 8), 4.0)
+        book = constant_book(TimeGrid(1.0, 8), 4.0)
         with pytest.raises(ValueError):
-            spread_paths(book, zero_strategy(make_grid(1.0, 16)))
+            spread_paths(book, rate_strategy(TimeGrid(1.0, 16), 0.0))
 
 
 class TestReferencePrice:
     def test_zero_permanent_impact(self):
-        grid = make_grid(1.0, 64)
+        grid = TimeGrid(1.0, 64)
         book = constant_book(grid, 16.0, alpha=0.0)
         fund = function_path(grid, lambda t: 100.0 + t)
         rng = np.random.default_rng(2)
@@ -155,7 +159,7 @@ class TestReferencePrice:
         np.testing.assert_array_equal(ref.values.values, fund.values)
 
     def test_block_shift_held(self):
-        grid = make_grid(1.0, 64)
+        grid = TimeGrid(1.0, 64)
         alpha, h, theta = 0.4, 2.0, 1.5
         book = constant_book(grid, 16.0, alpha=alpha, h=h)
         fund = constant_path(grid, 50.0)
@@ -167,7 +171,7 @@ class TestReferencePrice:
         np.testing.assert_array_equal(ref.values.values[:16], np.full(16, 50.0))
 
     def test_round_trip_cancels(self):
-        grid = make_grid(1.0, 100)
+        grid = TimeGrid(1.0, 100)
         book = constant_book(grid, 16.0, alpha=0.25, h=2.0)
         fund = constant_path(grid, 10.0)
         strat = Strategy(grid, constant_path(grid, 0.0), ((10, 1.0), (60, -1.0)))
@@ -177,13 +181,13 @@ class TestReferencePrice:
 
 class TestScaledExcessSpread:
     def test_zero_strategy(self):
-        grid = make_grid(1.0, 64)
+        grid = TimeGrid(1.0, 64)
         book = constant_book(grid, 16.0)
-        path = book.kappa * evolve_book(book, zero_strategy(grid)).exc_up_post
+        path = book.kappa * evolve_book(book, rate_strategy(grid, 0.0)).exc_up_post
         np.testing.assert_array_equal(path, np.zeros(65))
 
     def test_constant_rate_limit(self):
-        grid = make_grid(4.0, 2048)
+        grid = TimeGrid(4.0, 2048)
         kappa, K, h, alpha, c = 64.0, 1.2, 1.5, 0.2, 0.7
         book = constant_book(grid, kappa, K=K, h=h, alpha=alpha)
         path = book.kappa * evolve_book(book, rate_strategy(grid, c)).exc_up_post
@@ -194,7 +198,7 @@ class TestScaledExcessSpread:
         # sup distance to the limit decays ~ 1/kappa for smooth rates.  The
         # stepped book sees the sampled piecewise-constant rate, so the limit
         # at t_i uses the rate on the step ending at t_i.
-        grid = make_grid(1.0, 512)
+        grid = TimeGrid(1.0, 512)
         K, h, alpha = 1.0, 1.0, 0.25
         rate = rate_strategy(grid, lambda t: 2.0 + math.sin(2.0 * math.pi * t))
         i0 = 128  # t0 = 0.25 skips the initial relaxation layer
@@ -213,11 +217,11 @@ class TestScaledExcessSpread:
 def books_and_strategies(draw):
     """Small grids with kappa*dt in [1e-6, 1e6], asymmetric and time-varying
     K and h (or a down side that holds the up side's own K or h path, as
-    ``BookParams.build`` makes it for a symmetric book), alpha 0, 1/2 or
+    ``BookTemplate.materialize`` makes it for a symmetric book), alpha 0, 1/2 or
     between, sign-changing rates and blocks of both signs, at index 0 and
     index n among others."""
     n = draw(st.integers(1, 40))
-    grid = make_grid(draw(st.floats(0.1, 4.0)), n)
+    grid = TimeGrid(draw(st.floats(0.1, 4.0)), n)
     kappa = 10.0 ** draw(st.floats(-6.0, 6.0)) / grid.dt
 
     def values(lo, hi):

@@ -9,7 +9,7 @@ import pytest
 
 import lobres.experiments as experiments_module
 from helpers import run_python
-from lobres import (BookTemplate, KappaLadder, UniformBounds, make_grid, rate_strategy,
+from lobres import (BookTemplate, KappaLadder, TimeGrid, UniformBounds, rate_strategy,
                     theorem1_experiment)
 from lobres.cli import main
 from lobres.config import parse_config, validate_config
@@ -70,7 +70,8 @@ class TestSimulate:
         # the three simulate artifacts hold repr(float(v)) of their source
         # arrays, also for a signed zero, a subnormal and exponent notation
         import lobres.cli as cli
-        from lobres import SampledPath, SpreadPaths, Strategy, WealthPath, read_strategy_csv
+        from helpers import read_strategy_csv
+        from lobres import SampledPath, SpreadPaths, Strategy, WealthPath
 
         awkward = [-0.0, 5e-324, 1e-05, 0.1, 1e16, -1e16, 0.30000000000000004, 2.5]
         cols = {}
@@ -104,7 +105,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(write_config(tmp_path, SIMULATE_ZERO)),
                      "--out", str(out)]) == 0
 
-        grid = make_grid(1.0, 64)
+        grid = TimeGrid(1.0, 64)
         block = np.zeros(grid.n_points)
         block[[0, 7, 64]] = [5e-324, -1e16, 0.1]
         expected = {
@@ -287,6 +288,15 @@ class TestExitCodes:
         assert main([command, "--config", str(negative)]) == 2
         assert "mc.seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["converge", "validate"])
+    def test_empty_out_refused(self, tmp_path, capsys, monkeypatch, command):
+        # refused like an empty output.directory, before anything is written
+        # to the working directory
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", str(CONFIG_DIR / "theorem1.json"), "--out", ""]) == 2
+        assert capsys.readouterr() == ("", "error: output.directory must be a nonempty string\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
 def test_validate_and_the_run_use_one_grid(tmp_path, monkeypatch, name):
@@ -373,7 +383,7 @@ class TestConvergeCommand:
 
         report = theorem1_experiment(
             BookTemplate(alpha=0.25, eps=0.01),
-            rate_strategy(make_grid(1.0, 128), lambda t: math.cos(2 * math.pi * t)),
+            rate_strategy(TimeGrid(1.0, 128), lambda t: math.cos(2 * math.pi * t)),
             KappaLadder.geometric(16.0, 2.0, 5),
             rate_growth=rate_growth,
             bounds=None if bounds is None else UniformBounds(*bounds.values()))
@@ -427,17 +437,16 @@ def _no_evaluation(*args, **kwargs):
 
 
 class TestTrackerBoundCommand:
-    def test_one_path_refused_before_drawing(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["validate", "converge"])
+    def test_one_path_refused_before_drawing(self, tmp_path, capsys, monkeypatch, command):
         # a standard error needs two paths; mc.paths defaults to 1, which
-        # parses (validate accepts it) but cannot run
+        # validate refuses like the run, with the run's line
         monkeypatch.setattr(experiments_module, "brownian_increments", _no_noise)
         cfg = write_config(tmp_path, {"kind": "tracker-bound", "grid": {"n0": 64},
                                       "ladder": {"count": 3}})
-        assert main(["validate", "--config", str(cfg)]) == 0
-        capsys.readouterr()
         out = tmp_path / "artifacts"
-        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("error: tracker-bound needs at least 2 paths for "
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: tracker-bound needs at least 2 paths for "
                                            "its standard errors (mc.paths), got 1\n")
         assert not out.exists()
 

@@ -322,7 +322,7 @@ class TestValidate:
         tracemalloc.start()
         try:
             tracker_bound_experiment(
-                config.ladder.ladder(), config.time_grid(), target_drift=tc.target_drift.value(),
+                config.kappas(), config.time_grid(), target_drift=tc.target_drift.value(),
                 target_vol=tc.target_vol.value(), rate_scale=tc.rate_scale.value(),
                 coeff_bound=tc.coeff_bound, rate_floor=tc.rate_floor, target0=tc.target0,
                 paths=paths, seed=42)
@@ -473,7 +473,8 @@ ERROR_ROWS = [
      "mc.paths must be at most 2**32 (one stream id below 2**32 per path)"),
     (_with(LEMMA, smoothing={"width_scale": 0}), ConfigValidationError,
      "smoothing.width_scale must be positive"),
-    ({"kind": "tracker-bound", "tracker": {"coeff_bound": 0}}, ConfigValidationError,
+    ({"kind": "tracker-bound", "mc": {"paths": 2}, "tracker": {"coeff_bound": 0}},
+     ConfigValidationError,
      "tracker.coeff_bound and tracker.rate_floor must be positive"),
     (_with(UTILITY, utility={"multipliers": 2}), ConfigParseError,
      "utility.multipliers and utility.kappas must be lists"),
@@ -591,7 +592,7 @@ INLINE_CONFIGS = {
     "lemma_jump_blocks": {"kind": "lemma-jump", "smoothing": {"width_scale": 0.5},
                           "strategy": {"type": "blocks", "blocks": [[0, -1], [0.125, 2.5]],
                                        "t_prime": 0.25}},
-    "tracker_bound": {"kind": "tracker-bound",
+    "tracker_bound": {"kind": "tracker-bound", "mc": {"paths": 2},
                       "tracker": {"target_drift": {"fn": "linear", "intercept": 0.1},
                                   "target_vol": 0.5,
                                   "rate_scale": {"fn": "cos", "amplitude": 0.5, "offset": 1.0},
@@ -619,8 +620,8 @@ GOLDEN = {
                   "ecd487ca64f77f2b"),
     "lemma_jump_blocks": ("a60415632375cb1e4a7545d763021dd03bc7fa86bbc64ba01f8a6e0e45c42d22",
                           "e71ea70b186f546c"),
-    "tracker_bound": ("8784e33aa76530f172dc5df3fee0470fbd4a287581f28307f33f44499322e6c6",
-                      "6660919a03b3e776"),
+    "tracker_bound": ("042354512a9ededbce4aea5983ca065b30a18ae5b17c1ae2bff09951adae5aaa",
+                      "6ceb2c60736cfe03"),
     "utility": ("d90b580e099922099badaf257546e35b154a4685027ce37cba32d723fc710f52",
                 "6e3c62d80a54b13a"),
     "l2.json": ("9606e4a4e5ac1aa84d62f3624b6fc62b7cdd8ad8dffe0e10512876804ffb866f",

@@ -11,9 +11,9 @@ import lobres.experiments as experiments_module
 from helpers import (reference_increments, reference_lemma_jump_experiment, reference_sample,
                      reference_tracker_bound_experiment, reference_utility_experiment)
 from lobres import (BookTemplate, FundamentalSpec, InsufficientData, KappaLadder,
-                    RandomSource, UniformBounds, ac_wealth, fit_rate, ladder_grid,
-                    lemma_jump_experiment, make_grid, ow_wealth, rate_strategy,
-                    theorem1_experiment, tracker_bound_experiment, utility_experiment)
+                    RandomSource, TimeGrid, UniformBounds, ac_wealth, fit_rate, ladder_grid,
+                    lemma_jump_experiment, ow_wealth, rate_strategy, theorem1_experiment,
+                    tracker_bound_experiment, utility_experiment)
 from lobres.cli import _gates
 from lobres.config import lane_bytes
 from lobres.experiments import (ConvergenceReport, LemmaJumpReport, TrackerBoundReport,
@@ -23,6 +23,11 @@ from lobres.strategies import block_schedule, smooth_blocks
 
 
 SMALL_LADDER = KappaLadder.geometric(16.0, 2.0, 5)
+# Inputs the tests vary one at a time: a Brownian target from 0 tracked at
+# unit rate within unit bounds, and three tracker speeds from no initial wealth.
+UNIT_TRACKER = dict(target_drift=0.0, target_vol=1.0, rate_scale=1.0, coeff_bound=1.0,
+                    rate_floor=1.0, target0=0.0)
+THREE_SPEEDS = dict(multipliers=(0.5, 1.0, 2.0), x0=0.0)
 # the bounds of the shipped l2 config
 L2_BOUNDS = UniformBounds(rate_bound=1.5, coefficient_bound=2.0, resilience_floor=0.5)
 
@@ -142,7 +147,7 @@ class TestGapOracle:
     constant C of the rate and the book, an oracle that shares no code with
     the engine or its older copies in ``helpers``."""
 
-    GRID = make_grid(1.0, 512)
+    GRID = TimeGrid(1.0, 512)
 
     @settings(max_examples=60, deadline=None)
     @given(amplitude=st.floats(0.5, 2.0), frequency=st.floats(0.5, 3.0),
@@ -198,14 +203,15 @@ class TestLemmaJump:
         blocks = block_schedule(grid, [], t_prime=0.5)
         with pytest.raises(ValueError):
             lemma_jump_experiment(BookTemplate(), blocks, FundamentalSpec(),
-                                  SMALL_LADDER)
+                                  SMALL_LADDER, width_scale=1.0, paths=1, seed=42)
 
     def test_unit_block_limit(self):
         ladder = KappaLadder.geometric(16.0, 2.0, 9)
         grid = ladder_grid(1.0, 512, 4.0, ladder.max)
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
         report = lemma_jump_experiment(BookTemplate(h=1.0), blocks,
-                                       FundamentalSpec(sigma=0.0), ladder)
+                                       FundamentalSpec(sigma=0.0), ladder,
+                                       width_scale=1.0, paths=1, seed=42)
         # half the squared size over twice the depth, less the vanishing
         # smooth-execution cost
         assert abs(report.mean_diff[-1] - 0.5) <= 0.02
@@ -218,7 +224,8 @@ class TestLemmaJump:
         grid = ladder_grid(1.0, 512, 4.0, ladder.max)
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
         report = lemma_jump_experiment(BookTemplate(h=1.0, alpha=0.5), blocks,
-                                       FundamentalSpec(sigma=0.0), ladder)
+                                       FundamentalSpec(sigma=0.0), ladder,
+                                       width_scale=1.0, paths=1, seed=42)
         assert abs(report.mean_diff[-1] - 0.25) <= 0.02
 
     def test_noise_decomposition_matches_engine(self):
@@ -230,7 +237,7 @@ class TestLemmaJump:
         spec = FundamentalSpec(s0=100.0, mu=0.1, sigma=0.2)
         paths = 5
         report = lemma_jump_experiment(BookTemplate(h=1.0), blocks, spec, ladder,
-                                       paths=paths, seed=11)
+                                       width_scale=1.0, paths=paths, seed=11)
         book = BookTemplate(h=1.0).materialize(grid, 64.0)
         smoothed = smooth_blocks(blocks, 64.0, 1.0)
         for p in range(paths):
@@ -245,20 +252,21 @@ class TestLemmaJump:
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
         report = lemma_jump_experiment(BookTemplate(h=1.0), blocks,
                                        FundamentalSpec(sigma=0.2), ladder,
-                                       paths=200, seed=3)
+                                       width_scale=1.0, paths=200, seed=3)
         assert report.frac_positive[-1] >= 0.95
 
 
 class TestTrackerBound:
     def test_constant_target_zero_error(self):
         report = tracker_bound_experiment(KappaLadder((16.0, 64.0)), _grid(64.0, 64),
-                                          target_vol=0.0, paths=10)
+                                          **dict(UNIT_TRACKER, target_vol=0.0), paths=10,
+                                          seed=42)
         np.testing.assert_array_equal(report.estimates, np.zeros(2))
         assert _gates("tracker-bound", report) == {"bound_holds_for_every_kappa": True}
 
     def test_brownian_target_within_bound(self):
         report = tracker_bound_experiment(KappaLadder.geometric(16.0, 4.0, 4), _grid(1024.0),
-                                          paths=2000, seed=5)
+                                          **UNIT_TRACKER, paths=2000, seed=5)
         assert report.bound == 5.0
         assert _gates("tracker-bound", report) == {"bound_holds_for_every_kappa": True}
         assert np.all(report.estimates < 5.0)
@@ -270,8 +278,9 @@ class TestTrackerBound:
         ladder = KappaLadder.geometric(16.0, 4.0, 3)
         paths, seed, mu, vol, target0 = 8, 11, 0.3, 0.8, 0.5
         grid = ladder_grid(1.0, 64, 4.0, ladder.max)
-        report = tracker_bound_experiment(ladder, grid, target_drift=mu, target_vol=vol,
-                                          target0=target0, paths=paths, seed=seed)
+        report = tracker_bound_experiment(
+            ladder, grid, **dict(UNIT_TRACKER, target_drift=mu, target_vol=vol, target0=target0),
+            paths=paths, seed=seed)
         m = np.ones(grid.n_points)
         sup2 = np.empty((len(ladder), paths))
         for p in range(paths):
@@ -287,13 +296,19 @@ class TestTrackerBound:
         np.testing.assert_array_equal(report.stderrs,
                                       sup2.std(axis=1, ddof=1) / math.sqrt(paths))
 
+    def test_one_path_refused(self):
+        # one path has no standard error; the config refuses it first for runs
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            tracker_bound_experiment(SMALL_LADDER, _grid(SMALL_LADDER.max, 64), **UNIT_TRACKER,
+                                     paths=1, seed=42)
+
     def test_bound_violation_of_declared_coeffs(self):
         with pytest.raises(ValueError):
-            tracker_bound_experiment(SMALL_LADDER, _grid(SMALL_LADDER.max, 64), target_vol=2.0,
-                                     coeff_bound=1.0, paths=10)
+            tracker_bound_experiment(SMALL_LADDER, _grid(SMALL_LADDER.max, 64),
+                                     **dict(UNIT_TRACKER, target_vol=2.0), paths=10, seed=42)
         with pytest.raises(ValueError):
-            tracker_bound_experiment(SMALL_LADDER, _grid(SMALL_LADDER.max, 64), rate_scale=0.5,
-                                     rate_floor=1.0, paths=10)
+            tracker_bound_experiment(SMALL_LADDER, _grid(SMALL_LADDER.max, 64),
+                                     **dict(UNIT_TRACKER, rate_scale=0.5), paths=10, seed=42)
 
 
 class TestL2:
@@ -322,24 +337,27 @@ class TestUtility:
     def test_zero_volatility_rejected(self):
         with pytest.raises(ValueError):
             utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.0), _grid(64.0),
-                               gamma=1.0, kappas=[64.0], paths=10)
+                               KappaLadder((64.0,)), gamma=1.0, **THREE_SPEEDS, paths=10,
+                               seed=42, bootstrap=500)
 
     def test_baseline_spread_rejected(self):
         with pytest.raises(ValueError):
             utility_experiment(BookTemplate(eps=0.01),
                                FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0),
-                               gamma=1.0, kappas=[64.0], paths=10)
+                               KappaLadder((64.0,)), gamma=1.0, **THREE_SPEEDS, paths=10,
+                               seed=42, bootstrap=500)
 
     def test_multipliers_must_include_candidate(self):
         with pytest.raises(ValueError):
             utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0),
-                               gamma=1.0, kappas=[64.0], multipliers=[0.5, 2.0],
-                               paths=10)
+                               KappaLadder((64.0,)), gamma=1.0, multipliers=[0.5, 2.0],
+                               paths=10, seed=42, x0=0.0, bootstrap=500)
 
     def test_ce_approaches_frictionless(self):
         report = utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
-                                    _grid(1024.0), gamma=1.0, kappas=[64.0, 256.0, 1024.0],
-                                    paths=2000, seed=7, bootstrap=100)
+                                    _grid(1024.0), KappaLadder((64.0, 256.0, 1024.0)),
+                                    gamma=1.0, **THREE_SPEEDS, paths=2000, seed=7,
+                                    bootstrap=100)
         curve = report.candidate_ce
         assert report.frictionless_ce == pytest.approx(0.125)
         assert all(b > a for a, b in zip(curve, curve[1:]))
@@ -349,8 +367,9 @@ class TestUtility:
         # x0 = +-800 would underflow / overflow exp(-gamma * x) unshifted
         def run(x0):
             return utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
-                                      _grid(64.0), gamma=1.0, kappas=[64.0], paths=200, seed=7,
-                                      x0=x0, bootstrap=50)
+                                      _grid(64.0), KappaLadder((64.0,)), gamma=1.0,
+                                      multipliers=(0.5, 1.0, 2.0), paths=200, seed=7, x0=x0,
+                                      bootstrap=50)
 
         base = run(0.0)
         for x0 in (-800.0, 0.0, 800.0):
@@ -382,8 +401,9 @@ class TestUtility:
         gamma, mu, sigma, kappa = 1.0, 0.1, 0.2, 64.0
         paths, seed, bootstrap = 300, 5, 40
         spec = FundamentalSpec(mu=mu, sigma=sigma)
-        report = utility_experiment(BookTemplate(), spec, _grid(kappa), gamma=gamma,
-                                    kappas=[kappa], paths=paths, seed=seed, bootstrap=bootstrap)
+        report = utility_experiment(BookTemplate(), spec, _grid(kappa), KappaLadder((kappa,)),
+                                    gamma=gamma, **THREE_SPEEDS, paths=paths, seed=seed,
+                                    bootstrap=bootstrap)
 
         boot_idx = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
             entropy=seed, spawn_key=(_BOOTSTRAP_STREAM,)))).integers(
@@ -409,8 +429,8 @@ class TestUtility:
 
     def test_candidate_noninferior_at_moderate_kappa(self):
         report = utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
-                                    _grid(256.0), gamma=1.0, kappas=[256.0], paths=2000, seed=7,
-                                    bootstrap=200)
+                                    _grid(256.0), KappaLadder((256.0,)), gamma=1.0,
+                                    **THREE_SPEEDS, paths=2000, seed=7, bootstrap=200)
         # one kappa: the noninferiority gate alone, on that kappa
         assert _gates("utility", report) == {"candidate_noninferior": True}
 
@@ -428,21 +448,21 @@ class TestBrownianIncrements:
     @example(seed=2**32 + 5, paths=1000, steps=2048, horizon=1.0)
     def test_bit_identical_to_per_path_loop(self, seed, paths, steps, horizon):
         assume(paths * steps <= 2**21)
-        grid = make_grid(horizon, steps)
+        grid = TimeGrid(horizon, steps)
         block = brownian_increments(grid, seed, paths)
         assert block.flags.c_contiguous
         assert block.tobytes() == reference_increments(grid, seed, paths).tobytes()
 
     def test_path_extension_is_stable(self):
         # adding paths never changes earlier paths (one stream per path)
-        grid = make_grid(1.0, 32)
+        grid = TimeGrid(1.0, 32)
         a = brownian_increments(grid, 42, 3)
         b = brownian_increments(grid, 42, 5)
         np.testing.assert_array_equal(a, b[:, :3])
 
     def test_columns_are_the_per_path_streams(self):
         # time-major layout: column p is stream p, scaled to N(0, dt)
-        grid = make_grid(2.0, 16)
+        grid = TimeGrid(2.0, 16)
         b = brownian_increments(grid, 9, 4)
         assert b.shape == (16, 4)
         for p in range(4):
@@ -454,7 +474,7 @@ class TestFundamentalSpec:
     def test_sample_matches_ito_sampler(self):
         # the sampler reproduces the Euler Ito path for time-only
         # coefficients and the same (seed, stream)
-        grid = make_grid(1.0, 256)
+        grid = TimeGrid(1.0, 256)
         spec = FundamentalSpec(s0=50.0, mu=0.08, sigma=0.3)
         a = spec.sample(grid, 13, 2)
         dw = math.sqrt(grid.dt) * RandomSource(13, 2).normals(grid.steps)
@@ -471,18 +491,18 @@ class TestFundamentalSpec:
     ], ids=["constant", "functions", "sigma0", "zero_function_sigma"])
     @pytest.mark.parametrize("seed, stream, steps", [(42, 0, 512), (977, 3, 7), (7, 2**32 - 1, 1)])
     def test_sample_is_byte_identical_to_one_source_stream(self, spec, seed, stream, steps):
-        grid = make_grid(1.0, steps)
+        grid = TimeGrid(1.0, steps)
         expected = reference_sample(spec, grid, RandomSource(seed, stream)).values
         assert spec.sample(grid, seed, stream).values.tobytes() == expected.tobytes()
 
     def test_deterministic_sample_draws_nothing(self, monkeypatch):
         monkeypatch.setattr(experiments_module, "brownian_increments", None)
-        grid = make_grid(1.0, 64)
+        grid = TimeGrid(1.0, 64)
         spec = FundamentalSpec(s0=10.0, mu=lambda t: t, sigma=0.0)
         np.testing.assert_array_equal(spec.sample(grid, 42).values, spec.mean_path(grid).values)
 
     def test_mean_path_is_drift_integral(self):
-        grid = make_grid(2.0, 64)
+        grid = TimeGrid(2.0, 64)
         spec = FundamentalSpec(s0=10.0, mu=lambda t: t, sigma=0.0)
         mean = spec.mean_path(grid).values
         # left-point Riemann sum of the drift
@@ -494,7 +514,8 @@ class TestFundamentalSpec:
 class TestUtilityCandidateConstruction:
     def test_candidate_is_the_optimal_tracker(self):
         # multiplier 1 runs the closed-form-speed tracker started flat
-        from lobres import constant_path, optimal_tracker
+        from helpers import optimal_tracker
+        from lobres import constant_path
         from lobres.strategies import exponential_tracker
         gamma, sigma = 1.0, 0.2
         kappa = 256.0
@@ -512,13 +533,14 @@ class TestUtilityCandidateConstruction:
 
     def test_cell_matches_direct_engine_evaluation(self):
         # certainty equivalent recomputed by running the wealth engine per path
-        from lobres import constant_path, optimal_tracker
+        from helpers import optimal_tracker
+        from lobres import constant_path
         gamma, mu, sigma, kappa = 1.0, 0.1, 0.2, 64.0
         paths, seed = 64, 123
         grid = ladder_grid(1.0, 512, 4.0, kappa)
         report = utility_experiment(BookTemplate(), FundamentalSpec(100.0, mu, sigma), grid,
-                                    gamma=gamma, kappas=[kappa], multipliers=[1.0],
-                                    paths=paths, seed=seed, bootstrap=20)
+                                    KappaLadder((kappa,)), gamma=gamma, multipliers=[1.0],
+                                    paths=paths, seed=seed, x0=0.0, bootstrap=20)
         book = BookTemplate().materialize(grid, kappa)
         target = constant_path(grid, mu / (gamma * sigma**2))
         strat = optimal_tracker(book, constant_path(grid, sigma),
@@ -559,7 +581,8 @@ def _exact(paths):
 class TestChunkedMonteCarlo:
     @pytest.mark.parametrize("paths", [23, 3, 2])  # one path has no standard error
     def test_tracker_bound_equals_whole_matrix(self, small_chunks, paths):
-        kw = dict(target_drift=0.3, target_vol=0.8, target0=0.5, paths=paths, seed=11)
+        kw = dict(UNIT_TRACKER, target_drift=0.3, target_vol=0.8, target0=0.5, paths=paths,
+                  seed=11)
         ladder = KappaLadder.geometric(16.0, 4.0, 2)
         grid = _grid(ladder.max, CHUNK_STEPS)
         chunked = tracker_bound_experiment(ladder, grid, **kw)
@@ -583,7 +606,7 @@ class TestChunkedMonteCarlo:
         # the fused pass over time (one running sum, one (rungs, chunk)
         # position block) writes the tracker.csv bytes of the whole-matrix
         # cumsum and per-rung row-loop relaxation
-        kw = dict(case, paths=paths, seed=13)
+        kw = dict(UNIT_TRACKER, **case, paths=paths, seed=13)
         ladder = kw.pop("ladder", KappaLadder.geometric(16.0, 4.0, 3))
         grid = _grid(ladder.max, CHUNK_STEPS, kw.pop("resolution_scale", 4.0))
         if "resolution_scale" in case:
@@ -599,12 +622,12 @@ class TestChunkedMonteCarlo:
 
     @pytest.mark.parametrize("paths", [23, 3, 1])
     def test_lemma_jump_equals_whole_matrix(self, small_chunks, paths):
-        grid = make_grid(1.0, CHUNK_STEPS)
+        grid = TimeGrid(1.0, CHUNK_STEPS)
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
         args = (BookTemplate(h=1.0), blocks, FundamentalSpec(mu=0.1, sigma=0.2),
                 KappaLadder((16.0, 64.0, 256.0)))
-        chunked = lemma_jump_experiment(*args, paths=paths, seed=7)
-        whole = reference_lemma_jump_experiment(*args, paths=paths, seed=7)
+        chunked = lemma_jump_experiment(*args, width_scale=1.0, paths=paths, seed=7)
+        whole = reference_lemma_jump_experiment(*args, width_scale=1.0, paths=paths, seed=7)
         if _exact(paths):
             assert chunked.diffs.tobytes() == whole.diffs.tobytes()
             assert chunked.mean_diff.tobytes() == whole.mean_diff.tobytes()
@@ -613,18 +636,20 @@ class TestChunkedMonteCarlo:
         np.testing.assert_array_equal(chunked.frac_positive, whole.frac_positive)
 
     def test_noise_free_lemma_jump_equals_whole_matrix(self, small_chunks):
-        grid = make_grid(1.0, CHUNK_STEPS)
+        grid = TimeGrid(1.0, CHUNK_STEPS)
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
         args = (BookTemplate(h=1.0), blocks, FundamentalSpec(), KappaLadder((16.0, 64.0)))
-        chunked = lemma_jump_experiment(*args, paths=23)
-        whole = reference_lemma_jump_experiment(*args, paths=23)
+        chunked = lemma_jump_experiment(*args, width_scale=1.0, paths=23, seed=42)
+        whole = reference_lemma_jump_experiment(*args, width_scale=1.0, paths=23, seed=42)
         assert chunked.diffs.tobytes() == whole.diffs.tobytes()
         assert chunked.frac_positive.tobytes() == whole.frac_positive.tobytes()
 
     @pytest.mark.parametrize("paths", [23, 3, 1])
     def test_utility_equals_whole_matrix(self, small_chunks, paths):
-        args = (BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0, CHUNK_STEPS))
-        kw = dict(gamma=1.5, kappas=[16.0, 64.0], paths=paths, seed=5, x0=2.0, bootstrap=40)
+        args = (BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0, CHUNK_STEPS),
+                KappaLadder((16.0, 64.0)))
+        kw = dict(gamma=1.5, multipliers=(0.5, 1.0, 2.0), paths=paths, seed=5, x0=2.0,
+                  bootstrap=40)
         chunked = utility_experiment(*args, **kw)
         whole = reference_utility_experiment(*args, **kw)
         assert (chunked.kappas, chunked.multipliers) == (whole.kappas, whole.multipliers)
@@ -650,7 +675,8 @@ class TestChunkedMonteCarlo:
 
         monkeypatch.setattr(experiments_module, "_certainty_equivalents", recording)
         utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0, 64),
-                           gamma=1.0, kappas=[64.0], paths=paths, seed=9, bootstrap=200)
+                           KappaLadder((64.0,)), gamma=1.0, **THREE_SPEEDS, paths=paths, seed=9,
+                           bootstrap=200)
         every_path, *chunks = seen
         np.testing.assert_array_equal(every_path, np.arange(paths)[None, :])
         rows = max(1, experiments_module._CE_CHUNK_ELEMENTS // paths)
@@ -684,7 +710,7 @@ class TestMonteCarloMemory:
         # peak is one noise block, normals_block's lanes and the results
         ladder = KappaLadder((16.0, 64.0))
         peak = self._traced_peak(lambda: tracker_bound_experiment(
-            ladder, _grid(ladder.max), paths=self.PATHS, seed=1))
+            ladder, _grid(ladder.max), **UNIT_TRACKER, paths=self.PATHS, seed=1))
         chunk = experiments_module.paths_per_chunk(512)
         assert peak < 1.1 * (8 * 512 * chunk + lane_bytes(chunk, 512)
                              + 8 * len(ladder) * self.PATHS)
@@ -696,15 +722,17 @@ class TestMonteCarloMemory:
         # of indices and gathered samples and normals_block's lanes
         boot, paths = 200_000, 20
         peak = self._traced_peak(lambda: utility_experiment(
-            BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(256.0, 64), gamma=1.0,
-            kappas=[16.0, 64.0, 256.0], paths=paths, seed=1, bootstrap=boot))
+            BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(256.0, 64),
+            KappaLadder((16.0, 64.0, 256.0)), gamma=1.0, **THREE_SPEEDS, paths=paths, seed=1,
+            bootstrap=boot))
         rows = experiments_module.resamples_per_chunk(paths)
         assert peak < 1.1 * (8 * ((9 + 3) * boot + 2 * rows * paths) + lane_bytes(paths, 64))
 
     def test_utility_peak(self):
         peak = self._traced_peak(lambda: utility_experiment(
-            BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0), gamma=1.0,
-            kappas=[64.0], paths=self.PATHS, seed=1, bootstrap=50))
+            BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0),
+            KappaLadder((64.0,)), gamma=1.0, **THREE_SPEEDS, paths=self.PATHS, seed=1,
+            bootstrap=50))
         assert peak < self._bound(3) < 8 * 512 * self.PATHS / 4
 
 

@@ -1,9 +1,12 @@
-"""Every module-level import of the package is used by its module."""
+"""Every module-level import of the package is used by its module, and every
+public name is read by the package."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import lobres
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lobres"
 
@@ -53,3 +56,27 @@ def test_an_orphaned_import_is_found():
               "from .paths import RandomSource, SampledPath, TimeGrid\n"
               "def f(grid: 'TimeGrid') -> SampledPath:\n    return np.zeros(1)\n")
     assert unused_imports(source) == ["os", "RandomSource"]
+
+
+def unreached_names(sources, names) -> list[str]:
+    """The ``names`` that no module of ``sources`` reads, as a loaded name or
+    as an attribute."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in names if name not in read]
+
+
+def test_every_public_name_is_read_by_the_package():
+    # a name only __init__ re-exports is reached by no run
+    sources = [p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    assert unreached_names(sources, lobres.__all__) == []
+
+
+def test_an_unreached_name_is_found():
+    sources = ["def f(grid):\n    return grid.steps\n", "g = f(None)\nh = 1\n"]
+    assert unreached_names(sources, ["f", "g", "h", "steps"]) == ["g", "h"]

@@ -9,8 +9,8 @@ from scipy.stats import ks_2samp
 
 import lobres.paths as paths_module
 from helpers import reference_increments, reference_write_columns, run_python
-from lobres import (FundamentalSpec, RandomSource, SampledPath, constant_path,
-                    function_path, make_grid)
+from lobres import (FundamentalSpec, RandomSource, SampledPath, TimeGrid, constant_path,
+                    function_path)
 from lobres.experiments import brownian_increments
 from lobres.paths import _lemire, _segment_starts, normals_block, write_columns
 
@@ -22,32 +22,32 @@ def terminal_values(grid, seed, paths):
 
 class TestMakeGrid:
     def test_points(self):
-        grid = make_grid(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         np.testing.assert_array_equal(grid.points(), [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_minimal_grid(self):
-        grid = make_grid(1.0, 1)
+        grid = TimeGrid(1.0, 1)
         np.testing.assert_array_equal(grid.points(), [0.0, 1.0])
 
     @pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, -2)])
     def test_invalid_arguments(self, horizon, steps):
         with pytest.raises(ValueError):
-            make_grid(horizon, steps)
+            TimeGrid(horizon, steps)
 
     def test_spacing(self):
-        grid = make_grid(2.5, 10)
+        grid = TimeGrid(2.5, 10)
         assert grid.dt == pytest.approx(0.25)
         assert grid.n_points == 11
 
 
 class TestSampledPath:
     def test_length_mismatch(self):
-        grid = make_grid(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
             SampledPath(grid, np.zeros(4))
 
     def test_nonfinite_rejected(self):
-        grid = make_grid(1.0, 2)
+        grid = TimeGrid(1.0, 2)
         with pytest.raises(ValueError):
             SampledPath(grid, np.array([0.0, np.nan, 1.0]))
 
@@ -58,20 +58,20 @@ BROWNIAN = FundamentalSpec(s0=0.0, sigma=1.0)
 
 class TestBrownian:
     def test_determinism(self):
-        grid = make_grid(1.0, 64)
+        grid = TimeGrid(1.0, 64)
         a = BROWNIAN.sample(grid, 123, 5)
         b = BROWNIAN.sample(grid, 123, 5)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_streams_differ(self):
-        grid = make_grid(1.0, 64)
+        grid = TimeGrid(1.0, 64)
         a = BROWNIAN.sample(grid, 123, 0)
         b = BROWNIAN.sample(grid, 123, 1)
         assert not np.array_equal(a.values, b.values)
 
     def test_terminal_moments(self):
         # 1e5 paths of W_1 on a single-step grid: mean near 0, variance near 1
-        grid = make_grid(1.0, 1)
+        grid = TimeGrid(1.0, 1)
         w1 = terminal_values(grid, 2024, 100_000)
         for p in range(3):
             assert BROWNIAN.sample(grid, 2024, p).values[1] == w1[p]
@@ -80,8 +80,8 @@ class TestBrownian:
 
     def test_refinement_leaves_terminal_distribution_unchanged(self):
         # Kolmogorov-Smirnov on W_T sampled with N and 2N steps
-        a = terminal_values(make_grid(1.0, 32), 7, 10_000)
-        b = terminal_values(make_grid(1.0, 64), 8, 10_000)
+        a = terminal_values(TimeGrid(1.0, 32), 7, 10_000)
+        b = terminal_values(TimeGrid(1.0, 64), 8, 10_000)
         assert ks_2samp(a, b).pvalue > 0.01
 
 
@@ -129,7 +129,7 @@ class TestNormalsBlock:
         assert sorted(made) == redrawn
         monkeypatch.undo()
         # dt = 1, so the reference increments are the normals themselves
-        expected = reference_increments(make_grid(300.0, 300), 42, 5)
+        expected = reference_increments(TimeGrid(300.0, 300), 42, 5)
         assert block.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", [-1, -(2**40)])
@@ -184,23 +184,23 @@ class TestNormalsBlock:
 
 class TestDeterministicPaths:
     def test_constant(self):
-        grid = make_grid(1.0, 8)
+        grid = TimeGrid(1.0, 8)
         np.testing.assert_array_equal(constant_path(grid, 2.0).values, np.full(9, 2.0))
 
     def test_function_of_time(self):
-        grid = make_grid(1.0, 8)
+        grid = TimeGrid(1.0, 8)
         p = function_path(grid, lambda t: t)
         np.testing.assert_array_equal(p.values, grid.points())
 
     def test_pole_rejected(self):
         # detection is pointwise: the pole must land on a sampled point
-        grid = make_grid(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
             function_path(grid, lambda t: 1.0 / (t - 0.5) if t != 0.5 else math.inf)
 
     def test_constant_nonfinite(self):
         with pytest.raises(ValueError):
-            constant_path(make_grid(1.0, 4), math.nan)
+            constant_path(TimeGrid(1.0, 4), math.nan)
 
 
 class TestNdtriLoad:
