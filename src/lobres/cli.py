@@ -17,7 +17,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .config import KINDS, RunConfig, parse_config, validate_config
-from .errors import ConfigError, ConfigParseError
+from .errors import ConfigError
 from .experiments import (lemma_jump_experiment, theorem1_experiment, tracker_bound_experiment,
                           utility_experiment)
 from .paths import as_path, write_columns
@@ -205,9 +205,9 @@ def _load_config(path: str, seed: int | None, out: str | None) -> RunConfig:
     config = parse_config(Path(path).read_text())
     if seed is not None:  # replace() runs McConfig's seed check
         config = replace(config, mc=replace(config.mc, seed=seed))
-    if out == "":  # refused like an empty output.directory
-        raise ConfigParseError("output.directory must be a nonempty string")
-    return config if out is None else replace(config, output_dir=out)
+    if out is not None:  # replace() runs RunConfig's output directory check
+        config = replace(config, output_dir=out)
+    return config
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

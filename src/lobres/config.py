@@ -345,13 +345,6 @@ class McConfig:
         if self.seed < 0:
             raise ConfigValidationError(f"mc.seed must be non-negative, got {self.seed}")
 
-    def _check(self, kind: str, horizon: float) -> None:
-        # the text tracker_bound_experiment refuses with, so that a run's
-        # stderr is the same whichever check refuses it
-        if kind == "tracker-bound" and self.paths < 2:
-            raise ConfigValidationError(f"tracker-bound needs at least 2 paths for its "
-                                        f"standard errors (mc.paths), got {self.paths}")
-
 
 @_section
 class SmoothingConfig:
@@ -449,6 +442,11 @@ class RunConfig:
     utility: UtilityConfig | None = None
     bounds: BoundsConfig | None = None
 
+    def __post_init__(self) -> None:
+        # checked here so that an --out override is refused like output.directory
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigParseError("output.directory must be a nonempty string")
+
     def to_dict(self) -> dict:
         out: dict[str, Any] = {"kind": self.kind, "output": {"directory": self.output_dir}}
         if self.kind == "simulate":
@@ -507,8 +505,6 @@ def parse_config(text: str) -> RunConfig:
     mc = _parse(McConfig, d.pop("mc", {}), "mc", kind, None)
     out_raw = _as_mapping(d.pop("output", {}), "output")
     output_dir = out_raw.pop("directory", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigParseError("output.directory must be a nonempty string")
     _reject_unknown(out_raw, "output")
     x0 = _number(d.pop("x0", 0.0), "x0") if kind == "simulate" else 0.0
 
@@ -529,6 +525,11 @@ def parse_config(text: str) -> RunConfig:
     if KINDS[kind].rate_growth is not None and rungs < 3:
         raise ConfigValidationError(f"ladder must have at least 3 rungs for kind '{kind}' "
                                     f"(a rate fit needs 3 points), got {rungs}")
+    # the text tracker_bound_experiment refuses with, so that a run's stderr
+    # is the same whichever check refuses it
+    if kind == "tracker-bound" and mc.paths < 2:
+        raise ConfigValidationError(f"tracker-bound needs at least 2 paths for its "
+                                    f"standard errors (mc.paths), got {mc.paths}")
     return config
 
 

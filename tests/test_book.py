@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lobres import (BookParams, BookTemplate, Evaluation, SampledPath, Strategy, TimeGrid,
-                    constant_path, fit_rate, function_path, position_paths, rate_strategy)
+                    as_path, constant_path, fit_rate, function_path, position_paths,
+                    rate_strategy)
 from lobres.book import evolve_book
 
 
@@ -43,14 +44,19 @@ class TestBookParams:
     @pytest.mark.parametrize("given", [(), ("eps",), ("K", "h", "alpha", "eps")])
     def test_default_down_side_shares_the_up_path(self, given):
         # a down-side coefficient left None is the up side's own path object,
-        # not a copy: the scan shares that side's terms on this identity
+        # not a copy: the scan shares that side's terms on this identity; a
+        # given down side is the path of its own value
         grid = TimeGrid(1.0, 8)
         up = dict(K=2.0, h=lambda t: 1.0 + t, alpha=0.25, eps=0.01)
-        book = BookTemplate(**up, **{f"{k}_dn": up[k] for k in given}).materialize(grid, 10.0)
+        dn = dict(K=3.0, h=lambda t: 2.0 + t, alpha=0.1, eps=0.02)
+        book = BookTemplate(**up, **{f"{k}_dn": dn[k] for k in given}).materialize(grid, 10.0)
         for name in up:
             up_path, dn_path = getattr(book, f"{name}_up"), getattr(book, f"{name}_dn")
-            assert (dn_path is up_path) == (name not in given)
-            np.testing.assert_array_equal(dn_path.values, up_path.values)
+            if name in given:
+                np.testing.assert_array_equal(dn_path.values, as_path(grid, dn[name]).values)
+                assert not np.array_equal(dn_path.values, up_path.values)
+            else:
+                assert dn_path is up_path
 
 
 class TestEvolveSpreads:

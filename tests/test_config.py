@@ -473,8 +473,7 @@ ERROR_ROWS = [
      "mc.paths must be at most 2**32 (one stream id below 2**32 per path)"),
     (_with(LEMMA, smoothing={"width_scale": 0}), ConfigValidationError,
      "smoothing.width_scale must be positive"),
-    ({"kind": "tracker-bound", "mc": {"paths": 2}, "tracker": {"coeff_bound": 0}},
-     ConfigValidationError,
+    ({"kind": "tracker-bound", "tracker": {"coeff_bound": 0}}, ConfigValidationError,
      "tracker.coeff_bound and tracker.rate_floor must be positive"),
     (_with(UTILITY, utility={"multipliers": 2}), ConfigParseError,
      "utility.multipliers and utility.kappas must be lists"),
