@@ -140,18 +140,42 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
+def _post(pre: np.ndarray, idx: np.ndarray, jump: np.ndarray) -> np.ndarray:
+    """A post-jump state: the pre-jump state plus the jumps at the blocks."""
+    post = pre.copy()
+    post[idx] += jump
+    return post
+
+
 @dataclass
 class BookEvolution:
-    """Raw excess-spread and permanent-impact state produced by the scan."""
+    """Raw excess-spread and permanent-impact state produced by the scan.
+
+    The post-jump states differ from the pre-jump ones only at the block
+    indices ``idx``, so only the jumps there are held; each ``*_post``
+    property builds its full path when read."""
 
     exc_up_pre: np.ndarray
-    exc_up_post: np.ndarray
     exc_dn_pre: np.ndarray
-    exc_dn_post: np.ndarray
     exc_up_int: np.ndarray
     exc_dn_int: np.ndarray
     perm_pre: np.ndarray
-    perm_post: np.ndarray
+    idx: np.ndarray
+    jump_up: np.ndarray
+    jump_dn: np.ndarray
+    jump_pm: np.ndarray
+
+    @property
+    def exc_up_post(self) -> np.ndarray:
+        return _post(self.exc_up_pre, self.idx, self.jump_up)
+
+    @property
+    def exc_dn_post(self) -> np.ndarray:
+        return _post(self.exc_dn_pre, self.idx, self.jump_dn)
+
+    @property
+    def perm_post(self) -> np.ndarray:
+        return _post(self.perm_pre, self.idx, self.jump_pm)
 
 
 def _check_grids(params: BookParams, strategy: Strategy) -> None:
@@ -251,16 +275,9 @@ def evolve_book(params: BookParams, strategy: Strategy) -> BookEvolution:
 
     exc_up_pre = np.frombuffer(up)
     exc_dn_pre = np.frombuffer(dn)
-    perm_pre = np.frombuffer(pm)
-    exc_up_post = exc_up_pre.copy()
-    exc_dn_post = exc_dn_pre.copy()
-    perm_post = perm_pre.copy()
-    exc_up_post[idx] += jump_up
-    exc_dn_post[idx] += jump_dn
-    perm_post[idx] += jump_pm
-    exc_up_int = exc_up_post[:n] * w1_up + b_w2_up
+    exc_up_int = _post(exc_up_pre, idx, jump_up)[:n] * w1_up + b_w2_up
     del b_w2_up
-    exc_dn_int = exc_dn_post[:n] * w1_dn + b_w2_dn
+    exc_dn_int = _post(exc_dn_pre, idx, jump_dn)[:n] * w1_dn + b_w2_dn
 
-    return BookEvolution(exc_up_pre, exc_up_post, exc_dn_pre, exc_dn_post,
-                         exc_up_int, exc_dn_int, perm_pre, perm_post)
+    return BookEvolution(exc_up_pre, exc_dn_pre, exc_up_int, exc_dn_int, np.frombuffer(pm),
+                         idx, jump_up, jump_dn, jump_pm)

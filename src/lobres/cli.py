@@ -20,8 +20,7 @@ from .config import KINDS, RunConfig, parse_config, validate_config
 from .errors import ConfigError
 from .experiments import (lemma_jump_experiment, theorem1_experiment, tracker_bound_experiment,
                           utility_experiment)
-from .paths import as_path, write_columns
-from .strategies import Strategy, block_schedule, exponential_tracker, rate_strategy
+from .paths import write_tables
 from .wealth import Evaluation
 
 logger = logging.getLogger("lobres")
@@ -98,24 +97,11 @@ class RunResult:
         return all(self.gates.values())
 
 
-def _build_strategy(config: RunConfig, grid) -> Strategy:
-    sc = config.strategy
-    if sc.type == "zero":
-        return rate_strategy(grid, 0.0, sc.phi0)
-    if sc.type == "rate":
-        return rate_strategy(grid, sc.rate.value(), sc.phi0)
-    if sc.type == "blocks":
-        return block_schedule(grid, sc.blocks, sc.t_prime)
-    return exponential_tracker(as_path(grid, sc.target.value()),
-                               as_path(grid, sc.rate_scale.value()), config.book.kappa,
-                               sc.start)
-
-
 def _run_simulate(config: RunConfig) -> RunResult:
     grid = config.time_grid()
     book = config.book.template().materialize(grid, config.book.kappa)
     fund = config.fundamental.spec().sample(grid, config.mc.seed)
-    strategy = _build_strategy(config, grid)
+    strategy = config.build_strategy(grid)
 
     evaluation = Evaluation(book, strategy, fund)
     wealth = evaluation.ow(config.x0)
@@ -127,7 +113,7 @@ def _run_simulate(config: RunConfig) -> RunResult:
 
 def _run_gap(config: RunConfig) -> RunResult:
     report = theorem1_experiment(
-        config.book.template(), _build_strategy(config, config.time_grid()),
+        config.book.template(), config.build_strategy(config.time_grid()),
         config.kappas(), rate_growth=KINDS[config.kind].rate_growth,
         bounds=None if config.bounds is None else config.bounds.bounds())
     summary = {"slope": None if report.slope is None else repr(report.slope)}
@@ -136,7 +122,7 @@ def _run_gap(config: RunConfig) -> RunResult:
 
 def _run_lemma(config: RunConfig) -> RunResult:
     report = lemma_jump_experiment(
-        config.book.template(), _build_strategy(config, config.time_grid()),
+        config.book.template(), config.build_strategy(config.time_grid()),
         config.fundamental.spec(), config.kappas(),
         width_scale=config.smoothing.width_scale, paths=config.mc.paths,
         seed=config.mc.seed)
@@ -182,8 +168,7 @@ def run_config(config: RunConfig) -> RunResult:
     out = Path(config.output_dir)
     result = _RUNNERS[config.kind](config)
     out.mkdir(parents=True, exist_ok=True)
-    for name, table in result.tables.items():
-        write_columns(out / name, table())
+    write_tables({out / name: table() for name, table in result.tables.items()})
     summary = {
         "schema_version": SCHEMA_VERSION,
         "kind": config.kind,

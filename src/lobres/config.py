@@ -22,9 +22,11 @@ from typing import Any, Callable, NamedTuple
 
 from .book import BookTemplate
 from .errors import ConfigParseError, ConfigValidationError
-from .experiments import (FundamentalSpec, KappaLadder, UniformBounds, ladder_grid,
-                          paths_per_chunk, resamples_per_chunk)
-from .paths import TimeGrid, lane_layout
+from .experiments import (FundamentalSpec, KappaLadder, UniformBounds, check_utility_book,
+                          ladder_grid, paths_per_chunk, resamples_per_chunk)
+from .paths import TimeGrid, as_path, lane_layout
+from .strategies import (Strategy, block_schedule, exponential_tracker, rate_strategy,
+                         smoothing_windows)
 
 _REQUIRED = object()  # the default of a key that must be given
 
@@ -486,6 +488,36 @@ class RunConfig:
                                         "sqrt(largest kappa)) must be finite")
         return ladder_grid(g.horizon, g.n0, g.resolution_scale, kappa_max)
 
+    def build_strategy(self, grid: TimeGrid) -> Strategy:
+        """The run's strategy on ``grid``."""
+        sc = self.strategy
+        if sc.type == "zero":
+            return rate_strategy(grid, 0.0, sc.phi0)
+        if sc.type == "rate":
+            return rate_strategy(grid, sc.rate.value(), sc.phi0)
+        if sc.type == "blocks":
+            return block_schedule(grid, sc.blocks, sc.t_prime)
+        return exponential_tracker(as_path(grid, sc.target.value()),
+                                   as_path(grid, sc.rate_scale.value()), self.book.kappa,
+                                   sc.start)
+
+    def check_inputs(self) -> None:
+        """Run the checks an experiment makes of its inputs before it starts,
+        on this run's grid, so that ``validate`` refuses what the run refuses
+        with the run's own ValueError: l2's declared bounds on the first
+        rung, the utility experiment's book on its first kappa, and
+        lemma-jump's smoothing windows on every rung."""
+        grid, kappas = self.time_grid(), self.kappas()
+        if self.kind == "l2" and self.bounds is not None:
+            self.bounds.bounds().check(self.book.template().materialize(grid, kappas.values[0]),
+                                       self.build_strategy(grid))
+        elif self.kind == "utility":
+            check_utility_book(self.book.template().materialize(grid, kappas.values[0]))
+        elif self.kind == "lemma-jump":
+            blocks = self.build_strategy(grid).blocks
+            for kappa in kappas:
+                smoothing_windows(grid, blocks, kappa, self.smoothing.width_scale)
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
@@ -530,6 +562,10 @@ def parse_config(text: str) -> RunConfig:
     if kind == "tracker-bound" and mc.paths < 2:
         raise ConfigValidationError(f"tracker-bound needs at least 2 paths for its "
                                     f"standard errors (mc.paths), got {mc.paths}")
+    try:
+        config.check_inputs()
+    except ValueError as exc:
+        raise ConfigValidationError(str(exc)) from exc
     return config
 
 
@@ -546,10 +582,10 @@ SCIPY_BYTES = 9 * 2**19
 # Bytes per grid point live at the peak of a one-path run, which an
 # evaluation sets once its projections are built: the book's four coefficient
 # paths (a symmetric book shares them), the strategy and the fundamental, the
-# scan's eight state paths and the six wealth and four spread paths, about 25
-# float64 values (simulate's estimate is within 3% of its peak RSS between
-# 40,000 and 253,000 steps).
-ONE_PATH_BYTES_PER_POINT = 8 * 25
+# scan's three pre-jump and two integrated state paths and the six wealth and
+# four spread paths, 21 float64 values (simulate's estimate is within 2% of
+# its peak RSS between 40,000 and 253,000 steps).
+ONE_PATH_BYTES_PER_POINT = 8 * 21
 
 
 def lane_bytes(paths: int, steps: int) -> int:

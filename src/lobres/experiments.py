@@ -429,6 +429,17 @@ def _certainty_equivalents(x: np.ndarray, idx: np.ndarray, gamma: float) -> np.n
     return xmin[:, 0] - np.log(xs.mean(axis=1)) / gamma
 
 
+def check_utility_book(book: BookParams) -> None:
+    """Refuse a book the utility experiment does not model: it needs zero
+    baseline spreads, zero permanent impact and a symmetric book."""
+    if np.any(book.eps_up.values != 0) or np.any(book.eps_dn.values != 0):
+        raise ValueError("utility experiment requires zero baseline spreads")
+    if np.any(book.alpha_up.values != 0) or np.any(book.alpha_dn.values != 0):
+        raise ValueError("utility experiment requires zero permanent impact")
+    if not book.is_symmetric():
+        raise ValueError("utility experiment requires a symmetric book")
+
+
 def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, grid: TimeGrid,
                        ladder: KappaLadder, *, gamma: float, multipliers: Sequence[float],
                        paths: int, seed: int, x0: float, bootstrap: int) -> UtilityReport:
@@ -456,12 +467,7 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, gri
     multipliers = tuple(float(c) for c in multipliers)
 
     probe = template.materialize(grid, ladder.values[0])
-    if np.any(probe.eps_up.values != 0) or np.any(probe.eps_dn.values != 0):
-        raise ValueError("utility experiment requires zero baseline spreads")
-    if np.any(probe.alpha_up.values != 0) or np.any(probe.alpha_dn.values != 0):
-        raise ValueError("utility experiment requires zero permanent impact")
-    if not probe.is_symmetric():
-        raise ValueError("utility experiment requires a symmetric book")
+    check_utility_book(probe)
 
     mu = float(fundamental.mu)
     sigma = float(fundamental.sigma)

@@ -12,6 +12,7 @@ without running ``scipy.special``'s package init (see :func:`_ndtri`).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -339,16 +340,17 @@ def as_path(grid: TimeGrid, value: "float | Callable[[float], float] | SampledPa
     return constant_path(grid, value)
 
 
-# Rows formatted and written at once by write_columns.
+# Rows formatted and written at once by write_tables.
 _BLOCK_ROWS = 2048
-# A cell the csv module would quote: write_columns refuses it.
+# A cell the csv module would quote: write_tables refuses it.
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def _array_texts(values: np.ndarray) -> list[str]:
     """``repr(float(v))`` of a non-empty float array's cells, formatted once
     per run of equal bit patterns (the uint64 view keeps -0.0, 0.0 and NaN
-    payloads apart); ``str`` of an integer array's cells.
+    payloads apart); ``str`` of an integer array's cells.  A block that is
+    one run is one text repeated.
 
     Runs rather than ``np.unique``: its first call pages in about 0.5 MB of
     numpy's sort code, which a run whose memory peaks while it writes its
@@ -358,19 +360,15 @@ def _array_texts(values: np.ndarray) -> list[str]:
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits = values.view(np.uint64)
     firsts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if len(firsts) == 1:
+        return [repr(float(values[0]))] * len(values)
     texts = np.array(list(map(repr, values[firsts].tolist())), dtype=object)
     return np.repeat(texts, np.diff(firsts, append=len(values))).tolist()
 
 
-def write_columns(path, table: dict) -> None:
-    """Write ``table``, an ordered map from column name to column, as CSV with
-    the names as header.  A column is a 1-D array or a list of ready text
-    cells, all of one length.  The bytes are the csv module's: a float array
-    cell is ``repr(float(v))`` and lines end in ``\\r\\n``.  Array rows are
-    formatted and written in blocks of ``_BLOCK_ROWS``.  A name or list cell
-    the csv module would quote, and a one-column table with an empty name or
-    cell (which it writes as ``""``), are refused with ValueError before the
-    file is opened."""
+def _table_parts(table: dict) -> tuple[list, list, int]:
+    """(header, columns, rows) of a table write_tables accepts, or the
+    ValueError that refuses it."""
     header, columns = list(table), list(table.values())
     for texts in [header, *(c for c in columns if isinstance(c, list))]:
         if any(map(_NEEDS_QUOTES.search, texts)):
@@ -380,10 +378,42 @@ def write_columns(path, table: dict) -> None:
         raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
     if len(columns) == 1 and ("" in header or isinstance(columns[0], list) and "" in columns[0]):
         raise ValueError("a one-column CSV table has an empty name or cell")
-    rows = lengths.pop() if columns else 0
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for a in range(0, rows, _BLOCK_ROWS):
-            block = [c[a:a + _BLOCK_ROWS] if isinstance(c, list)
-                     else _array_texts(c[a:a + _BLOCK_ROWS]) for c in columns]
-            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+    return header, columns, lengths.pop() if columns else 0
+
+
+def write_tables(tables: dict) -> None:
+    """Write each table of ``tables``, a map from file path to table, as CSV.
+    A table is an ordered map from column name to column, with the names as
+    header; a column is a 1-D array or a list of ready text cells, all of one
+    length.  The bytes are the csv module's: a float array cell is
+    ``repr(float(v))`` and lines end in ``\\r\\n``.  A name or list cell the
+    csv module would quote, columns of unequal length, and a one-column table
+    with an empty name or cell (which it writes as ``""``), are refused with
+    ValueError before any file is opened.
+
+    Rows are formatted and written in blocks of ``_BLOCK_ROWS``, one pass
+    over all tables together; within a block, an array block with the dtype
+    and bytes of one already formatted (a time grid in two tables, a column
+    equal to another away from a few rows) reuses its texts."""
+    parts = [(path, *_table_parts(table)) for path, table in tables.items()]
+    with contextlib.ExitStack() as stack:
+        files = []
+        for path, header, columns, rows in parts:
+            fh = stack.enter_context(open(path, "w", newline=""))
+            fh.write(",".join(header) + "\r\n")
+            files.append((fh, columns, rows))
+        for a in range(0, max((rows for *_, rows in parts), default=0), _BLOCK_ROWS):
+            formatted: dict[tuple[str, bytes], list[str]] = {}
+            for fh, columns, rows in files:
+                if a >= rows:
+                    continue
+                block = []
+                for c in columns:
+                    cells = c[a:a + _BLOCK_ROWS]
+                    if not isinstance(cells, list):
+                        key = (cells.dtype.str, cells.tobytes())
+                        if key not in formatted:
+                            formatted[key] = _array_texts(cells)
+                        cells = formatted[key]
+                    block.append(cells)
+                fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")

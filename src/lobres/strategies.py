@@ -111,40 +111,51 @@ def block_schedule(grid: TimeGrid, trades: Iterable[tuple[float, float]],
     return Strategy(grid, constant_path(grid, 0.0), tuple(blocks))
 
 
-def smooth_blocks(strategy: Strategy, kappa: float, width_scale: float) -> Strategy:
-    """Replace each block by a constant rate over a window of width
-    width_scale * kappa^(-1/4) starting at the block time.
-
-    The window is rounded to whole steps and the final partial step's rate is
-    adjusted so the traded volume equals the block size exactly.  Windows must
-    not overlap and must end by the horizon.
-    """
-    if np.any(strategy.rate_steps != 0.0):
-        raise ValueError("smoothing expects a pure block strategy")
-    if not strategy.blocks:
-        return Strategy(strategy.grid, constant_path(strategy.grid, 0.0), (), strategy.phi0)
+def smoothing_windows(grid: TimeGrid, blocks: tuple[tuple[int, float], ...], kappa: float,
+                      width_scale: float) -> list[tuple[int, float, float, int, int]]:
+    """(index, size, rate, full steps, steps used) of each block's smoothing
+    window of width width_scale * kappa^(-1/4) on ``grid``, rounded to whole
+    steps; refuses windows that overlap or end past the horizon."""
     if kappa <= 0 or width_scale <= 0:
         raise ValueError("kappa and width_scale must be positive")
-
-    grid = strategy.grid
     dt = grid.dt
     width = width_scale * kappa ** -0.25
-    rate = np.zeros(grid.n_points)
+    windows = []
     prev_end = 0
-    for idx, size in strategy.blocks:
+    for idx, size in blocks:
         if idx < prev_end:
             raise ValueError("smoothing windows overlap")
-        r = size / width
         n_full = int(width / dt + 1e-12)
         remainder = width - n_full * dt
         n_used = n_full + (1 if remainder > 1e-9 * dt else 0)
         if idx + n_used > grid.steps:
             raise ValueError("smoothing window extends past the horizon")
+        windows.append((idx, size, size / width, n_full, n_used))
+        prev_end = idx + n_used
+    return windows
+
+
+def smooth_blocks(strategy: Strategy, kappa: float, width_scale: float) -> Strategy:
+    """Replace each block by a constant rate over its window (see
+    :func:`smoothing_windows`) starting at the block time.
+
+    The final partial step's rate is adjusted so the traded volume equals the
+    block size exactly.
+    """
+    if np.any(strategy.rate_steps != 0.0):
+        raise ValueError("smoothing expects a pure block strategy")
+    if not strategy.blocks:
+        return Strategy(strategy.grid, constant_path(strategy.grid, 0.0), (), strategy.phi0)
+
+    grid = strategy.grid
+    dt = grid.dt
+    rate = np.zeros(grid.n_points)
+    for idx, size, r, n_full, n_used in smoothing_windows(grid, strategy.blocks, kappa,
+                                                          width_scale):
         rate[idx:idx + n_full] = r
         if n_used > n_full:
             # last partial step makes the realized volume exact
             rate[idx + n_full] = (size - r * n_full * dt) / dt
-        prev_end = idx + n_used
     return Strategy(grid, SampledPath(grid, rate), (), strategy.phi0)
 
 

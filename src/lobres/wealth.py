@@ -124,7 +124,9 @@ class Evaluation:
         r = self.strategy.rate_steps
         r_up, r_dn = self._rates()
         pre_pos, post_pos = position_paths(self.strategy)
-        gain_events = self._events(pre_pos[idx] * (state.perm_post[idx] - state.perm_pre[idx]))
+        # the permanent impact's jumps at the blocks, as perm_post[idx] - perm_pre[idx]
+        perm_at = state.perm_pre[idx]
+        gain_events = self._events(pre_pos[idx] * ((perm_at + state.jump_pm) - perm_at))
         # position held while its own permanent impact accrues: the trade is
         # spread uniformly over the step, hence the r*dt/2 midpoint term
         steps = self._g(r_up, r_dn) * (post_pos[:n] * dt + r * dt * dt / 2.0)
@@ -176,16 +178,20 @@ class Evaluation:
 
     def reference(self) -> ReferencePricePath:
         """Fundamental price shifted by the cumulative permanent impact of trades."""
-        return ReferencePricePath(
-            values=SampledPath(self.book.grid, self.fundamental.values + self.state.perm_post),
-            pre=self.fundamental.values + self.state.perm_pre)
+        values = self.state.perm_post
+        values += self.fundamental.values
+        return ReferencePricePath(values=SampledPath(self.book.grid, values),
+                                  pre=self.fundamental.values + self.state.perm_pre)
 
     def spreads(self) -> SpreadPaths:
         """Bid/ask spread paths (baseline plus transient excess)."""
         book, state = self.book, self.state
+        # each post-jump state is a fresh array, so the baseline is added in place
+        ask, bid = state.exc_up_post, state.exc_dn_post
+        ask += book.eps_up.values
+        bid += book.eps_dn.values
         return SpreadPaths(
-            ask=SampledPath(book.grid, book.eps_up.values + state.exc_up_post),
-            bid=SampledPath(book.grid, book.eps_dn.values + state.exc_dn_post),
+            ask=SampledPath(book.grid, ask), bid=SampledPath(book.grid, bid),
             ask_pre=book.eps_up.values + state.exc_up_pre,
             bid_pre=book.eps_dn.values + state.exc_dn_pre)
 

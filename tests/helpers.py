@@ -9,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,8 +48,9 @@ def random_strategy(grid, rng, rate_scale=2.0, n_blocks=4, phi0=0.0):
 
 def reference_evolve_book(params, strategy):
     """Per-step loop over numpy elements: the reference for ``evolve_book``,
-    which must reproduce every value of it bit for bit."""
-    from lobres.book import BookEvolution, _check_grids, _phi1, _phi2
+    which must reproduce every value of it bit for bit, pre- and post-jump
+    states alike."""
+    from lobres.book import _check_grids, _phi1, _phi2
 
     _check_grids(params, strategy)
     grid = params.grid
@@ -116,8 +118,10 @@ def reference_evolve_book(params, strategy):
             ed = ed * decay_dn[i] + b_dn[i] * w1_dn[i]
             pm = pm + g[i] * dt
 
-    return BookEvolution(exc_up_pre, exc_up_post, exc_dn_pre, exc_dn_post,
-                         exc_up_int, exc_dn_int, perm_pre, perm_post)
+    return SimpleNamespace(exc_up_pre=exc_up_pre, exc_up_post=exc_up_post,
+                           exc_dn_pre=exc_dn_pre, exc_dn_post=exc_dn_post,
+                           exc_up_int=exc_up_int, exc_dn_int=exc_dn_int,
+                           perm_pre=perm_pre, perm_post=perm_post)
 
 
 # The per-projection engines that ``lobres.wealth.Evaluation`` replaced, kept

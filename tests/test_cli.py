@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import lobres.experiments as experiments_module
-from helpers import run_python
+from helpers import reference_write_columns, run_python
 from lobres import (BookTemplate, KappaLadder, TimeGrid, UniformBounds, rate_strategy,
                     theorem1_experiment)
 from lobres.cli import main
-from lobres.config import parse_config, validate_config
-from lobres.paths import write_columns
+from lobres.config import RunConfig, parse_config, validate_config
+from lobres.paths import write_tables
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -99,7 +99,7 @@ class TestSimulate:
                                    SampledPath(g, column("bid", g)),
                                    column("ask_pre", g), column("bid_pre", g))
 
-        monkeypatch.setattr(cli, "_build_strategy", strategy)
+        monkeypatch.setattr(RunConfig, "build_strategy", strategy)
         monkeypatch.setattr(cli, "Evaluation", Evaluation)
         out = tmp_path / "artifacts"
         assert main(["simulate", "--config", str(write_config(tmp_path, SIMULATE_ZERO)),
@@ -132,28 +132,58 @@ class TestSimulate:
 
     def test_evaluation_is_freed_before_writing(self, tmp_path, monkeypatch):
         # the scan's arrays set the peak memory; none of them is held while
-        # the artifacts are written
+        # the artifacts are written, all in one call of the writer
         import weakref
 
         import lobres.cli as cli
 
-        evaluations = []
+        evaluations, calls = [], []
 
         class Tracked(cli.Evaluation):
             def __init__(self, *args):
                 super().__init__(*args)
                 evaluations.append(weakref.ref(self))
 
-        def write(path, table):
+        def write(tables):
             assert evaluations and all(ref() is None for ref in evaluations)
-            write_columns(path, table)
+            calls.append(sorted(path.name for path in tables))
+            write_tables(tables)
 
         monkeypatch.setattr(cli, "Evaluation", Tracked)
-        monkeypatch.setattr(cli, "write_columns", write)
+        monkeypatch.setattr(cli, "write_tables", write)
         out = tmp_path / "artifacts"
         assert main(["simulate", "--config", str(write_config(tmp_path, SIMULATE_ZERO)),
                      "--out", str(out)]) == 0
+        assert calls == [["spreads.csv", "strategy.csv", "wealth.csv"]]
         assert (out / "strategy.csv").exists()
+
+    def test_artifacts_equal_the_csv_module_writer(self, tmp_path, monkeypatch):
+        # more than two row blocks, blocks of either sign and a noisy price:
+        # the blocks with a jump in them format ask_pre/bid_pre on their own,
+        # the rest reuse ask/bid, and t is formatted once for both tables
+        import lobres.cli as cli
+        import lobres.paths as paths_module
+
+        tables = {}
+
+        def write(given):
+            tables.update(given)
+            write_tables(given)
+
+        monkeypatch.setattr(cli, "write_tables", write)
+        steps = 2 * paths_module._BLOCK_ROWS + 900
+        config = dict(SIMULATE_ZERO, grid={"horizon": 1.0, "n0": steps},
+                      fundamental={"s0": 100.0, "mu": 0.05, "sigma": 0.3},
+                      strategy={"type": "blocks", "blocks": [[0.0, 1.0], [0.45, -2.5]],
+                                "t_prime": 0.9})
+        out = tmp_path / "artifacts"
+        assert main(["simulate", "--config", str(write_config(tmp_path, config)),
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in tables) == ["spreads.csv", "strategy.csv", "wealth.csv"]
+        assert len(tables[out / "wealth.csv"]["t"]) == steps + 1
+        for path, table in tables.items():
+            reference_write_columns(tmp_path / "reference.csv", table)
+            assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes(), path.name
 
     def test_book_is_scanned_once(self, tmp_path, monkeypatch):
         # wealth and spreads are projections of one evaluation; the scan is
@@ -253,6 +283,22 @@ MISMATCHES = [(command, kind) for command, kinds in COMMAND_KINDS.items()
               for kind in KIND_CONFIGS if kind not in kinds]
 
 
+# A shipped config with one value its experiment refuses (file, section, key,
+# value) and the experiment's message, which the parser reports as well.
+EXPERIMENT_REFUSALS = {
+    "utility-alpha": ("utility.json", "book", "alpha", 0.1,
+                      "utility experiment requires zero permanent impact"),
+    "utility-eps": ("utility.json", "book", "eps", 0.01,
+                    "utility experiment requires zero baseline spreads"),
+    "utility-h-down": ("utility.json", "book", "h_down", 2.0,
+                       "utility experiment requires a symmetric book"),
+    "lemma-width-scale": ("lemma_jump.json", "smoothing", "width_scale", 3,
+                          "smoothing window extends past the horizon"),
+    "l2-rate-bound": ("l2.json", "bounds", "rate", 0.5,
+                      "strategy rate exceeds its declared uniform bound"),
+}
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 3
@@ -296,6 +342,37 @@ class TestExitCodes:
         assert main([command, "--config", str(CONFIG_DIR / "theorem1.json"), "--out", ""]) == 2
         assert capsys.readouterr() == ("", "error: output.directory must be a nonempty string\n")
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("name", list(EXPERIMENT_REFUSALS))
+    @pytest.mark.parametrize("validate", [True, False], ids=["validate", "run"])
+    def test_validate_refuses_what_the_experiment_refuses(self, tmp_path, capsys, name,
+                                                          validate):
+        # one error line with the experiment's own text, and no output directory
+        file, section, key, value, message = EXPERIMENT_REFUSALS[name]
+        payload = json.loads((CONFIG_DIR / file).read_text())
+        payload[section][key] = value
+        command = "validate" if validate else {"utility.json": "utility"}.get(file, "converge")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, payload)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", list(EXPERIMENT_REFUSALS))
+    def test_the_experiment_itself_still_refuses(self, tmp_path, monkeypatch, name):
+        # the parser's check is the experiment's: skipping it at parse time
+        # leaves the run's refusal as it was
+        import lobres.cli as cli
+        import lobres.config as config_module
+        file, section, key, value, message = EXPERIMENT_REFUSALS[name]
+        payload = json.loads((CONFIG_DIR / file).read_text())
+        payload[section][key] = value
+        monkeypatch.setattr(config_module.RunConfig, "check_inputs", lambda self: None)
+        config = parse_config(json.dumps(payload))
+        with pytest.raises(ValueError) as info:
+            cli._RUNNERS[config.kind](config)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
@@ -388,7 +465,7 @@ class TestConvergeCommand:
             rate_growth=rate_growth,
             bounds=None if bounds is None else UniformBounds(*bounds.values()))
         expected = tmp_path / "expected.csv"
-        write_columns(expected, report.table())
+        write_tables({expected: report.table()})
         assert (out / "convergence.csv").read_bytes() == expected.read_bytes()
         assert summary["report"]["slope"] == repr(report.slope)
 

@@ -588,7 +588,7 @@ INLINE_CONFIGS = {
                   "bounds": {"rate": 2, "coefficient": 3.5, "resilience_floor": 0.25},
                   "ladder": {"start": 4, "factor": 3, "count": 4},
                   "mc": {"paths": 3, "seed": 0}},
-    "lemma_jump_blocks": {"kind": "lemma-jump", "smoothing": {"width_scale": 0.5},
+    "lemma_jump_blocks": {"kind": "lemma-jump", "smoothing": {"width_scale": 0.2},
                           "strategy": {"type": "blocks", "blocks": [[0, -1], [0.125, 2.5]],
                                        "t_prime": 0.25}},
     "tracker_bound": {"kind": "tracker-bound", "mc": {"paths": 2},
@@ -617,8 +617,8 @@ GOLDEN = {
                          "cfd5fa8fb8a8abd3"),
     "l2_bounds": ("e3116955ba994011714bd43c473a5695c22c4e8add339abf52909830e3059472",
                   "ecd487ca64f77f2b"),
-    "lemma_jump_blocks": ("a60415632375cb1e4a7545d763021dd03bc7fa86bbc64ba01f8a6e0e45c42d22",
-                          "e71ea70b186f546c"),
+    "lemma_jump_blocks": ("e68852418fc382d3fdfda8e2508be793cdd59c768f38b1c41e6435267eec2d6f",
+                          "a7f156b64761742c"),
     "tracker_bound": ("042354512a9ededbce4aea5983ca065b30a18ae5b17c1ae2bff09951adae5aaa",
                       "6ceb2c60736cfe03"),
     "utility": ("d90b580e099922099badaf257546e35b154a4685027ce37cba32d723fc710f52",

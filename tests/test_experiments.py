@@ -18,7 +18,7 @@ from lobres.cli import _gates
 from lobres.config import lane_bytes
 from lobres.experiments import (ConvergenceReport, LemmaJumpReport, TrackerBoundReport,
                                 UtilityReport, brownian_increments)
-from lobres.paths import write_columns
+from lobres.paths import write_tables
 from lobres.strategies import block_schedule, smooth_blocks
 
 
@@ -616,7 +616,7 @@ class TestChunkedMonteCarlo:
         written = []
         for run in (tracker_bound_experiment, reference_tracker_bound_experiment):
             path = tmp_path / f"{run.__name__}.csv"
-            write_columns(path, run(ladder, grid, **kw).table())
+            write_tables({path: run(ladder, grid, **kw).table()})
             written.append(path.read_bytes())
         assert written[0] == written[1]
 
@@ -760,7 +760,7 @@ def test_report_tables_put_each_value_under_its_name(tmp_path):
     ]
     for report, expected in cases:
         path = tmp_path / "table.csv"
-        write_columns(path, report.table())
+        write_tables({path: report.table()})
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(expected)

@@ -12,7 +12,7 @@ from helpers import reference_increments, reference_write_columns, run_python
 from lobres import (FundamentalSpec, RandomSource, SampledPath, TimeGrid, constant_path,
                     function_path)
 from lobres.experiments import brownian_increments
-from lobres.paths import _lemire, _segment_starts, normals_block, write_columns
+from lobres.paths import _lemire, _segment_starts, normals_block, write_tables
 
 
 def terminal_values(grid, seed, paths):
@@ -267,9 +267,16 @@ def _expand(pool, rows, rng, runs):
     return [pool[i] for i in picks]
 
 
+ROW_COUNTS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+
 @st.composite
 def tables(draw):
-    rows = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]))
+    return draw(tables_of_rows(draw(st.sampled_from(ROW_COUNTS))))
+
+
+@st.composite
+def tables_of_rows(draw, rows):
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     table = {}
     for j in range(draw(st.integers(1, 4))):
@@ -296,14 +303,14 @@ class TestWriteColumns:
         old = (d / "old.csv").read_bytes()
         if b'"' in old:
             with pytest.raises(ValueError, match="one-column"):
-                write_columns(d / "new.csv", table)
+                write_tables({d / "new.csv": table})
         else:
-            write_columns(d / "new.csv", table)
+            write_tables({d / "new.csv": table})
             assert (d / "new.csv").read_bytes() == old
 
     def test_signed_zeros_and_nans_keep_their_texts(self, tmp_path):
         values = np.array(AWKWARD_BITS, dtype=np.uint64).view(np.float64)
-        write_columns(tmp_path / "a.csv", {"v": np.tile(values, 3)})
+        write_tables({tmp_path / "a.csv": {"v": np.tile(values, 3)}})
         assert (tmp_path / "a.csv").read_text().split()[1:10] == [
             "0.0", "-0.0", "nan", "nan", "nan", "nan", "inf", "-inf", "5e-324"]
 
@@ -317,7 +324,7 @@ class TestWriteColumns:
             "comma-in-cell"])
     def test_cells_the_csv_module_would_quote_are_refused(self, tmp_path, table):
         with pytest.raises(ValueError, match="holds"):
-            write_columns(tmp_path / "a.csv", table)
+            write_tables({tmp_path / "a.csv": table})
         assert not (tmp_path / "a.csv").exists()
 
     @pytest.mark.parametrize("table", [
@@ -327,33 +334,89 @@ class TestWriteColumns:
     def test_one_column_table_with_an_empty_cell_is_refused(self, tmp_path, table):
         # the csv module writes such a row as '""'
         with pytest.raises(ValueError, match="one-column"):
-            write_columns(tmp_path / "a.csv", table)
+            write_tables({tmp_path / "a.csv": table})
         assert not (tmp_path / "a.csv").exists()
 
     def test_empty_cells_beside_other_columns_match_the_csv_module(self, tmp_path):
         table = {"": ["", ""], "b": ["", "x"]}
-        write_columns(tmp_path / "new.csv", table)
+        write_tables({tmp_path / "new.csv": table})
         reference_write_columns(tmp_path / "old.csv", table)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert (tmp_path / "new.csv").read_bytes() == b",b\r\n,\r\n,x\r\n"
 
     def test_columns_of_different_lengths_are_refused(self, tmp_path):
         with pytest.raises(ValueError, match="differ in length"):
-            write_columns(tmp_path / "a.csv", {"a": np.zeros(3), "b": ["x", "y"]})
+            write_tables({tmp_path / "a.csv": {"a": np.zeros(3), "b": ["x", "y"]}})
 
-    def test_peak_memory_is_a_few_blocks(self, tmp_path):
-        # 200,000 rows, about 14 MB of text: formatting the whole table at once
-        # would hold far more than 4 MiB
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_tables_written_together_equal_the_csv_module_writer(self, tmp_path_factory,
+                                                                 data):
+        # 1-3 tables in one call, of unequal row counts, sharing some columns
+        # (the same array, or a copy of it) and holding columns that are equal
+        # as floats but not in bits, which must not share texts
+        d = tmp_path_factory.mktemp("csv")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        shared = rng.standard_normal(3 * BLOCK + 5)
+        shared[rng.integers(len(shared), size=40)] = 0.0
+        flipped = np.where(shared == 0.0, -0.0, shared)  # equal as floats, not in bits
+        nans = np.array(AWKWARD_BITS[2:6], dtype=np.uint64).view(np.float64)
+        tables = {}
+        for j in range(data.draw(st.integers(1, 3))):
+            table = data.draw(tables_of_rows(data.draw(st.sampled_from(ROW_COUNTS))))
+            rows = len(next(iter(table.values())))
+            for name in data.draw(st.lists(st.sampled_from(["shared", "copy", "flipped",
+                                                            "nan_a", "nan_b"]),
+                                           unique=True, max_size=4)):
+                table[name] = {"shared": shared[:rows], "copy": shared[:rows].copy(),
+                               "flipped": flipped[:rows],
+                               "nan_a": np.resize(nans, rows),
+                               "nan_b": np.resize(nans[::-1], rows)}[name]
+            tables[d / f"t{j}.csv"] = table
+        for path, table in tables.items():
+            reference_write_columns(path.with_suffix(".ref"), table)
+        if any(b'"' in p.with_suffix(".ref").read_bytes() for p in tables):
+            with pytest.raises(ValueError, match="one-column"):
+                write_tables(tables)
+            assert not any(p.exists() for p in tables)
+        else:
+            write_tables(tables)
+            for path in tables:
+                assert path.read_bytes() == path.with_suffix(".ref").read_bytes()
+
+    @pytest.mark.parametrize("bad", [
+        {"a,b": np.zeros(2)},
+        {"a": ["x", "y"], "b": np.zeros(3)},
+        {"": np.zeros(2)},
+    ], ids=["comma-in-name", "unequal-lengths", "one-column-empty-name"])
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_a_refused_table_leaves_no_file(self, tmp_path, bad, position):
+        good = {"t": np.linspace(0.0, 1.0, 5), "x": np.arange(5)}
+        tables = {tmp_path / f"{j}.csv": good for j in range(3)}
+        tables[tmp_path / f"{position}.csv"] = bad
+        with pytest.raises(ValueError):
+            write_tables(tables)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_peak_memory_is_a_few_blocks(self, tmp_path, count):
+        # 200,000 rows per table, about 14 MB of text each: formatting a whole
+        # table at once would hold far more than 4 MiB; tables written
+        # together hold one block of each at a time
         rows = 200_000
         rng = np.random.default_rng(3)
-        table = {"t": np.linspace(0.0, 1.0, rows), "x": rng.standard_normal(rows),
-                 "y": rng.random(rows), "jump": np.where(rng.random(rows) < 0.01, 0.5, 0.0),
-                 "index": np.arange(rows)}
+        tables = {}
+        for j in range(count):
+            tables[tmp_path / f"{j}.csv"] = {
+                "t": np.linspace(0.0, 1.0, rows), "x": rng.standard_normal(rows),
+                "y": rng.random(rows), "jump": np.where(rng.random(rows) < 0.01, 0.5, 0.0),
+                "index": np.arange(rows)}
         tracemalloc.start()
         try:
-            write_columns(tmp_path / "a.csv", table)
+            write_tables(tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (tmp_path / "a.csv").stat().st_size > 12_000_000
+        for path in tables:
+            assert path.stat().st_size > 12_000_000
         assert peak < 4 * 2**20

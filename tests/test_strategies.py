@@ -7,7 +7,7 @@ from lobres import (BookTemplate, Strategy, TimeGrid, block_schedule, constant_p
                     exponential_tracker, function_path, position_paths, rate_strategy,
                     smooth_blocks)
 from helpers import optimal_tracker, read_strategy_csv, reference_relax_positions
-from lobres.paths import write_columns
+from lobres.paths import write_tables
 from lobres.strategies import relax_positions
 
 
@@ -34,7 +34,7 @@ class TestStrategy:
         strat = Strategy(grid, function_path(grid, lambda t: math.sin(t)),
                          ((1, 0.5), (7, -1.25)), phi0=0.25)
         f = tmp_path / "strategy.csv"
-        write_columns(f, strat.table())
+        write_tables({f: strat.table()})
         loaded = read_strategy_csv(grid, f, phi0=0.25)
         np.testing.assert_array_equal(loaded.rate.values, strat.rate.values)
         assert loaded.blocks == strat.blocks

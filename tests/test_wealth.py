@@ -8,7 +8,7 @@ from lobres import (BookTemplate, Evaluation, FundamentalSpec, SampledPath, Stra
                     TimeGrid, constant_path, fit_rate, function_path, position_paths,
                     rate_strategy)
 from lobres.book import evolve_book
-from lobres.paths import write_columns
+from lobres.paths import write_tables
 from helpers import random_strategy
 
 
@@ -211,7 +211,7 @@ class TestWealthCsv:
         strat = Strategy(grid, constant_path(grid, 0.5), ((4, 1.0),))
         w = Evaluation(book, strat, fund).ow(1.0)
         f = tmp_path / "wealth.csv"
-        write_columns(f, w.table())
+        write_tables({f: w.table()})
         header = f.read_text().splitlines()[0]
         assert header == "t,X,gain,spread_cost,impact_cost,block_cost,permanent_shift"
         rows = f.read_text().splitlines()[1:]
@@ -222,9 +222,10 @@ class TestEvaluationMemory:
     def test_simulate_evaluation_holds_states_and_outputs(self):
         # one simulate evaluation on simulate_fine's 126,492-step grid with a
         # symmetric book.  Beyond its inputs, the scan peaks near 10 one-path
-        # arrays (its 8 state paths and 2 step weights), and the evaluation
-        # with its wealth and spread paths near 18 (the 8 states and the 6 +
-        # 4 outputs), since each ledger term is dropped once accumulated.
+        # arrays (its state paths and step weights), and the evaluation with
+        # its wealth and spread paths near 15 (the 5 pre-jump and integrated
+        # states and the 6 + 4 outputs), since each ledger term is dropped once
+        # accumulated and a post-jump state is built only when read.
         grid = TimeGrid(1.0, 126_492)
         book = BookTemplate(alpha=0.25, eps=0.01).materialize(grid, 1e9)
         t = grid.points()
@@ -243,4 +244,4 @@ class TestEvaluationMemory:
         finally:
             tracemalloc.stop()
         assert scan <= 11 * one_path
-        assert peak <= 19 * one_path
+        assert peak <= 16 * one_path
