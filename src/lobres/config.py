@@ -13,7 +13,6 @@ summaries.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -23,10 +22,22 @@ from typing import Any, Callable, NamedTuple
 from .book import BookTemplate
 from .errors import ConfigParseError, ConfigValidationError
 from .experiments import (FundamentalSpec, KappaLadder, UniformBounds, check_utility_book,
-                          ladder_grid, paths_per_chunk, resamples_per_chunk)
+                          frictionless_optimum, ladder_grid, paths_per_chunk,
+                          resamples_per_chunk)
 from .paths import TimeGrid, as_path, lane_layout
 from .strategies import (Strategy, block_schedule, exponential_tracker, rate_strategy,
                          smoothing_windows)
+
+# sha256 from the interpreter's built-in module, as CPython's random.py takes
+# sha512: hashlib loads OpenSSL's libcrypto (about 3.5 MiB of RSS) to hash a
+# short string.  The digest is the same.
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 _REQUIRED = object()  # the default of a key that must be given
 
@@ -468,7 +479,7 @@ class RunConfig:
         content = self.to_dict()
         content.pop("output", None)
         canonical = json.dumps(content, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return sha256(canonical.encode()).hexdigest()
 
     def kappas(self) -> KappaLadder:
         """The kappas a run evaluates: its ladder, its utility kappas, or
@@ -505,14 +516,20 @@ class RunConfig:
         """Run the checks an experiment makes of its inputs before it starts,
         on this run's grid, so that ``validate`` refuses what the run refuses
         with the run's own ValueError: l2's declared bounds on the first
-        rung, the utility experiment's book on its first kappa, and
-        lemma-jump's smoothing windows on every rung."""
+        rung, the utility experiment's book on its first kappa and its
+        frictionless optimum, lemma-jump's smoothing windows on every rung,
+        and simulate's block schedule.  A tracker strategy is not built: that
+        would relax a path over the whole grid."""
         grid, kappas = self.time_grid(), self.kappas()
         if self.kind == "l2" and self.bounds is not None:
             self.bounds.bounds().check(self.book.template().materialize(grid, kappas.values[0]),
                                        self.build_strategy(grid))
         elif self.kind == "utility":
             check_utility_book(self.book.template().materialize(grid, kappas.values[0]))
+            uc, fc = self.utility, self.fundamental
+            frictionless_optimum(fc.mu.value(), fc.sigma.value(), uc.gamma, uc.x0, grid.horizon)
+        elif self.kind == "simulate" and self.strategy.type == "blocks":
+            self.build_strategy(grid)
         elif self.kind == "lemma-jump":
             blocks = self.build_strategy(grid).blocks
             for kappa in kappas:
@@ -574,18 +591,34 @@ def parse_config(text: str) -> RunConfig:
 DEFAULT_BUDGET = 2.0e8
 
 # Peak RSS of an interpreter that has imported numpy and lobres.cli, before
-# any run (34.6 MiB on Linux x86-64, Python 3.11, numpy 2.4), and what runs
-# that draw noise add by loading scipy's ndtri without scipy.special's package
-# init (4.4 MiB, scipy 1.17; see paths._ndtri).
-INTERPRETER_BYTES = 35 * 2**20
+# any run (30.7 MiB on Linux x86-64, Python 3.11, numpy 2.4; OpenSSL's
+# libcrypto is not loaded, see ``sha256`` above), what runs that draw noise add
+# by loading scipy's ndtri without scipy.special's package init (4.4 MiB,
+# scipy 1.17; see paths._ndtri), and what the utility bootstrap's generator
+# adds by importing numpy.random, whose ``secrets`` import loads OpenSSL
+# through ``hmac`` (5.4 MiB).
+INTERPRETER_BYTES = 31 * 2**20
 SCIPY_BYTES = 9 * 2**19
+NUMPY_RANDOM_BYTES = 11 * 2**19
 # Bytes per grid point live at the peak of a one-path run, which an
-# evaluation sets once its projections are built: the book's four coefficient
-# paths (a symmetric book shares them), the strategy and the fundamental, the
-# scan's three pre-jump and two integrated state paths and the six wealth and
-# four spread paths, 21 float64 values (simulate's estimate is within 2% of
-# its peak RSS between 40,000 and 253,000 steps).
-ONE_PATH_BYTES_PER_POINT = 8 * 21
+# evaluation sets once its projections are built: the fundamental, the scan's
+# three pre-jump and two integrated state paths and the six wealth and four
+# spread paths, 16 float64 values as tracemalloc counts them, and one more of
+# heap the allocator keeps from arrays freed before the peak (simulate's
+# estimate is within 5% of its peak RSS between 40,000 and 253,000 steps).  A
+# constant input is held as one value (paths.constant_path); each input that
+# varies in time adds one path (``_varying_inputs``).
+ONE_PATH_BYTES_PER_POINT = 8 * 17
+
+
+def _varying_inputs(config: RunConfig) -> int:
+    """The run's input paths that are functions of time, each a full float64
+    path: book coefficients (a down side left out shares the up side's) and a
+    strategy rate."""
+    specs = [*vars(config.book).values()] if config.book is not None else []
+    if config.strategy is not None:
+        specs.append(config.strategy.rate)
+    return sum(isinstance(c, CoeffSpec) and c.fn != "const" for c in specs)
 
 
 def lane_bytes(paths: int, steps: int) -> int:
@@ -642,11 +675,14 @@ def validate_config(config: RunConfig) -> dict:
             "cells": cells,
             "paths": config.mc.paths,
             "cost_proxy": cost_proxy,
-            # peak RSS: the interpreter (and scipy and the noise lanes), one
-            # path's scan and ledger, the Monte-Carlo arrays
+            # peak RSS: the interpreter (and scipy and the noise lanes, and
+            # numpy.random for the bootstrap), one path's inputs, scan and
+            # ledger, the Monte-Carlo arrays
             "approx_memory_bytes": (INTERPRETER_BYTES
                                     + noise * (SCIPY_BYTES + lane_bytes(chunk, steps))
-                                    + ONE_PATH_BYTES_PER_POINT * (steps + 1) + 8 * arrays),
+                                    + (config.utility is not None) * NUMPY_RANDOM_BYTES
+                                    + (ONE_PATH_BYTES_PER_POINT + 8 * _varying_inputs(config))
+                                    * (steps + 1) + 8 * arrays),
         },
         "warnings": warnings,
     }

@@ -440,6 +440,24 @@ def check_utility_book(book: BookParams) -> None:
         raise ValueError("utility experiment requires a symmetric book")
 
 
+def frictionless_optimum(mu: float, sigma: float, gamma: float, x0: float,
+                         horizon: float) -> tuple[float, float]:
+    """The frictionless optimal position mu / (gamma * sigma**2) and certainty
+    equivalent x0 + mu**2 * T / (2 * gamma * sigma**2) of the utility
+    experiment; refuses either one outside the float range."""
+    try:
+        target_pos = mu / (gamma * sigma**2)
+        frictionless = x0 + mu**2 * horizon / (2.0 * gamma * sigma**2)
+    except (ZeroDivisionError, OverflowError):  # sigma**2 underflows to 0, or a power overflows
+        target_pos = frictionless = math.nan
+    if not (math.isfinite(target_pos) and math.isfinite(frictionless)):
+        raise ValueError(f"utility experiment needs sigma**2 within the float range and a "
+                         f"finite frictionless position mu / (gamma * sigma**2) and certainty "
+                         f"equivalent x0 + mu**2 * T / (2 * gamma * sigma**2), got mu={mu!r}, "
+                         f"gamma={gamma!r}, sigma={sigma!r}, x0={x0!r}, T={horizon!r}")
+    return target_pos, frictionless
+
+
 def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, grid: TimeGrid,
                        ladder: KappaLadder, *, gamma: float, multipliers: Sequence[float],
                        paths: int, seed: int, x0: float, bootstrap: int) -> UtilityReport:
@@ -471,16 +489,7 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, gri
 
     mu = float(fundamental.mu)
     sigma = float(fundamental.sigma)
-    try:
-        target_pos = mu / (gamma * sigma**2)
-        frictionless = x0 + mu**2 * grid.horizon / (2.0 * gamma * sigma**2)
-    except (ZeroDivisionError, OverflowError):  # sigma**2 underflows to 0, or a power overflows
-        target_pos = frictionless = math.nan
-    if not (math.isfinite(target_pos) and math.isfinite(frictionless)):
-        raise ValueError(f"utility experiment needs sigma**2 within the float range and a "
-                         f"finite frictionless position mu / (gamma * sigma**2) and certainty "
-                         f"equivalent x0 + mu**2 * T / (2 * gamma * sigma**2), got mu={mu!r}, "
-                         f"gamma={gamma!r}, sigma={sigma!r}, x0={x0!r}, T={grid.horizon!r}")
+    target_pos, frictionless = frictionless_optimum(mu, sigma, gamma, x0, grid.horizon)
     target = constant_path(grid, target_pos)
     m_base = np.sqrt(probe.K_up.values * probe.h_up.values * sigma**2 * gamma / 2.0)
 

@@ -313,10 +313,11 @@ def normals_block(seed: int, paths: int, n: int, first: int = 0) -> np.ndarray:
 
 
 def constant_path(grid: TimeGrid, c: float) -> SampledPath:
-    """Path equal to c at every grid point."""
+    """Path equal to c at every grid point, held as one value: its values are
+    a read-only zero-stride view, so writing into them raises ValueError."""
     if not math.isfinite(c):
         raise NumericFailure(f"constant path value must be finite, got {c!r}")
-    return SampledPath(grid, np.full(grid.n_points, float(c)))
+    return SampledPath(grid, np.broadcast_to(float(c), (grid.n_points,)))
 
 
 def function_path(grid: TimeGrid, f: Callable[[float], float]) -> SampledPath:

@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from lobres import (BookParams, BookTemplate, RandomSource, ReferencePricePath, SampledPath,
-                    SpreadPaths, Strategy, WealthPath, position_paths, rate_strategy)
+from lobres import (BookParams, BookTemplate, NumericFailure, RandomSource, ReferencePricePath,
+                    SampledPath, SpreadPaths, Strategy, WealthPath, position_paths,
+                    rate_strategy)
 from lobres.book import _check_grids, evolve_book
 from lobres.experiments import (_BOOTSTRAP_STREAM, LemmaJumpReport, TrackerBoundReport,
                                 UtilityReport, _certainty_equivalents, brownian_increments)
@@ -32,6 +33,13 @@ def run_python(code: str, timeout: float = 60) -> str:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=timeout, check=True).stdout
+
+
+def reference_constant_path(grid: TimeGrid, c: float) -> SampledPath:
+    """Path equal to c at every grid point."""
+    if not math.isfinite(c):
+        raise NumericFailure(f"constant path value must be finite, got {c!r}")
+    return SampledPath(grid, np.full(grid.n_points, float(c)))
 
 
 def constant_book(grid, kappa, K=1.0, h=1.0, alpha=0.0, eps=0.0, **kw):

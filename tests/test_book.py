@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from lobres import (BookParams, BookTemplate, Evaluation, SampledPath, Strategy, TimeGrid,
                     as_path, constant_path, fit_rate, function_path, position_paths,
                     rate_strategy)
-from lobres.book import evolve_book
+from lobres.book import _phi1, _phi2, evolve_book
 
 
 import helpers
@@ -19,6 +20,33 @@ from helpers import constant_book, random_strategy, reference_evolve_book
 def spread_paths(book, strategy):
     """Spreads of an evaluation; they do not depend on the fundamental."""
     return Evaluation(book, strategy, constant_path(book.grid, 100.0)).spreads()
+
+
+def _decimal_phis(z: float) -> tuple[float, float]:
+    """(1 - exp(-z)) / z and (z - 1 + exp(-z)) / z^2 of the float z, computed
+    in 50-digit decimal arithmetic and rounded once."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(z)
+        e = (-d).exp()
+        return float((1 - e) / d), float((d - 1 + e) / (d * d))
+
+
+# z from 1e-10 to 1e4, with the points next to _phi2's series switch at 0.01
+PHI_ZS = np.unique(np.concatenate([
+    np.geomspace(1e-10, 1e4, 281),
+    [np.nextafter(1e-2, 0.0), 1e-2, np.nextafter(1e-2, 1.0), 0.0099, 0.0101, 0.005, 0.02]]))
+
+
+class TestStepWeights:
+    # the scan's step weights against a 50-digit reference, on both sides of
+    # _phi2's series switch: _phi1 is accurate to about 2e-16 and _phi2 to
+    # about 4e-14 (just above the switch, where z - 1 + exp(-z) cancels)
+    def test_phi1_and_phi2_match_a_50_digit_reference(self):
+        assert (PHI_ZS < 1e-2).sum() > 100 and (PHI_ZS >= 1e-2).sum() > 100
+        reference = np.array([_decimal_phis(float(z)) for z in PHI_ZS])
+        for got, want in ((_phi1(PHI_ZS), reference[:, 0]), (_phi2(PHI_ZS), reference[:, 1])):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestBookParams:

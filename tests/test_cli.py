@@ -2,13 +2,14 @@ import csv
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lobres.experiments as experiments_module
-from helpers import reference_write_columns, run_python
+from helpers import reference_constant_path, reference_write_columns, run_python
 from lobres import (BookTemplate, KappaLadder, TimeGrid, UniformBounds, rate_strategy,
                     theorem1_experiment)
 from lobres.cli import main
@@ -296,6 +297,15 @@ EXPERIMENT_REFUSALS = {
                           "smoothing window extends past the horizon"),
     "l2-rate-bound": ("l2.json", "bounds", "rate", 0.5,
                       "strategy rate exceeds its declared uniform bound"),
+    "simulate-colliding-blocks": (
+        "simulate.json", "strategy", "blocks", [[0.25, 1.0], [0.2501, 1.0]],
+        "blocks at t=0.2501 collide at grid index 128 after rounding"),
+    # sigma**2 underflows to 0
+    "utility-sigma-underflow": (
+        "utility.json", "fundamental", "sigma", 1e-200,
+        "utility experiment needs sigma**2 within the float range and a finite frictionless "
+        "position mu / (gamma * sigma**2) and certainty equivalent x0 + mu**2 * T / "
+        "(2 * gamma * sigma**2), got mu=0.1, gamma=1.0, sigma=1e-200, x0=0.0, T=1.0"),
 }
 
 
@@ -352,7 +362,8 @@ class TestExitCodes:
         file, section, key, value, message = EXPERIMENT_REFUSALS[name]
         payload = json.loads((CONFIG_DIR / file).read_text())
         payload[section][key] = value
-        command = "validate" if validate else {"utility.json": "utility"}.get(file, "converge")
+        command = "validate" if validate else {"utility.json": "utility",
+                                                "simulate.json": "simulate"}.get(file, "converge")
         out = tmp_path / "out"
         assert main([command, "--config", str(write_config(tmp_path, payload)),
                      "--out", str(out)]) == 2
@@ -587,6 +598,64 @@ class TestUtilityCommand:
         assert main(["utility", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert all(800.0 < float(ce) < 800.125 for ce in summary["report"]["candidate_ce"])
+
+
+def _shipped(file, changes):
+    """A shipped config with each dotted key of ``changes`` set."""
+    payload = json.loads((CONFIG_DIR / file).read_text())
+    for key, value in changes.items():
+        *path, last = key.split(".")
+        section = payload
+        for name in path:
+            section = section[name]
+        section[last] = value
+    return payload
+
+
+# Small runs of the shipped configs that take constant inputs: the book's
+# coefficients, a zero or constant strategy rate, the gap kinds' flat price,
+# the utility target and tracker-bound's coefficients
+CONSTANT_INPUT_RUNS = {
+    "simulate-blocks": ("simulate", "simulate.json", {}),
+    "simulate-rate": ("simulate", "simulate.json", {"strategy": {"type": "rate", "rate": 0.5}}),
+    "theorem1": ("converge", "theorem1.json", {}),
+    "lemma_jump_noisy": ("converge", "lemma_jump_noisy.json", {"mc.paths": 50}),
+    "tracker_bound": ("converge", "tracker_bound.json", {"mc.paths": 200}),
+    "utility": ("utility", "utility.json", {"mc.paths": 200, "utility.bootstrap": 20}),
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTANT_INPUT_RUNS))
+def test_constant_inputs_held_as_one_value_write_the_same_bytes(tmp_path, monkeypatch, name):
+    # every artifact of a run equals that of the same run with each constant
+    # input held as a full array (the former constant_path, kept in helpers)
+    import lobres.paths
+    command, file, changes = CONSTANT_INPUT_RUNS[name]
+    cfg = write_config(tmp_path, _shipped(file, changes))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "view")]) == 0
+    for module in [m for m in list(sys.modules.values()) if m.__name__.startswith("lobres")
+                   and getattr(m, "constant_path", None) is lobres.paths.constant_path]:
+        monkeypatch.setattr(module, "constant_path", reference_constant_path)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "full")]) == 0
+    names = sorted(p.name for p in (tmp_path / "view").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "full").iterdir())
+    for artifact in names:
+        assert ((tmp_path / "view" / artifact).read_bytes()
+                == (tmp_path / "full" / artifact).read_bytes()), artifact
+
+
+def test_a_run_does_not_load_openssl(tmp_path):
+    # config_hash takes sha256 from the interpreter's built-in module, so a
+    # run that draws its price noise and writes its summary never imports
+    # hashlib, which maps OpenSSL's libcrypto
+    out = tmp_path / "out"
+    code = (f"import sys, lobres.cli; code = lobres.cli.main(['simulate', '--config', "
+            f"{str(CONFIG_DIR / 'simulate.json')!r}, '--out', {str(out)!r}]); "
+            f"print(code, 'scipy.special._ufuncs' in sys.modules, '_hashlib' in sys.modules, "
+            f"'hashlib' in sys.modules)")
+    assert run_python(code).split() == ["0", "True", "False", "False"]
+    assert json.loads((out / "summary.json").read_text())["config_hash"] == (
+        parse_config((CONFIG_DIR / "simulate.json").read_text()).config_hash())
 
 
 def test_import_does_not_load_scipy():

@@ -11,8 +11,8 @@ import lobres.config as config_module
 from helpers import run_python
 from lobres import ConfigError, ConfigParseError, ConfigValidationError
 from lobres.cli import main
-from lobres.config import (INTERPRETER_BYTES, ONE_PATH_BYTES_PER_POINT, SCIPY_BYTES,
-                           lane_bytes, parse_config, validate_config)
+from lobres.config import (INTERPRETER_BYTES, NUMPY_RANDOM_BYTES, ONE_PATH_BYTES_PER_POINT,
+                           SCIPY_BYTES, lane_bytes, parse_config, validate_config)
 from lobres.experiments import tracker_bound_experiment
 from lobres.paths import _ndtri, normals_block
 
@@ -213,11 +213,29 @@ class TestValidate:
         assert report["estimates"]["grid_steps"] == 512
         assert report["estimates"]["cost_proxy"] == 512.0
         # the one price path has sigma 0, so it draws nothing and scipy's
-        # ndtri is not loaded
+        # ndtri is not loaded; the book and the zero rate are constants,
+        # each held as one value
         assert report["estimates"]["approx_memory_bytes"] == (
             INTERPRETER_BYTES + ONE_PATH_BYTES_PER_POINT * 513)
         assert not any("budget" in w for w in report["warnings"])
         assert any("one price path" in w for w in report["warnings"])
+
+    @pytest.mark.parametrize("book, rate, varying", [
+        ({}, 0.5, 0),
+        ({"K": {"fn": "sin", "amplitude": 0.5, "offset": 1.0}}, 0.5, 1),
+        ({"h_down": {"fn": "linear", "intercept": 1.0}, "alpha_down": 0.1}, {"fn": "cos"}, 2),
+        ({"K": {"fn": "sin", "amplitude": 0.5, "offset": 1.0}, "eps": {"fn": "linear"},
+          "K_down": {"fn": "sin", "amplitude": 0.5, "offset": 1.0}}, 0.0, 3),
+    ], ids=["constants", "sin-K", "linear-h-down-cos-rate", "three-book-functions"])
+    def test_each_input_that_varies_in_time_adds_one_path(self, book, rate, varying):
+        # a book coefficient or a strategy rate that is a function of time is
+        # a full float64 path; a constant, a given down side included, is one
+        # value
+        text = json.dumps({"kind": "simulate", "book": {"kappa": 1e4, **book},
+                           "strategy": {"type": "rate", "rate": rate}})
+        report = validate_config(parse_config(text))
+        assert report["estimates"]["approx_memory_bytes"] == (
+            INTERPRETER_BYTES + (ONE_PATH_BYTES_PER_POINT + 8 * varying) * 513)
 
     @pytest.mark.parametrize("name, expected", [
         # scipy and the noise lanes (a (512, 1024) block: 8 segments x 1,024
@@ -229,22 +247,24 @@ class TestValidate:
         # one result per (kappa, multiplier) cell and path and no rung rows,
         # plus the bootstrap: 9 cells x 500 resampled CEs, one kappa's 3 x 500
         # gaps, and one chunk of 2**16 // 10,000 = 6 resamples of int64
-        # indices and samples
-        ("utility.json", SCIPY_BYTES + 8 * 19 * 8192 + 8 * 9 * 10_000 + 8 * 512 * 1024
-         + 8 * ((9 + 3) * 500 + 2 * 6 * 10_000)),
+        # indices and samples, and numpy.random, which the bootstrap's
+        # generator imports
+        ("utility.json", SCIPY_BYTES + NUMPY_RANDOM_BYTES + 8 * 19 * 8192 + 8 * 9 * 10_000
+         + 8 * 512 * 1024 + 8 * ((9 + 3) * 500 + 2 * 6 * 10_000)),
         # fewer paths than a chunk holds: 8 segments x 1,000 lanes
         ("lemma_jump_noisy.json", SCIPY_BYTES + 8 * 19 * 8000 + 8 * 9 * 1000
          + 8 * 512 * 1000),
         # no noise: the per-rung results only
         ("lemma_jump.json", 8 * 9 * 1),
-        # one path only, drawn through scipy for simulate: one stream cut
-        # into 512 one-draw segments
-        ("l2.json", 0),
+        # one path only; l2's strategy rate is a sin, one varying input path
+        ("l2.json", 8 * 513),
+        # drawn through scipy for simulate: one stream cut into 512 one-draw
+        # segments
         ("simulate.json", SCIPY_BYTES + 8 * 19 * 512),
     ])
     def test_memory_estimate_of_shipped_configs(self, name, expected):
         # the interpreter and one path's scan and ledger on 513 grid points,
-        # plus scipy and the Monte-Carlo arrays
+        # plus scipy, numpy.random, varying inputs and the Monte-Carlo arrays
         text = (Path(__file__).resolve().parent.parent / "configs" / name).read_text()
         report = validate_config(parse_config(text))
         assert report["estimates"]["approx_memory_bytes"] == (
@@ -291,16 +311,23 @@ class TestValidate:
         estimate = validate_config(parse_config(path.read_text()))["estimates"]
         monkeypatch.setattr(config_module, "SCIPY_BYTES", 0)
         without = validate_config(parse_config(path.read_text()))["estimates"]
+        monkeypatch.setattr(config_module, "NUMPY_RANDOM_BYTES", 0)
+        neither = validate_config(parse_config(path.read_text()))["estimates"]
         command = {"simulate": "simulate", "utility": "utility"}.get(config["kind"], "converge")
         code = (f"import sys; from lobres.cli import main; code = main([{command!r}, "
                 f"'--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]); "
                 f"print(code, 'scipy.special._ufuncs' in sys.modules, "
-                f"'scipy.special' in sys.modules)")
-        exit_code, loaded, package = run_python(code, timeout=120).split()
+                f"'scipy.special' in sys.modules, 'numpy.random' in sys.modules, "
+                f"'_hashlib' in sys.modules)")
+        exit_code, loaded, package, random, openssl = run_python(code, timeout=120).split()
         assert exit_code in ("0", "1")
         assert package == "False"
         assert (loaded == "True") == (estimate["approx_memory_bytes"]
                                       != without["approx_memory_bytes"])
+        # likewise numpy.random, and OpenSSL is loaded only through it
+        assert (random == "True") == (without["approx_memory_bytes"]
+                                      != neither["approx_memory_bytes"])
+        assert openssl == random
         if name == "simulate_zero_sigma":
             assert loaded == "False"
 
@@ -364,23 +391,47 @@ def test_scipy_bytes_matches_the_loaded_ndtri():
     assert abs(int(run_python(code)) - SCIPY_BYTES) <= 0.25 * SCIPY_BYTES
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_numpy_random_bytes_matches_the_bootstrap_generator():
+    # NUMPY_RANDOM_BYTES is the resident growth of building the utility
+    # bootstrap's generator in an interpreter that has imported lobres.cli:
+    # numpy.random, and OpenSSL through its secrets import
+    code = ("import os, sys, lobres.cli\n"
+            "import numpy as np\n"
+            "def rss():\n"
+            "    with open('/proc/self/statm') as f:\n"
+            "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "before = rss()\n"
+            "np.random.Generator(np.random.PCG64(np.random.SeedSequence(42, spawn_key=(1,))))\n"
+            "print(rss() - before, '_hashlib' in sys.modules)")
+    growth, hashlib_loaded = run_python(code).split()
+    assert abs(int(growth) - NUMPY_RANDOM_BYTES) <= 0.25 * NUMPY_RANDOM_BYTES
+    assert hashlib_loaded == "True"
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
-@pytest.mark.parametrize("name, command, kappa", [
+@pytest.mark.parametrize("name, command, book", [
     pytest.param("tracker_bound.json", "converge", None, id="tracker_bound.json-converge"),
     pytest.param("utility.json", "utility", None, id="utility.json-utility"),
-    # 126,492 steps: the one-path term is the largest
-    pytest.param("simulate.json", "simulate", 1e9, id="simulate.json-simulate-kappa-1e9"),
+    pytest.param("lemma_jump_noisy.json", "converge", None, id="lemma_jump_noisy.json-converge"),
+    # 126,492 steps: the one-path term is the largest; the book's K is a
+    # constant held as one value, or a sin, one more full path
+    pytest.param("simulate.json", "simulate", {"kappa": 1e9},
+                 id="simulate.json-simulate-kappa-1e9"),
+    pytest.param("simulate.json", "simulate",
+                 {"kappa": 1e9, "K": {"fn": "sin", "amplitude": 0.5, "offset": 1.0}},
+                 id="simulate.json-simulate-kappa-1e9-sin-K"),
 ])
-def test_memory_estimate_matches_a_cli_run(name, command, kappa, tmp_path):
+def test_memory_estimate_matches_a_cli_run(name, command, book, tmp_path):
     # validate's approx_memory_bytes is within 10% of the peak RSS of one CLI
-    # run of the shipped config (with book.kappa set, if given) with one BLAS
-    # thread.  A small launcher starts the run: a child's ru_maxrss counts
-    # the RSS of the process it was forked from, which for this test process
-    # is larger than the run.
+    # run of the shipped config (with the book keys given, if any) with one
+    # BLAS thread.  A small launcher starts the run: a child's ru_maxrss
+    # counts the RSS of the process it was forked from, which for this test
+    # process is larger than the run.
     path = CONFIG_DIR / name
-    if kappa is not None:
+    if book is not None:
         config = json.loads(path.read_text())
-        config["book"]["kappa"] = kappa
+        config["book"].update(book)
         path = tmp_path / name
         path.write_text(json.dumps(config))
     estimate = validate_config(parse_config(path.read_text()))["estimates"]
@@ -658,6 +709,20 @@ def test_golden_hash_and_round_trip(name):
     assert parse_config(config.to_json()) == config
     assert config.config_hash() == GOLDEN[name][0]
     assert hashlib.sha256(config.to_json().encode()).hexdigest()[:16] == GOLDEN[name][1]
+
+
+def test_config_hash_without_the_builtin_sha256_module():
+    # with neither _sha2 (Python >= 3.12) nor _sha256 importable, config_hash
+    # falls back to hashlib's sha256 and gives the same digests
+    names = sorted(GOLDEN)
+    code = ("import json, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "import lobres.config as config\n"
+            "assert config.sha256 is hashlib.sha256\n"
+            f"texts = {[_config_text(name) for name in names]!r}\n"
+            "print(json.dumps([config.parse_config(t).config_hash() for t in texts]))")
+    assert json.loads(run_python(code)) == [GOLDEN[name][0] for name in names]
 
 
 @pytest.mark.parametrize("name", list(CRASH_ROWS))

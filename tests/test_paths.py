@@ -202,6 +202,19 @@ class TestDeterministicPaths:
         with pytest.raises(ValueError):
             constant_path(TimeGrid(1.0, 4), math.nan)
 
+    def test_constant_is_one_read_only_value(self):
+        # a zero-stride view of one float: no grid-sized array is held, and
+        # a caller that writes into it is refused
+        values = constant_path(TimeGrid(1.0, 100_000), 2.5).values
+        assert values.shape == (100_001,) and values.strides == (0,)
+        assert values.base is not None and values.base.nbytes == 8
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[3] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            values += 1.0
+        np.testing.assert_array_equal(values, np.full(100_001, 2.5))
+
 
 class TestNdtriLoad:
     # _ndtri loads scipy.special._ufuncs without running scipy.special's
