@@ -21,12 +21,12 @@ from typing import Any, Callable, NamedTuple
 
 from .book import BookTemplate
 from .errors import ConfigParseError, ConfigValidationError
-from .experiments import (FundamentalSpec, KappaLadder, UniformBounds, check_utility_book,
-                          frictionless_optimum, ladder_grid, paths_per_chunk,
-                          resamples_per_chunk)
+from .experiments import (FundamentalSpec, KappaLadder, UniformBounds, ladder_grid,
+                          paths_per_chunk, resamples_per_chunk, rung_strategy,
+                          tracker_bound_inputs, utility_trackers)
 from .paths import TimeGrid, as_path, lane_layout
-from .strategies import (Strategy, block_schedule, exponential_tracker, rate_strategy,
-                         smoothing_windows)
+from .strategies import (Strategy, block_schedule, check_tracker, exponential_tracker,
+                         rate_strategy, smoothing_windows)
 
 # sha256 from the interpreter's built-in module, as CPython's random.py takes
 # sha512: hashlib loads OpenSSL's libcrypto (about 3.5 MiB of RSS) to hash a
@@ -102,31 +102,28 @@ def _block(obj: Any, where: str) -> tuple[float, float]:
 _KAPPAS = _list(_number, "{} must be a nonempty list")
 
 
-# A range check takes the parsed value and grid.horizon and returns None, or
-# the message for a bad value with {} standing for the key path.
-def _is(ok: Callable[[Any], bool], problem: str) -> Callable[[Any, float], str | None]:
-    return lambda value, horizon: None if ok(value) else problem
+# A range check takes the parsed value and returns None, or the message for a
+# bad value with {} standing for the key path.
+def _is(ok: Callable[[Any], bool], problem: str) -> Callable[[Any], str | None]:
+    return lambda value: None if ok(value) else problem
 
 
 _POSITIVE = _is(lambda v: v > 0, "{} must be positive")
 _AT_LEAST_1 = _is(lambda v: v >= 1, "{} must be at least 1")
-_BOUND = _is(lambda v: v > 0, "bounds entries must be positive")
-_TRACKER_BOUND = _is(lambda v: v > 0,
-                     "tracker.coeff_bound and tracker.rate_floor must be positive")
 _INCREASING = _is(lambda vs: all(v > 0 for v in vs) and all(b > a for a, b in zip(vs, vs[1:])),
                   "{} must be positive and strictly increasing")
 
 
 def _within(lo: float, hi: float = math.inf, strict: bool = False):
-    """Coefficient range [lo, hi], or (lo, hi] if strict; a function of time
-    is probed at 257 points of [0, horizon]."""
+    """Coefficient range [lo, hi], or (lo, hi] if strict, of a constant.  A
+    function of time is checked by the engine at every point of the run's
+    grid (``RunConfig.check_inputs``), with the run's own message."""
     bracket = f"({lo}, {hi}]" if strict else f"[{lo}, {hi}]"
 
-    def check(c: CoeffSpec, horizon: float) -> str | None:
-        f = c.value()
-        for v in [f] if c.fn == "const" else [f(j * horizon / 256.0) for j in range(257)]:
-            if v < lo or v > hi or (strict and v == lo):
-                return f"{{}} must lie in {bracket}, got {v}"
+    def check(c: CoeffSpec) -> str | None:
+        v = c.value()
+        if c.fn == "const" and (v < lo or v > hi or (strict and v == lo)):
+            return f"{{}} must lie in {bracket}, got {v}"
         return None
     return check
 
@@ -157,7 +154,7 @@ def _active(when: tuple[str, Any] | None, values: dict) -> bool:
     return when is None or values[when[0]] == when[1]
 
 
-def _parse(cls, obj: Any, where: str, kind: str, horizon: float | None):
+def _parse(cls, obj: Any, where: str, kind: str):
     """Section ``cls`` from JSON ``obj``: parse the active fields, reject
     unknown keys, run the range checks, then the ``_check`` hook."""
     d = _as_mapping(obj, where)
@@ -175,12 +172,12 @@ def _parse(cls, obj: Any, where: str, kind: str, horizon: float | None):
     _reject_unknown(d, where)
     for checks, value, key in checked:
         for check in checks:
-            problem = check(value, horizon)
+            problem = check(value)
             if problem:
                 raise ConfigValidationError(problem.format(f"{where}.{key}"))
     section = cls(**kw)
     if hasattr(section, "_check"):
-        section._check(kind, horizon)
+        section._check(kind)
     return section
 
 
@@ -264,7 +261,7 @@ class BookConfig:
     alpha_dn: CoeffSpec | None = _field(_OPT_COEFF, None, _UP_TO_HALF, key="alpha_down")
     eps_dn: CoeffSpec | None = _field(_OPT_COEFF, None, _within(0.0), key="eps_down")
 
-    def _check(self, kind: str, horizon: float) -> None:
+    def _check(self, kind: str) -> None:
         if kind != "simulate" and self.kappa is not None:
             raise ConfigParseError(
                 "book.kappa is set by the ladder for experiment kinds; remove it")
@@ -284,7 +281,7 @@ class FundamentalConfig:
     mu: CoeffSpec = _field(_COEFF, 0.0)
     sigma: CoeffSpec = _field(_COEFF, 0.0, _within(0.0))
 
-    def _check(self, kind: str, horizon: float) -> None:
+    def _check(self, kind: str) -> None:
         if kind == "utility" and (self.sigma.fn != "const" or self.sigma.value() <= 0):
             raise ConfigValidationError("utility runs need a constant positive fundamental.sigma")
         if kind == "utility" and self.mu.fn != "const":
@@ -300,23 +297,17 @@ class StrategyConfig:
     type: str = _field(_one_of(("zero", "rate", "blocks", "tracker")), None)
     phi0: float = _field(_number, 0.0)
     rate: CoeffSpec | None = _field(_COEFF, _REQUIRED, when=("type", "rate"))
+    # block_schedule checks the blocks and t_prime (RunConfig.check_inputs)
     blocks: tuple[tuple[float, float], ...] | None = _field(
         _list(_block, "{} must be a nonempty list of [time, size]"), _REQUIRED,
-        _is(lambda bs: all(b[0] > a[0] for a, b in zip(bs, bs[1:])),
-            "strategy block times must be strictly increasing"),
-        _is(lambda bs: all(s != 0 for _, s in bs), "strategy block sizes must be nonzero"),
         when=("type", "blocks"))
-    t_prime: float | None = _field(_number, _REQUIRED, lambda t, horizon: None if 0 < t < horizon
-                                   else "{} must lie strictly between 0 and grid.horizon",
-                                   when=("type", "blocks"))
+    t_prime: float | None = _field(_number, _REQUIRED, when=("type", "blocks"))
     target: CoeffSpec | None = _field(_COEFF, _REQUIRED, when=("type", "tracker"))
     rate_scale: CoeffSpec | None = _field(_COEFF, 1.0, _ABOVE_0, when=("type", "tracker"))
     start: float | None = _field(_optional(_number), None, when=("type", "tracker"),
                                  null=True)
 
-    def _check(self, kind: str, horizon: float) -> None:
-        if self.type == "blocks" and any(t < 0 or t > self.t_prime for t, _ in self.blocks):
-            raise ConfigValidationError("strategy block times must lie in [0, t_prime]")
+    def _check(self, kind: str) -> None:
         permitted = KINDS[kind].strategies
         if self.type not in permitted:
             raise ConfigValidationError(f"strategy.type {self.type!r} is not allowed for kind "
@@ -331,7 +322,7 @@ class LadderConfig:
                                   when=_GEOMETRIC)
     count: int | None = _field(_integer, 9, _AT_LEAST_1, when=_GEOMETRIC)
 
-    def _check(self, kind: str, horizon: float) -> None:
+    def _check(self, kind: str) -> None:
         if self.values is None:
             try:
                 top = self.start * self.factor ** (self.count - 1)
@@ -369,8 +360,8 @@ class TrackerConfig:
     target_drift: CoeffSpec = _field(_COEFF, 0.0)
     target_vol: CoeffSpec = _field(_COEFF, 1.0)
     rate_scale: CoeffSpec = _field(_COEFF, 1.0, _ABOVE_0)
-    coeff_bound: float = _field(_number, 1.0, _TRACKER_BOUND)
-    rate_floor: float = _field(_number, 1.0, _TRACKER_BOUND)
+    coeff_bound: float = _field(_number, 1.0, _POSITIVE)
+    rate_floor: float = _field(_number, 1.0, _POSITIVE)
     target0: float = _field(_number, 0.0)
 
 
@@ -378,7 +369,7 @@ class TrackerConfig:
 class UtilityConfig:
     gamma: float = _field(_number, 1.0, _POSITIVE)
     multipliers: tuple[float, ...] = _field(
-        _list(_number, "utility.multipliers and utility.kappas must be lists", nonempty=False),
+        _list(_number, "{} must be a list", nonempty=False),
         [0.5, 1.0, 2.0], _is(lambda cs: 1.0 in cs, "{} must include 1 (the candidate)"),
         _is(lambda cs: all(c > 0 for c in cs), "{} must be positive"))
     kappas: tuple[float, ...] = _field(_KAPPAS, [64.0, 256.0, 1024.0], _INCREASING)
@@ -388,9 +379,9 @@ class UtilityConfig:
 
 @_section
 class BoundsConfig:
-    rate_bound: float = _field(_number, _REQUIRED, _BOUND, key="rate")
-    coefficient_bound: float = _field(_number, _REQUIRED, _BOUND, key="coefficient")
-    resilience_floor: float = _field(_number, _REQUIRED, _BOUND)
+    rate_bound: float = _field(_number, _REQUIRED, _POSITIVE, key="rate")
+    coefficient_bound: float = _field(_number, _REQUIRED, _POSITIVE, key="coefficient")
+    resilience_floor: float = _field(_number, _REQUIRED, _POSITIVE)
 
     def bounds(self) -> UniformBounds:
         return UniformBounds(self.rate_bound, self.coefficient_bound, self.resilience_floor)
@@ -513,27 +504,49 @@ class RunConfig:
                                    sc.start)
 
     def check_inputs(self) -> None:
-        """Run the checks an experiment makes of its inputs before it starts,
-        on this run's grid, so that ``validate`` refuses what the run refuses
-        with the run's own ValueError: l2's declared bounds on the first
-        rung, the utility experiment's book on its first kappa and its
-        frictionless optimum, lemma-jump's smoothing windows on every rung,
-        and simulate's block schedule.  A tracker strategy is not built: that
-        would relax a path over the whole grid."""
-        grid, kappas = self.time_grid(), self.kappas()
-        if self.kind == "l2" and self.bounds is not None:
-            self.bounds.bounds().check(self.book.template().materialize(grid, kappas.values[0]),
-                                       self.build_strategy(grid))
-        elif self.kind == "utility":
-            check_utility_book(self.book.template().materialize(grid, kappas.values[0]))
-            uc, fc = self.utility, self.fundamental
-            frictionless_optimum(fc.mu.value(), fc.sigma.value(), uc.gamma, uc.x0, grid.horizon)
-        elif self.kind == "simulate" and self.strategy.type == "blocks":
-            self.build_strategy(grid)
-        elif self.kind == "lemma-jump":
+        """Build, on this run's grid and in the run's order, each input the
+        run builds before its first rung, with the engine's own constructors
+        and checks, so that ``validate`` refuses what the run refuses with
+        the run's own ValueError.  A tracker strategy's target and rate scale
+        are built but not relaxed, which would walk the whole grid; the gap
+        kinds read no fundamental but for the sign of its sigma."""
+        grid, kappas, kind = self.time_grid(), self.kappas(), self.kind
+        if kind == "tracker-bound":
+            tc = self.tracker
+            tracker_bound_inputs(grid, tc.target_drift.value(), tc.target_vol.value(),
+                                 tc.rate_scale.value(), tc.coeff_bound, tc.rate_floor,
+                                 self.mc.paths)
+            return
+        fund = self.fundamental.spec()
+        first_book = lambda: self.book.template().materialize(grid, kappas.values[0])
+        if kind == "simulate":
+            first_book()
+            fund.mean_path(grid)
+            fund.sigma_steps(grid)
+            sc = self.strategy
+            if sc.type == "tracker":
+                check_tracker(as_path(grid, sc.target.value()),
+                              as_path(grid, sc.rate_scale.value()), self.book.kappa)
+            else:
+                self.build_strategy(grid)
+            return
+        if kind == "utility":
+            uc = self.utility
+            utility_trackers(self.book.template(), fund, grid, kappas.values[0], uc.gamma,
+                             uc.multipliers, uc.x0)
+            fund.mean_path(grid)
+        elif kind == "lemma-jump":
             blocks = self.build_strategy(grid).blocks
+            fund.mean_path(grid)
+            first_book()
             for kappa in kappas:
                 smoothing_windows(grid, blocks, kappa, self.smoothing.width_scale)
+        else:  # a gap kind, whose run scales the rate on every rung
+            base, book = self.build_strategy(grid), first_book()
+            if self.bounds is not None:
+                self.bounds.bounds().check(book, base)
+            rung_strategy(base, kappas.max, KINDS[kind].rate_growth)
+        fund.sigma_steps(grid)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -550,8 +563,8 @@ def parse_config(text: str) -> RunConfig:
     d = _as_mapping(raw, "config")
 
     kind = _one_of(KINDS)(d.pop("kind", None), "kind")
-    grid = _parse(GridConfig, d.pop("grid", {}), "grid", kind, None)
-    mc = _parse(McConfig, d.pop("mc", {}), "mc", kind, None)
+    grid = _parse(GridConfig, d.pop("grid", {}), "grid", kind)
+    mc = _parse(McConfig, d.pop("mc", {}), "mc", kind)
     out_raw = _as_mapping(d.pop("output", {}), "output")
     output_dir = out_raw.pop("directory", "out")
     _reject_unknown(out_raw, "output")
@@ -566,7 +579,7 @@ def parse_config(text: str) -> RunConfig:
         elif required is False:
             raw_sections[name] = {}
     _reject_unknown(d, "config")
-    sections = {name: _parse(_SECTIONS[name], obj, name, kind, grid.horizon)
+    sections = {name: _parse(_SECTIONS[name], obj, name, kind)
                 for name, obj in raw_sections.items()}
     config = RunConfig(kind, grid, mc, output_dir, x0, **sections)
     config.time_grid()  # refuses a grid too fine for a float step count
@@ -574,14 +587,9 @@ def parse_config(text: str) -> RunConfig:
     if KINDS[kind].rate_growth is not None and rungs < 3:
         raise ConfigValidationError(f"ladder must have at least 3 rungs for kind '{kind}' "
                                     f"(a rate fit needs 3 points), got {rungs}")
-    # the text tracker_bound_experiment refuses with, so that a run's stderr
-    # is the same whichever check refuses it
-    if kind == "tracker-bound" and mc.paths < 2:
-        raise ConfigValidationError(f"tracker-bound needs at least 2 paths for its "
-                                    f"standard errors (mc.paths), got {mc.paths}")
     try:
         config.check_inputs()
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # numpy refuses a grid it cannot hold
         raise ConfigValidationError(str(exc)) from exc
     return config
 
@@ -609,6 +617,10 @@ NUMPY_RANDOM_BYTES = 11 * 2**19
 # constant input is held as one value (paths.constant_path); each input that
 # varies in time adds one path (``_varying_inputs``).
 ONE_PATH_BYTES_PER_POINT = 8 * 17
+# What a tracker strategy's relaxation leaves resident beside its rate path:
+# 1 to 3 of the 1 MiB pymalloc arenas its per-step Python floats filled, at
+# any grid size, kept by a few surviving objects (tracemalloc counts none).
+TRACKER_ARENA_BYTES = 3 * 2**20
 
 
 def _varying_inputs(config: RunConfig) -> int:
@@ -652,10 +664,12 @@ def validate_config(config: RunConfig) -> dict:
         arrays += ((cells + len(config.utility.multipliers)) * boot
                    + 2 * min(boot, resamples_per_chunk(paths)) * paths)
     cost_proxy = float(steps) * paths * cells
+    # a tracker strategy's rate is a full path whatever its target
+    tracker = config.strategy is not None and config.strategy.type == "tracker"
     # the price-path inputs a one-path kind ignores, named in one warning
     unused = [f"mc.paths = {config.mc.paths}"] if spec.one_path and config.mc.paths > 1 else []
     if spec.rate_growth is not None:
-        default = _dump(_parse(FundamentalConfig, {}, "fundamental", config.kind, None))
+        default = _dump(_parse(FundamentalConfig, {}, "fundamental", config.kind))
         unused += [f"fundamental.{key} = {json.dumps(value)}"
                    for key, value in _dump(config.fundamental).items() if value != default[key]]
     warnings = [f"{', '.join(unused)} {'has' if len(unused) == 1 else 'have'} no effect: "
@@ -675,13 +689,15 @@ def validate_config(config: RunConfig) -> dict:
             "cells": cells,
             "paths": config.mc.paths,
             "cost_proxy": cost_proxy,
-            # peak RSS: the interpreter (and scipy and the noise lanes, and
-            # numpy.random for the bootstrap), one path's inputs, scan and
-            # ledger, the Monte-Carlo arrays
+            # peak RSS: the interpreter (and scipy and the noise lanes,
+            # numpy.random for the bootstrap, a tracker's arenas), one path's
+            # inputs, scan and ledger, the Monte-Carlo arrays
             "approx_memory_bytes": (INTERPRETER_BYTES
                                     + noise * (SCIPY_BYTES + lane_bytes(chunk, steps))
                                     + (config.utility is not None) * NUMPY_RANDOM_BYTES
-                                    + (ONE_PATH_BYTES_PER_POINT + 8 * _varying_inputs(config))
+                                    + tracker * TRACKER_ARENA_BYTES
+                                    + (ONE_PATH_BYTES_PER_POINT
+                                       + 8 * (_varying_inputs(config) + tracker))
                                     * (steps + 1) + 8 * arrays),
         },
         "warnings": warnings,

@@ -34,7 +34,7 @@ import numpy as np
 from .book import BookParams, BookTemplate
 from .errors import InsufficientData
 from .paths import SampledPath, TimeGrid, as_path, constant_path, normals_block
-from .strategies import Strategy, exponential_tracker, smooth_blocks
+from .strategies import Strategy, check_tracker, exponential_tracker, smooth_blocks
 from .wealth import Evaluation, ac_wealth, ow_wealth
 
 # Stream ids 0..paths-1 are reserved for Monte-Carlo paths; auxiliary noise
@@ -62,7 +62,7 @@ class KappaLadder:
             raise ValueError("ladder values must be positive and strictly increasing")
 
     @classmethod
-    def geometric(cls, start: float = 16.0, factor: float = 2.0, count: int = 9) -> "KappaLadder":
+    def geometric(cls, start: float, factor: float, count: int) -> "KappaLadder":
         return cls(tuple(start * factor**j for j in range(count)))
 
     @property
@@ -86,10 +86,11 @@ class FundamentalSpec:
     sigma: float | Callable[[float], float] = 0.0
 
     def sigma_steps(self, grid: TimeGrid) -> np.ndarray:
-        sig = as_path(grid, self.sigma).values[:-1]
+        """sigma at each step's left point; refuses it negative at any point."""
+        sig = as_path(grid, self.sigma).values
         if np.any(sig < 0):
             raise ValueError("sigma must be nonnegative")
-        return sig
+        return sig[:-1]
 
     def mean_path(self, grid: TimeGrid) -> SampledPath:
         values = np.empty(grid.n_points)
@@ -103,8 +104,9 @@ class FundamentalSpec:
         like every Monte-Carlo path; a deterministic fundamental draws nothing."""
         values = self.mean_path(grid).values
         if not self.is_deterministic:
+            sigma = self.sigma_steps(grid)
             dw = brownian_increments(grid, seed, 1, stream)[:, 0]
-            values[1:] += np.cumsum(self.sigma_steps(grid) * dw)
+            values[1:] += np.cumsum(sigma * dw)
         return SampledPath(grid, values)
 
     @property
@@ -211,6 +213,13 @@ class ConvergenceReport:
                 "slope_so_far": ["" if s is None else repr(s) for s in so_far]}
 
 
+def rung_strategy(base: Strategy, kappa: float, rate_growth: float) -> Strategy:
+    """``base`` with its rate scaled by kappa**rate_growth; kappa**0.0 is 1.0,
+    so a fixed rate passes through bit for bit."""
+    return Strategy(base.grid, SampledPath(base.grid, kappa**rate_growth * base.rate.values),
+                    base.blocks)
+
+
 def theorem1_experiment(template: BookTemplate, base: Strategy, ladder: KappaLadder, *,
                         rate_growth: float = 0.0,
                         bounds: UniformBounds | None = None) -> ConvergenceReport:
@@ -224,8 +233,6 @@ def theorem1_experiment(template: BookTemplate, base: Strategy, ladder: KappaLad
     e(kappa) still vanishes.  The L2 mode first checks the declared ``bounds``
     against the first rung's book and the base rate.
     """
-    if base.has_blocks:
-        raise ValueError("the gap experiment takes a block-free base strategy")
     grid = base.grid
     if bounds is not None:
         bounds.check(template.materialize(grid, ladder.values[0]), base)
@@ -233,8 +240,7 @@ def theorem1_experiment(template: BookTemplate, base: Strategy, ladder: KappaLad
     errs = []
     for kappa in ladder:
         book = template.materialize(grid, kappa)
-        # kappa**0.0 is 1.0, so a fixed rate passes through bit for bit
-        strat = Strategy(grid, SampledPath(grid, kappa**rate_growth * base.rate.values))
+        strat = rung_strategy(base, kappa, rate_growth)  # Evaluation.ac refuses blocks
         gap = (ac_wealth(book, strat, price).impact_cost.values
                - ow_wealth(book, strat, price).impact_cost.values)
         errs.append(float(np.max(np.abs(gap))))
@@ -325,6 +331,23 @@ class TrackerBoundReport:
                 "within_bound": ["true" if w else "false" for w in self.within]}
 
 
+def tracker_bound_inputs(grid: TimeGrid, target_drift, target_vol, rate_scale,
+                         coeff_bound: float, rate_floor: float,
+                         paths: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The target's drift and volatility and the tracking-rate scale on
+    ``grid``; refuses fewer than 2 paths, and a coefficient above its bound or
+    a rate scale below its floor at any grid point."""
+    if paths < 2:
+        raise ValueError(f"tracker-bound needs at least 2 paths for its standard "
+                         f"errors (mc.paths), got {paths}")
+    mu, sig, m = (as_path(grid, c).values for c in (target_drift, target_vol, rate_scale))
+    if np.any(np.abs(mu) > coeff_bound) or np.any(np.abs(sig) > coeff_bound):
+        raise ValueError("target coefficients exceed the declared bound")
+    if np.any(m < rate_floor):
+        raise ValueError("tracking rate falls below its declared floor")
+    return mu, sig, m
+
+
 def tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, *, target_drift,
                              target_vol, rate_scale, coeff_bound: float, rate_floor: float,
                              target0: float, paths: int, seed: int) -> TrackerBoundReport:
@@ -335,17 +358,8 @@ def tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, *, target_drif
     ``rate_floor``; the estimate must stay below 5 * C^2 * T / M_floor
     (within three Monte-Carlo standard errors) uniformly in kappa.
     """
-    if paths < 2:
-        raise ValueError(f"tracker-bound needs at least 2 paths for its standard "
-                         f"errors (mc.paths), got {paths}")
-    mu = as_path(grid, target_drift).values
-    sig = as_path(grid, target_vol).values
-    m = as_path(grid, rate_scale).values
-    if np.any(np.abs(mu) > coeff_bound) or np.any(np.abs(sig) > coeff_bound):
-        raise ValueError("target coefficients exceed the declared bound")
-    if np.any(m < rate_floor):
-        raise ValueError("tracking rate falls below its declared floor")
-
+    mu, sig, m = tracker_bound_inputs(grid, target_drift, target_vol, rate_scale, coeff_bound,
+                                      rate_floor, paths)
     # (steps, rungs, 1) decays, each the float64 relax_positions computes
     decays = np.array([np.exp(-math.sqrt(k) * m[:-1] * grid.dt) for k in ladder]).T[:, :, None]
     sup2 = np.empty((len(ladder), paths))
@@ -429,22 +443,24 @@ def _certainty_equivalents(x: np.ndarray, idx: np.ndarray, gamma: float) -> np.n
     return xmin[:, 0] - np.log(xs.mean(axis=1)) / gamma
 
 
-def check_utility_book(book: BookParams) -> None:
-    """Refuse a book the utility experiment does not model: it needs zero
-    baseline spreads, zero permanent impact and a symmetric book."""
+def utility_trackers(template: BookTemplate, fundamental: FundamentalSpec, grid: TimeGrid,
+                     kappa: float, gamma: float, multipliers: tuple[float, ...],
+                     x0: float) -> tuple[SampledPath, list[SampledPath], float]:
+    """The utility experiment's inputs, from the book on ``kappa``: the
+    frictionless optimal position mu / (gamma * sigma**2) as the trackers'
+    target path, their rate scales c * sqrt(K h sigma**2 gamma / 2), one per
+    multiplier c, and the frictionless certainty equivalent x0 + mu**2 * T /
+    (2 * gamma * sigma**2).  Refuses a book with a baseline spread, permanent
+    impact or two sides, either frictionless value outside the float range,
+    and a rate scale that underflows to 0 (``check_tracker``)."""
+    book = template.materialize(grid, kappa)
     if np.any(book.eps_up.values != 0) or np.any(book.eps_dn.values != 0):
         raise ValueError("utility experiment requires zero baseline spreads")
     if np.any(book.alpha_up.values != 0) or np.any(book.alpha_dn.values != 0):
         raise ValueError("utility experiment requires zero permanent impact")
     if not book.is_symmetric():
         raise ValueError("utility experiment requires a symmetric book")
-
-
-def frictionless_optimum(mu: float, sigma: float, gamma: float, x0: float,
-                         horizon: float) -> tuple[float, float]:
-    """The frictionless optimal position mu / (gamma * sigma**2) and certainty
-    equivalent x0 + mu**2 * T / (2 * gamma * sigma**2) of the utility
-    experiment; refuses either one outside the float range."""
+    mu, sigma, horizon = float(fundamental.mu), float(fundamental.sigma), grid.horizon
     try:
         target_pos = mu / (gamma * sigma**2)
         frictionless = x0 + mu**2 * horizon / (2.0 * gamma * sigma**2)
@@ -455,7 +471,12 @@ def frictionless_optimum(mu: float, sigma: float, gamma: float, x0: float,
                          f"finite frictionless position mu / (gamma * sigma**2) and certainty "
                          f"equivalent x0 + mu**2 * T / (2 * gamma * sigma**2), got mu={mu!r}, "
                          f"gamma={gamma!r}, sigma={sigma!r}, x0={x0!r}, T={horizon!r}")
-    return target_pos, frictionless
+    target = constant_path(grid, target_pos)
+    m_base = np.sqrt(book.K_up.values * book.h_up.values * sigma**2 * gamma / 2.0)
+    scales = [SampledPath(grid, c * m_base) for c in multipliers]
+    for scale in scales:
+        check_tracker(target, scale, kappa)
+    return target, scales, frictionless
 
 
 def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, grid: TimeGrid,
@@ -469,36 +490,18 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, gri
     (no baseline spread, no permanent impact).  The frictionless optimal
     position mu / (gamma * sigma^2) is then constant; trackers start from a
     flat position so that speed trades off impact cost against displacement.
-    The closed-form optimal speed corresponds to multiplier 1.
+    The closed-form optimal speed corresponds to multiplier 1.  The run
+    config's schema refuses every other gamma, multipliers, mu and sigma.
     """
-    if gamma <= 0:
-        raise ValueError("risk aversion gamma must be positive")
-    if 1.0 not in tuple(float(c) for c in multipliers):
-        raise ValueError("speed multipliers must include 1 (the candidate)")
-    if any(c <= 0 for c in multipliers):
-        raise ValueError("speed multipliers must be positive")
-    if callable(fundamental.mu) or callable(fundamental.sigma):
-        raise ValueError("utility experiment requires constant drift and volatility")
-    if fundamental.sigma <= 0:
-        raise ValueError("utility experiment requires positive volatility "
-                         "(zero volatility gives zero tracking speed)")
     multipliers = tuple(float(c) for c in multipliers)
-
-    probe = template.materialize(grid, ladder.values[0])
-    check_utility_book(probe)
-
-    mu = float(fundamental.mu)
-    sigma = float(fundamental.sigma)
-    target_pos, frictionless = frictionless_optimum(mu, sigma, gamma, x0, grid.horizon)
-    target = constant_path(grid, target_pos)
-    m_base = np.sqrt(probe.K_up.values * probe.h_up.values * sigma**2 * gamma / 2.0)
-
+    target, scales, frictionless = utility_trackers(template, fundamental, grid,
+                                                    ladder.values[0], gamma, multipliers, x0)
     mean_fund = fundamental.mean_path(grid)
     cells = []
     for kappa in ladder:
         book = template.materialize(grid, kappa)
-        for c in multipliers:
-            strat = exponential_tracker(target, SampledPath(grid, c * m_base), kappa, start=0.0)
+        for scale in scales:
+            strat = exponential_tracker(target, scale, kappa, start=0.0)
             cells.append(Evaluation(book, strat, mean_fund).terminal(x0))
     x_terminal = _terminal_values(cells, fundamental, grid, paths, seed)
 

@@ -321,8 +321,9 @@ def constant_path(grid: TimeGrid, c: float) -> SampledPath:
 
 
 def function_path(grid: TimeGrid, f: Callable[[float], float]) -> SampledPath:
-    """Pointwise evaluation of f on the grid."""
-    values = np.array([float(f(t)) for t in grid.points()])
+    """Pointwise evaluation of f on the grid, at its points as Python floats,
+    whose arithmetic overflows to inf without a numpy warning."""
+    values = np.fromiter(map(f, map(float, grid.points())), np.float64, grid.n_points)
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NumericFailure("function evaluates to a non-finite value", step=bad,

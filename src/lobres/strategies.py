@@ -125,7 +125,8 @@ def smoothing_windows(grid: TimeGrid, blocks: tuple[tuple[int, float], ...], kap
     for idx, size in blocks:
         if idx < prev_end:
             raise ValueError("smoothing windows overlap")
-        n_full = int(width / dt + 1e-12)
+        # a window of more than steps + 1 steps cannot fit, and int(inf) raises
+        n_full = int(min(width / dt, grid.steps + 1) + 1e-12)
         remainder = width - n_full * dt
         n_used = n_full + (1 if remainder > 1e-9 * dt else 0)
         if idx + n_used > grid.steps:
@@ -181,21 +182,27 @@ def relax_positions(target: np.ndarray, rate_scale: np.ndarray, kappa: float,
     return np.array(path)
 
 
-def exponential_tracker(target: SampledPath, rate_scale: SampledPath, kappa: float,
-                        start: float | None = None) -> Strategy:
-    """Block-free strategy relaxing toward ``target`` at speed sqrt(kappa) * M,
-    for a tracking-rate scale M = ``rate_scale`` (> 0) and resilience scale
-    ``kappa`` (> 0).
-
-    The emitted rate is the per-step average position change; the default
-    initial position is the target's initial value.
-    """
+def check_tracker(target: SampledPath, rate_scale: SampledPath, kappa: float) -> None:
+    """Refuse an exponential tracker's inputs unless the tracking-rate scale
+    lives on the target's grid and is positive there and kappa is positive."""
     if rate_scale.grid != target.grid:
         raise ValueError("rate scale lives on a different grid")
     if np.any(rate_scale.values <= 0):
         raise ValueError("tracking rate M must be positive pointwise")
     if not (np.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be positive, got {kappa!r}")
+
+
+def exponential_tracker(target: SampledPath, rate_scale: SampledPath, kappa: float,
+                        start: float | None = None) -> Strategy:
+    """Block-free strategy relaxing toward ``target`` at speed sqrt(kappa) * M,
+    for a tracking-rate scale M = ``rate_scale`` (> 0) and resilience scale
+    ``kappa`` (> 0), checked by :func:`check_tracker`.
+
+    The emitted rate is the per-step average position change; the default
+    initial position is the target's initial value.
+    """
+    check_tracker(target, rate_scale, kappa)
     grid = target.grid
     pos = relax_positions(target.values, rate_scale.values, kappa, grid.dt, start)
     rate = np.zeros(grid.n_points)

@@ -284,6 +284,9 @@ MISMATCHES = [(command, kind) for command, kinds in COMMAND_KINDS.items()
               for kind in KIND_CONFIGS if kind not in kinds]
 
 
+# 0.5 + sin(2 pi 128 t)
+_DIP = {"fn": "sin", "amplitude": 1.0, "frequency": 128.0, "offset": 0.5}
+
 # A shipped config with one value its experiment refuses (file, section, key,
 # value) and the experiment's message, which the parser reports as well.
 EXPERIMENT_REFUSALS = {
@@ -306,6 +309,27 @@ EXPERIMENT_REFUSALS = {
         "utility experiment needs sigma**2 within the float range and a finite frictionless "
         "position mu / (gamma * sigma**2) and certainty equivalent x0 + mu**2 * T / "
         "(2 * gamma * sigma**2), got mu=0.1, gamma=1.0, sigma=1e-200, x0=0.0, T=1.0"),
+    # functions of time below their range only between the points t = j/256
+    # (0.5 there) and at odd points of the run's 512-step grid (-0.5)
+    "theorem1-K-off-the-coarse-points": ("theorem1.json", "book", "K", _DIP,
+                                         "K_up must be positive pointwise"),
+    "simulate-sigma-off-the-coarse-points": ("simulate.json", "fundamental", "sigma", _DIP,
+                                             "sigma must be nonnegative"),
+    "tracker-rate-scale-off-the-coarse-points": (
+        "tracker_bound.json", "tracker", "rate_scale", _DIP,
+        "tracking rate falls below its declared floor"),
+    # finite parameters, a function that overflows to inf on the grid
+    "theorem1-K-overflow": ("theorem1.json", "book", "K",
+                            {"fn": "linear", "intercept": 1e308, "slope": 1e308},
+                            "function evaluates to a non-finite value (step 409, t=0.798828125)"),
+    # a multiplier whose rate scale underflows to 0
+    "utility-multiplier-underflow": ("utility.json", "utility", "multipliers", [5e-324, 1.0],
+                                     "tracking rate M must be positive pointwise"),
+    # tracker-bound's declared bound and floor, against fixed values
+    "tracker-vol-above-bound": ("tracker_bound.json", "tracker", "target_vol", 2.0,
+                                "target coefficients exceed the declared bound"),
+    "tracker-rate-scale-below-floor": ("tracker_bound.json", "tracker", "rate_scale", 0.5,
+                                       "tracking rate falls below its declared floor"),
 }
 
 

@@ -12,7 +12,8 @@ from helpers import run_python
 from lobres import ConfigError, ConfigParseError, ConfigValidationError
 from lobres.cli import main
 from lobres.config import (INTERPRETER_BYTES, NUMPY_RANDOM_BYTES, ONE_PATH_BYTES_PER_POINT,
-                           SCIPY_BYTES, lane_bytes, parse_config, validate_config)
+                           SCIPY_BYTES, TRACKER_ARENA_BYTES, lane_bytes, parse_config,
+                           validate_config)
 from lobres.experiments import tracker_bound_experiment
 from lobres.paths import _ndtri, normals_block
 
@@ -237,6 +238,14 @@ class TestValidate:
         assert report["estimates"]["approx_memory_bytes"] == (
             INTERPRETER_BYTES + (ONE_PATH_BYTES_PER_POINT + 8 * varying) * 513)
 
+    def test_a_tracker_adds_its_rate_path_and_arenas(self):
+        # the relaxed rate is a full path even for a constant target
+        text = json.dumps({"kind": "simulate", "book": {"kappa": 1e4},
+                           "strategy": {"type": "tracker", "target": 1.0}})
+        report = validate_config(parse_config(text))
+        assert report["estimates"]["approx_memory_bytes"] == (
+            INTERPRETER_BYTES + TRACKER_ARENA_BYTES + (ONE_PATH_BYTES_PER_POINT + 8) * 513)
+
     @pytest.mark.parametrize("name, expected", [
         # scipy and the noise lanes (a (512, 1024) block: 8 segments x 1,024
         # streams at 19 uint64 values each), one float64 result per rung and
@@ -410,28 +419,33 @@ def test_numpy_random_bytes_matches_the_bootstrap_generator():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
-@pytest.mark.parametrize("name, command, book", [
-    pytest.param("tracker_bound.json", "converge", None, id="tracker_bound.json-converge"),
-    pytest.param("utility.json", "utility", None, id="utility.json-utility"),
-    pytest.param("lemma_jump_noisy.json", "converge", None, id="lemma_jump_noisy.json-converge"),
+@pytest.mark.parametrize("name, command, book, strategy", [
+    pytest.param("tracker_bound.json", "converge", None, None, id="tracker_bound.json-converge"),
+    pytest.param("utility.json", "utility", None, None, id="utility.json-utility"),
+    pytest.param("lemma_jump_noisy.json", "converge", None, None,
+                 id="lemma_jump_noisy.json-converge"),
     # 126,492 steps: the one-path term is the largest; the book's K is a
-    # constant held as one value, or a sin, one more full path
-    pytest.param("simulate.json", "simulate", {"kappa": 1e9},
+    # constant held as one value, or a sin, one more full path; a tracker
+    # adds its rate path and the arenas its relaxation leaves
+    pytest.param("simulate.json", "simulate", {"kappa": 1e9}, None,
                  id="simulate.json-simulate-kappa-1e9"),
     pytest.param("simulate.json", "simulate",
-                 {"kappa": 1e9, "K": {"fn": "sin", "amplitude": 0.5, "offset": 1.0}},
+                 {"kappa": 1e9, "K": {"fn": "sin", "amplitude": 0.5, "offset": 1.0}}, None,
                  id="simulate.json-simulate-kappa-1e9-sin-K"),
+    pytest.param("simulate.json", "simulate", {"kappa": 1e9}, {"type": "tracker", "target": 1.0},
+                 id="simulate.json-simulate-kappa-1e9-tracker"),
 ])
-def test_memory_estimate_matches_a_cli_run(name, command, book, tmp_path):
+def test_memory_estimate_matches_a_cli_run(name, command, book, strategy, tmp_path):
     # validate's approx_memory_bytes is within 10% of the peak RSS of one CLI
-    # run of the shipped config (with the book keys given, if any) with one
-    # BLAS thread.  A small launcher starts the run: a child's ru_maxrss
-    # counts the RSS of the process it was forked from, which for this test
-    # process is larger than the run.
+    # run of the shipped config (with the book keys and the strategy given,
+    # if any) with one BLAS thread.  A small launcher starts the run: a
+    # child's ru_maxrss counts the RSS of the process it was forked from,
+    # which for this test process is larger than the run.
     path = CONFIG_DIR / name
     if book is not None:
         config = json.loads(path.read_text())
         config["book"].update(book)
+        config["strategy"] = strategy or config["strategy"]
         path = tmp_path / name
         path.write_text(json.dumps(config))
     estimate = validate_config(parse_config(path.read_text()))["estimates"]
@@ -498,13 +512,13 @@ ERROR_ROWS = [
      "strategy.type must be one of ['blocks', 'rate', 'tracker', 'zero'], got 'nope'"),
     (_blocks([]), ConfigParseError, "strategy.blocks must be a nonempty list of [time, size]"),
     (_blocks([[0.2]]), ConfigParseError, "strategy.blocks[0] must be [time, size]"),
+    # block_schedule's own refusals, on the run's grid
     (_blocks([[0.2, 1.0]], t_prime=1.0), ConfigValidationError,
-     "strategy.t_prime must lie strictly between 0 and grid.horizon"),
+     "t_prime must lie strictly between 0 and the horizon"),
     (_blocks([[0.3, 1.0], [0.2, 1.0]]), ConfigValidationError,
-     "strategy block times must be strictly increasing"),
-    (_blocks([[0.6, 1.0]]), ConfigValidationError,
-     "strategy block times must lie in [0, t_prime]"),
-    (_blocks([[0.2, 0.0]]), ConfigValidationError, "strategy block sizes must be nonzero"),
+     "block times must be strictly increasing"),
+    (_blocks([[0.6, 1.0]]), ConfigValidationError, "block time 0.6 outside [0, 0.5]"),
+    (_blocks([[0.2, 0.0]]), ConfigValidationError, "block sizes must be nonzero and finite"),
     (_with(THEOREM1, ladder={"values": []}), ConfigParseError,
      "ladder.values must be a nonempty list"),
     (_with(THEOREM1, ladder={"values": [16.0, 8.0]}), ConfigValidationError,
@@ -525,9 +539,9 @@ ERROR_ROWS = [
     (_with(LEMMA, smoothing={"width_scale": 0}), ConfigValidationError,
      "smoothing.width_scale must be positive"),
     ({"kind": "tracker-bound", "tracker": {"coeff_bound": 0}}, ConfigValidationError,
-     "tracker.coeff_bound and tracker.rate_floor must be positive"),
+     "tracker.coeff_bound must be positive"),
     (_with(UTILITY, utility={"multipliers": 2}), ConfigParseError,
-     "utility.multipliers and utility.kappas must be lists"),
+     "utility.multipliers must be a list"),
     (_with(UTILITY, utility={"gamma": 0}), ConfigValidationError,
      "utility.gamma must be positive"),
     (_with(UTILITY, utility={"multipliers": [0.5, 2.0]}), ConfigValidationError,
@@ -540,7 +554,7 @@ ERROR_ROWS = [
      "utility.bootstrap must be at least 10"),
     ({"kind": "l2", "strategy": {"type": "zero"},
       "bounds": {"rate": 0, "coefficient": 1, "resilience_floor": 1}},
-     ConfigValidationError, "bounds entries must be positive"),
+     ConfigValidationError, "bounds.rate must be positive"),
     ('{\n  "kind": theorem1\n}', ConfigParseError, "parse error at line 2: Expecting value"),
     ({"kind": "nope"}, ConfigParseError,
      "kind must be one of ['l2', 'lemma-jump', 'remark1', 'simulate', 'theorem1', "
@@ -568,6 +582,10 @@ CRASH_ROWS = {
     "empty-utility-kappas": (
         _with(UTILITY, utility={"kappas": []}), ConfigParseError,
         "utility.kappas must be a nonempty list"),
+    # a window's step count overflowed int()
+    "smoothing-window-beyond-the-float-range": (
+        _with(LEMMA, smoothing={"width_scale": 1e308}), ConfigValidationError,
+        "smoothing window extends past the horizon"),
     "ladder-top-rung-overflow-error": (
         _with(THEOREM1, ladder={"count": 2000}), ConfigValidationError,
         "ladder.start * ladder.factor**(ladder.count - 1) must be finite"),
@@ -734,6 +752,23 @@ def test_validate_refuses_former_crash_inputs(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_a_tracker_strategy_is_checked_but_not_relaxed(monkeypatch):
+    # its rate scale is built on the run's grid and checked there, 0.5 at the
+    # points t = j/256 and -0.5 at odd points of the 512-step grid
+    import lobres.strategies
+
+    def relax(*args, **kwargs):
+        raise AssertionError("the parser relaxed a tracker")
+
+    monkeypatch.setattr(lobres.strategies, "relax_positions", relax)
+    tracker = {"type": "tracker", "target": {"fn": "sin"}, "rate_scale": 2.0}
+    parse_config(json.dumps(_with(SIMULATE, strategy=tracker)))
+    dip = {"fn": "sin", "amplitude": 1.0, "frequency": 128.0, "offset": 0.5}
+    with pytest.raises(ConfigValidationError) as info:
+        parse_config(json.dumps(_with(SIMULATE, strategy={**tracker, "rate_scale": dip})))
+    assert str(info.value) == "tracking rate M must be positive pointwise"
 
 
 def test_null_down_side_coefficients_mean_absent():

@@ -103,9 +103,9 @@ class TestTheorem1:
         assert report.slope <= -1.5
 
     def test_base_with_blocks_refused(self):
-        # the gap experiment reads only the base's rate: blocks would be dropped
+        # each rung's strategy keeps the base's blocks, which the reduced form refuses
         blocks = block_schedule(_grid(SMALL_LADDER.max), [(0.25, 1.0)], t_prime=0.5)
-        with pytest.raises(ValueError, match="block-free base strategy"):
+        with pytest.raises(ValueError, match="defined for block-free strategies"):
             theorem1_experiment(BookTemplate(), blocks, SMALL_LADDER)
 
     def test_gap_is_independent_of_the_price_path(self):
