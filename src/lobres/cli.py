@@ -17,10 +17,12 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .config import KINDS, RunConfig, parse_config, validate_config
-from .errors import ConfigError
-from .experiments import (lemma_jump_experiment, theorem1_experiment, tracker_bound_experiment,
-                          utility_experiment)
-from .paths import write_tables
+from .experiments import (lemma_jump_experiment, rung_strategy, theorem1_experiment,
+                          tracker_bound_experiment, tracker_bound_inputs, utility_experiment,
+                          utility_trackers)
+from .paths import TimeGrid, as_path, write_tables
+from .strategies import (Strategy, block_schedule, check_tracker, exponential_tracker,
+                         rate_strategy, smoothing_windows)
 from .wealth import Evaluation
 
 logger = logging.getLogger("lobres")
@@ -83,10 +85,10 @@ def _gates(kind: str, report) -> dict[str, bool]:
 
 @dataclass
 class RunResult:
-    """A runner's outcome.  ``tables`` maps each CSV artifact's name to the
+    """A run's outcome.  ``tables`` maps each CSV artifact's name to the
     method that builds its table; ``run_config`` creates the output directory
-    and writes them once the runner has returned, so a refused run writes
-    nothing and the runner's intermediate arrays are freed first."""
+    and writes them once the rungs have returned, so a refused run writes
+    nothing and the rungs' intermediate arrays are freed first."""
 
     gates: dict[str, bool]
     tables: dict[str, Callable[[], dict]]
@@ -97,76 +99,130 @@ class RunResult:
         return all(self.gates.values())
 
 
-def _run_simulate(config: RunConfig) -> RunResult:
-    grid = config.time_grid()
-    book = config.book.template().materialize(grid, config.book.kappa)
-    fund = config.fundamental.spec().sample(grid, config.mc.seed)
-    strategy = config.build_strategy(grid)
-
-    evaluation = Evaluation(book, strategy, fund)
-    wealth = evaluation.ow(config.x0)
-    spreads = evaluation.spreads()
-    summary = {"terminal_wealth": repr(float(wealth.x.values[-1]))}
-    return RunResult({}, {"wealth.csv": wealth.table, "spreads.csv": spreads.table,
-                          "strategy.csv": strategy.table}, summary)
+# Each run kind's set-up builds and checks, on the run's grid and in the
+# run's order, every input the run builds before its first rung, with the
+# engine's own constructors and checks, and returns the rungs: a closure over
+# what it built that runs once and gives the RunResult.  ``validate`` runs the
+# set-up and drops the rungs, so it refuses what the run refuses.
+Rungs = Callable[[], RunResult]
 
 
-def _run_gap(config: RunConfig) -> RunResult:
-    report = theorem1_experiment(
-        config.book.template(), config.build_strategy(config.time_grid()),
-        config.kappas(), rate_growth=KINDS[config.kind].rate_growth,
-        bounds=None if config.bounds is None else config.bounds.bounds())
-    summary = {"slope": None if report.slope is None else repr(report.slope)}
-    return RunResult(_gates(config.kind, report), {"convergence.csv": report.table}, summary)
+def _strategy(config: RunConfig, grid: TimeGrid) -> Strategy:
+    """The run's zero, rate or block strategy on ``grid``."""
+    sc = config.strategy
+    if sc.type == "blocks":
+        return block_schedule(grid, sc.blocks, sc.t_prime)
+    return rate_strategy(grid, 0.0 if sc.type == "zero" else sc.rate.value(), sc.phi0)
 
 
-def _run_lemma(config: RunConfig) -> RunResult:
-    report = lemma_jump_experiment(
-        config.book.template(), config.build_strategy(config.time_grid()),
-        config.fundamental.spec(), config.kappas(),
-        width_scale=config.smoothing.width_scale, paths=config.mc.paths,
-        seed=config.mc.seed)
-    summary = {"mean_diff_at_kappa_max": repr(float(report.mean_diff[-1])),
-               "frac_positive_at_kappa_max": repr(float(report.frac_positive[-1]))}
-    return RunResult(_gates(config.kind, report), {"lemma.csv": report.table}, summary)
+def _set_up_simulate(config: RunConfig) -> Rungs:
+    grid, sc, kappa = config.time_grid(), config.strategy, config.book.kappa
+    book = config.book.template().materialize(grid, kappa)
+    spec = config.fundamental.spec()
+    mean, sigma = spec.mean_path(grid), spec.sigma_steps(grid)
+    if sc.type == "tracker":  # built and checked; the rung relaxes it, walking the grid
+        target, scale = as_path(grid, sc.target.value()), as_path(grid, sc.rate_scale.value())
+        check_tracker(target, scale, kappa)
+    else:
+        strategy = _strategy(config, grid)
+
+    def rungs() -> RunResult:
+        fund = spec.add_noise(mean, sigma, config.mc.seed)
+        strat = (exponential_tracker(target, scale, kappa, sc.start) if sc.type == "tracker"
+                 else strategy)
+        evaluation = Evaluation(book, strat, fund)
+        wealth = evaluation.ow(config.x0)
+        spreads = evaluation.spreads()
+        summary = {"terminal_wealth": repr(float(wealth.x.values[-1]))}
+        return RunResult({}, {"wealth.csv": wealth.table, "spreads.csv": spreads.table,
+                              "strategy.csv": strat.table}, summary)
+    return rungs
 
 
-def _run_tracker_bound(config: RunConfig) -> RunResult:
-    tc = config.tracker
-    report = tracker_bound_experiment(
-        config.kappas(), config.time_grid(), target_drift=tc.target_drift.value(),
-        target_vol=tc.target_vol.value(), rate_scale=tc.rate_scale.value(),
-        coeff_bound=tc.coeff_bound, rate_floor=tc.rate_floor, target0=tc.target0,
-        paths=config.mc.paths, seed=config.mc.seed)
-    summary = {"bound": repr(report.bound),
-               "max_estimate": repr(float(report.estimates.max()))}
-    return RunResult(_gates(config.kind, report), {"tracker.csv": report.table}, summary)
+def _set_up_gap(config: RunConfig) -> Rungs:
+    grid, kappas, template = config.time_grid(), config.kappas(), config.book.template()
+    base, rate_growth = _strategy(config, grid), KINDS[config.kind].rate_growth
+    first_book = template.materialize(grid, kappas.values[0])
+    bounds = None if config.bounds is None else config.bounds.bounds()
+    if bounds is not None:
+        bounds.check(first_book, base)
+    rung_strategy(base, kappas.max, rate_growth)  # the rate scaled to the top rung
+    config.fundamental.spec().sigma_steps(grid)  # refused, though the gap reads no price
+
+    def rungs() -> RunResult:
+        report = theorem1_experiment(template, base, kappas, rate_growth=rate_growth,
+                                     bounds=bounds)
+        summary = {"slope": None if report.slope is None else repr(report.slope)}
+        return RunResult(_gates(config.kind, report), {"convergence.csv": report.table},
+                         summary)
+    return rungs
 
 
-def _run_utility(config: RunConfig) -> RunResult:
-    uc = config.utility
-    report = utility_experiment(
-        config.book.template(), config.fundamental.spec(), config.time_grid(), config.kappas(),
-        gamma=uc.gamma, multipliers=uc.multipliers, paths=config.mc.paths,
-        seed=config.mc.seed, x0=uc.x0, bootstrap=uc.bootstrap)
-    summary = {"frictionless_ce": repr(report.frictionless_ce),
-               "candidate_ce": [repr(c) for c in report.candidate_ce.tolist()]}
-    return RunResult(_gates(config.kind, report), {"utility.csv": report.table}, summary)
+def _set_up_lemma(config: RunConfig) -> Rungs:
+    grid, kappas, template = config.time_grid(), config.kappas(), config.book.template()
+    strategy, spec = _strategy(config, grid), config.fundamental.spec()
+    width_scale = config.smoothing.width_scale
+    spec.mean_path(grid)
+    template.materialize(grid, kappas.values[0])
+    for kappa in kappas:
+        smoothing_windows(grid, strategy.blocks, kappa, width_scale)
+    spec.sigma_steps(grid)
+
+    def rungs() -> RunResult:
+        report = lemma_jump_experiment(template, strategy, spec, kappas, width_scale=width_scale,
+                                       paths=config.mc.paths, seed=config.mc.seed)
+        summary = {"mean_diff_at_kappa_max": repr(float(report.mean_diff[-1])),
+                   "frac_positive_at_kappa_max": repr(float(report.frac_positive[-1]))}
+        return RunResult(_gates(config.kind, report), {"lemma.csv": report.table}, summary)
+    return rungs
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    **{kind: _run_gap for kind, spec in KINDS.items() if spec.rate_growth is not None},
-    "lemma-jump": _run_lemma,
-    "tracker-bound": _run_tracker_bound,
-    "utility": _run_utility,
+def _set_up_tracker_bound(config: RunConfig) -> Rungs:
+    grid, kappas, tc = config.time_grid(), config.kappas(), config.tracker
+    coeffs = dict(target_drift=tc.target_drift.value(), target_vol=tc.target_vol.value(),
+                  rate_scale=tc.rate_scale.value(), coeff_bound=tc.coeff_bound,
+                  rate_floor=tc.rate_floor)
+    tracker_bound_inputs(grid, **coeffs, paths=config.mc.paths)
+
+    def rungs() -> RunResult:
+        report = tracker_bound_experiment(kappas, grid, **coeffs, target0=tc.target0,
+                                          paths=config.mc.paths, seed=config.mc.seed)
+        summary = {"bound": repr(report.bound),
+                   "max_estimate": repr(float(report.estimates.max()))}
+        return RunResult(_gates(config.kind, report), {"tracker.csv": report.table}, summary)
+    return rungs
+
+
+def _set_up_utility(config: RunConfig) -> Rungs:
+    grid, kappas, uc = config.time_grid(), config.kappas(), config.utility
+    template, spec = config.book.template(), config.fundamental.spec()
+    utility_trackers(template, spec, grid, kappas.values[0], uc.gamma, uc.multipliers, uc.x0)
+    spec.mean_path(grid)  # sigma is a positive constant: its steps refuse nothing
+
+    def rungs() -> RunResult:
+        report = utility_experiment(template, spec, grid, kappas, gamma=uc.gamma,
+                                    multipliers=uc.multipliers, paths=config.mc.paths,
+                                    seed=config.mc.seed, x0=uc.x0, bootstrap=uc.bootstrap)
+        summary = {"frictionless_ce": repr(report.frictionless_ce),
+                   "candidate_ce": [repr(c) for c in report.candidate_ce.tolist()]}
+        return RunResult(_gates(config.kind, report), {"utility.csv": report.table}, summary)
+    return rungs
+
+
+_SET_UPS = {
+    "simulate": _set_up_simulate,
+    **{kind: _set_up_gap for kind, spec in KINDS.items() if spec.rate_growth is not None},
+    "lemma-jump": _set_up_lemma,
+    "tracker-bound": _set_up_tracker_bound,
+    "utility": _set_up_utility,
 }
 
 
-def run_config(config: RunConfig) -> RunResult:
-    """Execute a run and write its artifacts; returns gates and summary."""
+def run_config(config: RunConfig, rungs: Rungs) -> RunResult:
+    """Run the rungs of ``config``'s set-up and write the run's artifacts;
+    returns gates and summary."""
     out = Path(config.output_dir)
-    result = _RUNNERS[config.kind](config)
+    result = rungs()
     out.mkdir(parents=True, exist_ok=True)
     write_tables({out / name: table() for name, table in result.tables.items()})
     summary = {
@@ -220,10 +276,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = _load_config(args.config, args.seed, args.out)
+        rungs = _SET_UPS[config.kind](config)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
+    except (ValueError, MemoryError) as exc:  # numpy refuses a grid it cannot hold
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -239,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        result = run_config(config)
+        result = run_config(config, rungs)
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 3

@@ -22,11 +22,8 @@ from typing import Any, Callable, NamedTuple
 from .book import BookTemplate
 from .errors import ConfigParseError, ConfigValidationError
 from .experiments import (FundamentalSpec, KappaLadder, UniformBounds, ladder_grid,
-                          paths_per_chunk, resamples_per_chunk, rung_strategy,
-                          tracker_bound_inputs, utility_trackers)
-from .paths import TimeGrid, as_path, lane_layout
-from .strategies import (Strategy, block_schedule, check_tracker, exponential_tracker,
-                         rate_strategy, smoothing_windows)
+                          paths_per_chunk, resamples_per_chunk)
+from .paths import TimeGrid, lane_layout
 
 # sha256 from the interpreter's built-in module, as CPython's random.py takes
 # sha512: hashlib loads OpenSSL's libcrypto (about 3.5 MiB of RSS) to hash a
@@ -117,7 +114,7 @@ _INCREASING = _is(lambda vs: all(v > 0 for v in vs) and all(b > a for a, b in zi
 def _within(lo: float, hi: float = math.inf, strict: bool = False):
     """Coefficient range [lo, hi], or (lo, hi] if strict, of a constant.  A
     function of time is checked by the engine at every point of the run's
-    grid (``RunConfig.check_inputs``), with the run's own message."""
+    grid, with the run's own message, by the run kind's set-up in ``cli``."""
     bracket = f"({lo}, {hi}]" if strict else f"[{lo}, {hi}]"
 
     def check(c: CoeffSpec) -> str | None:
@@ -297,7 +294,7 @@ class StrategyConfig:
     type: str = _field(_one_of(("zero", "rate", "blocks", "tracker")), None)
     phi0: float = _field(_number, 0.0)
     rate: CoeffSpec | None = _field(_COEFF, _REQUIRED, when=("type", "rate"))
-    # block_schedule checks the blocks and t_prime (RunConfig.check_inputs)
+    # block_schedule checks the blocks and t_prime, in the run's set-up (cli)
     blocks: tuple[tuple[float, float], ...] | None = _field(
         _list(_block, "{} must be a nonempty list of [time, size]"), _REQUIRED,
         when=("type", "blocks"))
@@ -490,64 +487,6 @@ class RunConfig:
                                         "sqrt(largest kappa)) must be finite")
         return ladder_grid(g.horizon, g.n0, g.resolution_scale, kappa_max)
 
-    def build_strategy(self, grid: TimeGrid) -> Strategy:
-        """The run's strategy on ``grid``."""
-        sc = self.strategy
-        if sc.type == "zero":
-            return rate_strategy(grid, 0.0, sc.phi0)
-        if sc.type == "rate":
-            return rate_strategy(grid, sc.rate.value(), sc.phi0)
-        if sc.type == "blocks":
-            return block_schedule(grid, sc.blocks, sc.t_prime)
-        return exponential_tracker(as_path(grid, sc.target.value()),
-                                   as_path(grid, sc.rate_scale.value()), self.book.kappa,
-                                   sc.start)
-
-    def check_inputs(self) -> None:
-        """Build, on this run's grid and in the run's order, each input the
-        run builds before its first rung, with the engine's own constructors
-        and checks, so that ``validate`` refuses what the run refuses with
-        the run's own ValueError.  A tracker strategy's target and rate scale
-        are built but not relaxed, which would walk the whole grid; the gap
-        kinds read no fundamental but for the sign of its sigma."""
-        grid, kappas, kind = self.time_grid(), self.kappas(), self.kind
-        if kind == "tracker-bound":
-            tc = self.tracker
-            tracker_bound_inputs(grid, tc.target_drift.value(), tc.target_vol.value(),
-                                 tc.rate_scale.value(), tc.coeff_bound, tc.rate_floor,
-                                 self.mc.paths)
-            return
-        fund = self.fundamental.spec()
-        first_book = lambda: self.book.template().materialize(grid, kappas.values[0])
-        if kind == "simulate":
-            first_book()
-            fund.mean_path(grid)
-            fund.sigma_steps(grid)
-            sc = self.strategy
-            if sc.type == "tracker":
-                check_tracker(as_path(grid, sc.target.value()),
-                              as_path(grid, sc.rate_scale.value()), self.book.kappa)
-            else:
-                self.build_strategy(grid)
-            return
-        if kind == "utility":
-            uc = self.utility
-            utility_trackers(self.book.template(), fund, grid, kappas.values[0], uc.gamma,
-                             uc.multipliers, uc.x0)
-            fund.mean_path(grid)
-        elif kind == "lemma-jump":
-            blocks = self.build_strategy(grid).blocks
-            fund.mean_path(grid)
-            first_book()
-            for kappa in kappas:
-                smoothing_windows(grid, blocks, kappa, self.smoothing.width_scale)
-        else:  # a gap kind, whose run scales the rate on every rung
-            base, book = self.build_strategy(grid), first_book()
-            if self.bounds is not None:
-                self.bounds.bounds().check(book, base)
-            rung_strategy(base, kappas.max, KINDS[kind].rate_growth)
-        fund.sigma_steps(grid)
-
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
@@ -587,10 +526,6 @@ def parse_config(text: str) -> RunConfig:
     if KINDS[kind].rate_growth is not None and rungs < 3:
         raise ConfigValidationError(f"ladder must have at least 3 rungs for kind '{kind}' "
                                     f"(a rate fit needs 3 points), got {rungs}")
-    try:
-        config.check_inputs()
-    except (ValueError, MemoryError) as exc:  # numpy refuses a grid it cannot hold
-        raise ConfigValidationError(str(exc)) from exc
     return config
 
 
@@ -617,10 +552,6 @@ NUMPY_RANDOM_BYTES = 11 * 2**19
 # constant input is held as one value (paths.constant_path); each input that
 # varies in time adds one path (``_varying_inputs``).
 ONE_PATH_BYTES_PER_POINT = 8 * 17
-# What a tracker strategy's relaxation leaves resident beside its rate path:
-# 1 to 3 of the 1 MiB pymalloc arenas its per-step Python floats filled, at
-# any grid size, kept by a few surviving objects (tracemalloc counts none).
-TRACKER_ARENA_BYTES = 3 * 2**20
 
 
 def _varying_inputs(config: RunConfig) -> int:
@@ -690,12 +621,11 @@ def validate_config(config: RunConfig) -> dict:
             "paths": config.mc.paths,
             "cost_proxy": cost_proxy,
             # peak RSS: the interpreter (and scipy and the noise lanes,
-            # numpy.random for the bootstrap, a tracker's arenas), one path's
-            # inputs, scan and ledger, the Monte-Carlo arrays
+            # numpy.random for the bootstrap), one path's inputs, scan and
+            # ledger, the Monte-Carlo arrays
             "approx_memory_bytes": (INTERPRETER_BYTES
                                     + noise * (SCIPY_BYTES + lane_bytes(chunk, steps))
                                     + (config.utility is not None) * NUMPY_RANDOM_BYTES
-                                    + tracker * TRACKER_ARENA_BYTES
                                     + (ONE_PATH_BYTES_PER_POINT
                                        + 8 * (_varying_inputs(config) + tracker))
                                     * (steps + 1) + 8 * arrays),

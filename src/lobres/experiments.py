@@ -100,14 +100,18 @@ class FundamentalSpec:
         return SampledPath(grid, values)
 
     def sample(self, grid: TimeGrid, seed: int, stream: int = 0) -> SampledPath:
-        """The mean path plus the noise of stream ``stream`` of ``seed``, drawn
+        """The mean path plus the noise of stream ``stream`` of ``seed``."""
+        return self.add_noise(self.mean_path(grid), self.sigma_steps(grid), seed, stream)
+
+    def add_noise(self, mean: SampledPath, sigma: np.ndarray, seed: int,
+                  stream: int = 0) -> SampledPath:
+        """``mean``, this model's mean path, plus in place the noise of stream
+        ``stream`` of ``seed`` at the per-step volatilities ``sigma``, drawn
         like every Monte-Carlo path; a deterministic fundamental draws nothing."""
-        values = self.mean_path(grid).values
         if not self.is_deterministic:
-            sigma = self.sigma_steps(grid)
-            dw = brownian_increments(grid, seed, 1, stream)[:, 0]
-            values[1:] += np.cumsum(sigma * dw)
-        return SampledPath(grid, values)
+            dw = brownian_increments(mean.grid, seed, 1, stream)[:, 0]
+            mean.values[1:] += np.cumsum(sigma * dw)
+        return SampledPath(mean.grid, mean.values)
 
     @property
     def is_deterministic(self) -> bool:

@@ -173,13 +173,16 @@ def relax_positions(target: np.ndarray, rate_scale: np.ndarray, kappa: float,
     if target.ndim != 1:
         raise ValueError(f"relax_positions takes one (n+1,) path, got shape {target.shape}")
     decay = np.exp(-math.sqrt(kappa) * np.asarray(rate_scale)[:target.size - 1] * dt)
-    # on Python floats: the IEEE operations of arrays, with no numpy call per step
-    pos = float(target[0] if start is None else start)
-    path = [pos]
-    for t_i, d in zip(target.tolist(), decay.tolist()):
-        pos = (pos - t_i) * d + t_i
-        path.append(pos)
-    return np.array(path)
+
+    # on Python floats: the IEEE operations of arrays, with no numpy call per
+    # step; iterating a memoryview yields them without building a list
+    def walk(pos: float):
+        yield pos
+        for t_i, d in zip(memoryview(target), memoryview(decay)):
+            pos = (pos - t_i) * d + t_i
+            yield pos
+    return np.fromiter(walk(float(target[0] if start is None else start)), np.float64,
+                       target.size)
 
 
 def check_tracker(target: SampledPath, rate_scale: SampledPath, kappa: float) -> None:

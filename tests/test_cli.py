@@ -13,7 +13,7 @@ from helpers import reference_constant_path, reference_write_columns, run_python
 from lobres import (BookTemplate, KappaLadder, TimeGrid, UniformBounds, rate_strategy,
                     theorem1_experiment)
 from lobres.cli import main
-from lobres.config import RunConfig, parse_config, validate_config
+from lobres.config import parse_config, validate_config
 from lobres.paths import write_tables
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,7 +100,7 @@ class TestSimulate:
                                    SampledPath(g, column("bid", g)),
                                    column("ask_pre", g), column("bid_pre", g))
 
-        monkeypatch.setattr(RunConfig, "build_strategy", strategy)
+        monkeypatch.setattr(cli, "_strategy", strategy)
         monkeypatch.setattr(cli, "Evaluation", Evaluation)
         out = tmp_path / "artifacts"
         assert main(["simulate", "--config", str(write_config(tmp_path, SIMULATE_ZERO)),
@@ -185,6 +185,23 @@ class TestSimulate:
         for path, table in tables.items():
             reference_write_columns(tmp_path / "reference.csv", table)
             assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes(), path.name
+
+    def test_the_blocks_are_scheduled_once(self, tmp_path, monkeypatch):
+        # the set-up builds the strategy, and the rung evaluates that one
+        import lobres.strategies
+        calls = []
+        original = lobres.strategies.block_schedule
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in [m for m in list(sys.modules.values()) if m.__name__.startswith("lobres")
+                       and getattr(m, "block_schedule", None) is original]:
+            monkeypatch.setattr(module, "block_schedule", counted)
+        assert main(["simulate", "--config", str(CONFIG_DIR / "simulate.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
     def test_book_is_scanned_once(self, tmp_path, monkeypatch):
         # wealth and spreads are projections of one evaluation; the scan is
@@ -330,6 +347,20 @@ EXPERIMENT_REFUSALS = {
                                 "target coefficients exceed the declared bound"),
     "tracker-rate-scale-below-floor": ("tracker_bound.json", "tracker", "rate_scale", 0.5,
                                        "tracking rate falls below its declared floor"),
+    # block_schedule's own refusals, on the run's grid
+    "lemma-t-prime-at-the-horizon": ("lemma_jump.json", "strategy", "t_prime", 1.0,
+                                     "t_prime must lie strictly between 0 and the horizon"),
+    "lemma-block-times-out-of-order": ("lemma_jump.json", "strategy", "blocks",
+                                       [[0.3, 1.0], [0.2, 1.0]],
+                                       "block times must be strictly increasing"),
+    "lemma-block-time-after-t-prime": ("lemma_jump.json", "strategy", "blocks", [[0.6, 1.0]],
+                                       "block time 0.6 outside [0, 0.5]"),
+    "lemma-zero-block": ("lemma_jump.json", "strategy", "blocks", [[0.2, 0.0]],
+                         "block sizes must be nonzero and finite"),
+    # a window's step count overflowed int() (once a traceback from validate)
+    "smoothing-window-beyond-the-float-range": ("lemma_jump.json", "smoothing", "width_scale",
+                                                1e308,
+                                                "smoothing window extends past the horizon"),
 }
 
 
@@ -341,6 +372,14 @@ class TestExitCodes:
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
         assert main(["simulate", "--config", str(cfg)]) == 2
+
+    def test_undecodable_config(self, tmp_path, capsys):
+        # refused with one error line, like every other config problem
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "codec can't decode" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, kind", MISMATCHES)
     def test_kind_command_mismatch(self, tmp_path, capsys, command, kind):
@@ -368,6 +407,18 @@ class TestExitCodes:
         assert main([command, "--config", str(negative)]) == 2
         assert "mc.seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_a_bad_override_is_reported_before_a_bad_input(self, tmp_path, capsys, command):
+        # the set-up checks the config that --seed and --out made, so their
+        # refusal comes first
+        payload = json.loads((CONFIG_DIR / "simulate.json").read_text())
+        payload["strategy"]["blocks"] = [[0.25, 1.0], [0.2501, 1.0]]
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, payload)),
+                     "--seed", "-5", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: mc.seed must be non-negative, got -5\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["converge", "validate"])
     def test_empty_out_refused(self, tmp_path, capsys, monkeypatch, command):
         # refused like an empty output.directory, before anything is written
@@ -393,21 +444,6 @@ class TestExitCodes:
                      "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
-
-    @pytest.mark.parametrize("name", list(EXPERIMENT_REFUSALS))
-    def test_the_experiment_itself_still_refuses(self, tmp_path, monkeypatch, name):
-        # the parser's check is the experiment's: skipping it at parse time
-        # leaves the run's refusal as it was
-        import lobres.cli as cli
-        import lobres.config as config_module
-        file, section, key, value, message = EXPERIMENT_REFUSALS[name]
-        payload = json.loads((CONFIG_DIR / file).read_text())
-        payload[section][key] = value
-        monkeypatch.setattr(config_module.RunConfig, "check_inputs", lambda self: None)
-        config = parse_config(json.dumps(payload))
-        with pytest.raises(ValueError) as info:
-            cli._RUNNERS[config.kind](config)
-        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))

@@ -12,8 +12,7 @@ from helpers import run_python
 from lobres import ConfigError, ConfigParseError, ConfigValidationError
 from lobres.cli import main
 from lobres.config import (INTERPRETER_BYTES, NUMPY_RANDOM_BYTES, ONE_PATH_BYTES_PER_POINT,
-                           SCIPY_BYTES, TRACKER_ARENA_BYTES, lane_bytes, parse_config,
-                           validate_config)
+                           SCIPY_BYTES, lane_bytes, parse_config, validate_config)
 from lobres.experiments import tracker_bound_experiment
 from lobres.paths import _ndtri, normals_block
 
@@ -238,13 +237,13 @@ class TestValidate:
         assert report["estimates"]["approx_memory_bytes"] == (
             INTERPRETER_BYTES + (ONE_PATH_BYTES_PER_POINT + 8 * varying) * 513)
 
-    def test_a_tracker_adds_its_rate_path_and_arenas(self):
+    def test_a_tracker_adds_its_rate_path(self):
         # the relaxed rate is a full path even for a constant target
         text = json.dumps({"kind": "simulate", "book": {"kappa": 1e4},
                            "strategy": {"type": "tracker", "target": 1.0}})
         report = validate_config(parse_config(text))
         assert report["estimates"]["approx_memory_bytes"] == (
-            INTERPRETER_BYTES + TRACKER_ARENA_BYTES + (ONE_PATH_BYTES_PER_POINT + 8) * 513)
+            INTERPRETER_BYTES + (ONE_PATH_BYTES_PER_POINT + 8) * 513)
 
     @pytest.mark.parametrize("name, expected", [
         # scipy and the noise lanes (a (512, 1024) block: 8 segments x 1,024
@@ -512,13 +511,6 @@ ERROR_ROWS = [
      "strategy.type must be one of ['blocks', 'rate', 'tracker', 'zero'], got 'nope'"),
     (_blocks([]), ConfigParseError, "strategy.blocks must be a nonempty list of [time, size]"),
     (_blocks([[0.2]]), ConfigParseError, "strategy.blocks[0] must be [time, size]"),
-    # block_schedule's own refusals, on the run's grid
-    (_blocks([[0.2, 1.0]], t_prime=1.0), ConfigValidationError,
-     "t_prime must lie strictly between 0 and the horizon"),
-    (_blocks([[0.3, 1.0], [0.2, 1.0]]), ConfigValidationError,
-     "block times must be strictly increasing"),
-    (_blocks([[0.6, 1.0]]), ConfigValidationError, "block time 0.6 outside [0, 0.5]"),
-    (_blocks([[0.2, 0.0]]), ConfigValidationError, "block sizes must be nonzero and finite"),
     (_with(THEOREM1, ladder={"values": []}), ConfigParseError,
      "ladder.values must be a nonempty list"),
     (_with(THEOREM1, ladder={"values": [16.0, 8.0]}), ConfigValidationError,
@@ -582,10 +574,6 @@ CRASH_ROWS = {
     "empty-utility-kappas": (
         _with(UTILITY, utility={"kappas": []}), ConfigParseError,
         "utility.kappas must be a nonempty list"),
-    # a window's step count overflowed int()
-    "smoothing-window-beyond-the-float-range": (
-        _with(LEMMA, smoothing={"width_scale": 1e308}), ConfigValidationError,
-        "smoothing window extends past the horizon"),
     "ladder-top-rung-overflow-error": (
         _with(THEOREM1, ladder={"count": 2000}), ConfigValidationError,
         "ladder.start * ladder.factor**(ladder.count - 1) must be finite"),
@@ -754,21 +742,52 @@ def test_validate_refuses_former_crash_inputs(name, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_a_tracker_strategy_is_checked_but_not_relaxed(monkeypatch):
-    # its rate scale is built on the run's grid and checked there, 0.5 at the
-    # points t = j/256 and -0.5 at odd points of the 512-step grid
+def test_a_tracker_strategy_is_checked_but_not_relaxed(monkeypatch, tmp_path, capsys):
+    # validate builds its rate scale on the run's grid and checks it there,
+    # 0.5 at the points t = j/256 and -0.5 at odd points of the 512-step grid
     import lobres.strategies
 
     def relax(*args, **kwargs):
-        raise AssertionError("the parser relaxed a tracker")
+        raise AssertionError("validate relaxed a tracker")
 
     monkeypatch.setattr(lobres.strategies, "relax_positions", relax)
     tracker = {"type": "tracker", "target": {"fn": "sin"}, "rate_scale": 2.0}
-    parse_config(json.dumps(_with(SIMULATE, strategy=tracker)))
     dip = {"fn": "sin", "amplitude": 1.0, "frequency": 128.0, "offset": 0.5}
-    with pytest.raises(ConfigValidationError) as info:
-        parse_config(json.dumps(_with(SIMULATE, strategy={**tracker, "rate_scale": dip})))
-    assert str(info.value) == "tracking rate M must be positive pointwise"
+    path = tmp_path / "config.json"
+    for rate_scale, code in ((2.0, 0), (dip, 2)):
+        path.write_text(json.dumps(_with(SIMULATE, strategy={**tracker,
+                                                             "rate_scale": rate_scale})))
+        capsys.readouterr()
+        assert main(["validate", "--config", str(path)]) == code
+    assert capsys.readouterr() == ("", "error: tracking rate M must be positive pointwise\n")
+
+
+# every config a run or the benchmark ships
+SHIPPED = sorted([*CONFIG_DIR.glob("*.json"),
+                  *CONFIG_DIR.parent.glob("perfbench/workloads/*/*.json")])
+
+
+def test_parsing_builds_no_engine_input(monkeypatch):
+    # the schema alone: each run kind's set-up builds the inputs
+    import lobres.book
+    import lobres.experiments
+    import lobres.strategies
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parser built an engine input")
+
+    monkeypatch.setattr(lobres.book.BookTemplate, "materialize", refuse)
+    monkeypatch.setattr(lobres.experiments.FundamentalSpec, "mean_path", refuse)
+    for home, name in ((lobres.strategies, "block_schedule"), (lobres.strategies, "rate_strategy"),
+                       (lobres.experiments, "tracker_bound_inputs"),
+                       (lobres.experiments, "utility_trackers")):
+        original = getattr(home, name)
+        for module in [m for m in list(sys.modules.values()) if m.__name__.startswith("lobres")
+                       and getattr(m, name, None) is original]:
+            monkeypatch.setattr(module, name, refuse)
+    assert len(SHIPPED) == 15
+    for path in SHIPPED:
+        parse_config(path.read_text())
 
 
 def test_null_down_side_coefficients_mean_absent():

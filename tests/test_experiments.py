@@ -435,6 +435,69 @@ class TestUtility:
         assert _gates("utility", report) == {"candidate_noninferior": True}
 
 
+# The shipped configs' inputs, each with one value its experiment (or, for
+# simulate, the engine call the run makes) refuses; the run reports the same
+# message (test_cli.EXPERIMENT_REFUSALS).  0.5 + sin(2 pi 128 t) is below its
+# range only between the points t = j/256 and at odd points of a 512-step grid.
+_DIP = lambda t: 0.5 + 1.0 * math.sin(2.0 * math.pi * 128.0 * t)
+_SHIPPED_GRID = TimeGrid(1.0, 512)
+
+
+def _shipped_utility(template=BookTemplate(), sigma=0.2, multipliers=(0.5, 1.0, 2.0)):
+    utility_experiment(template, FundamentalSpec(100.0, 0.1, sigma), _SHIPPED_GRID,
+                       KappaLadder((64.0, 256.0, 1024.0)), gamma=1.0, multipliers=multipliers,
+                       paths=10, seed=42, x0=0.0, bootstrap=10)
+
+
+def _shipped_theorem1(K):
+    theorem1_experiment(BookTemplate(K=K, alpha=0.25, eps=0.01),
+                        rate_strategy(_SHIPPED_GRID, lambda t: math.sin(2.0 * math.pi * t)),
+                        KappaLadder.geometric(16.0, 2.0, 9))
+
+
+SHIPPED_REFUSALS = {
+    "utility-alpha": (lambda: _shipped_utility(BookTemplate(alpha=0.1)),
+                      "utility experiment requires zero permanent impact"),
+    "utility-h-down": (lambda: _shipped_utility(BookTemplate(h_dn=2.0)),
+                       "utility experiment requires a symmetric book"),
+    "lemma-width-scale": (
+        lambda: lemma_jump_experiment(
+            BookTemplate(), block_schedule(_SHIPPED_GRID, [(0.25, 1.0)], 0.5), FundamentalSpec(),
+            KappaLadder.geometric(16.0, 2.0, 9), width_scale=3.0, paths=1, seed=42),
+        "smoothing window extends past the horizon"),
+    "simulate-colliding-blocks": (
+        lambda: block_schedule(_SHIPPED_GRID, [(0.25, 1.0), (0.2501, 1.0)], 0.5),
+        "blocks at t=0.2501 collide at grid index 128 after rounding"),
+    "utility-sigma-underflow": (
+        lambda: _shipped_utility(sigma=1e-200),
+        "utility experiment needs sigma**2 within the float range and a finite frictionless "
+        "position mu / (gamma * sigma**2) and certainty equivalent x0 + mu**2 * T / "
+        "(2 * gamma * sigma**2), got mu=0.1, gamma=1.0, sigma=1e-200, x0=0.0, T=1.0"),
+    "theorem1-K-off-the-coarse-points": (lambda: _shipped_theorem1(_DIP),
+                                         "K_up must be positive pointwise"),
+    "simulate-sigma-off-the-coarse-points": (
+        lambda: FundamentalSpec(100.0, 0.05, _DIP).sample(_SHIPPED_GRID, 42),
+        "sigma must be nonnegative"),
+    "tracker-rate-scale-off-the-coarse-points": (
+        lambda: tracker_bound_experiment(KappaLadder.geometric(16.0, 2.0, 7), _SHIPPED_GRID,
+                                         **dict(UNIT_TRACKER, rate_scale=_DIP), paths=10,
+                                         seed=42),
+        "tracking rate falls below its declared floor"),
+    "theorem1-K-overflow": (lambda: _shipped_theorem1(lambda t: 1e308 + 1e308 * t),
+                            "function evaluates to a non-finite value (step 409, t=0.798828125)"),
+    "utility-multiplier-underflow": (lambda: _shipped_utility(multipliers=(5e-324, 1.0)),
+                                     "tracking rate M must be positive pointwise"),
+}
+
+
+@pytest.mark.parametrize("name", list(SHIPPED_REFUSALS))
+def test_the_experiment_itself_refuses(name):
+    run, message = SHIPPED_REFUSALS[name]
+    with pytest.raises(ValueError) as info:
+        run()
+    assert str(info.value) == message
+
+
 class TestBrownianIncrements:
     # paths below 8192 split each stream into segments; 2731 and 10007 steps
     # leave a shorter last segment for 3 and 1 paths

@@ -80,3 +80,34 @@ def test_every_public_name_is_read_by_the_package():
 def test_an_unreached_name_is_found():
     sources = ["def f(grid):\n    return grid.steps\n", "g = f(None)\nh = 1\n"]
     assert unreached_names(sources, ["f", "g", "h", "steps"]) == ["g", "h"]
+
+
+def imported_names(source: str, module: str) -> set[str]:
+    """Names that ``source`` imports from the package module ``module``, with
+    "*" for the module itself, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.level == 1 and node.module == module) or node.module == f"lobres.{module}":
+                names.update(a.name for a in node.names)
+            elif node.level == 1 and node.module is None:
+                names.update("*" for a in node.names if a.name == module)
+        elif isinstance(node, ast.Import):
+            names.update("*" for a in node.names if a.name == f"lobres.{module}")
+    return names
+
+
+# what the schema (a section's spec(), ladder(), bounds(), the run's grid) and
+# validate's estimates read of the experiments
+SCHEMA_EXPERIMENT_NAMES = {"FundamentalSpec", "KappaLadder", "UniformBounds", "ladder_grid",
+                           "paths_per_chunk", "resamples_per_chunk"}
+
+
+def test_config_imports_no_run_set_up():
+    # the set-ups that build a run's inputs live in cli, not in the schema
+    source = (SRC / "config.py").read_text()
+    assert imported_names(source, "strategies") == set()
+    assert imported_names(source, "experiments") <= SCHEMA_EXPERIMENT_NAMES
+    assert imported_names("from . import strategies\nimport lobres.experiments\n"
+                          "def f():\n    from .experiments import rung_strategy\n",
+                          "experiments") == {"*", "rung_strategy"}
