@@ -101,9 +101,9 @@ class RunResult:
 
 # Each run kind's set-up builds and checks, on the run's grid and in the
 # run's order, every input the run builds before its first rung, with the
-# engine's own constructors and checks, and returns the rungs: a closure over
-# what it built that runs once and gives the RunResult.  ``validate`` runs the
-# set-up and drops the rungs, so it refuses what the run refuses.
+# engine's own constructors and checks, and returns the rungs: a closure that
+# hands what it built to the experiment once and gives the RunResult.
+# ``validate`` runs the set-up and drops the rungs: it refuses what runs refuse.
 Rungs = Callable[[], RunResult]
 
 
@@ -143,15 +143,13 @@ def _set_up_gap(config: RunConfig) -> Rungs:
     grid, kappas, template = config.time_grid(), config.kappas(), config.book.template()
     base, rate_growth = _strategy(config, grid), KINDS[config.kind].rate_growth
     first_book = template.materialize(grid, kappas.values[0])
-    bounds = None if config.bounds is None else config.bounds.bounds()
-    if bounds is not None:
-        bounds.check(first_book, base)
+    if config.bounds is not None:
+        config.bounds.bounds().check(first_book, base)
     rung_strategy(base, kappas.max, rate_growth)  # the rate scaled to the top rung
     config.fundamental.spec().sigma_steps(grid)  # refused, though the gap reads no price
 
     def rungs() -> RunResult:
-        report = theorem1_experiment(template, base, kappas, rate_growth=rate_growth,
-                                     bounds=bounds)
+        report = theorem1_experiment(template, base, kappas, rate_growth=rate_growth)
         summary = {"slope": None if report.slope is None else repr(report.slope)}
         return RunResult(_gates(config.kind, report), {"convergence.csv": report.table},
                          summary)
@@ -162,15 +160,16 @@ def _set_up_lemma(config: RunConfig) -> Rungs:
     grid, kappas, template = config.time_grid(), config.kappas(), config.book.template()
     strategy, spec = _strategy(config, grid), config.fundamental.spec()
     width_scale = config.smoothing.width_scale
-    spec.mean_path(grid)
+    mean = spec.mean_path(grid)
     template.materialize(grid, kappas.values[0])
     for kappa in kappas:
         smoothing_windows(grid, strategy.blocks, kappa, width_scale)
-    spec.sigma_steps(grid)
+    sigma = None if spec.is_deterministic else spec.sigma_steps(grid)  # None draws no noise
 
     def rungs() -> RunResult:
-        report = lemma_jump_experiment(template, strategy, spec, kappas, width_scale=width_scale,
-                                       paths=config.mc.paths, seed=config.mc.seed)
+        report = lemma_jump_experiment(template, strategy, mean, sigma, kappas,
+                                       width_scale=width_scale, paths=config.mc.paths,
+                                       seed=config.mc.seed)
         summary = {"mean_diff_at_kappa_max": repr(float(report.mean_diff[-1])),
                    "frac_positive_at_kappa_max": repr(float(report.frac_positive[-1]))}
         return RunResult(_gates(config.kind, report), {"lemma.csv": report.table}, summary)
@@ -179,13 +178,12 @@ def _set_up_lemma(config: RunConfig) -> Rungs:
 
 def _set_up_tracker_bound(config: RunConfig) -> Rungs:
     grid, kappas, tc = config.time_grid(), config.kappas(), config.tracker
-    coeffs = dict(target_drift=tc.target_drift.value(), target_vol=tc.target_vol.value(),
-                  rate_scale=tc.rate_scale.value(), coeff_bound=tc.coeff_bound,
-                  rate_floor=tc.rate_floor)
-    tracker_bound_inputs(grid, **coeffs, paths=config.mc.paths)
+    inputs = tracker_bound_inputs(grid, tc.target_drift.value(), tc.target_vol.value(),
+                                  tc.rate_scale.value(), tc.coeff_bound, tc.rate_floor,
+                                  config.mc.paths)
 
     def rungs() -> RunResult:
-        report = tracker_bound_experiment(kappas, grid, **coeffs, target0=tc.target0,
+        report = tracker_bound_experiment(kappas, grid, inputs, target0=tc.target0,
                                           paths=config.mc.paths, seed=config.mc.seed)
         summary = {"bound": repr(report.bound),
                    "max_estimate": repr(float(report.estimates.max()))}
@@ -196,11 +194,12 @@ def _set_up_tracker_bound(config: RunConfig) -> Rungs:
 def _set_up_utility(config: RunConfig) -> Rungs:
     grid, kappas, uc = config.time_grid(), config.kappas(), config.utility
     template, spec = config.book.template(), config.fundamental.spec()
-    utility_trackers(template, spec, grid, kappas.values[0], uc.gamma, uc.multipliers, uc.x0)
-    spec.mean_path(grid)  # sigma is a positive constant: its steps refuse nothing
+    trackers = utility_trackers(template, spec, grid, kappas.values[0], uc.gamma,
+                                uc.multipliers, uc.x0)
+    mean, sigma = spec.mean_path(grid), spec.sigma_steps(grid)
 
     def rungs() -> RunResult:
-        report = utility_experiment(template, spec, grid, kappas, gamma=uc.gamma,
+        report = utility_experiment(template, trackers, mean, sigma, kappas, gamma=uc.gamma,
                                     multipliers=uc.multipliers, paths=config.mc.paths,
                                     seed=config.mc.seed, x0=uc.x0, bootstrap=uc.bootstrap)
         summary = {"frictionless_ce": repr(report.frictionless_ce),
@@ -300,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ time-only coefficients.  Every Monte-Carlo noise chunk, tracker-bound's
 included, is drawn by one iterator, ``_noise_chunks``.
 
 The gap kinds (theorem1, remark1, l2) all run ``theorem1_experiment``:
-remark1 passes ``rate_growth=0.25`` and l2 passes its declared ``bounds``.
+remark1 passes ``rate_growth=0.25`` and l2 checks its bounds before it.
 They take no price model and draw no noise.  Both engines book the same gain,
 the same baseline-spread cost and, for the block-free strategies they admit,
 no block cost, so X_ow - X_ac is the difference of their impact costs.  Those
@@ -144,15 +144,14 @@ def _noise_chunks(grid: TimeGrid, paths: int, seed: int):
         yield first, stop, brownian_increments(grid, seed, stop - first, first)
 
 
-def _terminal_values(cells: list[tuple[float, np.ndarray]], fundamental: FundamentalSpec,
+def _terminal_values(cells: list[tuple[float, np.ndarray]], sigma: np.ndarray | None,
                      grid: TimeGrid, paths: int, seed: int) -> np.ndarray:
     """(len(cells), paths) terminal values ``x + (sigma * w) @ dW`` of the
     cells (x, w): a terminal value on the drift-only price path and the
-    position weights of the price increments.  Noise is drawn iff the
-    fundamental is not deterministic."""
+    position weights of the price increments.  Noise is drawn iff the per-step
+    volatilities ``sigma`` are not None."""
     values = np.repeat([[x] for x, _ in cells], paths, axis=1)
-    if not fundamental.is_deterministic:
-        sigma = fundamental.sigma_steps(grid)
+    if sigma is not None:
         for a, b, dw in _noise_chunks(grid, paths, seed):
             for j, (_, w) in enumerate(cells):
                 values[j, a:b] += (sigma * w) @ dw
@@ -225,8 +224,7 @@ def rung_strategy(base: Strategy, kappa: float, rate_growth: float) -> Strategy:
 
 
 def theorem1_experiment(template: BookTemplate, base: Strategy, ladder: KappaLadder, *,
-                        rate_growth: float = 0.0,
-                        bounds: UniformBounds | None = None) -> ConvergenceReport:
+                        rate_growth: float = 0.0) -> ConvergenceReport:
     """Gap e(kappa) = sup_t |X_ow - X_ac| between structural and reduced-form
     wealth for the rate kappa**rate_growth times the block-free ``base``
     strategy's rate, at every ladder rung, on the base's grid.
@@ -234,12 +232,10 @@ def theorem1_experiment(template: BookTemplate, base: Strategy, ladder: KappaLad
     The gap is the same on every price path, so it is also its L2 norm over
     paths.  Theorem 1 (``rate_growth=0``): kappa * e(kappa) vanishes, one order
     faster for smooth rates.  Remark 1 (``rate_growth=0.25``): sqrt(kappa) *
-    e(kappa) still vanishes.  The L2 mode first checks the declared ``bounds``
-    against the first rung's book and the base rate.
+    e(kappa) still vanishes.  The L2 mode first checks its declared bounds
+    against the first rung's book and the base rate (``UniformBounds.check``).
     """
     grid = base.grid
-    if bounds is not None:
-        bounds.check(template.materialize(grid, ladder.values[0]), base)
     price = constant_path(grid, 0.0)
     errs = []
     for kappa in ladder:
@@ -292,10 +288,10 @@ class LemmaJumpReport:
 
 
 def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
-                          fundamental: FundamentalSpec, ladder: KappaLadder, *,
-                          width_scale: float, paths: int, seed: int) -> LemmaJumpReport:
+                          mean_fund: SampledPath, sigma: np.ndarray | None, ladder: KappaLadder,
+                          *, width_scale: float, paths: int, seed: int) -> LemmaJumpReport:
     """Pathwise terminal difference D(kappa) between each block strategy and
-    its linearly smoothed version, under common noise.
+    its linearly smoothed version, under common noise at volatilities ``sigma`` (None: none).
 
     The smoothed strategies trade the same volumes over windows of width
     width_scale * kappa^(-1/4); for large resilience their payoffs dominate
@@ -304,7 +300,6 @@ def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
     if not block_strategy.has_blocks:
         raise ValueError("lemma experiment requires a nonzero block strategy")
     grid = block_strategy.grid
-    mean_fund = fundamental.mean_path(grid)
     # every rung's deterministic gap and position weights, then the noise
     cells = []
     for kappa in ladder:
@@ -313,7 +308,7 @@ def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
         x_sm, w_sm = Evaluation(book, smoothed, mean_fund).terminal()
         x_bl, w_bl = Evaluation(book, block_strategy, mean_fund).terminal()
         cells.append((x_sm - x_bl, w_sm - w_bl))
-    diffs = _terminal_values(cells, fundamental, grid, paths, seed)
+    diffs = _terminal_values(cells, sigma, grid, paths, seed)
     return LemmaJumpReport(np.asarray(list(ladder)), diffs.mean(axis=1),
                            (diffs > 0).mean(axis=1), diffs)
 
@@ -337,10 +332,10 @@ class TrackerBoundReport:
 
 def tracker_bound_inputs(grid: TimeGrid, target_drift, target_vol, rate_scale,
                          coeff_bound: float, rate_floor: float,
-                         paths: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The target's drift and volatility and the tracking-rate scale on
-    ``grid``; refuses fewer than 2 paths, and a coefficient above its bound or
-    a rate scale below its floor at any grid point."""
+                         paths: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The target's drift and volatility, the tracking-rate scale on ``grid``
+    and the bound 5 * C**2 * T / M_floor; refuses < 2 paths, a coefficient
+    above C or a rate scale below M_floor at a grid point, and an inf bound."""
     if paths < 2:
         raise ValueError(f"tracker-bound needs at least 2 paths for its standard "
                          f"errors (mc.paths), got {paths}")
@@ -349,21 +344,27 @@ def tracker_bound_inputs(grid: TimeGrid, target_drift, target_vol, rate_scale,
         raise ValueError("target coefficients exceed the declared bound")
     if np.any(m < rate_floor):
         raise ValueError("tracking rate falls below its declared floor")
-    return mu, sig, m
+    try:
+        bound = 5.0 * coeff_bound**2 * grid.horizon / rate_floor
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"tracker-bound needs a finite bound 5 * coeff_bound**2 * T / "
+                         f"rate_floor, got coeff_bound={coeff_bound!r}, T={grid.horizon!r}, "
+                         f"rate_floor={rate_floor!r}")
+    return mu, sig, m, bound
 
 
-def tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, *, target_drift,
-                             target_vol, rate_scale, coeff_bound: float, rate_floor: float,
+def tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, inputs: tuple, *,
                              target0: float, paths: int, seed: int) -> TrackerBoundReport:
     """Estimate E[sup_t kappa^(1/2) |target_t - tracker_t|^2] per kappa on ``grid``.
 
-    The target is an Ito process with declared drift/vol coefficients bounded
-    by ``coeff_bound`` and the tracking-rate scale M is bounded below by
-    ``rate_floor``; the estimate must stay below 5 * C^2 * T / M_floor
-    (within three Monte-Carlo standard errors) uniformly in kappa.
+    The target is an Ito process from ``target0`` with ``inputs``'
+    coefficients (``tracker_bound_inputs``); the estimate must stay below
+    their bound 5 * C^2 * T / M_floor (within three Monte-Carlo standard
+    errors) uniformly in kappa.
     """
-    mu, sig, m = tracker_bound_inputs(grid, target_drift, target_vol, rate_scale, coeff_bound,
-                                      rate_floor, paths)
+    mu, sig, m, bound = inputs
     # (steps, rungs, 1) decays, each the float64 relax_positions computes
     decays = np.array([np.exp(-math.sqrt(k) * m[:-1] * grid.dt) for k in ladder]).T[:, :, None]
     sup2 = np.empty((len(ladder), paths))
@@ -387,12 +388,10 @@ def tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, *, target_drif
         del increments, inc  # the block and its last row, freed before the next chunk draws
         sup2[:, a:b] = np.sqrt(ladder.values)[:, None] * sup
 
-    bound = 5.0 * coeff_bound**2 * grid.horizon / rate_floor
     estimates = sup2.mean(axis=1)
     stderrs = sup2.std(axis=1, ddof=1) / math.sqrt(paths)
     within = estimates <= bound + 3.0 * stderrs
-    return TrackerBoundReport(np.asarray(list(ladder)), estimates, stderrs,
-                              float(bound), within)
+    return TrackerBoundReport(np.asarray(list(ladder)), estimates, stderrs, bound, within)
 
 
 @dataclass
@@ -483,11 +482,12 @@ def utility_trackers(template: BookTemplate, fundamental: FundamentalSpec, grid:
     return target, scales, frictionless
 
 
-def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, grid: TimeGrid,
-                       ladder: KappaLadder, *, gamma: float, multipliers: Sequence[float],
-                       paths: int, seed: int, x0: float, bootstrap: int) -> UtilityReport:
+def utility_experiment(template: BookTemplate, trackers: tuple, mean_fund: SampledPath,
+                       sigma: np.ndarray, ladder: KappaLadder, *, gamma: float,
+                       multipliers: Sequence[float], paths: int, seed: int, x0: float,
+                       bootstrap: int) -> UtilityReport:
     """Compare certainty equivalents of trackers with speeds c * sqrt(kappa) * M
-    at every ladder rung on ``grid``.
+    (``utility_trackers``' ``trackers`` for ``multipliers``) at every rung.
 
     Setup: exponential utility with absolute risk aversion ``gamma``, constant
     drift/volatility fundamental, and a frictionless-baseline symmetric book
@@ -498,16 +498,15 @@ def utility_experiment(template: BookTemplate, fundamental: FundamentalSpec, gri
     config's schema refuses every other gamma, multipliers, mu and sigma.
     """
     multipliers = tuple(float(c) for c in multipliers)
-    target, scales, frictionless = utility_trackers(template, fundamental, grid,
-                                                    ladder.values[0], gamma, multipliers, x0)
-    mean_fund = fundamental.mean_path(grid)
+    target, scales, frictionless = trackers
+    grid = mean_fund.grid
     cells = []
     for kappa in ladder:
         book = template.materialize(grid, kappa)
         for scale in scales:
             strat = exponential_tracker(target, scale, kappa, start=0.0)
             cells.append(Evaluation(book, strat, mean_fund).terminal(x0))
-    x_terminal = _terminal_values(cells, fundamental, grid, paths, seed)
+    x_terminal = _terminal_values(cells, sigma, grid, paths, seed)
 
     shape = (len(ladder), len(multipliers))
     cand = multipliers.index(1.0)

@@ -19,9 +19,10 @@ from lobres import (BookParams, BookTemplate, NumericFailure, RandomSource, Refe
                     rate_strategy)
 from lobres.book import _check_grids, evolve_book
 from lobres.experiments import (_BOOTSTRAP_STREAM, LemmaJumpReport, TrackerBoundReport,
-                                UtilityReport, _certainty_equivalents, brownian_increments)
+                                UtilityReport, _certainty_equivalents, brownian_increments,
+                                lemma_jump_experiment, tracker_bound_experiment,
+                                tracker_bound_inputs, utility_experiment, utility_trackers)
 from lobres.wealth import _accumulate
-from lobres.paths import as_path, constant_path
 from lobres.strategies import exponential_tracker, smooth_blocks
 
 
@@ -417,6 +418,39 @@ def optimal_tracker(book: BookParams, sigma_s: SampledPath,
     return exponential_tracker(target, SampledPath(grid, m), book.kappa, start)
 
 
+# Monte-Carlo experiments run on the inputs a run's set-up (``lobres.cli``)
+# builds before its first rung, with the same constructors; ``experiment`` is
+# the engine's or one of the references below.
+
+
+def run_lemma_jump(template: BookTemplate, block_strategy: Strategy, fundamental: FundamentalSpec,
+                   ladder: KappaLadder, *, experiment=lemma_jump_experiment, **kw):
+    """``experiment`` on the fundamental's mean path and per-step
+    volatilities, None if it is deterministic."""
+    grid = block_strategy.grid
+    sigma = None if fundamental.is_deterministic else fundamental.sigma_steps(grid)
+    return experiment(template, block_strategy, fundamental.mean_path(grid), sigma, ladder, **kw)
+
+
+def run_tracker_bound(ladder: KappaLadder, grid: TimeGrid, *, target_drift, target_vol,
+                      rate_scale, coeff_bound: float, rate_floor: float, target0: float,
+                      paths: int, seed: int, experiment=tracker_bound_experiment):
+    """``experiment`` on ``tracker_bound_inputs``' coefficient paths and bound."""
+    inputs = tracker_bound_inputs(grid, target_drift, target_vol, rate_scale, coeff_bound,
+                                  rate_floor, paths)
+    return experiment(ladder, grid, inputs, target0=target0, paths=paths, seed=seed)
+
+
+def run_utility(template: BookTemplate, fundamental: FundamentalSpec, grid: TimeGrid,
+                ladder: KappaLadder, *, experiment=utility_experiment, **kw):
+    """``experiment`` on ``utility_trackers``' trackers on the first rung, the
+    fundamental's mean path and its per-step volatilities."""
+    trackers = utility_trackers(template, fundamental, grid, ladder.values[0], kw["gamma"],
+                                kw["multipliers"], kw["x0"])
+    return experiment(template, trackers, fundamental.mean_path(grid),
+                      fundamental.sigma_steps(grid), ladder, **kw)
+
+
 # Whole-matrix Monte-Carlo experiments: the references for the chunked ones in
 # ``lobres.experiments``, which draw and reduce one chunk of paths at a time.
 # Each holds the (steps, paths) noise (and, for tracker-bound, the targets and
@@ -424,9 +458,9 @@ def optimal_tracker(book: BookParams, sigma_s: SampledPath,
 
 
 def reference_lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
-                                    fundamental: FundamentalSpec, ladder: KappaLadder, *,
-                                    width_scale: float, paths: int, seed: int,
-                                    x0: float = 0.0) -> LemmaJumpReport:
+                                    mean_fund: SampledPath, sigma: np.ndarray | None,
+                                    ladder: KappaLadder, *, width_scale: float, paths: int,
+                                    seed: int, x0: float = 0.0) -> LemmaJumpReport:
     """Pathwise terminal difference D(kappa) between each block strategy and
     its linearly smoothed version, under common noise.
 
@@ -437,9 +471,7 @@ def reference_lemma_jump_experiment(template: BookTemplate, block_strategy: Stra
     if not block_strategy.has_blocks:
         raise ValueError("lemma experiment requires a nonzero block strategy")
     grid = block_strategy.grid
-    mean_fund = fundamental.mean_path(grid)
-    sigma = fundamental.sigma_steps(grid)
-    noise = brownian_increments(grid, seed, paths) if np.any(sigma > 0) else None
+    noise = None if sigma is None else brownian_increments(grid, seed, paths)
 
     mean_diff = []
     frac_pos = []
@@ -461,24 +493,18 @@ def reference_lemma_jump_experiment(template: BookTemplate, block_strategy: Stra
                            np.asarray(frac_pos), np.asarray(all_diffs))
 
 
-def reference_tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, *, target_drift,
-                                       target_vol, rate_scale, coeff_bound: float,
-                                       rate_floor: float, target0: float, paths: int,
+def reference_tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid,
+                                       inputs: tuple[np.ndarray, np.ndarray, np.ndarray, float],
+                                       *, target0: float, paths: int,
                                        seed: int) -> TrackerBoundReport:
     """Estimate E[sup_t kappa^(1/2) |target_t - tracker_t|^2] per kappa on ``grid``.
 
-    The target is an Ito process with declared drift/vol coefficients bounded
-    by ``coeff_bound`` and the tracking-rate scale M is bounded below by
-    ``rate_floor``; the estimate must stay below 5 * C^2 * T / M_floor
-    (within three Monte-Carlo standard errors) uniformly in kappa.
+    The target is an Ito process from ``target0`` with the drift/vol
+    coefficients and tracking-rate scale M of ``inputs``
+    (``tracker_bound_inputs``); the estimate must stay below the bound of
+    ``inputs`` (within three Monte-Carlo standard errors) uniformly in kappa.
     """
-    mu = as_path(grid, target_drift).values
-    sig = as_path(grid, target_vol).values
-    m = as_path(grid, rate_scale).values
-    if np.any(np.abs(mu) > coeff_bound) or np.any(np.abs(sig) > coeff_bound):
-        raise ValueError("target coefficients exceed the declared bound")
-    if np.any(m < rate_floor):
-        raise ValueError("tracking rate falls below its declared floor")
+    mu, sig, m, bound = inputs
 
     # time-major (n+1, paths) targets: the noise becomes the increments and
     # is cumulated along time, then freed before the first rung
@@ -491,7 +517,6 @@ def reference_tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, *, t
     del increments
     targets[1:] += target0
 
-    bound = 5.0 * coeff_bound**2 * grid.horizon / rate_floor
     estimates = []
     stderrs = []
     for kappa in ladder:
@@ -509,57 +534,35 @@ def reference_tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, *, t
                               float(bound), within)
 
 
-def reference_utility_experiment(template: BookTemplate, fundamental: FundamentalSpec,
-                                 grid: TimeGrid, ladder: KappaLadder, *, gamma: float,
+def reference_utility_experiment(template: BookTemplate,
+                                 trackers: tuple[SampledPath, list[SampledPath], float],
+                                 mean_fund: SampledPath, sigma: np.ndarray,
+                                 ladder: KappaLadder, *, gamma: float,
                                  multipliers: Sequence[float], paths: int, seed: int,
                                  x0: float, bootstrap: int) -> UtilityReport:
     """Compare certainty equivalents of trackers with speeds c * sqrt(kappa) * M.
 
     Setup: exponential utility with absolute risk aversion ``gamma``, constant
     drift/volatility fundamental, and a frictionless-baseline symmetric book
-    (no baseline spread, no permanent impact).  The frictionless optimal
-    position mu / (gamma * sigma^2) is then constant; trackers start from a
-    flat position so that speed trades off impact cost against displacement.
-    The closed-form optimal speed corresponds to multiplier 1.
+    (no baseline spread, no permanent impact).  ``trackers`` holds the
+    constant frictionless optimal position mu / (gamma * sigma^2), the rate
+    scale of each multiplier c and the frictionless certainty equivalent
+    (``utility_trackers``); trackers start from a flat position so that speed
+    trades off impact cost against displacement.  The closed-form optimal
+    speed corresponds to multiplier 1.
     """
-    if gamma <= 0:
-        raise ValueError("risk aversion gamma must be positive")
-    if 1.0 not in tuple(float(c) for c in multipliers):
-        raise ValueError("speed multipliers must include 1 (the candidate)")
-    if any(c <= 0 for c in multipliers):
-        raise ValueError("speed multipliers must be positive")
-    if callable(fundamental.mu) or callable(fundamental.sigma):
-        raise ValueError("utility experiment requires constant drift and volatility")
-    if fundamental.sigma <= 0:
-        raise ValueError("utility experiment requires positive volatility "
-                         "(zero volatility gives zero tracking speed)")
     kappas = ladder.values
     multipliers = tuple(float(c) for c in multipliers)
-
-    probe = template.materialize(grid, kappas[0])
-    if np.any(probe.eps_up.values != 0) or np.any(probe.eps_dn.values != 0):
-        raise ValueError("utility experiment requires zero baseline spreads")
-    if np.any(probe.alpha_up.values != 0) or np.any(probe.alpha_dn.values != 0):
-        raise ValueError("utility experiment requires zero permanent impact")
-    if not probe.is_symmetric():
-        raise ValueError("utility experiment requires a symmetric book")
-
-    mu = float(fundamental.mu)
-    sigma = float(fundamental.sigma)
-    target_pos = mu / (gamma * sigma**2)
-    target = constant_path(grid, target_pos)
-    m_base = np.sqrt(probe.K_up.values * probe.h_up.values * sigma**2 * gamma / 2.0)
-
-    mean_fund = fundamental.mean_path(grid)
-    sigma_steps = fundamental.sigma_steps(grid)
+    target, scales, frictionless = trackers
+    grid = mean_fund.grid
     dw = brownian_increments(grid, seed, paths)
     x_terminal: dict[tuple[float, float], np.ndarray] = {}
     for kappa in kappas:
         book = template.materialize(grid, kappa)
-        for c in multipliers:
-            strat = exponential_tracker(target, SampledPath(grid, c * m_base), kappa, start=0.0)
+        for c, scale in zip(multipliers, scales):
+            strat = exponential_tracker(target, scale, kappa, start=0.0)
             x_det, weights = _terminal_wealth_decomposition(book, strat, mean_fund, x0)
-            x_terminal[(kappa, c)] = x_det + (sigma_steps * weights) @ dw
+            x_terminal[(kappa, c)] = x_det + (sigma * weights) @ dw
     del dw  # the noise and the resample indices are never held together
 
     boot_gen = np.random.Generator(np.random.PCG64(
@@ -581,7 +584,6 @@ def reference_utility_experiment(template: BookTemplate, fundamental: Fundamenta
                           ce_point[cand] - ce_point[key],
                           float(glo), float(ghi))
 
-    frictionless = x0 + mu**2 * grid.horizon / (2.0 * gamma * sigma**2)
     # one (kappa, multiplier) array per value, in UtilityReport's field order
     values = np.array(list(cells.values())).T.reshape(6, len(kappas), len(multipliers))
     return UtilityReport(kappas, multipliers, *values, frictionless)

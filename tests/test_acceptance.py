@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from lobres import (BookTemplate, Evaluation, FundamentalSpec, KappaLadder, Strategy,
-                    TimeGrid, constant_path, ladder_grid, lemma_jump_experiment,
-                    position_paths, rate_strategy, theorem1_experiment,
-                    tracker_bound_experiment, utility_experiment)
+                    TimeGrid, constant_path, ladder_grid, position_paths, rate_strategy,
+                    theorem1_experiment)
 from lobres.cli import main
 from lobres.strategies import block_schedule
-from helpers import random_strategy
+from helpers import random_strategy, run_lemma_jump, run_tracker_bound, run_utility
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 LADDER = KappaLadder.geometric(16.0, 2.0, 9)
@@ -119,13 +118,13 @@ def test_criterion_5_block_dominance_gate():
     grid = ladder_grid(1.0, 512, 4.0, LADDER.max)
     blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
 
-    det = lemma_jump_experiment(template, blocks, FundamentalSpec(sigma=0.0), LADDER,
-                                width_scale=1.0, paths=1, seed=42)
+    det = run_lemma_jump(template, blocks, FundamentalSpec(sigma=0.0), LADDER,
+                         width_scale=1.0, paths=1, seed=42)
     assert abs(det.mean_diff[-1] - 0.5) <= 0.02, f"D(4096) = {det.mean_diff[-1]}"
     assert np.all(det.frac_positive == 1.0)
 
-    noisy = lemma_jump_experiment(template, blocks, FundamentalSpec(sigma=0.2),
-                                  LADDER, width_scale=1.0, paths=1000, seed=42)
+    noisy = run_lemma_jump(template, blocks, FundamentalSpec(sigma=0.2),
+                           LADDER, width_scale=1.0, paths=1000, seed=42)
     assert noisy.frac_positive[-1] >= 0.95, f"frac = {noisy.frac_positive[-1]}"
     _report(5, f"D(4096) = {det.mean_diff[-1]:.4f} near 0.5; positive on "
                f"{100 * noisy.frac_positive[-1]:.1f}% of noisy paths", budget.check())
@@ -134,7 +133,7 @@ def test_criterion_5_block_dominance_gate():
 def test_criterion_6_tracker_l2_bound():
     budget = _Budget(60.0)
     ladder = KappaLadder.geometric(16.0, 2.0, 7)
-    report = tracker_bound_experiment(
+    report = run_tracker_bound(
         ladder, ladder_grid(1.0, 512, 4.0, ladder.max), target_drift=0.0, target_vol=1.0,
         rate_scale=1.0, coeff_bound=1.0, rate_floor=1.0, target0=0.0, paths=10_000, seed=42)
     assert report.bound == 5.0
@@ -147,7 +146,7 @@ def test_criterion_6_tracker_l2_bound():
 
 def test_criterion_7_utility_noninferiority():
     budget = _Budget(120.0)
-    report = utility_experiment(
+    report = run_utility(
         BookTemplate(K=1.0, h=1.0, alpha=0.0, eps=0.0),
         FundamentalSpec(s0=100.0, mu=0.1, sigma=0.2), ladder_grid(1.0, 512, 4.0, 1024.0),
         KappaLadder((64.0, 256.0, 1024.0)), gamma=1.0, multipliers=[0.5, 1.0, 2.0],

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 
 import lobres.experiments as experiments_module
 from helpers import reference_constant_path, reference_write_columns, run_python
-from lobres import (BookTemplate, KappaLadder, TimeGrid, UniformBounds, rate_strategy,
-                    theorem1_experiment)
+from lobres import (BookTemplate, FundamentalSpec, KappaLadder, TimeGrid, UniformBounds,
+                    rate_strategy, theorem1_experiment)
 from lobres.cli import main
 from lobres.config import parse_config, validate_config
 from lobres.paths import write_tables
@@ -186,23 +187,6 @@ class TestSimulate:
             reference_write_columns(tmp_path / "reference.csv", table)
             assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes(), path.name
 
-    def test_the_blocks_are_scheduled_once(self, tmp_path, monkeypatch):
-        # the set-up builds the strategy, and the rung evaluates that one
-        import lobres.strategies
-        calls = []
-        original = lobres.strategies.block_schedule
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        for module in [m for m in list(sys.modules.values()) if m.__name__.startswith("lobres")
-                       and getattr(m, "block_schedule", None) is original]:
-            monkeypatch.setattr(module, "block_schedule", counted)
-        assert main(["simulate", "--config", str(CONFIG_DIR / "simulate.json"),
-                     "--out", str(tmp_path / "out")]) == 0
-        assert len(calls) == 1
-
     def test_book_is_scanned_once(self, tmp_path, monkeypatch):
         # wealth and spreads are projections of one evaluation; the scan is
         # counted under both names a module binds it to
@@ -221,6 +205,59 @@ class TestSimulate:
         cfg = write_config(tmp_path, dict(SIMULATE_ZERO, strategy={"type": "rate", "rate": 1.0}))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert scans == [16.0]
+
+
+# The engine calls that build a run's inputs before its first rung, each made
+# by the run kind's set-up alone: (home module or class, name)
+BUILT_BY_THE_SET_UP = [
+    ("experiments", "utility_trackers"), ("experiments", "tracker_bound_inputs"),
+    ("strategies", "block_schedule"), ("strategies", "rate_strategy"),
+    (FundamentalSpec, "mean_path"), (FundamentalSpec, "sigma_steps"), (UniformBounds, "check")]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_each_input_is_built_once(tmp_path, monkeypatch, name):
+    # the set-up builds each input once and the rungs take what it built:
+    # each call above is made at most once per run, and the set-up builds at
+    # most the first rung's book, each rung its own
+    import lobres.cli
+    calls = Counter()
+
+    def counting(key, original):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for home, fn in [*BUILT_BY_THE_SET_UP, (BookTemplate, "materialize")]:
+        if isinstance(home, str):  # a function, under every name a module binds it to
+            original = getattr(sys.modules[f"lobres.{home}"], fn)
+            binding = [m for m in list(sys.modules.values())
+                       if m.__name__.startswith("lobres") and getattr(m, fn, None) is original]
+            for module in binding:
+                monkeypatch.setattr(module, fn, counting(fn, original))
+        else:
+            monkeypatch.setattr(home, fn, counting(fn, getattr(home, fn)))
+    at_the_rungs = []
+
+    def run_config(config, rungs, _original=lobres.cli.run_config):
+        at_the_rungs.append(calls["materialize"])
+        return _original(config, rungs)
+
+    monkeypatch.setattr(lobres.cli, "run_config", run_config)
+    payload = json.loads((CONFIG_DIR / name).read_text())
+    payload.setdefault("mc", {})["paths"] = 2
+    if "utility" in payload:
+        payload["utility"]["bootstrap"] = 10
+    config = parse_config(json.dumps(payload))
+    command = {"simulate": "simulate", "utility": "utility"}.get(config.kind, "converge")
+    assert main([command, "--config", str(write_config(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")]) in (0, 1)
+    assert {fn: calls[fn] for _, fn in BUILT_BY_THE_SET_UP if calls[fn] > 1} == {}
+    assert calls["block_schedule"] == (config.strategy is not None
+                                       and config.strategy.type == "blocks")
+    rung_books = 0 if config.kind in ("simulate", "tracker-bound") else len(config.kappas())
+    assert at_the_rungs[0] <= 1 and calls["materialize"] - at_the_rungs[0] == rung_books
 
 
 def test_readme_library_example_runs(capsys):
@@ -347,6 +384,16 @@ EXPERIMENT_REFUSALS = {
                                 "target coefficients exceed the declared bound"),
     "tracker-rate-scale-below-floor": ("tracker_bound.json", "tracker", "rate_scale", 0.5,
                                        "tracking rate falls below its declared floor"),
+    # the bound 5 * coeff_bound**2 * T / rate_floor leaves the float range:
+    # coeff_bound**2 overflows, or the division does
+    "tracker-coeff-bound-squared-overflows": (
+        "tracker_bound.json", "tracker", "coeff_bound", 1e160,
+        "tracker-bound needs a finite bound 5 * coeff_bound**2 * T / rate_floor, got "
+        "coeff_bound=1e+160, T=1.0, rate_floor=1.0"),
+    "tracker-bound-infinite": (
+        "tracker_bound.json", "tracker", "rate_floor", 1e-320,
+        "tracker-bound needs a finite bound 5 * coeff_bound**2 * T / rate_floor, got "
+        "coeff_bound=1.0, T=1.0, rate_floor=1e-320"),
     # block_schedule's own refusals, on the run's grid
     "lemma-t-prime-at-the-horizon": ("lemma_jump.json", "strategy", "t_prime", 1.0,
                                      "t_prime must lie strictly between 0 and the horizon"),
@@ -428,6 +475,22 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", "error: output.directory must be a nonempty string\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_rungs_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        # numpy's refusal of an array it cannot allocate, raised where the
+        # rungs call the experiment: one error line and no output directory
+        import lobres.cli
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 32.0 GiB for an array with shape "
+                              "(1, 4294967296) and data type float64")
+
+        monkeypatch.setattr(lobres.cli, "tracker_bound_experiment", out_of_memory)
+        out = tmp_path / "out"
+        assert main(["converge", "--config", str(CONFIG_DIR / "tracker_bound.json"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: Unable to allocate 32.0 GiB for an array "
+                                           "with shape (1, 4294967296) and data type float64\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", list(EXPERIMENT_REFUSALS))
     @pytest.mark.parametrize("validate", [True, False], ids=["validate", "run"])
@@ -529,12 +592,12 @@ class TestConvergeCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["gates"]) == gates
 
-        report = theorem1_experiment(
-            BookTemplate(alpha=0.25, eps=0.01),
-            rate_strategy(TimeGrid(1.0, 128), lambda t: math.cos(2 * math.pi * t)),
-            KappaLadder.geometric(16.0, 2.0, 5),
-            rate_growth=rate_growth,
-            bounds=None if bounds is None else UniformBounds(*bounds.values()))
+        template, ladder = BookTemplate(alpha=0.25, eps=0.01), KappaLadder.geometric(16.0, 2.0, 5)
+        base = rate_strategy(TimeGrid(1.0, 128), lambda t: math.cos(2 * math.pi * t))
+        if bounds is not None:  # l2's bounds hold on the first rung's book
+            UniformBounds(*bounds.values()).check(
+                template.materialize(base.grid, ladder.values[0]), base)
+        report = theorem1_experiment(template, base, ladder, rate_growth=rate_growth)
         expected = tmp_path / "expected.csv"
         write_tables({expected: report.table()})
         assert (out / "convergence.csv").read_bytes() == expected.read_bytes()

@@ -13,7 +13,7 @@ from lobres import ConfigError, ConfigParseError, ConfigValidationError
 from lobres.cli import main
 from lobres.config import (INTERPRETER_BYTES, NUMPY_RANDOM_BYTES, ONE_PATH_BYTES_PER_POINT,
                            SCIPY_BYTES, lane_bytes, parse_config, validate_config)
-from lobres.experiments import tracker_bound_experiment
+from lobres.experiments import tracker_bound_experiment, tracker_bound_inputs
 from lobres.paths import _ndtri, normals_block
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -352,15 +352,15 @@ class TestValidate:
         estimates = validate_config(config)["estimates"]
         term = (estimates["approx_memory_bytes"] - INTERPRETER_BYTES - SCIPY_BYTES
                 - ONE_PATH_BYTES_PER_POINT * (estimates["grid_steps"] + 1))
-        tc = config.tracker
+        tc, grid = config.tracker, config.time_grid()
         _ndtri()  # loaded first: SCIPY_BYTES counts it
         tracemalloc.start()
-        try:
-            tracker_bound_experiment(
-                config.kappas(), config.time_grid(), target_drift=tc.target_drift.value(),
-                target_vol=tc.target_vol.value(), rate_scale=tc.rate_scale.value(),
-                coeff_bound=tc.coeff_bound, rate_floor=tc.rate_floor, target0=tc.target0,
-                paths=paths, seed=42)
+        try:  # the set-up's inputs, then the experiment
+            inputs = tracker_bound_inputs(grid, tc.target_drift.value(), tc.target_vol.value(),
+                                          tc.rate_scale.value(), tc.coeff_bound, tc.rate_floor,
+                                          paths)
+            tracker_bound_experiment(config.kappas(), grid, inputs, target0=tc.target0,
+                                     paths=paths, seed=42)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 
 import lobres.experiments as experiments_module
 from helpers import (reference_increments, reference_lemma_jump_experiment, reference_sample,
-                     reference_tracker_bound_experiment, reference_utility_experiment)
+                     reference_tracker_bound_experiment, reference_utility_experiment,
+                     run_lemma_jump, run_tracker_bound, run_utility)
 from lobres import (BookTemplate, FundamentalSpec, InsufficientData, KappaLadder,
                     RandomSource, TimeGrid, UniformBounds, ac_wealth, fit_rate, ladder_grid,
-                    lemma_jump_experiment, ow_wealth, rate_strategy, theorem1_experiment,
-                    tracker_bound_experiment, utility_experiment)
+                    ow_wealth, rate_strategy, theorem1_experiment)
 from lobres.cli import _gates
 from lobres.config import lane_bytes
 from lobres.experiments import (ConvergenceReport, LemmaJumpReport, TrackerBoundReport,
-                                UtilityReport, brownian_increments)
+                                UtilityReport, brownian_increments, tracker_bound_experiment,
+                                tracker_bound_inputs, utility_trackers)
 from lobres.paths import write_tables
-from lobres.strategies import block_schedule, smooth_blocks
+from lobres.strategies import block_schedule, smooth_blocks, smoothing_windows
 
 
 SMALL_LADDER = KappaLadder.geometric(16.0, 2.0, 5)
@@ -28,6 +29,8 @@ SMALL_LADDER = KappaLadder.geometric(16.0, 2.0, 5)
 UNIT_TRACKER = dict(target_drift=0.0, target_vol=1.0, rate_scale=1.0, coeff_bound=1.0,
                     rate_floor=1.0, target0=0.0)
 THREE_SPEEDS = dict(multipliers=(0.5, 1.0, 2.0), x0=0.0)
+# what tracker_bound_inputs takes of UNIT_TRACKER
+UNIT_COEFFS = {k: v for k, v in UNIT_TRACKER.items() if k != "target0"}
 # the bounds of the shipped l2 config
 L2_BOUNDS = UniformBounds(rate_bound=1.5, coefficient_bound=2.0, resilience_floor=0.5)
 
@@ -202,16 +205,16 @@ class TestLemmaJump:
         grid = ladder_grid(1.0, 512, 4.0, SMALL_LADDER.max)
         blocks = block_schedule(grid, [], t_prime=0.5)
         with pytest.raises(ValueError):
-            lemma_jump_experiment(BookTemplate(), blocks, FundamentalSpec(),
-                                  SMALL_LADDER, width_scale=1.0, paths=1, seed=42)
+            run_lemma_jump(BookTemplate(), blocks, FundamentalSpec(),
+                           SMALL_LADDER, width_scale=1.0, paths=1, seed=42)
 
     def test_unit_block_limit(self):
         ladder = KappaLadder.geometric(16.0, 2.0, 9)
         grid = ladder_grid(1.0, 512, 4.0, ladder.max)
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
-        report = lemma_jump_experiment(BookTemplate(h=1.0), blocks,
-                                       FundamentalSpec(sigma=0.0), ladder,
-                                       width_scale=1.0, paths=1, seed=42)
+        report = run_lemma_jump(BookTemplate(h=1.0), blocks,
+                                FundamentalSpec(sigma=0.0), ladder,
+                                width_scale=1.0, paths=1, seed=42)
         # half the squared size over twice the depth, less the vanishing
         # smooth-execution cost
         assert abs(report.mean_diff[-1] - 0.5) <= 0.02
@@ -223,9 +226,9 @@ class TestLemmaJump:
         ladder = KappaLadder.geometric(64.0, 2.0, 7)
         grid = ladder_grid(1.0, 512, 4.0, ladder.max)
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
-        report = lemma_jump_experiment(BookTemplate(h=1.0, alpha=0.5), blocks,
-                                       FundamentalSpec(sigma=0.0), ladder,
-                                       width_scale=1.0, paths=1, seed=42)
+        report = run_lemma_jump(BookTemplate(h=1.0, alpha=0.5), blocks,
+                                FundamentalSpec(sigma=0.0), ladder,
+                                width_scale=1.0, paths=1, seed=42)
         assert abs(report.mean_diff[-1] - 0.25) <= 0.02
 
     def test_noise_decomposition_matches_engine(self):
@@ -236,8 +239,8 @@ class TestLemmaJump:
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
         spec = FundamentalSpec(s0=100.0, mu=0.1, sigma=0.2)
         paths = 5
-        report = lemma_jump_experiment(BookTemplate(h=1.0), blocks, spec, ladder,
-                                       width_scale=1.0, paths=paths, seed=11)
+        report = run_lemma_jump(BookTemplate(h=1.0), blocks, spec, ladder,
+                                width_scale=1.0, paths=paths, seed=11)
         book = BookTemplate(h=1.0).materialize(grid, 64.0)
         smoothed = smooth_blocks(blocks, 64.0, 1.0)
         for p in range(paths):
@@ -250,23 +253,23 @@ class TestLemmaJump:
         ladder = KappaLadder((256.0, 1024.0))
         grid = ladder_grid(1.0, 512, 4.0, ladder.max)
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
-        report = lemma_jump_experiment(BookTemplate(h=1.0), blocks,
-                                       FundamentalSpec(sigma=0.2), ladder,
-                                       width_scale=1.0, paths=200, seed=3)
+        report = run_lemma_jump(BookTemplate(h=1.0), blocks,
+                                FundamentalSpec(sigma=0.2), ladder,
+                                width_scale=1.0, paths=200, seed=3)
         assert report.frac_positive[-1] >= 0.95
 
 
 class TestTrackerBound:
     def test_constant_target_zero_error(self):
-        report = tracker_bound_experiment(KappaLadder((16.0, 64.0)), _grid(64.0, 64),
-                                          **dict(UNIT_TRACKER, target_vol=0.0), paths=10,
-                                          seed=42)
+        report = run_tracker_bound(KappaLadder((16.0, 64.0)), _grid(64.0, 64),
+                                   **dict(UNIT_TRACKER, target_vol=0.0), paths=10,
+                                   seed=42)
         np.testing.assert_array_equal(report.estimates, np.zeros(2))
         assert _gates("tracker-bound", report) == {"bound_holds_for_every_kappa": True}
 
     def test_brownian_target_within_bound(self):
-        report = tracker_bound_experiment(KappaLadder.geometric(16.0, 4.0, 4), _grid(1024.0),
-                                          **UNIT_TRACKER, paths=2000, seed=5)
+        report = run_tracker_bound(KappaLadder.geometric(16.0, 4.0, 4), _grid(1024.0),
+                                   **UNIT_TRACKER, paths=2000, seed=5)
         assert report.bound == 5.0
         assert _gates("tracker-bound", report) == {"bound_holds_for_every_kappa": True}
         assert np.all(report.estimates < 5.0)
@@ -278,7 +281,7 @@ class TestTrackerBound:
         ladder = KappaLadder.geometric(16.0, 4.0, 3)
         paths, seed, mu, vol, target0 = 8, 11, 0.3, 0.8, 0.5
         grid = ladder_grid(1.0, 64, 4.0, ladder.max)
-        report = tracker_bound_experiment(
+        report = run_tracker_bound(
             ladder, grid, **dict(UNIT_TRACKER, target_drift=mu, target_vol=vol, target0=target0),
             paths=paths, seed=seed)
         m = np.ones(grid.n_points)
@@ -299,65 +302,84 @@ class TestTrackerBound:
     def test_one_path_refused(self):
         # one path has no standard error; the config refuses it first for runs
         with pytest.raises(ValueError, match="at least 2 paths"):
-            tracker_bound_experiment(SMALL_LADDER, _grid(SMALL_LADDER.max, 64), **UNIT_TRACKER,
-                                     paths=1, seed=42)
+            tracker_bound_inputs(_grid(SMALL_LADDER.max, 64), **UNIT_COEFFS, paths=1)
 
     def test_bound_violation_of_declared_coeffs(self):
-        with pytest.raises(ValueError):
-            tracker_bound_experiment(SMALL_LADDER, _grid(SMALL_LADDER.max, 64),
-                                     **dict(UNIT_TRACKER, target_vol=2.0), paths=10, seed=42)
-        with pytest.raises(ValueError):
-            tracker_bound_experiment(SMALL_LADDER, _grid(SMALL_LADDER.max, 64),
-                                     **dict(UNIT_TRACKER, rate_scale=0.5), paths=10, seed=42)
+        with pytest.raises(ValueError, match="target coefficients exceed the declared bound"):
+            tracker_bound_inputs(_grid(SMALL_LADDER.max, 64),
+                                 **dict(UNIT_COEFFS, target_vol=2.0), paths=10)
+        with pytest.raises(ValueError, match="tracking rate falls below its declared floor"):
+            tracker_bound_inputs(_grid(SMALL_LADDER.max, 64),
+                                 **dict(UNIT_COEFFS, rate_scale=0.5), paths=10)
+
+    @pytest.mark.parametrize("change", [dict(coeff_bound=1e160), dict(rate_floor=1e-320)],
+                             ids=["coeff-bound-squared-overflows", "bound-is-infinite"])
+    def test_bound_outside_the_float_range_refused(self, change):
+        with pytest.raises(ValueError, match="tracker-bound needs a finite bound"):
+            tracker_bound_inputs(_grid(SMALL_LADDER.max, 64), **dict(UNIT_COEFFS, **change),
+                                 paths=10)
+
+    def test_inputs_hold_the_bound(self):
+        inputs = tracker_bound_inputs(_grid(64.0, 64), **dict(UNIT_COEFFS, coeff_bound=2.0,
+                                                              rate_floor=0.5), paths=10)
+        assert inputs[3] == 5.0 * 2.0**2 * 1.0 / 0.5
 
 
 class TestL2:
     def test_zero_strategy(self):
-        report = theorem1_experiment(BookTemplate(), _base(0.0), SMALL_LADDER, bounds=L2_BOUNDS)
+        base = _base(0.0)
+        L2_BOUNDS.check(BookTemplate().materialize(base.grid, SMALL_LADDER.values[0]), base)
+        report = theorem1_experiment(BookTemplate(), base, SMALL_LADDER)
         np.testing.assert_array_equal(report.mean_err, np.zeros(5))
 
-    def test_l2_at_least_l1(self):
-        # the gap is path-free, so its L2 norm over paths is the theorem-1
-        # error; declared bounds that hold leave it unchanged
-        template = BookTemplate(alpha=0.25, eps=0.01)
-        rate = lambda t: math.sin(2 * math.pi * t)
-        l2 = theorem1_experiment(template, _base(rate), SMALL_LADDER, bounds=L2_BOUNDS)
-        l1 = theorem1_experiment(template, _base(rate), SMALL_LADDER)
-        np.testing.assert_array_equal(l2.mean_err, l1.mean_err)
-        assert np.all(np.diff(l2.kappa_x_err) < 0)
+    @pytest.mark.parametrize("template, message", [
+        (BookTemplate(alpha=0.25, eps=0.01), None),  # the shipped l2 book
+        (BookTemplate(K=0.25), "resilience shape falls below its declared floor"),
+        (BookTemplate(K_dn=0.25), "resilience shape falls below its declared floor"),
+        (BookTemplate(h=0.25), "book coefficient exceeds its declared uniform bound"),
+        (BookTemplate(h_dn=0.25), "book coefficient exceeds its declared uniform bound"),
+        (BookTemplate(eps_dn=3.0), "book coefficient exceeds its declared uniform bound"),
+    ], ids=["shipped", "K", "K-down", "h", "h-down", "eps-down"])
+    def test_each_declared_bound_is_checked(self, template, message):
+        # the shipped bounds against the first rung's book and the sin rate
+        base = _base(lambda t: math.sin(2 * math.pi * t))
+        book = template.materialize(base.grid, SMALL_LADDER.values[0])
+        if message is None:
+            L2_BOUNDS.check(book, base)
+        else:
+            with pytest.raises(ValueError, match=message):
+                L2_BOUNDS.check(book, base)
 
     def test_declared_bounds_enforced(self):
         bounds = UniformBounds(rate_bound=0.5, coefficient_bound=2.0,
                                resilience_floor=0.5)
-        with pytest.raises(ValueError):
-            theorem1_experiment(BookTemplate(), _base(1.0), SMALL_LADDER, bounds=bounds)
+        with pytest.raises(ValueError, match="strategy rate exceeds its declared uniform bound"):
+            bounds.check(BookTemplate().materialize(_base(1.0).grid, SMALL_LADDER.values[0]),
+                         _base(1.0))
 
 
 class TestUtility:
     def test_zero_volatility_rejected(self):
-        with pytest.raises(ValueError):
-            utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.0), _grid(64.0),
-                               KappaLadder((64.0,)), gamma=1.0, **THREE_SPEEDS, paths=10,
-                               seed=42, bootstrap=500)
+        with pytest.raises(ValueError, match=r"needs sigma\*\*2 within the float range"):
+            utility_trackers(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.0), _grid(64.0),
+                             64.0, 1.0, (0.5, 1.0, 2.0), 0.0)
 
     def test_baseline_spread_rejected(self):
-        with pytest.raises(ValueError):
-            utility_experiment(BookTemplate(eps=0.01),
-                               FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0),
-                               KappaLadder((64.0,)), gamma=1.0, **THREE_SPEEDS, paths=10,
-                               seed=42, bootstrap=500)
+        with pytest.raises(ValueError, match="requires zero baseline spreads"):
+            utility_trackers(BookTemplate(eps=0.01), FundamentalSpec(mu=0.1, sigma=0.2),
+                             _grid(64.0), 64.0, 1.0, (0.5, 1.0, 2.0), 0.0)
 
     def test_multipliers_must_include_candidate(self):
         with pytest.raises(ValueError):
-            utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0),
-                               KappaLadder((64.0,)), gamma=1.0, multipliers=[0.5, 2.0],
-                               paths=10, seed=42, x0=0.0, bootstrap=500)
+            run_utility(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0),
+                        KappaLadder((64.0,)), gamma=1.0, multipliers=[0.5, 2.0], paths=10,
+                        seed=42, x0=0.0, bootstrap=500)
 
     def test_ce_approaches_frictionless(self):
-        report = utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
-                                    _grid(1024.0), KappaLadder((64.0, 256.0, 1024.0)),
-                                    gamma=1.0, **THREE_SPEEDS, paths=2000, seed=7,
-                                    bootstrap=100)
+        report = run_utility(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
+                             _grid(1024.0), KappaLadder((64.0, 256.0, 1024.0)),
+                             gamma=1.0, **THREE_SPEEDS, paths=2000, seed=7,
+                             bootstrap=100)
         curve = report.candidate_ce
         assert report.frictionless_ce == pytest.approx(0.125)
         assert all(b > a for a, b in zip(curve, curve[1:]))
@@ -366,10 +388,10 @@ class TestUtility:
     def test_ce_shifts_by_initial_wealth(self):
         # x0 = +-800 would underflow / overflow exp(-gamma * x) unshifted
         def run(x0):
-            return utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
-                                      _grid(64.0), KappaLadder((64.0,)), gamma=1.0,
-                                      multipliers=(0.5, 1.0, 2.0), paths=200, seed=7, x0=x0,
-                                      bootstrap=50)
+            return run_utility(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
+                               _grid(64.0), KappaLadder((64.0,)), gamma=1.0,
+                               multipliers=(0.5, 1.0, 2.0), paths=200, seed=7, x0=x0,
+                               bootstrap=50)
 
         base = run(0.0)
         for x0 in (-800.0, 0.0, 800.0):
@@ -401,9 +423,9 @@ class TestUtility:
         gamma, mu, sigma, kappa = 1.0, 0.1, 0.2, 64.0
         paths, seed, bootstrap = 300, 5, 40
         spec = FundamentalSpec(mu=mu, sigma=sigma)
-        report = utility_experiment(BookTemplate(), spec, _grid(kappa), KappaLadder((kappa,)),
-                                    gamma=gamma, **THREE_SPEEDS, paths=paths, seed=seed,
-                                    bootstrap=bootstrap)
+        report = run_utility(BookTemplate(), spec, _grid(kappa), KappaLadder((kappa,)),
+                             gamma=gamma, **THREE_SPEEDS, paths=paths, seed=seed,
+                             bootstrap=bootstrap)
 
         boot_idx = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
             entropy=seed, spawn_key=(_BOOTSTRAP_STREAM,)))).integers(
@@ -428,25 +450,27 @@ class TestUtility:
                                        [glo, ghi], rtol=1e-13, atol=1e-15)
 
     def test_candidate_noninferior_at_moderate_kappa(self):
-        report = utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
-                                    _grid(256.0), KappaLadder((256.0,)), gamma=1.0,
-                                    **THREE_SPEEDS, paths=2000, seed=7, bootstrap=200)
+        report = run_utility(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
+                             _grid(256.0), KappaLadder((256.0,)), gamma=1.0,
+                             **THREE_SPEEDS, paths=2000, seed=7, bootstrap=200)
         # one kappa: the noninferiority gate alone, on that kappa
         assert _gates("utility", report) == {"candidate_noninferior": True}
 
 
-# The shipped configs' inputs, each with one value its experiment (or, for
-# simulate, the engine call the run makes) refuses; the run reports the same
-# message (test_cli.EXPERIMENT_REFUSALS).  0.5 + sin(2 pi 128 t) is below its
+# The shipped configs' inputs, each with one value that the engine call
+# making it refuses: the experiment, or the constructor of an input that the
+# run's set-up builds before its first rung (``utility_trackers``,
+# ``tracker_bound_inputs``, ``smoothing_windows``, ``block_schedule``,
+# ``FundamentalSpec.sample``); the run reports the same message
+# (test_cli.EXPERIMENT_REFUSALS).  0.5 + sin(2 pi 128 t) is below its
 # range only between the points t = j/256 and at odd points of a 512-step grid.
 _DIP = lambda t: 0.5 + 1.0 * math.sin(2.0 * math.pi * 128.0 * t)
 _SHIPPED_GRID = TimeGrid(1.0, 512)
 
 
 def _shipped_utility(template=BookTemplate(), sigma=0.2, multipliers=(0.5, 1.0, 2.0)):
-    utility_experiment(template, FundamentalSpec(100.0, 0.1, sigma), _SHIPPED_GRID,
-                       KappaLadder((64.0, 256.0, 1024.0)), gamma=1.0, multipliers=multipliers,
-                       paths=10, seed=42, x0=0.0, bootstrap=10)
+    utility_trackers(template, FundamentalSpec(100.0, 0.1, sigma), _SHIPPED_GRID, 64.0, 1.0,
+                     multipliers, 0.0)
 
 
 def _shipped_theorem1(K):
@@ -461,9 +485,9 @@ SHIPPED_REFUSALS = {
     "utility-h-down": (lambda: _shipped_utility(BookTemplate(h_dn=2.0)),
                        "utility experiment requires a symmetric book"),
     "lemma-width-scale": (
-        lambda: lemma_jump_experiment(
-            BookTemplate(), block_schedule(_SHIPPED_GRID, [(0.25, 1.0)], 0.5), FundamentalSpec(),
-            KappaLadder.geometric(16.0, 2.0, 9), width_scale=3.0, paths=1, seed=42),
+        lambda: [smoothing_windows(_SHIPPED_GRID,
+                                   block_schedule(_SHIPPED_GRID, [(0.25, 1.0)], 0.5).blocks,
+                                   kappa, 3.0) for kappa in KappaLadder.geometric(16.0, 2.0, 9)],
         "smoothing window extends past the horizon"),
     "simulate-colliding-blocks": (
         lambda: block_schedule(_SHIPPED_GRID, [(0.25, 1.0), (0.2501, 1.0)], 0.5),
@@ -479,9 +503,8 @@ SHIPPED_REFUSALS = {
         lambda: FundamentalSpec(100.0, 0.05, _DIP).sample(_SHIPPED_GRID, 42),
         "sigma must be nonnegative"),
     "tracker-rate-scale-off-the-coarse-points": (
-        lambda: tracker_bound_experiment(KappaLadder.geometric(16.0, 2.0, 7), _SHIPPED_GRID,
-                                         **dict(UNIT_TRACKER, rate_scale=_DIP), paths=10,
-                                         seed=42),
+        lambda: tracker_bound_inputs(_SHIPPED_GRID, **dict(UNIT_COEFFS, rate_scale=_DIP),
+                                     paths=10),
         "tracking rate falls below its declared floor"),
     "theorem1-K-overflow": (lambda: _shipped_theorem1(lambda t: 1e308 + 1e308 * t),
                             "function evaluates to a non-finite value (step 409, t=0.798828125)"),
@@ -601,9 +624,9 @@ class TestUtilityCandidateConstruction:
         gamma, mu, sigma, kappa = 1.0, 0.1, 0.2, 64.0
         paths, seed = 64, 123
         grid = ladder_grid(1.0, 512, 4.0, kappa)
-        report = utility_experiment(BookTemplate(), FundamentalSpec(100.0, mu, sigma), grid,
-                                    KappaLadder((kappa,)), gamma=gamma, multipliers=[1.0],
-                                    paths=paths, seed=seed, x0=0.0, bootstrap=20)
+        report = run_utility(BookTemplate(), FundamentalSpec(100.0, mu, sigma), grid,
+                             KappaLadder((kappa,)), gamma=gamma, multipliers=[1.0],
+                             paths=paths, seed=seed, x0=0.0, bootstrap=20)
         book = BookTemplate().materialize(grid, kappa)
         target = constant_path(grid, mu / (gamma * sigma**2))
         strat = optimal_tracker(book, constant_path(grid, sigma),
@@ -648,8 +671,9 @@ class TestChunkedMonteCarlo:
                   seed=11)
         ladder = KappaLadder.geometric(16.0, 4.0, 2)
         grid = _grid(ladder.max, CHUNK_STEPS)
-        chunked = tracker_bound_experiment(ladder, grid, **kw)
-        whole = reference_tracker_bound_experiment(ladder, grid, **kw)
+        chunked = run_tracker_bound(ladder, grid, **kw)
+        whole = run_tracker_bound(ladder, grid, **kw,
+                                  experiment=reference_tracker_bound_experiment)
         for name in ("kappas", "estimates", "stderrs", "within"):
             assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
         assert chunked.bound == whole.bound
@@ -679,7 +703,7 @@ class TestChunkedMonteCarlo:
         written = []
         for run in (tracker_bound_experiment, reference_tracker_bound_experiment):
             path = tmp_path / f"{run.__name__}.csv"
-            write_tables({path: run(ladder, grid, **kw).table()})
+            write_tables({path: run_tracker_bound(ladder, grid, **kw, experiment=run).table()})
             written.append(path.read_bytes())
         assert written[0] == written[1]
 
@@ -689,8 +713,9 @@ class TestChunkedMonteCarlo:
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
         args = (BookTemplate(h=1.0), blocks, FundamentalSpec(mu=0.1, sigma=0.2),
                 KappaLadder((16.0, 64.0, 256.0)))
-        chunked = lemma_jump_experiment(*args, width_scale=1.0, paths=paths, seed=7)
-        whole = reference_lemma_jump_experiment(*args, width_scale=1.0, paths=paths, seed=7)
+        chunked = run_lemma_jump(*args, width_scale=1.0, paths=paths, seed=7)
+        whole = run_lemma_jump(*args, width_scale=1.0, paths=paths, seed=7,
+                               experiment=reference_lemma_jump_experiment)
         if _exact(paths):
             assert chunked.diffs.tobytes() == whole.diffs.tobytes()
             assert chunked.mean_diff.tobytes() == whole.mean_diff.tobytes()
@@ -702,8 +727,9 @@ class TestChunkedMonteCarlo:
         grid = TimeGrid(1.0, CHUNK_STEPS)
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
         args = (BookTemplate(h=1.0), blocks, FundamentalSpec(), KappaLadder((16.0, 64.0)))
-        chunked = lemma_jump_experiment(*args, width_scale=1.0, paths=23, seed=42)
-        whole = reference_lemma_jump_experiment(*args, width_scale=1.0, paths=23, seed=42)
+        chunked = run_lemma_jump(*args, width_scale=1.0, paths=23, seed=42)
+        whole = run_lemma_jump(*args, width_scale=1.0, paths=23, seed=42,
+                               experiment=reference_lemma_jump_experiment)
         assert chunked.diffs.tobytes() == whole.diffs.tobytes()
         assert chunked.frac_positive.tobytes() == whole.frac_positive.tobytes()
 
@@ -713,8 +739,8 @@ class TestChunkedMonteCarlo:
                 KappaLadder((16.0, 64.0)))
         kw = dict(gamma=1.5, multipliers=(0.5, 1.0, 2.0), paths=paths, seed=5, x0=2.0,
                   bootstrap=40)
-        chunked = utility_experiment(*args, **kw)
-        whole = reference_utility_experiment(*args, **kw)
+        chunked = run_utility(*args, **kw)
+        whole = run_utility(*args, **kw, experiment=reference_utility_experiment)
         assert (chunked.kappas, chunked.multipliers) == (whole.kappas, whole.multipliers)
         for name in ("ce", "ci_low", "ci_high", "gap_vs_candidate", "gap_ci_low",
                      "gap_ci_high"):
@@ -737,9 +763,9 @@ class TestChunkedMonteCarlo:
             return original(x, idx, gamma)
 
         monkeypatch.setattr(experiments_module, "_certainty_equivalents", recording)
-        utility_experiment(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0, 64),
-                           KappaLadder((64.0,)), gamma=1.0, **THREE_SPEEDS, paths=paths, seed=9,
-                           bootstrap=200)
+        run_utility(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0, 64),
+                    KappaLadder((64.0,)), gamma=1.0, **THREE_SPEEDS, paths=paths, seed=9,
+                    bootstrap=200)
         every_path, *chunks = seen
         np.testing.assert_array_equal(every_path, np.arange(paths)[None, :])
         rows = max(1, experiments_module._CE_CHUNK_ELEMENTS // paths)
@@ -772,7 +798,7 @@ class TestMonteCarloMemory:
         # the fused pass keeps no (n+1, chunk) targets or positions: the
         # peak is one noise block, normals_block's lanes and the results
         ladder = KappaLadder((16.0, 64.0))
-        peak = self._traced_peak(lambda: tracker_bound_experiment(
+        peak = self._traced_peak(lambda: run_tracker_bound(
             ladder, _grid(ladder.max), **UNIT_TRACKER, paths=self.PATHS, seed=1))
         chunk = experiments_module.paths_per_chunk(512)
         assert peak < 1.1 * (8 * 512 * chunk + lane_bytes(chunk, 512)
@@ -784,7 +810,7 @@ class TestMonteCarloMemory:
         # kappa's 3 gap rows, not every cell's gaps, plus one resample chunk
         # of indices and gathered samples and normals_block's lanes
         boot, paths = 200_000, 20
-        peak = self._traced_peak(lambda: utility_experiment(
+        peak = self._traced_peak(lambda: run_utility(
             BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(256.0, 64),
             KappaLadder((16.0, 64.0, 256.0)), gamma=1.0, **THREE_SPEEDS, paths=paths, seed=1,
             bootstrap=boot))
@@ -792,7 +818,7 @@ class TestMonteCarloMemory:
         assert peak < 1.1 * (8 * ((9 + 3) * boot + 2 * rows * paths) + lane_bytes(paths, 64))
 
     def test_utility_peak(self):
-        peak = self._traced_peak(lambda: utility_experiment(
+        peak = self._traced_peak(lambda: run_utility(
             BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0),
             KappaLadder((64.0,)), gamma=1.0, **THREE_SPEEDS, paths=self.PATHS, seed=1,
             bootstrap=50))
