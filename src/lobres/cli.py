@@ -162,14 +162,12 @@ def _set_up_lemma(config: RunConfig) -> Rungs:
     width_scale = config.smoothing.width_scale
     mean = spec.mean_path(grid)
     template.materialize(grid, kappas.values[0])
-    for kappa in kappas:
-        smoothing_windows(grid, strategy.blocks, kappa, width_scale)
+    windows = [smoothing_windows(grid, strategy.blocks, kappa, width_scale) for kappa in kappas]
     sigma = None if spec.is_deterministic else spec.sigma_steps(grid)  # None draws no noise
 
     def rungs() -> RunResult:
-        report = lemma_jump_experiment(template, strategy, mean, sigma, kappas,
-                                       width_scale=width_scale, paths=config.mc.paths,
-                                       seed=config.mc.seed)
+        report = lemma_jump_experiment(template, strategy, mean, sigma, kappas, windows=windows,
+                                       paths=config.mc.paths, seed=config.mc.seed)
         summary = {"mean_diff_at_kappa_max": repr(float(report.mean_diff[-1])),
                    "frac_positive_at_kappa_max": repr(float(report.frac_positive[-1]))}
         return RunResult(_gates(config.kind, report), {"lemma.csv": report.table}, summary)

@@ -534,15 +534,16 @@ def parse_config(text: str) -> RunConfig:
 DEFAULT_BUDGET = 2.0e8
 
 # Peak RSS of an interpreter that has imported numpy and lobres.cli, before
-# any run (30.7 MiB on Linux x86-64, Python 3.11, numpy 2.4; OpenSSL's
-# libcrypto is not loaded, see ``sha256`` above), what runs that draw noise add
-# by loading scipy's ndtri without scipy.special's package init (4.4 MiB,
-# scipy 1.17; see paths._ndtri), and what the utility bootstrap's generator
-# adds by importing numpy.random, whose ``secrets`` import loads OpenSSL
-# through ``hmac`` (5.4 MiB).
+# any run (30.7 MiB on Linux x86-64, Python 3.11, numpy 2.4; no run loads
+# numpy.random or OpenSSL's libcrypto, see ``sha256`` above and
+# paths.IndexStream), and what runs that draw noise add by loading scipy's
+# ndtri without scipy.special's package init (4.4 MiB, scipy 1.17; see
+# paths._ndtri).
 INTERPRETER_BYTES = 31 * 2**20
 SCIPY_BYTES = 9 * 2**19
-NUMPY_RANDOM_BYTES = 11 * 2**19
+# What the utility bootstrap's paths.IndexStream holds at its peak, while it
+# starts its 8,192 lanes: 16 uint64 values per lane (traced: 1,052,080 bytes).
+INDEX_STREAM_BYTES = 2**20
 # Bytes per grid point live at the peak of a one-path run, which an
 # evaluation sets once its projections are built: the fundamental, the scan's
 # three pre-jump and two integrated state paths and the six wealth and four
@@ -587,13 +588,16 @@ def validate_config(config: RunConfig) -> dict:
     arrays = 0 if spec.one_path else cells * paths
     if noise and not spec.one_path:
         arrays += chunk * (steps + (3 * cells if config.kind == "tracker-bound" else 0))
+    lanes = noise * lane_bytes(chunk, steps)
     if config.utility is not None:
         # the resampled certainty equivalents, one kappa's gaps vs the
         # candidate, and one chunk of resample indices (int64) with the
-        # samples they gather
+        # samples they gather; the indices' lanes start after the last noise
+        # chunk's lanes are freed
         boot = config.utility.bootstrap
         arrays += ((cells + len(config.utility.multipliers)) * boot
                    + 2 * min(boot, resamples_per_chunk(paths)) * paths)
+        lanes = max(lanes, INDEX_STREAM_BYTES)
     cost_proxy = float(steps) * paths * cells
     # a tracker strategy's rate is a full path whatever its target
     tracker = config.strategy is not None and config.strategy.type == "tracker"
@@ -620,12 +624,9 @@ def validate_config(config: RunConfig) -> dict:
             "cells": cells,
             "paths": config.mc.paths,
             "cost_proxy": cost_proxy,
-            # peak RSS: the interpreter (and scipy and the noise lanes,
-            # numpy.random for the bootstrap), one path's inputs, scan and
-            # ledger, the Monte-Carlo arrays
-            "approx_memory_bytes": (INTERPRETER_BYTES
-                                    + noise * (SCIPY_BYTES + lane_bytes(chunk, steps))
-                                    + (config.utility is not None) * NUMPY_RANDOM_BYTES
+            # peak RSS: the interpreter (and scipy and the lanes), one
+            # path's inputs, scan and ledger, the Monte-Carlo arrays
+            "approx_memory_bytes": (INTERPRETER_BYTES + noise * SCIPY_BYTES + lanes
                                     + (ONE_PATH_BYTES_PER_POINT
                                        + 8 * (_varying_inputs(config) + tracker))
                                     * (steps + 1) + 8 * arrays),

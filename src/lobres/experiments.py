@@ -33,7 +33,7 @@ import numpy as np
 
 from .book import BookParams, BookTemplate
 from .errors import InsufficientData
-from .paths import SampledPath, TimeGrid, as_path, constant_path, normals_block
+from .paths import IndexStream, SampledPath, TimeGrid, as_path, constant_path, normals_block
 from .strategies import Strategy, check_tracker, exponential_tracker, smooth_blocks
 from .wealth import Evaluation, ac_wealth, ow_wealth
 
@@ -289,22 +289,22 @@ class LemmaJumpReport:
 
 def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
                           mean_fund: SampledPath, sigma: np.ndarray | None, ladder: KappaLadder,
-                          *, width_scale: float, paths: int, seed: int) -> LemmaJumpReport:
+                          *, windows: Sequence[list], paths: int, seed: int) -> LemmaJumpReport:
     """Pathwise terminal difference D(kappa) between each block strategy and
     its linearly smoothed version, under common noise at volatilities ``sigma`` (None: none).
 
-    The smoothed strategies trade the same volumes over windows of width
-    width_scale * kappa^(-1/4); for large resilience their payoffs dominate
-    the block payoffs.
+    The smoothed strategies trade the same volumes over each rung's
+    ``windows`` (``smoothing_windows``, of width width_scale * kappa^(-1/4));
+    for large resilience their payoffs dominate the block payoffs.
     """
     if not block_strategy.has_blocks:
         raise ValueError("lemma experiment requires a nonzero block strategy")
     grid = block_strategy.grid
     # every rung's deterministic gap and position weights, then the noise
     cells = []
-    for kappa in ladder:
+    for kappa, rung_windows in zip(ladder, windows, strict=True):
         book = template.materialize(grid, kappa)
-        smoothed = smooth_blocks(block_strategy, kappa, width_scale)
+        smoothed = smooth_blocks(block_strategy, rung_windows)
         x_sm, w_sm = Evaluation(book, smoothed, mean_fund).terminal()
         x_bl, w_bl = Evaluation(book, block_strategy, mean_fund).terminal()
         cells.append((x_sm - x_bl, w_sm - w_bl))
@@ -515,14 +515,13 @@ def utility_experiment(template: BookTemplate, trackers: tuple, mean_fund: Sampl
                    for x in x_terminal]).reshape(shape)
 
     # the resample indices are drawn a chunk of rows at a time from one
-    # generator, the same integers as one (bootstrap, paths) draw
-    boot_gen = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_BOOTSTRAP_STREAM,))))
+    # stream, the same integers as one (bootstrap, paths) draw
+    indices = IndexStream(seed, _BOOTSTRAP_STREAM, paths)
     # resampled CEs, (kappa, multiplier, resample)
     boot = np.empty((*shape, bootstrap))
     rows = resamples_per_chunk(paths)
     for a in range(0, bootstrap, rows):
-        boot_idx = boot_gen.integers(0, paths, size=(min(rows, bootstrap - a), paths))
+        boot_idx = indices.take(min(rows, bootstrap - a) * paths).reshape(-1, paths)
         for x, row in zip(x_terminal, boot.reshape(len(cells), bootstrap)):
             row[a:a + len(boot_idx)] = _certainty_equivalents(x, boot_idx, gamma)
     # (2.5%, 97.5%) percentiles, (2, kappa, multiplier), of the CEs and of

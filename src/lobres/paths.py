@@ -8,6 +8,10 @@ stay stable across runs.  :class:`RandomSource` draws one stream through
 numpy; :func:`normals_block` draws many streams at once with the same bits.
 The inverse CDF is scipy's ``ndtri`` ufunc, loaded from its extension module
 without running ``scipy.special``'s package init (see :func:`_ndtri`).
+:class:`IndexStream` draws numpy's bounded integers of one stream, the
+utility bootstrap's resample indices, by the same replay, so only
+``RandomSource`` (the fallback for a draw numpy rejects) imports
+``numpy.random``.
 """
 
 from __future__ import annotations
@@ -124,8 +128,9 @@ class RandomSource:
         return _ndtri()(u)
 
 
-# normals_block replays numpy's SeedSequence, PCG64 and bounded-integer code
-# on uint64 arrays, one lane per stream (or per stream segment).
+# normals_block and IndexStream replay numpy's SeedSequence, PCG64 and
+# bounded-integer code on uint64 arrays, one lane per stream (or per stream
+# segment, or per interleaved share of one stream).
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
@@ -144,12 +149,20 @@ _LEMIRE_THRESHOLD = np.uint64(1 << 11)
 _LANES = 8192
 
 
-def _seed_words(seed: int, streams: np.ndarray) -> list[np.ndarray]:
-    """``SeedSequence(seed, spawn_key=(p,)).generate_state(8)`` for every p in
-    ``streams``: eight uint64 arrays of 32-bit words.
+def _words(value: int) -> list[int]:
+    """numpy's coercion of a non-negative int to 32-bit words, least
+    significant first (0 is one word)."""
+    return [value >> s & _M32 for s in range(0, max(value.bit_length(), 1), 32)]
 
-    Only the last mixing round takes p, so everything before it runs once on
-    Python ints and that round runs on arrays.
+
+def _seed_words(seed: int, spawn: list) -> list[np.ndarray]:
+    """``SeedSequence(seed, spawn_key=key).generate_state(8)``, as eight
+    uint64 arrays of 32-bit words, for the spawn keys whose 32-bit words are
+    ``spawn``: uint64 arrays, one entry per key (``[streams]`` for the keys
+    ``(p,)``, p in ``streams``).
+
+    Only the mixing rounds after the run entropy take the key, so everything
+    before them runs once on Python ints and they run on arrays.
     """
     hash_const = _INIT_A
 
@@ -164,14 +177,14 @@ def _seed_words(seed: int, streams: np.ndarray) -> list[np.ndarray]:
         r = (_MIX_L * x - _MIX_R * y) & _M32
         return r ^ r >> 16
 
-    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = _words(seed)
     entropy += [0] * (4 - len(entropy))  # a spawn key pads run entropy to the pool
     pool = [hashmix(w) for w in entropy[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:] + [streams]:
+    for word in entropy[4:] + spawn:
         pool = [mix(m, hashmix(word)) for m in pool]
 
     hash_const = _INIT_B
@@ -219,10 +232,11 @@ def _jump(delta: int) -> tuple[int, int]:
     return acc_mult, acc_plus
 
 
-def _segment_starts(seed: int, paths: int, seg_len: int, segments: int, first: int = 0):
+def _segment_starts(seed: int, spawn: list, seg_len: int, segments: int):
     """PCG64 states (hi, lo) and increments (inc_hi, inc_lo) of the lanes:
-    lane s * paths + p is stream first + p advanced by s * seg_len draws."""
-    w = _seed_words(seed, np.arange(first, first + paths, dtype=np.uint64))
+    lane s * keys + k is the stream of spawn key k (``spawn`` as in
+    ``_seed_words``) advanced by s * seg_len draws."""
+    w = _seed_words(seed, spawn)
     # numpy's pcg64_srandom_r: inc = 2 * initseq + 1; the state is inc after
     # one step from 0, plus initstate, stepped once more.  Each seed word is
     # dropped after its last use.
@@ -252,6 +266,16 @@ def _segment_starts(seed: int, paths: int, seg_len: int, segments: int, first: i
     hi, lo = _add128(*_mul128(m_hi, m_lo, hi, lo), *_mul128(p_hi, p_lo, inc_hi, inc_lo))
     inc_hi, inc_lo = np.broadcast_to(inc_hi, hi.shape), np.broadcast_to(inc_lo, lo.shape)
     return hi.ravel(), lo.ravel(), inc_hi.ravel(), inc_lo.ravel()
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's 64-bit outputs of the states (hi, lo): their xor, rotated right
+    by the top six bits of hi.  normals_block's loop writes the same decode
+    out, so that its x and rot live through ``_lemire`` as validate's lane
+    term (``config.lane_bytes``) counts them."""
+    x = hi ^ lo
+    rot = hi >> 58
+    return x >> rot | x << (64 - rot & 63)
 
 
 def _lemire(raw):
@@ -293,7 +317,8 @@ def normals_block(seed: int, paths: int, n: int, first: int = 0) -> np.ndarray:
     if out.size == 0:
         return out
     segments, seg_len = lane_layout(paths, n)
-    hi, lo, inc_hi, inc_lo = _segment_starts(seed, paths, seg_len, segments, first)
+    hi, lo, inc_hi, inc_lo = _segment_starts(
+        seed, [np.arange(first, first + paths, dtype=np.uint64)], seg_len, segments)
     least_low = np.full(hi.shape, _M64, dtype=np.uint64)
     for j in range(seg_len):
         hi, lo = _add128(*_mul128(hi, lo, _MULT_HI, _MULT_LO), inc_hi, inc_lo)
@@ -310,6 +335,60 @@ def normals_block(seed: int, paths: int, n: int, first: int = 0) -> np.ndarray:
     for p in np.flatnonzero(rejected):
         out[:, p] = RandomSource(seed, first + int(p)).normals(n)
     return out
+
+
+class IndexStream:
+    """Successive ``integers(0, bound, size=n)`` draws of numpy's
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=(stream,))))``, replayed
+    without importing ``numpy.random``: ``take(n)`` after ``take(m)`` gives
+    the int64 integers that one generator gives on those two calls.
+
+    numpy draws each integer from a 32-bit word w (32-bit Lemire): it is
+    ``(w * bound) >> 32``, and w is skipped when ``(w * bound) mod 2**32`` is
+    below ``2**32 mod bound``.  Each 64-bit PCG64 output gives two words, its
+    low half first, and a call that ends on a low half leaves the high half
+    to the next.  Here ``_LANES`` lanes hold every ``_LANES``-th output of
+    the one stream, started once by jump-ahead and advanced ``_LANES`` draws
+    per step; integers accepted beyond one call's count carry to the next.
+    """
+
+    def __init__(self, seed: int, stream: int, bound: int) -> None:
+        seed, stream, bound = map(operator.index, (seed, stream, bound))
+        if seed < 0 or stream < 0:
+            raise ValueError(f"seed and stream must be non-negative integers, got {seed} "
+                             f"and {stream}")
+        if not 0 < bound < 1 << 32:
+            raise ValueError(f"bound must be in [1, 2**32), got {bound}")
+        self._bound, self._threshold = np.uint64(bound), (1 << 32) % bound
+        spawn = [np.full(1, word, dtype=np.uint64) for word in _words(stream)]
+        hi, lo, inc_hi, inc_lo = _segment_starts(seed, spawn, 1, _LANES)
+        # lane s starts at the state after s + 1 draws, whose output is the s-th
+        self._hi, self._lo = _add128(*_mul128(hi, lo, _MULT_HI, _MULT_LO), inc_hi, inc_lo)
+        mult, plus = _jump(_LANES)
+        inc = int(inc_hi[0]) << 64 | int(inc_lo[0])
+        self._mult, self._plus = _split128(mult), _split128(plus * inc & _M128)
+        self._carry = np.empty(0, dtype=np.int64)
+
+    def _next(self) -> np.ndarray:
+        """The integers of the lanes' next ``2 * _LANES`` words, rejected
+        words left out, and the lanes advanced."""
+        words = np.ascontiguousarray(_xsl_rr(self._hi, self._lo), dtype="<u8").view("<u4")
+        self._hi, self._lo = _add128(*_mul128(self._hi, self._lo, *self._mult), *self._plus)
+        m = words * self._bound
+        m = m[m.astype(np.uint32) >= self._threshold]
+        return (m >> 32).view(np.int64)
+
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` integers."""
+        out = np.empty(n, dtype=np.int64)
+        filled = min(n, len(self._carry))
+        out[:filled], self._carry = self._carry[:filled], self._carry[filled:]
+        while filled < n:
+            drawn = self._next()
+            k = min(n - filled, len(drawn))
+            out[filled:filled + k], self._carry = drawn[:k], drawn[k:]
+            filled += k
+        return out
 
 
 def constant_path(grid: TimeGrid, c: float) -> SampledPath:

@@ -136,23 +136,26 @@ def smoothing_windows(grid: TimeGrid, blocks: tuple[tuple[int, float], ...], kap
     return windows
 
 
-def smooth_blocks(strategy: Strategy, kappa: float, width_scale: float) -> Strategy:
-    """Replace each block by a constant rate over its window (see
-    :func:`smoothing_windows`) starting at the block time.
+def smooth_blocks(strategy: Strategy, windows: list[tuple[int, float, float, int, int]]
+                  ) -> Strategy:
+    """Replace each block by a constant rate over its window starting at the
+    block time; ``windows`` are :func:`smoothing_windows` of the strategy's
+    blocks on its grid.
 
     The final partial step's rate is adjusted so the traded volume equals the
     block size exactly.
     """
     if np.any(strategy.rate_steps != 0.0):
         raise ValueError("smoothing expects a pure block strategy")
+    if [w[:2] for w in windows] != list(strategy.blocks):
+        raise ValueError("smoothing windows belong to other blocks")
     if not strategy.blocks:
         return Strategy(strategy.grid, constant_path(strategy.grid, 0.0), (), strategy.phi0)
 
     grid = strategy.grid
     dt = grid.dt
     rate = np.zeros(grid.n_points)
-    for idx, size, r, n_full, n_used in smoothing_windows(grid, strategy.blocks, kappa,
-                                                          width_scale):
+    for idx, size, r, n_full, n_used in windows:
         rate[idx:idx + n_full] = r
         if n_used > n_full:
             # last partial step makes the realized volume exact

@@ -23,7 +23,7 @@ from lobres.experiments import (_BOOTSTRAP_STREAM, LemmaJumpReport, TrackerBound
                                 lemma_jump_experiment, tracker_bound_experiment,
                                 tracker_bound_inputs, utility_experiment, utility_trackers)
 from lobres.wealth import _accumulate
-from lobres.strategies import exponential_tracker, smooth_blocks
+from lobres.strategies import exponential_tracker, smooth_blocks, smoothing_windows
 
 
 def run_python(code: str, timeout: float = 60) -> str:
@@ -424,12 +424,17 @@ def optimal_tracker(book: BookParams, sigma_s: SampledPath,
 
 
 def run_lemma_jump(template: BookTemplate, block_strategy: Strategy, fundamental: FundamentalSpec,
-                   ladder: KappaLadder, *, experiment=lemma_jump_experiment, **kw):
+                   ladder: KappaLadder, *, width_scale: float, experiment=lemma_jump_experiment,
+                   **kw):
     """``experiment`` on the fundamental's mean path and per-step
-    volatilities, None if it is deterministic."""
+    volatilities, None if it is deterministic, and each rung's smoothing
+    windows of ``width_scale``."""
     grid = block_strategy.grid
     sigma = None if fundamental.is_deterministic else fundamental.sigma_steps(grid)
-    return experiment(template, block_strategy, fundamental.mean_path(grid), sigma, ladder, **kw)
+    windows = [smoothing_windows(grid, block_strategy.blocks, kappa, width_scale)
+               for kappa in ladder]
+    return experiment(template, block_strategy, fundamental.mean_path(grid), sigma, ladder,
+                      windows=windows, **kw)
 
 
 def run_tracker_bound(ladder: KappaLadder, grid: TimeGrid, *, target_drift, target_vol,
@@ -459,14 +464,14 @@ def run_utility(template: BookTemplate, fundamental: FundamentalSpec, grid: Time
 
 def reference_lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
                                     mean_fund: SampledPath, sigma: np.ndarray | None,
-                                    ladder: KappaLadder, *, width_scale: float, paths: int,
+                                    ladder: KappaLadder, *, windows: list, paths: int,
                                     seed: int, x0: float = 0.0) -> LemmaJumpReport:
     """Pathwise terminal difference D(kappa) between each block strategy and
     its linearly smoothed version, under common noise.
 
-    The smoothed strategies trade the same volumes over windows of width
-    width_scale * kappa^(-1/4); for large resilience their payoffs dominate
-    the block payoffs.
+    The smoothed strategies trade the same volumes over each rung's
+    ``windows``, of width width_scale * kappa^(-1/4); for large resilience
+    their payoffs dominate the block payoffs.
     """
     if not block_strategy.has_blocks:
         raise ValueError("lemma experiment requires a nonzero block strategy")
@@ -476,9 +481,9 @@ def reference_lemma_jump_experiment(template: BookTemplate, block_strategy: Stra
     mean_diff = []
     frac_pos = []
     all_diffs = []
-    for kappa in ladder:
+    for kappa, rung_windows in zip(ladder, windows):
         book = template.materialize(grid, kappa)
-        smoothed = smooth_blocks(block_strategy, kappa, width_scale)
+        smoothed = smooth_blocks(block_strategy, rung_windows)
         x_sm, w_sm = _terminal_wealth_decomposition(book, smoothed, mean_fund, x0)
         x_bl, w_bl = _terminal_wealth_decomposition(book, block_strategy, mean_fund, x0)
         d_det = x_sm - x_bl

@@ -229,7 +229,8 @@ def test_each_input_is_built_once(tmp_path, monkeypatch, name):
             return original(*args, **kwargs)
         return counted
 
-    for home, fn in [*BUILT_BY_THE_SET_UP, (BookTemplate, "materialize")]:
+    for home, fn in [*BUILT_BY_THE_SET_UP, (BookTemplate, "materialize"),
+                     ("strategies", "smoothing_windows")]:
         if isinstance(home, str):  # a function, under every name a module binds it to
             original = getattr(sys.modules[f"lobres.{home}"], fn)
             binding = [m for m in list(sys.modules.values())
@@ -256,6 +257,9 @@ def test_each_input_is_built_once(tmp_path, monkeypatch, name):
     assert {fn: calls[fn] for _, fn in BUILT_BY_THE_SET_UP if calls[fn] > 1} == {}
     assert calls["block_schedule"] == (config.strategy is not None
                                        and config.strategy.type == "blocks")
+    # lemma-jump's smoothing windows, once per rung
+    assert calls["smoothing_windows"] == (len(config.kappas())
+                                          if config.kind == "lemma-jump" else 0)
     rung_books = 0 if config.kind in ("simulate", "tracker-bound") else len(config.kappas())
     assert at_the_rungs[0] <= 1 and calls["materialize"] - at_the_rungs[0] == rung_books
 
@@ -779,6 +783,27 @@ def test_a_run_does_not_load_openssl(tmp_path):
     assert run_python(code).split() == ["0", "True", "False", "False"]
     assert json.loads((out / "summary.json").read_text())["config_hash"] == (
         parse_config((CONFIG_DIR / "simulate.json").read_text()).config_hash())
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_no_run_loads_numpy_random_or_openssl(tmp_path, name):
+    # the noise and the bootstrap's indices replay numpy's generators on
+    # uint64 arrays, and config_hash takes the built-in sha256, so neither
+    # validate nor the run imports numpy.random or loads OpenSSL through
+    # hashlib; RandomSource, used only for a draw numpy rejects (probability
+    # 2**-53), still imports numpy.random
+    payload = json.loads((CONFIG_DIR / name).read_text())
+    payload.setdefault("mc", {})["paths"] = min(payload["mc"].get("paths", 1), 200)
+    cfg, out = write_config(tmp_path, payload), tmp_path / "out"
+    command = {"simulate": "simulate", "utility": "utility"}.get(payload["kind"], "converge")
+    code = (f"import contextlib, io, sys; from lobres.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main([c, '--config', {str(cfg)!r}, '--out', {str(out)!r}])\n"
+            f"             for c in ('validate', {command!r})]\n"
+            f"print(*codes, 'numpy.random' in sys.modules, '_hashlib' in sys.modules)")
+    validate, run, random, openssl = run_python(code, timeout=120).split()
+    assert validate == "0" and run in ("0", "1")
+    assert (random, openssl) == ("False", "False")
 
 
 def test_import_does_not_load_scipy():

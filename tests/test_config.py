@@ -11,10 +11,10 @@ import lobres.config as config_module
 from helpers import run_python
 from lobres import ConfigError, ConfigParseError, ConfigValidationError
 from lobres.cli import main
-from lobres.config import (INTERPRETER_BYTES, NUMPY_RANDOM_BYTES, ONE_PATH_BYTES_PER_POINT,
+from lobres.config import (INDEX_STREAM_BYTES, INTERPRETER_BYTES, ONE_PATH_BYTES_PER_POINT,
                            SCIPY_BYTES, lane_bytes, parse_config, validate_config)
-from lobres.experiments import tracker_bound_experiment, tracker_bound_inputs
-from lobres.paths import _ndtri, normals_block
+from lobres.experiments import _BOOTSTRAP_STREAM, tracker_bound_experiment, tracker_bound_inputs
+from lobres.paths import IndexStream, _ndtri, normals_block
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -255,9 +255,9 @@ class TestValidate:
         # one result per (kappa, multiplier) cell and path and no rung rows,
         # plus the bootstrap: 9 cells x 500 resampled CEs, one kappa's 3 x 500
         # gaps, and one chunk of 2**16 // 10,000 = 6 resamples of int64
-        # indices and samples, and numpy.random, which the bootstrap's
-        # generator imports
-        ("utility.json", SCIPY_BYTES + NUMPY_RANDOM_BYTES + 8 * 19 * 8192 + 8 * 9 * 10_000
+        # indices and samples; the bootstrap's index stream holds less than
+        # the noise lanes
+        ("utility.json", SCIPY_BYTES + 8 * 19 * 8192 + 8 * 9 * 10_000
          + 8 * 512 * 1024 + 8 * ((9 + 3) * 500 + 2 * 6 * 10_000)),
         # fewer paths than a chunk holds: 8 segments x 1,000 lanes
         ("lemma_jump_noisy.json", SCIPY_BYTES + 8 * 19 * 8000 + 8 * 9 * 1000
@@ -272,7 +272,7 @@ class TestValidate:
     ])
     def test_memory_estimate_of_shipped_configs(self, name, expected):
         # the interpreter and one path's scan and ledger on 513 grid points,
-        # plus scipy, numpy.random, varying inputs and the Monte-Carlo arrays
+        # plus scipy, the lanes, varying inputs and the Monte-Carlo arrays
         text = (Path(__file__).resolve().parent.parent / "configs" / name).read_text()
         report = validate_config(parse_config(text))
         assert report["estimates"]["approx_memory_bytes"] == (
@@ -297,6 +297,20 @@ class TestValidate:
             (9 + 3) * (high - low) + 2 * (rows - min(low, rows)) * paths)
         assert estimate(high) > 8 * (9 + 3) * high
 
+    @pytest.mark.parametrize("paths", [2, 10_000])
+    def test_utility_counts_the_larger_of_its_lanes(self, paths, monkeypatch):
+        # the bootstrap's index stream starts after the last noise lanes are
+        # freed, so only the larger counts: the index stream's next to 2
+        # paths' 512 segments of 2 lanes, the noise lanes' next to 8,192
+        config = json.loads((CONFIG_DIR / "utility.json").read_text())
+        config["mc"]["paths"] = paths
+        config = parse_config(json.dumps(config))
+        estimate = validate_config(config)["estimates"]["approx_memory_bytes"]
+        monkeypatch.setattr(config_module, "INDEX_STREAM_BYTES", 0)
+        without = validate_config(config)["estimates"]["approx_memory_bytes"]
+        assert estimate - without == max(0, INDEX_STREAM_BYTES - lane_bytes(paths, 512))
+        assert (estimate > without) == (paths == 2)
+
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json"))
                              + ["lemma_jump_zero_linear_sigma", "simulate_zero_sigma"])
     def test_scipy_accounting_matches_the_run(self, name, tmp_path, monkeypatch):
@@ -319,23 +333,16 @@ class TestValidate:
         estimate = validate_config(parse_config(path.read_text()))["estimates"]
         monkeypatch.setattr(config_module, "SCIPY_BYTES", 0)
         without = validate_config(parse_config(path.read_text()))["estimates"]
-        monkeypatch.setattr(config_module, "NUMPY_RANDOM_BYTES", 0)
-        neither = validate_config(parse_config(path.read_text()))["estimates"]
         command = {"simulate": "simulate", "utility": "utility"}.get(config["kind"], "converge")
         code = (f"import sys; from lobres.cli import main; code = main([{command!r}, "
                 f"'--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]); "
                 f"print(code, 'scipy.special._ufuncs' in sys.modules, "
-                f"'scipy.special' in sys.modules, 'numpy.random' in sys.modules, "
-                f"'_hashlib' in sys.modules)")
-        exit_code, loaded, package, random, openssl = run_python(code, timeout=120).split()
+                f"'scipy.special' in sys.modules)")
+        exit_code, loaded, package = run_python(code, timeout=120).split()
         assert exit_code in ("0", "1")
         assert package == "False"
         assert (loaded == "True") == (estimate["approx_memory_bytes"]
                                       != without["approx_memory_bytes"])
-        # likewise numpy.random, and OpenSSL is loaded only through it
-        assert (random == "True") == (without["approx_memory_bytes"]
-                                      != neither["approx_memory_bytes"])
-        assert openssl == random
         if name == "simulate_zero_sigma":
             assert loaded == "False"
 
@@ -399,22 +406,23 @@ def test_scipy_bytes_matches_the_loaded_ndtri():
     assert abs(int(run_python(code)) - SCIPY_BYTES) <= 0.25 * SCIPY_BYTES
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
-def test_numpy_random_bytes_matches_the_bootstrap_generator():
-    # NUMPY_RANDOM_BYTES is the resident growth of building the utility
-    # bootstrap's generator in an interpreter that has imported lobres.cli:
-    # numpy.random, and OpenSSL through its secrets import
-    code = ("import os, sys, lobres.cli\n"
-            "import numpy as np\n"
-            "def rss():\n"
-            "    with open('/proc/self/statm') as f:\n"
-            "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
-            "before = rss()\n"
-            "np.random.Generator(np.random.PCG64(np.random.SeedSequence(42, spawn_key=(1,))))\n"
-            "print(rss() - before, '_hashlib' in sys.modules)")
-    growth, hashlib_loaded = run_python(code).split()
-    assert abs(int(growth) - NUMPY_RANDOM_BYTES) <= 0.25 * NUMPY_RANDOM_BYTES
-    assert hashlib_loaded == "True"
+@pytest.mark.parametrize("bound, n", [(10_000, 6 * 10_000), (7, 7 * 10), (1, 1),
+                                      (3 * 2**30 + 7, 60_000)])
+def test_index_stream_term_matches_the_traced_replay(bound, n):
+    # INDEX_STREAM_BYTES is within 10% of the larger of what the bootstrap's
+    # index stream allocates while it starts its lanes and, beyond the
+    # integers it hands out, while it draws them
+    tracemalloc.start()
+    try:
+        stream = IndexStream(42, _BOOTSTRAP_STREAM, bound)
+        starting = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        out = stream.take(n)
+        drawing = tracemalloc.get_traced_memory()[1] - out.nbytes
+    finally:
+        tracemalloc.stop()
+    extra = max(starting, drawing)
+    assert abs(INDEX_STREAM_BYTES - extra) <= 0.1 * extra
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")

@@ -242,7 +242,7 @@ class TestLemmaJump:
         report = run_lemma_jump(BookTemplate(h=1.0), blocks, spec, ladder,
                                 width_scale=1.0, paths=paths, seed=11)
         book = BookTemplate(h=1.0).materialize(grid, 64.0)
-        smoothed = smooth_blocks(blocks, 64.0, 1.0)
+        smoothed = smooth_blocks(blocks, smoothing_windows(grid, blocks.blocks, 64.0, 1.0))
         for p in range(paths):
             fund = reference_sample(spec, grid, RandomSource(11, p))
             direct = (ow_wealth(book, smoothed, fund).x.values[-1]

@@ -11,8 +11,8 @@ import lobres.paths as paths_module
 from helpers import reference_increments, reference_write_columns, run_python
 from lobres import (FundamentalSpec, RandomSource, SampledPath, TimeGrid, constant_path,
                     function_path)
-from lobres.experiments import brownian_increments
-from lobres.paths import _lemire, _segment_starts, normals_block, write_tables
+from lobres.experiments import _BOOTSTRAP_STREAM, brownian_increments
+from lobres.paths import IndexStream, _lemire, _segment_starts, normals_block, write_tables
 
 
 def terminal_values(grid, seed, paths):
@@ -88,7 +88,8 @@ class TestBrownian:
 class TestNormalsBlock:
     def test_segment_starts_are_numpy_jump_ahead(self):
         seed, paths, seg_len = 2**130 + 9, 3, 2**40 + 3
-        hi, lo, inc_hi, inc_lo = _segment_starts(seed, paths, seg_len, 4)
+        hi, lo, inc_hi, inc_lo = _segment_starts(seed, [np.arange(paths, dtype=np.uint64)],
+                                                 seg_len, 4)
         for s in range(4):
             for p in range(paths):
                 ss = np.random.SeedSequence(seed, spawn_key=(p,))
@@ -180,6 +181,32 @@ class TestNormalsBlock:
             normals_block(1, 5, 0, first=2**32 - 4)
         with pytest.raises(ValueError, match="2\\*\\*32"):
             normals_block(1, 1, 0, first=-1)
+
+
+class TestIndexStream:
+    # the chunks end within a 64-bit output (an odd count of words where none
+    # is rejected, as at bound 2) and beyond one step of the lanes (2 * 8,192
+    # words), so the cached high half and the accepted integers carry from
+    # call to call
+    CHUNKS = (1, 3, 16_384, 5, 40_001, 2)
+
+    @pytest.mark.parametrize("stream", [_BOOTSTRAP_STREAM, 0])
+    @pytest.mark.parametrize("seed", [0, 42, 2**32 + 9])
+    @pytest.mark.parametrize("bound", [1, 2, 20, 10_000, 3 * 2**30 + 7, 2**32 - 1])
+    def test_takes_are_numpy_integers(self, seed, stream, bound):
+        generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            seed, spawn_key=(stream,))))
+        replay = IndexStream(seed, stream, bound)
+        for n in self.CHUNKS:
+            expected = generator.integers(0, bound, size=n)
+            assert replay.take(n).tobytes() == expected.tobytes()
+        assert replay.take(0).dtype == expected.dtype
+
+    @pytest.mark.parametrize("seed, stream, bound", [
+        (1, 0, 0), (1, 0, 2**32), (1, 0, 2**40), (1, 0, -3), (-1, 0, 5), (1, -1, 5)])
+    def test_refuses_bounds_outside_32_bits_and_negative_keys(self, seed, stream, bound):
+        with pytest.raises(ValueError):
+            IndexStream(seed, stream, bound)
 
 
 class TestDeterministicPaths:

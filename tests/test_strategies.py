@@ -8,7 +8,7 @@ from lobres import (BookTemplate, Strategy, TimeGrid, block_schedule, constant_p
                     smooth_blocks)
 from helpers import optimal_tracker, read_strategy_csv, reference_relax_positions
 from lobres.paths import write_tables
-from lobres.strategies import relax_positions
+from lobres.strategies import relax_positions, smoothing_windows
 
 
 class TestStrategy:
@@ -69,7 +69,7 @@ class TestSmoothBlocks:
         # kappa = 16 gives window width 0.5 and rate theta / 0.5 = 2
         grid = TimeGrid(1.0, 100)
         strat = block_schedule(grid, [(0.0, 1.0)], t_prime=0.5)
-        smoothed = smooth_blocks(strat, kappa=16.0, width_scale=1.0)
+        smoothed = smooth_blocks(strat, smoothing_windows(grid, strat.blocks, 16.0, 1.0))
         assert smoothed.blocks == ()
         np.testing.assert_allclose(smoothed.rate.values[:50], 2.0)
         np.testing.assert_array_equal(smoothed.rate.values[50:], 0.0)
@@ -77,7 +77,7 @@ class TestSmoothBlocks:
     def test_volume_conserved_exactly(self):
         grid = TimeGrid(1.0, 97)  # dt does not divide the window width
         strat = block_schedule(grid, [(0.1, 0.7), (0.5, -1.3)], t_prime=0.6)
-        smoothed = smooth_blocks(strat, kappa=256.0, width_scale=1.0)
+        smoothed = smooth_blocks(strat, smoothing_windows(grid, strat.blocks, 256.0, 1.0))
         total = np.sum(smoothed.rate_steps) * grid.dt
         assert total == pytest.approx(0.7 - 1.3, abs=1e-15)
         tv = np.sum(np.abs(smoothed.rate_steps)) * grid.dt
@@ -88,7 +88,8 @@ class TestSmoothBlocks:
         strat = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
         _, block_pos = position_paths(strat)
         for kappa in (16.0, 256.0, 4096.0):
-            _, pos = position_paths(smooth_blocks(strat, kappa, 1.0))
+            _, pos = position_paths(smooth_blocks(
+                strat, smoothing_windows(grid, strat.blocks, kappa, 1.0)))
             width = kappa ** -0.25
             outside = grid.points() < 0.25
             outside |= grid.points() > 0.25 + width + grid.dt
@@ -98,18 +99,27 @@ class TestSmoothBlocks:
         grid = TimeGrid(1.0, 100)
         strat = Strategy(grid, constant_path(grid, 0.0), ((95, 1.0),))
         with pytest.raises(ValueError):
-            smooth_blocks(strat, kappa=16.0, width_scale=1.0)  # width 0.5 does not fit
+            smoothing_windows(grid, strat.blocks, 16.0, 1.0)  # width 0.5 does not fit
 
     def test_overlapping_windows(self):
         grid = TimeGrid(1.0, 100)
         strat = Strategy(grid, constant_path(grid, 0.0), ((10, 1.0), (12, 1.0)))
         with pytest.raises(ValueError):
-            smooth_blocks(strat, kappa=16.0, width_scale=1.0)
+            smoothing_windows(grid, strat.blocks, 16.0, 1.0)
 
     def test_rate_strategy_rejected(self):
         grid = TimeGrid(1.0, 100)
-        with pytest.raises(ValueError):
-            smooth_blocks(rate_strategy(grid, 1.0), kappa=16.0, width_scale=1.0)
+        with pytest.raises(ValueError, match="pure block strategy"):
+            smooth_blocks(rate_strategy(grid, 1.0), [])
+
+    def test_windows_of_other_blocks_rejected(self):
+        grid = TimeGrid(1.0, 100)
+        strat = block_schedule(grid, [(0.1, 1.0)], t_prime=0.5)
+        other = block_schedule(grid, [(0.2, 1.0)], t_prime=0.5)
+        with pytest.raises(ValueError, match="other blocks"):
+            smooth_blocks(strat, smoothing_windows(grid, other.blocks, 16.0, 1.0))
+        with pytest.raises(ValueError, match="other blocks"):
+            smooth_blocks(strat, [])
 
 
 class TestExponentialTracker:
