@@ -9,7 +9,7 @@ dominance of smoothed over block execution, and evaluates the
 leading-order-optimal portfolio tracker.
 """
 
-from .book import BookParams, BookTemplate, ReferencePricePath, SpreadPaths
+from .book import BookParams, ReferencePricePath, SpreadPaths
 from .errors import (ConfigError, ConfigParseError, ConfigValidationError,
                      InsufficientData, NumericFailure)
 from .experiments import (ConvergenceReport, FundamentalSpec, KappaLadder,
@@ -25,7 +25,7 @@ from .wealth import Evaluation, WealthPath, ac_wealth, ow_wealth
 __version__ = "0.1.0"
 
 __all__ = [
-    "BookParams", "BookTemplate", "ConfigError", "ConfigParseError",
+    "BookParams", "ConfigError", "ConfigParseError",
     "ConfigValidationError", "ConvergenceReport", "Evaluation", "FundamentalSpec",
     "InsufficientData", "KappaLadder", "LemmaJumpReport", "NumericFailure",
     "RandomSource", "ReferencePricePath", "SampledPath", "SpreadPaths", "Strategy",

@@ -63,6 +63,21 @@ class BookParams:
             if np.any(getattr(self, name).values < 0):
                 raise ValueError(f"{name} must be nonnegative pointwise")
 
+    @classmethod
+    def on_grid(cls, grid: TimeGrid, kappa: float, K=1.0, h=1.0, alpha=0.0, eps=0.0,
+                K_dn=None, h_dn=None, alpha_dn=None, eps_dn=None) -> "BookParams":
+        """The book of coefficients given as constants, functions of time or
+        paths on ``grid``.  A down side left None is the up side's own path
+        object, so the scan shares that side's terms.  The coefficients do
+        not depend on kappa: ``dataclasses.replace(book, kappa=k)`` is the
+        same book at another rung, sharing every path."""
+        def sides(up, dn) -> tuple[SampledPath, SampledPath]:
+            up = as_path(grid, up)
+            return up, up if dn is None else as_path(grid, dn)
+
+        return cls(kappa, *sides(K, K_dn), *sides(h, h_dn), *sides(alpha, alpha_dn),
+                   *sides(eps, eps_dn))
+
     @property
     def grid(self) -> TimeGrid:
         return self.K_up.grid
@@ -70,30 +85,6 @@ class BookParams:
     def is_symmetric(self) -> bool:
         return (np.array_equal(self.K_up.values, self.K_dn.values)
                 and np.array_equal(self.h_up.values, self.h_dn.values))
-
-
-@dataclass
-class BookTemplate:
-    """Kappa-free coefficient spec (constants, functions of time or paths),
-    materialized per ladder point.  A down side left None is the up side's
-    own path object, so the scan shares that side's terms."""
-
-    K: object = 1.0
-    h: object = 1.0
-    alpha: object = 0.0
-    eps: object = 0.0
-    K_dn: object = None
-    h_dn: object = None
-    alpha_dn: object = None
-    eps_dn: object = None
-
-    def materialize(self, grid: TimeGrid, kappa: float) -> BookParams:
-        def sides(up, dn) -> tuple[SampledPath, SampledPath]:
-            up = as_path(grid, up)
-            return up, up if dn is None else as_path(grid, dn)
-
-        return BookParams(kappa, *sides(self.K, self.K_dn), *sides(self.h, self.h_dn),
-                          *sides(self.alpha, self.alpha_dn), *sides(self.eps, self.eps_dn))
 
 
 @dataclass

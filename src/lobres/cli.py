@@ -117,7 +117,7 @@ def _strategy(config: RunConfig, grid: TimeGrid) -> Strategy:
 
 def _set_up_simulate(config: RunConfig) -> Rungs:
     grid, sc, kappa = config.time_grid(), config.strategy, config.book.kappa
-    book = config.book.template().materialize(grid, kappa)
+    book = config.book.params(grid, kappa)
     spec = config.fundamental.spec()
     mean, sigma = spec.mean_path(grid), spec.sigma_steps(grid)
     if sc.type == "tracker":  # built and checked; the rung relaxes it, walking the grid
@@ -140,16 +140,16 @@ def _set_up_simulate(config: RunConfig) -> Rungs:
 
 
 def _set_up_gap(config: RunConfig) -> Rungs:
-    grid, kappas, template = config.time_grid(), config.kappas(), config.book.template()
+    grid, kappas = config.time_grid(), config.kappas()
     base, rate_growth = _strategy(config, grid), KINDS[config.kind].rate_growth
-    first_book = template.materialize(grid, kappas.values[0])
+    book = config.book.params(grid, kappas.values[0])
     if config.bounds is not None:
-        config.bounds.bounds().check(first_book, base)
+        config.bounds.bounds().check(book, base)
     rung_strategy(base, kappas.max, rate_growth)  # the rate scaled to the top rung
     config.fundamental.spec().sigma_steps(grid)  # refused, though the gap reads no price
 
     def rungs() -> RunResult:
-        report = theorem1_experiment(template, base, kappas, rate_growth=rate_growth)
+        report = theorem1_experiment(book, base, kappas, rate_growth=rate_growth)
         summary = {"slope": None if report.slope is None else repr(report.slope)}
         return RunResult(_gates(config.kind, report), {"convergence.csv": report.table},
                          summary)
@@ -157,16 +157,16 @@ def _set_up_gap(config: RunConfig) -> Rungs:
 
 
 def _set_up_lemma(config: RunConfig) -> Rungs:
-    grid, kappas, template = config.time_grid(), config.kappas(), config.book.template()
+    grid, kappas = config.time_grid(), config.kappas()
     strategy, spec = _strategy(config, grid), config.fundamental.spec()
     width_scale = config.smoothing.width_scale
     mean = spec.mean_path(grid)
-    template.materialize(grid, kappas.values[0])
+    book = config.book.params(grid, kappas.values[0])
     windows = [smoothing_windows(grid, strategy.blocks, kappa, width_scale) for kappa in kappas]
     sigma = None if spec.is_deterministic else spec.sigma_steps(grid)  # None draws no noise
 
     def rungs() -> RunResult:
-        report = lemma_jump_experiment(template, strategy, mean, sigma, kappas, windows=windows,
+        report = lemma_jump_experiment(book, strategy, mean, sigma, kappas, windows=windows,
                                        paths=config.mc.paths, seed=config.mc.seed)
         summary = {"mean_diff_at_kappa_max": repr(float(report.mean_diff[-1])),
                    "frac_positive_at_kappa_max": repr(float(report.frac_positive[-1]))}
@@ -191,13 +191,12 @@ def _set_up_tracker_bound(config: RunConfig) -> Rungs:
 
 def _set_up_utility(config: RunConfig) -> Rungs:
     grid, kappas, uc = config.time_grid(), config.kappas(), config.utility
-    template, spec = config.book.template(), config.fundamental.spec()
-    trackers = utility_trackers(template, spec, grid, kappas.values[0], uc.gamma,
-                                uc.multipliers, uc.x0)
+    book, spec = config.book.params(grid, kappas.values[0]), config.fundamental.spec()
+    trackers = utility_trackers(book, spec, uc.gamma, uc.multipliers, uc.x0)
     mean, sigma = spec.mean_path(grid), spec.sigma_steps(grid)
 
     def rungs() -> RunResult:
-        report = utility_experiment(template, trackers, mean, sigma, kappas, gamma=uc.gamma,
+        report = utility_experiment(book, trackers, mean, sigma, kappas, gamma=uc.gamma,
                                     multipliers=uc.multipliers, paths=config.mc.paths,
                                     seed=config.mc.seed, x0=uc.x0, bootstrap=uc.bootstrap)
         summary = {"frictionless_ce": repr(report.frictionless_ce),

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, NamedTuple
 
-from .book import BookTemplate
+from .book import BookParams
 from .errors import ConfigParseError, ConfigValidationError
 from .experiments import (FundamentalSpec, KappaLadder, UniformBounds, ladder_grid,
                           paths_per_chunk, resamples_per_chunk)
@@ -267,9 +267,10 @@ class BookConfig:
         if kind == "simulate" and self.kappa <= 0:
             raise ConfigValidationError("book.kappa must be positive")
 
-    def template(self) -> BookTemplate:
+    def params(self, grid: TimeGrid, kappa: float) -> BookParams:
         coeffs = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "kappa"}
-        return BookTemplate(**{k: None if c is None else c.value() for k, c in coeffs.items()})
+        return BookParams.on_grid(grid, kappa, **{k: None if c is None else c.value()
+                                                  for k, c in coeffs.items()})
 
 
 @_section
@@ -427,7 +428,7 @@ KINDS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run specification (all defaults materialized)."""
+    """Fully validated run specification (every default filled in)."""
 
     kind: str
     grid: GridConfig
@@ -567,11 +568,11 @@ def _varying_inputs(config: RunConfig) -> int:
 
 def lane_bytes(paths: int, steps: int) -> int:
     """What drawing one (steps, paths) noise block adds for normals_block's
-    uint64 lane arrays: 19 values per lane while it steps them, which is
-    more than it holds while it starts them (traced: 1,250,200 bytes at
-    1,024 x 512 and 2,492,800 at 16,384 x 32)."""
+    uint64 lane arrays: 17 values per lane while it steps them, which is
+    more than it holds while it starts them (traced: 1,118,920 bytes at
+    1,024 x 512 and 2,230,504 at 16,384 x 32)."""
     segments, _ = lane_layout(paths, steps)
-    return 8 * 19 * segments * paths
+    return 8 * 17 * segments * paths
 
 
 def validate_config(config: RunConfig) -> dict:

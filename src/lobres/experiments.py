@@ -26,12 +26,12 @@ initial position, so the gap is computed once per kappa on a flat price path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .book import BookParams, BookTemplate
+from .book import BookParams
 from .errors import InsufficientData
 from .paths import IndexStream, SampledPath, TimeGrid, as_path, constant_path, normals_block
 from .strategies import Strategy, check_tracker, exponential_tracker, smooth_blocks
@@ -98,10 +98,6 @@ class FundamentalSpec:
         np.cumsum(as_path(grid, self.mu).values[:-1] * grid.dt, out=values[1:])
         values[1:] += self.s0
         return SampledPath(grid, values)
-
-    def sample(self, grid: TimeGrid, seed: int, stream: int = 0) -> SampledPath:
-        """The mean path plus the noise of stream ``stream`` of ``seed``."""
-        return self.add_noise(self.mean_path(grid), self.sigma_steps(grid), seed, stream)
 
     def add_noise(self, mean: SampledPath, sigma: np.ndarray, seed: int,
                   stream: int = 0) -> SampledPath:
@@ -223,26 +219,24 @@ def rung_strategy(base: Strategy, kappa: float, rate_growth: float) -> Strategy:
                     base.blocks)
 
 
-def theorem1_experiment(template: BookTemplate, base: Strategy, ladder: KappaLadder, *,
+def theorem1_experiment(book: BookParams, base: Strategy, ladder: KappaLadder, *,
                         rate_growth: float = 0.0) -> ConvergenceReport:
     """Gap e(kappa) = sup_t |X_ow - X_ac| between structural and reduced-form
     wealth for the rate kappa**rate_growth times the block-free ``base``
-    strategy's rate, at every ladder rung, on the base's grid.
+    strategy's rate, at every ladder rung, on ``book`` at the rung's kappa.
 
     The gap is the same on every price path, so it is also its L2 norm over
     paths.  Theorem 1 (``rate_growth=0``): kappa * e(kappa) vanishes, one order
     faster for smooth rates.  Remark 1 (``rate_growth=0.25``): sqrt(kappa) *
-    e(kappa) still vanishes.  The L2 mode first checks its declared bounds
-    against the first rung's book and the base rate (``UniformBounds.check``).
+    e(kappa) still vanishes.
     """
-    grid = base.grid
-    price = constant_path(grid, 0.0)
+    price = constant_path(base.grid, 0.0)
     errs = []
     for kappa in ladder:
-        book = template.materialize(grid, kappa)
+        rung_book = replace(book, kappa=kappa)
         strat = rung_strategy(base, kappa, rate_growth)  # Evaluation.ac refuses blocks
-        gap = (ac_wealth(book, strat, price).impact_cost.values
-               - ow_wealth(book, strat, price).impact_cost.values)
+        gap = (ac_wealth(rung_book, strat, price).impact_cost.values
+               - ow_wealth(rung_book, strat, price).impact_cost.values)
         errs.append(float(np.max(np.abs(gap))))
     return ConvergenceReport(np.asarray(ladder.values), np.asarray(errs))
 
@@ -256,6 +250,7 @@ class UniformBounds:
     resilience_floor: float
 
     def check(self, book: BookParams, strategy: Strategy) -> None:
+        # the coefficients do not depend on kappa: one book covers every rung
         if np.any(np.abs(strategy.rate_steps) > self.rate_bound):
             raise ValueError("strategy rate exceeds its declared uniform bound")
         if (np.any(book.K_up.values < self.resilience_floor)
@@ -287,11 +282,12 @@ class LemmaJumpReport:
                 "frac_positive": self.frac_positive}
 
 
-def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
+def lemma_jump_experiment(book: BookParams, block_strategy: Strategy,
                           mean_fund: SampledPath, sigma: np.ndarray | None, ladder: KappaLadder,
                           *, windows: Sequence[list], paths: int, seed: int) -> LemmaJumpReport:
     """Pathwise terminal difference D(kappa) between each block strategy and
-    its linearly smoothed version, under common noise at volatilities ``sigma`` (None: none).
+    its linearly smoothed version, under common noise at volatilities ``sigma`` (None: none),
+    on ``book`` at each rung's kappa.
 
     The smoothed strategies trade the same volumes over each rung's
     ``windows`` (``smoothing_windows``, of width width_scale * kappa^(-1/4));
@@ -303,10 +299,10 @@ def lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
     # every rung's deterministic gap and position weights, then the noise
     cells = []
     for kappa, rung_windows in zip(ladder, windows, strict=True):
-        book = template.materialize(grid, kappa)
+        rung_book = replace(book, kappa=kappa)
         smoothed = smooth_blocks(block_strategy, rung_windows)
-        x_sm, w_sm = Evaluation(book, smoothed, mean_fund).terminal()
-        x_bl, w_bl = Evaluation(book, block_strategy, mean_fund).terminal()
+        x_sm, w_sm = Evaluation(rung_book, smoothed, mean_fund).terminal()
+        x_bl, w_bl = Evaluation(rung_book, block_strategy, mean_fund).terminal()
         cells.append((x_sm - x_bl, w_sm - w_bl))
     diffs = _terminal_values(cells, sigma, grid, paths, seed)
     return LemmaJumpReport(np.asarray(list(ladder)), diffs.mean(axis=1),
@@ -446,23 +442,24 @@ def _certainty_equivalents(x: np.ndarray, idx: np.ndarray, gamma: float) -> np.n
     return xmin[:, 0] - np.log(xs.mean(axis=1)) / gamma
 
 
-def utility_trackers(template: BookTemplate, fundamental: FundamentalSpec, grid: TimeGrid,
-                     kappa: float, gamma: float, multipliers: tuple[float, ...],
+def utility_trackers(book: BookParams, fundamental: FundamentalSpec, gamma: float,
+                     multipliers: tuple[float, ...],
                      x0: float) -> tuple[SampledPath, list[SampledPath], float]:
-    """The utility experiment's inputs, from the book on ``kappa``: the
-    frictionless optimal position mu / (gamma * sigma**2) as the trackers'
-    target path, their rate scales c * sqrt(K h sigma**2 gamma / 2), one per
-    multiplier c, and the frictionless certainty equivalent x0 + mu**2 * T /
+    """The utility experiment's inputs on ``book``'s grid: the frictionless
+    optimal position mu / (gamma * sigma**2) as the trackers' target path,
+    their rate scales c * sqrt(K h sigma**2 gamma / 2), one per multiplier c,
+    and the frictionless certainty equivalent x0 + mu**2 * T /
     (2 * gamma * sigma**2).  Refuses a book with a baseline spread, permanent
     impact or two sides, either frictionless value outside the float range,
-    and a rate scale that underflows to 0 (``check_tracker``)."""
-    book = template.materialize(grid, kappa)
+    and a rate scale that underflows to 0 at the book's kappa
+    (``check_tracker``)."""
     if np.any(book.eps_up.values != 0) or np.any(book.eps_dn.values != 0):
         raise ValueError("utility experiment requires zero baseline spreads")
     if np.any(book.alpha_up.values != 0) or np.any(book.alpha_dn.values != 0):
         raise ValueError("utility experiment requires zero permanent impact")
     if not book.is_symmetric():
         raise ValueError("utility experiment requires a symmetric book")
+    grid = book.grid
     mu, sigma, horizon = float(fundamental.mu), float(fundamental.sigma), grid.horizon
     try:
         target_pos = mu / (gamma * sigma**2)
@@ -478,16 +475,17 @@ def utility_trackers(template: BookTemplate, fundamental: FundamentalSpec, grid:
     m_base = np.sqrt(book.K_up.values * book.h_up.values * sigma**2 * gamma / 2.0)
     scales = [SampledPath(grid, c * m_base) for c in multipliers]
     for scale in scales:
-        check_tracker(target, scale, kappa)
+        check_tracker(target, scale, book.kappa)
     return target, scales, frictionless
 
 
-def utility_experiment(template: BookTemplate, trackers: tuple, mean_fund: SampledPath,
+def utility_experiment(book: BookParams, trackers: tuple, mean_fund: SampledPath,
                        sigma: np.ndarray, ladder: KappaLadder, *, gamma: float,
                        multipliers: Sequence[float], paths: int, seed: int, x0: float,
                        bootstrap: int) -> UtilityReport:
     """Compare certainty equivalents of trackers with speeds c * sqrt(kappa) * M
-    (``utility_trackers``' ``trackers`` for ``multipliers``) at every rung.
+    (``utility_trackers``' ``trackers`` for ``multipliers``) on ``book`` at
+    every rung's kappa.
 
     Setup: exponential utility with absolute risk aversion ``gamma``, constant
     drift/volatility fundamental, and a frictionless-baseline symmetric book
@@ -502,10 +500,10 @@ def utility_experiment(template: BookTemplate, trackers: tuple, mean_fund: Sampl
     grid = mean_fund.grid
     cells = []
     for kappa in ladder:
-        book = template.materialize(grid, kappa)
+        rung_book = replace(book, kappa=kappa)
         for scale in scales:
             strat = exponential_tracker(target, scale, kappa, start=0.0)
-            cells.append(Evaluation(book, strat, mean_fund).terminal(x0))
+            cells.append(Evaluation(rung_book, strat, mean_fund).terminal(x0))
     x_terminal = _terminal_values(cells, sigma, grid, paths, seed)
 
     shape = (len(ladder), len(multipliers))

@@ -270,9 +270,7 @@ def _segment_starts(seed: int, spawn: list, seg_len: int, segments: int):
 
 def _xsl_rr(hi, lo):
     """PCG64's 64-bit outputs of the states (hi, lo): their xor, rotated right
-    by the top six bits of hi.  normals_block's loop writes the same decode
-    out, so that its x and rot live through ``_lemire`` as validate's lane
-    term (``config.lane_bytes``) counts them."""
+    by the top six bits of hi."""
     x = hi ^ lo
     rot = hi >> 58
     return x >> rot | x << (64 - rot & 63)
@@ -324,9 +322,7 @@ def normals_block(seed: int, paths: int, n: int, first: int = 0) -> np.ndarray:
         hi, lo = _add128(*_mul128(hi, lo, _MULT_HI, _MULT_LO), inc_hi, inc_lo)
         rows = out[j::seg_len]  # row j of every segment still running
         m = rows.size
-        x = hi[:m] ^ lo[:m]
-        rot = hi[:m] >> 58
-        draws, low = _lemire(x >> rot | x << (64 - rot & 63))
+        draws, low = _lemire(_xsl_rr(hi[:m], lo[:m]))
         np.minimum(least_low[:m], low, out=least_low[:m])
         rows[...] = draws.reshape(rows.shape)
     out *= 1.0 / _U_DENOM

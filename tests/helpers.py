@@ -7,16 +7,16 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from lobres import (BookParams, BookTemplate, NumericFailure, RandomSource, ReferencePricePath,
-                    SampledPath, SpreadPaths, Strategy, WealthPath, position_paths,
-                    rate_strategy)
+from lobres import (BookParams, FundamentalSpec, KappaLadder, NumericFailure, RandomSource,
+                    ReferencePricePath, SampledPath, SpreadPaths, Strategy, TimeGrid, WealthPath,
+                    position_paths, rate_strategy)
 from lobres.book import _check_grids, evolve_book
 from lobres.experiments import (_BOOTSTRAP_STREAM, LemmaJumpReport, TrackerBoundReport,
                                 UtilityReport, _certainty_equivalents, brownian_increments,
@@ -41,10 +41,6 @@ def reference_constant_path(grid: TimeGrid, c: float) -> SampledPath:
     if not math.isfinite(c):
         raise NumericFailure(f"constant path value must be finite, got {c!r}")
     return SampledPath(grid, np.full(grid.n_points, float(c)))
-
-
-def constant_book(grid, kappa, K=1.0, h=1.0, alpha=0.0, eps=0.0, **kw):
-    return BookTemplate(K=K, h=h, alpha=alpha, eps=eps, **kw).materialize(grid, kappa)
 
 
 def random_strategy(grid, rng, rate_scale=2.0, n_blocks=4, phi0=0.0):
@@ -360,8 +356,8 @@ def reference_increments(grid, seed, paths):
 
 def reference_sample(spec: FundamentalSpec, grid, rng: RandomSource) -> SampledPath:
     """One price path drawn from one ``RandomSource`` stream: the per-path
-    reference of ``FundamentalSpec.sample``, which draws through
-    ``normals_block``, and of the Monte-Carlo experiments."""
+    reference of ``FundamentalSpec.add_noise`` on the mean path, which draws
+    through ``normals_block``, and of the Monte-Carlo experiments."""
     dw = math.sqrt(grid.dt) * rng.normals(grid.steps)
     values = spec.mean_path(grid).values.copy()
     values[1:] += np.cumsum(spec.sigma_steps(grid) * dw)
@@ -423,7 +419,7 @@ def optimal_tracker(book: BookParams, sigma_s: SampledPath,
 # the engine's or one of the references below.
 
 
-def run_lemma_jump(template: BookTemplate, block_strategy: Strategy, fundamental: FundamentalSpec,
+def run_lemma_jump(book: BookParams, block_strategy: Strategy, fundamental: FundamentalSpec,
                    ladder: KappaLadder, *, width_scale: float, experiment=lemma_jump_experiment,
                    **kw):
     """``experiment`` on the fundamental's mean path and per-step
@@ -433,7 +429,7 @@ def run_lemma_jump(template: BookTemplate, block_strategy: Strategy, fundamental
     sigma = None if fundamental.is_deterministic else fundamental.sigma_steps(grid)
     windows = [smoothing_windows(grid, block_strategy.blocks, kappa, width_scale)
                for kappa in ladder]
-    return experiment(template, block_strategy, fundamental.mean_path(grid), sigma, ladder,
+    return experiment(book, block_strategy, fundamental.mean_path(grid), sigma, ladder,
                       windows=windows, **kw)
 
 
@@ -446,13 +442,14 @@ def run_tracker_bound(ladder: KappaLadder, grid: TimeGrid, *, target_drift, targ
     return experiment(ladder, grid, inputs, target0=target0, paths=paths, seed=seed)
 
 
-def run_utility(template: BookTemplate, fundamental: FundamentalSpec, grid: TimeGrid,
-                ladder: KappaLadder, *, experiment=utility_experiment, **kw):
-    """``experiment`` on ``utility_trackers``' trackers on the first rung, the
-    fundamental's mean path and its per-step volatilities."""
-    trackers = utility_trackers(template, fundamental, grid, ladder.values[0], kw["gamma"],
-                                kw["multipliers"], kw["x0"])
-    return experiment(template, trackers, fundamental.mean_path(grid),
+def run_utility(book: BookParams, fundamental: FundamentalSpec, ladder: KappaLadder, *,
+                experiment=utility_experiment, **kw):
+    """``experiment`` on ``utility_trackers``' trackers on ``book`` (a run's
+    set-up builds it at the first rung's kappa), the fundamental's mean path
+    and its per-step volatilities on the book's grid."""
+    grid = book.grid
+    trackers = utility_trackers(book, fundamental, kw["gamma"], kw["multipliers"], kw["x0"])
+    return experiment(book, trackers, fundamental.mean_path(grid),
                       fundamental.sigma_steps(grid), ladder, **kw)
 
 
@@ -462,7 +459,7 @@ def run_utility(template: BookTemplate, fundamental: FundamentalSpec, grid: Time
 # one rung's positions) of every path at once.
 
 
-def reference_lemma_jump_experiment(template: BookTemplate, block_strategy: Strategy,
+def reference_lemma_jump_experiment(book: BookParams, block_strategy: Strategy,
                                     mean_fund: SampledPath, sigma: np.ndarray | None,
                                     ladder: KappaLadder, *, windows: list, paths: int,
                                     seed: int, x0: float = 0.0) -> LemmaJumpReport:
@@ -482,10 +479,10 @@ def reference_lemma_jump_experiment(template: BookTemplate, block_strategy: Stra
     frac_pos = []
     all_diffs = []
     for kappa, rung_windows in zip(ladder, windows):
-        book = template.materialize(grid, kappa)
+        rung_book = replace(book, kappa=kappa)
         smoothed = smooth_blocks(block_strategy, rung_windows)
-        x_sm, w_sm = _terminal_wealth_decomposition(book, smoothed, mean_fund, x0)
-        x_bl, w_bl = _terminal_wealth_decomposition(book, block_strategy, mean_fund, x0)
+        x_sm, w_sm = _terminal_wealth_decomposition(rung_book, smoothed, mean_fund, x0)
+        x_bl, w_bl = _terminal_wealth_decomposition(rung_book, block_strategy, mean_fund, x0)
         d_det = x_sm - x_bl
         if noise is None:
             diffs = np.full(paths, d_det)
@@ -539,7 +536,7 @@ def reference_tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid,
                               float(bound), within)
 
 
-def reference_utility_experiment(template: BookTemplate,
+def reference_utility_experiment(book: BookParams,
                                  trackers: tuple[SampledPath, list[SampledPath], float],
                                  mean_fund: SampledPath, sigma: np.ndarray,
                                  ladder: KappaLadder, *, gamma: float,
@@ -563,10 +560,10 @@ def reference_utility_experiment(template: BookTemplate,
     dw = brownian_increments(grid, seed, paths)
     x_terminal: dict[tuple[float, float], np.ndarray] = {}
     for kappa in kappas:
-        book = template.materialize(grid, kappa)
+        rung_book = replace(book, kappa=kappa)
         for c, scale in zip(multipliers, scales):
             strat = exponential_tracker(target, scale, kappa, start=0.0)
-            x_det, weights = _terminal_wealth_decomposition(book, strat, mean_fund, x0)
+            x_det, weights = _terminal_wealth_decomposition(rung_book, strat, mean_fund, x0)
             x_terminal[(kappa, c)] = x_det + (sigma * weights) @ dw
     del dw  # the noise and the resample indices are never held together
 

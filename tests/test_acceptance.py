@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lobres import (BookTemplate, Evaluation, FundamentalSpec, KappaLadder, Strategy,
+from lobres import (BookParams, Evaluation, FundamentalSpec, KappaLadder, Strategy,
                     TimeGrid, constant_path, ladder_grid, position_paths, rate_strategy,
                     theorem1_experiment)
 from lobres.cli import main
@@ -44,7 +44,7 @@ def test_criterion_1_closed_form_spread_oracle():
     t = grid.points()
 
     theta = 1.7
-    book = BookTemplate(K=K, h=h, eps=eps).materialize(grid, kappa)
+    book = BookParams.on_grid(grid, kappa, K=K, h=h, eps=eps)
     fund = constant_path(grid, 100.0)  # spreads do not depend on it
     blocky = Strategy(grid, constant_path(grid, 0.0), ((0, theta),))
     ask = Evaluation(book, blocky, fund).spreads().ask.values
@@ -63,13 +63,13 @@ def test_criterion_2_bookkeeping_identity():
     budget = _Budget(5.0)
     grid = TimeGrid(1.0, 256)
     rng = np.random.default_rng(31415)
+    spec = FundamentalSpec(s0=80.0, mu=0.05, sigma=0.4)
     for trial in range(100):
         kappa = float(rng.uniform(1.0, 300.0))
-        book = BookTemplate(
-            K=float(rng.uniform(0.5, 2.0)), h=float(rng.uniform(0.5, 3.0)),
-            alpha=float(rng.uniform(0.0, 0.5)),
-            eps=float(rng.uniform(0.0, 0.1))).materialize(grid, kappa)
-        fund = FundamentalSpec(s0=80.0, mu=0.05, sigma=0.4).sample(grid, 777, trial)
+        book = BookParams.on_grid(
+            grid, kappa, K=float(rng.uniform(0.5, 2.0)), h=float(rng.uniform(0.5, 3.0)),
+            alpha=float(rng.uniform(0.0, 0.5)), eps=float(rng.uniform(0.0, 0.1)))
+        fund = spec.add_noise(spec.mean_path(grid), spec.sigma_steps(grid), 777, trial)
         strat = random_strategy(grid, rng, n_blocks=int(rng.integers(0, 8)),
                                 phi0=float(rng.normal(0.0, 2.0)))
         x0 = float(rng.normal(0.0, 10.0))
@@ -87,10 +87,10 @@ def test_criterion_2_bookkeeping_identity():
 
 def test_criterion_3_theorem1_gate():
     budget = _Budget(30.0)
+    grid = ladder_grid(1.0, 512, 4.0, LADDER.max)
     report = theorem1_experiment(
-        BookTemplate(K=1.0, h=1.0, alpha=0.25, eps=0.01),
-        rate_strategy(ladder_grid(1.0, 512, 4.0, LADDER.max), lambda t: np.sin(2.0 * np.pi * t)),
-        LADDER)
+        BookParams.on_grid(grid, LADDER.values[0], K=1.0, h=1.0, alpha=0.25, eps=0.01),
+        rate_strategy(grid, lambda t: np.sin(2.0 * np.pi * t)), LADDER)
     scaled = report.kappa_x_err
     upper = scaled[len(scaled) // 2:]
     assert np.all(np.diff(upper) < 0), f"kappa*e not decreasing: {upper}"
@@ -101,10 +101,10 @@ def test_criterion_3_theorem1_gate():
 
 def test_criterion_4_remark1_gate():
     budget = _Budget(30.0)
+    grid = ladder_grid(1.0, 512, 4.0, LADDER.max)
     report = theorem1_experiment(
-        BookTemplate(K=1.0, h=1.0, alpha=0.25, eps=0.01),
-        rate_strategy(ladder_grid(1.0, 512, 4.0, LADDER.max), lambda t: np.cos(2.0 * np.pi * t)),
-        LADDER, rate_growth=0.25)
+        BookParams.on_grid(grid, LADDER.values[0], K=1.0, h=1.0, alpha=0.25, eps=0.01),
+        rate_strategy(grid, lambda t: np.cos(2.0 * np.pi * t)), LADDER, rate_growth=0.25)
     scaled = np.sqrt(report.kappas) * report.mean_err
     assert np.all(np.diff(scaled) < 0), f"sqrt(kappa)*e not decreasing: {scaled}"
     assert report.slope <= -0.9, f"slope {report.slope}"
@@ -114,16 +114,16 @@ def test_criterion_4_remark1_gate():
 
 def test_criterion_5_block_dominance_gate():
     budget = _Budget(60.0)
-    template = BookTemplate(K=1.0, h=1.0, alpha=0.0, eps=0.0)
     grid = ladder_grid(1.0, 512, 4.0, LADDER.max)
+    book = BookParams.on_grid(grid, LADDER.values[0], K=1.0, h=1.0, alpha=0.0, eps=0.0)
     blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
 
-    det = run_lemma_jump(template, blocks, FundamentalSpec(sigma=0.0), LADDER,
+    det = run_lemma_jump(book, blocks, FundamentalSpec(sigma=0.0), LADDER,
                          width_scale=1.0, paths=1, seed=42)
     assert abs(det.mean_diff[-1] - 0.5) <= 0.02, f"D(4096) = {det.mean_diff[-1]}"
     assert np.all(det.frac_positive == 1.0)
 
-    noisy = run_lemma_jump(template, blocks, FundamentalSpec(sigma=0.2),
+    noisy = run_lemma_jump(book, blocks, FundamentalSpec(sigma=0.2),
                            LADDER, width_scale=1.0, paths=1000, seed=42)
     assert noisy.frac_positive[-1] >= 0.95, f"frac = {noisy.frac_positive[-1]}"
     _report(5, f"D(4096) = {det.mean_diff[-1]:.4f} near 0.5; positive on "
@@ -146,11 +146,12 @@ def test_criterion_6_tracker_l2_bound():
 
 def test_criterion_7_utility_noninferiority():
     budget = _Budget(120.0)
+    ladder = KappaLadder((64.0, 256.0, 1024.0))
+    book = BookParams.on_grid(ladder_grid(1.0, 512, 4.0, ladder.max), ladder.values[0],
+                              K=1.0, h=1.0, alpha=0.0, eps=0.0)
     report = run_utility(
-        BookTemplate(K=1.0, h=1.0, alpha=0.0, eps=0.0),
-        FundamentalSpec(s0=100.0, mu=0.1, sigma=0.2), ladder_grid(1.0, 512, 4.0, 1024.0),
-        KappaLadder((64.0, 256.0, 1024.0)), gamma=1.0, multipliers=[0.5, 1.0, 2.0],
-        paths=10_000, seed=42, x0=0.0, bootstrap=500)
+        book, FundamentalSpec(s0=100.0, mu=0.1, sigma=0.2), ladder, gamma=1.0,
+        multipliers=[0.5, 1.0, 2.0], paths=10_000, seed=42, x0=0.0, bootstrap=500)
 
     # candidate speed not beaten at the stated comparison point kappa = 256
     k = report.kappas.index(256.0)

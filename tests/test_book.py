@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lobres import (BookParams, BookTemplate, Evaluation, SampledPath, Strategy, TimeGrid,
-                    as_path, constant_path, fit_rate, function_path, position_paths,
-                    rate_strategy)
+from lobres import (BookParams, Evaluation, SampledPath, Strategy, TimeGrid, as_path,
+                    constant_path, fit_rate, function_path, position_paths, rate_strategy)
 from lobres.book import _phi1, _phi2, evolve_book
 
 
 import helpers
-from helpers import constant_book, random_strategy, reference_evolve_book
+from helpers import random_strategy, reference_evolve_book
 
 
 def spread_paths(book, strategy):
@@ -53,21 +52,21 @@ class TestBookParams:
     def test_alpha_range_enforced(self):
         grid = TimeGrid(1.0, 8)
         with pytest.raises(ValueError):
-            constant_book(grid, 10.0, alpha=0.7)
+            BookParams.on_grid(grid, 10.0, alpha=0.7)
 
     def test_positive_depth_enforced(self):
         grid = TimeGrid(1.0, 8)
         with pytest.raises(ValueError):
-            constant_book(grid, 10.0, h=0.0)
+            BookParams.on_grid(grid, 10.0, h=0.0)
 
     def test_kappa_positive(self):
         grid = TimeGrid(1.0, 8)
         with pytest.raises(ValueError):
-            constant_book(grid, 0.0)
+            BookParams.on_grid(grid, 0.0)
 
     def test_zero_baseline_spread_allowed(self):
         grid = TimeGrid(1.0, 8)
-        constant_book(grid, 10.0, eps=0.0)
+        BookParams.on_grid(grid, 10.0, eps=0.0)
 
     @pytest.mark.parametrize("given", [(), ("eps",), ("K", "h", "alpha", "eps")])
     def test_default_down_side_shares_the_up_path(self, given):
@@ -77,7 +76,7 @@ class TestBookParams:
         grid = TimeGrid(1.0, 8)
         up = dict(K=2.0, h=lambda t: 1.0 + t, alpha=0.25, eps=0.01)
         dn = dict(K=3.0, h=lambda t: 2.0 + t, alpha=0.1, eps=0.02)
-        book = BookTemplate(**up, **{f"{k}_dn": dn[k] for k in given}).materialize(grid, 10.0)
+        book = BookParams.on_grid(grid, 10.0, **up, **{f"{k}_dn": dn[k] for k in given})
         for name in up:
             up_path, dn_path = getattr(book, f"{name}_up"), getattr(book, f"{name}_dn")
             if name in given:
@@ -90,7 +89,7 @@ class TestBookParams:
 class TestEvolveSpreads:
     def test_zero_strategy_keeps_baselines(self):
         grid = TimeGrid(1.0, 64)
-        book = constant_book(grid, 32.0, eps=0.03)
+        book = BookParams.on_grid(grid, 32.0, eps=0.03)
         sp = spread_paths(book, rate_strategy(grid, 0.0))
         np.testing.assert_array_equal(sp.ask.values, np.full(65, 0.03))
         np.testing.assert_array_equal(sp.bid.values, np.full(65, 0.03))
@@ -98,7 +97,7 @@ class TestEvolveSpreads:
     def test_single_block_closed_form(self):
         grid = TimeGrid(1.0, 1000)
         kappa, K, h, eps, theta = 48.0, 1.3, 2.0, 0.02, 1.7
-        book = constant_book(grid, kappa, K=K, h=h, eps=eps)
+        book = BookParams.on_grid(grid, kappa, K=K, h=h, eps=eps)
         strat = Strategy(grid, constant_path(grid, 0.0), ((0, theta),))
         sp = spread_paths(book, strat)
         t = grid.points()
@@ -111,7 +110,7 @@ class TestEvolveSpreads:
     def test_constant_rate_closed_form(self):
         grid = TimeGrid(1.0, 1000)
         kappa, K, h, eps, c = 48.0, 1.3, 2.0, 0.02, 0.9
-        book = constant_book(grid, kappa, K=K, h=h, eps=eps)
+        book = BookParams.on_grid(grid, kappa, K=K, h=h, eps=eps)
         sp = spread_paths(book, rate_strategy(grid, c))
         t = grid.points()
         expected = eps + c / (kappa * K * h) * (1.0 - np.exp(-kappa * K * t))
@@ -121,7 +120,7 @@ class TestEvolveSpreads:
         # stepped solution equals the exact convolution of the sampled rate
         grid = TimeGrid(1.0, 256)
         kappa, K, h = 64.0, 1.0, 1.5
-        book = constant_book(grid, kappa, K=K, h=h)
+        book = BookParams.on_grid(grid, kappa, K=K, h=h)
         rng = np.random.default_rng(5)
         rates = np.abs(rng.normal(1.0, 0.5, grid.n_points))
         sp = spread_paths(book, Strategy(grid, SampledPath(grid, rates)))
@@ -137,7 +136,7 @@ class TestEvolveSpreads:
 
     def test_spread_dominance(self):
         grid = TimeGrid(1.0, 128)
-        book = constant_book(grid, 16.0, alpha=0.3, eps=0.05)
+        book = BookParams.on_grid(grid, 16.0, alpha=0.3, eps=0.05)
         rng = np.random.default_rng(11)
         for _ in range(20):
             sp = spread_paths(book, random_strategy(grid, rng))
@@ -149,15 +148,15 @@ class TestEvolveSpreads:
         rng = np.random.default_rng(3)
         strat = random_strategy(grid, rng)
         c = 3.0
-        sp1 = spread_paths(constant_book(grid, 16.0, h=1.0), strat)
-        sp2 = spread_paths(constant_book(grid, 16.0, h=c), strat)
+        sp1 = spread_paths(BookParams.on_grid(grid, 16.0, h=1.0), strat)
+        sp2 = spread_paths(BookParams.on_grid(grid, 16.0, h=c), strat)
         np.testing.assert_allclose(sp2.ask.values, sp1.ask.values / c, rtol=1e-12)
         np.testing.assert_allclose(sp2.bid.values, sp1.bid.values / c, rtol=1e-12)
 
     def test_resilience_monotonicity(self):
         grid = TimeGrid(1.0, 128)
         strat = rate_strategy(grid, 1.0)
-        spreads = [spread_paths(constant_book(grid, k), strat).ask.values
+        spreads = [spread_paths(BookParams.on_grid(grid, k), strat).ask.values
                    for k in (8.0, 16.0, 32.0, 64.0)]
         for lo, hi in zip(spreads, spreads[1:]):
             assert np.all(hi[1:] <= lo[1:] + 1e-15)
@@ -166,9 +165,8 @@ class TestEvolveSpreads:
         # continuously varying coefficients: discretization error is O(dt)
         def run(n):
             grid = TimeGrid(1.0, n)
-            book = BookTemplate(K=lambda t: 1.0 + 0.5 * math.sin(2 * math.pi * t),
-                                h=lambda t: 1.0 + 0.3 * t, alpha=0.2,
-                                eps=0.01).materialize(grid, 8.0)
+            book = BookParams.on_grid(grid, 8.0, K=lambda t: 1.0 + 0.5 * math.sin(2 * math.pi * t),
+                                      h=lambda t: 1.0 + 0.3 * t, alpha=0.2, eps=0.01)
             strat = rate_strategy(grid, lambda t: math.cos(2 * math.pi * t))
             return spread_paths(book, strat).ask.values
 
@@ -178,7 +176,7 @@ class TestEvolveSpreads:
         assert fit_rate(list(zip(dts, diffs))) >= 0.9
 
     def test_grid_mismatch(self):
-        book = constant_book(TimeGrid(1.0, 8), 4.0)
+        book = BookParams.on_grid(TimeGrid(1.0, 8), 4.0)
         with pytest.raises(ValueError):
             spread_paths(book, rate_strategy(TimeGrid(1.0, 16), 0.0))
 
@@ -186,7 +184,7 @@ class TestEvolveSpreads:
 class TestReferencePrice:
     def test_zero_permanent_impact(self):
         grid = TimeGrid(1.0, 64)
-        book = constant_book(grid, 16.0, alpha=0.0)
+        book = BookParams.on_grid(grid, 16.0, alpha=0.0)
         fund = function_path(grid, lambda t: 100.0 + t)
         rng = np.random.default_rng(2)
         ref = Evaluation(book, random_strategy(grid, rng), fund).reference()
@@ -195,7 +193,7 @@ class TestReferencePrice:
     def test_block_shift_held(self):
         grid = TimeGrid(1.0, 64)
         alpha, h, theta = 0.4, 2.0, 1.5
-        book = constant_book(grid, 16.0, alpha=alpha, h=h)
+        book = BookParams.on_grid(grid, 16.0, alpha=alpha, h=h)
         fund = constant_path(grid, 50.0)
         strat = Strategy(grid, constant_path(grid, 0.0), ((16, theta),))
         ref = Evaluation(book, strat, fund).reference()
@@ -206,7 +204,7 @@ class TestReferencePrice:
 
     def test_round_trip_cancels(self):
         grid = TimeGrid(1.0, 100)
-        book = constant_book(grid, 16.0, alpha=0.25, h=2.0)
+        book = BookParams.on_grid(grid, 16.0, alpha=0.25, h=2.0)
         fund = constant_path(grid, 10.0)
         strat = Strategy(grid, constant_path(grid, 0.0), ((10, 1.0), (60, -1.0)))
         ref = Evaluation(book, strat, fund).reference()
@@ -216,14 +214,14 @@ class TestReferencePrice:
 class TestScaledExcessSpread:
     def test_zero_strategy(self):
         grid = TimeGrid(1.0, 64)
-        book = constant_book(grid, 16.0)
+        book = BookParams.on_grid(grid, 16.0)
         path = book.kappa * evolve_book(book, rate_strategy(grid, 0.0)).exc_up_post
         np.testing.assert_array_equal(path, np.zeros(65))
 
     def test_constant_rate_limit(self):
         grid = TimeGrid(4.0, 2048)
         kappa, K, h, alpha, c = 64.0, 1.2, 1.5, 0.2, 0.7
-        book = constant_book(grid, kappa, K=K, h=h, alpha=alpha)
+        book = BookParams.on_grid(grid, kappa, K=K, h=h, alpha=alpha)
         path = book.kappa * evolve_book(book, rate_strategy(grid, c)).exc_up_post
         limit = (1.0 - alpha) * c / (K * h)
         assert path[-1] == pytest.approx(limit, rel=1e-8)
@@ -240,7 +238,7 @@ class TestScaledExcessSpread:
         errors = []
         kappas = [2.0**j for j in range(4, 13)]
         for kappa in kappas:
-            book = constant_book(grid, kappa, K=K, h=h, alpha=alpha)
+            book = BookParams.on_grid(grid, kappa, K=K, h=h, alpha=alpha)
             path = book.kappa * evolve_book(book, rate).exc_up_post
             err = np.abs(path[i0:] - target[i0 - 1:-1])
             errors.append(float(err.max()))
@@ -251,7 +249,7 @@ class TestScaledExcessSpread:
 def books_and_strategies(draw):
     """Small grids with kappa*dt in [1e-6, 1e6], asymmetric and time-varying
     K and h (or a down side that holds the up side's own K or h path, as
-    ``BookTemplate.materialize`` makes it for a symmetric book), alpha 0, 1/2 or
+    ``BookParams.on_grid`` makes it for a symmetric book), alpha 0, 1/2 or
     between, sign-changing rates and blocks of both signs, at index 0 and
     index n among others."""
     n = draw(st.integers(1, 40))

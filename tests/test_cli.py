@@ -11,7 +11,7 @@ import pytest
 
 import lobres.experiments as experiments_module
 from helpers import reference_constant_path, reference_write_columns, run_python
-from lobres import (BookTemplate, FundamentalSpec, KappaLadder, TimeGrid, UniformBounds,
+from lobres import (BookParams, FundamentalSpec, KappaLadder, TimeGrid, UniformBounds,
                     rate_strategy, theorem1_experiment)
 from lobres.cli import main
 from lobres.config import parse_config, validate_config
@@ -215,12 +215,15 @@ BUILT_BY_THE_SET_UP = [
     (FundamentalSpec, "mean_path"), (FundamentalSpec, "sigma_steps"), (UniformBounds, "check")]
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
-def test_each_input_is_built_once(tmp_path, monkeypatch, name):
+@pytest.mark.parametrize("name, K", [
+    *(pytest.param(p.name, None, id=p.name) for p in sorted(CONFIG_DIR.glob("*.json"))),
+    pytest.param("theorem1.json", {"fn": "sin", "amplitude": 0.5, "offset": 1.0},
+                 id="theorem1.json-sin-K")])
+def test_each_input_is_built_once(tmp_path, monkeypatch, name, K):
     # the set-up builds each input once and the rungs take what it built:
-    # each call above is made at most once per run, and the set-up builds at
-    # most the first rung's book, each rung its own
-    import lobres.cli
+    # each call above is made at most once per run, the run's one book is
+    # built once (at the first kappa; every rung takes it at its own), and
+    # each input that is a function of time is sampled once
     calls = Counter()
 
     def counting(key, original):
@@ -229,8 +232,8 @@ def test_each_input_is_built_once(tmp_path, monkeypatch, name):
             return original(*args, **kwargs)
         return counted
 
-    for home, fn in [*BUILT_BY_THE_SET_UP, (BookTemplate, "materialize"),
-                     ("strategies", "smoothing_windows")]:
+    for home, fn in [*BUILT_BY_THE_SET_UP, (BookParams, "on_grid"),
+                     ("strategies", "smoothing_windows"), ("paths", "function_path")]:
         if isinstance(home, str):  # a function, under every name a module binds it to
             original = getattr(sys.modules[f"lobres.{home}"], fn)
             binding = [m for m in list(sys.modules.values())
@@ -239,14 +242,9 @@ def test_each_input_is_built_once(tmp_path, monkeypatch, name):
                 monkeypatch.setattr(module, fn, counting(fn, original))
         else:
             monkeypatch.setattr(home, fn, counting(fn, getattr(home, fn)))
-    at_the_rungs = []
-
-    def run_config(config, rungs, _original=lobres.cli.run_config):
-        at_the_rungs.append(calls["materialize"])
-        return _original(config, rungs)
-
-    monkeypatch.setattr(lobres.cli, "run_config", run_config)
     payload = json.loads((CONFIG_DIR / name).read_text())
+    if K is not None:
+        payload["book"]["K"] = K
     payload.setdefault("mc", {})["paths"] = 2
     if "utility" in payload:
         payload["utility"]["bootstrap"] = 10
@@ -260,8 +258,9 @@ def test_each_input_is_built_once(tmp_path, monkeypatch, name):
     # lemma-jump's smoothing windows, once per rung
     assert calls["smoothing_windows"] == (len(config.kappas())
                                           if config.kind == "lemma-jump" else 0)
-    rung_books = 0 if config.kind in ("simulate", "tracker-bound") else len(config.kappas())
-    assert at_the_rungs[0] <= 1 and calls["materialize"] - at_the_rungs[0] == rung_books
+    assert calls["on_grid"] == (config.kind != "tracker-bound")
+    # one path per input given as a function of time ({"fn": ...})
+    assert calls["function_path"] == config.to_json().count('"fn"')
 
 
 def test_readme_library_example_runs(capsys):
@@ -596,12 +595,12 @@ class TestConvergeCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["gates"]) == gates
 
-        template, ladder = BookTemplate(alpha=0.25, eps=0.01), KappaLadder.geometric(16.0, 2.0, 5)
+        ladder = KappaLadder.geometric(16.0, 2.0, 5)
         base = rate_strategy(TimeGrid(1.0, 128), lambda t: math.cos(2 * math.pi * t))
-        if bounds is not None:  # l2's bounds hold on the first rung's book
-            UniformBounds(*bounds.values()).check(
-                template.materialize(base.grid, ladder.values[0]), base)
-        report = theorem1_experiment(template, base, ladder, rate_growth=rate_growth)
+        book = BookParams.on_grid(base.grid, ladder.values[0], alpha=0.25, eps=0.01)
+        if bounds is not None:  # l2's bounds hold on the run's book
+            UniformBounds(*bounds.values()).check(book, base)
+        report = theorem1_experiment(book, base, ladder, rate_growth=rate_growth)
         expected = tmp_path / "expected.csv"
         write_tables({expected: report.table()})
         assert (out / "convergence.csv").read_bytes() == expected.read_bytes()

@@ -247,20 +247,20 @@ class TestValidate:
 
     @pytest.mark.parametrize("name, expected", [
         # scipy and the noise lanes (a (512, 1024) block: 8 segments x 1,024
-        # streams at 19 uint64 values each), one float64 result per rung and
+        # streams at 17 uint64 values each), one float64 result per rung and
         # path, one (steps, 1024-path) chunk block, and three (rungs,
         # 1024-path) arrays: the positions, squared errors and running maxima
-        ("tracker_bound.json", SCIPY_BYTES + 8 * 19 * 8192 + 8 * 7 * 10_000
+        ("tracker_bound.json", SCIPY_BYTES + 8 * 17 * 8192 + 8 * 7 * 10_000
          + 8 * 512 * 1024 + 3 * 8 * 7 * 1024),
         # one result per (kappa, multiplier) cell and path and no rung rows,
         # plus the bootstrap: 9 cells x 500 resampled CEs, one kappa's 3 x 500
         # gaps, and one chunk of 2**16 // 10,000 = 6 resamples of int64
         # indices and samples; the bootstrap's index stream holds less than
         # the noise lanes
-        ("utility.json", SCIPY_BYTES + 8 * 19 * 8192 + 8 * 9 * 10_000
+        ("utility.json", SCIPY_BYTES + 8 * 17 * 8192 + 8 * 9 * 10_000
          + 8 * 512 * 1024 + 8 * ((9 + 3) * 500 + 2 * 6 * 10_000)),
         # fewer paths than a chunk holds: 8 segments x 1,000 lanes
-        ("lemma_jump_noisy.json", SCIPY_BYTES + 8 * 19 * 8000 + 8 * 9 * 1000
+        ("lemma_jump_noisy.json", SCIPY_BYTES + 8 * 17 * 8000 + 8 * 9 * 1000
          + 8 * 512 * 1000),
         # no noise: the per-rung results only
         ("lemma_jump.json", 8 * 9 * 1),
@@ -268,7 +268,7 @@ class TestValidate:
         ("l2.json", 8 * 513),
         # drawn through scipy for simulate: one stream cut into 512 one-draw
         # segments
-        ("simulate.json", SCIPY_BYTES + 8 * 19 * 512),
+        ("simulate.json", SCIPY_BYTES + 8 * 17 * 512),
     ])
     def test_memory_estimate_of_shipped_configs(self, name, expected):
         # the interpreter and one path's scan and ledger on 513 grid points,
@@ -378,7 +378,7 @@ class TestValidate:
                                       (1, 126_492), (2, 64), (8192, 64), (16_384, 32)])
 def test_lane_term_matches_the_traced_kernel(paths, n):
     # validate's lane term is within 10% or 64 KiB, whichever is larger, of
-    # what normals_block allocates beyond its (n, paths) output: 19 values
+    # what normals_block allocates beyond its (n, paths) output: 17 values
     # per lane at every shape, the one-segment 8,192- and 16,384-path blocks
     # included
     _ndtri()  # loaded first: SCIPY_BYTES counts it
@@ -784,7 +784,7 @@ def test_parsing_builds_no_engine_input(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the parser built an engine input")
 
-    monkeypatch.setattr(lobres.book.BookTemplate, "materialize", refuse)
+    monkeypatch.setattr(lobres.book.BookParams, "on_grid", refuse)
     monkeypatch.setattr(lobres.experiments.FundamentalSpec, "mean_path", refuse)
     for home, name in ((lobres.strategies, "block_schedule"), (lobres.strategies, "rate_strategy"),
                        (lobres.experiments, "tracker_bound_inputs"),

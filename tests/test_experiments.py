@@ -11,7 +11,7 @@ import lobres.experiments as experiments_module
 from helpers import (reference_increments, reference_lemma_jump_experiment, reference_sample,
                      reference_tracker_bound_experiment, reference_utility_experiment,
                      run_lemma_jump, run_tracker_bound, run_utility)
-from lobres import (BookTemplate, FundamentalSpec, InsufficientData, KappaLadder,
+from lobres import (BookParams, FundamentalSpec, InsufficientData, KappaLadder,
                     RandomSource, TimeGrid, UniformBounds, ac_wealth, fit_rate, ladder_grid,
                     ow_wealth, rate_strategy, theorem1_experiment)
 from lobres.cli import _gates
@@ -94,14 +94,15 @@ class TestLadderGrid:
 
 class TestTheorem1:
     def test_zero_strategy_has_zero_errors(self):
-        report = theorem1_experiment(BookTemplate(), _base(0.0), SMALL_LADDER)
+        base = _base(0.0)
+        report = theorem1_experiment(BookParams.on_grid(base.grid, 16.0), base, SMALL_LADDER)
         np.testing.assert_array_equal(report.mean_err, np.zeros(5))
         assert report.slope is None
 
     def test_smooth_rate_converges_fast(self):
-        report = theorem1_experiment(
-            BookTemplate(alpha=0.25, eps=0.01),
-            _base(lambda t: math.sin(2 * math.pi * t)), SMALL_LADDER)
+        base = _base(lambda t: math.sin(2 * math.pi * t))
+        report = theorem1_experiment(BookParams.on_grid(base.grid, 16.0, alpha=0.25, eps=0.01),
+                                     base, SMALL_LADDER)
         assert np.all(np.diff(report.kappa_x_err) < 0)
         assert report.slope <= -1.5
 
@@ -109,7 +110,7 @@ class TestTheorem1:
         # each rung's strategy keeps the base's blocks, which the reduced form refuses
         blocks = block_schedule(_grid(SMALL_LADDER.max), [(0.25, 1.0)], t_prime=0.5)
         with pytest.raises(ValueError, match="defined for block-free strategies"):
-            theorem1_experiment(BookTemplate(), blocks, SMALL_LADDER)
+            theorem1_experiment(BookParams.on_grid(blocks.grid, 16.0), blocks, SMALL_LADDER)
 
     def test_gap_is_independent_of_the_price_path(self):
         # reference: the wealth gap sup_t |X_ow - X_ac| measured on each
@@ -121,10 +122,10 @@ class TestTheorem1:
         strat = rate_strategy(grid, rate)
         funds = [reference_sample(spec, grid, RandomSource(42, p)) for p in range(4)]
         for alpha in (0.0, 0.5):
-            template = BookTemplate(alpha=alpha, eps=0.01)
-            report = theorem1_experiment(template, strat, SMALL_LADDER)
+            book = BookParams.on_grid(grid, 16.0, alpha=alpha, eps=0.01)
+            report = theorem1_experiment(book, strat, SMALL_LADDER)
             for j, kappa in enumerate(SMALL_LADDER):
-                book = template.materialize(grid, kappa)
+                book = BookParams.on_grid(grid, kappa, alpha=alpha, eps=0.01)
                 sups = [np.max(np.abs(ow_wealth(book, strat, fund).x.values
                                       - ac_wealth(book, strat, fund).x.values))
                         for fund in funds]
@@ -171,9 +172,8 @@ class TestGapOracle:
         kappa = stiffness / (K * self.GRID.dt)  # kappa * K * dt = stiffness >= 40
         # resolution_scale 0.25 keeps the experiment on the 512-step grid
         assert ladder_grid(1.0, 512, 0.25, kappa) == self.GRID
-        report = theorem1_experiment(BookTemplate(K=K, h=h, alpha=alpha),
-                                     rate_strategy(ladder_grid(1.0, 512, 0.25, kappa), rate),
-                                     KappaLadder((kappa,)))
+        report = theorem1_experiment(BookParams.on_grid(self.GRID, kappa, K=K, h=h, alpha=alpha),
+                                     rate_strategy(self.GRID, rate), KappaLadder((kappa,)))
         c = _gap_constant(rate_strategy(self.GRID, rate).rate_steps, alpha, K, h)
         assert kappa**2 * report.mean_err[0] / c == pytest.approx(1.0, abs=1e-6)
 
@@ -182,20 +182,23 @@ class TestGapOracle:
         rate = lambda t: math.sin(2 * math.pi * t)
         c = _gap_constant(rate_strategy(self.GRID, rate).rate_steps, 0.25, 1.0, 1.0)
         assert c == pytest.approx(0.385843, abs=5e-7)
-        report = theorem1_experiment(BookTemplate(alpha=0.25, eps=0.01),
-                                     _base(rate, KappaLadder((4096.0,))), KappaLadder((4096.0,)))
+        base = _base(rate, KappaLadder((4096.0,)))
+        report = theorem1_experiment(BookParams.on_grid(base.grid, 4096.0, alpha=0.25, eps=0.01),
+                                     base, KappaLadder((4096.0,)))
         assert 4096.0**2 * report.mean_err[0] / c == pytest.approx(1.00002, abs=5e-6)
 
 
 class TestRemark1:
     def test_zero_base_rate(self):
-        report = theorem1_experiment(BookTemplate(), _base(0.0), SMALL_LADDER, rate_growth=0.25)
+        base = _base(0.0)
+        report = theorem1_experiment(BookParams.on_grid(base.grid, 16.0), base, SMALL_LADDER,
+                                     rate_growth=0.25)
         np.testing.assert_array_equal(report.mean_err, np.zeros(5))
 
     def test_scaled_errors_decrease(self):
-        report = theorem1_experiment(
-            BookTemplate(alpha=0.25, eps=0.01), _base(lambda t: math.cos(2 * math.pi * t)),
-            SMALL_LADDER, rate_growth=0.25)
+        base = _base(lambda t: math.cos(2 * math.pi * t))
+        report = theorem1_experiment(BookParams.on_grid(base.grid, 16.0, alpha=0.25, eps=0.01),
+                                     base, SMALL_LADDER, rate_growth=0.25)
         assert np.all(np.diff(np.sqrt(report.kappas) * report.mean_err) < 0)
         assert report.slope <= -0.9
 
@@ -205,14 +208,14 @@ class TestLemmaJump:
         grid = ladder_grid(1.0, 512, 4.0, SMALL_LADDER.max)
         blocks = block_schedule(grid, [], t_prime=0.5)
         with pytest.raises(ValueError):
-            run_lemma_jump(BookTemplate(), blocks, FundamentalSpec(),
+            run_lemma_jump(BookParams.on_grid(grid, 16.0), blocks, FundamentalSpec(),
                            SMALL_LADDER, width_scale=1.0, paths=1, seed=42)
 
     def test_unit_block_limit(self):
         ladder = KappaLadder.geometric(16.0, 2.0, 9)
         grid = ladder_grid(1.0, 512, 4.0, ladder.max)
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
-        report = run_lemma_jump(BookTemplate(h=1.0), blocks,
+        report = run_lemma_jump(BookParams.on_grid(grid, 16.0, h=1.0), blocks,
                                 FundamentalSpec(sigma=0.0), ladder,
                                 width_scale=1.0, paths=1, seed=42)
         # half the squared size over twice the depth, less the vanishing
@@ -226,7 +229,7 @@ class TestLemmaJump:
         ladder = KappaLadder.geometric(64.0, 2.0, 7)
         grid = ladder_grid(1.0, 512, 4.0, ladder.max)
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
-        report = run_lemma_jump(BookTemplate(h=1.0, alpha=0.5), blocks,
+        report = run_lemma_jump(BookParams.on_grid(grid, 64.0, h=1.0, alpha=0.5), blocks,
                                 FundamentalSpec(sigma=0.0), ladder,
                                 width_scale=1.0, paths=1, seed=42)
         assert abs(report.mean_diff[-1] - 0.25) <= 0.02
@@ -239,9 +242,8 @@ class TestLemmaJump:
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
         spec = FundamentalSpec(s0=100.0, mu=0.1, sigma=0.2)
         paths = 5
-        report = run_lemma_jump(BookTemplate(h=1.0), blocks, spec, ladder,
-                                width_scale=1.0, paths=paths, seed=11)
-        book = BookTemplate(h=1.0).materialize(grid, 64.0)
+        book = BookParams.on_grid(grid, 64.0, h=1.0)
+        report = run_lemma_jump(book, blocks, spec, ladder, width_scale=1.0, paths=paths, seed=11)
         smoothed = smooth_blocks(blocks, smoothing_windows(grid, blocks.blocks, 64.0, 1.0))
         for p in range(paths):
             fund = reference_sample(spec, grid, RandomSource(11, p))
@@ -253,7 +255,7 @@ class TestLemmaJump:
         ladder = KappaLadder((256.0, 1024.0))
         grid = ladder_grid(1.0, 512, 4.0, ladder.max)
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
-        report = run_lemma_jump(BookTemplate(h=1.0), blocks,
+        report = run_lemma_jump(BookParams.on_grid(grid, 256.0, h=1.0), blocks,
                                 FundamentalSpec(sigma=0.2), ladder,
                                 width_scale=1.0, paths=200, seed=3)
         assert report.frac_positive[-1] >= 0.95
@@ -328,22 +330,23 @@ class TestTrackerBound:
 class TestL2:
     def test_zero_strategy(self):
         base = _base(0.0)
-        L2_BOUNDS.check(BookTemplate().materialize(base.grid, SMALL_LADDER.values[0]), base)
-        report = theorem1_experiment(BookTemplate(), base, SMALL_LADDER)
+        book = BookParams.on_grid(base.grid, SMALL_LADDER.values[0])
+        L2_BOUNDS.check(book, base)
+        report = theorem1_experiment(book, base, SMALL_LADDER)
         np.testing.assert_array_equal(report.mean_err, np.zeros(5))
 
-    @pytest.mark.parametrize("template, message", [
-        (BookTemplate(alpha=0.25, eps=0.01), None),  # the shipped l2 book
-        (BookTemplate(K=0.25), "resilience shape falls below its declared floor"),
-        (BookTemplate(K_dn=0.25), "resilience shape falls below its declared floor"),
-        (BookTemplate(h=0.25), "book coefficient exceeds its declared uniform bound"),
-        (BookTemplate(h_dn=0.25), "book coefficient exceeds its declared uniform bound"),
-        (BookTemplate(eps_dn=3.0), "book coefficient exceeds its declared uniform bound"),
+    @pytest.mark.parametrize("coeffs, message", [
+        ({"alpha": 0.25, "eps": 0.01}, None),  # the shipped l2 book
+        ({"K": 0.25}, "resilience shape falls below its declared floor"),
+        ({"K_dn": 0.25}, "resilience shape falls below its declared floor"),
+        ({"h": 0.25}, "book coefficient exceeds its declared uniform bound"),
+        ({"h_dn": 0.25}, "book coefficient exceeds its declared uniform bound"),
+        ({"eps_dn": 3.0}, "book coefficient exceeds its declared uniform bound"),
     ], ids=["shipped", "K", "K-down", "h", "h-down", "eps-down"])
-    def test_each_declared_bound_is_checked(self, template, message):
-        # the shipped bounds against the first rung's book and the sin rate
+    def test_each_declared_bound_is_checked(self, coeffs, message):
+        # the shipped bounds against the run's book and the sin rate
         base = _base(lambda t: math.sin(2 * math.pi * t))
-        book = template.materialize(base.grid, SMALL_LADDER.values[0])
+        book = BookParams.on_grid(base.grid, SMALL_LADDER.values[0], **coeffs)
         if message is None:
             L2_BOUNDS.check(book, base)
         else:
@@ -354,30 +357,30 @@ class TestL2:
         bounds = UniformBounds(rate_bound=0.5, coefficient_bound=2.0,
                                resilience_floor=0.5)
         with pytest.raises(ValueError, match="strategy rate exceeds its declared uniform bound"):
-            bounds.check(BookTemplate().materialize(_base(1.0).grid, SMALL_LADDER.values[0]),
+            bounds.check(BookParams.on_grid(_base(1.0).grid, SMALL_LADDER.values[0]),
                          _base(1.0))
 
 
 class TestUtility:
     def test_zero_volatility_rejected(self):
         with pytest.raises(ValueError, match=r"needs sigma\*\*2 within the float range"):
-            utility_trackers(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.0), _grid(64.0),
-                             64.0, 1.0, (0.5, 1.0, 2.0), 0.0)
+            utility_trackers(BookParams.on_grid(_grid(64.0), 64.0),
+                             FundamentalSpec(mu=0.1, sigma=0.0), 1.0, (0.5, 1.0, 2.0), 0.0)
 
     def test_baseline_spread_rejected(self):
         with pytest.raises(ValueError, match="requires zero baseline spreads"):
-            utility_trackers(BookTemplate(eps=0.01), FundamentalSpec(mu=0.1, sigma=0.2),
-                             _grid(64.0), 64.0, 1.0, (0.5, 1.0, 2.0), 0.0)
+            utility_trackers(BookParams.on_grid(_grid(64.0), 64.0, eps=0.01),
+                             FundamentalSpec(mu=0.1, sigma=0.2), 1.0, (0.5, 1.0, 2.0), 0.0)
 
     def test_multipliers_must_include_candidate(self):
         with pytest.raises(ValueError):
-            run_utility(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0),
+            run_utility(BookParams.on_grid(_grid(64.0), 64.0), FundamentalSpec(mu=0.1, sigma=0.2),
                         KappaLadder((64.0,)), gamma=1.0, multipliers=[0.5, 2.0], paths=10,
                         seed=42, x0=0.0, bootstrap=500)
 
     def test_ce_approaches_frictionless(self):
-        report = run_utility(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
-                             _grid(1024.0), KappaLadder((64.0, 256.0, 1024.0)),
+        report = run_utility(BookParams.on_grid(_grid(1024.0), 64.0),
+                             FundamentalSpec(mu=0.1, sigma=0.2), KappaLadder((64.0, 256.0, 1024.0)),
                              gamma=1.0, **THREE_SPEEDS, paths=2000, seed=7,
                              bootstrap=100)
         curve = report.candidate_ce
@@ -388,8 +391,8 @@ class TestUtility:
     def test_ce_shifts_by_initial_wealth(self):
         # x0 = +-800 would underflow / overflow exp(-gamma * x) unshifted
         def run(x0):
-            return run_utility(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
-                               _grid(64.0), KappaLadder((64.0,)), gamma=1.0,
+            return run_utility(BookParams.on_grid(_grid(64.0), 64.0),
+                               FundamentalSpec(mu=0.1, sigma=0.2), KappaLadder((64.0,)), gamma=1.0,
                                multipliers=(0.5, 1.0, 2.0), paths=200, seed=7, x0=x0,
                                bootstrap=50)
 
@@ -423,7 +426,7 @@ class TestUtility:
         gamma, mu, sigma, kappa = 1.0, 0.1, 0.2, 64.0
         paths, seed, bootstrap = 300, 5, 40
         spec = FundamentalSpec(mu=mu, sigma=sigma)
-        report = run_utility(BookTemplate(), spec, _grid(kappa), KappaLadder((kappa,)),
+        report = run_utility(BookParams.on_grid(_grid(kappa), kappa), spec, KappaLadder((kappa,)),
                              gamma=gamma, **THREE_SPEEDS, paths=paths, seed=seed,
                              bootstrap=bootstrap)
 
@@ -431,7 +434,7 @@ class TestUtility:
             entropy=seed, spawn_key=(_BOOTSTRAP_STREAM,)))).integers(
                 0, paths, size=(bootstrap, paths))
         grid = ladder_grid(1.0, 512, 4.0, kappa)
-        book = BookTemplate().materialize(grid, kappa)
+        book = BookParams.on_grid(grid, kappa)
         dw = brownian_increments(grid, seed, paths)
         m_base = np.sqrt(book.K_up.values * book.h_up.values * sigma**2 * gamma / 2.0)
         boot = {}
@@ -450,8 +453,8 @@ class TestUtility:
                                        [glo, ghi], rtol=1e-13, atol=1e-15)
 
     def test_candidate_noninferior_at_moderate_kappa(self):
-        report = run_utility(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2),
-                             _grid(256.0), KappaLadder((256.0,)), gamma=1.0,
+        report = run_utility(BookParams.on_grid(_grid(256.0), 256.0),
+                             FundamentalSpec(mu=0.1, sigma=0.2), KappaLadder((256.0,)), gamma=1.0,
                              **THREE_SPEEDS, paths=2000, seed=7, bootstrap=200)
         # one kappa: the noninferiority gate alone, on that kappa
         assert _gates("utility", report) == {"candidate_noninferior": True}
@@ -459,30 +462,35 @@ class TestUtility:
 
 # The shipped configs' inputs, each with one value that the engine call
 # making it refuses: the experiment, or the constructor of an input that the
-# run's set-up builds before its first rung (``utility_trackers``,
-# ``tracker_bound_inputs``, ``smoothing_windows``, ``block_schedule``,
-# ``FundamentalSpec.sample``); the run reports the same message
+# run's set-up builds before its first rung (``BookParams.on_grid``,
+# ``utility_trackers``, ``tracker_bound_inputs``, ``smoothing_windows``,
+# ``block_schedule``, ``FundamentalSpec.sigma_steps``); the run reports the same message
 # (test_cli.EXPERIMENT_REFUSALS).  0.5 + sin(2 pi 128 t) is below its
 # range only between the points t = j/256 and at odd points of a 512-step grid.
 _DIP = lambda t: 0.5 + 1.0 * math.sin(2.0 * math.pi * 128.0 * t)
 _SHIPPED_GRID = TimeGrid(1.0, 512)
 
 
-def _shipped_utility(template=BookTemplate(), sigma=0.2, multipliers=(0.5, 1.0, 2.0)):
-    utility_trackers(template, FundamentalSpec(100.0, 0.1, sigma), _SHIPPED_GRID, 64.0, 1.0,
-                     multipliers, 0.0)
+def _shipped_utility(sigma=0.2, multipliers=(0.5, 1.0, 2.0), **coeffs):
+    utility_trackers(BookParams.on_grid(_SHIPPED_GRID, 64.0, **coeffs),
+                     FundamentalSpec(100.0, 0.1, sigma), 1.0, multipliers, 0.0)
 
 
 def _shipped_theorem1(K):
-    theorem1_experiment(BookTemplate(K=K, alpha=0.25, eps=0.01),
+    theorem1_experiment(BookParams.on_grid(_SHIPPED_GRID, 16.0, K=K, alpha=0.25, eps=0.01),
                         rate_strategy(_SHIPPED_GRID, lambda t: math.sin(2.0 * math.pi * t)),
                         KappaLadder.geometric(16.0, 2.0, 9))
 
 
+def _shipped_price(sigma):
+    spec = FundamentalSpec(100.0, 0.05, sigma)
+    spec.add_noise(spec.mean_path(_SHIPPED_GRID), spec.sigma_steps(_SHIPPED_GRID), 42)
+
+
 SHIPPED_REFUSALS = {
-    "utility-alpha": (lambda: _shipped_utility(BookTemplate(alpha=0.1)),
+    "utility-alpha": (lambda: _shipped_utility(alpha=0.1),
                       "utility experiment requires zero permanent impact"),
-    "utility-h-down": (lambda: _shipped_utility(BookTemplate(h_dn=2.0)),
+    "utility-h-down": (lambda: _shipped_utility(h_dn=2.0),
                        "utility experiment requires a symmetric book"),
     "lemma-width-scale": (
         lambda: [smoothing_windows(_SHIPPED_GRID,
@@ -500,8 +508,7 @@ SHIPPED_REFUSALS = {
     "theorem1-K-off-the-coarse-points": (lambda: _shipped_theorem1(_DIP),
                                          "K_up must be positive pointwise"),
     "simulate-sigma-off-the-coarse-points": (
-        lambda: FundamentalSpec(100.0, 0.05, _DIP).sample(_SHIPPED_GRID, 42),
-        "sigma must be nonnegative"),
+        lambda: _shipped_price(_DIP), "sigma must be nonnegative"),
     "tracker-rate-scale-off-the-coarse-points": (
         lambda: tracker_bound_inputs(_SHIPPED_GRID, **dict(UNIT_COEFFS, rate_scale=_DIP),
                                      paths=10),
@@ -562,7 +569,7 @@ class TestFundamentalSpec:
         # coefficients and the same (seed, stream)
         grid = TimeGrid(1.0, 256)
         spec = FundamentalSpec(s0=50.0, mu=0.08, sigma=0.3)
-        a = spec.sample(grid, 13, 2)
+        a = spec.add_noise(spec.mean_path(grid), spec.sigma_steps(grid), 13, 2)
         dw = math.sqrt(grid.dt) * RandomSource(13, 2).normals(grid.steps)
         b = [50.0]
         for i in range(grid.steps):
@@ -579,13 +586,15 @@ class TestFundamentalSpec:
     def test_sample_is_byte_identical_to_one_source_stream(self, spec, seed, stream, steps):
         grid = TimeGrid(1.0, steps)
         expected = reference_sample(spec, grid, RandomSource(seed, stream)).values
-        assert spec.sample(grid, seed, stream).values.tobytes() == expected.tobytes()
+        sample = spec.add_noise(spec.mean_path(grid), spec.sigma_steps(grid), seed, stream)
+        assert sample.values.tobytes() == expected.tobytes()
 
     def test_deterministic_sample_draws_nothing(self, monkeypatch):
         monkeypatch.setattr(experiments_module, "brownian_increments", None)
         grid = TimeGrid(1.0, 64)
         spec = FundamentalSpec(s0=10.0, mu=lambda t: t, sigma=0.0)
-        np.testing.assert_array_equal(spec.sample(grid, 42).values, spec.mean_path(grid).values)
+        sample = spec.add_noise(spec.mean_path(grid), spec.sigma_steps(grid), 42)
+        np.testing.assert_array_equal(sample.values, spec.mean_path(grid).values)
 
     def test_mean_path_is_drift_integral(self):
         grid = TimeGrid(2.0, 64)
@@ -606,7 +615,7 @@ class TestUtilityCandidateConstruction:
         gamma, sigma = 1.0, 0.2
         kappa = 256.0
         grid = ladder_grid(1.0, 512, 4.0, kappa)
-        book = BookTemplate().materialize(grid, kappa)
+        book = BookParams.on_grid(grid, kappa)
         target = constant_path(grid, 0.1 / (gamma * sigma**2))
         via_optimal = optimal_tracker(book, constant_path(grid, sigma),
                                       constant_path(grid, 1.0 / gamma), target,
@@ -624,10 +633,10 @@ class TestUtilityCandidateConstruction:
         gamma, mu, sigma, kappa = 1.0, 0.1, 0.2, 64.0
         paths, seed = 64, 123
         grid = ladder_grid(1.0, 512, 4.0, kappa)
-        report = run_utility(BookTemplate(), FundamentalSpec(100.0, mu, sigma), grid,
-                             KappaLadder((kappa,)), gamma=gamma, multipliers=[1.0],
-                             paths=paths, seed=seed, x0=0.0, bootstrap=20)
-        book = BookTemplate().materialize(grid, kappa)
+        book = BookParams.on_grid(grid, kappa)
+        report = run_utility(book, FundamentalSpec(100.0, mu, sigma), KappaLadder((kappa,)),
+                             gamma=gamma, multipliers=[1.0], paths=paths, seed=seed, x0=0.0,
+                             bootstrap=20)
         target = constant_path(grid, mu / (gamma * sigma**2))
         strat = optimal_tracker(book, constant_path(grid, sigma),
                                 constant_path(grid, 1.0 / gamma), target, start=0.0)
@@ -711,8 +720,8 @@ class TestChunkedMonteCarlo:
     def test_lemma_jump_equals_whole_matrix(self, small_chunks, paths):
         grid = TimeGrid(1.0, CHUNK_STEPS)
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
-        args = (BookTemplate(h=1.0), blocks, FundamentalSpec(mu=0.1, sigma=0.2),
-                KappaLadder((16.0, 64.0, 256.0)))
+        args = (BookParams.on_grid(grid, 16.0, h=1.0), blocks,
+                FundamentalSpec(mu=0.1, sigma=0.2), KappaLadder((16.0, 64.0, 256.0)))
         chunked = run_lemma_jump(*args, width_scale=1.0, paths=paths, seed=7)
         whole = run_lemma_jump(*args, width_scale=1.0, paths=paths, seed=7,
                                experiment=reference_lemma_jump_experiment)
@@ -726,7 +735,8 @@ class TestChunkedMonteCarlo:
     def test_noise_free_lemma_jump_equals_whole_matrix(self, small_chunks):
         grid = TimeGrid(1.0, CHUNK_STEPS)
         blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
-        args = (BookTemplate(h=1.0), blocks, FundamentalSpec(), KappaLadder((16.0, 64.0)))
+        args = (BookParams.on_grid(grid, 16.0, h=1.0), blocks, FundamentalSpec(),
+                KappaLadder((16.0, 64.0)))
         chunked = run_lemma_jump(*args, width_scale=1.0, paths=23, seed=42)
         whole = run_lemma_jump(*args, width_scale=1.0, paths=23, seed=42,
                                experiment=reference_lemma_jump_experiment)
@@ -735,8 +745,8 @@ class TestChunkedMonteCarlo:
 
     @pytest.mark.parametrize("paths", [23, 3, 1])
     def test_utility_equals_whole_matrix(self, small_chunks, paths):
-        args = (BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0, CHUNK_STEPS),
-                KappaLadder((16.0, 64.0)))
+        args = (BookParams.on_grid(_grid(64.0, CHUNK_STEPS), 16.0),
+                FundamentalSpec(mu=0.1, sigma=0.2), KappaLadder((16.0, 64.0)))
         kw = dict(gamma=1.5, multipliers=(0.5, 1.0, 2.0), paths=paths, seed=5, x0=2.0,
                   bootstrap=40)
         chunked = run_utility(*args, **kw)
@@ -763,7 +773,7 @@ class TestChunkedMonteCarlo:
             return original(x, idx, gamma)
 
         monkeypatch.setattr(experiments_module, "_certainty_equivalents", recording)
-        run_utility(BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0, 64),
+        run_utility(BookParams.on_grid(_grid(64.0, 64), 64.0), FundamentalSpec(mu=0.1, sigma=0.2),
                     KappaLadder((64.0,)), gamma=1.0, **THREE_SPEEDS, paths=paths, seed=9,
                     bootstrap=200)
         every_path, *chunks = seen
@@ -811,7 +821,7 @@ class TestMonteCarloMemory:
         # of indices and gathered samples and normals_block's lanes
         boot, paths = 200_000, 20
         peak = self._traced_peak(lambda: run_utility(
-            BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(256.0, 64),
+            BookParams.on_grid(_grid(256.0, 64), 16.0), FundamentalSpec(mu=0.1, sigma=0.2),
             KappaLadder((16.0, 64.0, 256.0)), gamma=1.0, **THREE_SPEEDS, paths=paths, seed=1,
             bootstrap=boot))
         rows = experiments_module.resamples_per_chunk(paths)
@@ -819,7 +829,7 @@ class TestMonteCarloMemory:
 
     def test_utility_peak(self):
         peak = self._traced_peak(lambda: run_utility(
-            BookTemplate(), FundamentalSpec(mu=0.1, sigma=0.2), _grid(64.0),
+            BookParams.on_grid(_grid(64.0), 64.0), FundamentalSpec(mu=0.1, sigma=0.2),
             KappaLadder((64.0,)), gamma=1.0, **THREE_SPEEDS, paths=self.PATHS, seed=1,
             bootstrap=50))
         assert peak < self._bound(3) < 8 * 512 * self.PATHS / 4

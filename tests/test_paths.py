@@ -59,14 +59,14 @@ BROWNIAN = FundamentalSpec(s0=0.0, sigma=1.0)
 class TestBrownian:
     def test_determinism(self):
         grid = TimeGrid(1.0, 64)
-        a = BROWNIAN.sample(grid, 123, 5)
-        b = BROWNIAN.sample(grid, 123, 5)
+        a = BROWNIAN.add_noise(BROWNIAN.mean_path(grid), BROWNIAN.sigma_steps(grid), 123, 5)
+        b = BROWNIAN.add_noise(BROWNIAN.mean_path(grid), BROWNIAN.sigma_steps(grid), 123, 5)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_streams_differ(self):
         grid = TimeGrid(1.0, 64)
-        a = BROWNIAN.sample(grid, 123, 0)
-        b = BROWNIAN.sample(grid, 123, 1)
+        a = BROWNIAN.add_noise(BROWNIAN.mean_path(grid), BROWNIAN.sigma_steps(grid), 123, 0)
+        b = BROWNIAN.add_noise(BROWNIAN.mean_path(grid), BROWNIAN.sigma_steps(grid), 123, 1)
         assert not np.array_equal(a.values, b.values)
 
     def test_terminal_moments(self):
@@ -74,7 +74,8 @@ class TestBrownian:
         grid = TimeGrid(1.0, 1)
         w1 = terminal_values(grid, 2024, 100_000)
         for p in range(3):
-            assert BROWNIAN.sample(grid, 2024, p).values[1] == w1[p]
+            path = BROWNIAN.add_noise(BROWNIAN.mean_path(grid), BROWNIAN.sigma_steps(grid), 2024, p)
+            assert path.values[1] == w1[p]
         assert abs(w1.mean()) <= 4e-2
         assert abs(w1.var() - 1.0) <= 0.02
 

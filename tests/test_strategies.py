@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lobres import (BookTemplate, Strategy, TimeGrid, block_schedule, constant_path,
+from lobres import (BookParams, Strategy, TimeGrid, block_schedule, constant_path,
                     exponential_tracker, function_path, position_paths, rate_strategy,
                     smooth_blocks)
 from helpers import optimal_tracker, read_strategy_csv, reference_relax_positions
@@ -210,7 +210,7 @@ class TestRelaxPositions:
 class TestOptimalTracker:
     def test_zero_volatility_freezes_position(self):
         grid = TimeGrid(1.0, 32)
-        book = BookTemplate().materialize(grid, 64.0)
+        book = BookParams.on_grid(grid, 64.0)
         strat = optimal_tracker(book, constant_path(grid, 0.0),
                                 constant_path(grid, 0.5),
                                 function_path(grid, lambda t: 1.0 + t))
@@ -220,7 +220,7 @@ class TestOptimalTracker:
     def test_rate_scale_arithmetic(self):
         # K = h = sigma = 1 and R = 1/2 give M = 1
         grid = TimeGrid(1.0, 32)
-        book = BookTemplate().materialize(grid, 64.0)
+        book = BookParams.on_grid(grid, 64.0)
         sigma = constant_path(grid, 1.0)
         target = function_path(grid, lambda t: t)
         ref = exponential_tracker(target, constant_path(grid, 1.0), 64.0)
@@ -230,7 +230,7 @@ class TestOptimalTracker:
     def test_risk_tolerance_scaling(self):
         # doubling R divides the tracking speed by sqrt(2)
         grid = TimeGrid(1.0, 32)
-        book = BookTemplate().materialize(grid, 64.0)
+        book = BookParams.on_grid(grid, 64.0)
         sigma = constant_path(grid, 1.0)
         target = function_path(grid, lambda t: t)
         fast = optimal_tracker(book, sigma, constant_path(grid, 0.5), target)
@@ -241,14 +241,14 @@ class TestOptimalTracker:
 
     def test_asymmetric_book_rejected(self):
         grid = TimeGrid(1.0, 32)
-        book = BookTemplate(h=1.0, h_dn=2.0).materialize(grid, 64.0)
+        book = BookParams.on_grid(grid, 64.0, h=1.0, h_dn=2.0)
         with pytest.raises(ValueError):
             optimal_tracker(book, constant_path(grid, 1.0), constant_path(grid, 1.0),
                             constant_path(grid, 1.0))
 
     def test_nonpositive_risk_tolerance_rejected(self):
         grid = TimeGrid(1.0, 32)
-        book = BookTemplate().materialize(grid, 64.0)
+        book = BookParams.on_grid(grid, 64.0)
         with pytest.raises(ValueError):
             optimal_tracker(book, constant_path(grid, 1.0), constant_path(grid, 0.0),
                             constant_path(grid, 1.0))

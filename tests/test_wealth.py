@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lobres import (BookTemplate, Evaluation, FundamentalSpec, SampledPath, Strategy,
+from lobres import (BookParams, Evaluation, FundamentalSpec, SampledPath, Strategy,
                     TimeGrid, constant_path, fit_rate, function_path, position_paths,
                     rate_strategy)
 from lobres.book import evolve_book
@@ -13,7 +13,7 @@ from helpers import random_strategy
 
 
 def book_and_fund(grid, kappa=64.0, **kw):
-    book = BookTemplate(**kw).materialize(grid, kappa)
+    book = BookParams.on_grid(grid, kappa, **kw)
     return book, constant_path(grid, 100.0)
 
 
@@ -81,9 +81,9 @@ class TestOwWealth:
         alpha, h, theta = 0.4, 2.0, 1.5
         fund = constant_path(grid, 10.0)
         strat = Strategy(grid, constant_path(grid, 0.0), ((16, theta),))
-        w_alpha = Evaluation(BookTemplate(h=h, alpha=alpha).materialize(grid, 64.0), strat,
+        w_alpha = Evaluation(BookParams.on_grid(grid, 64.0, h=h, alpha=alpha), strat,
                              fund).ow()
-        w_zero = Evaluation(BookTemplate(h=h, alpha=0.0).materialize(grid, 64.0), strat,
+        w_zero = Evaluation(BookParams.on_grid(grid, 64.0, h=h, alpha=0.0), strat,
                             fund).ow()
         lift = theta * (alpha / h) * theta
         assert (w_alpha.x.values[16] - w_zero.x.values[16]) == pytest.approx(lift, abs=1e-14)
@@ -93,8 +93,8 @@ class TestOwWealth:
         # first order in dt
         def terminal(n):
             grid = TimeGrid(1.0, n)
-            book = BookTemplate(K=lambda t: 1.0 + 0.5 * math.sin(2 * math.pi * t),
-                                h=1.5, alpha=0.25, eps=0.02).materialize(grid, 8.0)
+            book = BookParams.on_grid(grid, 8.0, K=lambda t: 1.0 + 0.5 * math.sin(2 * math.pi * t),
+                                      h=1.5, alpha=0.25, eps=0.02)
             fund = function_path(grid, lambda t: 100.0 + 2.0 * t + math.sin(t))
             strat = rate_strategy(grid, lambda t: math.cos(2 * math.pi * t))
             return Evaluation(book, strat, fund).ow().x.values[-1]
@@ -126,13 +126,14 @@ class TestSafeAccount:
         # wealth equals safe account plus position marked at the reference
         grid = TimeGrid(1.0, 256)
         rng = np.random.default_rng(2718)
+        spec = FundamentalSpec(s0=50.0, mu=0.02, sigma=0.3)
         for trial in range(100):
             kappa = float(rng.uniform(1.0, 200.0))
-            book = BookTemplate(K=float(rng.uniform(0.5, 2.0)),
-                                h=float(rng.uniform(0.5, 3.0)),
-                                alpha=float(rng.uniform(0.0, 0.5)),
-                                eps=float(rng.uniform(0.0, 0.1))).materialize(grid, kappa)
-            fund = FundamentalSpec(s0=50.0, mu=0.02, sigma=0.3).sample(grid, 1000, trial)
+            book = BookParams.on_grid(grid, kappa, K=float(rng.uniform(0.5, 2.0)),
+                                      h=float(rng.uniform(0.5, 3.0)),
+                                      alpha=float(rng.uniform(0.0, 0.5)),
+                                      eps=float(rng.uniform(0.0, 0.1)))
+            fund = spec.add_noise(spec.mean_path(grid), spec.sigma_steps(grid), 1000, trial)
             strat = random_strategy(grid, rng, n_blocks=int(rng.integers(0, 6)),
                                     phi0=float(rng.normal(0.0, 1.0)))
             x0 = float(rng.normal(0.0, 5.0))
@@ -163,7 +164,7 @@ class TestAcWealth:
     def test_constant_rate_closed_form(self):
         grid = TimeGrid(1.0, 200)
         kappa, K, h, e, c = 32.0, 1.25, 2.0, 0.04, 0.9
-        book = BookTemplate(K=K, h=h, eps=e).materialize(grid, kappa)
+        book = BookParams.on_grid(grid, kappa, K=K, h=h, eps=e)
         fund = constant_path(grid, 100.0)
         w = Evaluation(book, rate_strategy(grid, c), fund).ac()
         expected = -e * c - c**2 / (kappa * K * h)
@@ -173,8 +174,8 @@ class TestAcWealth:
         grid = TimeGrid(1.0, 128)
         fund = constant_path(grid, 100.0)
         strat = rate_strategy(grid, lambda t: math.sin(2 * math.pi * t))
-        w1 = Evaluation(BookTemplate(alpha=0.2).materialize(grid, 50.0), strat, fund).ac()
-        w2 = Evaluation(BookTemplate(alpha=0.2).materialize(grid, 100.0), strat, fund).ac()
+        w1 = Evaluation(BookParams.on_grid(grid, 50.0, alpha=0.2), strat, fund).ac()
+        w2 = Evaluation(BookParams.on_grid(grid, 100.0, alpha=0.2), strat, fund).ac()
         np.testing.assert_allclose(w2.impact_cost.values, w1.impact_cost.values / 2.0,
                                    rtol=1e-13)
 
@@ -183,8 +184,8 @@ class TestAcWealth:
         grid = TimeGrid(1.0, 128)
         fund = constant_path(grid, 100.0)
         strat = rate_strategy(grid, lambda t: math.sin(2 * math.pi * t))
-        base = Evaluation(BookTemplate(K=1.0, h=1.0).materialize(grid, 10.0), strat, fund).ac()
-        scaled = Evaluation(BookTemplate(K=1.5, h=2.0).materialize(grid, 20.0), strat, fund).ac()
+        base = Evaluation(BookParams.on_grid(grid, 10.0, K=1.0, h=1.0), strat, fund).ac()
+        scaled = Evaluation(BookParams.on_grid(grid, 20.0, K=1.5, h=2.0), strat, fund).ac()
         factor = 10.0 / (20.0 * 1.5 * 2.0)
         np.testing.assert_allclose(scaled.impact_cost.values,
                                    base.impact_cost.values * factor, rtol=1e-13)
@@ -192,8 +193,9 @@ class TestAcWealth:
     def test_gain_discretization_matches_ow(self):
         # both engines mark gains identically so their difference is pure cost
         grid = TimeGrid(1.0, 128)
-        book = BookTemplate(alpha=0.25, eps=0.01).materialize(grid, 64.0)
-        fund = FundamentalSpec(s0=100.0, mu=0.1, sigma=0.2).sample(grid, 5)
+        book = BookParams.on_grid(grid, 64.0, alpha=0.25, eps=0.01)
+        spec = FundamentalSpec(s0=100.0, mu=0.1, sigma=0.2)
+        fund = spec.add_noise(spec.mean_path(grid), spec.sigma_steps(grid), 5)
         strat = rate_strategy(grid, lambda t: math.sin(2 * math.pi * t))
         evaluation = Evaluation(book, strat, fund)
         w_ow = evaluation.ow()
@@ -227,7 +229,7 @@ class TestEvaluationMemory:
         # states and the 6 + 4 outputs), since each ledger term is dropped once
         # accumulated and a post-jump state is built only when read.
         grid = TimeGrid(1.0, 126_492)
-        book = BookTemplate(alpha=0.25, eps=0.01).materialize(grid, 1e9)
+        book = BookParams.on_grid(grid, 1e9, alpha=0.25, eps=0.01)
         t = grid.points()
         strategy = Strategy(grid, SampledPath(grid, np.cos(6.0 * t)), ((grid.steps // 4, 1.0),))
         fund = SampledPath(grid, 100.0 + np.sin(3.0 * t))
