@@ -401,7 +401,9 @@ class _Kind(NamedTuple):
     rate_growth: float | None = None
     # whether a run draws Gaussian noise (and so loads scipy's ndtri); a kind
     # that takes mc.paths keeps one float64 result per path and cell (rung, or
-    # (kappa, multiplier) pair) and draws its noise one chunk of paths at a time
+    # (kappa, multiplier) pair) and shares its chunks of paths among one
+    # process per CPU it may use, each drawing one chunk at a time
+    # (experiments._spread), so ``validate``'s estimate is per process
     noise: Callable[[Any], bool] = lambda config: False
 
 

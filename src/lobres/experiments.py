@@ -11,8 +11,14 @@ paths, never functions of the price).  Lemma-jump and utility share one core
 that exploits this, ``_terminal_values``: each cell is evaluated once on the
 drift-only price path and ``sigma * position @ dW`` is added per path, which
 reproduces per-path engine evaluation exactly for additive fundamentals with
-time-only coefficients.  Every Monte-Carlo noise chunk, tracker-bound's
-included, is drawn by one iterator, ``_noise_chunks``.
+time-only coefficients.
+
+Monte-Carlo work is cut into independent items, each of which gives one
+float64 block: the chunks of paths that tracker-bound's fused pass and
+``_terminal_values`` draw (``_noise_chunks``), and the utility bootstrap's
+(kappa, multiplier) cells.  ``_spread`` shares them among one process per CPU
+that the run may use; an item's block does not depend on where it ran, so
+neither does any result.
 
 The gap kinds (theorem1, remark1, l2) all run ``theorem1_experiment``:
 remark1 passes ``rate_growth=0.25`` and l2 checks its bounds before it.
@@ -26,14 +32,18 @@ initial position, so the gap is computed once per kappa on a flat price path.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 import numpy as np
 
 from .book import BookParams
 from .errors import InsufficientData
-from .paths import IndexStream, SampledPath, TimeGrid, as_path, constant_path, normals_block
+from .paths import (IndexStream, SampledPath, TimeGrid, _ndtri, as_path, constant_path,
+                    normals_block)
 from .strategies import Strategy, check_tracker, exponential_tracker, smooth_blocks
 from .wealth import Evaluation, ac_wealth, ow_wealth
 
@@ -130,14 +140,116 @@ def paths_per_chunk(steps: int) -> int:
     return max(1, _CHUNK_ELEMENTS // steps)
 
 
-def _noise_chunks(grid: TimeGrid, paths: int, seed: int):
-    """(first, stop, increments of streams first..stop-1) for consecutive
-    stream ranges covering 0..paths-1, each of ``paths_per_chunk(grid.steps)``
-    paths but the last.  A chunk is drawn when asked for and not kept."""
+def _workers(items: int) -> int:
+    """Processes that share ``items`` work items: one per CPU in this
+    process's affinity mask, at most one per item, and 1 where ``os.fork`` or
+    ``os.sched_getaffinity`` does not exist."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(items, len(os.sched_getaffinity(0))))
+
+
+def _read(pipe, buffer) -> None:
+    """Fill ``buffer`` with the next bytes a worker sent."""
+    view = memoryview(buffer).cast("B")
+    if pipe.readinto(view) != len(view):
+        raise ChildProcessError("a worker process ended before it sent its results")
+
+
+def _serve(fd: int, work: Callable[[Sequence], None], place: Callable[[Any], np.ndarray],
+           items: Sequence) -> NoReturn:
+    """A worker's life: ``work(items)``, then a status word and each item's
+    block ``place(item)`` written to ``fd``, or a negative status and the
+    pickled exception that ``work`` raised.  The process ends through
+    ``os._exit``, so it never returns into its parent's code or flushes the
+    parent's stdio."""
+    code = 1
+    try:
+        with open(fd, "wb") as pipe:
+            try:
+                work(items)
+            except BaseException as exc:  # sent to the parent, which raises it
+                payload = pickle.dumps(exc)
+                pipe.write(np.int64(-len(payload)).tobytes() + payload)
+            else:
+                pipe.write(np.int64(0).tobytes())
+                for item in items:
+                    pipe.write(memoryview(np.ascontiguousarray(place(item))).cast("B"))
+                code = 0
+    finally:
+        os._exit(code)
+
+
+def _spread(items: Sequence, work: Callable[[Sequence], None],
+            place: Callable[[Any], np.ndarray]) -> None:
+    """Run ``work`` over ``items``: ``work(some)`` fills, for each item of
+    ``some``, the float64 block ``place(item)``, a view of an array that the
+    caller owns.
+
+    With W = ``_workers(len(items))``, item k goes to worker k mod W.  This
+    process is worker 0: it forks the others, runs ``work`` on its own items,
+    and then reads into its own ``place(item)`` the blocks that each worker
+    writes to a pipe once its items are done.  An exception a worker raised
+    is raised here; if anything raises here, the workers are killed.  Every
+    worker is reaped before this returns.
+    """
+    count = _workers(len(items))
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    done = False
+    try:
+        for w in range(1, count):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _serve(write, work, place, items[w::count])
+            os.close(write)
+            children.append((pid, read))
+        work(items[::count])
+        for w, (_, read) in enumerate(children, 1):
+            with open(read, "rb", closefd=False) as pipe:
+                status = np.empty(1, np.int64)
+                _read(pipe, status)
+                if status[0] < 0:  # the exception the worker raised, pickled
+                    payload = bytearray(-int(status[0]))
+                    _read(pipe, payload)
+                    raise pickle.loads(payload)
+                for item in items[w::count]:
+                    into = place(item)
+                    block = into if into.flags.c_contiguous else np.empty(into.shape)
+                    _read(pipe, block)
+                    if block is not into:
+                        into[...] = block
+        done = True
+    finally:
+        for pid, read in children:
+            os.close(read)
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _noise_chunks(grid: TimeGrid, paths: int, seed: int,
+                  use: Callable[[int, int, np.ndarray], None], result: np.ndarray) -> None:
+    """``use(first, stop, increments of streams first..stop-1)`` for
+    consecutive stream ranges covering 0..paths-1, each of
+    ``paths_per_chunk(grid.steps)`` paths but the last; ``use`` fills the
+    chunk's columns ``result[:, first:stop]`` and may change the increments
+    in place.  The chunks are shared among the workers (``_spread``); each
+    is drawn when its turn comes and freed once ``use`` returns."""
     size = paths_per_chunk(grid.steps)
-    for first in range(0, paths, size):
-        stop = min(first + size, paths)
-        yield first, stop, brownian_increments(grid, seed, stop - first, first)
+    chunks = [(a, min(a + size, paths)) for a in range(0, paths, size)]
+
+    def work(some):
+        for a, b in some:
+            use(a, b, brownian_increments(grid, seed, b - a, a))
+    _ndtri()  # loaded before the workers fork, so that none loads it again
+    _spread(chunks, work, lambda chunk: result[:, chunk[0]:chunk[1]])
 
 
 def _terminal_values(cells: list[tuple[float, np.ndarray]], sigma: np.ndarray | None,
@@ -148,10 +260,10 @@ def _terminal_values(cells: list[tuple[float, np.ndarray]], sigma: np.ndarray | 
     volatilities ``sigma`` are not None."""
     values = np.repeat([[x] for x, _ in cells], paths, axis=1)
     if sigma is not None:
-        for a, b, dw in _noise_chunks(grid, paths, seed):
+        def add_noise(a, b, dw):
             for j, (_, w) in enumerate(cells):
                 values[j, a:b] += (sigma * w) @ dw
-            del dw  # freed before the next chunk draws
+        _noise_chunks(grid, paths, seed, add_noise, values)
     return values
 
 
@@ -364,7 +476,8 @@ def tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, inputs: tuple,
     # (steps, rungs, 1) decays, each the float64 relax_positions computes
     decays = np.array([np.exp(-math.sqrt(k) * m[:-1] * grid.dt) for k in ladder]).T[:, :, None]
     sup2 = np.empty((len(ladder), paths))
-    for a, b, increments in _noise_chunks(grid, paths, seed):
+
+    def relax(a, b, increments):
         # one pass over time: the running sum repeats np.cumsum's adds, and
         # each rung's row takes relax_positions' (pos - target) * decay + target
         increments *= sig[:-1, None]
@@ -381,8 +494,8 @@ def tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, inputs: tuple,
             np.subtract(pos, target, out=err2)
             np.square(err2, out=err2)
             np.maximum(sup, err2, out=sup)
-        del increments, inc  # the block and its last row, freed before the next chunk draws
-        sup2[:, a:b] = np.sqrt(ladder.values)[:, None] * sup
+        np.multiply(np.sqrt(ladder.values)[:, None], sup, out=sup2[:, a:b])
+    _noise_chunks(grid, paths, seed, relax, sup2)
 
     estimates = sup2.mean(axis=1)
     stderrs = sup2.std(axis=1, ddof=1) / math.sqrt(paths)
@@ -440,6 +553,32 @@ def _certainty_equivalents(x: np.ndarray, idx: np.ndarray, gamma: float) -> np.n
     xs *= -gamma
     np.exp(xs, out=xs)
     return xmin[:, 0] - np.log(xs.mean(axis=1)) / gamma
+
+
+# The quantiles of the utility's bootstrap intervals, as fractions.
+_INTERVAL_Q = np.array([2.5, 97.5]) / 100
+
+
+def _interval(samples: np.ndarray) -> np.ndarray:
+    """(2, rows) 2.5% and 97.5% percentiles of each row of the (rows, n)
+    ``samples``, which it reorders in place: np.percentile's default
+    ("linear") method, bit for bit, without its np.unique call, which imports
+    numpy.ma (1.1 MiB of RSS) on first use."""
+    n = samples.shape[-1]
+    virtual = (n - 1) * _INTERVAL_Q
+    below = np.floor(virtual)
+    above = below + 1
+    below[virtual >= n - 1] = above[virtual >= n - 1] = -1  # one sample: that sample
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    samples.partition(sorted({0, n - 1, *(below % n).tolist(), *(above % n).tolist()}))
+    a, b = samples[:, below].T, samples[:, above].T
+    t = (virtual - below)[:, None]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    # a row holding NaN has it last after partition; numpy gives that NaN
+    np.copyto(out, samples[:, -1], where=np.isnan(samples[:, -1]))
+    return out
 
 
 def utility_trackers(book: BookParams, fundamental: FundamentalSpec, gamma: float,
@@ -512,23 +651,28 @@ def utility_experiment(book: BookParams, trackers: tuple, mean_fund: SampledPath
     ce = np.array([_certainty_equivalents(x, every_path, gamma)[0]
                    for x in x_terminal]).reshape(shape)
 
-    # the resample indices are drawn a chunk of rows at a time from one
-    # stream, the same integers as one (bootstrap, paths) draw
-    indices = IndexStream(seed, _BOOTSTRAP_STREAM, paths)
-    # resampled CEs, (kappa, multiplier, resample)
+    # resampled CEs, (kappa, multiplier, resample); the cells' rows are
+    # shared among the workers (``_spread``), and each draws the resample
+    # indices a chunk of rows at a time from one stream, the same integers
+    # as one (bootstrap, paths) draw
     boot = np.empty((*shape, bootstrap))
-    rows = resamples_per_chunk(paths)
-    for a in range(0, bootstrap, rows):
-        boot_idx = indices.take(min(rows, bootstrap - a) * paths).reshape(-1, paths)
-        for x, row in zip(x_terminal, boot.reshape(len(cells), bootstrap)):
-            row[a:a + len(boot_idx)] = _certainty_equivalents(x, boot_idx, gamma)
+    cell_rows, rows = boot.reshape(len(cells), bootstrap), resamples_per_chunk(paths)
+
+    def resample(some):
+        indices = IndexStream(seed, _BOOTSTRAP_STREAM, paths)
+        for a in range(0, bootstrap, rows):
+            boot_idx = indices.take(min(rows, bootstrap - a) * paths).reshape(-1, paths)
+            for c in some:
+                cell_rows[c, a:a + len(boot_idx)] = _certainty_equivalents(
+                    x_terminal[c], boot_idx, gamma)
+    _spread(range(len(cells)), resample, cell_rows.__getitem__)
     # (2.5%, 97.5%) percentiles, (2, kappa, multiplier), of the CEs and of
     # their gaps vs the candidate; one kappa's gap rows exist at a time
     ci, gap_ci = np.empty((2, 2, *shape))
     gaps = np.empty(shape[1:] + (bootstrap,))
     for k, kappa_boot in enumerate(boot):
         np.subtract(kappa_boot[cand], kappa_boot, out=gaps)
-        gap_ci[:, k] = np.percentile(gaps, [2.5, 97.5], axis=-1, overwrite_input=True)
-        ci[:, k] = np.percentile(kappa_boot, [2.5, 97.5], axis=-1, overwrite_input=True)
+        gap_ci[:, k] = _interval(gaps)
+        ci[:, k] = _interval(kappa_boot)
     return UtilityReport(ladder.values, multipliers, ce, *ci, ce[:, cand, None] - ce, *gap_ci,
                          frictionless)

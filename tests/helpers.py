@@ -17,6 +17,7 @@ import numpy as np
 from lobres import (BookParams, FundamentalSpec, KappaLadder, NumericFailure, RandomSource,
                     ReferencePricePath, SampledPath, SpreadPaths, Strategy, TimeGrid, WealthPath,
                     position_paths, rate_strategy)
+from lobres import experiments
 from lobres.book import _check_grids, evolve_book
 from lobres.experiments import (_BOOTSTRAP_STREAM, LemmaJumpReport, TrackerBoundReport,
                                 UtilityReport, _certainty_equivalents, brownian_increments,
@@ -34,6 +35,12 @@ def run_python(code: str, timeout: float = 60) -> str:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=timeout, check=True).stdout
+
+
+def force_workers(monkeypatch, count: int) -> None:
+    """Share every list of Monte-Carlo work items among ``count`` processes,
+    at most one per item, whatever CPUs this process may use."""
+    monkeypatch.setattr(experiments, "_workers", lambda items: max(1, min(items, count)))
 
 
 def reference_constant_path(grid: TimeGrid, c: float) -> SampledPath:

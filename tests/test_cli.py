@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import re
 import sys
 from collections import Counter
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import lobres.experiments as experiments_module
-from helpers import reference_constant_path, reference_write_columns, run_python
+from helpers import force_workers, reference_constant_path, reference_write_columns, run_python
 from lobres import (BookParams, FundamentalSpec, KappaLadder, TimeGrid, UniformBounds,
                     rate_strategy, theorem1_experiment)
 from lobres.cli import main
@@ -770,6 +771,88 @@ def test_constant_inputs_held_as_one_value_write_the_same_bytes(tmp_path, monkey
                 == (tmp_path / "full" / artifact).read_bytes()), artifact
 
 
+@pytest.mark.parametrize("command, name", [("converge", "tracker_bound.json"),
+                                           ("utility", "utility.json")])
+def test_one_worker_writes_the_bytes_of_the_default(tmp_path, monkeypatch, command, name):
+    # the noise chunks and bootstrap cells each give the same block wherever
+    # they run, so the artifacts do not depend on the number of workers
+    config = str(CONFIG_DIR / name)
+    assert main([command, "--config", config, "--out", str(tmp_path / "default")]) == 0
+    force_workers(monkeypatch, 1)
+    assert main([command, "--config", config, "--out", str(tmp_path / "one")]) == 0
+    names = sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+    for artifact in names:
+        assert ((tmp_path / "default" / artifact).read_bytes()
+                == (tmp_path / "one" / artifact).read_bytes()), artifact
+
+
+@pytest.mark.parametrize("command, name, target", [
+    ("converge", "tracker_bound.json", "brownian_increments"),  # a noise chunk
+    ("utility", "utility.json", "_certainty_equivalents"),  # a bootstrap cell
+])
+def test_a_worker_out_of_memory(tmp_path, capsys, monkeypatch, command, name, target):
+    # numpy's refusal of an array, raised in a worker's item, is raised again
+    # by the run: one error line, no traceback and no output directory
+    parent, original = os.getpid(), getattr(experiments_module, target)
+
+    def in_a_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            raise MemoryError("Unable to allocate 32.0 GiB for an array with shape "
+                              "(1, 4294967296) and data type float64")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments_module, target, in_a_worker)
+    force_workers(monkeypatch, 2)
+    cfg, out = write_config(tmp_path, _shipped(name, {"mc.paths": 2100})), tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: Unable to allocate 32.0 GiB for an array "
+                                       "with shape (1, 4294967296) and data type float64\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fails, exit_code", [("none", "0"), ("parent", "2"), ("worker", "2"),
+                                              ("killed", "3")])
+def test_no_worker_outlives_the_run(tmp_path, fails, exit_code):
+    # three workers share tracker-bound's three chunks; the parent's own
+    # item raises, or worker 1's raises or worker 1 is killed before it
+    # reports (an I/O failure, exit 3), while worker 2 sleeps in its item:
+    # the run kills and reaps every worker, so the launcher has no child
+    # left, and no worker flushes the launcher's buffered stdout
+    cfg = write_config(tmp_path, _shipped("tracker_bound.json", {"mc.paths": 3000}))
+    code = f"""
+import os, signal, time
+import lobres.experiments as e
+from lobres.cli import main
+original, fails = e.brownian_increments, {fails!r}
+e._workers = lambda items: max(1, min(items, 3))
+
+def item(grid, seed, paths, first=0):
+    worker = first // e.paths_per_chunk(grid.steps)  # chunk k runs in worker k
+    if (fails, worker) in (("parent", 0), ("worker", 1)):
+        raise ValueError("item failed")
+    if (fails, worker) == ("killed", 1):
+        os.kill(os.getpid(), signal.SIGKILL)
+    if fails != "none" and worker == 2:
+        time.sleep(60)
+    return original(grid, seed, paths, first)
+
+if fails != "none":
+    e.brownian_increments = item
+print("unflushed", end=" ")
+start = time.monotonic()
+code = main(["converge", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = "some"
+except ChildProcessError:
+    left = "none"
+print(code, left, time.monotonic() - start < 30)
+"""
+    assert run_python(code, timeout=120) == f"unflushed {exit_code} none True\n"
+    assert not (tmp_path / "out").exists() or fails == "none"
+
+
 def test_a_run_does_not_load_openssl(tmp_path):
     # config_hash takes sha256 from the interpreter's built-in module, so a
     # run that draws its price noise and writes its summary never imports
@@ -785,12 +868,13 @@ def test_a_run_does_not_load_openssl(tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
-def test_no_run_loads_numpy_random_or_openssl(tmp_path, name):
+def test_no_run_loads_numpy_random_numpy_ma_or_openssl(tmp_path, name):
     # the noise and the bootstrap's indices replay numpy's generators on
-    # uint64 arrays, and config_hash takes the built-in sha256, so neither
-    # validate nor the run imports numpy.random or loads OpenSSL through
-    # hashlib; RandomSource, used only for a draw numpy rejects (probability
-    # 2**-53), still imports numpy.random
+    # uint64 arrays, the bootstrap's intervals skip np.percentile's
+    # np.unique, and config_hash takes the built-in sha256, so neither
+    # validate nor the run imports numpy.random or numpy.ma or loads OpenSSL
+    # through hashlib; RandomSource, used only for a draw numpy rejects
+    # (probability 2**-53), still imports numpy.random
     payload = json.loads((CONFIG_DIR / name).read_text())
     payload.setdefault("mc", {})["paths"] = min(payload["mc"].get("paths", 1), 200)
     cfg, out = write_config(tmp_path, payload), tmp_path / "out"
@@ -799,10 +883,11 @@ def test_no_run_loads_numpy_random_or_openssl(tmp_path, name):
             f"with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    codes = [main([c, '--config', {str(cfg)!r}, '--out', {str(out)!r}])\n"
             f"             for c in ('validate', {command!r})]\n"
-            f"print(*codes, 'numpy.random' in sys.modules, '_hashlib' in sys.modules)")
-    validate, run, random, openssl = run_python(code, timeout=120).split()
+            f"print(*codes, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules, "
+            f"'_hashlib' in sys.modules)")
+    validate, run, random, masked, openssl = run_python(code, timeout=120).split()
     assert validate == "0" and run in ("0", "1")
-    assert (random, openssl) == ("False", "False")
+    assert (random, masked, openssl) == ("False", "False", "False")
 
 
 def test_import_does_not_load_scipy():

@@ -245,7 +245,8 @@ class TestValidate:
         assert report["estimates"]["approx_memory_bytes"] == (
             INTERPRETER_BYTES + (ONE_PATH_BYTES_PER_POINT + 8) * 513)
 
-    @pytest.mark.parametrize("name, expected", [
+    # ids from the config name alone, so that a changed estimate renames no test
+    @pytest.mark.parametrize("name, expected", [pytest.param(*case, id=case[0]) for case in [
         # scipy and the noise lanes (a (512, 1024) block: 8 segments x 1,024
         # streams at 17 uint64 values each), one float64 result per rung and
         # path, one (steps, 1024-path) chunk block, and three (rungs,
@@ -269,7 +270,7 @@ class TestValidate:
         # drawn through scipy for simulate: one stream cut into 512 one-draw
         # segments
         ("simulate.json", SCIPY_BYTES + 8 * 17 * 512),
-    ])
+    ]])
     def test_memory_estimate_of_shipped_configs(self, name, expected):
         # the interpreter and one path's scan and ledger on 513 grid points,
         # plus scipy, the lanes, varying inputs and the Monte-Carlo arrays

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lobres.experiments as experiments_module
-from helpers import (reference_increments, reference_lemma_jump_experiment, reference_sample,
+from helpers import (force_workers, reference_increments, reference_lemma_jump_experiment,
+                     reference_sample,
                      reference_tracker_bound_experiment, reference_utility_experiment,
                      run_lemma_jump, run_tracker_bound, run_utility)
 from lobres import (BookParams, FundamentalSpec, InsufficientData, KappaLadder,
@@ -783,6 +785,103 @@ class TestChunkedMonteCarlo:
         one_shot = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
             entropy=9, spawn_key=(_BOOTSTRAP_STREAM,)))).integers(0, paths, size=(200, paths))
         assert np.concatenate(chunks).tobytes() == one_shot.tobytes()
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("cpus, items, expected", [(3, 7, 3), (3, 2, 2), (1, 5, 1),
+                                                       (2, 0, 1)])
+    def test_one_worker_per_cpu_of_the_affinity_mask(self, monkeypatch, cpus, items, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert experiments_module._workers(items) == expected
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_one_worker_without_fork_or_an_affinity_mask(self, monkeypatch, missing):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.delattr(os, missing)
+        assert experiments_module._workers(5) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_item_k_runs_in_worker_k_mod_w(self, monkeypatch, workers):
+        # each item writes its value and the pid of the process that ran it;
+        # worker 0 is this process, and the others' blocks come back here
+        force_workers(monkeypatch, workers)
+        out = np.zeros((7, 2))
+
+        def work(some):
+            for k in some:
+                out[k] = k * k, os.getpid()
+        experiments_module._spread(range(7), work, out.__getitem__)
+        assert out[:, 0].tolist() == [k * k for k in range(7)]
+        pids = out[:, 1].astype(int).tolist()
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == workers
+        assert pids == [pids[k % workers] for k in range(7)]
+
+    def test_columns_come_back_into_a_strided_view(self, monkeypatch):
+        # a block that is not contiguous in the caller's array (a chunk's
+        # columns) is read whole and copied into place
+        force_workers(monkeypatch, 3)
+        out = np.zeros((2, 9))
+
+        def work(some):
+            for a in some:
+                out[:, a:a + 3] = [[a, a + 1, a + 2], [-a, -a - 1, -a - 2]]
+        experiments_module._spread([0, 3, 6], work, lambda a: out[:, a:a + 3])
+        assert out.tolist() == [list(range(9)), [-k for k in range(9)]]
+
+    def _each_worker_count(self, monkeypatch, run):
+        reports = []
+        for count in (1, 2, 3):
+            force_workers(monkeypatch, count)
+            reports.append(run())
+        return reports
+
+    # 23 paths in chunks of 5 (``small_chunks``): five chunks
+
+    def test_tracker_bound_is_the_same_for_any_worker_count(self, small_chunks, monkeypatch):
+        ladder = KappaLadder.geometric(16.0, 4.0, 3)
+        kw = dict(UNIT_TRACKER, target_drift=0.3, target_vol=0.8, paths=23, seed=11)
+        reports = self._each_worker_count(monkeypatch, lambda: run_tracker_bound(
+            ladder, _grid(ladder.max, CHUNK_STEPS), **kw))
+        for report in reports[1:]:
+            for name in ("estimates", "stderrs", "within"):
+                assert getattr(report, name).tobytes() == getattr(reports[0], name).tobytes()
+
+    def test_utility_is_the_same_for_any_worker_count(self, small_chunks, monkeypatch):
+        # six (kappa, multiplier) cells, so three workers take two each
+        args = (BookParams.on_grid(_grid(64.0, CHUNK_STEPS), 16.0),
+                FundamentalSpec(mu=0.1, sigma=0.2), KappaLadder((16.0, 64.0)))
+        kw = dict(gamma=1.5, **THREE_SPEEDS, paths=23, seed=5, bootstrap=40)
+        reports = self._each_worker_count(monkeypatch, lambda: run_utility(*args, **kw))
+        for report in reports[1:]:
+            for name in ("ce", "ci_low", "ci_high", "gap_vs_candidate", "gap_ci_low",
+                         "gap_ci_high"):
+                assert getattr(report, name).tobytes() == getattr(reports[0], name).tobytes()
+
+    def test_noisy_lemma_jump_is_the_same_for_any_worker_count(self, small_chunks,
+                                                               monkeypatch):
+        grid = TimeGrid(1.0, CHUNK_STEPS)
+        blocks = block_schedule(grid, [(0.25, 1.0)], t_prime=0.5)
+        args = (BookParams.on_grid(grid, 16.0, h=1.0), blocks,
+                FundamentalSpec(mu=0.1, sigma=0.2), KappaLadder((16.0, 64.0, 256.0)))
+        reports = self._each_worker_count(monkeypatch, lambda: run_lemma_jump(
+            *args, width_scale=1.0, paths=23, seed=7))
+        for report in reports[1:]:
+            assert report.diffs.tobytes() == reports[0].diffs.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 500])
+def test_interval_is_np_percentile_bit_for_bit(n):
+    # rows of spread values, ties, signed zeros, infinities and a NaN
+    rng = np.random.default_rng(n)
+    rows = np.stack([rng.normal(size=n) * 1e3, np.round(rng.normal(size=n)),
+                     np.full(n, -0.0), np.where(np.arange(n) < n // 2, -np.inf, 1.0),
+                     np.where(np.arange(n) == n // 3, np.nan, rng.normal(size=n)),
+                     np.full(n, np.inf)])
+    with np.errstate(invalid="ignore"):  # inf - inf while interpolating, as numpy's
+        expected = np.percentile(rows.copy(), [2.5, 97.5], axis=-1)
+        got = experiments_module._interval(rows.copy())
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestMonteCarloMemory:
