@@ -1,10 +1,10 @@
 """Run configuration: a strict JSON key/value schema with documented defaults.
 
-Each section is a frozen dataclass (``@_section``) whose fields declare their
-JSON key, default, parser and range checks in ``field(metadata=...)`` (see
-``_field``).  ``_parse`` reads and ``_dump`` writes every section from these
-declarations; a section's ``_check`` hook holds its constraints across fields,
-and ``KINDS`` says which sections and strategy types each run kind takes.
+Each section is an immutable record (a ``_Section``) whose fields declare
+their JSON key, default, parser and range checks (see ``_field``).
+``_parse`` reads and ``_dump`` writes every section from these declarations;
+a section's ``_check`` hook holds its constraints across fields, and
+``KINDS`` says which sections and strategy types each run kind takes.
 Unknown keys are rejected with the offending key path; invariant violations
 name the constraint.  Parsing then serializing then parsing again yields an
 identical configuration, and the canonical serialization is hashed into run
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError
 from typing import Any, Callable, NamedTuple
 
 from .book import BookParams
@@ -134,17 +134,68 @@ def _field(parse: Callable[[Any, str], Any], default: Any, *checks, key: str | N
     only while the earlier field ``name`` holds ``value`` (``strategy.rate``
     for ``"type": "rate"``), and ``null`` writes None as JSON null instead of
     leaving the key out."""
-    return field(metadata={"parse": parse, "default": default, "checks": checks, "key": key,
-                           "when": when, "null": null})
+    return {"parse": parse, "default": default, "checks": checks, "key": key, "when": when,
+            "null": null}
 
 
-def _section(cls):
-    """A frozen dataclass whose ``_fields`` lists (name, key, declaration) of
-    each field, for ``_parse`` and ``_dump``."""
-    cls = dataclass(frozen=True)(cls)
-    cls._fields = tuple((f.name, f.metadata["key"] or f.name, dict(f.metadata))
-                        for f in fields(cls))
-    return cls
+class _Record:
+    """An immutable record of the fields its class annotates, in order; a
+    class attribute is a field's default.  It has a frozen dataclass's
+    ``__init__`` (which calls ``__post_init__``), ``__eq__``, ``__hash__``,
+    ``__repr__`` and assignment guard, and ``replace`` does what
+    ``dataclasses.replace`` does, but no class generates and compiles methods
+    of its own, which every process that imports the schema would pay for."""
+
+    _names: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._names = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._names if name in vars(cls)}
+        for name in cls._defaults:
+            delattr(cls, name)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        # dict(**a, **b) refuses a field given both by position and by keyword
+        values = {**self._defaults, **dict(**dict(zip(self._names, args)), **kwargs)}
+        if len(args) > len(self._names) or values.keys() != set(self._names):
+            raise TypeError(f"{type(self).__name__}() takes {', '.join(self._names)}; "
+                            f"got {', '.join(values)}")
+        vars(self).update((name, values[name]) for name in self._names)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Checks of a record's fields together, run whenever one is built."""
+
+    def replace(self, **changes: Any):
+        """A copy with ``changes`` made, built and checked like a new record."""
+        return type(self)(**{**vars(self), **changes})
+
+    def __eq__(self, other: Any) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in vars(self).items())})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Section(_Record):
+    """A config section: its class attributes are its fields' declarations
+    (``_field``), not defaults, and ``_fields`` lists (name, key, declaration)
+    of each, for ``_parse`` and ``_dump``, which give every field a value."""
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple((name, m["key"] or name, m) for name, m in cls._defaults.items())
+        cls._defaults = {}
 
 
 def _active(when: tuple[str, Any] | None, values: dict) -> bool:
@@ -193,8 +244,7 @@ def _dump(section) -> dict:
             if _active(m["when"], values) and (values[name] is not None or m["null"])}
 
 
-@dataclass(frozen=True)
-class CoeffSpec:
+class CoeffSpec(_Record):
     """Constant or named function of time: const, linear, sin, or cos."""
 
     fn: str
@@ -239,15 +289,13 @@ _ABOVE_0, _UP_TO_HALF = _within(0.0, strict=True), _within(0.0, 0.5)
 _GEOMETRIC = ("values", None)
 
 
-@_section
-class GridConfig:
+class GridConfig(_Section):
     horizon: float = _field(_number, 1.0, _POSITIVE)
     n0: int = _field(_integer, 512, _AT_LEAST_1)
     resolution_scale: float = _field(_number, 4.0, _POSITIVE)
 
 
-@_section
-class BookConfig:
+class BookConfig(_Section):
     kappa: float | None = _field(_optional(_number), None)
     K: CoeffSpec = _field(_COEFF, 1.0, _ABOVE_0)
     h: CoeffSpec = _field(_COEFF, 1.0, _ABOVE_0)
@@ -268,13 +316,12 @@ class BookConfig:
             raise ConfigValidationError("book.kappa must be positive")
 
     def params(self, grid: TimeGrid, kappa: float) -> BookParams:
-        coeffs = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "kappa"}
         return BookParams.on_grid(grid, kappa, **{k: None if c is None else c.value()
-                                                  for k, c in coeffs.items()})
+                                                  for k, c in vars(self).items()
+                                                  if k != "kappa"})
 
 
-@_section
-class FundamentalConfig:
+class FundamentalConfig(_Section):
     s0: float = _field(_number, 100.0)
     mu: CoeffSpec = _field(_COEFF, 0.0)
     sigma: CoeffSpec = _field(_COEFF, 0.0, _within(0.0))
@@ -289,8 +336,7 @@ class FundamentalConfig:
         return FundamentalSpec(self.s0, self.mu.value(), self.sigma.value())
 
 
-@_section
-class StrategyConfig:
+class StrategyConfig(_Section):
     # a missing type reaches the parser as None, which refuses it
     type: str = _field(_one_of(("zero", "rate", "blocks", "tracker")), None)
     phi0: float = _field(_number, 0.0)
@@ -312,8 +358,7 @@ class StrategyConfig:
                                         f"'{kind}' (allowed: {sorted(permitted)})")
 
 
-@_section
-class LadderConfig:
+class LadderConfig(_Section):
     values: tuple[float, ...] | None = _field(_optional(_KAPPAS), None, _INCREASING)
     start: float | None = _field(_number, 16.0, _POSITIVE, when=_GEOMETRIC)
     factor: float | None = _field(_number, 2.0, _is(lambda v: v > 1, "{} must exceed 1"),
@@ -336,8 +381,7 @@ class LadderConfig:
         return KappaLadder.geometric(self.start, self.factor, self.count)
 
 
-@_section
-class McConfig:
+class McConfig(_Section):
     paths: int = _field(_integer, 1, _AT_LEAST_1, _is(
         lambda v: v <= 1 << 32, "{} must be at most 2**32 (one stream id below 2**32 per path)"))
     seed: int = _field(_integer, 42)
@@ -348,13 +392,11 @@ class McConfig:
             raise ConfigValidationError(f"mc.seed must be non-negative, got {self.seed}")
 
 
-@_section
-class SmoothingConfig:
+class SmoothingConfig(_Section):
     width_scale: float = _field(_number, 1.0, _POSITIVE)
 
 
-@_section
-class TrackerConfig:
+class TrackerConfig(_Section):
     target_drift: CoeffSpec = _field(_COEFF, 0.0)
     target_vol: CoeffSpec = _field(_COEFF, 1.0)
     rate_scale: CoeffSpec = _field(_COEFF, 1.0, _ABOVE_0)
@@ -363,8 +405,7 @@ class TrackerConfig:
     target0: float = _field(_number, 0.0)
 
 
-@_section
-class UtilityConfig:
+class UtilityConfig(_Section):
     gamma: float = _field(_number, 1.0, _POSITIVE)
     multipliers: tuple[float, ...] = _field(
         _list(_number, "{} must be a list", nonempty=False),
@@ -375,8 +416,7 @@ class UtilityConfig:
     bootstrap: int = _field(_integer, 500, _is(lambda v: v >= 10, "{} must be at least 10"))
 
 
-@_section
-class BoundsConfig:
+class BoundsConfig(_Section):
     rate_bound: float = _field(_number, _REQUIRED, _POSITIVE, key="rate")
     coefficient_bound: float = _field(_number, _REQUIRED, _POSITIVE, key="coefficient")
     resilience_floor: float = _field(_number, _REQUIRED, _POSITIVE)
@@ -428,8 +468,7 @@ KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Fully validated run specification (every default filled in)."""
 
     kind: str
@@ -537,7 +576,7 @@ def parse_config(text: str) -> RunConfig:
 DEFAULT_BUDGET = 2.0e8
 
 # Peak RSS of an interpreter that has imported numpy and lobres.cli, before
-# any run (30.7 MiB on Linux x86-64, Python 3.11, numpy 2.4; no run loads
+# any run (30.5 MiB on Linux x86-64, Python 3.11, numpy 2.4; no run loads
 # numpy.random or OpenSSL's libcrypto, see ``sha256`` above and
 # paths.IndexStream), and what runs that draw noise add by loading scipy's
 # ndtri without scipy.special's package init (4.4 MiB, scipy 1.17; see

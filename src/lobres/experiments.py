@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import signal
 from dataclasses import dataclass, replace
 from typing import Any, Callable, NoReturn, Sequence
 
@@ -230,6 +229,7 @@ def _spread(items: Sequence, work: Callable[[Sequence], None],
         for pid, read in children:
             os.close(read)
             if not done:
+                import signal  # only a failed run kills workers, and imports it
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 

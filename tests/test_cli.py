@@ -894,3 +894,10 @@ def test_import_does_not_load_scipy():
     # scipy serves only the noise draws; runs without noise never load it
     code = "import sys, lobres.cli; print('scipy' in sys.modules)"
     assert run_python(code).strip() == "False"
+
+
+def test_import_does_not_load_logging_or_signal():
+    # the gate lines of --log-level are printed without logging, and only a
+    # run whose workers must be killed imports signal (experiments._spread)
+    code = "import sys, lobres.cli; print('logging' in sys.modules, 'signal' in sys.modules)"
+    assert run_python(code).split() == ["False", "False"]

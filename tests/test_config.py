@@ -2,7 +2,7 @@ import hashlib
 import json
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -104,7 +104,7 @@ class TestParse:
 
     def test_seed_override_changes_hash(self):
         config = parse_config(MINIMAL_THEOREM1)
-        other = replace(config, mc=replace(config.mc, seed=7))
+        other = config.replace(mc=config.mc.replace(seed=7))
         assert other.mc.seed == 7
         assert other.config_hash() != config.config_hash()
 
@@ -129,7 +129,42 @@ class TestParse:
     def test_negative_seed_override_rejected(self):
         config = parse_config(MINIMAL_THEOREM1)
         with pytest.raises(ConfigValidationError, match="mc.seed"):
-            replace(config.mc, seed=-5)
+            config.mc.replace(seed=-5)
+
+    def test_overrides_run_the_checks_with_their_messages(self):
+        # --seed and --out build the config with replace(), which checks them
+        config = parse_config(MINIMAL_THEOREM1)
+        with pytest.raises(ConfigValidationError,
+                           match=r"^mc\.seed must be non-negative, got -1$"):
+            config.replace(mc=config.mc.replace(seed=-1))
+        with pytest.raises(ConfigParseError,
+                           match=r"^output\.directory must be a nonempty string$"):
+            config.replace(output_dir="")
+
+    def test_schema_records_are_immutable_values(self):
+        config = parse_config((CONFIG_DIR / "utility.json").read_text())
+        for record in (config, config.grid, config.mc, config.utility, config.fundamental.sigma):
+            name = next(iter(vars(record)))
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, None)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+            copy = record.replace()
+            assert copy == record and copy is not record and hash(copy) == hash(record)
+        other = config.replace(mc=config.mc.replace(seed=43))
+        assert other.mc != config.mc and other != config and other.grid is config.grid
+        assert repr(other.mc) == "McConfig(paths=10000, seed=43)"
+        assert config.mc != (10000, 42)
+
+    def test_schema_records_refuse_unknown_repeated_or_missing_fields(self):
+        from lobres.config import CoeffSpec, McConfig
+
+        assert CoeffSpec("const", (("value", 1.0),)) == CoeffSpec(fn="const",
+                                                                  params=(("value", 1.0),))
+        for args, kwargs in (((1, 2, 3), {}), ((1,), {"paths": 2}), ((), {"paths": 1}),
+                             ((), {"paths": 1, "seed": 2, "depth": 3})):
+            with pytest.raises(TypeError):
+                McConfig(*args, **kwargs)
 
     def test_utility_requires_positive_sigma(self):
         text = json.dumps({
