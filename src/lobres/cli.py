@@ -260,15 +260,19 @@ def _io_failure(exc: OSError) -> int:
     return 3
 
 
+class _Parser(argparse.ArgumentParser):  # a failed write of --help raises; argparse's does not
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="lobres",
-        description="Block-shaped order book simulation and high-resilience experiments")
+    parser = _Parser(prog="lobres", description="Block-shaped order book simulation and "
+                                                "high-resilience experiments")
     sub = parser.add_subparsers(dest="command", required=True)
+    converge = ", ".join(kind for kind, spec in KINDS.items() if spec.command == "converge")
     for name, help_text in (
             ("simulate", "run one order-book simulation"),
-            ("converge", "run a convergence experiment (theorem1, remark1, "
-                         "lemma-jump, tracker-bound, l2)"),
+            ("converge", f"run a convergence experiment ({converge})"),
             ("utility", "run the portfolio-tracker utility comparison"),
             ("validate", "check a config and estimate its cost, without running")):
         _add_common(sub.add_parser(name, help=help_text))
@@ -321,14 +325,15 @@ def run() -> NoReturn:
     process with ``os._exit``, which skips the interpreter's teardown (15-20
     ms of freeing modules that the ending process never uses again).  No
     ``atexit`` handler of the package is skipped, for it registers none.  A
-    failed flush of stdout exits 3, as a failed write of the report does."""
+    failed write of the help text or flush of stdout exits 3, as a failed
+    write of the report does."""
     try:
-        code = main()
-    except SystemExit as exc:  # argparse: --help (0) or a usage error (2)
-        code = exc.code
-    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse: --help (0) or a usage error (2)
+            code = exc.code
         sys.stdout.flush()
-    except OSError as exc:
+    except OSError as exc:  # the help text's write, or the final flush, failed
         code = _io_failure(exc)
     try:
         sys.stderr.flush()

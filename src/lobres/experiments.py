@@ -13,12 +13,12 @@ drift-only price path and ``sigma * position @ dW`` is added per path, which
 reproduces per-path engine evaluation exactly for additive fundamentals with
 time-only coefficients.
 
-Monte-Carlo work is cut into independent items, each of which gives one
-float64 block: the chunks of paths that tracker-bound's fused pass and
-``_terminal_values`` draw (``_noise_chunks``), and the utility bootstrap's
-(kappa, multiplier) cells.  ``_spread`` shares them among one process per CPU
-that the run may use; an item's block does not depend on where it ran, so
-neither does any result.
+Monte-Carlo work is cut into independent items, each of which fills its
+own part of a float64 result array (``shared_empty``): the chunks of paths
+that tracker-bound's fused pass and ``_terminal_values`` draw
+(``_noise_chunks``), and the utility bootstrap's (kappa, multiplier) cells.
+``_spread`` shares them among one process per CPU that the run may use; an
+item's values do not depend on where it ran, so neither does any result.
 
 The gap kinds (theorem1, remark1, l2) all run ``theorem1_experiment``:
 remark1 passes ``rate_growth=0.25`` and l2 checks its bounds before it.
@@ -35,7 +35,7 @@ import math
 import os
 import pickle
 from dataclasses import dataclass, replace
-from typing import Any, Callable, NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -148,49 +148,47 @@ def _workers(items: int) -> int:
     return max(1, min(items, len(os.sched_getaffinity(0))))
 
 
-def _read(pipe, buffer) -> None:
-    """Fill ``buffer`` with the next bytes a worker sent."""
-    view = memoryview(buffer).cast("B")
-    if pipe.readinto(view) != len(view):
-        raise ChildProcessError("a worker process ended before it sent its results")
+def shared_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of ``shape`` in a shared anonymous
+    mapping, which the workers that ``_spread`` forks later write into and
+    ``tracemalloc`` does not trace.  A mapping that cannot be made raises
+    ``MemoryError``, as ``np.empty`` does."""
+    import mmap  # only Monte-Carlo runs map their results
+    try:  # a mapping needs at least one byte
+        buffer = mmap.mmap(-1, max(8 * math.prod(shape), 1))
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"Unable to allocate a shared array with shape {shape}: {exc}") from None
+    return np.ndarray(shape, np.float64, buffer)
 
 
-def _serve(fd: int, work: Callable[[Sequence], None], place: Callable[[Any], np.ndarray],
-           items: Sequence) -> NoReturn:
-    """A worker's life: ``work(items)``, then a status word and each item's
-    block ``place(item)`` written to ``fd``, or a negative status and the
-    pickled exception that ``work`` raised.  The process ends through
-    ``os._exit``, so it never returns into its parent's code or flushes the
-    parent's stdio."""
-    code = 1
+def _serve(fd: int, work: Callable[[Sequence], None], items: Sequence) -> NoReturn:
+    """A worker's life: ``work(items)``, then its outcome written to ``fd``,
+    ``None`` or the exception that ``work`` raised, pickled.  The process ends
+    through ``os._exit``, so it never returns into its parent's code or
+    flushes the parent's stdio."""
+    outcome = None
     try:
         with open(fd, "wb") as pipe:
             try:
                 work(items)
             except BaseException as exc:  # sent to the parent, which raises it
-                payload = pickle.dumps(exc)
-                pipe.write(np.int64(-len(payload)).tobytes() + payload)
-            else:
-                pipe.write(np.int64(0).tobytes())
-                for item in items:
-                    pipe.write(memoryview(np.ascontiguousarray(place(item))).cast("B"))
-                code = 0
+                outcome = exc
+            pickle.dump(outcome, pipe)
     finally:
-        os._exit(code)
+        os._exit(0)
 
 
-def _spread(items: Sequence, work: Callable[[Sequence], None],
-            place: Callable[[Any], np.ndarray]) -> None:
+def _spread(items: Sequence, work: Callable[[Sequence], None]) -> None:
     """Run ``work`` over ``items``: ``work(some)`` fills, for each item of
-    ``some``, the float64 block ``place(item)``, a view of an array that the
-    caller owns.
+    ``some``, its own part of arrays that the caller made with
+    ``shared_empty``.
 
     With W = ``_workers(len(items))``, item k goes to worker k mod W.  This
     process is worker 0: it forks the others, runs ``work`` on its own items,
-    and then reads into its own ``place(item)`` the blocks that each worker
-    writes to a pipe once its items are done.  An exception a worker raised
-    is raised here; if anything raises here, the workers are killed.  Every
-    worker is reaped before this returns.
+    and then reads each worker's outcome from a pipe.  An exception a worker
+    raised is raised here, and a worker that ended without an outcome raises
+    ``ChildProcessError``; if anything raises here, the workers are killed.
+    Every worker is reaped before this returns.
     """
     count = _workers(len(items))
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
@@ -206,24 +204,18 @@ def _spread(items: Sequence, work: Callable[[Sequence], None],
                 raise
             if pid == 0:
                 os.close(read)
-                _serve(write, work, place, items[w::count])
+                _serve(write, work, items[w::count])
             os.close(write)
             children.append((pid, read))
         work(items[::count])
-        for w, (_, read) in enumerate(children, 1):
+        for _, read in children:
             with open(read, "rb", closefd=False) as pipe:
-                status = np.empty(1, np.int64)
-                _read(pipe, status)
-                if status[0] < 0:  # the exception the worker raised, pickled
-                    payload = bytearray(-int(status[0]))
-                    _read(pipe, payload)
-                    raise pickle.loads(payload)
-                for item in items[w::count]:
-                    into = place(item)
-                    block = into if into.flags.c_contiguous else np.empty(into.shape)
-                    _read(pipe, block)
-                    if block is not into:
-                        into[...] = block
+                try:  # nothing sent, or a pickle cut short: the worker was killed
+                    outcome = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise ChildProcessError("a worker process ended before it reported") from None
+            if outcome is not None:
+                raise outcome
         done = True
     finally:
         for pid, read in children:
@@ -235,11 +227,11 @@ def _spread(items: Sequence, work: Callable[[Sequence], None],
 
 
 def _noise_chunks(grid: TimeGrid, paths: int, seed: int,
-                  use: Callable[[int, int, np.ndarray], None], result: np.ndarray) -> None:
+                  use: Callable[[int, int, np.ndarray], None]) -> None:
     """``use(first, stop, increments of streams first..stop-1)`` for
     consecutive stream ranges covering 0..paths-1, each of
     ``paths_per_chunk(grid.steps)`` paths but the last; ``use`` fills the
-    chunk's columns ``result[:, first:stop]`` and may change the increments
+    chunk's columns of shared result arrays and may change the increments
     in place.  The chunks are shared among the workers (``_spread``); each
     is drawn when its turn comes and freed once ``use`` returns."""
     size = paths_per_chunk(grid.steps)
@@ -249,7 +241,7 @@ def _noise_chunks(grid: TimeGrid, paths: int, seed: int,
         for a, b in some:
             use(a, b, brownian_increments(grid, seed, b - a, a))
     _ndtri()  # loaded before the workers fork, so that none loads it again
-    _spread(chunks, work, lambda chunk: result[:, chunk[0]:chunk[1]])
+    _spread(chunks, work)
 
 
 def _terminal_values(cells: list[tuple[float, np.ndarray]], sigma: np.ndarray | None,
@@ -258,12 +250,13 @@ def _terminal_values(cells: list[tuple[float, np.ndarray]], sigma: np.ndarray | 
     cells (x, w): a terminal value on the drift-only price path and the
     position weights of the price increments.  Noise is drawn iff the per-step
     volatilities ``sigma`` are not None."""
-    values = np.repeat([[x] for x, _ in cells], paths, axis=1)
+    values = shared_empty((len(cells), paths))
+    values[...] = [[x] for x, _ in cells]
     if sigma is not None:
         def add_noise(a, b, dw):
             for j, (_, w) in enumerate(cells):
                 values[j, a:b] += (sigma * w) @ dw
-        _noise_chunks(grid, paths, seed, add_noise, values)
+        _noise_chunks(grid, paths, seed, add_noise)
     return values
 
 
@@ -475,7 +468,7 @@ def tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, inputs: tuple,
     mu, sig, m, bound = inputs
     # (steps, rungs, 1) decays, each the float64 relax_positions computes
     decays = np.array([np.exp(-math.sqrt(k) * m[:-1] * grid.dt) for k in ladder]).T[:, :, None]
-    sup2 = np.empty((len(ladder), paths))
+    sup2 = shared_empty((len(ladder), paths))
 
     def relax(a, b, increments):
         # one pass over time: the running sum repeats np.cumsum's adds, and
@@ -495,7 +488,7 @@ def tracker_bound_experiment(ladder: KappaLadder, grid: TimeGrid, inputs: tuple,
             np.square(err2, out=err2)
             np.maximum(sup, err2, out=sup)
         np.multiply(np.sqrt(ladder.values)[:, None], sup, out=sup2[:, a:b])
-    _noise_chunks(grid, paths, seed, relax, sup2)
+    _noise_chunks(grid, paths, seed, relax)
 
     estimates = sup2.mean(axis=1)
     stderrs = sup2.std(axis=1, ddof=1) / math.sqrt(paths)
@@ -655,7 +648,7 @@ def utility_experiment(book: BookParams, trackers: tuple, mean_fund: SampledPath
     # shared among the workers (``_spread``), and each draws the resample
     # indices a chunk of rows at a time from one stream, the same integers
     # as one (bootstrap, paths) draw
-    boot = np.empty((*shape, bootstrap))
+    boot = shared_empty((*shape, bootstrap))
     cell_rows, rows = boot.reshape(len(cells), bootstrap), resamples_per_chunk(paths)
 
     def resample(some):
@@ -665,7 +658,8 @@ def utility_experiment(book: BookParams, trackers: tuple, mean_fund: SampledPath
             for c in some:
                 cell_rows[c, a:a + len(boot_idx)] = _certainty_equivalents(
                     x_terminal[c], boot_idx, gamma)
-    _spread(range(len(cells)), resample, cell_rows.__getitem__)
+    _spread(range(len(cells)), resample)
+    del x_terminal  # unmapped before the intervals, which read only the resamples
     # (2.5%, 97.5%) percentiles, (2, kappa, multiplier), of the CEs and of
     # their gaps vs the candidate; one kappa's gap rows exist at a time
     ci, gap_ci = np.empty((2, 2, *shape))

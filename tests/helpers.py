@@ -43,6 +43,20 @@ def force_workers(monkeypatch, count: int) -> None:
     monkeypatch.setattr(experiments, "_workers", lambda items: max(1, min(items, count)))
 
 
+def count_shared_bytes(monkeypatch) -> list[int]:
+    """The list to which the bytes of every array that
+    ``experiments.shared_empty`` maps from now on are appended: the results
+    that ``tracemalloc`` does not trace."""
+    sizes, original = [], experiments.shared_empty
+
+    def counted(shape):
+        out = original(shape)
+        sizes.append(out.nbytes)
+        return out
+    monkeypatch.setattr(experiments, "shared_empty", counted)
+    return sizes
+
+
 def reference_constant_path(grid: TimeGrid, c: float) -> SampledPath:
     """Path equal to c at every grid point."""
     if not math.isfinite(c):

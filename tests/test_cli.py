@@ -811,6 +811,32 @@ def test_a_worker_out_of_memory(tmp_path, capsys, monkeypatch, command, name, ta
     assert not out.exists()
 
 
+def test_an_oversized_result_array_is_refused_as_a_configuration_problem(tmp_path, capsys):
+    # 9 cells of 10**13 resamples (655 TiB, beyond any process's address
+    # space) cannot be mapped: the run exits 2 with one error line naming
+    # the shape, as when numpy refused the array, not 3 (an I/O failure)
+    changes = {"utility.bootstrap": 10**13, "mc.paths": 50}
+    cfg, out = write_config(tmp_path, _shipped("utility.json", changes)), tmp_path / "out"
+    assert main(["utility", "--config", str(cfg), "--out", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.count("\n") == 1
+    assert stderr.startswith("error: Unable to allocate ") and "(3, 3, 10000000000000)" in stderr
+    assert not out.exists()
+
+
+def test_the_help_names_every_converge_kind(capsys, monkeypatch):
+    # the converge command's help is built from config.KINDS
+    from lobres.config import KINDS
+    monkeypatch.setenv("COLUMNS", "200")  # no kind broken across lines
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    converge = [line for line in capsys.readouterr().out.splitlines() if "converge " in line]
+    kinds = [kind for kind, spec in KINDS.items() if spec.command == "converge"]
+    assert len(converge) == 1 and kinds
+    assert converge[0].endswith(f"({', '.join(kinds)})")
+
+
 @pytest.mark.parametrize("fails, exit_code", [("none", "0"), ("parent", "2"), ("worker", "2"),
                                               ("killed", "3")])
 def test_no_worker_outlives_the_run(tmp_path, fails, exit_code):

@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lobres.experiments as experiments_module
-from helpers import (force_workers, reference_increments, reference_lemma_jump_experiment,
-                     reference_sample,
+from helpers import (count_shared_bytes, force_workers, reference_increments,
+                     reference_lemma_jump_experiment, reference_sample,
                      reference_tracker_bound_experiment, reference_utility_experiment,
                      run_lemma_jump, run_tracker_bound, run_utility)
 from lobres import (BookParams, FundamentalSpec, InsufficientData, KappaLadder,
@@ -802,32 +802,20 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_item_k_runs_in_worker_k_mod_w(self, monkeypatch, workers):
-        # each item writes its value and the pid of the process that ran it;
-        # worker 0 is this process, and the others' blocks come back here
+        # each item writes its value and the pid of the process that ran it
+        # into a shared array; worker 0 is this process
         force_workers(monkeypatch, workers)
-        out = np.zeros((7, 2))
+        out = experiments_module.shared_empty((7, 2))
 
         def work(some):
             for k in some:
                 out[k] = k * k, os.getpid()
-        experiments_module._spread(range(7), work, out.__getitem__)
+        experiments_module._spread(range(7), work)
         assert out[:, 0].tolist() == [k * k for k in range(7)]
         pids = out[:, 1].astype(int).tolist()
         assert pids[0] == os.getpid()
         assert len(set(pids)) == workers
         assert pids == [pids[k % workers] for k in range(7)]
-
-    def test_columns_come_back_into_a_strided_view(self, monkeypatch):
-        # a block that is not contiguous in the caller's array (a chunk's
-        # columns) is read whole and copied into place
-        force_workers(monkeypatch, 3)
-        out = np.zeros((2, 9))
-
-        def work(some):
-            for a in some:
-                out[:, a:a + 3] = [[a, a + 1, a + 2], [-a, -a - 1, -a - 2]]
-        experiments_module._spread([0, 3, 6], work, lambda a: out[:, a:a + 3])
-        assert out.tolist() == [list(range(9)), [-k for k in range(9)]]
 
     def _each_worker_count(self, monkeypatch, run):
         reports = []
@@ -890,13 +878,19 @@ class TestMonteCarloMemory:
     # is a few 4 MiB chunk buffers plus one float64 result per cell and path.
     PATHS = 20_000
 
+    @pytest.fixture(autouse=True)
+    def _shared(self, monkeypatch):
+        self.shared = count_shared_bytes(monkeypatch)
+
     def _traced_peak(self, run) -> int:
+        """The traced peak plus every shared result array, which
+        ``tracemalloc`` does not trace, as if all were alive at that peak."""
         from lobres.paths import _ndtri
         _ndtri()  # scipy's import is not the experiment's
         tracemalloc.start()
         try:
             run()
-            return tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] + sum(self.shared)
         finally:
             tracemalloc.stop()
 

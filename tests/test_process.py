@@ -125,6 +125,20 @@ def test_a_failed_stdout_write_exits_3(tmp_path, target, problem, buffered):
     assert (p.returncode, p.stderr) == (3, f"error: I/O failure: {problem}\n")
 
 
+@pytest.mark.parametrize("args", [["--help"], ["converge", "--help"]])
+@pytest.mark.parametrize("buffered", [True, False], ids=["final-flush", "help-write"])
+def test_a_failed_help_write_exits_3(tmp_path, args, buffered):
+    # unbuffered, the help text's write fails, which argparse's print_help
+    # would swallow (exit 0); buffered, run()'s flush fails
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "w") as stdout:
+        p = subprocess.run([sys.executable, "-m", "lobres.cli", *args], env=_env(buffered),
+                           stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert (p.returncode, p.stderr) == (3, "error: I/O failure: [Errno 28] No space left on "
+                                           "device\n")
+
+
 def test_the_package_registers_no_atexit_handler(tmp_path):
     # run() skips the atexit handlers, so none may hold work of the package
     # (logging registered logging.shutdown)
