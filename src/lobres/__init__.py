@@ -10,11 +10,10 @@ leading-order-optimal portfolio tracker.
 """
 
 from .book import BookParams, ReferencePricePath, SpreadPaths
-from .errors import (ConfigError, ConfigParseError, ConfigValidationError,
-                     InsufficientData, NumericFailure)
+from .errors import ConfigError, ConfigParseError, ConfigValidationError, NumericFailure
 from .experiments import (ConvergenceReport, FundamentalSpec, KappaLadder,
-                          LemmaJumpReport, TrackerBoundReport, UniformBounds,
-                          UtilityReport, fit_rate, ladder_grid, lemma_jump_experiment,
+                          LemmaJumpReport, TrackerBoundReport, UtilityReport,
+                          check_uniform_bounds, fit_rate, ladder_grid, lemma_jump_experiment,
                           theorem1_experiment, tracker_bound_experiment,
                           utility_experiment)
 from .paths import RandomSource, SampledPath, TimeGrid, as_path, constant_path, function_path
@@ -25,14 +24,13 @@ from .wealth import Evaluation, WealthPath, ac_wealth, ow_wealth
 __version__ = "0.1.0"
 
 __all__ = [
-    "BookParams", "ConfigError", "ConfigParseError",
-    "ConfigValidationError", "ConvergenceReport", "Evaluation", "FundamentalSpec",
-    "InsufficientData", "KappaLadder", "LemmaJumpReport", "NumericFailure",
-    "RandomSource", "ReferencePricePath", "SampledPath", "SpreadPaths", "Strategy",
-    "TimeGrid", "TrackerBoundReport", "UniformBounds", "UtilityReport",
-    "WealthPath", "ac_wealth", "as_path", "block_schedule", "constant_path",
-    "exponential_tracker", "fit_rate", "function_path", "ladder_grid",
-    "lemma_jump_experiment", "ow_wealth", "position_paths", "rate_strategy",
-    "smooth_blocks", "theorem1_experiment", "tracker_bound_experiment",
-    "utility_experiment",
+    "BookParams", "ConfigError", "ConfigParseError", "ConfigValidationError",
+    "ConvergenceReport", "Evaluation", "FundamentalSpec", "KappaLadder",
+    "LemmaJumpReport", "NumericFailure", "RandomSource", "ReferencePricePath",
+    "SampledPath", "SpreadPaths", "Strategy", "TimeGrid", "TrackerBoundReport",
+    "UtilityReport", "WealthPath", "ac_wealth", "as_path", "block_schedule",
+    "check_uniform_bounds", "constant_path", "exponential_tracker", "fit_rate",
+    "function_path", "ladder_grid", "lemma_jump_experiment", "ow_wealth",
+    "position_paths", "rate_strategy", "smooth_blocks", "theorem1_experiment",
+    "tracker_bound_experiment", "utility_experiment",
 ]

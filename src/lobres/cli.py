@@ -19,12 +19,12 @@ from typing import Any, Callable, NamedTuple, NoReturn
 import numpy as np
 
 from .config import KINDS, RunConfig, parse_config, validate_config
-from .experiments import (lemma_jump_experiment, rung_strategy, theorem1_experiment,
-                          tracker_bound_experiment, tracker_bound_inputs, utility_experiment,
-                          utility_trackers)
+from .experiments import (check_uniform_bounds, lemma_jump_experiment, rung_strategy,
+                          theorem1_experiment, tracker_bound_experiment, tracker_bound_inputs,
+                          utility_experiment, utility_trackers)
 from .paths import TimeGrid, as_path, write_tables
-from .strategies import (Strategy, block_schedule, check_tracker, exponential_tracker,
-                         rate_strategy, smoothing_windows)
+from .strategies import (Strategy, block_schedule, exponential_tracker, rate_strategy,
+                         smoothing_windows)
 from .wealth import Evaluation
 
 SCHEMA_VERSION = 1
@@ -108,34 +108,32 @@ Rungs = Callable[[], RunResult]
 
 
 def _strategy(config: RunConfig, grid: TimeGrid) -> Strategy:
-    """The run's zero, rate or block strategy on ``grid``."""
+    """The run's zero, rate, block or tracker strategy on ``grid``; only
+    simulate, whose book has one kappa, takes a tracker."""
     sc = config.strategy
     if sc.type == "blocks":
         return block_schedule(grid, sc.blocks, sc.t_prime)
+    if sc.type == "tracker":
+        return exponential_tracker(as_path(grid, sc.target.value()),
+                                   as_path(grid, sc.rate_scale.value()), config.book.kappa,
+                                   sc.start)
     return rate_strategy(grid, 0.0 if sc.type == "zero" else sc.rate.value(), sc.phi0)
 
 
 def _set_up_simulate(config: RunConfig) -> Rungs:
-    grid, sc, kappa = config.time_grid(), config.strategy, config.book.kappa
-    book = config.book.params(grid, kappa)
+    grid = config.time_grid()
+    book = config.book.params(grid, config.book.kappa)
     spec = config.fundamental.spec()
     mean, sigma = spec.mean_path(grid), spec.sigma_steps(grid)
-    if sc.type == "tracker":  # built and checked; the rung relaxes it, walking the grid
-        target, scale = as_path(grid, sc.target.value()), as_path(grid, sc.rate_scale.value())
-        check_tracker(target, scale, kappa)
-    else:
-        strategy = _strategy(config, grid)
+    strategy = _strategy(config, grid)
 
     def rungs() -> RunResult:
-        fund = spec.add_noise(mean, sigma, config.mc.seed)
-        strat = (exponential_tracker(target, scale, kappa, sc.start) if sc.type == "tracker"
-                 else strategy)
-        evaluation = Evaluation(book, strat, fund)
+        evaluation = Evaluation(book, strategy, spec.add_noise(mean, sigma, config.mc.seed))
         wealth = evaluation.ow(config.x0)
         spreads = evaluation.spreads()
         summary = {"terminal_wealth": repr(float(wealth.x.values[-1]))}
         return RunResult({}, {"wealth.csv": wealth.table, "spreads.csv": spreads.table,
-                              "strategy.csv": strat.table}, summary)
+                              "strategy.csv": strategy.table}, summary)
     return rungs
 
 
@@ -144,7 +142,8 @@ def _set_up_gap(config: RunConfig) -> Rungs:
     base, rate_growth = _strategy(config, grid), KINDS[config.kind].rate_growth
     book = config.book.params(grid, kappas.values[0])
     if config.bounds is not None:
-        config.bounds.bounds().check(book, base)
+        bc = config.bounds
+        check_uniform_bounds(book, base, bc.rate_bound, bc.coefficient_bound, bc.resilience_floor)
     rung_strategy(base, kappas.max, rate_growth)  # the rate scaled to the top rung
     config.fundamental.spec().sigma_steps(grid)  # refused, though the gap reads no price
 
@@ -280,6 +279,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = _load_config(args.config, args.seed, args.out)
+        expected = sorted(kind for kind, spec in KINDS.items() if spec.command == args.command)
+        if args.command != "validate" and config.kind not in expected:
+            raise ValueError(f"config kind '{config.kind}' does not match command "
+                             f"'{args.command}' (expected one of {expected})")
         rungs = _SET_UPS[config.kind](config)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
@@ -295,12 +298,6 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:  # a full disk, or a reader that closed the pipe
             return _io_failure(exc)
         return 0
-
-    expected = sorted(kind for kind, spec in KINDS.items() if spec.command == args.command)
-    if config.kind not in expected:
-        print(f"error: config kind '{config.kind}' does not match command "
-              f"'{args.command}' (expected one of {expected})", file=sys.stderr)
-        return 2
 
     try:
         result = run_config(config, rungs)

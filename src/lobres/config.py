@@ -21,8 +21,8 @@ from typing import Any, Callable, NamedTuple
 
 from .book import BookParams
 from .errors import ConfigParseError, ConfigValidationError
-from .experiments import (FundamentalSpec, KappaLadder, UniformBounds, ladder_grid,
-                          paths_per_chunk, resamples_per_chunk)
+from .experiments import (FundamentalSpec, KappaLadder, ladder_grid, paths_per_chunk,
+                          resamples_per_chunk)
 from .paths import TimeGrid, lane_layout
 
 # sha256 from the interpreter's built-in module, as CPython's random.py takes
@@ -421,9 +421,6 @@ class BoundsConfig(_Section):
     coefficient_bound: float = _field(_number, _REQUIRED, _POSITIVE, key="coefficient")
     resilience_floor: float = _field(_number, _REQUIRED, _POSITIVE)
 
-    def bounds(self) -> UniformBounds:
-        return UniformBounds(self.rate_bound, self.coefficient_bound, self.resilience_floor)
-
 
 _SECTIONS = {"book": BookConfig, "fundamental": FundamentalConfig, "strategy": StrategyConfig,
              "ladder": LadderConfig, "smoothing": SmoothingConfig, "tracker": TrackerConfig,
@@ -498,10 +495,6 @@ class RunConfig(_Record):
             if getattr(self, name) is not None:
                 out[name] = _dump(getattr(self, name))
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(", ", ": "),
-                          indent=2) + "\n"
 
     def config_hash(self) -> str:
         """Hash of the run-defining content; the output location is excluded

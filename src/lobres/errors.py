@@ -18,10 +18,6 @@ class NumericFailure(ValueError):
         self.time = time
 
 
-class InsufficientData(ValueError):
-    """Not enough usable data points for an estimation routine."""
-
-
 class ConfigError(ValueError):
     """Base class for run-configuration problems."""
 

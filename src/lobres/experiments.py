@@ -40,7 +40,6 @@ from typing import Callable, NoReturn, Sequence
 import numpy as np
 
 from .book import BookParams
-from .errors import InsufficientData
 from .paths import (IndexStream, SampledPath, TimeGrid, _ndtri, as_path, constant_path,
                     normals_block)
 from .strategies import Strategy, check_tracker, exponential_tracker, smooth_blocks
@@ -267,16 +266,15 @@ def ladder_grid(horizon: float, n0: int, resolution_scale: float,
     return TimeGrid(horizon, steps)
 
 
-def fit_rate(points: Sequence[tuple[float, float]]) -> float:
+def fit_rate(points: Sequence[tuple[float, float]]) -> float | None:
     """Slope of the least-squares fit of log(error) against log(kappa).
 
     Nonpositive errors are excluded (they carry no rate information); fewer
-    than three usable points raise :class:`InsufficientData`.
+    than three usable points give None.
     """
     usable = [(k, e) for k, e in points if e > 0]
     if len(usable) < 3:
-        raise InsufficientData(
-            f"rate fit needs at least 3 positive error points, got {len(usable)}")
+        return None
     lk = np.log([k for k, _ in usable])
     le = np.log([e for _, e in usable])
     return float(np.polyfit(lk, le, 1)[0])
@@ -299,10 +297,7 @@ class ConvergenceReport:
 
     def _slope_through(self, rungs: int) -> float | None:
         """Rate fitted to the first ``rungs`` rungs; None while it cannot be fitted."""
-        try:
-            return fit_rate(list(zip(self.kappas[:rungs], self.mean_err[:rungs])))
-        except InsufficientData:
-            return None
+        return fit_rate(list(zip(self.kappas[:rungs], self.mean_err[:rungs])))
 
     @property
     def slope(self) -> float | None:
@@ -346,30 +341,24 @@ def theorem1_experiment(book: BookParams, base: Strategy, ladder: KappaLadder, *
     return ConvergenceReport(np.asarray(ladder.values), np.asarray(errs))
 
 
-@dataclass
-class UniformBounds:
-    """Declared uniform bounds for the L2-mode experiment."""
-
-    rate_bound: float
-    coefficient_bound: float
-    resilience_floor: float
-
-    def check(self, book: BookParams, strategy: Strategy) -> None:
-        # the coefficients do not depend on kappa: one book covers every rung
-        if np.any(np.abs(strategy.rate_steps) > self.rate_bound):
-            raise ValueError("strategy rate exceeds its declared uniform bound")
-        if (np.any(book.K_up.values < self.resilience_floor)
-                or np.any(book.K_dn.values < self.resilience_floor)):
-            raise ValueError("resilience shape falls below its declared floor")
-        coeffs = [
-            (1.0 - book.alpha_up.values) / book.h_up.values,
-            (1.0 - book.alpha_dn.values) / book.h_dn.values,
-            book.alpha_up.values / book.h_up.values,
-            book.alpha_dn.values / book.h_dn.values,
-            book.eps_up.values, book.eps_dn.values,
-        ]
-        if any(np.any(np.abs(c) > self.coefficient_bound) for c in coeffs):
-            raise ValueError("book coefficient exceeds its declared uniform bound")
+def check_uniform_bounds(book: BookParams, strategy: Strategy, rate_bound: float,
+                         coefficient_bound: float, resilience_floor: float) -> None:
+    """Refuse an L2-mode run whose strategy rate or book coefficients leave
+    their declared uniform bounds."""
+    # the coefficients do not depend on kappa: one book covers every rung
+    if np.any(np.abs(strategy.rate_steps) > rate_bound):
+        raise ValueError("strategy rate exceeds its declared uniform bound")
+    if np.any(book.K_up.values < resilience_floor) or np.any(book.K_dn.values < resilience_floor):
+        raise ValueError("resilience shape falls below its declared floor")
+    coeffs = [
+        (1.0 - book.alpha_up.values) / book.h_up.values,
+        (1.0 - book.alpha_dn.values) / book.h_dn.values,
+        book.alpha_up.values / book.h_up.values,
+        book.alpha_dn.values / book.h_dn.values,
+        book.eps_up.values, book.eps_dn.values,
+    ]
+    if any(np.any(np.abs(c) > coefficient_bound) for c in coeffs):
+        raise ValueError("book coefficient exceeds its declared uniform bound")
 
 
 @dataclass

@@ -149,8 +149,6 @@ def smooth_blocks(strategy: Strategy, windows: list[tuple[int, float, float, int
         raise ValueError("smoothing expects a pure block strategy")
     if [w[:2] for w in windows] != list(strategy.blocks):
         raise ValueError("smoothing windows belong to other blocks")
-    if not strategy.blocks:
-        return Strategy(strategy.grid, constant_path(strategy.grid, 0.0), (), strategy.phi0)
 
     grid = strategy.grid
     dt = grid.dt

@@ -1,5 +1,8 @@
+import csv
+import json
 import math
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lobres import (BookParams, Evaluation, SampledPath, Strategy, TimeGrid, as_path,
-                    constant_path, fit_rate, function_path, position_paths, rate_strategy)
+import lobres.book
+from lobres import (BookParams, Evaluation, KappaLadder, SampledPath, Strategy, TimeGrid,
+                    as_path, constant_path, fit_rate, function_path, position_paths,
+                    rate_strategy, theorem1_experiment)
 from lobres.book import _phi1, _phi2, evolve_book
+from lobres.cli import main
 
 
 import helpers
 from helpers import random_strategy, reference_evolve_book
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def spread_paths(book, strategy):
@@ -46,6 +55,32 @@ class TestStepWeights:
         reference = np.array([_decimal_phis(float(z)) for z in PHI_ZS])
         for got, want in ((_phi1(PHI_ZS), reference[:, 0]), (_phi2(PHI_ZS), reference[:, 1])):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_a_converge_run_takes_the_series_below_the_switch(self, tmp_path, monkeypatch):
+        # the shipped theorem1 with K = 0.1: kappa*K*dt is 0.003 and 0.006 on
+        # the rungs 16 and 32 of its 512-step grid.  Their gaps in
+        # convergence.csv match the gaps from 50-digit step weights to 1e-12
+        # relative; they agree to about 2e-16, and _phi2's series with zs / 5
+        # instead of zs / 6 moves them by 5e-7 and 2.5e-6
+        payload = json.loads((CONFIG_DIR / "theorem1.json").read_text())
+        payload["book"]["K"] = 0.1
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps(payload))
+        assert main(["converge", "--config", str(config), "--out", str(out)]) in (0, 1)
+        with open(out / "convergence.csv", newline="") as fh:
+            run = [float(row["mean_err"]) for row in csv.DictReader(fh)][:2]
+
+        def decimal_phi(k):
+            return lambda z: np.array([_decimal_phis(float(x))[k] for x in z])
+
+        monkeypatch.setattr(lobres.book, "_phi1", decimal_phi(0))
+        monkeypatch.setattr(lobres.book, "_phi2", decimal_phi(1))
+        ladder, grid = KappaLadder((16.0, 32.0)), TimeGrid(1.0, 512)
+        assert max(ladder) * 0.1 * grid.dt < 1e-2
+        book = BookParams.on_grid(grid, ladder.values[0], K=0.1, alpha=0.25, eps=0.01)
+        base = rate_strategy(grid, lambda t: math.sin(2.0 * math.pi * t))
+        oracle = theorem1_experiment(book, base, ladder).mean_err
+        np.testing.assert_allclose(run, oracle, rtol=1e-12, atol=0.0)
 
 
 class TestBookParams:

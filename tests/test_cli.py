@@ -12,7 +12,7 @@ import pytest
 
 import lobres.experiments as experiments_module
 from helpers import force_workers, reference_constant_path, reference_write_columns, run_python
-from lobres import (BookParams, FundamentalSpec, KappaLadder, TimeGrid, UniformBounds,
+from lobres import (BookParams, FundamentalSpec, KappaLadder, TimeGrid, check_uniform_bounds,
                     rate_strategy, theorem1_experiment)
 from lobres.cli import main
 from lobres.config import parse_config, validate_config
@@ -213,14 +213,19 @@ class TestSimulate:
 BUILT_BY_THE_SET_UP = [
     ("experiments", "utility_trackers"), ("experiments", "tracker_bound_inputs"),
     ("strategies", "block_schedule"), ("strategies", "rate_strategy"),
-    (FundamentalSpec, "mean_path"), (FundamentalSpec, "sigma_steps"), (UniformBounds, "check")]
+    (FundamentalSpec, "mean_path"), (FundamentalSpec, "sigma_steps"),
+    ("experiments", "check_uniform_bounds")]
 
 
-@pytest.mark.parametrize("name, K", [
+@pytest.mark.parametrize("name, change", [
     *(pytest.param(p.name, None, id=p.name) for p in sorted(CONFIG_DIR.glob("*.json"))),
-    pytest.param("theorem1.json", {"fn": "sin", "amplitude": 0.5, "offset": 1.0},
-                 id="theorem1.json-sin-K")])
-def test_each_input_is_built_once(tmp_path, monkeypatch, name, K):
+    pytest.param("theorem1.json",
+                 lambda p: p["book"].update(K={"fn": "sin", "amplitude": 0.5, "offset": 1.0}),
+                 id="theorem1.json-sin-K"),
+    pytest.param("simulate.json", lambda p: p.update(strategy={
+        "type": "tracker", "target": {"fn": "sin"}, "rate_scale": {"fn": "cos", "offset": 2.0}}),
+                 id="simulate.json-tracker")])
+def test_each_input_is_built_once(tmp_path, monkeypatch, name, change):
     # the set-up builds each input once and the rungs take what it built:
     # each call above is made at most once per run, the run's one book is
     # built once (at the first kappa; every rung takes it at its own), and
@@ -234,7 +239,8 @@ def test_each_input_is_built_once(tmp_path, monkeypatch, name, K):
         return counted
 
     for home, fn in [*BUILT_BY_THE_SET_UP, (BookParams, "on_grid"),
-                     ("strategies", "smoothing_windows"), ("paths", "function_path")]:
+                     ("strategies", "smoothing_windows"), ("strategies", "exponential_tracker"),
+                     ("paths", "function_path")]:
         if isinstance(home, str):  # a function, under every name a module binds it to
             original = getattr(sys.modules[f"lobres.{home}"], fn)
             binding = [m for m in list(sys.modules.values())
@@ -244,8 +250,8 @@ def test_each_input_is_built_once(tmp_path, monkeypatch, name, K):
         else:
             monkeypatch.setattr(home, fn, counting(fn, getattr(home, fn)))
     payload = json.loads((CONFIG_DIR / name).read_text())
-    if K is not None:
-        payload["book"]["K"] = K
+    if change is not None:
+        change(payload)
     payload.setdefault("mc", {})["paths"] = 2
     if "utility" in payload:
         payload["utility"]["bootstrap"] = 10
@@ -260,8 +266,10 @@ def test_each_input_is_built_once(tmp_path, monkeypatch, name, K):
     assert calls["smoothing_windows"] == (len(config.kappas())
                                           if config.kind == "lemma-jump" else 0)
     assert calls["on_grid"] == (config.kind != "tracker-bound")
+    if config.kind == "simulate":  # its one tracker, relaxed once
+        assert calls["exponential_tracker"] == (config.strategy.type == "tracker")
     # one path per input given as a function of time ({"fn": ...})
-    assert calls["function_path"] == config.to_json().count('"fn"')
+    assert calls["function_path"] == json.dumps(config.to_dict()).count('"fn"')
 
 
 def test_readme_library_example_runs(capsys):
@@ -433,8 +441,15 @@ class TestExitCodes:
         assert err.startswith("error: ") and "codec can't decode" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, kind", MISMATCHES)
-    def test_kind_command_mismatch(self, tmp_path, capsys, command, kind):
-        # the refusal comes before the run: no output directory, nothing on stdout
+    def test_kind_command_mismatch(self, monkeypatch, tmp_path, capsys, command, kind):
+        # the refusal comes before the kind's set-up, which here refuses every
+        # config: no output directory, nothing on stdout; validate runs it
+        import lobres.cli
+
+        def refuse(config):
+            raise ValueError("the set-up ran")
+
+        monkeypatch.setitem(lobres.cli._SET_UPS, kind, refuse)
         assert len(MISMATCHES) == 14
         out = tmp_path / "out"
         config = str(CONFIG_DIR / KIND_CONFIGS[kind])
@@ -443,6 +458,8 @@ class TestExitCodes:
                                            f"command '{command}' (expected one of "
                                            f"{COMMAND_KINDS[command]})\n")
         assert not out.exists()
+        assert main(["validate", "--config", config]) == 2
+        assert capsys.readouterr() == ("", "error: the set-up ran\n")
 
     def test_validation_error(self, tmp_path):
         bad = dict(SIMULATE_ZERO, book={"kappa": 16.0, "alpha": 0.9})
@@ -600,7 +617,7 @@ class TestConvergeCommand:
         base = rate_strategy(TimeGrid(1.0, 128), lambda t: math.cos(2 * math.pi * t))
         book = BookParams.on_grid(base.grid, ladder.values[0], alpha=0.25, eps=0.01)
         if bounds is not None:  # l2's bounds hold on the run's book
-            UniformBounds(*bounds.values()).check(book, base)
+            check_uniform_bounds(book, base, *bounds.values())
         report = theorem1_experiment(book, base, ladder, rate_growth=rate_growth)
         expected = tmp_path / "expected.csv"
         write_tables({expected: report.table()})

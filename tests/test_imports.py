@@ -1,5 +1,6 @@
 """Every module-level import of the package is used by its module, and every
-public name is read by the package."""
+public name, and public method and property of a public class, is read by
+the package."""
 
 import ast
 from pathlib import Path
@@ -82,6 +83,35 @@ def test_an_unreached_name_is_found():
     assert unreached_names(sources, ["f", "g", "h", "steps"]) == ["g", "h"]
 
 
+def public_members(source: str) -> list[str]:
+    """``Class.name`` of each public method and property of the public
+    module-level classes of ``source``."""
+    return [f"{cls.name}.{node.name}" for cls in ast.parse(source).body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+# read by no run: the safe account of the bookkeeping identity X = safe
+# account + position x reference, which acceptance criterion 2 checks
+UNREAD_MEMBERS = ["Evaluation.safe_account"]
+
+
+def test_every_public_method_and_property_is_read_by_the_package():
+    sources = [p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    members = [m for source in sources for m in public_members(source)]
+    assert len(members) > 30
+    assert [m for m in members if unreached_names(sources, [m.split(".")[1]])] == UNREAD_MEMBERS
+
+
+def test_public_members_skip_private_classes_and_names():
+    source = ("class A:\n    def f(self): pass\n    @property\n    def g(self): pass\n"
+              "    def _h(self): pass\n    x = 1\n"
+              "class _B:\n    def f(self): pass\n"
+              "def f(): pass\n")
+    assert public_members(source) == ["A.f", "A.g"]
+
+
 def imported_names(source: str, module: str) -> set[str]:
     """Names that ``source`` imports from the package module ``module``, with
     "*" for the module itself, at any depth."""
@@ -97,9 +127,9 @@ def imported_names(source: str, module: str) -> set[str]:
     return names
 
 
-# what the schema (a section's spec(), ladder(), bounds(), the run's grid) and
+# what the schema (a section's spec(), ladder(), the run's grid) and
 # validate's estimates read of the experiments
-SCHEMA_EXPERIMENT_NAMES = {"FundamentalSpec", "KappaLadder", "UniformBounds", "ladder_grid",
+SCHEMA_EXPERIMENT_NAMES = {"FundamentalSpec", "KappaLadder", "ladder_grid",
                            "paths_per_chunk", "resamples_per_chunk"}
 
 
