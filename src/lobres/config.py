@@ -23,7 +23,7 @@ from .book import BookParams
 from .errors import ConfigParseError, ConfigValidationError
 from .experiments import (FundamentalSpec, KappaLadder, ladder_grid, paths_per_chunk,
                           resamples_per_chunk)
-from .paths import TimeGrid, lane_layout
+from .paths import LANES, TimeGrid, lane_width
 
 # sha256 from the interpreter's built-in module, as CPython's random.py takes
 # sha512: hashlib loads OpenSSL's libcrypto (about 3.5 MiB of RSS) to hash a
@@ -576,9 +576,6 @@ DEFAULT_BUDGET = 2.0e8
 # paths._ndtri).
 INTERPRETER_BYTES = 31 * 2**20
 SCIPY_BYTES = 9 * 2**19
-# What the utility bootstrap's paths.IndexStream holds at its peak, while it
-# starts its 8,192 lanes: 16 uint64 values per lane (traced: 1,052,080 bytes).
-INDEX_STREAM_BYTES = 2**20
 # Bytes per grid point live at the peak of a one-path run, which an
 # evaluation sets once its projections are built: the fundamental, the scan's
 # three pre-jump and two integrated state paths and the six wealth and four
@@ -600,13 +597,11 @@ def _varying_inputs(config: RunConfig) -> int:
     return sum(isinstance(c, CoeffSpec) and c.fn != "const" for c in specs)
 
 
-def lane_bytes(paths: int, steps: int) -> int:
-    """What drawing one (steps, paths) noise block adds for normals_block's
-    uint64 lane arrays: 17 values per lane while it steps them, which is
-    more than it holds while it starts them (traced: 1,118,920 bytes at
-    1,024 x 512 and 2,230,504 at 16,384 x 32)."""
-    segments, _ = lane_layout(paths, steps)
-    return 8 * 17 * segments * paths
+def lane_bytes(lanes: int) -> int:
+    """What stepping ``lanes`` lanes of paths._lanes adds, in normals_block or
+    IndexStream: 14 uint64 values per lane (traced on 8,192 lanes: 874,949
+    bytes for a (512, 1,024) normals block, 921,092 for bootstrap indices)."""
+    return 8 * 14 * lanes
 
 
 def validate_config(config: RunConfig) -> dict:
@@ -623,7 +618,7 @@ def validate_config(config: RunConfig) -> dict:
     arrays = 0 if spec.one_path else cells * paths
     if noise and not spec.one_path:
         arrays += chunk * (steps + (3 * cells if config.kind == "tracker-bound" else 0))
-    lanes = noise * lane_bytes(chunk, steps)
+    lanes = noise * lane_bytes(chunk * lane_width(chunk, steps))
     if config.utility is not None:
         # the resampled certainty equivalents, one kappa's gaps vs the
         # candidate, and one chunk of resample indices (int64) with the
@@ -632,7 +627,7 @@ def validate_config(config: RunConfig) -> dict:
         boot = config.utility.bootstrap
         arrays += ((cells + len(config.utility.multipliers)) * boot
                    + 2 * min(boot, resamples_per_chunk(paths)) * paths)
-        lanes = max(lanes, INDEX_STREAM_BYTES)
+        lanes = max(lanes, lane_bytes(LANES))
     cost_proxy = float(steps) * paths * cells
     # a tracker strategy's rate is a full path whatever its target
     tracker = config.strategy is not None and config.strategy.type == "tracker"

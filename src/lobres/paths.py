@@ -5,13 +5,13 @@ Gaussian draws are produced by applying the inverse normal CDF to uniform
 variates from a PCG64 stream keyed by ``(seed, stream)``.  The method is
 fixed so that identical keys reproduce identical paths and golden files
 stay stable across runs.  :class:`RandomSource` draws one stream through
-numpy; :func:`normals_block` draws many streams at once with the same bits.
-The inverse CDF is scipy's ``ndtri`` ufunc, loaded from its extension module
-without running ``scipy.special``'s package init (see :func:`_ndtri`).
-:class:`IndexStream` draws numpy's bounded integers of one stream, the
-utility bootstrap's resample indices, by the same replay, so only
-``RandomSource`` (the fallback for a draw numpy rejects) imports
-``numpy.random``.
+numpy.  :func:`normals_block` draws many streams at once with the same
+bits, and :class:`IndexStream` numpy's bounded integers of one stream (the
+utility bootstrap's resample indices): both step the interleaved PCG64
+lanes of one generator, :func:`_lanes`, so only ``RandomSource`` (the
+fallback for a draw numpy rejects) imports ``numpy.random``.  The inverse
+CDF is scipy's ``ndtri`` ufunc, loaded from its extension module without
+running ``scipy.special``'s package init (see :func:`_ndtri`).
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ class RandomSource:
 
 
 # normals_block and IndexStream replay numpy's SeedSequence, PCG64 and
-# bounded-integer code on uint64 arrays, one lane per stream (or per stream
-# segment, or per interleaved share of one stream).
+# bounded-integer code on uint64 arrays: one generator, _lanes, steps the
+# interleaved lanes of every stream for both.
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
@@ -145,8 +145,8 @@ _MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _M64)
 # rejected (and redrawn) when its low product word is below
 # (2^64 - 2^53 + 1) mod (2^53 - 1) = 2^11, with probability 2^-53.
 _LEMIRE_THRESHOLD = np.uint64(1 << 11)
-# Lanes advanced together per step: fewer streams are split into segments.
-_LANES = 8192
+# Lanes advanced together per step, several per stream when streams are few.
+LANES = 8192
 
 
 def _words(value: int) -> list[int]:
@@ -232,40 +232,42 @@ def _jump(delta: int) -> tuple[int, int]:
     return acc_mult, acc_plus
 
 
-def _segment_starts(seed: int, spawn: list, seg_len: int, segments: int):
-    """PCG64 states (hi, lo) and increments (inc_hi, inc_lo) of the lanes:
-    lane s * keys + k is the stream of spawn key k (``spawn`` as in
-    ``_seed_words``) advanced by s * seg_len draws."""
+def _lanes(seed: int, spawn: list, width: int):
+    """Raw 64-bit PCG64 outputs of the streams of the spawn keys ``spawn`` (as
+    in ``_seed_words``) on ``width`` interleaved lanes each: lane (s, k) starts
+    at key k's stream after s + 1 draws, so step i yields the (width, keys)
+    uint64 array of draws i * width + s, then advances each lane width draws."""
     w = _seed_words(seed, spawn)
+    del spawn
     # numpy's pcg64_srandom_r: inc = 2 * initseq + 1; the state is inc after
-    # one step from 0, plus initstate, stepped once more.  Each seed word is
-    # dropped after its last use.
+    # one step from 0, plus initstate, stepped once more.  The spawn keys and
+    # each seed word are dropped after their last use.
     seq_hi, seq_lo = w[4] | w[5] << 32, w[6] | w[7] << 32
     del w[4:]
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
     del seq_hi, seq_lo
     hi, lo = _add128(inc_hi, inc_lo, w[0] | w[1] << 32, w[2] | w[3] << 32)
     del w
-    hi, lo = _add128(*_mul128(hi, lo, _MULT_HI, _MULT_LO), inc_hi, inc_lo)
-    if segments == 1:
-        return hi, lo, inc_hi, inc_lo
+    for _ in range(2):  # numpy's seeded state, then lane 0: the state after one draw
+        hi, lo = _add128(*_mul128(hi, lo, _MULT_HI, _MULT_LO), inc_hi, inc_lo)
 
-    # segment s starts at M^(s L) x + S_(s L) inc for L = seg_len (see
-    # _jump); segments k .. 2k - 1 are segments 0 .. k - 1 advanced by k L
-    # draws, so the starts double on (hi, lo) words, with no Python int kept
-    # per segment
-    m_hi, m_lo, p_hi, p_lo = np.zeros((4, segments, 1), dtype=np.uint64)
-    m_lo[0] = 1
+    # lanes k .. 2k - 1 are lanes 0 .. k - 1 advanced by k draws, x -> M^k x
+    # + S_k inc (see _jump), so the starts double on (hi, lo) words
+    hi, lo = (np.repeat(word[None], width, axis=0) for word in (hi, lo))
     k = 1
-    while k < segments:
-        c = min(k, segments - k)
-        (mh, ml), (ph, pl) = map(_split128, _jump(k * seg_len))
-        m_hi[k:k + c], m_lo[k:k + c] = _mul128(m_hi[:c], m_lo[:c], mh, ml)
-        p_hi[k:k + c], p_lo[k:k + c] = _add128(*_mul128(p_hi[:c], p_lo[:c], mh, ml), ph, pl)
-        k += c
-    hi, lo = _add128(*_mul128(m_hi, m_lo, hi, lo), *_mul128(p_hi, p_lo, inc_hi, inc_lo))
-    inc_hi, inc_lo = np.broadcast_to(inc_hi, hi.shape), np.broadcast_to(inc_lo, lo.shape)
-    return hi.ravel(), lo.ravel(), inc_hi.ravel(), inc_lo.ravel()
+    while k < width:
+        c = min(k, width - k)
+        (mh, ml), (ph, pl) = map(_split128, _jump(k))
+        hi[k:k + c], lo[k:k + c] = _add128(*_mul128(hi[:c], lo[:c], mh, ml),
+                                           *_mul128(ph, pl, inc_hi, inc_lo))
+        k *= 2
+    # a step of width draws: x -> M^width x + S_width inc, one addend per key
+    (mh, ml), (ph, pl) = map(_split128, _jump(width))
+    plus = _mul128(ph, pl, inc_hi, inc_lo)
+    del inc_hi, inc_lo
+    while True:
+        yield _xsl_rr(hi, lo)
+        hi, lo = _add128(*_mul128(hi, lo, mh, ml), *plus)
 
 
 def _xsl_rr(hi, lo):
@@ -286,12 +288,12 @@ def _lemire(raw):
     return (raw >> 11) + (t >= raw), t - raw
 
 
-def lane_layout(paths: int, n: int) -> tuple[int, int]:
-    """(segments, segment length) of ``normals_block``'s lanes for an (n, paths)
-    block: each stream is cut into segments of consecutive draws so that the
-    ``segments * paths`` lanes make each step about ``_LANES`` wide."""
-    seg_len = -(-n // max(1, min(n, _LANES // paths)))
-    return -(-n // seg_len), seg_len
+def lane_width(streams: int, n: int) -> int:
+    """Lanes per stream with which ``normals_block`` draws n values of each of
+    ``streams`` streams: the fewest that take as few steps as lanes about
+    ``LANES`` wide in all."""
+    steps = -(-n // max(1, min(n, LANES // streams)))
+    return -(-n // steps)
 
 
 def normals_block(seed: int, paths: int, n: int, first: int = 0) -> np.ndarray:
@@ -299,11 +301,10 @@ def normals_block(seed: int, paths: int, n: int, first: int = 0) -> np.ndarray:
     ``RandomSource(seed, first + p).normals(n)`` bit for bit, so consecutive
     blocks of streams can be drawn one after another.
 
-    Every stream is one lane of uint64 arrays, all advanced together; fewer
-    than ``_LANES`` streams are cut into consecutive segments, each started
-    by jump-ahead, so that each step stays about ``_LANES`` wide.  A column
-    in which numpy would reject a draw (probability 2^-53 per draw) is
-    redrawn through :class:`RandomSource`.
+    Each stream is drawn on ``lane_width(paths, n)`` interleaved lanes (see
+    ``_lanes``), so that each step, about ``LANES`` lanes wide, fills that
+    many consecutive rows.  A column in which numpy would reject a draw
+    (probability 2^-53 per draw) is redrawn through :class:`RandomSource`.
     """
     seed = operator.index(seed)
     if seed < 0:
@@ -314,20 +315,15 @@ def normals_block(seed: int, paths: int, n: int, first: int = 0) -> np.ndarray:
     out = np.empty((n, paths))
     if out.size == 0:
         return out
-    segments, seg_len = lane_layout(paths, n)
-    hi, lo, inc_hi, inc_lo = _segment_starts(
-        seed, [np.arange(first, first + paths, dtype=np.uint64)], seg_len, segments)
-    least_low = np.full(hi.shape, _M64, dtype=np.uint64)
-    for j in range(seg_len):
-        hi, lo = _add128(*_mul128(hi, lo, _MULT_HI, _MULT_LO), inc_hi, inc_lo)
-        rows = out[j::seg_len]  # row j of every segment still running
-        m = rows.size
-        draws, low = _lemire(_xsl_rr(hi[:m], lo[:m]))
-        np.minimum(least_low[:m], low, out=least_low[:m])
-        rows[...] = draws.reshape(rows.shape)
+    width = lane_width(paths, n)
+    lanes = _lanes(seed, [np.arange(first, first + paths, dtype=np.uint64)], width)
+    rejected = np.zeros(paths, dtype=bool)
+    for a in range(0, n, width):
+        rows = out[a:a + width]
+        rows[...], low = _lemire(next(lanes)[:len(rows)])
+        rejected |= (low < _LEMIRE_THRESHOLD).any(axis=0)
     out *= 1.0 / _U_DENOM
     _ndtri()(out, out=out)
-    rejected = (least_low < _LEMIRE_THRESHOLD).reshape(segments, paths).any(axis=0)
     for p in np.flatnonzero(rejected):
         out[:, p] = RandomSource(seed, first + int(p)).normals(n)
     return out
@@ -343,9 +339,9 @@ class IndexStream:
     ``(w * bound) >> 32``, and w is skipped when ``(w * bound) mod 2**32`` is
     below ``2**32 mod bound``.  Each 64-bit PCG64 output gives two words, its
     low half first, and a call that ends on a low half leaves the high half
-    to the next.  Here ``_LANES`` lanes hold every ``_LANES``-th output of
-    the one stream, started once by jump-ahead and advanced ``_LANES`` draws
-    per step; integers accepted beyond one call's count carry to the next.
+    to the next.  Here the one stream is drawn on ``LANES`` interleaved
+    lanes (see ``_lanes``), ``LANES`` consecutive outputs per step; integers
+    accepted beyond one call's count carry to the next.
     """
 
     def __init__(self, seed: int, stream: int, bound: int) -> None:
@@ -357,19 +353,12 @@ class IndexStream:
             raise ValueError(f"bound must be in [1, 2**32), got {bound}")
         self._bound, self._threshold = np.uint64(bound), (1 << 32) % bound
         spawn = [np.full(1, word, dtype=np.uint64) for word in _words(stream)]
-        hi, lo, inc_hi, inc_lo = _segment_starts(seed, spawn, 1, _LANES)
-        # lane s starts at the state after s + 1 draws, whose output is the s-th
-        self._hi, self._lo = _add128(*_mul128(hi, lo, _MULT_HI, _MULT_LO), inc_hi, inc_lo)
-        mult, plus = _jump(_LANES)
-        inc = int(inc_hi[0]) << 64 | int(inc_lo[0])
-        self._mult, self._plus = _split128(mult), _split128(plus * inc & _M128)
+        self._lanes = _lanes(seed, spawn, LANES)
         self._carry = np.empty(0, dtype=np.int64)
 
     def _next(self) -> np.ndarray:
-        """The integers of the lanes' next ``2 * _LANES`` words, rejected
-        words left out, and the lanes advanced."""
-        words = np.ascontiguousarray(_xsl_rr(self._hi, self._lo), dtype="<u8").view("<u4")
-        self._hi, self._lo = _add128(*_mul128(self._hi, self._lo, *self._mult), *self._plus)
+        """The integers of the next ``2 * LANES`` words, rejected words left out."""
+        words = np.ascontiguousarray(next(self._lanes), dtype="<u8").view("<u4").ravel()
         m = words * self._bound
         m = m[m.astype(np.uint32) >= self._threshold]
         return (m >> 32).view(np.int64)

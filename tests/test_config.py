@@ -10,10 +10,11 @@ import lobres.config as config_module
 from helpers import count_shared_bytes, run_python
 from lobres import ConfigError, ConfigParseError, ConfigValidationError
 from lobres.cli import main
-from lobres.config import (INDEX_STREAM_BYTES, INTERPRETER_BYTES, ONE_PATH_BYTES_PER_POINT,
-                           SCIPY_BYTES, lane_bytes, parse_config, validate_config)
-from lobres.experiments import _BOOTSTRAP_STREAM, tracker_bound_experiment, tracker_bound_inputs
-from lobres.paths import IndexStream, _ndtri, normals_block
+from lobres.config import (INTERPRETER_BYTES, ONE_PATH_BYTES_PER_POINT, SCIPY_BYTES, lane_bytes,
+                           parse_config, validate_config)
+from lobres.experiments import (_BOOTSTRAP_STREAM, paths_per_chunk, tracker_bound_experiment,
+                                tracker_bound_inputs)
+from lobres.paths import LANES, IndexStream, _ndtri, lane_width, normals_block
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -281,29 +282,28 @@ class TestValidate:
 
     # ids from the config name alone, so that a changed estimate renames no test
     @pytest.mark.parametrize("name, expected", [pytest.param(*case, id=case[0]) for case in [
-        # scipy and the noise lanes (a (512, 1024) block: 8 segments x 1,024
-        # streams at 17 uint64 values each), one float64 result per rung and
+        # scipy and the noise lanes (a (512, 1024) block: 8 lanes x 1,024
+        # streams at 14 uint64 values each), one float64 result per rung and
         # path, one (steps, 1024-path) chunk block, and three (rungs,
         # 1024-path) arrays: the positions, squared errors and running maxima
-        ("tracker_bound.json", SCIPY_BYTES + 8 * 17 * 8192 + 8 * 7 * 10_000
+        ("tracker_bound.json", SCIPY_BYTES + 8 * 14 * 8192 + 8 * 7 * 10_000
          + 8 * 512 * 1024 + 3 * 8 * 7 * 1024),
         # one result per (kappa, multiplier) cell and path and no rung rows,
         # plus the bootstrap: 9 cells x 500 resampled CEs, one kappa's 3 x 500
         # gaps, and one chunk of 2**16 // 10,000 = 6 resamples of int64
-        # indices and samples; the bootstrap's index stream holds less than
-        # the noise lanes
-        ("utility.json", SCIPY_BYTES + 8 * 17 * 8192 + 8 * 9 * 10_000
+        # indices and samples; the bootstrap's index stream steps as many
+        # lanes as the noise
+        ("utility.json", SCIPY_BYTES + 8 * 14 * 8192 + 8 * 9 * 10_000
          + 8 * 512 * 1024 + 8 * ((9 + 3) * 500 + 2 * 6 * 10_000)),
-        # fewer paths than a chunk holds: 8 segments x 1,000 lanes
-        ("lemma_jump_noisy.json", SCIPY_BYTES + 8 * 17 * 8000 + 8 * 9 * 1000
+        # fewer paths than a chunk holds: 8 lanes x 1,000 streams
+        ("lemma_jump_noisy.json", SCIPY_BYTES + 8 * 14 * 8000 + 8 * 9 * 1000
          + 8 * 512 * 1000),
         # no noise: the per-rung results only
         ("lemma_jump.json", 8 * 9 * 1),
         # one path only; l2's strategy rate is a sin, one varying input path
         ("l2.json", 8 * 513),
-        # drawn through scipy for simulate: one stream cut into 512 one-draw
-        # segments
-        ("simulate.json", SCIPY_BYTES + 8 * 17 * 512),
+        # drawn through scipy for simulate: one stream on 512 lanes, one step
+        ("simulate.json", SCIPY_BYTES + 8 * 14 * 512),
     ]])
     def test_memory_estimate_of_shipped_configs(self, name, expected):
         # the interpreter and one path's scan and ledger on 513 grid points,
@@ -335,15 +335,17 @@ class TestValidate:
     @pytest.mark.parametrize("paths", [2, 10_000])
     def test_utility_counts_the_larger_of_its_lanes(self, paths, monkeypatch):
         # the bootstrap's index stream starts after the last noise lanes are
-        # freed, so only the larger counts: the index stream's next to 2
-        # paths' 512 segments of 2 lanes, the noise lanes' next to 8,192
+        # freed, so only the larger counts: the index stream's 8,192 lanes
+        # next to 2 paths' 512 lanes each, the noise lanes' next to 8,192
         config = json.loads((CONFIG_DIR / "utility.json").read_text())
         config["mc"]["paths"] = paths
         config = parse_config(json.dumps(config))
         estimate = validate_config(config)["estimates"]["approx_memory_bytes"]
-        monkeypatch.setattr(config_module, "INDEX_STREAM_BYTES", 0)
+        monkeypatch.setattr(config_module, "LANES", 0)
         without = validate_config(config)["estimates"]["approx_memory_bytes"]
-        assert estimate - without == max(0, INDEX_STREAM_BYTES - lane_bytes(paths, 512))
+        chunk = min(paths, paths_per_chunk(512))
+        noise = lane_bytes(chunk * lane_width(chunk, 512))
+        assert estimate - without == max(0, lane_bytes(LANES) - noise)
         assert (estimate > without) == (paths == 2)
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json"))
@@ -411,21 +413,34 @@ class TestValidate:
         assert abs(term / peak - 1.0) <= 0.05
 
 
-@pytest.mark.parametrize("paths, n", [(1024, 512), (256, 2048), (3, 10_007), (1, 512),
-                                      (1, 126_492), (2, 64), (8192, 64), (16_384, 32)])
-def test_lane_term_matches_the_traced_kernel(paths, n):
+@pytest.mark.parametrize("user, size, n", [
+    *[("normals_block", paths, n) for paths, n in [
+        (1024, 512), (256, 2048), (3, 10_007), (1, 512), (1, 126_492), (2, 64), (8192, 64),
+        (16_384, 32)]],
+    *[("IndexStream", bound, n) for bound, n in [
+        (10_000, 6 * 10_000), (3 * 2**30 + 7, 60_000), (7, 7 * 10), (1, 1)]],
+])
+def test_lane_term_matches_the_traced_kernel(user, size, n):
     # validate's lane term is within 10% or 64 KiB, whichever is larger, of
-    # what normals_block allocates beyond its (n, paths) output: 17 values
-    # per lane at every shape, the one-segment 8,192- and 16,384-path blocks
-    # included
+    # what normals_block allocates beyond its (n, paths) output, and the
+    # bootstrap's index stream beyond the n integers it hands out: 14 values
+    # per lane while the lanes step, one lane per stream of 8,192 and 16,384
+    # paths included.  An index stream that stops within its first step
+    # (2 * 8,192 words) holds only its start, about half of that.
     _ndtri()  # loaded first: SCIPY_BYTES counts it
     tracemalloc.start()
     try:
-        out = normals_block(42, paths, n)
+        if user == "normals_block":
+            out, lanes = normals_block(42, size, n), size * lane_width(size, n)
+        else:
+            out, lanes = IndexStream(42, _BOOTSTRAP_STREAM, size).take(n), LANES
         extra = tracemalloc.get_traced_memory()[1] - out.nbytes
     finally:
         tracemalloc.stop()
-    assert abs(lane_bytes(paths, n) - extra) <= max(0.1 * extra, 64 * 1024)
+    if user == "IndexStream" and n <= 2 * LANES:
+        assert 0.4 * lane_bytes(lanes) <= extra <= 0.6 * lane_bytes(lanes)
+    else:
+        assert abs(lane_bytes(lanes) - extra) <= max(0.1 * extra, 64 * 1024)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
@@ -441,25 +456,6 @@ def test_scipy_bytes_matches_the_loaded_ndtri():
             "_ndtri()\n"
             "print(rss() - before)")
     assert abs(int(run_python(code)) - SCIPY_BYTES) <= 0.25 * SCIPY_BYTES
-
-
-@pytest.mark.parametrize("bound, n", [(10_000, 6 * 10_000), (7, 7 * 10), (1, 1),
-                                      (3 * 2**30 + 7, 60_000)])
-def test_index_stream_term_matches_the_traced_replay(bound, n):
-    # INDEX_STREAM_BYTES is within 10% of the larger of what the bootstrap's
-    # index stream allocates while it starts its lanes and, beyond the
-    # integers it hands out, while it draws them
-    tracemalloc.start()
-    try:
-        stream = IndexStream(42, _BOOTSTRAP_STREAM, bound)
-        starting = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        out = stream.take(n)
-        drawing = tracemalloc.get_traced_memory()[1] - out.nbytes
-    finally:
-        tracemalloc.stop()
-    extra = max(starting, drawing)
-    assert abs(INDEX_STREAM_BYTES - extra) <= 0.1 * extra
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")

@@ -21,7 +21,7 @@ from lobres.config import lane_bytes
 from lobres.experiments import (ConvergenceReport, LemmaJumpReport, TrackerBoundReport,
                                 UtilityReport, brownian_increments, tracker_bound_experiment,
                                 tracker_bound_inputs, utility_trackers)
-from lobres.paths import write_tables
+from lobres.paths import LANES, lane_width, write_tables
 from lobres.strategies import block_schedule, smooth_blocks, smoothing_windows
 
 
@@ -527,8 +527,8 @@ def test_the_experiment_itself_refuses(name):
 
 
 class TestBrownianIncrements:
-    # paths below 8192 split each stream into segments; 2731 and 10007 steps
-    # leave a shorter last segment for 3 and 1 paths
+    # paths below 8192 draw each stream on several interleaved lanes; 2731
+    # and 10007 steps leave a partial last step for 3 and 1 paths
     @settings(max_examples=15, deadline=None)
     @given(seed=st.sampled_from([0, 1, 42, 2**32 - 1, 2**32 + 5, 2**130 + 9]),
            paths=st.sampled_from([1, 3, 1000, 8191, 8193, 10000]),
@@ -900,21 +900,23 @@ class TestMonteCarloMemory:
         peak = self._traced_peak(lambda: run_tracker_bound(
             ladder, _grid(ladder.max), **UNIT_TRACKER, paths=self.PATHS, seed=1))
         chunk = experiments_module.paths_per_chunk(512)
-        assert peak < 1.1 * (8 * 512 * chunk + lane_bytes(chunk, 512)
+        assert peak < 1.1 * (8 * 512 * chunk + lane_bytes(chunk * lane_width(chunk, 512))
                              + 8 * len(ladder) * self.PATHS)
         assert peak < self._bound(len(ladder)) < 8 * 512 * self.PATHS / 4
 
     def test_utility_bootstrap_holds_one_kappas_gaps(self):
         # 200,000 resamples of 20 paths: the 9 cells' resampled CEs and one
         # kappa's 3 gap rows, not every cell's gaps, plus one resample chunk
-        # of indices and gathered samples and normals_block's lanes
+        # of indices and gathered samples, and the larger of normals_block's
+        # lanes and the index stream's
         boot, paths = 200_000, 20
         peak = self._traced_peak(lambda: run_utility(
             BookParams.on_grid(_grid(256.0, 64), 16.0), FundamentalSpec(mu=0.1, sigma=0.2),
             KappaLadder((16.0, 64.0, 256.0)), gamma=1.0, **THREE_SPEEDS, paths=paths, seed=1,
             bootstrap=boot))
         rows = experiments_module.resamples_per_chunk(paths)
-        assert peak < 1.1 * (8 * ((9 + 3) * boot + 2 * rows * paths) + lane_bytes(paths, 64))
+        lanes = max(paths * lane_width(paths, 64), LANES)
+        assert peak < 1.1 * (8 * ((9 + 3) * boot + 2 * rows * paths) + lane_bytes(lanes))
 
     def test_utility_peak(self):
         peak = self._traced_peak(lambda: run_utility(

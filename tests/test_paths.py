@@ -12,7 +12,7 @@ from helpers import reference_increments, reference_write_columns, run_python
 from lobres import (FundamentalSpec, RandomSource, SampledPath, TimeGrid, constant_path,
                     function_path)
 from lobres.experiments import _BOOTSTRAP_STREAM, brownian_increments
-from lobres.paths import IndexStream, _lemire, _segment_starts, normals_block, write_tables
+from lobres.paths import IndexStream, _lanes, _lemire, normals_block, write_tables
 
 
 def terminal_values(grid, seed, paths):
@@ -87,17 +87,40 @@ class TestBrownian:
 
 
 class TestNormalsBlock:
-    def test_segment_starts_are_numpy_jump_ahead(self):
-        seed, paths, seg_len = 2**130 + 9, 3, 2**40 + 3
-        hi, lo, inc_hi, inc_lo = _segment_starts(seed, [np.arange(paths, dtype=np.uint64)],
-                                                 seg_len, 4)
-        for s in range(4):
-            for p in range(paths):
-                ss = np.random.SeedSequence(seed, spawn_key=(p,))
-                state = np.random.PCG64(ss).advance(s * seg_len).state["state"]
-                lane = s * paths + p
-                assert int(hi[lane]) << 64 | int(lo[lane]) == state["state"]
-                assert int(inc_hi[lane]) << 64 | int(inc_lo[lane]) == state["inc"]
+    @pytest.mark.parametrize("key", [None, 2**32])
+    def test_lanes_are_numpy_jump_ahead(self, key):
+        # lane (s, k) starts at key k's stream after s + 1 draws and each step
+        # advances it by the width, so step i yields the XSL-RR outputs of
+        # the states after i * width + s + 1 draws; keys 0, 1, 2 are one word
+        # each, and 2**32 is the two words [0, 1]
+        seed, width = 2**130 + 9, 37
+        keys, spawn = (([0, 1, 2], [np.arange(3, dtype=np.uint64)]) if key is None else
+                       ([key], [np.full(1, word, dtype=np.uint64) for word in (0, 1)]))
+        lanes = _lanes(seed, spawn, width)
+        for i in range(2):
+            raw = next(lanes)
+            assert raw.shape == (width, len(keys))
+            for k, spawn_key in enumerate(keys):
+                for s in range(width):
+                    generator = np.random.PCG64(np.random.SeedSequence(seed,
+                                                                       spawn_key=(spawn_key,)))
+                    state = generator.advance(i * width + s + 1).state["state"]["state"]
+                    x = (state >> 64 ^ state) & (2**64 - 1)
+                    rot = state >> 122
+                    assert int(raw[s, k]) == (x >> rot | x << (64 - rot)) & (2**64 - 1)
+
+    @pytest.mark.parametrize("paths, n, first", [
+        (1, 10_007, 0),         # one long stream, on 5,004 lanes
+        (3, 10_007, 0),         # 2,502 lanes per stream, which do not divide n
+        (784, 512, 9216),       # mc_paths' last chunk, 10 lanes per stream
+        (8192, 3, 0), (8200, 2, 0),  # one lane per stream
+        (3, 64, 2**32 - 3),     # the last stream ids
+    ])
+    def test_columns_are_random_source_streams(self, paths, n, first):
+        block = normals_block(42, paths, n, first=first)
+        expected = np.column_stack([RandomSource(42, first + p).normals(n)
+                                    for p in range(paths)])
+        assert block.tobytes() == expected.tobytes()
 
     def test_lemire_decode_matches_128_bit_product(self):
         # numpy: draw = 1 + high word of raw * rng_excl, rejected while the low
@@ -146,8 +169,8 @@ class TestNormalsBlock:
             normals_block(1, 2**32 + 1, 0)
 
     @pytest.mark.parametrize("first,paths,n", [
-        (8000, 300, 5),   # the offset block is split into segments, the whole one is not
-        (8191, 2, 37),    # straddles _LANES
+        (8000, 300, 5),   # the offset block has 5 lanes per stream, the whole one 1
+        (8191, 2, 37),    # straddles LANES
         (0, 1, 37), (7, 1, 37), (8500, 1, 4),  # one stream
         (3, 50, 1), (100, 900, 3),
     ])

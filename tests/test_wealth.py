@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lobres import (BookParams, Evaluation, FundamentalSpec, SampledPath, Strategy,
                     TimeGrid, constant_path, fit_rate, function_path, position_paths,
@@ -204,6 +206,51 @@ class TestAcWealth:
         np.testing.assert_array_equal(w_ow.spread_cost.values, w_ac.spread_cost.values)
         np.testing.assert_array_equal(w_ow.permanent_shift.values,
                                       w_ac.permanent_shift.values)
+
+
+# A constant book with no spread and a constant price, buying x0 shares over
+# [0, T]; kappa * K * dt runs from about 1e-6, where _phi2 takes its series,
+# to about 1e4.
+CLOSED_FORM = dict(kappa=st.floats(0.5, 4096.0), K=st.floats(1e-3, 4.0),
+                   h=st.floats(0.1, 4.0), alpha=st.floats(0.0, 0.5),
+                   steps=st.integers(1, 1024), horizon=st.sampled_from([0.5, 1.0, 3.0]),
+                   x0=st.floats(0.1, 10.0))
+
+
+def _assert_closed_form(wealth, gain, cost):
+    # the permanent impact's gain on the shares held, minus the transient cost
+    assert abs(wealth - (gain - cost)) <= 1e-12 * (abs(gain) + abs(cost))
+
+
+class TestClosedForms:
+    @settings(max_examples=40, deadline=None)
+    @given(**CLOSED_FORM)
+    @example(kappa=4.0, K=0.001, h=2.0, alpha=0.5, steps=512, horizon=1.0, x0=1.0)
+    @example(kappa=1024.0, K=1.0, h=1.0, alpha=0.25, steps=256, horizon=1.0, x0=2.0)
+    @example(kappa=300.0, K=2.5, h=0.3, alpha=0.1, steps=100, horizon=3.0, x0=0.7)
+    def test_ow_optimal_buy_program(self, kappa, K, h, alpha, steps, horizon, x0):
+        # Obizhaeva/Wang: blocks of x0 / (kappa K T + 2) at 0 and T and the
+        # rate kappa K times the block between them
+        grid = TimeGrid(horizon, steps)
+        block = x0 / (kappa * K * horizon + 2.0)
+        book = BookParams.on_grid(grid, kappa, K=K, h=h, alpha=alpha)
+        strat = Strategy(grid, constant_path(grid, kappa * K * block),
+                         ((0, block), (steps, block)))
+        wealth = Evaluation(book, strat, constant_path(grid, 100.0)).ow().x.values[-1]
+        _assert_closed_form(wealth, alpha * x0**2 / (2 * h),
+                            (1 - alpha) * x0**2 / (h * (kappa * K * horizon + 2.0)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**CLOSED_FORM)
+    @example(kappa=4.0, K=0.001, h=2.0, alpha=0.5, steps=512, horizon=1.0, x0=1.0)
+    def test_ac_constant_rate(self, kappa, K, h, alpha, steps, horizon, x0):
+        # Almgren/Chriss: buying at the rate x0 / T costs lambda x0^2 / T
+        grid = TimeGrid(horizon, steps)
+        book = BookParams.on_grid(grid, kappa, K=K, h=h, alpha=alpha)
+        strat = rate_strategy(grid, x0 / horizon)
+        wealth = Evaluation(book, strat, constant_path(grid, 100.0)).ac().x.values[-1]
+        _assert_closed_form(wealth, alpha * x0**2 / (2 * h),
+                            (1 - alpha) * x0**2 / (kappa * K * h * horizon))
 
 
 class TestWealthCsv:
